@@ -557,22 +557,35 @@ func BenchmarkSessionAdmitProbe(b *testing.B) {
 	}
 }
 
+// serveBenchSets returns the 16 task-set documents of the serving
+// benchmarks, generated and encoded as lpdag-gen writes them.
+func serveBenchSets(b *testing.B) [][]byte {
+	b.Helper()
+	g := NewGenerator(77, PaperGenParams(GroupMixed))
+	sets := make([][]byte, 16)
+	for i := range sets {
+		raw, err := g.TaskSet(2.0).MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets[i] = raw
+	}
+	return sets
+}
+
 // benchServeAnalyze drives the full HTTP serving path — request decode,
 // batch dispatch, pooled response encode — with one 16-item /v1/analyze
 // batch per iteration, in the codec named by accept. This is the
 // serving-path number of BENCH_analyze.json and part of the lpdag-bench
 // regression gate: the response side must stay on the pooled
 // encoder, so allocs/op is effectively the per-batch serving overhead.
+// BenchmarkServeDecode and BenchmarkServeBuild time its first layers
+// alone on the same sets.
 func benchServeAnalyze(b *testing.B, accept string) {
 	b.Helper()
-	g := NewGenerator(77, PaperGenParams(GroupMixed))
 	var batch bytes.Buffer
 	batch.WriteString(`{"cores": 8, "method": "lp-ilp", "requests": [`)
-	for i := 0; i < 16; i++ {
-		raw, err := g.TaskSet(2.0).MarshalJSON()
-		if err != nil {
-			b.Fatal(err)
-		}
+	for i, raw := range serveBenchSets(b) {
 		if i > 0 {
 			batch.WriteByte(',')
 		}
@@ -601,6 +614,53 @@ func benchServeAnalyze(b *testing.B, accept string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkServeDecode is the decode layer of BenchmarkServeAnalyze: the
+// one-pass JSON decode of its 16 task sets, task graphs built.
+func BenchmarkServeDecode(b *testing.B) {
+	sets := serveBenchSets(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, raw := range sets {
+			if err := new(TaskSet).UnmarshalJSON(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkServeBuild is the graph-building share of BenchmarkServeDecode:
+// dag.Builder.Build over the same sets' node and edge lists.
+func BenchmarkServeBuild(b *testing.B) {
+	var tasks []*Task
+	for _, raw := range serveBenchSets(b) {
+		ts, err := ReadTaskSet(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks = append(tasks, ts.Tasks...)
+	}
+	var bld GraphBuilder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tasks {
+			bld.Reset()
+			for v := 0; v < t.G.N(); v++ {
+				bld.AddNode(t.G.WCET(v))
+			}
+			for u := 0; u < t.G.N(); u++ {
+				for _, v := range t.G.Successors(u) {
+					bld.AddEdge(u, v)
+				}
+			}
+			if _, err := bld.Build(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

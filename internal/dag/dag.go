@@ -44,10 +44,10 @@ import (
 // every method of a comparison sweep — pay for each quantity once.
 type Graph struct {
 	wcet  []int64
-	succ  [][]int // direct successors, each sorted ascending
-	pred  [][]int // direct predecessors, each sorted ascending
-	topo  []int   // one fixed topological order
-	names []string
+	succ  [][]int  // direct successors, each sorted ascending
+	pred  [][]int  // direct predecessors, each sorted ascending
+	topo  []int    // one fixed topological order
+	names []string // display names; nil when no node has one
 
 	volume  int64 // Σ wcet, fixed at Build
 	longest int64 // longest-path length L, fixed at Build
@@ -72,7 +72,7 @@ type Graph struct {
 // The zero value is ready to use.
 type Builder struct {
 	wcet  []int64
-	names []string
+	names []string // up to the last named node only
 	edges [][2]int
 }
 
@@ -80,20 +80,28 @@ type Builder struct {
 // returns its index. WCETs must be positive; Build reports violations.
 func (b *Builder) AddNode(wcet int64) int {
 	b.wcet = append(b.wcet, wcet)
-	b.names = append(b.names, "")
 	return len(b.wcet) - 1
 }
 
 // AddNamedNode appends a node with an explicit display name.
 func (b *Builder) AddNamedNode(name string, wcet int64) int {
 	i := b.AddNode(wcet)
-	b.names[i] = name
+	for len(b.names) < i {
+		b.names = append(b.names, "")
+	}
+	b.names = append(b.names, name)
 	return i
 }
 
 // AddEdge records a precedence constraint from node u to node v.
 func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int{u, v})
+}
+
+// Reset empties the builder, keeping its memory for the next graph
+// (Build copies what it keeps).
+func (b *Builder) Reset() {
+	b.wcet, b.names, b.edges = b.wcet[:0], b.names[:0], b.edges[:0]
 }
 
 // Build validates the accumulated nodes and edges and returns the Graph.
@@ -110,8 +118,9 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: node %d has non-positive WCET %d", i, c)
 		}
 	}
-	succ := make([][]int, n)
-	pred := make([][]int, n)
+	// deg[u] counts u's successors, deg[n+v] v's predecessors; the in-degree
+	// half is later consumed by the topological sort.
+	deg := make([]int, 2*n)
 	seen := make(map[[2]int]bool, len(b.edges))
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
@@ -125,16 +134,34 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
 		}
 		seen[e] = true
-		succ[u] = append(succ[u], v)
-		pred[v] = append(pred[v], u)
+		deg[u]++
+		deg[n+v]++
 	}
-	for i := range succ {
-		sort.Ints(succ[i])
-		sort.Ints(pred[i])
+	// Both adjacency lists live in one slab, each node owning a
+	// capacity-capped window of it; nodes without neighbours keep nil.
+	lists := make([][]int, 2*n)
+	slab := make([]int, 2*len(b.edges))
+	for i, d := range deg {
+		if d > 0 {
+			lists[i], slab = slab[:0:d], slab[d:]
+		}
 	}
-	g := &Graph{wcet: append([]int64(nil), b.wcet...), succ: succ, pred: pred,
-		names: append([]string(nil), b.names...)}
-	topo, err := g.computeTopo()
+	succ, pred := lists[:n:n], lists[n:]
+	for _, e := range b.edges {
+		succ[e[0]] = append(succ[e[0]], e[1])
+	}
+	for u, s := range succ {
+		sort.Ints(s)
+		for _, v := range s {
+			pred[v] = append(pred[v], u) // ascending, as u is
+		}
+	}
+	g := &Graph{wcet: append([]int64(nil), b.wcet...), succ: succ, pred: pred}
+	if len(b.names) > 0 {
+		g.names = make([]string, n)
+		copy(g.names, b.names)
+	}
+	topo, err := g.computeTopo(deg[n:])
 	if err != nil {
 		return nil, err
 	}
@@ -157,20 +184,17 @@ func (b *Builder) MustBuild() *Graph {
 
 // computeTopo returns a deterministic topological order (Kahn's algorithm
 // with smallest-index tie-breaking) or an error if the graph is cyclic.
-func (g *Graph) computeTopo() ([]int, error) {
+// indeg holds the in-degree of every node and is consumed: a node taken
+// into the order is marked -1.
+func (g *Graph) computeTopo(indeg []int) ([]int, error) {
 	n := g.N()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = len(g.pred[v])
-	}
 	// Min-heap-free variant: scan for the smallest ready index. n ≤ a few
 	// dozen in this domain, so O(n²) keeps the code obvious.
-	done := make([]bool, n)
 	order := make([]int, 0, n)
 	for len(order) < n {
 		next := -1
 		for v := 0; v < n; v++ {
-			if !done[v] && indeg[v] == 0 {
+			if indeg[v] == 0 {
 				next = v
 				break
 			}
@@ -178,7 +202,7 @@ func (g *Graph) computeTopo() ([]int, error) {
 		if next == -1 {
 			return nil, fmt.Errorf("dag: cycle detected")
 		}
-		done[next] = true
+		indeg[next] = -1
 		order = append(order, next)
 		for _, w := range g.succ[next] {
 			indeg[w]--
@@ -204,7 +228,7 @@ func (g *Graph) WCETs() []int64 { return append([]int64(nil), g.wcet...) }
 // Name returns the display name of node v, or "v<i+1>" if none was set
 // (mirroring the paper's v_{i,j} labels, which are 1-based).
 func (g *Graph) Name(v int) string {
-	if g.names[v] != "" {
+	if v < len(g.names) && g.names[v] != "" {
 		return g.names[v]
 	}
 	return fmt.Sprintf("v%d", v+1)

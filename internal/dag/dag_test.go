@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -541,6 +542,109 @@ func TestLongestPathAtMostVolume(t *testing.T) {
 		}
 		if g.Width() == 1 && l != vol {
 			t.Fatalf("sequential DAG must have L == vol (got %d, %d)", l, vol)
+		}
+	}
+}
+
+// refBuild is the map-based Build the slab version replaced, kept as the
+// oracle for error precedence and adjacency.
+func refBuild(wcet []int64, edges [][2]int) (succ, pred [][]int, topo []int, err error) {
+	n := len(wcet)
+	if n == 0 {
+		return nil, nil, nil, fmtErr("dag: graph must have at least one node")
+	}
+	for i, c := range wcet {
+		if c <= 0 {
+			return nil, nil, nil, fmtErr("dag: node %d has non-positive WCET %d", i, c)
+		}
+	}
+	succ, pred = make([][]int, n), make([][]int, n)
+	seen := map[[2]int]bool{}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, nil, nil, fmtErr("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
+		}
+		if u == v {
+			return nil, nil, nil, fmtErr("dag: self-loop on node %d", u)
+		}
+		if seen[e] {
+			return nil, nil, nil, fmtErr("dag: duplicate edge (%d,%d)", u, v)
+		}
+		seen[e] = true
+		succ[u] = append(succ[u], v)
+		pred[v] = append(pred[v], u)
+	}
+	for i := range succ {
+		sort.Ints(succ[i])
+		sort.Ints(pred[i])
+	}
+	indeg := make([]int, n)
+	for v := range pred {
+		indeg[v] = len(pred[v])
+	}
+	done := make([]bool, n)
+	for len(topo) < n {
+		next := -1
+		for v := 0; v < n; v++ {
+			if !done[v] && indeg[v] == 0 {
+				next = v
+				break
+			}
+		}
+		if next == -1 {
+			return nil, nil, nil, fmtErr("dag: cycle detected")
+		}
+		done[next] = true
+		topo = append(topo, next)
+		for _, w := range succ[next] {
+			indeg[w]--
+		}
+	}
+	return succ, pred, topo, nil
+}
+
+func fmtErr(format string, args ...any) error { return fmt.Errorf(format, args...) }
+
+// TestBuildMatchesReference builds random node and edge lists — bad
+// edges, duplicates, cycles and all — and pins Build's verdict, error
+// text, adjacency (nil lists included) and topological order to refBuild.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 20000; iter++ {
+		n := rng.Intn(7)
+		var b Builder
+		wcet := make([]int64, n)
+		for i := range wcet {
+			wcet[i] = int64(rng.Intn(20)) + 1
+			if rng.Intn(200) == 0 {
+				wcet[i] = 0
+			}
+			b.AddNode(wcet[i])
+		}
+		var edges [][2]int
+		for k := rng.Intn(2 * (n + 1)); k > 0; k-- {
+			u, v := rng.Intn(n+2)-1, rng.Intn(n+2)-1
+			if rng.Intn(3) > 0 && u < v && u >= 0 && v < n {
+				// mostly forward edges, so many graphs are valid DAGs
+			} else if rng.Intn(4) > 0 && n > 1 {
+				u, v = rng.Intn(n-1), 0
+				v = u + 1 + rng.Intn(n-1-u)
+			}
+			edges = append(edges, [2]int{u, v})
+			b.AddEdge(u, v)
+		}
+		succ, pred, topo, wantErr := refBuild(wcet, edges)
+		g, err := b.Build()
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("wcet %v edges %v: Build error %v, want %v", wcet, edges, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(g.succ, succ) || !reflect.DeepEqual(g.pred, pred) || !reflect.DeepEqual(g.topo, topo) {
+			t.Fatalf("wcet %v edges %v: adjacency or order differs:\n%v %v %v\nwant %v %v %v",
+				wcet, edges, g.succ, g.pred, g.topo, succ, pred, topo)
 		}
 	}
 }

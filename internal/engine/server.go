@@ -27,12 +27,14 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/jsonwire"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/ring"
@@ -126,7 +128,19 @@ type Server struct {
 	self      string
 	redirects *obs.Counter
 	handoffs  *obs.Counter
+
+	// analyzePhases time the phases of POST /v1/analyze (nil without a
+	// registry): body read and decode with task graphs built, the engine
+	// batch, and the response encode and write.
+	analyzePhases [3]*obs.Histogram
 }
+
+// Phases of POST /v1/analyze, indexing Server.analyzePhases.
+const (
+	phaseDecode = iota
+	phaseAnalyze
+	phaseEncode
+)
 
 // NewServer returns the engine's HTTP server.
 func NewServer(e *Engine, cfg ServerConfig) *Server {
@@ -206,6 +220,11 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 			"Session requests answered 307 to the owning ring member.")
 		s.handoffs = reg.Counter("lpdag_session_handoffs_total",
 			"Session snapshots accepted over POST /v1/sessions/handoff.")
+		for i, phase := range [...]string{phaseDecode: "decode", phaseAnalyze: "analyze", phaseEncode: "encode"} {
+			s.analyzePhases[i] = reg.Histogram("lpdag_http_phase_seconds",
+				"Serving time by route and phase: decode (body read, JSON decode, task graphs built), analyze (engine batch), encode (response encode and write).",
+				obs.LatencyBuckets, "route", "POST /v1/analyze", "phase", phase)
+		}
 	}
 	s.mux = mux
 	return s
@@ -275,14 +294,19 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		// Encode failed before any byte reached the wire, so a clean
-		// error status is still possible (and still counts: the caller
-		// lost a response either way).
-		atomic.AddUint64(&s.writeErrs, 1)
-		http.Error(w, fmt.Sprintf("response encoding failed: %v", err), http.StatusInternalServerError)
+		s.encodeFailed(w, err)
 		return
 	}
 	s.writeBody(w, status, "application/json", buf.Bytes())
+}
+
+// encodeFailed answers a response that could not be encoded. Encoding
+// fails before any byte reaches the wire, so a clean error status is
+// still possible (and still counts: the caller lost a response either
+// way).
+func (s *Server) encodeFailed(w http.ResponseWriter, err error) {
+	atomic.AddUint64(&s.writeErrs, 1)
+	http.Error(w, fmt.Sprintf("response encoding failed: %v", err), http.StatusInternalServerError)
 }
 
 // writeBody sends one fully encoded response body, counting write
@@ -305,16 +329,39 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		s.rejectBody(w, err)
 		return false
 	}
 	return true
+}
+
+// readBody reads the whole body into a pooled buffer, which the caller
+// puts back into respBufPool once nothing refers to its bytes. It
+// reports false after answering a failed read.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := respBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // room for ReadFrom's final EOF read
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		respBufPool.Put(buf)
+		s.rejectBody(w, err)
+		return nil, false
+	}
+	return buf, true
+}
+
+// rejectBody answers a body that could not be read or decoded: 413 when
+// it exceeds MaxBodyBytes, else 400.
+func (s *Server) rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 }
 
 // ParseMethod maps the API wire spelling to a core.Method ("" =
@@ -372,22 +419,170 @@ func BackendWire(b core.Backend) (string, error) {
 }
 
 // analyzeItem is one batch element: a task set plus optional per-request
-// overrides of the top-level defaults.
+// overrides of the top-level defaults. Its wire form is
+// {"taskset", "cores", "method", "backend", "final_npr"}; the set is
+// decoded while the body is read, and a set that fails to decode fails
+// only its own element.
 type analyzeItem struct {
-	TaskSet  json.RawMessage `json:"taskset"`
-	Cores    *int            `json:"cores,omitempty"`
-	Method   *string         `json:"method,omitempty"`
-	Backend  *string         `json:"backend,omitempty"`
-	FinalNPR *bool           `json:"final_npr,omitempty"`
+	hasSet   bool
+	set      *model.TaskSet
+	setErr   error
+	cores    *int
+	method   *string
+	backend  *string
+	finalNPR *bool
 }
 
-// analyzeRequest is the /v1/analyze body: defaults plus a batch.
+// analyzeRequest is the /v1/analyze body, {"cores", "method", "backend",
+// "final_npr", "requests"}: defaults plus a batch.
 type analyzeRequest struct {
-	Cores    int           `json:"cores,omitempty"`     // default 4
-	Method   string        `json:"method,omitempty"`    // default "lp-ilp"
-	Backend  string        `json:"backend,omitempty"`   // default "combinatorial"
-	FinalNPR bool          `json:"final_npr,omitempty"` // Options.FinalNPRRefinement
-	Requests []analyzeItem `json:"requests"`
+	cores    int    // default 4
+	method   string // default "lp-ilp"
+	backend  string // default "combinatorial"
+	finalNPR bool   // Options.FinalNPRRefinement
+	batch    int    // elements in "requests"
+	items    []analyzeItem
+}
+
+// decodeAnalyzeRequest reads a /v1/analyze body in one pass, task sets
+// included (model.DecodeTaskSet on the same cursor). It accepts the
+// bodies json.Decoder with DisallowUnknownFields accepted into the
+// former struct form of the envelope, field values and repeated-key
+// semantics alike, except that data after the JSON value is now an
+// error. Elements past maxBatch are only validated, not built, since
+// the request fails on its size.
+func decodeAnalyzeRequest(body []byte, maxBatch int) (*analyzeRequest, error) {
+	d := jsonwire.NewDec(body)
+	req := new(analyzeRequest)
+	var first error // the first type or unknown-field error, as json.Decoder keeps it
+	keep := func(err error) {
+		if first == nil {
+			first = err
+		}
+	}
+	switch d.Peek() {
+	case jsonwire.Null:
+		d.Skip()
+	case jsonwire.Object:
+		d.Object(func(key []byte) {
+			switch {
+			case jsonwire.KeyIs(key, "cores"):
+				keep(d.Int(&req.cores, "cores"))
+			case jsonwire.KeyIs(key, "method"):
+				keep(d.Str(&req.method, "method"))
+			case jsonwire.KeyIs(key, "backend"):
+				keep(d.Str(&req.backend, "backend"))
+			case jsonwire.KeyIs(key, "final_npr"):
+				keep(d.Bool(&req.finalNPR, "final_npr"))
+			case jsonwire.KeyIs(key, "requests"):
+				keep(req.decodeItems(d, maxBatch, first != nil))
+			default:
+				keep(fmt.Errorf("json: unknown field %q", key))
+				d.Skip()
+			}
+		})
+	default:
+		keep(d.Mismatch("analyze request", "object"))
+	}
+	if err := d.End(); err != nil {
+		return nil, err
+	}
+	return req, first
+}
+
+// decodeItems reads "requests" as encoding/json fills a slice: a
+// repeated key decodes into the elements already there. With failed set
+// the request is already lost, so sets are validated, not built.
+func (req *analyzeRequest) decodeItems(d *jsonwire.Dec, maxBatch int, failed bool) error {
+	switch d.Peek() {
+	case jsonwire.Null:
+		d.Skip()
+		req.items, req.batch = nil, 0
+		return nil
+	case jsonwire.Array:
+	default:
+		return d.Mismatch("requests", "array")
+	}
+	var first error
+	n := 0
+	d.Array(func(i int) {
+		n = i + 1
+		if i >= maxBatch {
+			d.Skip()
+			return
+		}
+		if i == len(req.items) {
+			if i < cap(req.items) {
+				req.items = req.items[:i+1]
+			} else {
+				req.items = append(req.items, analyzeItem{})
+			}
+		}
+		if err := req.items[i].decode(d, failed || first != nil); first == nil {
+			first = err
+		}
+	})
+	req.items = req.items[:min(n, len(req.items))]
+	if n == 0 {
+		req.items = nil
+	}
+	req.batch = n
+	return first
+}
+
+// decode reads one batch element into it; null leaves it unchanged. With
+// skipSet the set is validated and marked present but not built.
+func (it *analyzeItem) decode(d *jsonwire.Dec, skipSet bool) error {
+	switch d.Peek() {
+	case jsonwire.Null:
+		d.Skip()
+		return nil
+	case jsonwire.Object:
+	default:
+		return d.Mismatch("requests element", "object")
+	}
+	var first error
+	keep := func(err error) {
+		if first == nil {
+			first = err
+		}
+	}
+	d.Object(func(key []byte) {
+		switch {
+		case jsonwire.KeyIs(key, "taskset"):
+			it.hasSet = true
+			if skipSet || first != nil {
+				d.Skip()
+				return
+			}
+			it.set, it.setErr = model.DecodeTaskSet(d)
+		case jsonwire.KeyIs(key, "cores"):
+			keep(readOverride(d, &it.cores, d.Int, "cores"))
+		case jsonwire.KeyIs(key, "method"):
+			keep(readOverride(d, &it.method, d.Str, "method"))
+		case jsonwire.KeyIs(key, "backend"):
+			keep(readOverride(d, &it.backend, d.Str, "backend"))
+		case jsonwire.KeyIs(key, "final_npr"):
+			keep(readOverride(d, &it.finalNPR, d.Bool, "final_npr"))
+		default:
+			keep(fmt.Errorf("json: unknown field %q", key))
+			d.Skip()
+		}
+	})
+	return first
+}
+
+// readOverride reads a per-element override: null clears it, a value
+// sets it.
+func readOverride[T any](d *jsonwire.Dec, dst **T, read func(*T, string) error, field string) error {
+	if d.Peek() == jsonwire.Null {
+		d.Skip()
+		*dst = nil
+		return nil
+	}
+	v := new(T)
+	*dst = v
+	return read(v, field)
 }
 
 // taskReportJSON is the wire form of one core.TaskReport.
@@ -443,41 +638,118 @@ func reportJSON(rep *core.Report) analyzeResult {
 	return out
 }
 
+// appendAnalyzeResponseJSON appends the /v1/analyze JSON body: byte for
+// byte what writeJSON (a json.Encoder indenting by two spaces) writes
+// for analyzeResponse{Results: results}, without reflection.
+func appendAnalyzeResponseJSON(buf []byte, results []analyzeResult) ([]byte, error) {
+	if len(results) == 0 {
+		return append(buf, "{\n  \"results\": []\n}\n"...), nil // handleAnalyze never sends nil
+	}
+	const resInd, taskInd, fieldInd = "\n      ", "\n        ", "\n          "
+	buf = append(buf, "{\n  \"results\": ["...)
+	for i, r := range results {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, "\n    {"...)
+		if r.Error != "" {
+			buf = append(buf, resInd+`"error": `...)
+			buf = jsonwire.AppendString(buf, r.Error)
+			buf = append(buf, ',')
+		}
+		buf = append(buf, resInd+`"schedulable": `...)
+		buf = strconv.AppendBool(buf, r.Schedulable)
+		if r.Method != "" {
+			buf = append(buf, ","+resInd+`"method": `...)
+			buf = jsonwire.AppendString(buf, r.Method)
+		}
+		if r.Cores != 0 {
+			buf = append(buf, ","+resInd+`"cores": `...)
+			buf = strconv.AppendInt(buf, int64(r.Cores), 10)
+		}
+		if r.Utilization != 0 {
+			buf = append(buf, ","+resInd+`"utilization": `...)
+			var err error
+			if buf, err = jsonwire.AppendFloat(buf, r.Utilization); err != nil {
+				return buf, err
+			}
+		}
+		if len(r.Tasks) > 0 {
+			buf = append(buf, ","+resInd+`"tasks": [`...)
+			for k, t := range r.Tasks {
+				if k > 0 {
+					buf = append(buf, ',')
+				}
+				buf = append(buf, taskInd+"{"+fieldInd+`"name": `...)
+				buf = jsonwire.AppendString(buf, t.Name)
+				buf = append(buf, ","+fieldInd+`"schedulable": `...)
+				buf = strconv.AppendBool(buf, t.Schedulable)
+				buf = append(buf, ","+fieldInd+`"analyzed": `...)
+				buf = strconv.AppendBool(buf, t.Analyzed)
+				buf = append(buf, ","+fieldInd+`"response_time": `...)
+				buf = strconv.AppendInt(buf, t.ResponseTime, 10)
+				buf = append(buf, ","+fieldInd+`"deadline": `...)
+				buf = strconv.AppendInt(buf, t.Deadline, 10)
+				buf = append(buf, ","+fieldInd+`"delta_m": `...)
+				buf = strconv.AppendInt(buf, t.DeltaM, 10)
+				buf = append(buf, ","+fieldInd+`"delta_m1": `...)
+				buf = strconv.AppendInt(buf, t.DeltaM1, 10)
+				buf = append(buf, ","+fieldInd+`"preemptions": `...)
+				buf = strconv.AppendInt(buf, t.Preemptions, 10)
+				buf = append(buf, ","+fieldInd+`"iterations": `...)
+				buf = strconv.AppendInt(buf, int64(t.Iterations), 10)
+				buf = append(buf, taskInd+"}"...)
+			}
+			buf = append(buf, resInd+"]"...)
+		}
+		buf = append(buf, "\n    }"...)
+	}
+	return append(buf, "\n  ]\n}\n"...), nil
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	if !s.decode(w, r, &req) {
+	t0 := time.Now()
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Requests) == 0 {
+	req, err := decodeAnalyzeRequest(body.Bytes(), s.cfg.MaxBatch)
+	respBufPool.Put(body) // the decoded request holds no reference into it
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
+	if req.batch == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch: requests must hold at least one task set")
 		return
 	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Requests), s.cfg.MaxBatch)
+	if req.batch > s.cfg.MaxBatch {
+		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", req.batch, s.cfg.MaxBatch)
 		return
 	}
-	if req.Cores == 0 {
-		req.Cores = 4
+	if req.cores == 0 {
+		req.cores = 4
 	}
 
-	results := make([]analyzeResult, len(req.Requests))
-	sets := make([]*model.TaskSet, 0, len(req.Requests))
-	specs := make([]AnalyzeSpec, 0, len(req.Requests))
-	slots := make([]int, 0, len(req.Requests)) // result index per submitted job
-	for i, item := range req.Requests {
-		spec := AnalyzeSpec{Cores: req.Cores, FinalNPR: req.FinalNPR}
-		methodStr, backendStr := req.Method, req.Backend
-		if item.Cores != nil {
-			spec.Cores = *item.Cores
+	results := make([]analyzeResult, len(req.items))
+	sets := make([]*model.TaskSet, 0, len(req.items))
+	specs := make([]AnalyzeSpec, 0, len(req.items))
+	slots := make([]int, 0, len(req.items)) // result index per submitted job
+	for i := range req.items {
+		item := &req.items[i]
+		spec := AnalyzeSpec{Cores: req.cores, FinalNPR: req.finalNPR}
+		methodStr, backendStr := req.method, req.backend
+		if item.cores != nil {
+			spec.Cores = *item.cores
 		}
-		if item.FinalNPR != nil {
-			spec.FinalNPR = *item.FinalNPR
+		if item.finalNPR != nil {
+			spec.FinalNPR = *item.finalNPR
 		}
-		if item.Method != nil {
-			methodStr = *item.Method
+		if item.method != nil {
+			methodStr = *item.method
 		}
-		if item.Backend != nil {
-			backendStr = *item.Backend
+		if item.backend != nil {
+			backendStr = *item.backend
 		}
 		var err error
 		if spec.Method, err = ParseMethod(methodStr); err != nil {
@@ -488,25 +760,29 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = err.Error()
 			continue
 		}
-		if len(item.TaskSet) == 0 {
+		if !item.hasSet {
 			results[i].Error = "missing taskset"
 			continue
 		}
-		ts := new(model.TaskSet)
-		if err := ts.UnmarshalJSON(item.TaskSet); err != nil {
-			results[i].Error = err.Error()
+		if item.setErr != nil {
+			results[i].Error = item.setErr.Error()
 			continue
 		}
-		sets = append(sets, ts)
+		sets = append(sets, item.set)
 		specs = append(specs, spec)
 		slots = append(slots, i)
 	}
 
+	t1 := time.Now()
+	s.analyzePhases[phaseDecode].Observe(t1.Sub(t0).Seconds())
 	reports, errs, err := s.eng.AnalyzeBatch(r.Context(), sets, specs)
 	if err != nil {
 		s.writeError(w, http.StatusServiceUnavailable, "batch aborted: %v", err)
 		return
 	}
+	t2 := time.Now()
+	s.analyzePhases[phaseAnalyze].Observe(t2.Sub(t1).Seconds())
+	defer s.analyzePhases[phaseEncode].Since(t2)
 	for j, slot := range slots {
 		if errs[j] != nil {
 			results[slot].Error = errs[j].Error()
@@ -514,9 +790,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		results[slot] = reportJSON(reports[j])
 	}
+	st := binBufPool.Get().(*binBuf)
+	defer binBufPool.Put(st)
 	if binaryAccepted(r) {
-		st := binBufPool.Get().(*binBuf)
-		defer binBufPool.Put(st)
 		frames := st.frames[:0]
 		for _, res := range results {
 			st.payload = appendAnalyzeResultBin(st.payload[:0], res)
@@ -526,7 +802,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeBody(w, http.StatusOK, wire.ContentType, frames)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, analyzeResponse{Results: results})
+	if st.frames, err = appendAnalyzeResponseJSON(st.frames[:0], results); err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	s.writeBody(w, http.StatusOK, "application/json", st.frames)
 }
 
 // simulateRequest is the /v1/simulate body.

@@ -34,7 +34,8 @@ func binaryAccepted(r *http.Request) bool {
 }
 
 // binBuf is the reusable scratch of one binary response: the per-record
-// payload buffer and the accumulated frame bytes.
+// payload buffer and the accumulated frame bytes. The JSON /v1/analyze
+// response is appended into frames too.
 type binBuf struct {
 	payload, frames []byte
 }

@@ -167,6 +167,8 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		{"unknown field", `{"bogus": 1}`, http.StatusBadRequest},
 		{"empty batch", `{"requests": []}`, http.StatusBadRequest},
 		{"trailing garbage", `{"requests": []}{}`, http.StatusBadRequest},
+		{"trailing garbage after a valid batch", `{"requests": [{"taskset": ` + paperExampleJSON(t) + `}]} x`, http.StatusBadRequest},
+		{"type mismatch", `{"cores": "8", "requests": [{}]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if w := post(t, h, "/v1/analyze", c.body); w.Code != c.want {
@@ -185,6 +187,12 @@ func TestOversizedBodyRejected(t *testing.T) {
 	w := post(t, h, "/v1/analyze", big)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413 (%s)", w.Code, w.Body)
+	}
+	// The analyze body is read before it is parsed, so malformed filler
+	// past the cap is a 413 as well, not a 400.
+	w = post(t, h, "/v1/analyze", `{"requests": [`+strings.Repeat("@", 4096))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("malformed oversized body: status %d, want 413 (%s)", w.Code, w.Body)
 	}
 }
 

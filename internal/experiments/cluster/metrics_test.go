@@ -66,6 +66,7 @@ var metricsCatalog = []string{
 	"lpdag_engine_queue_wait_seconds|histogram||Time a job spent queued before a worker picked it up.",
 	"lpdag_engine_workers|gauge||Configured worker goroutines of the engine pool.",
 	"lpdag_http_in_flight|gauge||Requests currently inside the admission semaphore.",
+	"lpdag_http_phase_seconds|histogram|phase,route|Serving time by route and phase: decode (body read, JSON decode, task graphs built), analyze (engine batch), encode (response encode and write).",
 	"lpdag_http_request_duration_seconds|histogram|route|HTTP request latency by route pattern.",
 	"lpdag_http_requests_shed_total|counter||Requests refused with 503 by the in-flight semaphore.",
 	"lpdag_http_requests_total|counter|code,route|HTTP requests served, by route pattern and status code.",

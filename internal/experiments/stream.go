@@ -28,7 +28,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
+
+	"repro/internal/jsonwire"
 )
 
 // encState is the reusable scratch of one JSONL encode: the output
@@ -58,12 +59,12 @@ func (st *encState) appendPointResult(buf []byte, r PointResult) ([]byte, error)
 	buf = append(buf, `{"index":`...)
 	buf = strconv.AppendInt(buf, int64(r.Index), 10)
 	buf = append(buf, `,"scenario":`...)
-	buf = appendJSONString(buf, r.Scenario)
+	buf = jsonwire.AppendString(buf, r.Scenario)
 	buf = append(buf, `,"m":`...)
 	buf = strconv.AppendInt(buf, int64(r.M), 10)
 	buf = append(buf, `,"u":`...)
 	var err error
-	if buf, err = appendJSONFloat(buf, r.U); err != nil {
+	if buf, err = jsonwire.AppendFloat(buf, r.U); err != nil {
 		return buf, err
 	}
 	buf = append(buf, `,"sets":`...)
@@ -83,7 +84,7 @@ func (st *encState) appendPointResult(buf []byte, r PointResult) ([]byte, error)
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendJSONString(buf, k)
+			buf = jsonwire.AppendString(buf, k)
 			buf = append(buf, ':')
 			buf = strconv.AppendInt(buf, int64(r.Sched[k]), 10)
 		}
@@ -91,87 +92,6 @@ func (st *encState) appendPointResult(buf []byte, r PointResult) ([]byte, error)
 	}
 	buf = append(buf, '}', '\n')
 	return buf, nil
-}
-
-// appendJSONFloat appends f in encoding/json's float64 format (ES6
-// number-to-string: %g-like with exponent form only below 1e-6 or at
-// 1e21 and up, exponents not zero-padded). Non-finite values are an
-// encode error, as in json.Marshal.
-func appendJSONFloat(buf []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return buf, fmt.Errorf("experiments: unsupported non-finite value %v", f)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json cleans up e-09 to e-9.
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly as encoding/json's
-// default (HTML-escaping) encoder would: control characters, quote,
-// backslash, <, >, & and U+2028/U+2029 escaped, invalid UTF-8 replaced
-// with U+FFFD.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				buf = append(buf, '\\', b)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }
 
 // CampaignJSONL renders results as one JSON object per line.
