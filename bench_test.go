@@ -71,9 +71,8 @@ func benchFigure2(b *testing.B, m int) {
 	cfg := experiments.PaperFig2Config(m, 4, 42)
 	cfg.UStep = float64(m) / 4
 	for i := 0; i < b.N; i++ {
-		points := experiments.Figure2(cfg)
-		if len(points) == 0 {
-			b.Fatal("no points")
+		if points, err := experiments.Figure2(cfg); err != nil || len(points) == 0 {
+			b.Fatalf("no points: %v", err)
 		}
 	}
 }
@@ -94,8 +93,8 @@ func BenchmarkFigure2cTasksSweep(b *testing.B) {
 		M: 16, U: 4, NStart: 2, NEnd: 16, SetsPerPoint: 2, Seed: 42,
 	}
 	for i := 0; i < b.N; i++ {
-		if points := experiments.TasksSweep(cfg); len(points) != 15 {
-			b.Fatal("wrong point count")
+		if points, err := experiments.TasksSweep(cfg); err != nil || len(points) != 15 {
+			b.Fatalf("wrong point count: %v", err)
 		}
 	}
 }
@@ -106,9 +105,8 @@ func BenchmarkGroup2(b *testing.B) {
 	cfg := experiments.PaperFig2Config(4, 4, 42)
 	cfg.UStep = 1
 	for i := 0; i < b.N; i++ {
-		res := experiments.Group2(cfg)
-		if len(res.Points) == 0 {
-			b.Fatal("no points")
+		if res, err := experiments.Group2(cfg); err != nil || len(res.Points) == 0 {
+			b.Fatalf("no points: %v", err)
 		}
 	}
 }
@@ -225,8 +223,8 @@ func BenchmarkVariants(b *testing.B) {
 	cfg := experiments.PaperFig2Config(4, 3, 42)
 	cfg.UStep = 1
 	for i := 0; i < b.N; i++ {
-		if points := experiments.Variants(cfg); len(points) == 0 {
-			b.Fatal("no points")
+		if points, err := experiments.Variants(cfg); err != nil || len(points) == 0 {
+			b.Fatalf("no points: %v", err)
 		}
 	}
 }
@@ -235,11 +233,11 @@ func BenchmarkVariants(b *testing.B) {
 // grid point, reduced size.
 func BenchmarkPessimism(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Pessimism(experiments.PessimismConfig{
+		res, err := experiments.Pessimism(experiments.PessimismConfig{
 			M: 4, U: 2, Sets: 3, Seed: 42,
 		})
-		if res.Sets != 3 {
-			b.Fatal("wrong set count")
+		if err != nil || res.Sets != 3 {
+			b.Fatalf("wrong set count: %v", err)
 		}
 	}
 }
@@ -374,7 +372,7 @@ func BenchmarkEngineUncachedSweep(b *testing.B) { benchEngineSweep(b, -1) }
 
 // benchCampaignSweep runs one fixed multi-scenario campaign through the
 // sharded orchestrator at a given worker count. Each iteration builds a
-// fresh engine (and blocking-term cache), so iterations do not feed each
+// fresh engine (and µ-table cache), so iterations do not feed each
 // other and the serial/parallel comparison is honest.
 func benchCampaignSweep(b *testing.B, workers int) {
 	b.Helper()
@@ -499,9 +497,9 @@ func BenchmarkSessionEditFullReanalysis(b *testing.B) {
 // durability tax lpdag-serve pays per committed edit batch when
 // -session-dir is set: snapshot encode + append + fsync on the session
 // store. The op is dominated by the fsync, so the absolute number is a
-// property of the disk, not the code; lpdag-bench gates it with the
-// standing -max-durable-edit-ns budget (25ms — an order of magnitude
-// above a worst-case rotational fsync) rather than the relative
+// property of the disk, not the code; lpdag-bench gates it with a
+// standing budget-table row (25ms — an order of magnitude above a
+// worst-case rotational fsync) rather than the relative
 // baseline comparison, and the allocs/op leg keeps the encode path
 // honest.
 func BenchmarkSessionEditDurable(b *testing.B) {
@@ -691,8 +689,8 @@ func sessionRepairBenchTasks(b *testing.B) []*Task {
 // on a 17-task LP-ILP session: candidate generation, incremental
 // re-analysis of each placement, and result assembly, in query mode
 // (apply=false) so every iteration searches from the same failing
-// state. lpdag-bench gates this with the standing -max-repair-search-ns
-// budget — repair is an interactive verb (the REPL `fix` command), so
+// state. lpdag-bench gates this with a standing budget-table row —
+// repair is an interactive verb (the REPL `fix` command), so
 // it gets an absolute latency ceiling like the durable-edit path.
 func BenchmarkSessionRepair(b *testing.B) {
 	tasks := sessionRepairBenchTasks(b)

@@ -23,23 +23,15 @@
 //     exactly by TestAnalyzerSteadyStateZeroAlloc instead), or
 //   - ns/op regressed by more than -max-regress percent.
 //
-// Independently of any baseline, every run checks three standing gates:
+// Independently of any baseline, every run checks the standing gates:
 //
 //   - cache inversion: if both engine-sweep benchmarks are present,
 //     EngineCachedSweep exceeding EngineUncachedSweep (ns/op beyond a
 //     small noise slack, or allocs/op at all) exits 1 — the cache
 //     paying for itself is an invariant, not a point-in-time
 //     comparison;
-//   - serving allocation budget: CampaignThroughput allocs/op above
-//     -max-campaign-allocs exits 1 — the pooled stream encoders keep a
-//     campaign's allocation cost O(1) per batch, and the absolute
-//     budget catches compounding creep a relative gate would wave
-//     through;
-//   - durable edit budget: SessionEditDurable ns/op above
-//     -max-durable-edit-ns exits 1 — the durable commit path is one
-//     snapshot encode + one append + one fsync, and an absolute ceiling
-//     (rather than a disk-vs-disk relative gate) catches anything
-//     structural joining that path.
+//   - the absolute budgets of the Budgets table: one benchmark's
+//     metric above its bound exits 1, whatever the baseline says.
 //
 // With -out it appends the fresh entry to the trajectory file (creating
 // it when missing) so each PR can land its measured point.
@@ -84,37 +76,39 @@ type Trajectory struct {
 // DefaultBench is the tracked benchmark set.
 const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeAnalyzeBinary|BenchmarkServeDecode|BenchmarkServeBuild)$"
 
-// DefaultMaxCampaignAllocs is the standing allocation budget of the
-// serving data plane: BenchmarkCampaignThroughput (one full campaign —
-// generation, three methods, streaming — per op) may not exceed this
-// many allocs/op. The pooled solver and wire codecs brought the number
-// from ~362k to ~60k; the budget holds a 1.5× headroom over that so
-// noise passes but any per-result allocation creeping back into the
-// stream path (which multiplies by the point count) fails loudly.
-const DefaultMaxCampaignAllocs = 90000
+// Budget is one standing absolute gate: Bench's Metric ("ns/op" or
+// "allocs/op") may not exceed Max. Unlike Compare the bound is not
+// relative to a baseline — small per-PR creep can pass a relative gate
+// every time yet compound, and an fsync-bound op gated against last
+// run's numbers would only measure one CI disk against another.
+type Budget struct {
+	Bench  string // benchmark name without the "Benchmark" prefix
+	Metric string
+	Max    float64
+	Why    string // what crossing the bound means
+}
 
-// DefaultMaxDurableEditNs is the standing latency budget of the durable
-// session plane: BenchmarkSessionEditDurable (one edit + report +
-// snapshot append + fsync per op) may not exceed this many ns/op. The
-// op is fsync-bound, so a relative baseline gate would only measure the
-// CI box's disk against last PR's CI box; the absolute budget — 25ms,
-// an order of magnitude over a worst-case rotational fsync — instead
-// catches structural mistakes: a second fsync sneaking onto the commit
-// path, compaction running under the append lock, or snapshot encoding
-// going quadratic.
-const DefaultMaxDurableEditNs = 25_000_000
-
-// DefaultMaxRepairSearchNs is the standing latency budget of the
-// repair engine's greedy path: BenchmarkSessionRepair (one full greedy
-// search over the 17-task blocked session, query mode) may not exceed
-// this many ns/op. Repair backs an interactive verb (the REPL `fix`
-// command and POST /repair), so it gets an absolute ceiling rather
-// than a relative baseline: the search currently lands well under
-// 0.1ms, and the 10ms budget catches structural blow-ups — candidate
-// generation going quadratic, the incremental analyzer losing its
-// checkpoint reuse under repair's task rewrites — that machine
-// variation cannot explain.
-const DefaultMaxRepairSearchNs = 10_000_000
+// Budgets is the standing budget table.
+var Budgets = []Budget{
+	// One full campaign (generation, three methods, streaming) per op.
+	// The pooled solver and wire codecs brought it from ~362k to ~60k
+	// allocs; 1.5× headroom passes noise, while any per-result
+	// allocation creeping back (it multiplies by the point count) fails.
+	{"CampaignThroughput", "allocs/op", 90000,
+		"per-result allocation is back on the stream path"},
+	// One edit + report + snapshot append + fsync per op: 25 ms is an
+	// order of magnitude over a worst-case rotational fsync, so only a
+	// second fsync on the commit path, compaction under the append lock
+	// or a quadratic snapshot encode can cross it.
+	{"SessionEditDurable", "ns/op", 25e6,
+		"something structural joined the durable commit path"},
+	// One greedy repair search (query mode) behind an interactive verb;
+	// it lands well under 0.1 ms, so 10 ms catches candidate generation
+	// going quadratic or the incremental analyzer losing its checkpoint
+	// reuse, not machine variation.
+	{"SessionRepair", "ns/op", 10e6,
+		"the greedy search path regressed structurally"},
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -124,20 +118,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lpdag-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench             = fs.String("bench", DefaultBench, "benchmark regex passed to go test -bench")
-		count             = fs.Int("count", 3, "repetitions per benchmark (best of n is recorded)")
-		benchtime         = fs.String("benchtime", "", "go test -benchtime (empty = go default)")
-		pkg               = fs.String("pkg", ".", "package pattern to benchmark")
-		label             = fs.String("label", "", "entry label (default: bench-<date>)")
-		out               = fs.String("out", "", "trajectory file to append the entry to")
-		baseline          = fs.String("baseline", "", "trajectory file to regress against (its last entry)")
-		maxRegress        = fs.Float64("max-regress", 20, "max tolerated ns/op regression in percent")
-		maxCampaignAllocs = fs.Int64("max-campaign-allocs", DefaultMaxCampaignAllocs,
-			"standing allocs/op budget for CampaignThroughput (0 disables)")
-		maxDurableEditNs = fs.Float64("max-durable-edit-ns", DefaultMaxDurableEditNs,
-			"standing ns/op budget for SessionEditDurable (0 disables)")
-		maxRepairSearchNs = fs.Float64("max-repair-search-ns", DefaultMaxRepairSearchNs,
-			"standing ns/op budget for SessionRepair's greedy search (0 disables)")
+		bench      = fs.String("bench", DefaultBench, "benchmark regex passed to go test -bench")
+		count      = fs.Int("count", 3, "repetitions per benchmark (best of n is recorded)")
+		benchtime  = fs.String("benchtime", "", "go test -benchtime (empty = go default)")
+		pkg        = fs.String("pkg", ".", "package pattern to benchmark")
+		label      = fs.String("label", "", "entry label (default: bench-<date>)")
+		out        = fs.String("out", "", "trajectory file to append the entry to")
+		baseline   = fs.String("baseline", "", "trajectory file to regress against (its last entry)")
+		maxRegress = fs.Float64("max-regress", 20, "max tolerated ns/op regression in percent")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -183,15 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpdag-bench: INVERSION: %s\n", inv)
 		status = 1
 	}
-	for _, over := range CheckServingBudget(entry, *maxCampaignAllocs) {
-		fmt.Fprintf(stderr, "lpdag-bench: BUDGET: %s\n", over)
-		status = 1
-	}
-	for _, over := range CheckDurabilityBudget(entry, *maxDurableEditNs) {
-		fmt.Fprintf(stderr, "lpdag-bench: BUDGET: %s\n", over)
-		status = 1
-	}
-	for _, over := range CheckRepairBudget(entry, *maxRepairSearchNs) {
+	for _, over := range CheckBudgets(entry, Budgets) {
 		fmt.Fprintf(stderr, "lpdag-bench: BUDGET: %s\n", over)
 		status = 1
 	}
@@ -305,60 +285,24 @@ func CheckInversion(e Entry) []string {
 	return out
 }
 
-// CheckServingBudget enforces the serving data plane's standing
-// allocation budget: CampaignThroughput allocs/op at or under
-// maxCampaignAllocs. Unlike Compare this is absolute, not relative to a
-// baseline — small per-PR creep can pass a 1%+1 gate every time yet
-// compound; the budget is the line that cannot be crossed by
-// accumulation. Returns violation descriptions; empty when the gate
-// passes, the benchmark is absent (a partial -bench run can't judge),
-// or the budget is 0 (disabled).
-func CheckServingBudget(e Entry, maxCampaignAllocs int64) []string {
-	if maxCampaignAllocs <= 0 {
-		return nil
-	}
+// CheckBudgets returns one violation per budget whose benchmark is in
+// the entry and over its bound; a benchmark absent from the entry (a
+// partial -bench run) can't be judged and passes.
+func CheckBudgets(e Entry, budgets []Budget) []string {
 	var out []string
-	if m, ok := e.Benchmarks["CampaignThroughput"]; ok && m.AllocsPerOp > maxCampaignAllocs {
-		out = append(out, fmt.Sprintf(
-			"CampaignThroughput %d allocs/op exceeds the serving budget %d: per-result allocation is back on the stream path",
-			m.AllocsPerOp, maxCampaignAllocs))
-	}
-	return out
-}
-
-// CheckDurabilityBudget enforces the durable session plane's standing
-// latency budget: SessionEditDurable ns/op at or under maxNs. The op is
-// fsync-bound, so relative gating across heterogeneous CI disks flakes;
-// the absolute ceiling catches structural regressions (extra fsyncs on
-// the commit path, compaction under the append lock) that disk
-// variation cannot explain. Returns violation descriptions; empty when
-// the gate passes, the benchmark is absent, or the budget is 0.
-func CheckDurabilityBudget(e Entry, maxNs float64) []string {
-	if maxNs <= 0 {
-		return nil
-	}
-	var out []string
-	if m, ok := e.Benchmarks["SessionEditDurable"]; ok && m.NsPerOp > maxNs {
-		out = append(out, fmt.Sprintf(
-			"SessionEditDurable %.4g ns/op exceeds the %.4g ns fsync budget: something structural joined the durable commit path",
-			m.NsPerOp, maxNs))
-	}
-	return out
-}
-
-// CheckRepairBudget enforces the repair engine's standing interactive
-// latency budget: SessionRepair (one greedy search in query mode) ns/op
-// at or under maxNs. Returns violation descriptions; empty when the
-// gate passes, the benchmark is absent, or the budget is 0.
-func CheckRepairBudget(e Entry, maxNs float64) []string {
-	if maxNs <= 0 {
-		return nil
-	}
-	var out []string
-	if m, ok := e.Benchmarks["SessionRepair"]; ok && m.NsPerOp > maxNs {
-		out = append(out, fmt.Sprintf(
-			"SessionRepair %.4g ns/op exceeds the %.4g ns interactive budget: the greedy search path regressed structurally",
-			m.NsPerOp, maxNs))
+	for _, b := range budgets {
+		m, ok := e.Benchmarks[b.Bench]
+		if !ok {
+			continue
+		}
+		got := m.NsPerOp
+		if b.Metric == "allocs/op" {
+			got = float64(m.AllocsPerOp)
+		}
+		if got > b.Max {
+			out = append(out, fmt.Sprintf("%s %.6g %s exceeds the budget %.6g: %s",
+				b.Bench, got, b.Metric, b.Max, b.Why))
+		}
 	}
 	return out
 }

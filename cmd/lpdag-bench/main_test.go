@@ -114,68 +114,36 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckServingBudget(t *testing.T) {
-	entry := func(allocs int64) Entry {
-		return Entry{Benchmarks: map[string]Measurement{
-			"CampaignThroughput": {NsPerOp: 1e7, AllocsPerOp: allocs},
-		}}
+func TestCheckBudgets(t *testing.T) {
+	for _, b := range Budgets {
+		t.Run(b.Bench, func(t *testing.T) {
+			entry := func(v float64) Entry {
+				m := Measurement{NsPerOp: v}
+				if b.Metric == "allocs/op" {
+					m = Measurement{NsPerOp: 1e6, AllocsPerOp: int64(v)}
+				}
+				return Entry{Benchmarks: map[string]Measurement{b.Bench: m}}
+			}
+			if v := CheckBudgets(entry(b.Max), Budgets); len(v) != 0 {
+				t.Errorf("at-budget entry flagged: %v", v)
+			}
+			if v := CheckBudgets(entry(b.Max+1), Budgets); len(v) != 1 || !strings.Contains(v[0], b.Bench+" ") {
+				t.Errorf("over-budget entry not flagged once: %v", v)
+			}
+		})
 	}
-	if v := CheckServingBudget(entry(90000), 90000); len(v) != 0 {
-		t.Errorf("at-budget entry flagged: %v", v)
+	// The bounds are the standing contract; moving one is a reviewed act.
+	want := map[string]float64{"CampaignThroughput": 90000, "SessionEditDurable": 25e6, "SessionRepair": 10e6}
+	if len(Budgets) != len(want) {
+		t.Errorf("%d budgets, want %d", len(Budgets), len(want))
 	}
-	if v := CheckServingBudget(entry(90001), 90000); len(v) != 1 {
-		t.Errorf("over-budget entry not flagged: %v", v)
+	for _, b := range Budgets {
+		if b.Max != want[b.Bench] {
+			t.Errorf("%s budget %g, want %g", b.Bench, b.Max, want[b.Bench])
+		}
 	}
-	// 0 disables the gate entirely.
-	if v := CheckServingBudget(entry(1<<40), 0); len(v) != 0 {
-		t.Errorf("disabled gate still flagged: %v", v)
-	}
-	// A partial -bench run without the benchmark can't judge.
-	if v := CheckServingBudget(Entry{Benchmarks: map[string]Measurement{}}, 90000); len(v) != 0 {
-		t.Errorf("absent benchmark flagged: %v", v)
-	}
-}
-
-func TestCheckDurabilityBudget(t *testing.T) {
-	entry := func(ns float64) Entry {
-		return Entry{Benchmarks: map[string]Measurement{
-			"SessionEditDurable": {NsPerOp: ns, AllocsPerOp: 100},
-		}}
-	}
-	if v := CheckDurabilityBudget(entry(25e6), 25e6); len(v) != 0 {
-		t.Errorf("at-budget entry flagged: %v", v)
-	}
-	if v := CheckDurabilityBudget(entry(25e6+1), 25e6); len(v) != 1 {
-		t.Errorf("over-budget entry not flagged: %v", v)
-	}
-	// 0 disables the gate entirely.
-	if v := CheckDurabilityBudget(entry(1e12), 0); len(v) != 0 {
-		t.Errorf("disabled gate still flagged: %v", v)
-	}
-	// A partial -bench run without the benchmark can't judge.
-	if v := CheckDurabilityBudget(Entry{Benchmarks: map[string]Measurement{}}, 25e6); len(v) != 0 {
-		t.Errorf("absent benchmark flagged: %v", v)
-	}
-}
-
-func TestCheckRepairBudget(t *testing.T) {
-	entry := func(ns float64) Entry {
-		return Entry{Benchmarks: map[string]Measurement{
-			"SessionRepair": {NsPerOp: ns, AllocsPerOp: 100},
-		}}
-	}
-	if v := CheckRepairBudget(entry(10e6), 10e6); len(v) != 0 {
-		t.Errorf("at-budget entry flagged: %v", v)
-	}
-	if v := CheckRepairBudget(entry(10e6+1), 10e6); len(v) != 1 {
-		t.Errorf("over-budget entry not flagged: %v", v)
-	}
-	// 0 disables the gate entirely.
-	if v := CheckRepairBudget(entry(1e12), 0); len(v) != 0 {
-		t.Errorf("disabled gate still flagged: %v", v)
-	}
-	// A partial -bench run without the benchmark can't judge.
-	if v := CheckRepairBudget(Entry{Benchmarks: map[string]Measurement{}}, 10e6); len(v) != 0 {
-		t.Errorf("absent benchmark flagged: %v", v)
+	// A partial -bench run without the benchmarks can't judge.
+	if v := CheckBudgets(Entry{Benchmarks: map[string]Measurement{}}, Budgets); len(v) != 0 {
+		t.Errorf("absent benchmarks flagged: %v", v)
 	}
 }

@@ -187,7 +187,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed)
 		cfg.Backend = be
 		cfg.SeqProbOverride = *seqProb
-		points := experiments.Figure2(cfg)
+		points, err := experiments.Figure2(cfg)
+		if err != nil {
+			return figureErr(stderr, "-fig2", err)
+		}
 		title := fmt.Sprintf("Figure 2: %% schedulable task sets, m=%d (group 1, %d sets/point)", *m, *sets)
 		fmt.Fprintln(stdout, experiments.CurveChart(title, points))
 		fmt.Fprintln(stdout, experiments.CurveCSV(points))
@@ -207,7 +210,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed+1)
 		cfg.Backend = be
-		res := experiments.Group2(cfg)
+		res, err := experiments.Group2(cfg)
+		if err != nil {
+			return figureErr(stderr, "-group2", err)
+		}
 		title := fmt.Sprintf("Group 2 (uniformly parallel), m=%d", *m)
 		fmt.Fprintln(stdout, experiments.CurveChart(title, res.Points))
 		fmt.Fprintf(stdout, "LP-ILP vs LP-max gap: mean %.2f%%, max %.2f%% (paper: \"very similar\")\n\n",
@@ -222,7 +228,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			M: *m, U: float64(*m) / 4, NStart: 2, NEnd: 16,
 			SetsPerPoint: *sets, Seed: *seed + 2, Backend: be,
 		}
-		points := experiments.TasksSweep(cfg)
+		points, err := experiments.TasksSweep(cfg)
+		if err != nil {
+			return figureErr(stderr, "-tasks-sweep", err)
+		}
 		fmt.Fprintf(stdout, "Task-count sweep (Figure 2(c) alternative reading), m=%d, U=%.1f\n",
 			cfg.M, cfg.U)
 		fmt.Fprint(stdout, experiments.TasksSweepCSV(points))
@@ -235,7 +244,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed+4)
 		cfg.Backend = be
-		points := experiments.Variants(cfg)
+		points, err := experiments.Variants(cfg)
+		if err != nil {
+			return figureErr(stderr, "-variants", err)
+		}
 		fmt.Fprintf(stdout, "Analysis-variant ablation, m=%d (%% schedulable)\n", *m)
 		fmt.Fprint(stdout, experiments.VariantsCSV(points))
 		fmt.Fprintln(stdout, "\n(+finalNPR = future-work (ii) refinement, sound;")
@@ -247,9 +259,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *pessimism || *all {
 		ran = true
-		res := experiments.Pessimism(experiments.PessimismConfig{
+		res, err := experiments.Pessimism(experiments.PessimismConfig{
 			M: *m, U: *u, Sets: *sets, Seed: *seed + 5, Backend: be,
 		})
+		if err != nil {
+			return figureErr(stderr, "-pessimism", err)
+		}
 		fmt.Fprintf(stdout, "Pessimism study, m=%d U=%.2f: %d sets, %d accepted, %d rejected,\n",
 			*m, *u, res.Sets, res.Accepted, res.Rejected)
 		fmt.Fprintf(stdout, "%d rejected sets survive synchronous-periodic simulation\n", res.RejectedAlive)
@@ -433,6 +448,12 @@ func parseFloatList(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// figureErr reports a failed figure run; it returns the exit status 1.
+func figureErr(stderr io.Writer, flag string, err error) int {
+	fmt.Fprintf(stderr, "lpdag-experiments: %s: %v\n", flag, err)
+	return 1
 }
 
 func writeCSV(stderr io.Writer, path, content string) int {

@@ -308,3 +308,26 @@ func TestBadFlagsAndBackend(t *testing.T) {
 		t.Error("unwritable CSV path not reported")
 	}
 }
+
+// TestFigureZeroCores pins that every figure sweep rejects a core count
+// below 1 with one error line and exit 1, like -campaign -ms 0, instead
+// of panicking.
+func TestFigureZeroCores(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig2", "-m", "0"},
+		{"-group2", "-m", "0"},
+		{"-tasks-sweep", "-m", "0"},
+		{"-variants", "-m", "0"},
+		{"-pessimism", "-m", "0"},
+		{"-campaign", "-ms", "0"},
+	} {
+		var stderr bytes.Buffer
+		if code := run(append(args, "-sets", "2"), &bytes.Buffer{}, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "lpdag-experiments: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want one lpdag-experiments error line, got %q", args, msg)
+		}
+	}
+}

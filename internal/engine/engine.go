@@ -38,7 +38,7 @@ type Config struct {
 	// fails when the caller's context expires), which is the engine's
 	// admission control.
 	QueueDepth int
-	// CacheEntries bounds the shared result cache (0 =
+	// CacheEntries bounds the shared µ-table cache (0 =
 	// cache.DefaultMaxEntries). Negative disables caching.
 	CacheEntries int
 	// Obs, when non-nil, is the metric registry the engine instruments
@@ -180,7 +180,7 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// Cache returns the engine's shared result cache (nil when disabled).
+// Cache returns the engine's shared µ-table cache (nil when disabled).
 func (e *Engine) Cache() *cache.Cache { return e.memo }
 
 // Obs returns the metrics registry the engine was configured with, or

@@ -271,7 +271,7 @@ func TestSessionStatsSurface(t *testing.T) {
 // set the refinement provably tightens — a fork-join with a unique,
 // long final NPR below a dense higher-priority task, so shrinking the
 // interference window past the sink crosses a carry-in step: the
-// per-item flag must reproduce the library's AnalyzeRefined bound,
+// per-item flag must reproduce the library's FinalNPRRefinement bound,
 // strictly below the plain one.
 func TestAnalyzeFinalNPRWire(t *testing.T) {
 	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
@@ -290,7 +290,11 @@ func TestAnalyzeFinalNPRWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refinedWant, err := lpdag.AnalyzeRefined(ts, 2, lpdag.LPILP)
+	refined, err := lpdag.NewAnalyzer(lpdag.Options{Cores: 2, Method: lpdag.LPILP, FinalNPRRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refinedWant, err := refined.Analyze(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}

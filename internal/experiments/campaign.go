@@ -3,15 +3,15 @@ package experiments
 // The parallel sharded campaign orchestrator: sweeps a grid of
 // (scenario, cores, utilization) points over the engine worker pool.
 //
-// A campaign is split into deterministic shards — stripes of the point
-// grid — and each shard submits its points as engine jobs, so the
+// A campaign's points run on the experiment runner (runner.go): striped
+// into deterministic shards, one engine job per point, so the
 // concurrency is the engine's worker count while every analysis of a
-// campaign shares one content-addressed blocking-term cache. Each task
-// set's RNG seed derives from (campaign seed, point index, set index)
-// alone (see seed.go), so campaign output is bit-identical regardless of
-// shard count and worker count; the streaming emitter reorders finished
-// points back into index order before writing, which keeps the JSONL and
-// CSV streams byte-stable too.
+// campaign shares the engine's µ-table cache. Each task set's RNG seed
+// derives from (campaign seed, point index, set index) alone (see
+// seed.go), so campaign output is bit-identical regardless of shard
+// count and worker count; the Merger reorders finished points back into
+// index order before writing, which keeps the JSONL and CSV streams
+// byte-stable too.
 
 import (
 	"context"
@@ -300,7 +300,7 @@ type RunOptions struct {
 	Context context.Context
 	// Engine runs the point jobs; when nil the campaign starts its own
 	// with CampaignConfig.Workers workers and closes it on return. The
-	// engine's cache is the campaign-wide blocking-term memo.
+	// engine's cache shares µ tables across the campaign's analyses.
 	Engine *engine.Engine
 	// JSONL, when non-nil, receives one compact JSON PointResult per
 	// line, in point-index order, as points complete.
@@ -350,25 +350,6 @@ func CheckResult(cfg CampaignConfig, points []Point, pr PointResult) error {
 	return nil
 }
 
-// PrepareResume validates carried-over results against the campaign
-// grid and slots them: results[i] / ready[i] hold the carried outcome of
-// point i where one exists. Shared by RunCampaign's -resume path and the
-// cluster coordinator (internal/experiments/cluster).
-func PrepareResume(cfg CampaignConfig, points []Point, completed []PointResult) ([]PointResult, []bool, error) {
-	results := make([]PointResult, len(points))
-	ready := make([]bool, len(points))
-	for _, pr := range completed {
-		if err := CheckResult(cfg, points, pr); err != nil {
-			return nil, nil, fmt.Errorf("resume: %w", err)
-		}
-		if !ready[pr.Index] {
-			results[pr.Index] = pr
-			ready[pr.Index] = true
-		}
-	}
-	return results, ready, nil
-}
-
 // RunCampaign executes the campaign and returns the per-point results in
 // index order. Results stream to the writers incrementally; the returned
 // slice is the same data (campaign grids are small — memory pressure is
@@ -382,109 +363,21 @@ func RunCampaign(cfg CampaignConfig, opts RunOptions) ([]PointResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.New(engine.Config{Workers: ncfg.Workers})
-		defer eng.Close()
-	}
-	memo := eng.Cache()
-
-	results, ready, err := PrepareResume(ncfg, points, opts.Completed)
+	m, missing, err := NewMerger(ncfg, points, opts)
 	if err != nil {
 		return nil, err
 	}
-	var remaining []int
-	for i := range points {
-		if !ready[i] {
-			remaining = append(remaining, i)
-		}
+	if err := runCampaignPoints(ncfg, points, missing, opts, func(p int, pr PointResult) { m.Put(missing[p], pr) }); err != nil {
+		return nil, err
 	}
-
-	shardCount := ncfg.Shards
-	if shardCount <= 0 {
-		shardCount = 4 * eng.Workers()
-	}
-	type pointDone struct {
-		idx int
-		res PointResult
-		err error
-	}
-	done := make(chan pointDone)
-	for _, shard := range PlanShards(len(remaining), shardCount) {
-		go func(positions []int) {
-			for _, p := range positions {
-				i := remaining[p]
-				pt := points[i]
-				v, err := eng.Submit(ctx, engine.JobSweep, func(jobCtx context.Context) (any, error) {
-					return runCampaignPoint(jobCtx, ncfg, pt, memo)
-				})
-				d := pointDone{idx: i, err: err}
-				if err == nil {
-					d.res = v.(PointResult)
-				}
-				done <- d
-			}
-		}(shard)
-	}
-
-	var (
-		next    = 0
-		start   = time.Now()
-		emitter = NewStreamEmitter(opts.JSONL, opts.CSV, methodNames(ncfg.Methods))
-	)
-	emitter.OnResult(opts.OnResult)
-	emitFrontier := func() {
-		for next < len(points) && ready[next] {
-			emitter.Emit(results[next])
-			next++
-		}
-	}
-	emitFrontier() // resumed prefix, if any
-	var firstErr error
-	doneBase := len(points) - len(remaining)
-	metrics := NewCampaignMetrics(opts.Obs)
-	metrics.Start(len(points), doneBase)
-	for completed := 0; completed < len(remaining); completed++ {
-		d := <-done
-		if d.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiments: point %d: %w", d.idx, d.err)
-			}
-			continue
-		}
-		results[d.idx] = d.res
-		ready[d.idx] = true
-		emitFrontier()
-		if opts.OnProgress != nil || metrics != nil {
-			elapsed := time.Since(start)
-			p := Progress{Done: doneBase + completed + 1, Total: len(points), Elapsed: elapsed}
-			if rem := p.Total - p.Done; rem > 0 && completed+1 > 0 {
-				p.ETA = time.Duration(float64(elapsed) / float64(completed+1) * float64(rem))
-			}
-			metrics.Observe(p)
-			if opts.OnProgress != nil {
-				opts.OnProgress(p)
-			}
-		}
-	}
-	if firstErr == nil {
-		firstErr = emitter.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return m.Results()
 }
 
 // StreamEmitter writes point results to optional JSONL and CSV sinks,
 // emitting the CSV header lazily and latching the first write error.
-// Shared by RunCampaign, RunCampaignSubset, and the cluster coordinator
-// (internal/experiments/cluster), so local, worker, and merged cluster
-// byte streams all come from the same code path. The encode scratch is
+// The Merger writes every campaign stream through one — local, cluster
+// worker and merged cluster — so all byte streams come from the same
+// code path. The encode scratch is
 // part of the emitter, so a whole campaign stream reuses one buffer.
 type StreamEmitter struct {
 	jsonl, csv io.Writer
@@ -500,11 +393,6 @@ type StreamEmitter struct {
 func NewStreamEmitter(jsonl, csv io.Writer, names []string) *StreamEmitter {
 	return &StreamEmitter{jsonl: jsonl, csv: csv, names: names}
 }
-
-// OnResult registers a hook that receives every result in emission
-// order, before the writers; its error latches like a write error
-// (RunOptions.OnResult).
-func (e *StreamEmitter) OnResult(fn func(PointResult) error) { e.onResult = fn }
 
 // Emit writes one result; after the first write error it is a no-op.
 func (e *StreamEmitter) Emit(r PointResult) {
@@ -583,87 +471,29 @@ func RunCampaignSubset(cfg CampaignConfig, indices []int, opts RunOptions) ([]Po
 	if len(indices) == 0 {
 		return nil, nil
 	}
+	m := newMerger(make([]PointResult, len(indices)), make([]bool, len(indices)), methodNames(ncfg.Methods), opts)
+	if err := runCampaignPoints(ncfg, points, indices, opts, m.Put); err != nil {
+		return nil, err
+	}
+	return m.Results()
+}
+
+// runCampaignPoints computes the grid points idx on the runner, over
+// opts.Engine or a private engine of cfg.Workers workers.
+func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOptions, done func(p int, pr PointResult)) error {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	eng := opts.Engine
 	if eng == nil {
-		eng = engine.New(engine.Config{Workers: ncfg.Workers})
+		eng = engine.New(engine.Config{Workers: cfg.Workers})
 		defer eng.Close()
 	}
 	memo := eng.Cache()
-
-	results := make([]PointResult, len(indices))
-	ready := make([]bool, len(indices))
-	type pointDone struct {
-		pos int
-		res PointResult
-		err error
-	}
-	done := make(chan pointDone)
-	shardCount := ncfg.Shards
-	if shardCount <= 0 {
-		shardCount = 4 * eng.Workers()
-	}
-	for _, shard := range PlanShards(len(indices), shardCount) {
-		go func(positions []int) {
-			for _, p := range positions {
-				pt := points[indices[p]]
-				v, err := eng.Submit(ctx, engine.JobSweep, func(jobCtx context.Context) (any, error) {
-					return runCampaignPoint(jobCtx, ncfg, pt, memo)
-				})
-				d := pointDone{pos: p, err: err}
-				if err == nil {
-					d.res = v.(PointResult)
-				}
-				done <- d
-			}
-		}(shard)
-	}
-
-	var (
-		next     = 0
-		start    = time.Now()
-		firstErr error
-		emitter  = NewStreamEmitter(opts.JSONL, opts.CSV, methodNames(ncfg.Methods))
-	)
-	emitter.OnResult(opts.OnResult)
-	metrics := NewCampaignMetrics(opts.Obs)
-	metrics.Start(len(indices), 0)
-	for completed := 0; completed < len(indices); completed++ {
-		d := <-done
-		if d.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiments: point %d: %w", indices[d.pos], d.err)
-			}
-			continue
-		}
-		results[d.pos] = d.res
-		ready[d.pos] = true
-		for next < len(indices) && ready[next] {
-			emitter.Emit(results[next])
-			next++
-		}
-		if opts.OnProgress != nil || metrics != nil {
-			elapsed := time.Since(start)
-			p := Progress{Done: completed + 1, Total: len(indices), Elapsed: elapsed}
-			if rem := p.Total - p.Done; rem > 0 {
-				p.ETA = time.Duration(float64(elapsed) / float64(completed+1) * float64(rem))
-			}
-			metrics.Observe(p)
-			if opts.OnProgress != nil {
-				opts.OnProgress(p)
-			}
-		}
-	}
-	if firstErr == nil {
-		firstErr = emitter.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return runPoints(ctx, eng, cfg.Shards, idx, func(ctx context.Context, i int) (PointResult, error) {
+		return runCampaignPoint(ctx, cfg, points[i], memo)
+	}, done)
 }
 
 // runCampaignPoint generates and analyzes the task sets of one grid
@@ -687,23 +517,34 @@ func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point, memo *c
 		sets[si] = pt.Scenario.TaskSet(SeedFor(cfg.Seed, pt.Index, si), pt.U)
 	}
 	for _, method := range cfg.Methods {
-		a, err := core.New(core.Options{Cores: pt.M, Method: method, Backend: cfg.Backend, Cache: memo})
+		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method, Backend: cfg.Backend, Cache: memo})
 		if err != nil {
 			return res, err
-		}
-		verdicts, err := a.ScheduleBatch(ctx, sets)
-		if err != nil {
-			return res, fmt.Errorf("point %d method %v: %w", pt.Index, method, err)
-		}
-		n := 0
-		for _, ok := range verdicts {
-			if ok {
-				n++
-			}
 		}
 		res.Sched[method.String()] = n
 	}
 	return res, nil
+}
+
+// countSchedulable analyzes sets with one analyzer as one ScheduleBatch
+// — one warm rta scratch state for them all — and counts the
+// schedulable ones.
+func countSchedulable(ctx context.Context, sets []*model.TaskSet, opts core.Options) (int, error) {
+	a, err := core.New(opts)
+	if err != nil {
+		return 0, err
+	}
+	verdicts, err := a.ScheduleBatch(ctx, sets)
+	if err != nil {
+		return 0, fmt.Errorf("method %v: %w", opts.Method, err)
+	}
+	n := 0
+	for _, ok := range verdicts {
+		if ok {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // methodNames renders a method list for CSV headers.

@@ -95,7 +95,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 }
 
 // TestPrepareResumeValidation pins the foreign-file rejection shared by
-// -resume and the cluster merger.
+// -resume and the cluster merger (both go through NewMerger).
 func TestPrepareResumeValidation(t *testing.T) {
 	cfg := CampaignConfig{Seed: 1, Ms: []int{2}, UFracs: []float64{0.5}, SetsPerPoint: 1}
 	points, err := cfg.Points()
@@ -103,8 +103,8 @@ func TestPrepareResumeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := PointResult{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 1, Sched: map[string]int{}}
-	if _, ready, err := PrepareResume(cfg, points, []PointResult{good}); err != nil || !ready[0] {
-		t.Fatalf("valid carried point rejected: %v", err)
+	if _, missing, err := NewMerger(cfg, points, RunOptions{Completed: []PointResult{good}}); err != nil || len(missing) != 0 {
+		t.Fatalf("valid carried point rejected: %v (missing %v)", err, missing)
 	}
 	for _, bad := range []PointResult{
 		{Index: 9, Scenario: "mixed", M: 2, U: 1, Sets: 1},
@@ -113,7 +113,7 @@ func TestPrepareResumeValidation(t *testing.T) {
 		{Index: 0, Scenario: "mixed", M: 2, U: 2, Sets: 1},
 		{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 7},
 	} {
-		if _, _, err := PrepareResume(cfg, points, []PointResult{bad}); err == nil {
+		if _, _, err := NewMerger(cfg, points, RunOptions{Completed: []PointResult{bad}}); err == nil {
 			t.Errorf("foreign point %+v accepted", bad)
 		}
 	}

@@ -122,15 +122,9 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 		ctx = context.Background()
 	}
 
-	results, ready, err := experiments.PrepareResume(cfg.Campaign, points, opts.Completed)
+	merger, remaining, err := experiments.NewMerger(cfg.Campaign, points, opts)
 	if err != nil {
 		return nil, err
-	}
-	var remaining []int
-	for i := range points {
-		if !ready[i] {
-			remaining = append(remaining, i)
-		}
 	}
 
 	shardCount := cfg.Shards
@@ -192,41 +186,8 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 		close(c.resultc)
 	}()
 
-	var (
-		next    = 0
-		start   = time.Now()
-		carried = len(points) - len(remaining)
-		got     = 0
-		emitter = experiments.NewStreamEmitter(opts.JSONL, opts.CSV, cfg.Campaign.MethodNames())
-	)
-	emitFrontier := func() {
-		for next < len(points) && ready[next] {
-			emitter.Emit(results[next])
-			next++
-		}
-	}
-	emitFrontier() // resumed prefix, if any
-	metrics := experiments.NewCampaignMetrics(opts.Obs)
-	metrics.Start(len(points), carried)
 	for pr := range c.resultc {
-		if ready[pr.Index] {
-			continue // duplicate from a retried shard; deterministic, identical
-		}
-		results[pr.Index] = pr
-		ready[pr.Index] = true
-		got++
-		emitFrontier()
-		if opts.OnProgress != nil || metrics != nil {
-			elapsed := time.Since(start)
-			p := experiments.Progress{Done: carried + got, Total: len(points), Elapsed: elapsed}
-			if rem := p.Total - p.Done; rem > 0 {
-				p.ETA = time.Duration(float64(elapsed) / float64(got) * float64(rem))
-			}
-			metrics.Observe(p)
-			if opts.OnProgress != nil {
-				opts.OnProgress(p)
-			}
-		}
+		merger.Put(pr.Index, pr)
 	}
 
 	if err := tracker.Err(); err != nil {
@@ -235,10 +196,7 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 	if !tracker.Done() {
 		return nil, fmt.Errorf("cluster: campaign incomplete (%d points outstanding)", tracker.Outstanding())
 	}
-	if err := emitter.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return merger.Results()
 }
 
 // coordinator carries the per-run state shared by the worker loops.

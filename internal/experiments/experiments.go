@@ -13,15 +13,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/blocking"
 	"repro/internal/core"
-	"repro/internal/engine/cache"
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -42,7 +40,6 @@ type Fig2Config struct {
 	Seed         int64
 	Group        gen.Group
 	Backend      core.Backend
-	Workers      int // concurrent analyses; 0 = GOMAXPROCS
 
 	// SeqProbOverride, when non-zero, overrides the mixed population's
 	// sequential-task probability (calibration knob; the paper does not
@@ -63,33 +60,29 @@ func PaperFig2Config(m, setsPerPoint int, seed int64) Fig2Config {
 	}
 }
 
-// CurvePoint is the outcome at one utilization: the percentage of
-// schedulable task sets per method.
-type CurvePoint struct {
-	U   float64
-	Pct map[core.Method]float64
-}
-
-// Figure2 sweeps the utilization grid and returns one point per
-// utilization. Task-set generation is deterministic in Seed; analyses
-// run concurrently.
-func Figure2(cfg Fig2Config) []CurvePoint {
-	if cfg.UStep <= 0 {
-		cfg.UStep = 0.25
+// utilizations returns the sweep's utilization grid. It fails for a
+// core count below 1 or an empty grid.
+func (cfg Fig2Config) utilizations() ([]float64, error) {
+	if cfg.M < 1 {
+		return nil, fmt.Errorf("experiments: invalid Fig2Config.M: %d (must be ≥ 1)", cfg.M)
+	}
+	step := cfg.UStep
+	if step <= 0 {
+		step = 0.25
 	}
 	var us []float64
-	for u := cfg.UStart; u <= cfg.UEnd+1e-9; u += cfg.UStep {
+	for u := cfg.UStart; u <= cfg.UEnd+1e-9; u += step {
 		us = append(us, math.Round(u*1e6)/1e6)
 	}
-	// One content-addressed cache for the whole sweep: the three
-	// methods analyze each generated set back to back, and the µ/Δ/top
-	// quantities they share are computed once.
-	memo := cache.New(0)
-	points := make([]CurvePoint, len(us))
-	for i, u := range us {
-		points[i] = runPoint(cfg, u, i, memo)
+	if len(us) == 0 {
+		return nil, fmt.Errorf("experiments: empty utilization grid: UStart %g > UEnd %g", cfg.UStart, cfg.UEnd)
 	}
-	return points
+	return us, nil
+}
+
+// scenario is the population a Figure 2 sweep samples.
+func (cfg Fig2Config) scenario() Scenario {
+	return Scenario{Name: "fig2", Group: cfg.Group, SeqProb: cfg.SeqProbOverride}
 }
 
 // fig2Set deterministically generates one task set of a Figure 2 sweep:
@@ -98,71 +91,47 @@ func Figure2(cfg Fig2Config) []CurvePoint {
 // dimension of the sweep — more sets, more points, more methods — never
 // perturbs the sets already generated.
 func fig2Set(cfg Fig2Config, point, set int, u float64) *model.TaskSet {
-	params := gen.PaperParams(cfg.Group)
-	if cfg.SeqProbOverride > 0 {
-		params.SeqProb = cfg.SeqProbOverride
-	}
-	return gen.New(SeedFor(cfg.Seed, point, set), params).TaskSet(u)
+	return cfg.scenario().TaskSet(SeedFor(cfg.Seed, point, set), u)
 }
 
-// runPoint generates SetsPerPoint task sets at utilization u and counts
-// the schedulable fraction per method.
-func runPoint(cfg Fig2Config, u float64, point int, memo *cache.Cache) CurvePoint {
-	n := cfg.SetsPerPoint
-	if n < 1 {
-		n = 1
-	}
-	// Generate deterministically up front; analyze concurrently.
-	sets := make([]*model.TaskSet, n)
-	for i := range sets {
-		sets[i] = fig2Set(cfg, point, i, u)
-	}
+// CurvePoint is the outcome at one utilization: the percentage of
+// schedulable task sets per method.
+type CurvePoint struct {
+	U   float64
+	Pct map[core.Method]float64
+}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Figure2 sweeps the utilization grid and returns one point per
+// utilization. It runs as a campaign of one scenario and one core count
+// over the utilization fractions u/m, so set j of grid point i is
+// fig2Set(cfg, i, j, u) and the analyses run on the engine pool.
+func Figure2(cfg Fig2Config) ([]CurvePoint, error) {
+	us, err := cfg.utilizations()
+	if err != nil {
+		return nil, err
 	}
-	// One analyzer per method for the whole point: core.Analyzer is
-	// concurrency-safe and pools its rta scratch states, so every worker
-	// goroutine reuses warm buffers instead of rebuilding them per set.
-	analyzers := make(map[core.Method]*core.Analyzer, 3)
-	for _, method := range core.Methods() {
-		analyzers[method] = core.MustNew(core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend, Cache: memo})
+	fracs := make([]float64, len(us))
+	for i, u := range us {
+		fracs[i] = u / float64(cfg.M)
 	}
-	counts := make(map[core.Method]int, 3)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for _, ts := range sets {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ts *model.TaskSet) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			local := make(map[core.Method]bool, 3)
-			for _, method := range core.Methods() {
-				ok, err := analyzers[method].Schedulable(context.Background(), ts)
-				if err != nil {
-					panic(err) // sets are pre-validated; unreachable
-				}
-				local[method] = ok
-			}
-			mu.Lock()
-			for m, ok := range local {
-				if ok {
-					counts[m]++
-				}
-			}
-			mu.Unlock()
-		}(ts)
+	results, err := RunCampaign(CampaignConfig{
+		Seed: cfg.Seed, Ms: []int{cfg.M}, UFracs: fracs,
+		SetsPerPoint: max(cfg.SetsPerPoint, 1),
+		Scenarios:    []Scenario{cfg.scenario()},
+		Backend:      cfg.Backend,
+	}, RunOptions{})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	pct := make(map[core.Method]float64, 3)
-	for _, m := range core.Methods() {
-		pct[m] = 100 * float64(counts[m]) / float64(n)
+	points := make([]CurvePoint, len(results))
+	for i, r := range results {
+		pct := make(map[core.Method]float64, 3)
+		for _, m := range core.Methods() {
+			pct[m] = r.Pct(m.String())
+		}
+		points[i] = CurvePoint{U: r.U, Pct: pct}
 	}
-	return CurvePoint{U: u, Pct: pct}
+	return points, nil
 }
 
 // CurveCSV renders points as "U,FP-ideal,LP-ILP,LP-max" rows.
@@ -256,45 +225,34 @@ type TasksSweepPoint struct {
 	Pct map[core.Method]float64
 }
 
-// TasksSweep runs the task-count sweep.
-func TasksSweep(cfg TasksSweepConfig) []TasksSweepPoint {
+// TasksSweep runs the task-count sweep, one runner point per task
+// count n; set j of point n is seeded SeedFor(Seed, n, j).
+func TasksSweep(cfg TasksSweepConfig) ([]TasksSweepPoint, error) {
 	if cfg.NStart < 1 {
 		cfg.NStart = 2
 	}
 	if cfg.NEnd < cfg.NStart {
 		cfg.NEnd = cfg.NStart
 	}
-	sets := cfg.SetsPerPoint
-	if sets < 1 {
-		sets = 1
-	}
-	memo := cache.New(0)
-	analyzers := make(map[core.Method]*core.Analyzer, 3)
-	for _, method := range core.Methods() {
-		analyzers[method] = core.MustNew(core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend, Cache: memo})
-	}
-	var out []TasksSweepPoint
-	for n := cfg.NStart; n <= cfg.NEnd; n++ {
-		counts := make(map[core.Method]int, 3)
-		for i := 0; i < sets; i++ {
-			ts := gen.New(SeedFor(cfg.Seed, n, i), gen.PaperParams(cfg.Group)).TaskSetN(n, cfg.U)
-			for _, method := range core.Methods() {
-				ok, err := analyzers[method].Schedulable(context.Background(), ts)
-				if err != nil {
-					panic(err) // generated sets are valid; unreachable
-				}
-				if ok {
-					counts[method]++
-				}
-			}
+	sets := max(cfg.SetsPerPoint, 1)
+	eng := engine.New(engine.Config{})
+	defer eng.Close()
+	return sweep(eng, cfg.NEnd-cfg.NStart+1, func(ctx context.Context, i int) (TasksSweepPoint, error) {
+		n := cfg.NStart + i
+		batch := make([]*model.TaskSet, sets)
+		for j := range batch {
+			batch[j] = gen.New(SeedFor(cfg.Seed, n, j), gen.PaperParams(cfg.Group)).TaskSetN(n, cfg.U)
 		}
 		pct := make(map[core.Method]float64, 3)
-		for _, m := range core.Methods() {
-			pct[m] = 100 * float64(counts[m]) / float64(sets)
+		for _, method := range core.Methods() {
+			sched, err := countSchedulable(ctx, batch, core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend, Cache: eng.Cache()})
+			if err != nil {
+				return TasksSweepPoint{}, err
+			}
+			pct[method] = 100 * float64(sched) / float64(sets)
 		}
-		out = append(out, TasksSweepPoint{N: n, Pct: pct})
-	}
-	return out
+		return TasksSweepPoint{N: n, Pct: pct}, nil
+	})
 }
 
 // TasksSweepCSV renders the task-count sweep as CSV.
@@ -320,13 +278,13 @@ type Group2Result struct {
 }
 
 // Group2 runs the Figure 2 sweep on the uniformly-parallel population.
-func Group2(cfg Fig2Config) Group2Result {
+func Group2(cfg Fig2Config) (Group2Result, error) {
 	cfg.Group = gen.GroupParallel
-	points := Figure2(cfg)
-	res := Group2Result{Points: points}
-	if len(points) == 0 {
-		return res
+	points, err := Figure2(cfg)
+	if err != nil {
+		return Group2Result{}, err
 	}
+	res := Group2Result{Points: points}
 	var sum float64
 	for _, p := range points {
 		gap := math.Abs(p.Pct[core.LPILP] - p.Pct[core.LPMax])
@@ -336,7 +294,7 @@ func Group2(cfg Fig2Config) Group2Result {
 		}
 	}
 	res.MeanGap = sum / float64(len(points))
-	return res
+	return res, nil
 }
 
 // TimingConfig parameterises the analysis-runtime measurement of
@@ -361,8 +319,9 @@ type TimingResult struct {
 }
 
 // Timing measures the LP-ILP schedulability-test runtime per task set.
-// It deliberately runs without the shared result cache: the measurement
-// is of the analysis itself, and every generated set is distinct anyway.
+// It runs serially and without a µ-table cache on purpose: the
+// measurement is the wall time of the analysis itself, and every
+// generated set is distinct anyway.
 func Timing(cfg TimingConfig) []TimingResult {
 	if cfg.UFrac <= 0 {
 		cfg.UFrac = 0.4
@@ -475,65 +434,50 @@ type VariantPoint struct {
 	Ablated float64
 }
 
-// Variants sweeps the utilization grid with the three LP-ILP variants.
-func Variants(cfg Fig2Config) []VariantPoint {
-	if cfg.UStep <= 0 {
-		cfg.UStep = 0.25
+// Variants sweeps the utilization grid with the three LP-ILP variants,
+// one runner point per utilization, on the same task sets as Figure2.
+func Variants(cfg Fig2Config) ([]VariantPoint, error) {
+	us, err := cfg.utilizations()
+	if err != nil {
+		return nil, err
 	}
-	// The three variants differ only in the fixed-point iteration; the
-	// blocking quantities they share come from one cache. One reusable
-	// analyzer per variant serves the whole (serial) sweep.
-	memo := cache.New(0)
-	variants := make([]*rta.Analyzer, 0, 3)
-	for _, vcfg := range []rta.Config{
+	n := max(cfg.SetsPerPoint, 1)
+	eng := engine.New(engine.Config{})
+	defer eng.Close()
+	// The variants differ only in the fixed-point iteration; the µ
+	// tables they share come from one cache.
+	memo := eng.Cache()
+	variants := []rta.Config{
 		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo},
 		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo, FinalNPRRefinement: true},
 		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo, AblateRepeatedBlocking: true},
-	} {
-		a, err := rta.NewAnalyzer(vcfg)
-		if err != nil {
-			panic(err) // static configs; unreachable
-		}
-		variants = append(variants, a)
 	}
-	var out []VariantPoint
-	idx := 0
-	for u := cfg.UStart; u <= cfg.UEnd+1e-9; u += cfg.UStep {
-		uu := math.Round(u*1e6) / 1e6
-		point := idx
-		idx++
-		n := cfg.SetsPerPoint
-		if n < 1 {
-			n = 1
+	return sweep(eng, len(us), func(ctx context.Context, point int) (VariantPoint, error) {
+		sets := make([]*model.TaskSet, n)
+		for i := range sets {
+			sets[i] = fig2Set(cfg, point, i, us[point])
 		}
-		var plain, refined, ablated int
-		for i := 0; i < n; i++ {
-			ts := fig2Set(cfg, point, i, uu)
-			for vi, va := range variants {
-				res, err := va.AnalyzeInPlace(context.Background(), ts)
+		var sched [3]int
+		for vi, vcfg := range variants {
+			// An rta.Analyzer is single-goroutine: one per point and
+			// variant, reused across the point's sets.
+			a, err := rta.NewAnalyzer(vcfg)
+			if err != nil {
+				return VariantPoint{}, err
+			}
+			for _, ts := range sets {
+				res, err := a.AnalyzeInPlace(ctx, ts)
 				if err != nil {
-					panic(err) // generated sets are valid; unreachable
+					return VariantPoint{}, err
 				}
 				if res.Schedulable {
-					switch vi {
-					case 0:
-						plain++
-					case 1:
-						refined++
-					case 2:
-						ablated++
-					}
+					sched[vi]++
 				}
 			}
 		}
-		out = append(out, VariantPoint{
-			U:       uu,
-			Plain:   100 * float64(plain) / float64(n),
-			Refined: 100 * float64(refined) / float64(n),
-			Ablated: 100 * float64(ablated) / float64(n),
-		})
-	}
-	return out
+		pct := func(vi int) float64 { return 100 * float64(sched[vi]) / float64(n) }
+		return VariantPoint{U: us[point], Plain: pct(0), Refined: pct(1), Ablated: pct(2)}, nil
+	})
 }
 
 // VariantsCSV renders the variant sweep as CSV.
@@ -568,42 +512,50 @@ type PessimismResult struct {
 	UpperBoundPct float64 // RejectedAlive / Sets · 100
 }
 
-// Pessimism runs the study at one (m, U) point.
-func Pessimism(cfg PessimismConfig) PessimismResult {
+// Pessimism runs the study at one (m, U) point, one runner point per
+// task set: the set's LP-ILP verdict decides whether it is simulated.
+func Pessimism(cfg PessimismConfig) (PessimismResult, error) {
 	if cfg.Sets < 1 {
 		cfg.Sets = 1
 	}
-	a := core.MustNew(core.Options{Cores: cfg.M, Method: core.LPILP, Backend: cfg.Backend, Cache: cache.New(0)})
-	res := PessimismResult{Sets: cfg.Sets}
-	for i := 0; i < cfg.Sets; i++ {
+	eng := engine.New(engine.Config{})
+	defer eng.Close()
+	a, err := core.New(core.Options{Cores: cfg.M, Method: core.LPILP, Backend: cfg.Backend, Cache: eng.Cache()})
+	if err != nil {
+		return PessimismResult{}, err
+	}
+	type verdict struct{ accepted, alive bool }
+	verdicts, err := sweep(eng, cfg.Sets, func(ctx context.Context, i int) (verdict, error) {
 		ts := gen.New(SeedFor(cfg.Seed, 0, i), gen.PaperParams(gen.GroupMixed)).TaskSet(cfg.U)
-		ok, err := a.Schedulable(context.Background(), ts)
-		if err != nil {
-			panic(err) // generated sets are valid; unreachable
+		ok, err := a.Schedulable(ctx, ts)
+		if err != nil || ok {
+			return verdict{accepted: ok}, err
 		}
-		if ok {
-			res.Accepted++
-			continue
-		}
-		res.Rejected++
 		horizon := cfg.Horizon
 		if horizon <= 0 {
-			var maxT int64
-			for _, t := range ts.Tasks {
-				if t.Period > maxT {
-					maxT = t.Period
-				}
-			}
-			horizon = 20 * maxT
+			horizon = 20 * maxPeriod(ts)
 		}
 		sr, err := sim.Run(ts, sim.Config{M: cfg.M, Duration: horizon})
 		if err != nil {
-			panic(err)
+			return verdict{}, err
 		}
-		if sr.Misses == 0 {
+		return verdict{alive: sr.Misses == 0}, nil
+	})
+	if err != nil {
+		return PessimismResult{}, err
+	}
+	res := PessimismResult{Sets: cfg.Sets}
+	for _, v := range verdicts {
+		switch {
+		case v.accepted:
+			res.Accepted++
+		case v.alive:
+			res.Rejected++
 			res.RejectedAlive++
+		default:
+			res.Rejected++
 		}
 	}
 	res.UpperBoundPct = 100 * float64(res.RejectedAlive) / float64(res.Sets)
-	return res
+	return res, nil
 }

@@ -16,7 +16,10 @@ func smallFig2(m int) Fig2Config {
 }
 
 func TestFigure2aShape(t *testing.T) {
-	points := Figure2(smallFig2(4))
+	points, err := Figure2(smallFig2(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) < 5 {
 		t.Fatalf("only %d points", len(points))
 	}
@@ -30,7 +33,10 @@ func TestFigure2bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	points := Figure2(smallFig2(8))
+	points, err := Figure2(smallFig2(8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if issues := CheckCurveShape(points); len(issues) > 0 {
 		t.Errorf("Figure 2(b) shape violations:\n  %s\n%s",
 			strings.Join(issues, "\n  "), CurveChart("fig2b", points))
@@ -40,7 +46,10 @@ func TestFigure2bShape(t *testing.T) {
 func TestCurveMonotoneTrend(t *testing.T) {
 	// Schedulability percentages must broadly fall with utilization:
 	// compare first and last grid point per method.
-	points := Figure2(smallFig2(4))
+	points, err := Figure2(smallFig2(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	first, last := points[0], points[len(points)-1]
 	for _, m := range core.Methods() {
 		if last.Pct[m] > first.Pct[m] {
@@ -58,8 +67,14 @@ func TestCurveMonotoneTrend(t *testing.T) {
 func TestFigure2Deterministic(t *testing.T) {
 	cfg := smallFig2(4)
 	cfg.SetsPerPoint = 15
-	a := Figure2(cfg)
-	b := Figure2(cfg)
+	a, err := Figure2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Figure2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		for _, m := range core.Methods() {
 			if a[i].Pct[m] != b[i].Pct[m] {
@@ -95,7 +110,10 @@ func TestCheckCurveShapeCatchesViolations(t *testing.T) {
 func TestGroup2Gap(t *testing.T) {
 	cfg := smallFig2(4)
 	cfg.SetsPerPoint = 40
-	res := Group2(cfg)
+	res, err := Group2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -115,11 +133,17 @@ func TestGroup2Gap(t *testing.T) {
 func TestGroup2GapSmallerThanGroup1(t *testing.T) {
 	cfg := smallFig2(4)
 	cfg.SetsPerPoint = 60
-	g2 := Group2(cfg)
+	g2, err := Group2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cfg1 := cfg
 	cfg1.Group = gen.GroupMixed
-	points := Figure2(cfg1)
+	points, err := Figure2(cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var g1sum float64
 	for _, p := range points {
 		g1sum += p.Pct[core.LPILP] - p.Pct[core.LPMax]
@@ -171,9 +195,12 @@ func TestTableTexts(t *testing.T) {
 }
 
 func TestCurveChartRenders(t *testing.T) {
-	points := Figure2(Fig2Config{
+	points, err := Figure2(Fig2Config{
 		M: 2, UStart: 0.5, UEnd: 2, UStep: 0.5, SetsPerPoint: 10, Seed: 3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	chart := CurveChart("m=2", points)
 	for _, want := range []string{"m=2", "FP-ideal", "LP-ILP", "LP-max"} {
 		if !strings.Contains(chart, want) {
@@ -183,9 +210,12 @@ func TestCurveChartRenders(t *testing.T) {
 }
 
 func TestTasksSweep(t *testing.T) {
-	points := TasksSweep(TasksSweepConfig{
+	points, err := TasksSweep(TasksSweepConfig{
 		M: 4, U: 1.5, NStart: 2, NEnd: 5, SetsPerPoint: 15, Seed: 21,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 4 {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -217,7 +247,10 @@ func TestTaskSetNExact(t *testing.T) {
 func TestVariantsOrdering(t *testing.T) {
 	cfg := smallFig2(4)
 	cfg.SetsPerPoint = 30
-	points := Variants(cfg)
+	points, err := Variants(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) < 3 {
 		t.Fatalf("only %d points", len(points))
 	}
@@ -247,7 +280,10 @@ func TestVariantsOrdering(t *testing.T) {
 }
 
 func TestPessimismStudy(t *testing.T) {
-	res := Pessimism(PessimismConfig{M: 4, U: 2.0, Sets: 25, Seed: 31})
+	res, err := Pessimism(PessimismConfig{M: 4, U: 2.0, Sets: 25, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Sets != 25 || res.Accepted+res.Rejected != res.Sets {
 		t.Fatalf("inconsistent counts: %+v", res)
 	}

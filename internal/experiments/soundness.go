@@ -355,9 +355,10 @@ func minimizeSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int
 	}
 }
 
-// RunSoundness sweeps cfg.Points generated points over the engine pool
-// and returns the aggregated report. Points, analyses and verdicts are
-// deterministic in cfg; only scheduling order varies with workers.
+// RunSoundness sweeps cfg.Points generated points on the experiment
+// runner and returns the aggregated report. Points, analyses and
+// verdicts are deterministic in cfg; only scheduling order varies with
+// workers.
 func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 	cfg = cfg.normalized()
 	eng := engine.New(engine.Config{Workers: cfg.Workers, CacheEntries: -1})
@@ -366,72 +367,47 @@ func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 	type pointOut struct {
 		analyses, sims int
 		viols          []SoundnessViolation
-		err            error
 	}
-	out := make(chan pointOut)
-	shards := PlanShards(cfg.Points, 4*eng.Workers())
-	for _, shard := range shards {
-		go func(idxs []int) {
-			for _, p := range idxs {
-				pt := derivePoint(cfg, p)
-				v, err := eng.Submit(context.Background(), engine.JobSweep, func(context.Context) (any, error) {
-					po := pointOut{}
-					ts := pt.scenario.TaskSet(pt.seed, pt.u)
-					unit := p%cfg.UnitSplitEvery == 0
-					viols, analyses, sims, err := checkSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit)
-					po.analyses, po.sims = analyses, sims
-					if err != nil {
-						return po, err
-					}
-					if len(viols) > 0 {
-						// Shrink and attach the reproducer.
-						minTS, minViols := minimizeSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit, viols)
-						if len(minViols) == 0 { // flaky shrink guard: keep the original
-							minTS, minViols = ts, viols
-						}
-						raw, jerr := minTS.MarshalJSON()
-						if jerr != nil {
-							return po, jerr
-						}
-						for i := range minViols {
-							minViols[i].Point = p
-							minViols[i].U = pt.u
-							minViols[i].Seed = pt.seed
-							minViols[i].Scenario = pt.scenario.Name
-							minViols[i].TaskSet = raw
-						}
-						po.viols = minViols
-					}
-					return po, nil
-				})
-				po, _ := v.(pointOut)
-				if err != nil {
-					po.err = err
-				}
-				out <- po
-			}
-		}(shard)
-	}
-
-	rep := &SoundnessReport{Points: cfg.Points}
-	var firstErr error
-	for i := 0; i < cfg.Points; i++ {
-		po := <-out
-		if po.err != nil && firstErr == nil {
-			firstErr = po.err
+	outs, err := sweep(eng, cfg.Points, func(_ context.Context, p int) (pointOut, error) {
+		pt := derivePoint(cfg, p)
+		ts := pt.scenario.TaskSet(pt.seed, pt.u)
+		unit := p%cfg.UnitSplitEvery == 0
+		viols, analyses, sims, err := checkSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit)
+		po := pointOut{analyses: analyses, sims: sims}
+		if err != nil || len(viols) == 0 {
+			return po, err
 		}
+		// Shrink and attach the reproducer.
+		minTS, minViols := minimizeSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit, viols)
+		if len(minViols) == 0 { // flaky shrink guard: keep the original
+			minTS, minViols = ts, viols
+		}
+		raw, err := minTS.MarshalJSON()
+		if err != nil {
+			return po, err
+		}
+		for i := range minViols {
+			minViols[i].Point = p
+			minViols[i].U = pt.u
+			minViols[i].Seed = pt.seed
+			minViols[i].Scenario = pt.scenario.Name
+			minViols[i].TaskSet = raw
+		}
+		po.viols = minViols
+		return po, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &SoundnessReport{Points: cfg.Points}
+	for _, po := range outs {
 		rep.Analyses += po.analyses
 		rep.Sims += po.sims
-		if len(po.viols) > 0 {
-			rep.TotalViolations += len(po.viols)
-			rep.Violations = append(rep.Violations, po.viols...)
-		}
+		rep.TotalViolations += len(po.viols)
+		rep.Violations = append(rep.Violations, po.viols...)
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Deterministic report order regardless of completion order, then
-	// apply the reproducer cap.
+	// Deterministic report order within each point too, then apply the
+	// reproducer cap.
 	sort.Slice(rep.Violations, func(i, j int) bool {
 		a, b := rep.Violations[i], rep.Violations[j]
 		if a.Point != b.Point {

@@ -257,23 +257,6 @@ func Analyze(ts *TaskSet, cores int, method Method) (*Report, error) {
 	return a.Analyze(context.Background(), ts)
 }
 
-// AnalyzeRefined is Analyze with the final-NPR refinement enabled (the
-// paper's future-work item (ii)): for single-sink tasks, interference is
-// accounted only until the start of the non-preemptable final region.
-// The refined bound never exceeds the plain one.
-//
-// Deprecated: set Options.FinalNPRRefinement instead — every analysis
-// path now returns the one Report shape (this function used to leak the
-// internal rta result type). The alias will be removed one release
-// after the session API.
-func AnalyzeRefined(ts *TaskSet, cores int, method Method) (*Report, error) {
-	a, err := NewAnalyzer(Options{Cores: cores, Method: method, FinalNPRRefinement: true})
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze(context.Background(), ts)
-}
-
 // Session types (see internal/session and internal/engine): the
 // stateful what-if / admission-control API. A Session holds a task set
 // and options, absorbs edits, and answers queries at a cost
@@ -375,7 +358,8 @@ func RestoreSession(snap *SessionSnapshot) (*Session, error) {
 // analysis engine and its HTTP front end (cmd/lpdag-serve).
 type (
 	// Engine is a bounded worker pool executing analyze/simulate/
-	// generate jobs over a shared content-addressed result cache.
+	// generate jobs; its analyses share one content-addressed µ-table
+	// cache.
 	Engine = engine.Engine
 	// EngineConfig sizes an Engine (workers, queue, cache).
 	EngineConfig = engine.Config
@@ -421,7 +405,7 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // worker-state surface for cluster deployments.
 func NewEngineServer(e *Engine, cfg ServerConfig) *EngineServer { return engine.NewServer(e, cfg) }
 
-// NewCache returns a bounded content-addressed result cache
+// NewCache returns a bounded content-addressed µ-table cache
 // (maxEntries ≤ 0 selects the default bound).
 func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 

@@ -139,7 +139,11 @@ func TestFacadeRefinedAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := AnalyzeRefined(ts, 4, LPILP)
+	a, err := NewAnalyzer(Options{Cores: 4, Method: LPILP, FinalNPRRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := a.Analyze(context.Background(), ts)
 	if err != nil {
 		t.Fatal(err)
 	}
