@@ -571,16 +571,14 @@ func serveBenchSets(b *testing.B) [][]byte {
 	return sets
 }
 
-// benchServeAnalyze drives the full HTTP serving path — request decode,
-// batch dispatch, pooled response encode — with one 16-item /v1/analyze
-// batch per iteration, in the codec named by accept. This is the
-// serving-path number of BENCH_analyze.json and part of the lpdag-bench
-// regression gate: the response side must stay on the pooled
-// encoder, so allocs/op is effectively the per-batch serving overhead.
-// BenchmarkServeDecode and BenchmarkServeBuild time its first layers
-// alone on the same sets.
-func benchServeAnalyze(b *testing.B, accept string) {
-	b.Helper()
+// BenchmarkServeAnalyze drives the full HTTP serving path — request
+// decode, batch dispatch, pooled response encode — with one 16-item
+// /v1/analyze batch per iteration. This is the serving-path number of
+// BENCH_analyze.json and part of the lpdag-bench regression gate: the
+// response side must stay on the pooled encoder, so allocs/op is
+// effectively the per-batch serving overhead. BenchmarkServeDecode and
+// BenchmarkServeBuild time its first layers alone on the same sets.
+func BenchmarkServeAnalyze(b *testing.B) {
 	var batch bytes.Buffer
 	batch.WriteString(`{"cores": 8, "method": "lp-ilp", "requests": [`)
 	for i, raw := range serveBenchSets(b) {
@@ -597,9 +595,6 @@ func benchServeAnalyze(b *testing.B, accept string) {
 	h := engine.NewServer(e, engine.ServerConfig{})
 	run := func() *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
@@ -660,15 +655,6 @@ func BenchmarkServeBuild(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkServeAnalyze is the JSON serving path.
-func BenchmarkServeAnalyze(b *testing.B) { benchServeAnalyze(b, "") }
-
-// BenchmarkServeAnalyzeBinary is the same batch answered in the
-// length-prefixed binary framing (Accept: application/x-lpdag-bin).
-func BenchmarkServeAnalyzeBinary(b *testing.B) {
-	benchServeAnalyze(b, "application/x-lpdag-bin")
 }
 
 // sessionRepairBenchTasks is the 16-task session workload with a

@@ -74,7 +74,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeAnalyzeBinary|BenchmarkServeDecode|BenchmarkServeBuild)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeDecode|BenchmarkServeBuild)$"
 
 // Budget is one standing absolute gate: Bench's Metric ("ns/op" or
 // "allocs/op") may not exceed Max. Unlike Compare the bound is not

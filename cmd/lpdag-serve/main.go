@@ -22,10 +22,9 @@
 //	GET  /metrics      Prometheus text exposition: engine pool, cache,
 //	                   sessions, campaign/cluster, HTTP, analysis traces
 //
-// /v1/analyze, /v1/shard and the session endpoints answer in a compact
-// length-prefixed binary framing instead of JSON when the request
-// carries "Accept: application/x-lpdag-bin" (see internal/wire; error
-// responses stay JSON).
+// Results and errors are JSON (ndjson on /v1/campaign and /v1/shard),
+// whatever the Accept header asks for. The one binary body is the
+// snapshot stream a draining peer posts to /v1/sessions/handoff.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
 // server-side and re-analyzes incrementally per edit; see DESIGN.md,

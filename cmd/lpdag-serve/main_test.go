@@ -207,6 +207,99 @@ func TestServeShardAndDrain(t *testing.T) {
 	}
 }
 
+// TestServeBinaryAcceptGetsJSON pins the fallback for clients that still
+// send "Accept: application/x-lpdag-bin", the retired binary result
+// codec: every route that used to honour it answers the JSON (ndjson on
+// /v1/shard) that the same request without the header gets, byte for
+// byte.
+func TestServeBinaryAcceptGetsJSON(t *testing.T) {
+	base, shutdown := startServer(t, "-workers", "2", "-heartbeat", "1h")
+	defer shutdown()
+	raw, err := lpdag.PaperExample().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, body, accept string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
+	}
+	createBody := fmt.Sprintf(`{"cores": 4, "method": "lp-max", "taskset": %s}`, raw)
+	// sessionID returns the id of a create response ("" for any other
+	// body), so two creates compare equal up to their fresh ids.
+	sessionID := func(data []byte) string {
+		var v struct {
+			ID string `json:"id"`
+		}
+		json.Unmarshal(data, &v)
+		return v.ID
+	}
+	create := func() string {
+		_, data := do(http.MethodPost, "/v1/sessions", createBody, "")
+		id := sessionID(data)
+		if id == "" {
+			t.Fatalf("create: %s", data)
+		}
+		return id
+	}
+	sess := create()
+	fixed := func(path string) func() string { return func() string { return path } }
+
+	for _, tc := range []struct {
+		name, method string
+		path         func() string // called per request: edits commit, so each gets a fresh session
+		body         string
+		status       int
+		ctype        string
+	}{
+		{"analyze", http.MethodPost, fixed("/v1/analyze"),
+			fmt.Sprintf(`{"cores": 4, "requests": [{"taskset": %s}, {"taskset": %s, "method": "fp-ideal"}, {"method": "nope"}]}`, raw, raw),
+			http.StatusOK, "application/json"},
+		{"create", http.MethodPost, fixed("/v1/sessions"), createBody, http.StatusCreated, "application/json"},
+		{"report", http.MethodGet, fixed("/v1/sessions/" + sess + "/report"), "", http.StatusOK, "application/json"},
+		{"edits", http.MethodPost, func() string { return "/v1/sessions/" + create() + "/edits" },
+			`{"edits": [{"op": "set_cores", "cores": 8}, {"op": "remove", "index": 0}]}`, http.StatusOK, "application/json"},
+		{"admit", http.MethodPost, fixed("/v1/sessions/" + sess + "/admit"),
+			`{"task": {"name": "c", "wcet": [1], "edges": [], "deadline": 1000, "period": 1000}}`, http.StatusOK, "application/json"},
+		{"repair", http.MethodPost, fixed("/v1/sessions/" + sess + "/repair"), `{"seed": 7}`, http.StatusOK, "application/json"},
+		{"shard", http.MethodPost, fixed("/v1/shard"),
+			`{"campaign": {"seed": 3, "ms": [2], "u_fracs": [0.4, 0.8], "sets_per_point": 2, "scenarios": ["mixed"]}, "points": [0, 1]}`,
+			http.StatusOK, "application/x-ndjson"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, want := do(tc.method, tc.path(), tc.body, "")
+			bin, got := do(tc.method, tc.path(), tc.body, "application/x-lpdag-bin")
+			for _, r := range []*http.Response{plain, bin} {
+				if r.StatusCode != tc.status || r.Header.Get("Content-Type") != tc.ctype {
+					t.Fatalf("%s: status %d, Content-Type %q, want %d %q",
+						r.Request.Header.Get("Accept"), r.StatusCode, r.Header.Get("Content-Type"), tc.status, tc.ctype)
+				}
+			}
+			if id := sessionID(got); id != "" {
+				got = bytes.ReplaceAll(got, []byte(id), []byte(sessionID(want)))
+			}
+			if len(want) == 0 || !bytes.Equal(got, want) {
+				t.Fatalf("binary Accept changed the body:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr syncBuffer
 	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {

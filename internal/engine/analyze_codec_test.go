@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -238,5 +240,50 @@ func TestAnalyzePhaseHistograms(t *testing.T) {
 		if !strings.Contains(w.Body.String(), series) {
 			t.Errorf("scrape lacks %s", series)
 		}
+	}
+}
+
+// failingWriter errors on the first body write, as a closed client
+// connection would.
+type failingWriter struct {
+	http.ResponseWriter
+}
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+
+// TestWriteErrorsCounted pins the lpdag_http_write_errors_total
+// counter: both encode failures and mid-body write failures count.
+func TestWriteErrorsCounted(t *testing.T) {
+	e := New(Config{Obs: obs.NewRegistry()})
+	t.Cleanup(e.Close)
+	s := NewServer(e, ServerConfig{})
+	if n := atomic.LoadUint64(&s.writeErrs); n != 0 {
+		t.Fatalf("fresh server writeErrs = %d", n)
+	}
+
+	// Encode failure: channels are not JSON-serialisable.
+	w := httptest.NewRecorder()
+	s.writeJSON(w, http.StatusOK, make(chan int))
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("encode failure status %d, want 500", w.Code)
+	}
+	if n := atomic.LoadUint64(&s.writeErrs); n != 1 {
+		t.Fatalf("writeErrs after encode failure = %d, want 1", n)
+	}
+
+	// Mid-body write failure.
+	s.writeJSON(failingWriter{httptest.NewRecorder()}, http.StatusOK, map[string]string{"ok": "yes"})
+	if n := atomic.LoadUint64(&s.writeErrs); n != 2 {
+		t.Fatalf("writeErrs after write failure = %d, want 2", n)
+	}
+
+	// The counter is exported on /metrics.
+	mw := httptest.NewRecorder()
+	s.ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if mw.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", mw.Code)
+	}
+	if !strings.Contains(mw.Body.String(), "lpdag_http_write_errors_total 2") {
+		t.Fatalf("/metrics missing lpdag_http_write_errors_total 2:\n%s", mw.Body)
 	}
 }

@@ -14,11 +14,7 @@ package engine
 // 503, the caller's signal to back off — the engine's own queue already
 // provides backpressure per job).
 //
-// /v1/analyze and the session endpoints also speak a compact
-// length-prefixed binary response framing (see internal/wire and
-// server_bin.go), negotiated with "Accept: application/x-lpdag-bin".
-// Error responses stay JSON regardless, so failure handling is
-// codec-independent.
+// Results and errors are JSON, whatever the Accept header asks for.
 
 import (
 	"bytes"
@@ -38,7 +34,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/ring"
-	"repro/internal/wire"
 )
 
 // ServerConfig parameterises the HTTP handler.
@@ -100,7 +95,21 @@ const (
 	// MaxGenUtilization and MaxGenTasks bound one generated task set.
 	MaxGenUtilization = 1024
 	MaxGenTasks       = 4096
+	// MaxCores bounds the core count m of every request that names one:
+	// analyze (top level and per element), simulate, session creates,
+	// set_cores edits and campaign grids. The analysis cost grows
+	// superlinearly in m; a 1 KB analyze body with m = 200000000 once
+	// ran a node out of memory.
+	MaxCores = 64
 )
+
+// CheckCores validates a requested core count against [1, MaxCores].
+func CheckCores(m int) error {
+	if m < 1 || m > MaxCores {
+		return fmt.Errorf("invalid cores: %d (must be in [1, %d])", m, MaxCores)
+	}
+	return nil
+}
 
 // Server dispatches HTTP requests onto an Engine. Beyond being the
 // http.Handler for the engine endpoints it carries the node's worker
@@ -276,9 +285,8 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // respBufPool holds the response-encode buffers shared by every
-// endpoint: one buffer serves a whole response (JSON document or binary
-// frame sequence), so the encode layer allocates O(1) per request in
-// steady state.
+// endpoint: one buffer serves a whole JSON response, so the encode layer
+// allocates O(1) per request in steady state.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v (indented, as this API has always rendered JSON)
@@ -730,6 +738,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.cores == 0 {
 		req.cores = 4
 	}
+	if err := CheckCores(req.cores); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 
 	results := make([]analyzeResult, len(req.items))
 	sets := make([]*model.TaskSet, 0, len(req.items))
@@ -750,6 +762,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		if item.backend != nil {
 			backendStr = *item.backend
+		}
+		if err := CheckCores(spec.Cores); err != nil {
+			results[i].Error = err.Error()
+			continue
 		}
 		var err error
 		if spec.Method, err = ParseMethod(methodStr); err != nil {
@@ -790,23 +806,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		results[slot] = reportJSON(reports[j])
 	}
-	st := binBufPool.Get().(*binBuf)
-	defer binBufPool.Put(st)
-	if binaryAccepted(r) {
-		frames := st.frames[:0]
-		for _, res := range results {
-			st.payload = appendAnalyzeResultBin(st.payload[:0], res)
-			frames = wire.AppendFrame(frames, wire.FrameResult, st.payload)
-		}
-		st.frames = frames
-		s.writeBody(w, http.StatusOK, wire.ContentType, frames)
-		return
-	}
-	if st.frames, err = appendAnalyzeResponseJSON(st.frames[:0], results); err != nil {
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	out, err := appendAnalyzeResponseJSON(buf.AvailableBuffer(), results)
+	if err != nil {
 		s.encodeFailed(w, err)
 		return
 	}
-	s.writeBody(w, http.StatusOK, "application/json", st.frames)
+	buf.Write(out)
+	s.writeBody(w, http.StatusOK, "application/json", buf.Bytes())
 }
 
 // simulateRequest is the /v1/simulate body.
@@ -842,6 +851,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Cores == 0 {
 		req.Cores = 4
+	}
+	if err := CheckCores(req.Cores); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if req.Duration == 0 {
 		req.Duration = 10000

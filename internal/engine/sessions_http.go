@@ -93,6 +93,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
+	if err := CheckCores(req.Cores); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	opts := core.Options{Cores: req.Cores, FinalNPRRefinement: req.FinalNPR}
 	var err error
 	if opts.Method, err = ParseMethod(req.Method); err != nil {
@@ -130,13 +134,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusCreated, func(dst []byte) []byte {
-			dst = wire.AppendString(dst, id)
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{"id": id, "report": reportJSON(v.(*core.Report))})
 }
 
@@ -154,12 +151,6 @@ func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
 }
 
@@ -226,6 +217,9 @@ func decodeEdit(e sessionEditJSON) (session.Edit, error) {
 		}
 		out.From, out.To = from, *e.To
 	case session.OpSetCores:
+		if err := CheckCores(e.Cores); err != nil {
+			return out, err
+		}
 		out.Cores = e.Cores
 	case session.OpSetMethod:
 		m, err := ParseMethod(e.Method)
@@ -282,12 +276,6 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
 }
 
@@ -329,13 +317,6 @@ func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setSessionEpoch(w, id)
 	rep := v.(*core.Report)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			dst = appendBool(dst, rep.Schedulable)
-			return appendAnalyzeResultBin(dst, reportJSON(rep))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"admitted": rep.Schedulable,
 		"report":   reportJSON(rep),
@@ -515,14 +496,7 @@ func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 	s.sessions.ObserveRepair(res, time.Since(t0))
 	s.setSessionEpoch(w, id)
 	applied := req.Apply && res.Fixed && len(res.Transforms) > 0
-	out := repairResponseOf(res, applied)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendRepairResultBin(dst, out)
-		})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, repairResponseOf(res, applied))
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {

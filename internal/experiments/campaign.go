@@ -310,11 +310,6 @@ type RunOptions struct {
 	CSV io.Writer
 	// OnProgress, when non-nil, is called after every completed point.
 	OnProgress func(Progress)
-	// OnResult, when non-nil, receives every result in point-index order
-	// before the JSONL/CSV writers see it; a returned error latches like
-	// a stream write error and aborts emission. This is how the cluster
-	// worker streams binary result frames without re-encoding JSON.
-	OnResult func(PointResult) error
 	// Obs, when non-nil, publishes the same progress as the
 	// lpdag_campaign_* series (points planned/done, ETA, cumulative
 	// completed counter) so the run is watchable from /metrics.
@@ -382,7 +377,6 @@ func RunCampaign(cfg CampaignConfig, opts RunOptions) ([]PointResult, error) {
 type StreamEmitter struct {
 	jsonl, csv io.Writer
 	names      []string
-	onResult   func(PointResult) error
 	enc        encState
 	csvOnce    bool
 	err        error
@@ -398,12 +392,6 @@ func NewStreamEmitter(jsonl, csv io.Writer, names []string) *StreamEmitter {
 func (e *StreamEmitter) Emit(r PointResult) {
 	if e.err != nil {
 		return
-	}
-	if e.onResult != nil {
-		if err := e.onResult(r); err != nil {
-			e.err = err
-			return
-		}
 	}
 	if e.jsonl != nil {
 		buf, err := e.enc.appendPointResult(e.enc.buf[:0], r)

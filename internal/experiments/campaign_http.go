@@ -28,7 +28,6 @@ const (
 	MaxCampaignBodyBytes = 1 << 20 // 1 MiB of JSON config is plenty
 	MaxCampaignPoints    = 2048
 	MaxCampaignSets      = 200
-	MaxCampaignCores     = 64
 	MaxCampaignAnalyses  = 250_000
 )
 
@@ -108,8 +107,8 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 		Shards:       req.Shards,
 	}
 	for _, m := range req.Ms {
-		if m < 1 || m > MaxCampaignCores {
-			return cfg, fmt.Errorf("core count %d outside [1, %d]", m, MaxCampaignCores)
+		if err := engine.CheckCores(m); err != nil {
+			return cfg, err
 		}
 	}
 	if cfg.SetsPerPoint > MaxCampaignSets {

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/wire"
 )
 
 // Coordinator defaults.
@@ -80,12 +79,6 @@ type Config struct {
 	// Set it to the smallest -max-shard-points across the cluster —
 	// the shard count is raised as needed so no lease exceeds it.
 	MaxLeasePoints int
-	// DisableBinary forces JSONL shard streams. By default the
-	// coordinator asks each worker for the binary frame codec
-	// (Accept: application/x-lpdag-bin) and falls back per response
-	// Content-Type, so mixed-version clusters work either way; the
-	// codec never affects the merged output bytes.
-	DisableBinary bool
 }
 
 // Run executes the campaign across the cluster and returns the
@@ -334,9 +327,6 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if !c.cfg.DisableBinary {
-		req.Header.Set("Accept", wire.ContentType+", application/x-ndjson")
-	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
 		return c.leaseErr(sctx, ctx, err)
@@ -349,9 +339,6 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		}
 		return fmt.Errorf("shard request: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	if resp.Header.Get("Content-Type") == wire.ContentType {
-		return c.readBinaryShard(sctx, ctx, resp.Body, url, lease, watchdog)
-	}
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -361,18 +348,10 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		if len(raw) == 0 {
 			continue // heartbeat
 		}
-		var line struct {
-			experiments.PointResult
-			Err *string `json:"error"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		if err := dec.Decode(&line); err != nil {
+		pr, err := experiments.DecodeResultLine(raw)
+		if err != nil {
 			return fmt.Errorf("shard stream: %w", err)
 		}
-		if line.Err != nil {
-			return fmt.Errorf("shard stream: worker error: %s", *line.Err)
-		}
-		pr := line.PointResult
 		if err := experiments.CheckResult(c.cfg.Campaign, c.points, pr); err != nil {
 			return fmt.Errorf("shard stream: %w", err)
 		}
@@ -389,45 +368,6 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		return c.leaseErr(sctx, ctx, err)
 	}
 	return nil
-}
-
-// readBinaryShard consumes a binary shard stream: heartbeat frames feed
-// the watchdog, result frames decode and merge exactly like JSON lines
-// (same CheckResult and tracker validation), an error frame fails the
-// lease, and a clean EOF ends it.
-func (c *coordinator) readBinaryShard(sctx, ctx context.Context, body io.Reader, url string, lease Lease, watchdog *time.Timer) error {
-	fr := wire.NewReader(body, 16*1024*1024)
-	for {
-		typ, payload, err := fr.ReadFrame()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return c.leaseErr(sctx, ctx, fmt.Errorf("shard stream: %w", err))
-		}
-		watchdog.Reset(c.cfg.LeaseTimeout)
-		switch typ {
-		case wire.FrameHeartbeat:
-			continue
-		case wire.FrameError:
-			return fmt.Errorf("shard stream: worker error: %s", payload)
-		}
-		pr, err := experiments.DecodePointResultBinary(payload)
-		if err != nil {
-			return fmt.Errorf("shard stream: %w", err)
-		}
-		if err := experiments.CheckResult(c.cfg.Campaign, c.points, pr); err != nil {
-			return fmt.Errorf("shard stream: %w", err)
-		}
-		if err := c.tracker.Progress(lease.Shard, url, pr.Index); err != nil {
-			return fmt.Errorf("shard stream: %w", err)
-		}
-		select {
-		case c.resultc <- pr:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }
 
 // leaseErr maps a transport error to a lease-deadline error when the

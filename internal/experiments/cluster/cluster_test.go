@@ -387,10 +387,10 @@ func TestWorkerStreamMatchesLocalSubset(t *testing.T) {
 	}
 }
 
-// binaryProbeWorker is a worker whose shard endpoint records the
-// response Content-Type of every lease, so tests can assert which
-// codec the negotiation actually picked.
-func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
+// probeWorker is a worker whose shard endpoint records, per lease, the
+// request's Accept header and the response's Content-Type, so tests can
+// assert what the codec negotiation actually picked.
+func probeWorker(t *testing.T) (*testWorker, func() []string) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -398,13 +398,13 @@ func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
 	shard := NewWorkerHandler(eng, WorkerConfig{Heartbeat: 100 * time.Millisecond, Load: srv})
 	var (
 		mu     sync.Mutex
-		ctypes []string
+		leases []string
 	)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/shard", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		shard.ServeHTTP(w, r)
 		mu.Lock()
-		ctypes = append(ctypes, w.Header().Get("Content-Type"))
+		leases = append(leases, r.Header.Get("Accept")+" -> "+w.Header().Get("Content-Type"))
 		mu.Unlock()
 	}))
 	mux.Handle("/", srv)
@@ -413,57 +413,112 @@ func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
 	return &testWorker{srv: srv, ts: ts}, func() []string {
 		mu.Lock()
 		defer mu.Unlock()
-		return append([]string(nil), ctypes...)
+		return append([]string(nil), leases...)
 	}
 }
 
-// TestClusterBinaryLeaseByteIdentical pins the codec negotiation end to
-// end: by default shards stream back as binary wire frames, with
-// Config.DisableBinary they stay JSONL, and either way the merged
-// JSONL/CSV output is byte-identical to a local JSON-only run.
+// acceptTransport sets one Accept header on every request.
+type acceptTransport string
+
+func (a acceptTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set("Accept", string(a))
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterBinaryLeaseByteIdentical pins the fallback for coordinators
+// that still ask for the retired binary shard codec: workers answer
+// ndjson, and the merged JSONL/CSV output is byte-identical to a local
+// run.
 func TestClusterBinaryLeaseByteIdentical(t *testing.T) {
 	cfg := e2eCampaign(t)
 	wantJSONL, wantCSV := runLocalReference(t, cfg)
+	accept := wire.ContentType + ", application/x-ndjson" // what such coordinators send
 
-	for _, tc := range []struct {
-		name     string
-		disable  bool
-		wantType string
-	}{
-		{"binary", false, wire.ContentType},
-		{"jsonl-fallback", true, "application/x-ndjson"},
+	t.Run("jsonl-fallback", func(t *testing.T) {
+		w1, leases1 := probeWorker(t)
+		w2, leases2 := probeWorker(t)
+		var jb, cb bytes.Buffer
+		results, err := Run(Config{
+			Campaign:     cfg,
+			Workers:      []string{w1.ts.URL, w2.ts.URL},
+			Client:       &http.Client{Transport: acceptTransport(accept)},
+			LeaseTimeout: 3 * time.Second,
+			Shards:       8,
+		}, experiments.RunOptions{JSONL: &jb, CSV: &cb})
+		if err != nil {
+			t.Fatalf("cluster run: %v", err)
+		}
+		if len(results) != 196 {
+			t.Fatalf("got %d results, want 196", len(results))
+		}
+		if !bytes.Equal(jb.Bytes(), wantJSONL) {
+			t.Errorf("merged JSONL differs from local run (%d vs %d bytes)", jb.Len(), len(wantJSONL))
+		}
+		if !bytes.Equal(cb.Bytes(), wantCSV) {
+			t.Errorf("merged CSV differs from local run (%d vs %d bytes)", cb.Len(), len(wantCSV))
+		}
+		served := append(leases1(), leases2()...)
+		if len(served) == 0 {
+			t.Fatal("no shard leases recorded")
+		}
+		for _, lease := range served {
+			if want := accept + " -> application/x-ndjson"; lease != want {
+				t.Fatalf("shard lease %q, want %q", lease, want)
+			}
+		}
+	})
+}
+
+// TestClusterRejectsInvalidShardLines feeds the coordinator, from a fake
+// worker, shard lines that ReadCampaignJSONL rejects: every lease must
+// fail on the line and nothing may be merged. A worker's terminal error
+// line surfaces as "worker error: …".
+func TestClusterRejectsInvalidShardLines(t *testing.T) {
+	mixed, err := experiments.ScenarioByName("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.CampaignConfig{
+		Seed: 1, Ms: []int{2}, UFracs: []float64{0.5}, SetsPerPoint: 1,
+		Scenarios: []experiments.Scenario{mixed},
+	}
+	points, err := cfg.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Point 0's metadata is right, so only the line checks can refuse it.
+	head := fmt.Sprintf(`{"index":0,"scenario":%q,"m":%d,"u":%v,"sets":1`, points[0].Scenario.Name, points[0].M, points[0].U)
+	valid := head + `,"sched":{"LP-ILP":1}}`
+	if _, err := experiments.DecodeResultLine([]byte(valid)); err != nil {
+		t.Fatalf("scaffold line rejected: %v", err)
+	}
+	for _, tc := range []struct{ name, line, want string }{
+		{"negative sched count", head + `,"sched":{"LP-ILP":-1}}`, `negative sched count -1 for "LP-ILP"`},
+		{"invalid method name", head + `,"sched":{"LP ILP":1}}`, `bad method "LP ILP"`},
+		{"trailing data", valid + ` {"index":1}`, "trailing data"},
+		{"worker error", `{"error":"boom"}`, "shard stream: worker error: boom"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w1, types1 := binaryProbeWorker(t)
-			w2, types2 := binaryProbeWorker(t)
-			var jb, cb bytes.Buffer
-			results, err := Run(Config{
-				Campaign:      cfg,
-				Workers:       []string{w1.ts.URL, w2.ts.URL},
-				LeaseTimeout:  3 * time.Second,
-				Shards:        8,
-				DisableBinary: tc.disable,
-			}, experiments.RunOptions{JSONL: &jb, CSV: &cb})
-			if err != nil {
-				t.Fatalf("cluster run: %v", err)
-			}
-			if len(results) != 196 {
-				t.Fatalf("got %d results, want 196", len(results))
-			}
-			if !bytes.Equal(jb.Bytes(), wantJSONL) {
-				t.Errorf("merged JSONL differs from local run (%d vs %d bytes)", jb.Len(), len(wantJSONL))
-			}
-			if !bytes.Equal(cb.Bytes(), wantCSV) {
-				t.Errorf("merged CSV differs from local run (%d vs %d bytes)", cb.Len(), len(wantCSV))
-			}
-			served := append(types1(), types2()...)
-			if len(served) == 0 {
-				t.Fatal("no shard leases recorded")
-			}
-			for _, ct := range served {
-				if ct != tc.wantType {
-					t.Fatalf("shard response Content-Type = %q, want %q", ct, tc.wantType)
+			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" {
+					fmt.Fprint(w, `{"status":"ok"}`)
+					return
 				}
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				fmt.Fprintln(w, tc.line)
+			}))
+			defer worker.Close()
+			var jb, cb bytes.Buffer
+			_, err := Run(Config{
+				Campaign: cfg, Workers: []string{worker.URL},
+				LeaseTimeout: 3 * time.Second, MaxShardRetries: 1,
+			}, experiments.RunOptions{JSONL: &jb, CSV: &cb})
+			if err == nil || !strings.Contains(err.Error(), "retries exhausted") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("cluster run error %v, want the lease to fail on %q", err, tc.want)
+			}
+			if jb.Len() != 0 || cb.Len() != 0 {
+				t.Fatalf("merged output from a rejected line:\n%s%s", jb.Bytes(), cb.Bytes())
 			}
 		})
 	}

@@ -5,19 +5,15 @@ package cluster
 // representing exactly what a local run would emit for those indices
 // (experiments.RunCampaignSubset).
 //
-// Two stream codecs are negotiated via the Accept header. The default is
-// JSON lines, where blank lines are heartbeats: the handler emits one
-// every WorkerConfig.Heartbeat of silence so the coordinator's lease
-// watchdog can tell "slow point" from "dead worker";
+// The stream is campaign JSON lines (application/x-ndjson, whatever the
+// Accept header asks for), where blank lines are heartbeats: the handler
+// emits one every WorkerConfig.Heartbeat of silence so the coordinator's
+// lease watchdog can tell "slow point" from "dead worker";
 // experiments.ReadCampaignJSONL already skips blank lines, so the stream
-// stays a valid campaign JSONL stream. With "Accept:
-// application/x-lpdag-bin" the stream is instead wire frames — 'R'
-// frames carrying binary PointResult payloads, 'H' heartbeat frames —
-// encoded through one reused buffer pair, so a shard stream allocates
-// O(1) however many points it carries.
+// stays a valid campaign JSONL stream.
 //
 // If the run fails after streaming began a terminal {"error": ...} line
-// (or an 'E' frame) is appended, mirroring POST /v1/campaign.
+// is appended, mirroring POST /v1/campaign.
 
 import (
 	"encoding/json"
@@ -28,7 +24,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/wire"
 )
 
 // Shard protocol limits and defaults.
@@ -117,38 +112,16 @@ func NewWorkerHandler(eng *engine.Engine, cfg WorkerConfig) http.Handler {
 			cfg.Load.ShardStarted()
 			defer cfg.Load.ShardFinished()
 		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		out := newHeartbeatWriter(w, cfg.Heartbeat)
+		defer out.stop()
 		opts := experiments.RunOptions{
 			Context: r.Context(),
 			Engine:  eng,
+			JSONL:   out,
 			Obs:     eng.Obs(),
 		}
-		if wire.Accepts(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", wire.ContentType)
-			w.WriteHeader(http.StatusOK)
-			out := newHeartbeatWriter(w, cfg.Heartbeat, wire.HeartbeatFrame)
-			defer out.stop()
-			var payload, frame []byte
-			opts.OnResult = func(pr experiments.PointResult) error {
-				var err error
-				if payload, err = experiments.AppendPointResultBinary(payload[:0], pr); err != nil {
-					return err
-				}
-				frame = wire.AppendFrame(frame[:0], wire.FrameResult, payload)
-				_, err = out.Write(frame)
-				return err
-			}
-			if _, err := experiments.RunCampaignSubset(campaign, req.Points, opts); err != nil {
-				// Too late for a status code; emit a terminal error frame
-				// the coordinator treats as a shard failure.
-				out.Write(wire.AppendFrame(nil, wire.FrameError, []byte(err.Error())))
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		out := newHeartbeatWriter(w, cfg.Heartbeat, []byte("\n"))
-		defer out.stop()
-		opts.JSONL = out
 		if _, err := experiments.RunCampaignSubset(campaign, req.Points, opts); err != nil {
 			// Too late for a status code; emit a terminal error line the
 			// coordinator treats as a shard failure.
@@ -164,21 +137,19 @@ func writeJSONError(w http.ResponseWriter, status int, format string, args ...an
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// heartbeatWriter serialises result writes with periodic keepalives
-// (beat is the codec's idle payload: a blank line for JSONL, a
-// heartbeat frame for binary) and flushes each write so results reach
-// the coordinator as they are produced.
+// heartbeatWriter serialises result writes with periodic blank-line
+// keepalives and flushes each write so results reach the coordinator as
+// they are produced.
 type heartbeatWriter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
-	beat    []byte
 	stopped bool // no writes may start once set: the handler is returning
 	done    chan struct{}
 	once    sync.Once
 }
 
-func newHeartbeatWriter(w http.ResponseWriter, interval time.Duration, beat []byte) *heartbeatWriter {
-	h := &heartbeatWriter{w: w, beat: beat, done: make(chan struct{})}
+func newHeartbeatWriter(w http.ResponseWriter, interval time.Duration) *heartbeatWriter {
+	h := &heartbeatWriter{w: w, done: make(chan struct{})}
 	if interval > 0 {
 		go func() {
 			t := time.NewTicker(interval)
@@ -190,7 +161,7 @@ func newHeartbeatWriter(w http.ResponseWriter, interval time.Duration, beat []by
 				case <-t.C:
 					h.mu.Lock()
 					if !h.stopped {
-						h.w.Write(h.beat)
+						h.w.Write([]byte("\n"))
 						h.flushLocked()
 					}
 					h.mu.Unlock()

@@ -101,52 +101,3 @@ func FuzzCampaignCSVRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-func binarySeedCorpus() [][]byte {
-	seeds := [][]byte{nil, {0}, {0xff, 0xff, 0xff, 0xff}}
-	for _, r := range []PointResult{
-		{Index: 0, Scenario: "mixed", M: 4, U: 1.2, Sets: 25,
-			Sched: map[string]int{"FP-ideal": 25, "LP-ILP": 20, "LP-max": 18}},
-		{Index: -5, Scenario: "x_y.z-w", M: 0, U: 0, Sets: 0},
-		{Index: 3, Scenario: "deep", M: 2, U: 1.9999999999999998, Sets: 1,
-			Sched: map[string]int{}},
-	} {
-		b, err := AppendPointResultBinary(nil, r)
-		if err != nil {
-			panic(err)
-		}
-		seeds = append(seeds, b)
-	}
-	return seeds
-}
-
-// FuzzPointResultBinaryRoundTrip: same canonical-round-trip contract
-// for the binary shard-stream payload codec. The first decode may
-// tolerate overlong varints, so the fixed point is asserted on the
-// re-encoded bytes, exactly like the JSONL target.
-func FuzzPointResultBinaryRoundTrip(f *testing.F) {
-	for _, s := range binarySeedCorpus() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodePointResultBinary(data)
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		enc, err := AppendPointResultBinary(nil, r)
-		if err != nil {
-			t.Fatalf("accepted result failed to encode: %v (%#v)", err, r)
-		}
-		back, err := DecodePointResultBinary(enc)
-		if err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v\n%x", err, enc)
-		}
-		if !reflect.DeepEqual(r, back) {
-			t.Fatalf("round trip changed result:\n%#v\nvs\n%#v", r, back)
-		}
-		enc2, err := AppendPointResultBinary(nil, back)
-		if err != nil || !reflect.DeepEqual(enc, enc2) {
-			t.Fatalf("encoding not a fixed point (err %v):\n%x\nvs\n%x", err, enc, enc2)
-		}
-	})
-}

@@ -128,7 +128,6 @@ func newMerger(results []PointResult, ready []bool, names []string, opts RunOpti
 		onProgress: opts.OnProgress,
 		start:      time.Now(),
 	}
-	m.emitter.onResult = opts.OnResult
 	for _, r := range ready {
 		if r {
 			m.carried++

@@ -106,10 +106,9 @@ func CampaignJSONL(results []PointResult) (string, error) {
 }
 
 // ReadCampaignJSONL decodes a JSON-lines result stream. Blank lines are
-// permitted (and not round-tripped); any other malformed line is an
-// error. Scenario and method names must be valid campaign names, sched
-// counts must be non-negative and U finite, so every accepted stream
-// re-encodes canonically and can feed the CSV emitter.
+// permitted (and not round-tripped); every other line must pass
+// DecodeResultLine, so every accepted stream re-encodes canonically and
+// can feed the CSV emitter.
 func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 	var out []PointResult
 	sc := bufio.NewScanner(r)
@@ -121,15 +120,8 @@ func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var pr PointResult
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		if err := dec.Decode(&pr); err != nil {
-			return nil, fmt.Errorf("experiments: jsonl line %d: %w", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("experiments: jsonl line %d: trailing data", line)
-		}
-		if err := checkPointResultFields(pr); err != nil {
+		pr, err := DecodeResultLine(raw)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: jsonl line %d: %w", line, err)
 		}
 		out = append(out, pr)
@@ -142,9 +134,37 @@ func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 	return out, nil
 }
 
+// DecodeResultLine decodes one non-blank line of a campaign JSONL
+// stream: a single JSON PointResult with finite U, valid scenario and
+// method names and non-negative sched counts. It is the one line decoder
+// of ReadCampaignJSONL and the cluster coordinator's shard reader. The
+// terminal {"error": msg} line that POST /v1/campaign and /v1/shard
+// append when a run fails mid-stream is returned as the error "worker
+// error: msg".
+func DecodeResultLine(raw []byte) (PointResult, error) {
+	var line struct {
+		PointResult
+		Err *string `json:"error"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if err := dec.Decode(&line); err != nil {
+		return PointResult{}, err
+	}
+	if dec.More() {
+		return PointResult{}, fmt.Errorf("trailing data")
+	}
+	if line.Err != nil {
+		return PointResult{}, fmt.Errorf("worker error: %s", *line.Err)
+	}
+	if err := checkPointResultFields(line.PointResult); err != nil {
+		return PointResult{}, err
+	}
+	return line.PointResult, nil
+}
+
 // checkPointResultFields enforces the documented stream invariants on a
 // decoded result: finite U, valid scenario and method names,
-// non-negative sched counts. Shared by the JSONL and binary decoders.
+// non-negative sched counts.
 func checkPointResultFields(pr PointResult) error {
 	if math.IsNaN(pr.U) || math.IsInf(pr.U, 0) {
 		return fmt.Errorf("non-finite u")

@@ -39,6 +39,9 @@ func TestReadCampaignJSONLRejectsInvalid(t *testing.T) {
 		{"trailing data",
 			valid + ` {"extra":1}`,
 			"line 1: trailing data"},
+		{"terminal error line",
+			valid + "\n" + `{"error":"boom"}`,
+			"line 2: worker error: boom"},
 		{"malformed json",
 			"\n\n" + `{"index":`,
 			"line 3:"},

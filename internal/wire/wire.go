@@ -1,24 +1,20 @@
-// Package wire implements the compact length-prefixed binary framing the
-// serving endpoints negotiate next to JSON (content type
-// application/x-lpdag-bin).
+// Package wire implements the compact length-prefixed binary framing of
+// session snapshots: the records of the durable session store and the
+// body of POST /v1/sessions/handoff (content type
+// application/x-lpdag-bin). Every result the serving endpoints return is
+// JSON; this framing never carries one.
 //
 // A stream is a sequence of frames, each a one-byte type tag followed by
 // a uvarint payload length and the payload bytes:
 //
-//	'R' <uvarint len> <payload>   one result record
-//	'H' <uvarint 0>               heartbeat (keepalive, no payload)
-//	'E' <uvarint len> <utf-8>     terminal error message; ends the stream
 //	'S' <uvarint len> <payload>   one session snapshot (durable store
 //	                              records and the hand-off endpoint)
 //	'D' <uvarint len> <id>        session tombstone (durable store only)
 //
-// The payload encoding belongs to the endpoint (the campaign shard
-// stream carries binary PointResult records, the analyze and session
-// endpoints carry binary report records); this package only owns the
-// envelope and the primitive field encodings those payloads share:
-// uvarint for non-negative integers, zigzag varint for signed ones,
-// length-prefixed UTF-8 for strings, and IEEE-754 bits as a fixed 8-byte
-// big-endian word for float64 (exact round-trip by construction).
+// The snapshot payload encoding belongs to internal/session; this
+// package only owns the envelope and the primitive field encodings the
+// payloads use: uvarint for non-negative integers, zigzag varint for
+// signed ones, length-prefixed UTF-8 for strings.
 package wire
 
 import (
@@ -26,42 +22,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"strings"
 )
 
-// ContentType is the MIME type of the binary framing, used as the Accept
-// value that requests it and the Content-Type that labels it.
+// ContentType is the MIME type of the framing, the Content-Type of a
+// hand-off request body.
 const ContentType = "application/x-lpdag-bin"
-
-// Accepts reports whether an Accept header value asks for the binary
-// framing: any comma-separated member whose media type is ContentType
-// (parameters like q= are tolerated and ignored — the protocol has only
-// two representations, so preference order beyond "binary requested"
-// carries no information).
-func Accepts(accept string) bool {
-	for _, item := range strings.Split(accept, ",") {
-		if i := strings.IndexByte(item, ';'); i >= 0 {
-			item = item[:i]
-		}
-		if strings.TrimSpace(item) == ContentType {
-			return true
-		}
-	}
-	return false
-}
 
 // Frame type tags.
 const (
-	FrameResult    = byte('R')
-	FrameHeartbeat = byte('H')
-	FrameError     = byte('E')
-	FrameSnapshot  = byte('S')
-	FrameDelete    = byte('D')
+	FrameSnapshot = byte('S')
+	FrameDelete   = byte('D')
 )
-
-// HeartbeatFrame is the constant encoding of a heartbeat frame.
-var HeartbeatFrame = []byte{FrameHeartbeat, 0}
 
 // AppendFrame appends a frame of the given type around payload.
 func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
@@ -93,7 +64,7 @@ func (r *Reader) ReadFrame() (typ byte, payload []byte, err error) {
 		return 0, nil, err // io.EOF here is a clean end of stream
 	}
 	switch typ {
-	case FrameResult, FrameHeartbeat, FrameError, FrameSnapshot, FrameDelete:
+	case FrameSnapshot, FrameDelete:
 	default:
 		return 0, nil, fmt.Errorf("wire: unknown frame type 0x%02x", typ)
 	}
@@ -130,11 +101,6 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// AppendFloat64 appends f as its IEEE-754 bits, big-endian.
-func AppendFloat64(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // AppendZigzag appends v as a zigzag-encoded varint (signed values of
@@ -204,20 +170,6 @@ func (d *Dec) String(max int) string {
 	s := string(d.b[:n])
 	d.b = d.b[n:]
 	return s
-}
-
-// Float64 consumes an 8-byte big-endian IEEE-754 float.
-func (d *Dec) Float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("truncated float64")
-		return 0
-	}
-	f := math.Float64frombits(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return f
 }
 
 // Byte consumes one byte.
