@@ -254,7 +254,7 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 
 // inversionNsSlack is the multiplicative tolerance of the cache
 // inversion gate's ns/op leg. Cached and uncached sweeps share the
-// same steady-state code path (the analyzer-local memo), so their
+// same steady-state code path (the µ memo on each graph), so their
 // times differ only by run-to-run noise; 5% covers that noise while
 // still catching anything like the 2× inversion the gate exists for.
 // The allocs/op leg is exact — allocation counts are deterministic.

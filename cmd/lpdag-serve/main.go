@@ -110,7 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr      = fs.String("addr", ":8080", "listen address")
 		workers   = fs.Int("workers", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "pending-job buffer (0 = 4x workers)")
-		cacheSize = fs.Int("cache", 0, "result-cache entries, 0 = default, negative = disable")
+		cacheSize = fs.Int("cache", 0, "µ-table cache entries, 0 = default, negative = disable")
 		maxBody   = fs.Int64("max-body", engine.DefaultMaxBodyBytes, "request body limit in bytes")
 		inFlight  = fs.Int("max-inflight", engine.DefaultMaxInFlight, "concurrent HTTP requests before shedding 503s")
 		maxBatch  = fs.Int("max-batch", engine.DefaultMaxBatch, "task sets per analyze batch")

@@ -55,16 +55,23 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// Mu computes the worst-case workload table µ[c], c = 1..m (index c-1),
+// Mu returns the worst-case workload table µ[c], c = 1..m (index c-1),
 // of one task: the heaviest c pairwise-parallel NPRs, or 0 when fewer
 // than c NPRs can run in parallel (Equation (6)). Per the paper this is a
-// compile-time, task-local quantity.
+// compile-time, task-local quantity, so the table is memoized on g, one
+// per backend: a table solved at m serves every m' ≤ m as its prefix,
+// and a larger m solves again and replaces it. The result is shared;
+// callers must not modify it.
 func Mu(g *dag.Graph, m int, be Backend) []int64 {
+	if mu := MemoMu(g, m, be); mu != nil {
+		return mu
+	}
+	var mu []int64
 	switch be {
 	case Combinatorial:
-		return clique.MuTable(g.WCETs(), g.Parallel(), m)
+		mu = clique.MuTable(g.WCETs(), g.Parallel(), m)
 	case PaperILP:
-		mu := make([]int64, m)
+		mu = make([]int64, m)
 		isPar := g.IsParallelMatrix()
 		w := g.WCETs()
 		for c := 1; c <= m; c++ {
@@ -73,9 +80,25 @@ func Mu(g *dag.Graph, m int, be Backend) []int64 {
 				break // no c-clique ⇒ no larger one either
 			}
 		}
-		return mu
+	default:
+		panic(fmt.Sprintf("blocking: unknown backend %d", int(be)))
 	}
-	panic(fmt.Sprintf("blocking: unknown backend %d", int(be)))
+	StoreMu(g, be, mu)
+	return mu
+}
+
+// MemoMu returns the first m entries of the µ table memoized on g for
+// backend be, or nil when g holds no table that long. It never solves.
+func MemoMu(g *dag.Graph, m int, be Backend) []int64 {
+	return dag.LoadMu(g, int(be), m)
+}
+
+// StoreMu memoizes on g a µ table solved for it under backend be
+// elsewhere — by the content-addressed cache, for a structurally
+// identical graph — so the next lookup of g does not leave the graph.
+// A table shorter than the one g holds is ignored.
+func StoreMu(g *dag.Graph, be Backend, mu []int64) {
+	dag.StoreMu(g, int(be), mu)
 }
 
 // MuTables computes Mu for every graph.
@@ -250,7 +273,7 @@ func Compute(graphs []*dag.Graph, m int, method Method, be Backend) Interference
 }
 
 // ComputeFromMus is Compute for LP-ILP when the µ tables are already
-// available (they are task-local and cached by the analyzer).
+// available (they are task-local and memoized on their graphs).
 //
 // Δ^{m-1} needs µ entries only up to c = m-1, which a table computed for
 // m cores contains.

@@ -2,6 +2,8 @@ package blocking
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/dag"
@@ -211,6 +213,78 @@ func TestDeltaMonotoneInCores(t *testing.T) {
 	}
 }
 
+// TestMuMemoOnGraph pins the µ memo on dag.Graph over random DAGs for
+// both backends: a table solved at m = 8 serves m = 4 as a
+// capacity-capped prefix without solving again; m = 16 solves again and
+// keeps the longer table, which equals a fresh solve on a clone (whose
+// first 8 entries are the m = 8 table); and each backend's slot stays
+// empty until that backend solves, whatever the other one holds.
+func TestMuMemoOnGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 30; trial++ {
+		g := randomGraph(rng, 20, 0.15)
+		backends := []Backend{Combinatorial}
+		if g.N() <= 12 { // the paper ILP is slow beyond that
+			backends = append(backends, PaperILP)
+		}
+		held := map[Backend][]int64{}
+		for _, be := range backends {
+			if MemoMu(g, 1, be) != nil {
+				t.Fatalf("trial %d %v: slot filled before solving", trial, be)
+			}
+			mu8 := Mu(g, 8, be)
+			if mu4 := Mu(g, 4, be); &mu4[0] != &mu8[0] || len(mu4) != 4 || cap(mu4) != 4 {
+				t.Fatalf("trial %d %v: m=4 not served as the capped prefix of the m=8 table", trial, be)
+			}
+			mu16 := Mu(g, 16, be)
+			if len(mu16) != 16 || &mu16[0] == &mu8[0] {
+				t.Fatalf("trial %d %v: m=16 was not solved again", trial, be)
+			}
+			if got := MemoMu(g, 8, be); &got[0] != &mu16[0] {
+				t.Fatalf("trial %d %v: the m=16 table did not replace the m=8 one", trial, be)
+			}
+			fresh := Mu(g.Clone(), 16, be)
+			if !slices.Equal(mu16, fresh) || !slices.Equal(mu8, fresh[:8]) {
+				t.Fatalf("trial %d %v: memo %v/%v, fresh solve %v", trial, be, mu8, mu16, fresh)
+			}
+			held[be] = mu16
+		}
+		for be, mu := range held {
+			if got := MemoMu(g, 16, be); &got[0] != &mu[0] {
+				t.Fatalf("trial %d %v: slot overwritten by the other backend", trial, be)
+			}
+		}
+	}
+}
+
+// TestMuMemoConcurrent drives one graph's µ slots from several
+// goroutines at once, at mixed core counts on both backends, so tables
+// are loaded while longer ones replace them. With -race this certifies
+// the slot's locking; every table served must equal a fresh solve on a
+// clone.
+func TestMuMemoConcurrent(t *testing.T) {
+	g := fixture.Tau1()
+	want := map[Backend][]int64{}
+	for _, be := range []Backend{Combinatorial, PaperILP} {
+		want[be] = Mu(g.Clone(), 8, be)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				be, m := Backend((w+i)%2), 1+(w*7+i)%8
+				if got := Mu(g, m, be); !slices.Equal(got, want[be][:m]) {
+					t.Errorf("%v m=%d: got %v, want %v", be, m, got, want[be][:m])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func randomMus(rng *rand.Rand, n, m int) [][]int64 {
 	mus := make([][]int64, n)
 	for i := range mus {
@@ -265,10 +339,17 @@ func TestMethodBackendStrings(t *testing.T) {
 	}
 }
 
+// BenchmarkComputeLPILPFigure1 rebuilds the graphs with the timer
+// stopped every iteration: Mu memoizes on the graph, and reused graphs
+// would time memo hits instead of solves.
 func BenchmarkComputeLPILPFigure1(b *testing.B) {
-	graphs := fixture.LowerPriorityGraphs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		graphs := fixture.LowerPriorityGraphs()
+		for _, g := range graphs {
+			g.Parallel()
+		}
+		b.StartTimer()
 		Compute(graphs, fixture.M, LPILP, Combinatorial)
 	}
 }

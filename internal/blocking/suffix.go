@@ -1,7 +1,5 @@
 package blocking
 
-import "repro/internal/dag"
-
 // Suffix-incremental aggregation of the lower-priority blocking terms.
 //
 // The response-time analysis needs, for every task k of a priority
@@ -80,19 +78,6 @@ func resetDP(dp []int64, cores int) []int64 {
 		dp[i] = 0
 	}
 	return dp
-}
-
-// Push adds one lower-priority task, deriving its per-task ingredient —
-// the top-NPR list for LP-max, the µ table for LP-ILP — from the graph's
-// memoized quantities. This is the lazy path: a task's µ table is
-// computed here, at the suffix step that first needs it, never up front.
-func (a *SuffixAggregator) Push(g *dag.Graph) {
-	switch a.method {
-	case LPMax:
-		a.PushTops(g.SortedWCETs())
-	case LPILP:
-		a.PushMu(Mu(g, a.m, a.be))
-	}
 }
 
 // PushTops adds one task by its non-increasing NPR list (as

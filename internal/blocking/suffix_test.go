@@ -26,6 +26,16 @@ func randomGraph(rng *rand.Rand, maxNodes int, p float64) *dag.Graph {
 	return b.MustBuild()
 }
 
+// push feeds g to agg the way the analyzer does: its top-NPR list for
+// LP-max, its µ table for LP-ILP.
+func push(agg *SuffixAggregator, g *dag.Graph) {
+	if agg.method == LPMax {
+		agg.PushTops(g.SortedWCETs())
+	} else {
+		agg.PushMu(Mu(g, agg.m, agg.be))
+	}
+}
+
 // suffixesViaAggregator pushes graphs from the back and records the
 // aggregate after each push, i.e. the interference of every suffix.
 func suffixesViaAggregator(graphs []*dag.Graph, m int, method Method, be Backend) []Interference {
@@ -33,7 +43,7 @@ func suffixesViaAggregator(graphs []*dag.Graph, m int, method Method, be Backend
 	out := make([]Interference, len(graphs)+1)
 	out[len(graphs)] = agg.Interference() // empty suffix
 	for k := len(graphs) - 1; k >= 0; k-- {
-		agg.Push(graphs[k])
+		push(agg, graphs[k])
 		out[k] = agg.Interference()
 	}
 	return out
@@ -97,13 +107,13 @@ func TestSuffixAggregatorReset(t *testing.T) {
 	}
 	agg := NewSuffixAggregator(16, LPMax, Combinatorial)
 	for _, g := range graphs {
-		agg.Push(g)
+		push(agg, g)
 	}
 	for _, method := range []Method{LPMax, LPILP} {
 		for m := 1; m <= 6; m++ {
 			agg.Reset(m, method, Combinatorial)
 			for _, g := range graphs {
-				agg.Push(g)
+				push(agg, g)
 			}
 			if got, want := agg.Interference(), Compute(graphs, m, method, Combinatorial); got != want {
 				t.Errorf("reused aggregator m=%d method=%v: got %+v want %+v", m, method, got, want)
@@ -127,7 +137,7 @@ func TestSuffixCheckpointSaveRestore(t *testing.T) {
 			}
 			agg := NewSuffixAggregator(m, method, Combinatorial)
 			for _, g := range tail {
-				agg.Push(g)
+				push(agg, g)
 			}
 			var chk SuffixCheckpoint
 			agg.Save(&chk)
@@ -138,7 +148,7 @@ func TestSuffixCheckpointSaveRestore(t *testing.T) {
 				}
 				agg.Restore(&chk)
 				for _, g := range upper {
-					agg.Push(g)
+					push(agg, g)
 				}
 				want := Compute(append(append([]*dag.Graph(nil), tail...), upper...), m, method, Combinatorial)
 				if got := agg.Interference(); got != want {

@@ -63,11 +63,12 @@ type Options struct {
 	FinalNPRRefinement bool
 
 	// Cache, when non-nil, memoizes the content-addressed µ[c] tables
-	// (the clique-search / ILP-solve work of Equation (6)) across
-	// analyzers. Share one cache so structurally identical graphs —
-	// wherever and however they were built — solve each table once;
-	// cheaper derived quantities are recomputed, never cached. Verdicts
-	// are identical with or without it.
+	// (the clique-search / ILP-solve work of Equation (6)) across graph
+	// instances, behind the µ memo each graph keeps for itself. Share
+	// one cache so structurally identical graphs — wherever and however
+	// they were built — solve each table once; cheaper derived
+	// quantities are recomputed, never cached. Verdicts are identical
+	// with or without it.
 	Cache *cache.Cache
 
 	// Trace, when non-nil, records analysis-phase span timings into its
@@ -78,9 +79,10 @@ type Options struct {
 
 // Analyzer runs the response-time analysis with fixed options. It is
 // safe for concurrent use: the underlying rta.Analyzer scratch states
-// (suffix aggregators, µ memos, result buffers) are pooled, so in
-// steady state every worker goroutine reuses warm buffers and the
-// analysis hot path allocates nothing beyond the returned Report.
+// (suffix aggregators, result buffers) are pooled, so in steady state
+// every worker goroutine reuses warm buffers and the analysis hot path
+// allocates nothing beyond the returned Report. µ tables are memoized
+// on the graphs themselves, not in the pooled state.
 type Analyzer struct {
 	opts Options
 	pool sync.Pool // of *rta.Analyzer
@@ -233,8 +235,8 @@ func (a *Analyzer) Schedulable(ctx context.Context, ts *model.TaskSet) (bool, er
 }
 
 // ScheduleBatch returns the schedulability verdict of every set, holding
-// one pooled rta.Analyzer — scratch buffers, suffix aggregator, µ memo —
-// across the whole batch. This is the batch entry point the engine pool
+// one pooled rta.Analyzer — scratch buffers, suffix aggregator — across
+// the whole batch. This is the batch entry point the engine pool
 // and the experiment campaigns drive: a sweep worker analyzing
 // SetsPerPoint sets back to back pays the analyzer setup once.
 func (a *Analyzer) ScheduleBatch(ctx context.Context, sets []*model.TaskSet) ([]bool, error) {

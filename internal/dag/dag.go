@@ -38,10 +38,11 @@ import (
 // a pure function of it and is memoized: the cheap O(V+E) scalars
 // (volume, longest path) are computed once at Build time, the heavier
 // structures (sorted WCETs, reachability and parallelism bitsets, the
-// content fingerprint) lazily on first use, concurrency-safely. The
-// memos live and die with the Graph, so analyses that revisit a graph —
-// every fixed-point iteration, every suffix of a priority ordering,
-// every method of a comparison sweep — pay for each quantity once.
+// content fingerprint, the µ tables of LoadMu/StoreMu) lazily on first
+// use, concurrency-safely. The memos live and die with the Graph, so
+// analyses that revisit a graph — every fixed-point iteration, every
+// suffix of a priority ordering, every method of a comparison sweep —
+// pay for each quantity once.
 type Graph struct {
 	wcet  []int64
 	succ  [][]int  // direct successors, each sorted ascending
@@ -66,6 +67,9 @@ type Graph struct {
 
 	fpOnce sync.Once
 	fp     string // sha256 over canonical content
+
+	muLock   sync.Mutex
+	muTables [2][]int64 // longest µ table per solver backend (LoadMu)
 }
 
 // Builder accumulates nodes and edges and validates them into a Graph.
@@ -503,44 +507,10 @@ func (g *Graph) IsParallelMatrix() [][]bool {
 // Width returns the maximum number of nodes that can execute in parallel:
 // the maximum antichain of the precedence partial order. By Dilworth's
 // theorem this equals n minus the maximum matching of the bipartite graph
-// over the transitive closure, which is what this method computes
-// (Hopcroft-Karp-free augmenting paths; n is small in this domain).
+// over the transitive closure.
 func (g *Graph) Width() int {
-	n := g.N()
-	reach := g.Reach()
-	// Bipartite graph: left copy u — right copy v iff u precedes v.
-	matchL := make([]int, n) // left u -> right v or -1
-	matchR := make([]int, n) // right v -> left u or -1
-	for i := range matchL {
-		matchL[i] = -1
-		matchR[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		found := false
-		reach[u].ForEach(func(v int) bool {
-			if seen[v] {
-				return true
-			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v], seen) {
-				matchL[u] = v
-				matchR[v] = u
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	matching := 0
-	for u := 0; u < n; u++ {
-		seen := make([]bool, n)
-		if try(u, seen) {
-			matching++
-		}
-	}
-	return n - matching
+	_, _, size := g.closureMatching()
+	return g.N() - size
 }
 
 // MaxAntichain returns one maximum antichain (a largest set of mutually
@@ -549,34 +519,7 @@ func (g *Graph) Width() int {
 func (g *Graph) MaxAntichain() []int {
 	n := g.N()
 	reach := g.Reach()
-	matchL := make([]int, n)
-	matchR := make([]int, n)
-	for i := range matchL {
-		matchL[i] = -1
-		matchR[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		found := false
-		reach[u].ForEach(func(v int) bool {
-			if seen[v] {
-				return true
-			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v], seen) {
-				matchL[u] = v
-				matchR[v] = u
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	for u := 0; u < n; u++ {
-		seen := make([]bool, n)
-		try(u, seen)
-	}
+	matchL, matchR, _ := g.closureMatching()
 	// König: minimum vertex cover from unmatched-left alternating
 	// reachability; antichain = nodes not in the cover, mapped back.
 	visitedL := make([]bool, n)
@@ -610,6 +553,48 @@ func (g *Graph) MaxAntichain() []int {
 		}
 	}
 	return out
+}
+
+// closureMatching computes a maximum matching of the bipartite graph over
+// the transitive closure — left copy u to right copy v iff u precedes v —
+// with Kuhn's augmenting paths (n is small in this domain). It returns
+// each left node's partner, each right node's partner (-1 = unmatched),
+// and the matching size.
+func (g *Graph) closureMatching() (matchL, matchR []int, size int) {
+	n := g.N()
+	reach := g.Reach()
+	matchL = make([]int, n)
+	matchR = make([]int, n)
+	for i := range matchL {
+		matchL[i] = -1
+		matchR[i] = -1
+	}
+	seen := make([]bool, n)
+	var try func(u int) bool
+	try = func(u int) bool {
+		found := false
+		reach[u].ForEach(func(v int) bool {
+			if seen[v] {
+				return true
+			}
+			seen[v] = true
+			if matchR[v] == -1 || try(matchR[v]) {
+				matchL[u] = v
+				matchR[v] = u
+				found = true
+				return false
+			}
+			return true
+		})
+		return found
+	}
+	for u := 0; u < n; u++ {
+		clear(seen)
+		if try(u) {
+			size++
+		}
+	}
+	return matchL, matchR, size
 }
 
 // SortedWCETs returns the node WCETs in non-increasing order — the
@@ -654,6 +639,36 @@ func (g *Graph) Fingerprint() string {
 	return g.fp
 }
 
+// LoadMu returns the µ table memoized on g in the given slot (one per µ
+// solver backend, 0 or 1), cut to its first m entries, or nil when the
+// slot holds fewer than m. µ[c] does not depend on the core count beyond
+// the table's length, so one table serves every m up to its own. The
+// result is a capacity-capped view of the memo; callers must not modify
+// it.
+//
+// LoadMu and StoreMu are package-level functions, not methods, so that
+// the public Graph alias exposes no way to plant tables the analysis
+// would trust; internal/blocking is their one caller.
+func LoadMu(g *Graph, slot, m int) []int64 {
+	g.muLock.Lock()
+	mu := g.muTables[slot]
+	g.muLock.Unlock()
+	if len(mu) < m {
+		return nil
+	}
+	return mu[:m:m]
+}
+
+// StoreMu memoizes the µ table mu, solved for g, in the given slot,
+// unless the slot already holds a table at least as long.
+func StoreMu(g *Graph, slot int, mu []int64) {
+	g.muLock.Lock()
+	if len(mu) > len(g.muTables[slot]) {
+		g.muTables[slot] = mu
+	}
+	g.muLock.Unlock()
+}
+
 // MaxWCET returns the largest node WCET — the longest NPR of the task.
 func (g *Graph) MaxWCET() int64 {
 	var m int64
@@ -682,7 +697,7 @@ func (g *Graph) DOT(graphName string) string {
 }
 
 // Clone returns a deep copy of the graph. The Build-time scalars carry
-// over; the lazy memos are recomputed on demand by the copy.
+// over; the lazy memos, µ tables included, start empty on the copy.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		wcet:    append([]int64(nil), g.wcet...),

@@ -63,7 +63,9 @@ func TestCanonicalContentAddressing(t *testing.T) {
 func TestMuTableMatchesBlockingAndHits(t *testing.T) {
 	c := New(64)
 	for _, g := range fixture.LowerPriorityGraphs() {
-		want := blocking.Mu(g, fixture.M, blocking.Combinatorial)
+		// The reference solves on a clone: blocking.Mu memoizes on its
+		// graph, and the miss below must solve, not read that memo.
+		want := blocking.Mu(g.Clone(), fixture.M, blocking.Combinatorial)
 		got := c.MuTable(g, fixture.M, blocking.Combinatorial)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("µ mismatch: got %v want %v", got, want)
@@ -344,7 +346,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	for _, g := range graphs {
-		want := blocking.Mu(g, fixture.M, blocking.Combinatorial)
+		want := blocking.Mu(g.Clone(), fixture.M, blocking.Combinatorial)
 		got := c.MuTable(g, fixture.M, blocking.Combinatorial)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("post-hammer µ %v, want %v", got, want)

@@ -322,7 +322,7 @@ const maxMemoizedSpecs = 64
 
 // analyzer returns the engine-wide analyzer for a spec, creating it on
 // first use. Sharing per-spec analyzers keeps the warm rta scratch
-// states (suffix aggregators, µ memos) alive across requests.
+// states (suffix aggregators, result buffers) alive across requests.
 func (e *Engine) analyzer(spec AnalyzeSpec) (*core.Analyzer, error) {
 	if v, ok := e.analyzers.Load(spec); ok {
 		return v.(*core.Analyzer), nil

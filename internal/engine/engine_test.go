@@ -20,7 +20,8 @@ func testEngine(t *testing.T, cfg Config) *Engine {
 }
 
 // TestAnalyzeMatchesDirect pins the engine path to the plain library
-// path on the paper's Figure 1 example, for every method.
+// path on the paper's Figure 1 example, for every method. The library
+// side runs on a clone, so it solves the µ tables the engine memoized.
 func TestAnalyzeMatchesDirect(t *testing.T) {
 	e := testEngine(t, Config{})
 	ts := fixture.TaskSet()
@@ -31,7 +32,7 @@ func TestAnalyzeMatchesDirect(t *testing.T) {
 			t.Fatalf("%v: %v", method, err)
 		}
 		a := core.MustNew(core.Options{Cores: fixture.M, Method: method})
-		want, err := a.Analyze(context.Background(), ts)
+		want, err := a.Analyze(context.Background(), ts.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestStatsCounters(t *testing.T) {
 	// Each iteration rebuilds the fixture, so the engine sees
 	// structurally identical but physically distinct graphs — the shape
 	// that must hit the content-addressed cache (same-instance repeats
-	// are absorbed earlier, by the pooled analyzer's identity memo).
+	// are absorbed earlier, by the µ memo on each graph).
 	for i := 0; i < 3; i++ {
 		if _, err := e.Analyze(ctx, fixture.TaskSet(), AnalyzeSpec{Cores: fixture.M, Method: core.LPILP}); err != nil {
 			t.Fatal(err)

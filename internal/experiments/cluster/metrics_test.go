@@ -30,7 +30,7 @@ import (
 var metricsCatalog = []string{
 	"go_goroutines|gauge||Current number of goroutines.",
 	"go_memstats_heap_inuse_bytes|gauge||Bytes in in-use heap spans.",
-	"lpdag_analysis_cache_lookup_seconds|histogram||Time per shared-cache µ-table fetch (analyzer-local memo misses only).",
+	"lpdag_analysis_cache_lookup_seconds|histogram||Time per shared-cache µ-table fetch (graph memo misses only).",
 	"lpdag_analysis_fixed_point_iterations|histogram||Iterations per response-time fixed point.",
 	"lpdag_analysis_fixed_point_seconds|histogram||Time per per-task response-time fixed point.",
 	"lpdag_analysis_full_runs_total|counter||From-scratch analysis passes.",

@@ -6,10 +6,8 @@
 // of the partition, where assigning task τ_i to a part of size c yields
 // weight µ_i[c] (Equation (7)). That is a rectangular assignment problem,
 // solved here with the O(n³) Hungarian algorithm over int64 weights.
-//
-// The package also provides Kuhn's unweighted bipartite maximum matching,
-// used elsewhere (e.g. Dilworth-style width computations) and as a
-// cross-check in tests.
+// (The unweighted matching behind the Dilworth width lives with the
+// graph, in dag.)
 package matching
 
 import "math"
@@ -139,43 +137,4 @@ func MaxWeightAssignment(w [][]int64) (int64, []int) {
 		}
 	}
 	return -cost, assign
-}
-
-// MaxBipartite computes a maximum-cardinality matching of the bipartite
-// graph with nLeft left vertices, nRight right vertices and adjacency
-// adj (adj[u] lists the right neighbours of left vertex u), using Kuhn's
-// augmenting-path algorithm. It returns the matching size and, for each
-// left vertex, its matched right vertex or -1.
-func MaxBipartite(nLeft, nRight int, adj [][]int) (int, []int) {
-	matchL := make([]int, nLeft)
-	matchR := make([]int, nRight)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		for _, v := range adj[u] {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v], seen) {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	size := 0
-	for u := 0; u < nLeft; u++ {
-		seen := make([]bool, nRight)
-		if try(u, seen) {
-			size++
-		}
-	}
-	return size, matchL
 }

@@ -198,97 +198,6 @@ func TestMaxWeightScenarioShape(t *testing.T) {
 	}
 }
 
-func TestMaxBipartiteKnown(t *testing.T) {
-	// Perfect matching on a 3x3 cycle-ish graph.
-	adj := [][]int{{0, 1}, {1, 2}, {0}}
-	size, matchL := MaxBipartite(3, 3, adj)
-	if size != 3 {
-		t.Fatalf("size = %d, want 3", size)
-	}
-	if matchL[0] != 1 || matchL[1] != 2 || matchL[2] != 0 {
-		t.Fatalf("matchL = %v", matchL)
-	}
-}
-
-func TestMaxBipartiteNoEdges(t *testing.T) {
-	size, matchL := MaxBipartite(2, 2, [][]int{{}, {}})
-	if size != 0 || matchL[0] != -1 || matchL[1] != -1 {
-		t.Fatalf("got (%d, %v)", size, matchL)
-	}
-}
-
-// bruteBipartite enumerates subsets of edges.
-func bruteBipartite(nLeft, nRight int, adj [][]int) int {
-	var edges [][2]int
-	for u, vs := range adj {
-		for _, v := range vs {
-			edges = append(edges, [2]int{u, v})
-		}
-	}
-	best := 0
-	var rec func(i int, usedL, usedR uint64, size int)
-	rec = func(i int, usedL, usedR uint64, size int) {
-		if size > best {
-			best = size
-		}
-		if i == len(edges) {
-			return
-		}
-		rec(i+1, usedL, usedR, size)
-		e := edges[i]
-		if usedL&(1<<uint(e[0])) == 0 && usedR&(1<<uint(e[1])) == 0 {
-			rec(i+1, usedL|1<<uint(e[0]), usedR|1<<uint(e[1]), size+1)
-		}
-	}
-	rec(0, 0, 0, 0)
-	return best
-}
-
-func TestMaxBipartiteMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		nL := 1 + rng.Intn(5)
-		nR := 1 + rng.Intn(5)
-		adj := make([][]int, nL)
-		for u := range adj {
-			for v := 0; v < nR; v++ {
-				if rng.Float64() < 0.4 {
-					adj[u] = append(adj[u], v)
-				}
-			}
-		}
-		got, matchL := MaxBipartite(nL, nR, adj)
-		if want := bruteBipartite(nL, nR, adj); got != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, got, want)
-		}
-		// Verify matchL is a valid matching consistent with the size.
-		seen := map[int]bool{}
-		count := 0
-		for u, v := range matchL {
-			if v == -1 {
-				continue
-			}
-			count++
-			if seen[v] {
-				t.Fatalf("right vertex %d matched twice", v)
-			}
-			seen[v] = true
-			found := false
-			for _, x := range adj[u] {
-				if x == v {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("matched pair (%d,%d) is not an edge", u, v)
-			}
-		}
-		if count != got {
-			t.Fatalf("matchL size %d != reported %d", count, got)
-		}
-	}
-}
-
 func BenchmarkHungarian16x16(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	w := randMatrix(rng, 16, 16, 0, 1000)

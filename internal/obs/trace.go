@@ -16,8 +16,8 @@ package obs
 //   - SuffixPush: a full bottom-up blocking push pass (AnalyzeInPlace's
 //     lazy scan, amortized over the tasks it served).
 //   - CacheLookup: one µ-table fetch from the shared content-addressed
-//     cache (reached only when the analyzer-local identity memo
-//     misses, so the series measures genuine cross-analyzer traffic).
+//     cache (reached only when the graph holds no µ table for the core
+//     count yet, so the series measures genuine cross-instance traffic).
 //   - FixedPoint: one per-task response-time fixed point (solveTask).
 //   - FixedPointIters: iterations that fixed point took to converge.
 //
@@ -61,7 +61,7 @@ func NewTrace(r *Registry) *Trace {
 			"Time in full bottom-up blocking aggregator pushes.",
 			SpanBuckets),
 		CacheLookup: r.Histogram("lpdag_analysis_cache_lookup_seconds",
-			"Time per shared-cache µ-table fetch (analyzer-local memo misses only).",
+			"Time per shared-cache µ-table fetch (graph memo misses only).",
 			SpanBuckets),
 		FixedPoint: r.Histogram("lpdag_analysis_fixed_point_seconds",
 			"Time per per-task response-time fixed point.",

@@ -9,7 +9,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -46,11 +45,6 @@ func (p Partition) Clone() Partition {
 	return c
 }
 
-// Normalize sorts the parts in non-increasing order in place.
-func (p Partition) Normalize() {
-	sort.Sort(sort.Reverse(sort.IntSlice(p)))
-}
-
 // Equal reports whether two partitions have identical parts.
 func (p Partition) Equal(q Partition) bool {
 	if len(p) != len(q) {
@@ -62,20 +56,6 @@ func (p Partition) Equal(q Partition) bool {
 		}
 	}
 	return true
-}
-
-// Multiplicities returns, for each distinct part value, how many times it
-// occurs, as parallel slices (values in decreasing order).
-func (p Partition) Multiplicities() (values, counts []int) {
-	for _, v := range p {
-		if n := len(values); n > 0 && values[n-1] == v {
-			counts[n-1]++
-		} else {
-			values = append(values, v)
-			counts = append(counts, 1)
-		}
-	}
-	return values, counts
 }
 
 // All returns every partition of m in the deterministic order produced by

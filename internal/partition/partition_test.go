@@ -1,9 +1,6 @@
 package partition
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // p(m) reference values, OEIS A000041.
 var knownCounts = map[int]int64{
@@ -104,55 +101,12 @@ func TestAllNegativePanics(t *testing.T) {
 	All(-1)
 }
 
-func TestMultiplicities(t *testing.T) {
-	p := Partition{3, 2, 2, 1, 1, 1}
-	values, counts := p.Multiplicities()
-	wantV, wantC := []int{3, 2, 1}, []int{1, 2, 3}
-	if len(values) != 3 {
-		t.Fatalf("values = %v", values)
-	}
-	for i := range wantV {
-		if values[i] != wantV[i] || counts[i] != wantC[i] {
-			t.Fatalf("Multiplicities = %v/%v, want %v/%v", values, counts, wantV, wantC)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	p := Partition{1, 3, 2}
-	p.Normalize()
-	if !p.Equal(Partition{3, 2, 1}) {
-		t.Fatalf("Normalize = %v", p)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	p := Partition{2, 1}
 	c := p.Clone()
 	c[0] = 9
 	if p[0] != 2 {
 		t.Fatal("Clone shares backing array")
-	}
-}
-
-// TestQuickMultiplicitiesReconstruct verifies that expanding the
-// multiplicity representation reproduces the original partition.
-func TestQuickMultiplicitiesReconstruct(t *testing.T) {
-	f := func(seed uint8, m8 uint8) bool {
-		m := int(m8%20) + 1
-		ps := All(m)
-		p := ps[int(seed)%len(ps)]
-		values, counts := p.Multiplicities()
-		var rebuilt Partition
-		for i, v := range values {
-			for j := 0; j < counts[i]; j++ {
-				rebuilt = append(rebuilt, v)
-			}
-		}
-		return rebuilt.Equal(p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

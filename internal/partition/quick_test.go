@@ -57,27 +57,3 @@ func TestQuickCountMatchesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickMultiplicitiesConsistent(t *testing.T) {
-	f := func(raw uint8) bool {
-		m := int(raw%16) + 1
-		for _, p := range All(m) {
-			values, counts := p.Multiplicities()
-			total, sum := 0, 0
-			for i, v := range values {
-				total += counts[i]
-				sum += v * counts[i]
-				if i > 0 && values[i] >= values[i-1] {
-					return false // strictly decreasing distinct values
-				}
-			}
-			if total != p.Size() || sum != m {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

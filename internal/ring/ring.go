@@ -66,14 +66,6 @@ func New(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the deduplicated member list (sorted).
-func (r *Ring) Members() []string {
-	if r == nil {
-		return nil
-	}
-	return append([]string(nil), r.members...)
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	if r == nil {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/blocking"
+	"repro/internal/dag"
 	"repro/internal/engine/cache"
 	"repro/internal/fixture"
 	"repro/internal/model"
@@ -20,9 +23,9 @@ import (
 // whole analysis — scratch setup, suffix-incremental blocking
 // aggregation, and the fixed-point loops — performs no heap allocation
 // for any method, with or without a shared cache. (With one, steady
-// state resolves every µ table in the analyzer-local identity memo, so
-// the shared cache costs nothing once warm — the contract that keeps a
-// cached engine no slower than an uncached one.)
+// state resolves every µ table in the memo on its graph, so the shared
+// cache costs nothing once warm — the contract that keeps a cached
+// engine no slower than an uncached one.)
 func TestAnalyzerSteadyStateZeroAlloc(t *testing.T) {
 	ts := fixture.TaskSet()
 	for _, method := range []Method{FPIdeal, LPMax, LPILP} {
@@ -101,7 +104,9 @@ func TestAnalyzerZeroAllocWithTrace(t *testing.T) {
 // and without a shared cache — reports results identical to the
 // one-shot Analyze for random task sets across methods and core counts.
 // This is the referee for the suffix-incremental rewrite: every field of
-// every TaskResult must match, not just the verdict.
+// every TaskResult must match, not just the verdict. The one-shot
+// reference runs on a clone, whose graphs start with empty µ memos, so
+// it never reads a table the analyzers under test stored.
 func TestAnalyzerEquivalence(t *testing.T) {
 	for _, method := range []Method{FPIdeal, LPMax, LPILP} {
 		reused, err := NewAnalyzer(Config{M: 4, Method: method})
@@ -116,11 +121,13 @@ func TestAnalyzerEquivalence(t *testing.T) {
 		check := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			ts := randomTaskSet(rng, 1+rng.Intn(5))
-			want, err := Analyze(context.Background(), ts, Config{M: 4, Method: method})
+			want, err := Analyze(context.Background(), ts.Clone(), Config{M: 4, Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, a := range []*Analyzer{reused, cached} {
+			// cached runs first, so it finds the graphs' µ memos empty
+			// and goes through the cache.
+			for _, a := range []*Analyzer{cached, reused} {
 				got, err := a.AnalyzeInPlace(context.Background(), ts)
 				if err != nil {
 					t.Fatal(err)
@@ -153,6 +160,8 @@ func TestAnalyzerEquivalence(t *testing.T) {
 // instance serves the whole sequence, so µ tables materialized for an
 // earlier version of the set are re-served, content-addressed, to the
 // edited versions; every TaskResult field must still match recompute.
+// The uncached side analyzes a clone of every version, so it solves
+// each µ table itself instead of reading the graph memo.
 func TestCachedUncachedEquivalenceUnderEdits(t *testing.T) {
 	for _, method := range []Method{LPMax, LPILP} {
 		for _, be := range []blocking.Backend{blocking.Combinatorial, blocking.PaperILP} {
@@ -173,7 +182,7 @@ func TestCachedUncachedEquivalenceUnderEdits(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := plain.AnalyzeInPlace(context.Background(), ts)
+					want, err := plain.AnalyzeInPlace(context.Background(), ts.Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -217,42 +226,39 @@ func TestCachedUncachedEquivalenceUnderEdits(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMuMemoColdDrop pins the retention policy of the
-// analyzer-local µ memo: identity keying only pays off when the same
-// TaskSet instance is re-analyzed, so a stream of freshly built sets —
-// the campaign and server shape — must drop the memo instead of
-// pinning up to muMemoLimit dead graphs, while a workload that holds
-// one set keeps its warm entries.
-func TestAnalyzerMuMemoColdDrop(t *testing.T) {
-	a, err := NewAnalyzer(Config{M: 4, Method: LPILP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	const tasksPerSet = 3
-	maxEntries := 0
-	for i := 0; i < 5*muColdLimit; i++ {
-		if _, err := a.AnalyzeInPlace(context.Background(), randomTaskSet(rng, tasksPerSet)); err != nil {
+// TestAnalyzerPinsNoEarlierGraph pins that an analyzer holds no µ
+// state of its own: a pooled long-lived analyzer fed a stream of freshly
+// built sets — the campaign and server shape — keeps no graph of an
+// earlier set (nor its O(V²) bitsets) alive, with or without a shared
+// cache.
+func TestAnalyzerPinsNoEarlierGraph(t *testing.T) {
+	for _, memo := range []*cache.Cache{nil, cache.New(0)} {
+		a, err := NewAnalyzer(Config{M: 4, Method: LPILP, Cache: memo})
+		if err != nil {
 			t.Fatal(err)
 		}
-		maxEntries = max(maxEntries, len(a.mus))
-	}
-	// The cold-drop policy clears every muColdLimit hitless calls on a
-	// fresh-set stream, so at most a cold window's worth of graphs
-	// (plus the warm-up window after a drop) is ever retained — far
-	// below the 5*muColdLimit sets analyzed.
-	if limit := (muColdLimit + 1) * tasksPerSet; maxEntries > limit {
-		t.Errorf("fresh-set stream retained %d µ entries, want ≤ %d", maxEntries, limit)
-	}
-	// A held set stays warm: entries survive repeated re-analysis.
-	held := randomTaskSet(rng, tasksPerSet)
-	for i := 0; i < 10; i++ {
-		if _, err := a.AnalyzeInPlace(context.Background(), held); err != nil {
+		rng := rand.New(rand.NewSource(1))
+		var earlier []weak.Pointer[dag.Graph]
+		for i := 0; i < 40; i++ {
+			ts := randomTaskSet(rng, 3)
+			if _, err := a.AnalyzeInPlace(context.Background(), ts); err != nil {
+				t.Fatal(err)
+			}
+			for _, task := range ts.Tasks {
+				earlier = append(earlier, weak.Make(task.G))
+			}
+		}
+		// One more set takes over the analyzer's scratch.
+		if _, err := a.AnalyzeInPlace(context.Background(), randomTaskSet(rng, 3)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if a.muHits == 0 {
-		t.Error("re-analysis of a held set should hit the µ memo")
+		runtime.GC()
+		for i, w := range earlier {
+			if w.Value() != nil {
+				t.Fatalf("cached=%v: graph %d of an earlier set is still alive", memo != nil, i)
+			}
+		}
+		runtime.KeepAlive(a) // the analyzer itself must be live across the GC
 	}
 }
 

@@ -84,7 +84,6 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 	cfg := a.cfg
 	n := ts.N()
 	cfg.Trace.RecordIncremental()
-	a.prologue()
 	a.ensure(n)
 	res := &a.res
 	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M

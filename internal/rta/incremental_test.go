@@ -49,7 +49,8 @@ func applyRandomEdit(rng *rand.Rand, tasks []*model.Task, serial int) []*model.T
 // TestAnalyzeIncrementalMatchesFromScratch quick-checks the tentpole
 // contract of the session API: after ANY sequence of edits, the
 // incremental analyzer's Result is bit-identical (every field of every
-// TaskResult) to a from-scratch analysis of the final list.
+// TaskResult) to a from-scratch analysis of the final list, run on a
+// clone so it solves its own µ tables.
 func TestAnalyzeIncrementalMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range []Config{
@@ -83,7 +84,7 @@ func TestAnalyzeIncrementalMatchesFromScratch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := scratch.AnalyzeInPlace(ctx, ts)
+					want, err := scratch.AnalyzeInPlace(ctx, ts.Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,7 +112,9 @@ func TestAnalyzeIncrementalMatchesFromScratch(t *testing.T) {
 
 // TestAnalyzeIncrementalReconfigure pins that a Reconfigure (the
 // session's SetCores/SetMethod) invalidates the incremental state and
-// the next analysis matches from-scratch under the new configuration.
+// the next analysis matches from-scratch under the new configuration —
+// including core counts served from µ tables the graphs memoized at a
+// larger one, which the clone-based reference solves afresh.
 func TestAnalyzeIncrementalReconfigure(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -136,7 +139,7 @@ func TestAnalyzeIncrementalReconfigure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Analyze(ctx, ts, cfg)
+		want, err := Analyze(ctx, ts.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +173,7 @@ func TestAnalyzeIncrementalCancelRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(context.Background(), ts, Config{M: 4, Method: LPILP})
+	want, err := Analyze(context.Background(), ts.Clone(), Config{M: 4, Method: LPILP})
 	if err != nil {
 		t.Fatal(err)
 	}

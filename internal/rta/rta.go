@@ -72,15 +72,15 @@ type Config struct {
 	Backend blocking.Backend
 
 	// Cache, when non-nil, memoizes the content-addressed per-graph
-	// µ[c] tables (Equation (6)) across analyzers. It backs the
-	// analyzer-local identity memo, not the other way round: a lookup
-	// reaches the shared cache only when this analyzer has not seen the
-	// graph instance before, so steady-state re-analysis costs the same
-	// with or without it, while structurally identical graphs arriving
-	// on other analyzers (pooled workers, fresh deserializations) skip
-	// the clique search or ILP solve. Cheaper quantities (top-NPR
-	// lists, suffix Δ aggregates) are never cached — recompute wins.
-	// Results are identical with or without a cache.
+	// µ[c] tables (Equation (6)) across graph instances. It backs the
+	// µ memo on each dag.Graph, not the other way round: a lookup
+	// reaches the shared cache only when the graph holds no table for
+	// M cores yet, so steady-state re-analysis costs the same with or
+	// without it, while structurally identical graphs built elsewhere
+	// (fresh deserializations, regenerated sets) skip the clique search
+	// or ILP solve. Cheaper quantities (top-NPR lists, suffix Δ
+	// aggregates) are never cached — recompute wins. Results are
+	// identical with or without a cache.
 	Cache *cache.Cache
 
 	// MaxIterations bounds the fixed-point loop per task as a safety
@@ -184,11 +184,12 @@ type Result struct {
 // Analyzer runs the response-time analysis with fixed configuration,
 // reusing every internal buffer across calls: the structural scratch
 // (per-task volumes, longest paths, response bounds), the
-// suffix-incremental blocking aggregator, an analyzer-local µ-table memo
-// keyed by graph identity, and the result itself for AnalyzeInPlace. In
-// steady state — re-analyzing task sets whose graphs the analyzer has
-// seen — AnalyzeInPlace performs no heap allocation at all (asserted by
-// TestAnalyzerSteadyStateZeroAlloc).
+// suffix-incremental blocking aggregator, and the result itself for
+// AnalyzeInPlace. It holds no µ tables: those are memoized on their
+// graphs (see muTable), so an analyzer pins no graph beyond the set it
+// last analyzed. In steady state — re-analyzing task sets whose graphs
+// hold their µ tables — AnalyzeInPlace performs no heap allocation at
+// all (asserted by TestAnalyzerSteadyStateZeroAlloc).
 //
 // An Analyzer is NOT safe for concurrent use; give each worker its own
 // (core.Analyzer pools them, the engine keeps one pool per spec).
@@ -206,39 +207,12 @@ type Analyzer struct {
 	scanPos int
 	agg     *blocking.SuffixAggregator
 
-	// µ memo for the LP-ILP path, keyed by graph identity (graphs are
-	// immutable). It fronts the shared content-addressed cache when one
-	// is configured: an identity hit is a plain map probe, no
-	// fingerprint hashing or lock. Bounded two ways: cleared wholesale past
-	// muMemoLimit entries, and dropped after muColdLimit consecutive
-	// hitless calls (see AnalyzeInPlace) — identity keying only pays
-	// off when the same TaskSet instances recur, and a pooled
-	// long-lived analyzer fed a stream of freshly built sets must not
-	// pin dead graphs (and their lazily memoized bitsets) until the
-	// entry limit.
-	mus         map[*dag.Graph][]int64
-	muHits      int  // memo hits in the current call
-	muQueried   bool // whether the current call consulted the memo at all
-	muColdCalls int  // consecutive µ-consulting calls with zero hits
-
 	// inc is the cross-call incremental state of AnalyzeIncremental
 	// (see incremental.go); nil until first used.
 	inc *incState
 
 	res Result
 }
-
-// muMemoLimit bounds the analyzer-local µ memo.
-const muMemoLimit = 4096
-
-// muColdLimit is how many consecutive hitless AnalyzeInPlace calls the
-// µ memo survives before being dropped. Large enough that a workload
-// cycling over a few dozen held sets through a pooled analyzer stays
-// warm (an engine sweeping 16 sets across 4 workers repeats a set at an
-// analyzer well within this stride), small enough that a fresh-set
-// campaign stream retains at most ~a cold window's worth of dead
-// graphs instead of muMemoLimit.
-const muColdLimit = 32
 
 // validateConfig checks cfg, naming the offending field and value the
 // way every layer of the API does (see TestConfigValidationErrors).
@@ -282,18 +256,16 @@ func (a *Analyzer) setConfig(cfg Config) {
 	}
 }
 
-// Reconfigure swaps the analyzer's configuration, invalidating every
-// configuration-dependent memo (the µ tables depend on M and Backend,
-// the incremental state on everything). Scratch buffers are kept, so a
-// session flipping between core counts pays re-analysis, not
-// re-allocation.
+// Reconfigure swaps the analyzer's configuration, invalidating the
+// incremental state (it depends on everything). Scratch buffers are
+// kept, and the µ tables memoized on the graphs serve every core count
+// up to the largest already solved, so a session flipping between core
+// counts pays re-analysis, not re-allocation or re-solving.
 func (a *Analyzer) Reconfigure(cfg Config) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
 	a.setConfig(cfg)
-	clear(a.mus)
-	a.muHits, a.muColdCalls, a.muQueried = 0, 0, false
 	if a.inc != nil {
 		a.inc.valid = false
 	}
@@ -378,44 +350,36 @@ func blockingMethod(m Method) blocking.Method {
 	return blocking.LPILP
 }
 
-// muTable returns the µ table of g (LP-ILP path) through the layered
-// memos: the analyzer-local identity map first — a re-analysis of a
-// held set resolves here in one lock-free probe — then the shared
-// content-addressed cache when one is configured, so the clique search
-// or ILP solve runs at most once per graph structure across every
-// analyzer sharing the cache. Only the shared fetch is traced as a
-// cache lookup; identity hits are below measurement noise.
+// muTable returns the µ table of g (LP-ILP path). The graph's own memo
+// answers when it holds a table for M cores. Otherwise the shared
+// content-addressed cache does, when one is configured, and its table
+// is stored on the graph, so the clique search or ILP solve runs at
+// most once per graph structure across every analyzer sharing the
+// cache. Without a cache, blocking.Mu solves and stores. Only the
+// shared fetch is traced as a cache lookup; graph memo hits are below
+// measurement noise.
 func (a *Analyzer) muTable(g *dag.Graph) []int64 {
-	a.muQueried = true
-	if mu, ok := a.mus[g]; ok {
-		a.muHits++
+	if mu := blocking.MemoMu(g, a.cfg.M, a.cfg.Backend); mu != nil {
 		return mu
 	}
-	if a.mus == nil {
-		a.mus = make(map[*dag.Graph][]int64)
-	} else if len(a.mus) >= muMemoLimit {
-		clear(a.mus)
+	if a.cfg.Cache == nil {
+		return blocking.Mu(g, a.cfg.M, a.cfg.Backend)
 	}
-	var mu []int64
-	if a.cfg.Cache != nil {
-		var t0 time.Time
-		if a.cfg.Trace != nil {
-			t0 = time.Now()
-		}
-		mu = a.cfg.Cache.MuTable(g, a.cfg.M, a.cfg.Backend)
-		if a.cfg.Trace != nil {
-			a.cfg.Trace.CacheLookup.Since(t0)
-		}
-	} else {
-		mu = blocking.Mu(g, a.cfg.M, a.cfg.Backend)
+	var t0 time.Time
+	if a.cfg.Trace != nil {
+		t0 = time.Now()
 	}
-	a.mus[g] = mu
+	mu := a.cfg.Cache.MuTable(g, a.cfg.M, a.cfg.Backend)
+	if a.cfg.Trace != nil {
+		a.cfg.Trace.CacheLookup.Since(t0)
+	}
+	blocking.StoreMu(g, a.cfg.Backend, mu)
 	return mu
 }
 
 // push feeds one graph into the suffix aggregator. LP-max needs only
 // the graph's memoized sorted-WCET list; LP-ILP fetches the µ table
-// through the layered memos (see muTable).
+// through the graph memo and the cache (see muTable).
 func (a *Analyzer) push(g *dag.Graph) {
 	trace := a.cfg.Trace
 	var t0 time.Time
@@ -449,32 +413,6 @@ func (a *Analyzer) demandSuffix(k int) blocking.Interference {
 	return a.suffix[k]
 }
 
-// prologue runs the per-call µ-memo maintenance: drop the memo once it
-// is demonstrably cold — muColdLimit consecutive µ-consulting calls
-// without a single hit mean the workload is a stream of fresh graphs,
-// not re-analysis of held sets. Calls that never consulted the memo at
-// all (an incremental re-analysis whose suffix scan resumed past every
-// push) are neutral: they prove nothing about the workload, and a
-// session idling on cheap edits must not lose its warm µ tables over
-// them. Resetting the cold counter after a drop leaves a full window
-// for a steady-state workload to warm back up (populate, then hit), so
-// the zero-allocation loop is unaffected.
-func (a *Analyzer) prologue() {
-	if len(a.mus) > 0 && a.muQueried {
-		if a.muHits == 0 {
-			a.muColdCalls++
-		} else {
-			a.muColdCalls = 0
-		}
-		if a.muColdCalls >= muColdLimit {
-			clear(a.mus)
-			a.muColdCalls = 0
-		}
-	}
-	a.muHits = 0
-	a.muQueried = false
-}
-
 // ctxCheckStride is how many fixed-point iterations run between
 // cancellation checks. Iterations are cheap; checking every one would
 // dominate short solves.
@@ -493,7 +431,6 @@ func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Resu
 	cfg := a.cfg
 	n := ts.N()
 	cfg.Trace.RecordFull()
-	a.prologue()
 	a.ensure(n)
 	res := &a.res
 	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M

@@ -91,12 +91,13 @@ func TestSessionRepairApply(t *testing.T) {
 		t.Fatal("session not schedulable after applied repair")
 	}
 	// The memoized report must be bit-identical to a from-scratch
-	// analysis of the committed set (the session plane's invariant).
+	// analysis of a clone of the committed set (the session plane's
+	// invariant; the clone's graphs carry no memoized µ tables).
 	an, err := core.New(s.Options())
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	fresh, err := an.Analyze(ctx, &model.TaskSet{Tasks: s.Tasks()})
+	fresh, err := an.Analyze(ctx, (&model.TaskSet{Tasks: s.Tasks()}).Clone())
 	if err != nil {
 		t.Fatalf("fresh analyze: %v", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/engine/cache"
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -36,7 +37,9 @@ func taskPool(seed int64, n int) []*model.Task {
 }
 
 // fromScratch analyzes the session's current set with a fresh one-shot
-// analyzer — the stateless API a session must be indistinguishable from.
+// analyzer — the stateless API a session must be indistinguishable from
+// — on a clone, so it solves every µ table instead of reading the ones
+// the session memoized on its graphs.
 func fromScratch(t *testing.T, sess *Session) *core.Report {
 	t.Helper()
 	tasks := sess.Tasks()
@@ -54,7 +57,7 @@ func fromScratch(t *testing.T, sess *Session) *core.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Analyze(context.Background(), &model.TaskSet{Tasks: tasks})
+	rep, err := a.Analyze(context.Background(), (&model.TaskSet{Tasks: tasks}).Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +125,40 @@ func TestSessionEditSequenceEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSessionSetCoresDownNeedsNoLookup pins that µ tables live on the
+// graphs, not in the analyzer: a set_cores edit from 8 to 4 re-analyzes
+// from the prefixes of the tables solved at 8, with zero lookups in the
+// shared cache, and still matches a from-scratch analysis.
+func TestSessionSetCoresDownNeedsNoLookup(t *testing.T) {
+	ctx := context.Background()
+	memo := cache.New(0)
+	sess, err := New(core.Options{Cores: 8, Method: core.LPILP, Cache: memo}, fixture.TaskSet().Tasks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Report(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() uint64 { s := memo.Stats(); return s.Hits + s.Misses + s.Waits }
+	before := lookups()
+	if before == 0 {
+		t.Fatal("the 8-core analysis never reached the cache")
+	}
+	if err := sess.Apply([]Edit{{Op: OpSetCores, Cores: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != 0 {
+		t.Errorf("set_cores 8 → 4 made %d cache lookups, want 0", n)
+	}
+	if want := fromScratch(t, sess); !reflect.DeepEqual(got, want) {
+		t.Errorf("report after set_cores differs from scratch:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

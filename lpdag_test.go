@@ -209,7 +209,7 @@ func TestFacadeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Analyze(ts, 4, LPILP)
+	direct, err := Analyze(ts.Clone(), 4, LPILP) // a clone solves its own µ tables
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFacadeSharedCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Analyze(ts, 4, method)
+		plain, err := Analyze(ts.Clone(), 4, method) // a clone solves its own µ tables
 		if err != nil {
 			t.Fatal(err)
 		}
