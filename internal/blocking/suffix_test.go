@@ -27,12 +27,12 @@ func randomGraph(rng *rand.Rand, maxNodes int, p float64) *dag.Graph {
 }
 
 // push feeds g to agg the way the analyzer does: its top-NPR list for
-// LP-max, its µ table for LP-ILP.
-func push(agg *SuffixAggregator, g *dag.Graph) {
-	if agg.method == LPMax {
+// LP-max, its µ table for m cores for LP-ILP.
+func push(agg *SuffixAggregator, g *dag.Graph, m int, method Method, be Backend) {
+	if method == LPMax {
 		agg.PushTops(g.SortedWCETs())
 	} else {
-		agg.PushMu(Mu(g, agg.m, agg.be))
+		agg.PushMu(Mu(g, m, be))
 	}
 }
 
@@ -43,7 +43,7 @@ func suffixesViaAggregator(graphs []*dag.Graph, m int, method Method, be Backend
 	out := make([]Interference, len(graphs)+1)
 	out[len(graphs)] = agg.Interference() // empty suffix
 	for k := len(graphs) - 1; k >= 0; k-- {
-		push(agg, graphs[k])
+		push(agg, graphs[k], m, method, be)
 		out[k] = agg.Interference()
 	}
 	return out
@@ -52,14 +52,16 @@ func suffixesViaAggregator(graphs []*dag.Graph, m int, method Method, be Backend
 // TestSuffixAggregatorEquivalence quick-checks that the one-pass
 // suffix-incremental aggregation matches the independent per-suffix
 // Compute for every suffix of random graph lists, for both methods and
-// both backends.
+// both backends. The LP-max row reaches m = 64 (engine.MaxCores) and
+// graphs of up to 40 nodes, so lists both shorter and longer than m
+// occur; its oracle is DeltaMax's independent sort-and-sum.
 func TestSuffixAggregatorEquivalence(t *testing.T) {
-	check := func(seed int64, method Method, be Backend, maxM, maxGraphs int) bool {
+	check := func(seed int64, method Method, be Backend, maxM, maxGraphs, maxNodes int) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(maxM)
 		graphs := make([]*dag.Graph, rng.Intn(maxGraphs+1))
 		for i := range graphs {
-			graphs[i] = randomGraph(rng, 8, 0.3)
+			graphs[i] = randomGraph(rng, maxNodes, 0.3)
 		}
 		got := suffixesViaAggregator(graphs, m, method, be)
 		for k := 0; k <= len(graphs); k++ {
@@ -75,21 +77,21 @@ func TestSuffixAggregatorEquivalence(t *testing.T) {
 
 	cfg := &quick.Config{MaxCount: 60}
 	for _, tc := range []struct {
-		name          string
-		method        Method
-		be            Backend
-		maxM, maxList int
+		name                    string
+		method                  Method
+		be                      Backend
+		maxM, maxList, maxNodes int
 	}{
-		{"lpmax-combinatorial", LPMax, Combinatorial, 16, 8},
-		{"lpilp-combinatorial", LPILP, Combinatorial, 8, 6},
+		{"lpmax-combinatorial", LPMax, Combinatorial, 64, 8, 40},
+		{"lpilp-combinatorial", LPILP, Combinatorial, 8, 6, 8},
 		// The paper's partition-sweep backend is slow; keep it small. It
 		// pins that the aggregator's DP aggregation equals the printed
 		// scenario enumeration even when µ comes from the ILP encoding.
-		{"lpilp-paper-ilp", LPILP, PaperILP, 4, 4},
+		{"lpilp-paper-ilp", LPILP, PaperILP, 4, 4, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := quick.Check(func(seed int64) bool {
-				return check(seed, tc.method, tc.be, tc.maxM, tc.maxList)
+				return check(seed, tc.method, tc.be, tc.maxM, tc.maxList, tc.maxNodes)
 			}, cfg); err != nil {
 				t.Error(err)
 			}
@@ -107,13 +109,13 @@ func TestSuffixAggregatorReset(t *testing.T) {
 	}
 	agg := NewSuffixAggregator(16, LPMax, Combinatorial)
 	for _, g := range graphs {
-		push(agg, g)
+		push(agg, g, 16, LPMax, Combinatorial)
 	}
 	for _, method := range []Method{LPMax, LPILP} {
 		for m := 1; m <= 6; m++ {
 			agg.Reset(m, method, Combinatorial)
 			for _, g := range graphs {
-				push(agg, g)
+				push(agg, g, m, method, Combinatorial)
 			}
 			if got, want := agg.Interference(), Compute(graphs, m, method, Combinatorial); got != want {
 				t.Errorf("reused aggregator m=%d method=%v: got %+v want %+v", m, method, got, want)
@@ -137,7 +139,7 @@ func TestSuffixCheckpointSaveRestore(t *testing.T) {
 			}
 			agg := NewSuffixAggregator(m, method, Combinatorial)
 			for _, g := range tail {
-				push(agg, g)
+				push(agg, g, m, method, Combinatorial)
 			}
 			var chk SuffixCheckpoint
 			agg.Save(&chk)
@@ -148,7 +150,7 @@ func TestSuffixCheckpointSaveRestore(t *testing.T) {
 				}
 				agg.Restore(&chk)
 				for _, g := range upper {
-					push(agg, g)
+					push(agg, g, m, method, Combinatorial)
 				}
 				want := Compute(append(append([]*dag.Graph(nil), tail...), upper...), m, method, Combinatorial)
 				if got := agg.Interference(); got != want {

@@ -77,15 +77,31 @@ type Options struct {
 	Trace *obs.Trace
 }
 
-// Analyzer runs the response-time analysis with fixed options. It is
-// safe for concurrent use: the underlying rta.Analyzer scratch states
-// (suffix aggregators, result buffers) are pooled, so in steady state
-// every worker goroutine reuses warm buffers and the analysis hot path
-// allocates nothing beyond the returned Report. µ tables are memoized
-// on the graphs themselves, not in the pooled state.
+// Analyzer runs the response-time analysis with fixed options. It holds
+// only its options and is safe for concurrent use: every call draws an
+// rta.Analyzer scratch state (suffix aggregator, result buffers) from
+// one process-wide pool and reconfigures it, so in steady state every
+// worker goroutine reuses warm buffers and the analysis hot path
+// allocates nothing beyond the returned Report, whatever the options.
+// µ tables are memoized on the graphs themselves, not in the pooled
+// state, and a dropped Analyzer leaves no pool of its own behind
+// pinning the graphs it last analyzed.
 type Analyzer struct {
 	opts Options
-	pool sync.Pool // of *rta.Analyzer
+}
+
+// analyzers is the one pool of rta scratch states every Analyzer draws
+// from, whatever its options.
+var analyzers = sync.Pool{New: func() any { return new(rta.Analyzer) }}
+
+// get draws a pooled rta.Analyzer configured for a's options; put it
+// back with analyzers.Put.
+func (a *Analyzer) get() *rta.Analyzer {
+	ra := analyzers.Get().(*rta.Analyzer)
+	if err := ra.Reconfigure(RTAConfig(a.opts)); err != nil {
+		panic(err) // options were validated by New; unreachable
+	}
+	return ra
 }
 
 // ValidateOptions checks opts, naming the offending field and value the
@@ -112,24 +128,11 @@ func New(opts Options) (*Analyzer, error) {
 	if err := ValidateOptions(opts); err != nil {
 		return nil, err
 	}
-	a := &Analyzer{opts: opts}
-	a.pool.New = func() any {
-		ra, err := rta.NewAnalyzer(a.rtaConfig())
-		if err != nil {
-			panic(err) // options were validated by New; unreachable
-		}
-		return ra
-	}
-	return a, nil
-}
-
-// rtaConfig maps the options onto the rta layer.
-func (a *Analyzer) rtaConfig() rta.Config {
-	return RTAConfig(a.opts)
+	return &Analyzer{opts: opts}, nil
 }
 
 // RTAConfig maps validated Options onto the rta layer's Config — the
-// one mapping every path (Analyzer pools, sessions) shares.
+// one mapping every path (pooled analyzers, sessions) shares.
 func RTAConfig(opts Options) rta.Config {
 	return rta.Config{
 		M:                  opts.Cores,
@@ -184,8 +187,8 @@ type Report struct {
 // Analyze runs the analysis on the task set. The context cancels long
 // solves (it is observed between tasks and between fixed-point chunks).
 func (a *Analyzer) Analyze(ctx context.Context, ts *model.TaskSet) (*Report, error) {
-	ra := a.pool.Get().(*rta.Analyzer)
-	defer a.pool.Put(ra)
+	ra := a.get()
+	defer analyzers.Put(ra)
 	res, err := ra.AnalyzeInPlace(ctx, ts)
 	if err != nil {
 		return nil, err
@@ -225,8 +228,8 @@ func ReportOf(res *rta.Result, ts *model.TaskSet) *Report {
 // skips the Report entirely, so a pooled warm analyzer answers it
 // without heap allocation.
 func (a *Analyzer) Schedulable(ctx context.Context, ts *model.TaskSet) (bool, error) {
-	ra := a.pool.Get().(*rta.Analyzer)
-	defer a.pool.Put(ra)
+	ra := a.get()
+	defer analyzers.Put(ra)
 	res, err := ra.AnalyzeInPlace(ctx, ts)
 	if err != nil {
 		return false, err
@@ -236,12 +239,13 @@ func (a *Analyzer) Schedulable(ctx context.Context, ts *model.TaskSet) (bool, er
 
 // ScheduleBatch returns the schedulability verdict of every set, holding
 // one pooled rta.Analyzer — scratch buffers, suffix aggregator — across
-// the whole batch. This is the batch entry point the engine pool
-// and the experiment campaigns drive: a sweep worker analyzing
-// SetsPerPoint sets back to back pays the analyzer setup once.
+// the whole batch. This is the batch entry point the experiment
+// campaigns drive with a fresh Analyzer per point and method: a sweep
+// worker analyzing SetsPerPoint sets back to back draws and
+// reconfigures one warm scratch state for them all.
 func (a *Analyzer) ScheduleBatch(ctx context.Context, sets []*model.TaskSet) ([]bool, error) {
-	ra := a.pool.Get().(*rta.Analyzer)
-	defer a.pool.Put(ra)
+	ra := a.get()
+	defer analyzers.Put(ra)
 	out := make([]bool, len(sets))
 	for i, ts := range sets {
 		res, err := ra.AnalyzeInPlace(ctx, ts)

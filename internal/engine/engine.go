@@ -119,15 +119,6 @@ type Engine struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// analyzers maps AnalyzeSpec → *core.Analyzer so repeated requests
-	// with the same spec share one analyzer (and thus its pool of warm
-	// rta scratch states). Cores is client-controlled on the serving
-	// path, so the memo is bounded: past maxMemoizedSpecs distinct
-	// specs, new ones get transient analyzers instead (correct, just
-	// cold) rather than growing the map forever.
-	analyzers     sync.Map
-	analyzerCount int64 // memoized specs (atomic; sync.Map has no Len)
-
 	queued    int64 // jobs submitted but not yet finished (atomic)
 	served    [numJobKinds]uint64
 	failed    uint64
@@ -314,48 +305,29 @@ type AnalyzeSpec struct {
 	FinalNPR bool // Options.FinalNPRRefinement
 }
 
-// maxMemoizedSpecs bounds the per-spec analyzer memo. Legitimate
-// workloads use a handful of (cores, method, backend) triples; a client
-// sweeping arbitrary core counts past this bound still gets correct
-// (transient) analyzers, it just stops accumulating warm state.
-const maxMemoizedSpecs = 64
-
-// analyzer returns the engine-wide analyzer for a spec, creating it on
-// first use. Sharing per-spec analyzers keeps the warm rta scratch
-// states (suffix aggregators, result buffers) alive across requests.
-func (e *Engine) analyzer(spec AnalyzeSpec) (*core.Analyzer, error) {
-	if v, ok := e.analyzers.Load(spec); ok {
-		return v.(*core.Analyzer), nil
-	}
-	a, err := core.New(core.Options{
+// Analyze runs the response-time analysis of ts as a pooled job. All
+// engine analyses share the content-addressed cache, so concurrent
+// requests for overlapping task sets dedupe the blocking computations,
+// and every job draws warm rta scratch state from core's process-wide
+// pool, whatever its spec. The engine keeps no per-spec state.
+func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpec) (*core.Report, error) {
+	opts := core.Options{
 		Cores: spec.Cores, Method: spec.Method, Backend: spec.Backend,
 		FinalNPRRefinement: spec.FinalNPR,
 		Cache:              e.memo,
 		Trace:              e.trace,
-	})
-	if err != nil {
-		return nil, err
 	}
-	if atomic.LoadInt64(&e.analyzerCount) >= maxMemoizedSpecs {
-		return a, nil // memo full: serve a transient analyzer
-	}
-	v, loaded := e.analyzers.LoadOrStore(spec, a)
-	if !loaded {
-		atomic.AddInt64(&e.analyzerCount, 1)
-	}
-	return v.(*core.Analyzer), nil
-}
-
-// Analyze runs the response-time analysis of ts as a pooled job. All
-// engine analyses share the content-addressed cache and a per-spec
-// analyzer, so concurrent requests for overlapping task sets dedupe the
-// blocking computations and repeated requests reuse warm scratch state.
-func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpec) (*core.Report, error) {
-	a, err := e.analyzer(spec)
-	if err != nil {
+	if err := core.ValidateOptions(opts); err != nil {
 		return nil, err
 	}
 	v, err := e.submit(ctx, JobAnalyze, func(jobCtx context.Context) (any, error) {
+		// Built inside the job, where it stays on the stack; a pointer
+		// captured from outside would be one more allocation per task
+		// set. New cannot fail on the options validated above.
+		a, err := core.New(opts)
+		if err != nil {
+			return nil, err
+		}
 		return a.Analyze(jobCtx, ts)
 	})
 	if err != nil {

@@ -233,25 +233,3 @@ func TestConcurrentEngineHammer(t *testing.T) {
 		t.Errorf("%d jobs failed", s.Failed)
 	}
 }
-
-// TestAnalyzerSpecMemoBounded pins that client-controlled specs cannot
-// grow the per-spec analyzer memo without bound: past maxMemoizedSpecs
-// distinct specs, requests still succeed on transient analyzers.
-func TestAnalyzerSpecMemoBounded(t *testing.T) {
-	e := testEngine(t, Config{Workers: 2})
-	ts := fixture.TaskSet()
-	for cores := 1; cores <= maxMemoizedSpecs+16; cores++ {
-		if _, err := e.Analyze(context.Background(), ts, AnalyzeSpec{Cores: cores, Method: core.LPMax}); err != nil {
-			t.Fatalf("cores=%d: %v", cores, err)
-		}
-	}
-	if n := e.analyzerCount; n > maxMemoizedSpecs {
-		t.Errorf("memoized %d specs, want ≤ %d", n, maxMemoizedSpecs)
-	}
-	// Memoized specs still resolve to the same analyzer instance.
-	a1, _ := e.analyzer(AnalyzeSpec{Cores: 1, Method: core.LPMax})
-	a2, _ := e.analyzer(AnalyzeSpec{Cores: 1, Method: core.LPMax})
-	if a1 != a2 {
-		t.Error("memoized spec should return the shared analyzer")
-	}
-}

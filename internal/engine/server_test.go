@@ -12,8 +12,11 @@ import (
 	"time"
 
 	lpdag "repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fixture"
+	"repro/internal/session"
+	"repro/internal/wire"
 )
 
 // newTestServer returns the HTTP handler over a fresh engine.
@@ -225,6 +228,15 @@ func TestCoreBound(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &created); w.Code != http.StatusCreated || err != nil {
 		t.Fatalf("create: status %d, err %v: %s", w.Code, err, w.Body)
 	}
+	// A hand-off frame is client input too: a peer's snapshot of the
+	// Figure 1 set at 200000000 cores must not be installed.
+	probe := &session.Snapshot{ID: "handoff-probe", Epoch: 1,
+		Opts: core.Options{Cores: 200000000, Method: core.LPILP}, Tasks: fixture.TaskSet().Tasks}
+	payload, err := probe.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handoff := string(wire.AppendFrame(nil, wire.FrameSnapshot, payload))
 	for _, tc := range []struct {
 		path  string
 		cores int
@@ -236,6 +248,7 @@ func TestCoreBound(t *testing.T) {
 		{"/v1/simulate", 2000000, `{"cores": 2000000, "taskset": ` + set + `}`},
 		{"/v1/sessions/" + created.ID + "/edits", 20000, `{"edits": [{"op": "set_cores", "cores": 20000}]}`},
 		{"/v1/analyze", -1, `{"cores": -1, "requests": [{"taskset": ` + set + `}]}`},
+		{"/v1/sessions/handoff", 200000000, handoff},
 	} {
 		fastest := time.Hour
 		for range 3 {
@@ -271,12 +284,18 @@ func TestCoreBound(t *testing.T) {
 		t.Errorf("64-core element: %+v", r)
 	}
 
-	// The rejected edit left the session untouched, and the node is healthy.
+	// The rejected edit left the session untouched, the rejected
+	// hand-off installed nothing, and the node is healthy.
 	w = get(t, h, "/v1/sessions/"+created.ID+"/report")
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"cores": 4`) {
 		t.Errorf("session after rejected edit: status %d: %s", w.Code, w.Body)
 	}
-	if w = get(t, h, "/healthz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ok"`) {
+	if w = get(t, h, "/v1/sessions/"+probe.ID+"/report"); w.Code != http.StatusNotFound {
+		t.Errorf("rejected hand-off: status %d: %s, want 404", w.Code, w.Body)
+	}
+	w = get(t, h, "/healthz")
+	if body := w.Body.String(); w.Code != http.StatusOK || !strings.Contains(body, `"ok"`) ||
+		!strings.Contains(body, `"active_sessions": 1`) {
 		t.Errorf("healthz after the probes: status %d: %s", w.Code, w.Body)
 	}
 }

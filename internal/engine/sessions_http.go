@@ -539,6 +539,12 @@ func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}
+		// A peer's frame is client input: it gets the request core bound
+		// (restores from this node's own store do not).
+		if err := CheckCores(snap.Opts.Cores); err != nil {
+			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
+			return
+		}
 		switch err := s.sessions.Install(snap, true, true); {
 		case err == nil:
 			s.handoffs.Inc()

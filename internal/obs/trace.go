@@ -9,20 +9,22 @@ package obs
 //
 // Phases:
 //
-//   - SuffixRestore: AnalyzeIncremental's checkpoint restore + replay
-//     of the blocking aggregator — the time saved vs a full push scan
-//     is the whole point of the suffix-incremental design, so both
-//     sides are measured.
-//   - SuffixPush: a full bottom-up blocking push pass (AnalyzeInPlace's
-//     lazy scan, amortized over the tasks it served).
+//   - SuffixRestore: AnalyzeIncremental's whole blocking scan —
+//     checkpoint restore plus the pushes replayed above it. The time
+//     saved against a from-scratch scan is the whole point of the
+//     suffix-incremental design, so both sides are measured.
+//   - SuffixPush: one graph pushed into the blocking aggregator (a µ
+//     table or top-NPR fold), on either entry point; a from-scratch
+//     AnalyzeInPlace scan is n-1 of them.
 //   - CacheLookup: one µ-table fetch from the shared content-addressed
 //     cache (reached only when the graph holds no µ table for the core
 //     count yet, so the series measures genuine cross-instance traffic).
 //   - FixedPoint: one per-task response-time fixed point (solveTask).
 //   - FixedPointIters: iterations that fixed point took to converge.
 //
-// FullRuns/IncRuns count from-scratch vs incremental analyses, giving
-// the denominator for the span histograms.
+// FullRuns/IncRuns count calls of AnalyzeInPlace and
+// AnalyzeIncremental (both run one analysis routine), giving the
+// denominator for the span histograms.
 type Trace struct {
 	SuffixRestore   *Histogram
 	SuffixPush      *Histogram

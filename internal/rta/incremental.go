@@ -1,6 +1,13 @@
 package rta
 
-// Incremental re-analysis for stateful sessions (internal/session).
+// The one analysis routine, and the incremental re-analysis it gives
+// stateful sessions (internal/session).
+//
+// Every analysis runs analyze: one bottom-up scan that pushes each
+// lower-priority graph into the suffix aggregator once and records the
+// Δ pair of every suffix, then the fixed points top-down. AnalyzeInPlace
+// runs it with no baseline and saves nothing; AnalyzeIncremental runs it
+// against the previous call's baseline and saves this call's.
 //
 // The analysis is priority-suffix structured: task k's result depends
 // only on (a) the task itself, (b) the Δ^m/Δ^{m-1} aggregate of the
@@ -9,12 +16,14 @@ package rta
 // preemption-count sums of Equation (4) are order-independent folds
 // over hp(k). AnalyzeIncremental exploits both directions across calls:
 //
-//   - Blocking: the suffix aggregator scans bottom-up, so an edit at
-//     priority k leaves the aggregates of the unchanged tail intact. A
-//     checkpoint of the aggregator is saved after every push
+//   - Blocking: the scan runs bottom-up, so an edit at priority k
+//     leaves the aggregates of the unchanged tail intact. A checkpoint
+//     of the aggregator is saved after every push
 //     (blocking.SuffixCheckpoint, O(m) each); the next call restores
 //     the checkpoint of the longest unchanged tail and replays only the
-//     pushes above it.
+//     pushes above it. AnalyzeInPlace saves no checkpoints and no
+//     snapshot: on the cold path they cost over a quarter of the whole
+//     analysis (BenchmarkAnalyzePoint).
 //   - Fixed points: a task's stored TaskResult is reused verbatim when
 //     its identity, its Δ pair, and the higher-priority state above it
 //     are unchanged. The fixed point reads hp(k) only as the positional
@@ -28,8 +37,8 @@ package rta
 //     which the order-independent interference sums cannot observe),
 //     for the common tail as well.
 //
-// Reused entries are copies of results the shared solveTask produced
-// under bit-identical inputs, so the incremental result equals the
+// Reused entries are copies of results solveTask produced under
+// bit-identical inputs, so the incremental result equals the
 // from-scratch AnalyzeInPlace result exactly — asserted field-for-field
 // by TestAnalyzeIncrementalMatchesFromScratch and the session-level
 // quickcheck in internal/session.
@@ -81,9 +90,20 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
+	a.cfg.Trace.RecordIncremental()
+	if a.inc == nil {
+		a.inc = &incState{}
+	}
+	return a.analyze(ctx, ts, a.inc)
+}
+
+// analyze is the one analysis routine. With inc nil it analyzes from
+// scratch and saves nothing (AnalyzeInPlace); otherwise it reuses what
+// inc holds when inc is valid, then saves this run into inc
+// (AnalyzeIncremental). ts has been validated.
+func (a *Analyzer) analyze(ctx context.Context, ts *model.TaskSet, inc *incState) (*Result, error) {
 	cfg := a.cfg
 	n := ts.N()
-	cfg.Trace.RecordIncremental()
 	a.ensure(n)
 	res := &a.res
 	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M
@@ -91,18 +111,17 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 		a.vols[i], a.longs[i] = t.G.Volume(), t.G.LongestPath()
 		a.graphs[i] = t.G
 	}
-
-	if a.inc == nil {
-		a.inc = &incState{}
+	valid := inc != nil && inc.valid
+	if inc != nil {
+		inc.valid = false // until this run's snapshot below is complete
 	}
-	inc := a.inc
 
 	// Diff against the previous list: common positional prefix p, raw
 	// common tail t (drives checkpoint reuse), and the prefix-disjoint
 	// suffix s (drives result reuse; trimmed so the two never overlap).
-	p, tail := 0, 0
-	prevN := len(inc.tasks)
-	if inc.valid {
+	p, tail, prevN := 0, 0, 0
+	if valid {
+		prevN = len(inc.tasks)
 		maxC := min(n, prevN)
 		for p < maxC && ts.Tasks[p] == inc.tasks[p] {
 			p++
@@ -115,38 +134,41 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 	// middleSetSame: the changed middle holds the same task pointers in
 	// a different order — a pure reorder. The order-independent hp sums
 	// cannot observe it, so tail results stay reusable.
-	middleSetSame := inc.valid && prevN == n && sameTaskSet(ts.Tasks[p:n-s], inc.tasks[p:n-s])
+	middleSetSame := valid && prevN == n && sameTaskSet(ts.Tasks[p:n-s], inc.tasks[p:n-s])
 
-	// Blocking: restore the aggregator to the checkpoint of the longest
-	// unchanged tail and replay only the pushes above it, re-saving
-	// checkpoints as the scan climbs. Tail aggregate values are copied
-	// from the previous run instead of being recomputed. The tail is
-	// measured on GRAPH identity, not task identity: the aggregates see
-	// only graphs, so renaming a task or swapping two instances of the
-	// same program invalidates nothing here.
+	// Blocking: one bottom-up scan. Incrementally, it restores the
+	// aggregator to the checkpoint of the longest unchanged tail and
+	// replays only the pushes above it, re-saving checkpoints as it
+	// climbs; tail aggregate values are copied from the previous run
+	// instead of being recomputed. The tail is measured on GRAPH
+	// identity, not task identity: the aggregates see only graphs, so
+	// renaming a task or swapping two instances of the same program
+	// invalidates nothing here.
 	if cfg.Method != FPIdeal {
 		var t0 time.Time
-		if cfg.Trace != nil {
+		if inc != nil && cfg.Trace != nil {
 			t0 = time.Now()
 		}
 		c0 := 0
-		if inc.valid && len(inc.checks) > 0 {
+		if valid && len(inc.checks) > 0 {
 			tailG := 0
 			for maxC := min(n, prevN); tailG < maxC &&
 				ts.Tasks[n-1-tailG].G == inc.tasks[prevN-1-tailG].G; tailG++ {
 			}
 			c0 = min(tailG, n-1, len(inc.checks)-1)
 		}
-		if cap(inc.checks) < n {
-			grown := make([]blocking.SuffixCheckpoint, n)
-			copy(grown, inc.checks)
-			inc.checks = grown
-		}
-		inc.checks = inc.checks[:n]
-		if c0 == 0 {
-			a.agg.Save(&inc.checks[0]) // empty state (ensure reset the agg)
-		} else {
-			a.agg.Restore(&inc.checks[c0])
+		if inc != nil {
+			if cap(inc.checks) < n {
+				grown := make([]blocking.SuffixCheckpoint, n)
+				copy(grown, inc.checks)
+				inc.checks = grown
+			}
+			inc.checks = inc.checks[:n]
+			if c0 == 0 {
+				a.agg.Save(&inc.checks[0]) // empty state (ensure reset the agg)
+			} else {
+				a.agg.Restore(&inc.checks[c0])
+			}
 		}
 		for j := n - 2; j >= n-c0; j-- {
 			a.suffix[j] = inc.in[prevN-(n-j)]
@@ -154,15 +176,15 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 		a.suffix[n-1-c0] = a.agg.Interference()
 		for c := c0 + 1; c <= n-1; c++ {
 			if err := ctx.Err(); err != nil {
-				inc.valid = false
 				return nil, err
 			}
 			a.push(a.graphs[n-c])
-			a.agg.Save(&inc.checks[c])
+			if inc != nil {
+				a.agg.Save(&inc.checks[c])
+			}
 			a.suffix[n-c-1] = a.agg.Interference()
 		}
-		a.scanPos = 1 // a.suffix is fully materialized
-		if cfg.Trace != nil {
+		if inc != nil && cfg.Trace != nil {
 			cfg.Trace.SuffixRestore.Since(t0)
 		}
 	} else {
@@ -174,10 +196,9 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 	// bound, verdict) as the previous run — the only higher-priority
 	// state a lower task's fixed point reads (task identity never
 	// enters Equation (4)).
-	hpStateSame := inc.valid
+	hpStateSame := valid
 	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
-			inc.valid = false
 			return nil, err
 		}
 		task := ts.Tasks[k]
@@ -204,6 +225,8 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 		} else {
 			*tr = TaskResult{Name: task.Name}
 			if !res.Schedulable {
+				// A higher-priority task already failed; W_i would need
+				// its (nonexistent) response bound.
 				tr.Analyzed = false
 				continue
 			}
@@ -213,7 +236,6 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 				tr.DeltaM, tr.DeltaM1 = in.DeltaM, in.DeltaM1
 			}
 			if err := a.solveTask(ctx, ts, k, tr); err != nil {
-				inc.valid = false
 				return nil, err
 			}
 			// The hp state stays clean as long as this position carries
@@ -230,6 +252,9 @@ func (a *Analyzer) AnalyzeIncremental(ctx context.Context, ts *model.TaskSet) (*
 		if !tr.Schedulable {
 			res.Schedulable = false
 		}
+	}
+	if inc == nil {
+		return res, nil
 	}
 
 	// Snapshot this run as the next call's baseline. Entries the run

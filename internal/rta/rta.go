@@ -83,11 +83,6 @@ type Config struct {
 	// identical with or without a cache.
 	Cache *cache.Cache
 
-	// MaxIterations bounds the fixed-point loop per task as a safety
-	// net; 0 means DefaultMaxIterations. The iteration is monotone and
-	// bounded by m·D, so the limit only matters for adversarial inputs.
-	MaxIterations int
-
 	// FinalNPRRefinement enables the paper's future-work item (ii): for
 	// tasks whose DAG has a single sink, once the final non-preemptive
 	// region starts it runs to completion, so interference and blocking
@@ -139,7 +134,9 @@ type Config struct {
 	DonationSafeBlocking bool
 }
 
-// DefaultMaxIterations is the per-task fixed-point budget.
+// DefaultMaxIterations bounds the fixed-point loop per task as a safety
+// net. The iteration is monotone and bounded by m·D, so the limit only
+// matters for adversarial inputs.
 const DefaultMaxIterations = 1_000_000
 
 // TaskResult reports the analysis of one task.
@@ -181,31 +178,27 @@ type Result struct {
 	M           int
 }
 
-// Analyzer runs the response-time analysis with fixed configuration,
-// reusing every internal buffer across calls: the structural scratch
-// (per-task volumes, longest paths, response bounds), the
+// Analyzer runs the response-time analysis with one configuration at a
+// time, reusing every internal buffer across calls: the structural
+// scratch (per-task volumes, longest paths, response bounds), the
 // suffix-incremental blocking aggregator, and the result itself for
 // AnalyzeInPlace. It holds no µ tables: those are memoized on their
 // graphs (see muTable), so an analyzer pins no graph beyond the set it
 // last analyzed. In steady state — re-analyzing task sets whose graphs
 // hold their µ tables — AnalyzeInPlace performs no heap allocation at
-// all (asserted by TestAnalyzerSteadyStateZeroAlloc).
+// all (asserted by TestAnalyzerSteadyStateZeroAlloc). The zero
+// Analyzer is unconfigured; Reconfigure configures it, which is how
+// core draws analyzers of any configuration from one process-wide pool.
 //
-// An Analyzer is NOT safe for concurrent use; give each worker its own
-// (core.Analyzer pools them, the engine keeps one pool per spec).
+// An Analyzer is NOT safe for concurrent use; give each worker its own.
 type Analyzer struct {
-	cfg     Config
-	maxIter int
+	cfg Config
 
 	// Per-set scratch, grown to the largest set analyzed.
 	vols, longs, rm []int64
 	graphs          []*dag.Graph
-	suffix          []blocking.Interference
-
-	// Reverse suffix scan state: graphs[scanPos:] have been pushed into
-	// agg, and suffix[j] is valid for j ≥ scanPos-1.
-	scanPos int
-	agg     *blocking.SuffixAggregator
+	suffix          []blocking.Interference // suffix[k]: Δ pair of graphs[k+1:]
+	agg             blocking.SuffixAggregator
 
 	// inc is the cross-call incremental state of AnalyzeIncremental
 	// (see incremental.go); nil until first used.
@@ -230,9 +223,6 @@ func validateConfig(cfg Config) error {
 	default:
 		return fmt.Errorf("rta: invalid Config.Backend: %v", cfg.Backend)
 	}
-	if cfg.MaxIterations < 0 {
-		return fmt.Errorf("rta: invalid Config.MaxIterations: %d (must be ≥ 0)", cfg.MaxIterations)
-	}
 	return nil
 }
 
@@ -242,18 +232,7 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	a := &Analyzer{}
-	a.setConfig(cfg)
-	return a, nil
-}
-
-// setConfig installs a validated configuration.
-func (a *Analyzer) setConfig(cfg Config) {
-	a.cfg = cfg
-	a.maxIter = cfg.MaxIterations
-	if a.maxIter == 0 {
-		a.maxIter = DefaultMaxIterations
-	}
+	return &Analyzer{cfg: cfg}, nil
 }
 
 // Reconfigure swaps the analyzer's configuration, invalidating the
@@ -265,7 +244,7 @@ func (a *Analyzer) Reconfigure(cfg Config) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
-	a.setConfig(cfg)
+	a.cfg = cfg
 	if a.inc != nil {
 		a.inc.valid = false
 	}
@@ -296,8 +275,8 @@ func (a *Analyzer) Analyze(ctx context.Context, ts *model.TaskSet) (*Result, err
 // response time as input.
 //
 // One-shot convenience over NewAnalyzer; callers analyzing more than one
-// set with the same configuration should hold an Analyzer (or a
-// core.Analyzer, which pools them) to reuse its scratch state.
+// set should hold an Analyzer to reuse its scratch state, or use a
+// core.Analyzer, which draws one from a process-wide pool per call.
 func Analyze(ctx context.Context, ts *model.TaskSet, cfg Config) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
@@ -310,7 +289,7 @@ func Analyze(ctx context.Context, ts *model.TaskSet, cfg Config) (*Result, error
 }
 
 // ensure sizes the scratch buffers for an n-task set and resets the
-// suffix scan. Allocation-free once the buffers have grown.
+// suffix aggregator. Allocation-free once the buffers have grown.
 func (a *Analyzer) ensure(n int) {
 	if cap(a.vols) < n {
 		a.vols = make([]int64, n)
@@ -325,16 +304,14 @@ func (a *Analyzer) ensure(n int) {
 	// pointer-holding tail up to the high-water mark so those graphs
 	// (with their lazily memoized O(V²) bitsets) stay collectable.
 	clear(a.graphs[n:cap(a.graphs)])
-	a.scanPos = n
 	if n > 0 {
-		a.suffix[n-1] = blocking.Interference{} // empty lowest-priority suffix
+		// The empty lowest-priority suffix. The scan writes it only when
+		// it starts from the empty aggregate, not when it resumes above
+		// a restored tail.
+		a.suffix[n-1] = blocking.Interference{}
 	}
 	if a.cfg.Method != FPIdeal {
-		if a.agg == nil {
-			a.agg = blocking.NewSuffixAggregator(a.cfg.M, blockingMethod(a.cfg.Method), a.cfg.Backend)
-		} else {
-			a.agg.Reset(a.cfg.M, blockingMethod(a.cfg.Method), a.cfg.Backend)
-		}
+		a.agg.Reset(a.cfg.M, blockingMethod(a.cfg.Method), a.cfg.Backend)
 	}
 	if cap(a.res.Tasks) < n {
 		a.res.Tasks = make([]TaskResult, n)
@@ -400,19 +377,6 @@ func (a *Analyzer) pushInner(g *dag.Graph) {
 	}
 }
 
-// demandSuffix returns the Δ interference of graphs[k+1:], advancing the
-// reverse scan only as far as needed. µ tables are computed lazily at
-// the suffix step that first consumes their graph — never up front, and
-// never for the highest-priority task, whose graph is in no suffix.
-func (a *Analyzer) demandSuffix(k int) blocking.Interference {
-	for a.scanPos > k+1 {
-		a.scanPos--
-		a.push(a.graphs[a.scanPos])
-		a.suffix[a.scanPos-1] = a.agg.Interference()
-	}
-	return a.suffix[k]
-}
-
 // ctxCheckStride is how many fixed-point iterations run between
 // cancellation checks. Iterations are cheap; checking every one would
 // dominate short solves.
@@ -421,74 +385,26 @@ const ctxCheckStride = 1024
 // AnalyzeInPlace runs the analysis and returns the analyzer's internal
 // Result, valid until the next call on this analyzer. This is the
 // zero-allocation entry point of the fixed-point loop; callers that need
-// the result to outlive the next call must use Analyze. The context is
-// observed between tasks and every ctxCheckStride fixed-point
-// iterations, so a cancelled long LP-ILP solve returns promptly.
+// the result to outlive the next call must use Analyze. It runs the one
+// analysis routine behind AnalyzeIncremental with no baseline, saving
+// nothing for a later call. The context is observed between blocking
+// pushes, between tasks and every ctxCheckStride fixed-point iterations,
+// so a cancelled long LP-ILP solve returns promptly.
 func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := a.cfg
-	n := ts.N()
-	cfg.Trace.RecordFull()
-	a.ensure(n)
-	res := &a.res
-	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M
-
-	// Structural quantities read on every fixed-point iteration (O(1)
-	// each — memoized on the immutable graphs at Build time), and the
-	// graph list whose suffixes are the lower-priority sets.
-	for i, t := range ts.Tasks {
-		a.vols[i], a.longs[i] = t.G.Volume(), t.G.LongestPath()
-		a.graphs[i] = t.G
-	}
-
-	// Response-time bounds of already-analyzed higher-priority tasks,
-	// scaled by m, accumulate in a.rm.
-
-	for k := 0; k < n; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		task := ts.Tasks[k]
-		tr := &res.Tasks[k]
-		*tr = TaskResult{Name: task.Name}
-		if !res.Schedulable {
-			// A higher-priority task already failed; W_i would need its
-			// (nonexistent) response bound.
-			tr.Analyzed = false
-			continue
-		}
-		tr.Analyzed = true
-
-		// Lower-priority blocking terms (independent of the window).
-		// Suffix Δ aggregates are recomputed, never cached: the
-		// aggregator extends them in O(m) per task from the µ tables,
-		// which is cheaper than any content-addressed lookup could be
-		// (keying a suffix means hashing it — the old digest-chain memo
-		// cost 2× what it saved once the scan went incremental).
-		if cfg.Method != FPIdeal {
-			in := a.demandSuffix(k)
-			tr.DeltaM, tr.DeltaM1 = in.DeltaM, in.DeltaM1
-		}
-
-		if err := a.solveTask(ctx, ts, k, tr); err != nil {
-			return nil, err
-		}
-		if !tr.Schedulable {
-			res.Schedulable = false
-		}
-	}
-	return res, nil
+	a.cfg.Trace.RecordFull()
+	return a.analyze(ctx, ts, nil)
 }
 
 // solveTask runs the Equation (1)/(4) fixed point for task k, whose
 // blocking terms (tr.DeltaM/DeltaM1) the caller has already filled in.
 // It reads the structural scratch (a.vols, a.longs) and the
 // higher-priority response bounds a.rm[:k], and writes the remaining
-// TaskResult fields plus a.rm[k]. Shared verbatim by the from-scratch
-// and incremental paths, which is what makes their results bit-identical
-// by construction.
+// TaskResult fields plus a.rm[k]. analyze calls it for every task
+// whose stored result it cannot reuse, on both entry points, which is
+// what makes their results bit-identical by construction.
 func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *TaskResult) error {
 	cfg := a.cfg
 	var t0 time.Time
@@ -520,7 +436,7 @@ func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *
 	cur := base
 	q := int64(task.G.PreemptionPoints())
 	converged := false
-	for it := 1; it <= a.maxIter; it++ {
+	for it := 1; it <= DefaultMaxIterations; it++ {
 		if it%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err

@@ -524,7 +524,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"negative cores", Config{M: -1, Method: LPILP}, "invalid Config.M: -1"},
 		{"bad method", Config{M: 4, Method: Method(42)}, "invalid Config.Method: Method(42)"},
 		{"bad backend", Config{M: 4, Method: LPILP, Backend: blocking.Backend(9)}, "invalid Config.Backend: Backend(9)"},
-		{"negative max iterations", Config{M: 4, Method: LPILP, MaxIterations: -5}, "invalid Config.MaxIterations: -5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
