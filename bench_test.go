@@ -667,6 +667,46 @@ func BenchmarkServeBuild(b *testing.B) {
 	}
 }
 
+// muBenchGraphs is the fixed graph pool of BenchmarkMuTableCold: every
+// task graph of one generated mixed, parallel and npr-fine task set
+// (npr-fine graphs reach ~200 nodes, so their Par sets span words).
+func muBenchGraphs(b *testing.B) []*Graph {
+	b.Helper()
+	var pool []*Graph
+	for _, name := range []string{"mixed", "parallel", "npr-fine"} {
+		s, err := experiments.ScenarioByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range s.TaskSet(19, 4).Tasks {
+			pool = append(pool, t.G)
+		}
+	}
+	return pool
+}
+
+// BenchmarkMuTableCold is the cold µ-table layer of the serving path: a
+// freshly decoded graph pays once for its reachability and Par sets and
+// its Equation (6) table. One op solves the m = 16 combinatorial table
+// of every graph of muBenchGraphs, each on a fresh Clone() made with the
+// timer stopped, so no memo carries over between ops.
+func BenchmarkMuTableCold(b *testing.B) {
+	pool := muBenchGraphs(b)
+	graphs := make([]*Graph, len(pool))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, g := range pool {
+			graphs[j] = g.Clone()
+		}
+		b.StartTimer()
+		for _, g := range graphs {
+			blocking.Mu(g, 16, blocking.Combinatorial)
+		}
+	}
+}
+
 // sessionRepairBenchTasks is the 16-task session workload with a
 // blocking-heavy 17th task at the lowest priority: its single long NPR
 // inflates the Δ blocking term of every task above, pushing the set

@@ -74,7 +74,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeDecode|BenchmarkServeBuild)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
 
 // Budget is one standing absolute gate: Bench's Metric ("ns/op" or
 // "allocs/op") may not exceed Max. Unlike Compare the bound is not
@@ -108,6 +108,12 @@ var Budgets = []Budget{
 	// reuse, not machine variation.
 	{"SessionRepair", "ns/op", 10e6,
 		"the greedy search path regressed structurally"},
+	// One 16-set /v1/analyze batch per op: decode, graph builds, µ
+	// tables, analysis and encode. It stands at ~760 allocs; 1.5×
+	// headroom passes warm-up noise, while an allocation per node or per
+	// edge back in the decode or build layer fails.
+	{"ServeAnalyze", "allocs/op", 1200,
+		"a per-node or per-edge allocation is back on the serving path"},
 }
 
 func main() {

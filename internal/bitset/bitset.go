@@ -134,8 +134,22 @@ func (s *Set) Fill() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
 	}
+	s.trim()
+}
+
+// Complement replaces s by its complement in the universe [0, Len).
+func (s *Set) Complement() {
+	for i, w := range s.words {
+		s.words[i] = ^w
+	}
+	s.trim()
+}
+
+// trim clears the bits at and beyond Len in the last word, which Fill
+// and Complement set and every other method expects clear.
+func (s *Set) trim() {
 	if extra := len(s.words)*wordBits - s.n; extra > 0 {
-		s.words[len(s.words)-1] >>= uint(extra)
+		s.words[len(s.words)-1] &= ^uint64(0) >> uint(extra)
 	}
 }
 

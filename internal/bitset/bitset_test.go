@@ -392,3 +392,29 @@ func TestSlabIndependence(t *testing.T) {
 		t.Fatal("Slab(0, n) should return an empty non-nil slice")
 	}
 }
+
+func TestComplement(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 63, 64, 65, 128} {
+		s := New(n)
+		s.Complement()
+		if s.Count() != n {
+			t.Fatalf("n=%d: complement of the empty set has Count %d", n, s.Count())
+		}
+		s.Clear()
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				s.Add(i)
+			}
+		}
+		c := s.Clone()
+		c.Complement()
+		if c.Count() != n-s.Count() || c.Intersects(s) {
+			t.Fatalf("n=%d: complement %v of %v", n, c, s)
+		}
+		c.Complement()
+		if !c.Equal(s) {
+			t.Fatalf("n=%d: complement twice gave %v, want %v", n, c, s)
+		}
+	}
+}

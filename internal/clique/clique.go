@@ -5,11 +5,12 @@
 // parallelism graph.
 //
 // The solver is a depth-first branch-and-bound over a weight-descending
-// vertex order with a prefix-sum admissible bound. DAG tasks in this
-// domain have at most a few dozen nodes, for which the search is
-// effectively instantaneous; it is nevertheless exact for any input and
-// is cross-checked against both brute force and the paper-faithful ILP
-// encoding in tests.
+// vertex order with a prefix-sum admissible bound. The paper's
+// generator emits DAGs of a few dozen nodes; node splitting (the
+// npr-fine campaign family) makes graphs of up to ~200 nodes, which the
+// twin reduction below shrinks back to about the original count. The
+// search is exact for any input and is cross-checked against both brute
+// force and the paper-faithful ILP encoding in tests.
 //
 // All scratch state — candidate sets per search depth, the reordered
 // problem, twin-reduction buffers — lives on a reusable Solver, so a

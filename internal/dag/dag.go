@@ -122,22 +122,15 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: node %d has non-positive WCET %d", i, c)
 		}
 	}
-	// deg[u] counts u's successors, deg[n+v] v's predecessors; the in-degree
-	// half is later consumed by the topological sort.
+	// deg[u] counts u's successors, deg[n+v] v's predecessors. Once the
+	// adjacency lists are carved, the topological sort consumes the
+	// in-degree half and keeps its heap of ready nodes in the other.
 	deg := make([]int, 2*n)
-	seen := make(map[[2]int]bool, len(b.edges))
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
+		if u < 0 || u >= n || v < 0 || v >= n || u == v {
+			return nil, b.edgeError()
 		}
-		if u == v {
-			return nil, fmt.Errorf("dag: self-loop on node %d", u)
-		}
-		if seen[e] {
-			return nil, fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
-		}
-		seen[e] = true
 		deg[u]++
 		deg[n+v]++
 	}
@@ -156,7 +149,10 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	for u, s := range succ {
 		sort.Ints(s)
-		for _, v := range s {
+		for i, v := range s {
+			if i > 0 && s[i-1] == v {
+				return nil, b.edgeError()
+			}
 			pred[v] = append(pred[v], u) // ascending, as u is
 		}
 	}
@@ -165,7 +161,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.names = make([]string, n)
 		copy(g.names, b.names)
 	}
-	topo, err := g.computeTopo(deg[n:])
+	topo, err := g.computeTopo(deg[n:], deg[:0:n])
 	if err != nil {
 		return nil, err
 	}
@@ -186,33 +182,89 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
+// edgeError returns the error of the first bad edge in input order: out
+// of range, a self-loop or a repeat of an earlier edge. Build calls it
+// only once it has found some bad edge, so valid graphs never pay for
+// its map, and the error a bad edge list gets does not depend on which
+// check found it.
+func (b *Builder) edgeError() error {
+	n := len(b.wcet)
+	seen := make(map[[2]int]bool, len(b.edges))
+	for _, e := range b.edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return fmt.Errorf("dag: edge (%d,%d) out of range [0,%d)", u, v, n)
+		}
+		if u == v {
+			return fmt.Errorf("dag: self-loop on node %d", u)
+		}
+		if seen[e] {
+			return fmt.Errorf("dag: duplicate edge (%d,%d)", u, v)
+		}
+		seen[e] = true
+	}
+	panic("dag: edgeError on a valid edge list")
+}
+
 // computeTopo returns a deterministic topological order (Kahn's algorithm
 // with smallest-index tie-breaking) or an error if the graph is cyclic.
-// indeg holds the in-degree of every node and is consumed: a node taken
-// into the order is marked -1.
-func (g *Graph) computeTopo(indeg []int) ([]int, error) {
-	n := g.N()
-	// Min-heap-free variant: scan for the smallest ready index. n ≤ a few
-	// dozen in this domain, so O(n²) keeps the code obvious.
-	order := make([]int, 0, n)
-	for len(order) < n {
-		next := -1
-		for v := 0; v < n; v++ {
-			if indeg[v] == 0 {
-				next = v
-				break
-			}
-		}
-		if next == -1 {
-			return nil, fmt.Errorf("dag: cycle detected")
-		}
-		indeg[next] = -1
-		order = append(order, next)
-		for _, w := range g.succ[next] {
-			indeg[w]--
+// indeg holds the in-degree of every node and is consumed; heap, of
+// capacity n, holds the binary min-heap of ready nodes, so the sort
+// takes O((V+E) log V).
+func (g *Graph) computeTopo(indeg, heap []int) ([]int, error) {
+	for v, d := range indeg {
+		if d == 0 {
+			heap = append(heap, v) // ascending, so already a heap
 		}
 	}
+	order := make([]int, 0, g.N())
+	for len(heap) > 0 {
+		v, last := heap[0], len(heap)-1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		siftDown(heap)
+		order = append(order, v)
+		for _, w := range g.succ[v] {
+			if indeg[w]--; indeg[w] == 0 {
+				heap = append(heap, w)
+				siftUp(heap)
+			}
+		}
+	}
+	if len(order) < g.N() {
+		return nil, fmt.Errorf("dag: cycle detected")
+	}
 	return order, nil
+}
+
+// siftUp restores the min-heap order of h after an append.
+func siftUp(h []int) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDown restores the min-heap order of h after its root was replaced.
+func siftDown(h []int) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // N returns the number of nodes (NPRs). In the paper's notation this is
@@ -380,7 +432,8 @@ func (g *Graph) Reach() []*bitset.Set {
 }
 
 // CoReach returns, for every node v, the set PRED(v) of nodes from which
-// v is reachable (v itself excluded).
+// v is reachable (v itself excluded). Unlike Reach it is not memoized:
+// every call builds a fresh slab, which the caller owns and may modify.
 func (g *Graph) CoReach() []*bitset.Set {
 	n := g.N()
 	out := bitset.Slab(n, n)
@@ -418,20 +471,20 @@ func (g *Graph) Siblings() []*bitset.Set {
 // the blocking analysis relies on; it is sound for arbitrary DAGs. The
 // result is memoized on the graph and shared; callers must not modify
 // the sets.
+//
+// Par(v) is the complement of PRED(v) ∪ {v} ∪ SUCC(v), so it costs a
+// few word operations per node on top of Reach and CoReach, whose fresh
+// slab it takes over.
 func (g *Graph) Parallel() []*bitset.Set {
 	g.parOnce.Do(func() {
-		n := g.N()
 		succ := g.Reach()
-		out := bitset.Slab(n, n)
-		for v := 0; v < n; v++ {
-			s := out[v]
-			for u := 0; u < n; u++ {
-				if u != v && !succ[v].Contains(u) && !succ[u].Contains(v) {
-					s.Add(u)
-				}
-			}
+		par := g.CoReach()
+		for v, s := range par {
+			s.UnionWith(succ[v])
+			s.Add(v)
+			s.Complement()
 		}
-		g.par = out
+		g.par = par
 	})
 	return g.par
 }

@@ -648,3 +648,185 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// randomPermutedDAG builds an n-node DAG whose edges run forward along a
+// random permutation of the node indices, each with probability p, and
+// returns its node and edge lists (edges in shuffled input order). With
+// singleSource every node but the first of the permutation gets at least
+// one predecessor. Its topological orders are unrelated to index order,
+// so many nodes are ready at once and the smallest-index tie-break does
+// real work.
+func randomPermutedDAG(rng *rand.Rand, n int, p float64, singleSource bool) ([]int64, [][2]int) {
+	wcet := make([]int64, n)
+	for i := range wcet {
+		wcet[i] = int64(1 + rng.Intn(100))
+	}
+	perm := rng.Perm(n)
+	var edges [][2]int
+	for j := 1; j < n; j++ {
+		first := -1
+		if singleSource {
+			first = rng.Intn(j)
+			edges = append(edges, [2]int{perm[first], perm[j]})
+		}
+		for i := 0; i < j; i++ {
+			if i != first && rng.Float64() < p {
+				edges = append(edges, [2]int{perm[i], perm[j]})
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return wcet, edges
+}
+
+// buildVsRef builds the node and edge lists and fails t unless Build
+// agrees with refBuild: verdict, error text, adjacency and order.
+func buildVsRef(t testing.TB, wcet []int64, edges [][2]int) (*Graph, error) {
+	t.Helper()
+	var b Builder
+	for _, c := range wcet {
+		b.AddNode(c)
+	}
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	g, err := b.Build()
+	succ, pred, topo, wantErr := refBuild(wcet, edges)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%d nodes, edges %v: Build error %v, want %v", len(wcet), edges, err, wantErr)
+	}
+	if err == nil && (!reflect.DeepEqual(g.succ, succ) || !reflect.DeepEqual(g.pred, pred) || !reflect.DeepEqual(g.topo, topo)) {
+		t.Fatalf("%d nodes, edges %v: adjacency or order differs:\n%v %v %v\nwant %v %v %v",
+			len(wcet), edges, g.succ, g.pred, g.topo, succ, pred, topo)
+	}
+	return g, err
+}
+
+// parallelByPairs is Par(v) by its per-pair definition, the loop
+// Parallel ran before it derived the sets from reachability words:
+// u ∈ Par(v) iff u ≠ v and neither node reaches the other.
+func parallelByPairs(g *Graph) []*bitset.Set {
+	n := g.N()
+	succ := g.Reach()
+	out := bitset.Slab(n, n)
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			if u != v && !succ[v].Contains(u) && !succ[u].Contains(v) {
+				out[v].Add(u)
+			}
+		}
+	}
+	return out
+}
+
+// TestParallelMatchesDefinition pins Parallel to the per-pair definition
+// on random DAGs of up to 200 nodes, single- and multi-source, sparse
+// and dense, including the word-boundary sizes.
+func TestParallelMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{1, 2, 63, 64, 65, 128, 129, 200}
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(200)
+		if trial < 2*len(sizes) {
+			n = sizes[trial/2]
+		}
+		p := 3 * rng.Float64() / float64(n)
+		if trial%3 == 0 {
+			p = 0.2 * rng.Float64()
+		}
+		wcet, edges := randomPermutedDAG(rng, n, p, trial%2 == 0)
+		g, err := buildVsRef(t, wcet, edges)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		par, want := g.Parallel(), parallelByPairs(g)
+		for v := range want {
+			if !par[v].Equal(want[v]) {
+				t.Fatalf("trial %d (n=%d, %d edges) node %d: Par %v, want %v",
+					trial, n, len(edges), v, par[v], want[v])
+			}
+		}
+	}
+}
+
+// TestBuildMatchesReferenceAtSize is TestBuildMatchesReference at up to
+// 300 nodes with permuted indices, where the heap of ready nodes holds
+// many entries, plus edge lists that hide one bad edge (out of range or
+// a self-loop) before or after a duplicate: Build must name whichever
+// comes first in input order, as refBuild does.
+func TestBuildMatchesReferenceAtSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kinds := map[string]int{}
+	for iter := 0; iter < 400; iter++ {
+		n := 1 + rng.Intn(300)
+		p := 4 * rng.Float64() / float64(n)
+		if iter%5 == 0 {
+			p = 0.1 * rng.Float64()
+		}
+		wcet, edges := randomPermutedDAG(rng, n, p, iter%2 == 0)
+		insert := func(at int, e [2]int) {
+			edges = append(edges[:at], append([][2]int{e}, edges[at:]...)...)
+		}
+		switch iter % 4 {
+		case 1: // a cycle through one reversed edge
+			if len(edges) > 0 {
+				e := edges[rng.Intn(len(edges))]
+				insert(rng.Intn(len(edges)+1), [2]int{e[1], e[0]})
+			}
+		case 2, 3: // a duplicate and a bad edge, in either order
+			if len(edges) == 0 {
+				break
+			}
+			i := rng.Intn(len(edges))
+			dup := i + 1 + rng.Intn(len(edges)-i)
+			bad := [2]int{rng.Intn(n), rng.Intn(n)}
+			switch rng.Intn(3) {
+			case 0:
+				bad[0] = n + rng.Intn(3)
+			case 1:
+				bad[1] = -1 - rng.Intn(3)
+			default:
+				bad[1] = bad[0]
+			}
+			insert(dup, edges[i])
+			if iter%4 == 2 {
+				insert(i+1+rng.Intn(dup-i), bad) // before the duplicate
+			} else {
+				insert(dup+1+rng.Intn(len(edges)-dup), bad) // after it
+			}
+		}
+		if _, err := buildVsRef(t, wcet, edges); err != nil {
+			kinds[strings.Fields(err.Error())[1]]++
+		} else {
+			kinds["ok"]++
+		}
+	}
+	for _, k := range []string{"ok", "cycle", "duplicate", "edge", "self-loop"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %q outcome among %v", k, kinds)
+		}
+	}
+}
+
+// TestBuildLongChainOrder builds a 100 000-node chain whose edges run
+// from each node to the one below it, the body that made the old
+// smallest-ready-index scan quadratic, and checks the order n-1, …, 0.
+func TestBuildLongChainOrder(t *testing.T) {
+	const n = 100000
+	var b Builder
+	for v := 0; v < n; v++ {
+		b.AddNode(1)
+	}
+	for v := 0; v+1 < n; v++ {
+		b.AddEdge(v+1, v)
+	}
+	g := b.MustBuild()
+	for i, v := range g.TopologicalOrder() {
+		if v != n-1-i {
+			t.Fatalf("order[%d] = %d, want %d", i, v, n-1-i)
+		}
+	}
+	if g.LongestPath() != n {
+		t.Fatalf("L = %d, want %d", g.LongestPath(), n)
+	}
+}

@@ -2,59 +2,48 @@ package dag
 
 import "testing"
 
-// FuzzBuilder drives the builder with an arbitrary byte script: the
-// builder must either reject the graph or produce one whose invariants
-// hold (valid topological order, L ≤ vol, symmetric parallel relation).
+// FuzzBuilder drives the builder with an arbitrary byte script and
+// checks it against the oracles: Build must give refBuild's verdict,
+// error text, adjacency and topological order, and a graph's Par sets
+// must equal the per-pair definition. Graphs reach 130 nodes, so the
+// sets span up to three words.
 func FuzzBuilder(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 1, 2})
+	f.Add([]byte{3, 8, 9, 9, 10})
 	f.Add([]byte{1})
-	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 0, 4})
+	f.Add([]byte{5, 8, 9, 9, 10, 10, 11, 11, 12, 8, 12})
+	f.Add([]byte{64, 8, 72, 8, 71, 71, 72, 9, 10})
+	f.Add([]byte{128, 8, 136, 136, 72, 72, 9, 9, 130, 70, 8})
+	f.Add([]byte{128, 8, 136, 136, 72, 8, 136, 72, 153})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
 		}
-		var b Builder
-		n := int(script[0]%16) + 1
-		for i := 0; i < n; i++ {
-			b.AddNode(int64(i%7) + 1)
+		n := int(script[0])%130 + 1
+		wcet := make([]int64, n)
+		for i := range wcet {
+			wcet[i] = int64(i%7) + 1
 		}
+		var edges [][2]int
 		rest := script[1:]
 		for i := 0; i+1 < len(rest); i += 2 {
-			// Deliberately unfiltered: may produce self-loops, cycles,
-			// duplicates or out-of-range endpoints — Build must catch
-			// every such case instead of panicking.
-			b.AddEdge(int(rest[i]%32)-8, int(rest[i+1]%32)-8)
+			// Deliberately unfiltered: endpoints run from -8 to n+7, so
+			// scripts hold self-loops, cycles, duplicates and
+			// out-of-range endpoints — Build must catch every such case
+			// instead of panicking.
+			edges = append(edges, [2]int{int(rest[i])%(n+16) - 8, int(rest[i+1])%(n+16) - 8})
 		}
-		g, err := b.Build()
+		g, err := buildVsRef(t, wcet, edges)
 		if err != nil {
 			return
-		}
-		if g.N() != n {
-			t.Fatalf("node count changed: %d vs %d", g.N(), n)
-		}
-		pos := make([]int, g.N())
-		for i, v := range g.TopologicalOrder() {
-			pos[v] = i
-		}
-		for _, e := range g.Edges() {
-			if pos[e[0]] >= pos[e[1]] {
-				t.Fatalf("edge %v violates topological order", e)
-			}
 		}
 		if l, vol := g.LongestPath(), g.Volume(); l > vol || l < g.MaxWCET() {
 			t.Fatalf("L=%d outside [maxC=%d, vol=%d]", l, g.MaxWCET(), vol)
 		}
-		par := g.Parallel()
-		for u := 0; u < g.N(); u++ {
-			if par[u].Contains(u) {
-				t.Fatalf("node %d parallel with itself", u)
+		par, want := g.Parallel(), parallelByPairs(g)
+		for v := range want {
+			if !par[v].Equal(want[v]) {
+				t.Fatalf("edges %v: Par(%d) = %v, want %v", edges, v, par[v], want[v])
 			}
-			par[u].ForEach(func(v int) bool {
-				if !par[v].Contains(u) {
-					t.Fatalf("parallel relation asymmetric at (%d,%d)", u, v)
-				}
-				return true
-			})
 		}
 	})
 }
