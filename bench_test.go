@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/blocking"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fixture"
@@ -442,14 +441,10 @@ func sessionBenchTasks(b *testing.B) []*Task {
 // BenchmarkSessionEdit measures the session's per-edit cost: one
 // SetPriority edit (flipping the order of the two same-program
 // instances at priorities 2 and 3) followed by Report on a 16-task
-// LP-ILP session. The incremental analyzer restores the
-// suffix-aggregate checkpoint below the edit, and — because the fixed
-// point reads higher-priority state only as positional (volume,
-// period, response bound) values, never task identity — detects that
-// the edit's numeric effect dies out immediately and reuses every
-// fixed point below it. This must come in well under
-// BenchmarkSessionEditFullReanalysis — the acceptance gate is < 25%
-// (tracked in BENCH_analyze.json).
+// LP-ILP session. The report is a full analysis on a warm pooled
+// analyzer: the flipped tasks share one graph, so every µ table comes
+// from the graph memo, and the op is the suffix pushes, the 16 fixed
+// points and the Report conversion.
 func BenchmarkSessionEdit(b *testing.B) {
 	tasks := sessionBenchTasks(b)
 	s, err := NewSession(Options{Cores: 8, Method: LPILP}, tasks...)
@@ -457,7 +452,7 @@ func BenchmarkSessionEdit(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.Report(ctx); err != nil { // warm the incremental state
+	if _, err := s.Report(ctx); err != nil { // warm the µ memos
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -468,37 +463,6 @@ func BenchmarkSessionEdit(b *testing.B) {
 		}
 		if _, err := s.Report(ctx); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSessionEditFullReanalysis is the stateless baseline for
-// BenchmarkSessionEdit: the same alternating edit answered by a full
-// AnalyzeInPlace on a warm (pooled-style) rta.Analyzer plus the Report
-// conversion — exactly what a what-if question cost before the session
-// API (both sides of the comparison end with a *Report in hand).
-func BenchmarkSessionEditFullReanalysis(b *testing.B) {
-	tasks := sessionBenchTasks(b)
-	a, err := rta.NewAnalyzer(rta.Config{M: 8, Method: rta.LPILP})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	cur := append([]*Task(nil), tasks...)
-	ts := &TaskSet{Tasks: cur}
-	if _, err := a.AnalyzeInPlace(ctx, ts); err != nil { // warm the µ memo
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur[2], cur[3] = cur[3], cur[2]
-		res, err := a.AnalyzeInPlace(ctx, ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep := core.ReportOf(res, ts); !rep.Schedulable {
-			b.Fatal("benchmark set must stay schedulable")
 		}
 	}
 }
@@ -524,7 +488,7 @@ func BenchmarkSessionEditDurable(b *testing.B) {
 	}
 	defer st.Close()
 	ctx := context.Background()
-	if _, err := s.Report(ctx); err != nil { // warm the incremental state
+	if _, err := s.Report(ctx); err != nil { // warm the µ memos
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -722,10 +686,10 @@ func sessionRepairBenchTasks(b *testing.B) []*Task {
 }
 
 // BenchmarkSessionRepair measures the greedy repair search end to end
-// on a 17-task LP-ILP session: candidate generation, incremental
-// re-analysis of each placement, and result assembly, in query mode
-// (apply=false) so every iteration searches from the same failing
-// state. lpdag-bench gates this with a standing budget-table row —
+// on a 17-task LP-ILP session: candidate generation, a full analysis
+// of each placement on the pooled analyzer, and result assembly, in
+// query mode (apply=false) so every iteration searches from the same
+// failing state. lpdag-bench gates this with a standing budget-table row —
 // repair is an interactive verb (the REPL `fix` command), so
 // it gets an absolute latency ceiling like the durable-edit path.
 func BenchmarkSessionRepair(b *testing.B) {

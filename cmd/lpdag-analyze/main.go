@@ -8,9 +8,10 @@
 //	lpdag-analyze -session -f taskset.json
 //
 // With -session the command becomes an interactive what-if shell over a
-// stateful analysis session: edits re-analyze incrementally, so each
-// question costs what it touched, not a full re-analysis. Commands
-// (one per line; `help` prints this list):
+// stateful analysis session: each question re-analyzes the held set on
+// a warm pooled analyzer, and the µ tables stay memoized on the graphs,
+// so only a graph an edit introduced pays for them. Commands (one per
+// line; `help` prints this list):
 //
 //	report                      print the current analysis report
 //	tasks                       list tasks in priority order

@@ -74,7 +74,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
 
 // Budget is one standing absolute gate: Bench's Metric ("ns/op" or
 // "allocs/op") may not exceed Max. Unlike Compare the bound is not
@@ -104,8 +104,8 @@ var Budgets = []Budget{
 		"something structural joined the durable commit path"},
 	// One greedy repair search (query mode) behind an interactive verb;
 	// it lands well under 0.1 ms, so 10 ms catches candidate generation
-	// going quadratic or the incremental analyzer losing its checkpoint
-	// reuse, not machine variation.
+	// going quadratic or a candidate re-solving the µ tables of graphs
+	// its transform left alone, not machine variation.
 	{"SessionRepair", "ns/op", 10e6,
 		"the greedy search path regressed structurally"},
 	// One 16-set /v1/analyze batch per op: decode, graph builds, µ

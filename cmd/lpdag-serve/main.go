@@ -27,8 +27,8 @@
 // snapshot stream a draining peer posts to /v1/sessions/handoff.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
-// server-side and re-analyzes incrementally per edit; see DESIGN.md,
-// "Sessions"):
+// server-side and re-analyzes it from scratch per query, with µ tables
+// memoized on its graphs; see DESIGN.md, "Sessions"):
 //
 //	POST   /v1/sessions                   create (taskset + options) → id
 //	GET    /v1/sessions/{id}/report       current report

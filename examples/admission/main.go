@@ -4,11 +4,10 @@
 // A mixed workload grows online: before each new task is committed, a
 // TryAdmit probe analyzes the hypothetical set without committing
 // anything, and the task is admitted only if every deadline still
-// holds. Each probe and each committed edit re-analyzes incrementally —
-// the session reuses the suffix blocking aggregates and per-task fixed
-// points of the previous analysis for everything the change did not
-// touch, so the per-question cost is proportional to the change, not to
-// the set size.
+// holds. Each probe and each committed edit re-analyzes the set from
+// scratch on a warm pooled analyzer; the µ tables, the expensive part,
+// stay memoized on the task graphs, so only a newly added task's graph
+// pays for them.
 package main
 
 import (

@@ -42,19 +42,19 @@ type SuffixAggregator struct {
 }
 
 // NewSuffixAggregator returns an empty aggregator for m ≥ 1 cores. The
-// fold is the same for every method and backend, so method and be are
-// accepted for the callers that name them and otherwise ignored.
-func NewSuffixAggregator(m int, method Method, be Backend) *SuffixAggregator {
+// fold is the same for every method and backend, so method and backend
+// are ignored; the signature keeps them because the separate perfbench
+// module calls it with both.
+func NewSuffixAggregator(m int, _ Method, _ Backend) *SuffixAggregator {
 	a := &SuffixAggregator{}
-	a.Reset(m, method, be)
+	a.Reset(m)
 	return a
 }
 
 // Reset empties the aggregator and re-parameterises it for m cores,
 // reusing the internal buffers (no allocation once they have grown to
-// the largest m seen). Like NewSuffixAggregator, it ignores method and
-// be.
-func (a *SuffixAggregator) Reset(m int, _ Method, _ Backend) {
+// the largest m seen).
+func (a *SuffixAggregator) Reset(m int) {
 	a.dpM = resetDP(a.dpM, m)
 	a.dpM1 = resetDP(a.dpM1, max(m-1, 0))
 }
@@ -112,32 +112,4 @@ func dpPush(dp []int64, mu []int64) {
 // one core the m-1 row has no cores, so Δ^{m-1} is 0.
 func (a *SuffixAggregator) Interference() Interference {
 	return Interference{DeltaM: a.dpM[len(a.dpM)-1], DeltaM1: a.dpM1[len(a.dpM1)-1]}
-}
-
-// SuffixCheckpoint is a saved SuffixAggregator state: the two DP rows
-// after some number of pushes. Saving after every push of a bottom-up
-// priority scan gives the incremental analyzer (rta.AnalyzeIncremental) a
-// restart point for any edit position — editing priority k leaves the
-// suffix below it untouched, so the scan resumes from the checkpoint
-// taken after the unchanged tail was pushed instead of replaying it.
-// A checkpoint is O(m) int64s; it is only valid for the core count it
-// was saved under, which the owning analyzer guards.
-type SuffixCheckpoint struct {
-	dpM  []int64
-	dpM1 []int64
-}
-
-// Save copies the aggregator's state into c, reusing c's buffers
-// (allocation-free once they have grown).
-func (a *SuffixAggregator) Save(c *SuffixCheckpoint) {
-	c.dpM = append(c.dpM[:0], a.dpM...)
-	c.dpM1 = append(c.dpM1[:0], a.dpM1...)
-}
-
-// Restore rewinds the aggregator to a previously saved state. The
-// checkpoint must have been saved by this aggregator (or one with the
-// same core count) — Restore does not re-parameterise.
-func (a *SuffixAggregator) Restore(c *SuffixCheckpoint) {
-	a.dpM = append(a.dpM[:0], c.dpM...)
-	a.dpM1 = append(a.dpM1[:0], c.dpM1...)
 }

@@ -113,54 +113,12 @@ func TestSuffixAggregatorReset(t *testing.T) {
 	}
 	for _, method := range []Method{LPMax, LPILP} {
 		for m := 1; m <= 6; m++ {
-			agg.Reset(m, method, Combinatorial)
+			agg.Reset(m)
 			for _, g := range graphs {
 				push(agg, g, m, method, Combinatorial)
 			}
 			if got, want := agg.Interference(), Compute(graphs, m, method, Combinatorial); got != want {
 				t.Errorf("reused aggregator m=%d method=%v: got %+v want %+v", m, method, got, want)
-			}
-		}
-	}
-}
-
-// TestSuffixCheckpointSaveRestore pins the checkpoint contract the
-// incremental analyzer builds on: restoring a mid-scan checkpoint and
-// replaying a different upper set yields exactly what a fresh aggregator
-// computes for (tail + new upper set), for both methods, repeatedly on
-// the same reused checkpoint.
-func TestSuffixCheckpointSaveRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, method := range []Method{LPMax, LPILP} {
-		for m := 1; m <= 5; m++ {
-			tail := make([]*dag.Graph, 4)
-			for i := range tail {
-				tail[i] = randomGraph(rng, 8, 0.3)
-			}
-			agg := NewSuffixAggregator(m, method, Combinatorial)
-			for _, g := range tail {
-				push(agg, g, m, method, Combinatorial)
-			}
-			var chk SuffixCheckpoint
-			agg.Save(&chk)
-			for trial := 0; trial < 3; trial++ {
-				upper := make([]*dag.Graph, 1+rng.Intn(3))
-				for i := range upper {
-					upper[i] = randomGraph(rng, 8, 0.3)
-				}
-				agg.Restore(&chk)
-				for _, g := range upper {
-					push(agg, g, m, method, Combinatorial)
-				}
-				want := Compute(append(append([]*dag.Graph(nil), tail...), upper...), m, method, Combinatorial)
-				if got := agg.Interference(); got != want {
-					t.Errorf("method=%v m=%d trial=%d: got %+v want %+v", method, m, trial, got, want)
-				}
-			}
-			// The checkpoint itself must be unscathed by the replays.
-			agg.Restore(&chk)
-			if got, want := agg.Interference(), Compute(tail, m, method, Combinatorial); got != want {
-				t.Errorf("method=%v m=%d: checkpoint corrupted by replays: got %+v want %+v", method, m, got, want)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ var analyzers = sync.Pool{New: func() any { return new(rta.Analyzer) }}
 // back with analyzers.Put.
 func (a *Analyzer) get() *rta.Analyzer {
 	ra := analyzers.Get().(*rta.Analyzer)
-	if err := ra.Reconfigure(RTAConfig(a.opts)); err != nil {
+	if err := ra.Reconfigure(rtaConfig(a.opts)); err != nil {
 		panic(err) // options were validated by New; unreachable
 	}
 	return ra
@@ -131,9 +131,8 @@ func New(opts Options) (*Analyzer, error) {
 	return &Analyzer{opts: opts}, nil
 }
 
-// RTAConfig maps validated Options onto the rta layer's Config — the
-// one mapping every path (pooled analyzers, sessions) shares.
-func RTAConfig(opts Options) rta.Config {
+// rtaConfig maps validated Options onto the rta layer's Config.
+func rtaConfig(opts Options) rta.Config {
 	return rta.Config{
 		M:                  opts.Cores,
 		Method:             opts.Method,

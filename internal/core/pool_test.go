@@ -51,7 +51,7 @@ func TestPooledAnalyzersAcrossSpecs(t *testing.T) {
 					return
 				}
 				clone := ts.Clone()
-				res, err := rta.Analyze(context.Background(), clone, RTAConfig(opts))
+				res, err := rta.Analyze(context.Background(), clone, rtaConfig(opts))
 				if err != nil {
 					t.Errorf("%+v: reference: %v", opts, err)
 					return

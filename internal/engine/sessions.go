@@ -18,8 +18,8 @@ import (
 // Session-registry defaults.
 const (
 	// DefaultMaxSessions bounds the live sessions of one engine. Each
-	// session pins an rta.Analyzer with its scratch arenas and suffix
-	// checkpoints — cheap per session, but client-controlled, so the
+	// session pins its task set, its graphs' memoized µ tables and its
+	// last report — cheap per session, but client-controlled, so the
 	// count must be capped.
 	DefaultMaxSessions = 1024
 	// DefaultSessionTTL is how long an untouched session survives.

@@ -121,8 +121,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, statusForSessionError(err), "create session: %v", err)
 		return
 	}
-	// The initial analysis is the largest one a session ever pays (no
-	// incremental state yet); run it as a pooled job like every other
+	// The initial analysis solves every graph's µ tables, the largest
+	// cost a session ever pays; run it as a pooled job like every other
 	// session operation so creates share the worker pool's backpressure.
 	v, err := s.sessions.Do(r.Context(), id,
 		func(ctx context.Context, sess *session.Session) (any, error) {

@@ -34,9 +34,7 @@ var metricsCatalog = []string{
 	"lpdag_analysis_fixed_point_iterations|histogram||Iterations per response-time fixed point.",
 	"lpdag_analysis_fixed_point_seconds|histogram||Time per per-task response-time fixed point.",
 	"lpdag_analysis_full_runs_total|counter||From-scratch analysis passes.",
-	"lpdag_analysis_incremental_runs_total|counter||Incremental (suffix-reusing) analysis passes.",
 	"lpdag_analysis_suffix_push_seconds|histogram||Time in full bottom-up blocking aggregator pushes.",
-	"lpdag_analysis_suffix_restore_seconds|histogram||Time restoring and replaying suffix blocking checkpoints in incremental re-analysis.",
 	"lpdag_build_info|gauge|go,version|Build metadata; the value is always 1.",
 	"lpdag_cache_entries|gauge||Materialized analysis cache entries (in-flight computes excluded).",
 	"lpdag_cache_evictions_total|counter||Analysis cache entries evicted by the second-chance size bound.",

@@ -348,8 +348,8 @@ func TestRegisterRuntime(t *testing.T) {
 func TestTraceResolvesAllSeries(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTrace(r)
-	if tr == nil || tr.SuffixRestore == nil || tr.SuffixPush == nil || tr.CacheLookup == nil ||
-		tr.FixedPoint == nil || tr.FixedPointIters == nil || tr.FullRuns == nil || tr.IncRuns == nil {
+	if tr == nil || tr.SuffixPush == nil || tr.CacheLookup == nil ||
+		tr.FixedPoint == nil || tr.FixedPointIters == nil || tr.FullRuns == nil {
 		t.Fatal("NewTrace left fields nil with a live registry")
 	}
 	tr.FixedPoint.Observe(1e-6)

@@ -9,43 +9,34 @@ package obs
 //
 // Phases:
 //
-//   - SuffixRestore: AnalyzeIncremental's whole blocking scan —
-//     checkpoint restore plus the pushes replayed above it. The time
-//     saved against a from-scratch scan is the whole point of the
-//     suffix-incremental design, so both sides are measured.
 //   - SuffixPush: one graph pushed into the blocking aggregator (a µ
-//     table or top-NPR fold), on either entry point; a from-scratch
-//     AnalyzeInPlace scan is n-1 of them.
+//     table or top-NPR fold); one AnalyzeInPlace scan is n-1 of them.
 //   - CacheLookup: one µ-table fetch from the shared content-addressed
 //     cache (reached only when the graph holds no µ table for the core
 //     count yet, so the series measures genuine cross-instance traffic).
 //   - FixedPoint: one per-task response-time fixed point (solveTask).
 //   - FixedPointIters: iterations that fixed point took to converge.
 //
-// FullRuns/IncRuns count calls of AnalyzeInPlace and
-// AnalyzeIncremental (both run one analysis routine), giving the
-// denominator for the span histograms.
+// FullRuns counts calls of AnalyzeInPlace, the one analysis routine,
+// giving the denominator for the span histograms.
 type Trace struct {
-	SuffixRestore   *Histogram
 	SuffixPush      *Histogram
 	CacheLookup     *Histogram
 	FixedPoint      *Histogram
 	FixedPointIters *Histogram
 	FullRuns        *Counter
-	IncRuns         *Counter
+
+	// IncRuns is always nil, and a nil *Counter reads 0. No analysis
+	// is incremental any more; the field stays only because the
+	// perfbench module reads it for its session.rta.incremental_ratio
+	// row, which therefore reads 0.
+	IncRuns *Counter
 }
 
 // RecordFull counts one from-scratch analysis pass. Nil-safe.
 func (t *Trace) RecordFull() {
 	if t != nil {
 		t.FullRuns.Inc()
-	}
-}
-
-// RecordIncremental counts one incremental analysis pass. Nil-safe.
-func (t *Trace) RecordIncremental() {
-	if t != nil {
-		t.IncRuns.Inc()
 	}
 }
 
@@ -56,9 +47,6 @@ func NewTrace(r *Registry) *Trace {
 		return nil
 	}
 	return &Trace{
-		SuffixRestore: r.Histogram("lpdag_analysis_suffix_restore_seconds",
-			"Time restoring and replaying suffix blocking checkpoints in incremental re-analysis.",
-			SpanBuckets),
 		SuffixPush: r.Histogram("lpdag_analysis_suffix_push_seconds",
 			"Time in full bottom-up blocking aggregator pushes.",
 			SpanBuckets),
@@ -73,7 +61,5 @@ func NewTrace(r *Registry) *Trace {
 			IterationBuckets),
 		FullRuns: r.Counter("lpdag_analysis_full_runs_total",
 			"From-scratch analysis passes."),
-		IncRuns: r.Counter("lpdag_analysis_incremental_runs_total",
-			"Incremental (suffix-reusing) analysis passes."),
 	}
 }

@@ -16,11 +16,13 @@
 // The search is anytime and context-cancellable: cancelling mid-search
 // returns the best state seen so far (fewest still-failing tasks,
 // then largest worst-case slack) rather than an error. Candidates are
-// evaluated through a caller-supplied Eval, which sessions bind to the
-// pooled incremental analyzer so a one-task transform costs an edit,
-// not a re-analysis. All enumeration orders are fixed and equal-score
-// ties are broken by a seed-pinned rank, so a given (task set, Config)
-// pair always yields the same transform sequence.
+// evaluated through a caller-supplied Eval, which sessions bind to a
+// from-scratch analysis on the pooled analyzer; the µ tables of graphs
+// a transform left alone stay memoized on them, so a candidate solves
+// tables only for the graphs it rewrote. All enumeration orders are
+// fixed and equal-score ties are broken by a seed-pinned rank, so a
+// given (task set, Config) pair always yields the same transform
+// sequence.
 package repair
 
 import (
@@ -264,9 +266,8 @@ type Result struct {
 }
 
 // Eval analyzes one candidate priority ordering under the caller's
-// fixed options. Sessions bind it to the pooled incremental analyzer,
-// so a candidate differing from the previous one in a single task
-// costs an edit, not a full re-analysis.
+// fixed options. Sessions bind it to a from-scratch analysis on the
+// pooled analyzer under the session's options.
 type Eval func(ctx context.Context, tasks []*model.Task) (*core.Report, error)
 
 // Apply replays a transform sequence onto a priority ordering and

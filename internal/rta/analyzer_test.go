@@ -305,3 +305,78 @@ func TestAnalyzeOwnsResult(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeInPlaceReconfigure pins that an analyzer reconfigured
+// between calls, as core's process-wide pool does on every draw,
+// matches a from-scratch analysis under each new configuration —
+// including core counts served from µ tables the graphs memoized at a
+// larger one, which the clone-based reference solves afresh.
+func TestAnalyzeInPlaceReconfigure(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	ts := randomTaskSet(rng, 5)
+	a, err := NewAnalyzer(Config{M: 2, Method: LPMax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AnalyzeInPlace(ctx, ts); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{M: 4, Method: LPMax},
+		{M: 4, Method: LPILP},
+		{M: 4, Method: FPIdeal},
+		{M: 3, Method: LPILP, FinalNPRRefinement: true},
+	} {
+		if err := a.Reconfigure(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.AnalyzeInPlace(ctx, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Analyze(ctx, ts.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Schedulable != want.Schedulable || len(got.Tasks) != len(want.Tasks) {
+			t.Fatalf("cfg %+v: header mismatch", cfg)
+		}
+		for i := range got.Tasks {
+			if got.Tasks[i] != want.Tasks[i] {
+				t.Fatalf("cfg %+v task %d: got %+v want %+v", cfg, i, got.Tasks[i], want.Tasks[i])
+			}
+		}
+	}
+}
+
+// TestAnalyzeInPlaceCancelRecovery pins that a cancelled analysis
+// leaves the analyzer in a state from which the next call returns
+// from-scratch-identical results: a pooled analyzer goes back to the
+// pool after a cancelled job and serves the next one.
+func TestAnalyzeInPlaceCancelRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ts := randomTaskSet(rng, 6)
+	a, err := NewAnalyzer(Config{M: 4, Method: LPILP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.AnalyzeInPlace(cancelled, ts); err == nil {
+		t.Fatal("cancelled analysis should fail")
+	}
+	got, err := a.AnalyzeInPlace(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(context.Background(), ts.Clone(), Config{M: 4, Method: LPILP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Tasks {
+		if got.Tasks[i] != want.Tasks[i] {
+			t.Fatalf("task %d: got %+v want %+v", i, got.Tasks[i], want.Tasks[i])
+		}
+	}
+}

@@ -107,10 +107,10 @@ type Config struct {
 	AblateRepeatedBlocking bool
 
 	// Trace, when non-nil, records analysis-phase span timings (blocking
-	// pushes, cache lookups, per-task fixed points, incremental suffix
-	// restores) into the given histograms. Nil — the default — keeps the
-	// hot path at one predictable branch per phase and zero extra
-	// allocation; verdicts and results are identical either way.
+	// pushes, cache lookups, per-task fixed points) into the given
+	// histograms. Nil — the default — keeps the hot path at one
+	// predictable branch per phase and zero extra allocation; verdicts
+	// and results are identical either way.
 	Trace *obs.Trace
 
 	// DonationSafeBlocking counts every preemption point as a potential
@@ -200,10 +200,6 @@ type Analyzer struct {
 	suffix          []blocking.Interference // suffix[k]: Δ pair of graphs[k+1:]
 	agg             blocking.SuffixAggregator
 
-	// inc is the cross-call incremental state of AnalyzeIncremental
-	// (see incremental.go); nil until first used.
-	inc *incState
-
 	res Result
 }
 
@@ -235,19 +231,15 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	return &Analyzer{cfg: cfg}, nil
 }
 
-// Reconfigure swaps the analyzer's configuration, invalidating the
-// incremental state (it depends on everything). Scratch buffers are
+// Reconfigure swaps the analyzer's configuration. Scratch buffers are
 // kept, and the µ tables memoized on the graphs serve every core count
-// up to the largest already solved, so a session flipping between core
-// counts pays re-analysis, not re-allocation or re-solving.
+// up to the largest already solved, so a pooled analyzer moving between
+// configurations pays re-analysis, not re-allocation or re-solving.
 func (a *Analyzer) Reconfigure(cfg Config) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
 	a.cfg = cfg
-	if a.inc != nil {
-		a.inc.valid = false
-	}
 	return nil
 }
 
@@ -288,8 +280,8 @@ func Analyze(ctx context.Context, ts *model.TaskSet, cfg Config) (*Result, error
 	return a.Analyze(ctx, ts)
 }
 
-// ensure sizes the scratch buffers for an n-task set and resets the
-// suffix aggregator. Allocation-free once the buffers have grown.
+// ensure sizes the scratch buffers for an n-task set. Allocation-free
+// once the buffers have grown.
 func (a *Analyzer) ensure(n int) {
 	if cap(a.vols) < n {
 		a.vols = make([]int64, n)
@@ -304,27 +296,10 @@ func (a *Analyzer) ensure(n int) {
 	// pointer-holding tail up to the high-water mark so those graphs
 	// (with their lazily memoized O(V²) bitsets) stay collectable.
 	clear(a.graphs[n:cap(a.graphs)])
-	if n > 0 {
-		// The empty lowest-priority suffix. The scan writes it only when
-		// it starts from the empty aggregate, not when it resumes above
-		// a restored tail.
-		a.suffix[n-1] = blocking.Interference{}
-	}
-	if a.cfg.Method != FPIdeal {
-		a.agg.Reset(a.cfg.M, blockingMethod(a.cfg.Method), a.cfg.Backend)
-	}
 	if cap(a.res.Tasks) < n {
 		a.res.Tasks = make([]TaskResult, n)
 	}
 	a.res.Tasks = a.res.Tasks[:n]
-}
-
-// blockingMethod maps the analysis variant to its blocking bound.
-func blockingMethod(m Method) blocking.Method {
-	if m == LPMax {
-		return blocking.LPMax
-	}
-	return blocking.LPILP
 }
 
 // muTable returns the µ table of g (LP-ILP path). The graph's own memo
@@ -383,28 +358,76 @@ func (a *Analyzer) pushInner(g *dag.Graph) {
 const ctxCheckStride = 1024
 
 // AnalyzeInPlace runs the analysis and returns the analyzer's internal
-// Result, valid until the next call on this analyzer. This is the
-// zero-allocation entry point of the fixed-point loop; callers that need
-// the result to outlive the next call must use Analyze. It runs the one
-// analysis routine behind AnalyzeIncremental with no baseline, saving
-// nothing for a later call. The context is observed between blocking
-// pushes, between tasks and every ctxCheckStride fixed-point iterations,
-// so a cancelled long LP-ILP solve returns promptly.
+// Result, valid until the next call on this analyzer. This is the one
+// analysis routine and its zero-allocation entry point; callers that
+// need the result to outlive the next call must use Analyze. One
+// bottom-up scan pushes each lower-priority graph into the suffix
+// aggregator once and records the Δ pair of every suffix, then the
+// Equation (4) fixed points run top-down. The context is observed
+// between blocking pushes, between tasks and every ctxCheckStride
+// fixed-point iterations, so a cancelled long LP-ILP solve returns
+// promptly; a cancelled call leaves nothing behind that the next one
+// reads.
 func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	a.cfg.Trace.RecordFull()
-	return a.analyze(ctx, ts, nil)
+	cfg := a.cfg
+	cfg.Trace.RecordFull()
+	n := ts.N()
+	a.ensure(n)
+	res := &a.res
+	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M
+	for i, t := range ts.Tasks {
+		a.vols[i], a.longs[i] = t.G.Volume(), t.G.LongestPath()
+		a.graphs[i] = t.G
+	}
+
+	// Blocking: suffix[k] is the Δ pair of graphs[k+1:], starting from
+	// the empty lowest-priority suffix.
+	if cfg.Method != FPIdeal {
+		a.agg.Reset(cfg.M)
+		a.suffix[n-1] = a.agg.Interference()
+		for k := n - 2; k >= 0; k-- {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			a.push(a.graphs[k+1])
+			a.suffix[k] = a.agg.Interference()
+		}
+	}
+
+	// Fixed points, top-down.
+	for k := 0; k < n; k++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		tr := &res.Tasks[k]
+		*tr = TaskResult{Name: ts.Tasks[k].Name}
+		if !res.Schedulable {
+			// A higher-priority task already failed; W_i would need its
+			// (nonexistent) response bound.
+			continue
+		}
+		tr.Analyzed = true
+		if cfg.Method != FPIdeal {
+			tr.DeltaM, tr.DeltaM1 = a.suffix[k].DeltaM, a.suffix[k].DeltaM1
+		}
+		if err := a.solveTask(ctx, ts, k, tr); err != nil {
+			return nil, err
+		}
+		if !tr.Schedulable {
+			res.Schedulable = false
+		}
+	}
+	return res, nil
 }
 
 // solveTask runs the Equation (1)/(4) fixed point for task k, whose
 // blocking terms (tr.DeltaM/DeltaM1) the caller has already filled in.
 // It reads the structural scratch (a.vols, a.longs) and the
 // higher-priority response bounds a.rm[:k], and writes the remaining
-// TaskResult fields plus a.rm[k]. analyze calls it for every task
-// whose stored result it cannot reuse, on both entry points, which is
-// what makes their results bit-identical by construction.
+// TaskResult fields plus a.rm[k].
 func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *TaskResult) error {
 	cfg := a.cfg
 	var t0 time.Time

@@ -37,12 +37,12 @@ type Edit struct {
 // Apply applies the edits in order, atomically: on the first failing
 // edit the session is rolled back to its pre-Apply state and the error
 // (naming the failing edit's position) is returned. Like the individual
-// edit methods it does not analyze; the next query does, incrementally.
+// edit methods it does not analyze; the next query does.
 func (s *Session) Apply(edits []Edit) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prevTasks := append([]*model.Task(nil), s.tasks...)
-	prevOpts := s.opts
+	prevAn := s.an
 	resolve := func(name string, idx int) (int, error) {
 		if name == "" {
 			return idx, nil
@@ -68,11 +68,11 @@ func (s *Session) Apply(edits []Edit) error {
 				err = s.setPriorityLocked(from, e.To)
 			}
 		case OpSetCores:
-			opts := s.opts
+			opts := s.an.Options()
 			opts.Cores = e.Cores
 			err = s.setOptionsLocked(opts)
 		case OpSetMethod:
-			opts := s.opts
+			opts := s.an.Options()
 			opts.Method = e.Method
 			err = s.setOptionsLocked(opts)
 		default:
@@ -80,12 +80,7 @@ func (s *Session) Apply(edits []Edit) error {
 		}
 		if err != nil {
 			s.tasks = prevTasks
-			if s.opts != prevOpts {
-				if rerr := s.setOptionsLocked(prevOpts); rerr != nil {
-					// prevOpts were valid when installed; unreachable.
-					panic(rerr)
-				}
-			}
+			s.an = prevAn
 			s.rep = nil
 			return fmt.Errorf("edit %d: %w", i, err)
 		}

@@ -11,8 +11,9 @@ import (
 
 // Repair searches NPR-placement transforms (splits, optional coarsens
 // and priority moves) that make the session's task set schedulable,
-// driving every candidate through the session's pooled incremental
-// analyzer so a one-task transform costs an edit, not a re-analysis.
+// analyzing every candidate from scratch with the session's options on
+// the pooled analyzer; a candidate's µ tables are solved only for the
+// graphs its transform rewrote.
 //
 // It is a query unless apply is set and the search fixes the set: then
 // the repaired ordering is committed as one transactional mutation

@@ -5,19 +5,19 @@
 // answers queries against them: the current Report, admission probes
 // (TryAdmit — analyze-without-commit), and per-task sensitivity. Edits
 // (AddTask, RemoveTask, SetPriority, SetCores, SetMethod) mutate the
-// held set; the next query re-analyzes it incrementally via
-// rta.(*Analyzer).AnalyzeIncremental, which reuses the suffix-aggregate
-// checkpoints and per-task fixed points of the previous analysis for
-// everything the edit did not touch. Reports are bit-identical to a
-// from-scratch lpdag.Analyze of the same set (quick-checked by
-// TestSessionEditSequenceEquivalence).
+// held set; the next query analyzes it from scratch through a
+// core.Analyzer, which draws a warm rta scratch state from the same
+// process-wide pool that one-shot analyses and campaigns use. A report
+// is therefore the stateless lpdag.Analyze result of the same set by
+// construction (quick-checked by TestSessionEditSequenceEquivalence).
 //
 // A Session serializes its operations internally and is safe for
-// concurrent use; the expensive state (one rta.Analyzer with its scratch
-// arenas and checkpoints) lives for the session's lifetime, which is
-// what makes per-edit cost proportional to what changed instead of to
-// the set size. The engine's SessionRegistry adds bounded count and TTL
-// eviction for the serving path.
+// concurrent use. Its state is the task list, the options and the
+// memoized committed report; the µ tables an analysis needs are
+// memoized on the task graphs, so the analysis after an edit solves
+// tables only for graphs the edit introduced. The engine's
+// SessionRegistry adds bounded count and TTL eviction for the serving
+// path.
 package session
 
 import (
@@ -27,18 +27,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/rta"
 )
 
-// Session is a long-lived, incrementally re-analyzed task set. Create
-// with New; a zero Session is not usable. Tasks handed to a session are
-// treated as immutable — edit by removing and re-adding, never by
-// mutating a *Task in place.
+// Session is a long-lived, editable task set. Create with New; a zero
+// Session is not usable. Tasks handed to a session are treated as
+// immutable — edit by removing and re-adding, never by mutating a *Task
+// in place.
 type Session struct {
 	mu    sync.Mutex
-	opts  core.Options
+	an    *core.Analyzer // holds the options
 	tasks []*model.Task
-	an    *rta.Analyzer
 	rep   *core.Report // memoized committed report; nil when stale
 
 	// epoch counts committed mutations (task edits and option changes),
@@ -53,14 +51,11 @@ type Session struct {
 // an empty initial set is allowed — admission control often starts from
 // nothing) and returns a ready Session.
 func New(opts core.Options, tasks ...*model.Task) (*Session, error) {
-	if err := core.ValidateOptions(opts); err != nil {
-		return nil, err
-	}
-	an, err := rta.NewAnalyzer(core.RTAConfig(opts))
+	an, err := core.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{opts: opts, an: an, epoch: 1}
+	s := &Session{an: an, epoch: 1}
 	for _, t := range tasks {
 		if err := s.addLocked(t, len(s.tasks)); err != nil {
 			return nil, err
@@ -82,7 +77,7 @@ func (s *Session) Epoch() uint64 {
 func (s *Session) Options() core.Options {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.opts
+	return s.an.Options()
 }
 
 // Len returns the number of tasks held.
@@ -147,8 +142,7 @@ func (s *Session) addLocked(t *model.Task, at int) error {
 }
 
 // AddTask inserts t at priority index at (0 = highest; -1 or len =
-// lowest). The edit is O(1); the next query pays the incremental
-// re-analysis.
+// lowest). The edit does not analyze; the next query does.
 func (s *Session) AddTask(t *model.Task, at int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,7 +200,7 @@ func (s *Session) setPriorityLocked(from, to int) error {
 func (s *Session) SetCores(m int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	opts := s.opts
+	opts := s.an.Options()
 	opts.Cores = m
 	return s.setOptionsLocked(opts)
 }
@@ -215,29 +209,25 @@ func (s *Session) SetCores(m int) error {
 func (s *Session) SetMethod(method core.Method) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	opts := s.opts
+	opts := s.an.Options()
 	opts.Method = method
 	return s.setOptionsLocked(opts)
 }
 
-// setOptionsLocked validates and installs new options, reconfiguring
-// the analyzer (which invalidates its incremental state — a parameter
-// change invalidates everything, unlike a task edit).
+// setOptionsLocked validates and installs new options.
 func (s *Session) setOptionsLocked(opts core.Options) error {
-	if err := core.ValidateOptions(opts); err != nil {
+	an, err := core.New(opts)
+	if err != nil {
 		return err
 	}
-	if err := s.an.Reconfigure(core.RTAConfig(opts)); err != nil {
-		return err
-	}
-	s.opts = opts
+	s.an = an
 	s.rep = nil
 	s.epoch++
 	return nil
 }
 
 // Report returns the analysis of the session's current task set,
-// computing it incrementally when an edit made the memoized one stale.
+// computing it when an edit made the memoized one stale.
 // The returned Report is shared; treat it as read-only.
 func (s *Session) Report(ctx context.Context) (*core.Report, error) {
 	s.mu.Lock()
@@ -257,9 +247,8 @@ func (s *Session) Report(ctx context.Context) (*core.Report, error) {
 // admitted at priority at?" without committing anything: it analyzes
 // the hypothetical set and returns its report (Report.Schedulable is
 // the admission verdict). at follows AddTask's convention (-1 =
-// lowest). The session's committed set is unchanged; the trial shares
-// the session's incremental state, so a probe costs what it touches,
-// and so does the next committed query.
+// lowest). The session's committed set and its memoized report are
+// unchanged.
 func (s *Session) TryAdmit(ctx context.Context, t *model.Task, at int) (*core.Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -293,8 +282,8 @@ func (s *Session) TryAdmit(ctx context.Context, t *model.Task, at int) (*core.Re
 // the set untouched — with the whole set staying schedulable, searching
 // [1, maxPermille] by bisection. 0 means the set is not schedulable
 // even with the task's WCETs scaled to (essentially) nothing. Each
-// probe differs from the previous one in a single task, which is
-// exactly the shape the incremental analyzer is cheap at.
+// probe analyzes the trial set from scratch; only the scaled task's
+// graph needs fresh µ tables.
 func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,22 +334,17 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 	return lo, nil
 }
 
-// analyzeLocked runs the incremental analysis of an arbitrary ordering
-// (committed or trial) under the session lock. An empty set is trivially
-// schedulable.
+// analyzeLocked analyzes an arbitrary ordering (committed or trial)
+// under the session lock. An empty set is trivially schedulable.
 func (s *Session) analyzeLocked(ctx context.Context, tasks []*model.Task) (*core.Report, error) {
 	if len(tasks) == 0 {
+		opts := s.an.Options()
 		return &core.Report{
 			Schedulable: true,
-			Method:      s.opts.Method,
-			Cores:       s.opts.Cores,
+			Method:      opts.Method,
+			Cores:       opts.Cores,
 			Tasks:       []core.TaskReport{},
 		}, nil
 	}
-	ts := &model.TaskSet{Tasks: tasks}
-	res, err := s.an.AnalyzeIncremental(ctx, ts)
-	if err != nil {
-		return nil, err
-	}
-	return core.ReportOf(res, ts), nil
+	return s.an.Analyze(ctx, &model.TaskSet{Tasks: tasks})
 }

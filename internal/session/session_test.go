@@ -349,48 +349,70 @@ func TestSessionValidationErrors(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentOps race-hammers one session with concurrent
+// TestSessionConcurrentOps race-hammers sessions with concurrent
 // queries and edits: the per-session serialization must keep every
-// report internally consistent (this test's value is under -race).
+// report internally consistent (this test's value is under -race). The
+// inputs are one session, and sessions with different options hammered
+// at once, which share the process-wide pool of rta scratch states that
+// every analysis draws from and reconfigures.
 func TestSessionConcurrentOps(t *testing.T) {
 	ctx := context.Background()
 	ts := fixture.TaskSet()
-	sess, err := New(core.Options{Cores: fixture.M, Method: core.LPILP}, ts.Tasks...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			probe := &model.Task{Name: fmt.Sprintf("w%d", w), G: ts.Tasks[1].G, Deadline: 90, Period: 90}
-			for i := 0; i < 20; i++ {
-				switch i % 3 {
-				case 0:
-					rep, err := sess.Report(ctx)
-					if err != nil || len(rep.Tasks) < ts.N() {
-						t.Errorf("report: %v", err)
-						return
-					}
-				case 1:
-					if _, err := sess.TryAdmit(ctx, probe, -1); err != nil {
-						t.Errorf("admit: %v", err)
-						return
-					}
-				default:
-					n := sess.Len()
-					_ = sess.SetPriority(i%n, (i+1)%n)
-				}
+	for _, input := range [][]core.Options{
+		{{Cores: fixture.M, Method: core.LPILP}},
+		{
+			{Cores: 2, Method: core.FPIdeal},
+			{Cores: 3, Method: core.LPMax},
+			{Cores: 4, Method: core.LPILP},
+			{Cores: 2, Method: core.LPILP, FinalNPRRefinement: true},
+			{Cores: 8, Method: core.LPMax, FinalNPRRefinement: true},
+			{Cores: 5, Method: core.FPIdeal, FinalNPRRefinement: true},
+		},
+	} {
+		sessions := make([]*Session, len(input))
+		for i, opts := range input {
+			sess, err := New(opts, ts.Tasks...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	got, err := sess.Report(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fromScratch(t, sess); !reflect.DeepEqual(got, want) {
-		t.Fatal("post-hammer report differs from from-scratch")
+			sessions[i] = sess
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4*len(sessions); w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sess := sessions[w%len(sessions)]
+				probe := &model.Task{Name: fmt.Sprintf("w%d", w), G: ts.Tasks[1].G, Deadline: 90, Period: 90}
+				for i := 0; i < 20; i++ {
+					switch i % 3 {
+					case 0:
+						rep, err := sess.Report(ctx)
+						if err != nil || len(rep.Tasks) < ts.N() {
+							t.Errorf("report: %v", err)
+							return
+						}
+					case 1:
+						if _, err := sess.TryAdmit(ctx, probe, -1); err != nil {
+							t.Errorf("admit: %v", err)
+							return
+						}
+					default:
+						n := sess.Len()
+						_ = sess.SetPriority(i%n, (i+1)%n)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, sess := range sessions {
+			got, err := sess.Report(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fromScratch(t, sess); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: post-hammer report differs from from-scratch", sess.Options())
+			}
+		}
 	}
 }

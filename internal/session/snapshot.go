@@ -67,7 +67,7 @@ type Snapshot struct {
 func (s *Session) Snapshot(id string, lastTouch int64) *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	opts := s.opts
+	opts := s.an.Options()
 	opts.Cache = nil
 	opts.Trace = nil
 	return &Snapshot{

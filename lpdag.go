@@ -259,13 +259,14 @@ func Analyze(ts *TaskSet, cores int, method Method) (*Report, error) {
 
 // Session types (see internal/session and internal/engine): the
 // stateful what-if / admission-control API. A Session holds a task set
-// and options, absorbs edits, and answers queries at a cost
-// proportional to what each edit touched (suffix-aggregate checkpoints
-// and per-task fixed points of the previous analysis are reused for
-// everything else). Reports are bit-identical to a from-scratch
-// Analyze of the same set.
+// and options, absorbs edits, and answers each query with a
+// from-scratch analysis on the same pooled analyzer Analyze uses; the
+// µ tables stay memoized on the task graphs, so an edit pays fresh
+// tables only for the graphs it introduced. Reports are bit-identical
+// to a from-scratch Analyze of the same set.
 type (
-	// Session is a long-lived, incrementally re-analyzed task set.
+	// Session is a long-lived, editable task set with a memoized
+	// report.
 	Session = session.Session
 	// SessionEdit is one element of a transactional Session.Apply batch.
 	SessionEdit = session.Edit
@@ -291,7 +292,7 @@ type (
 // Repair types (see internal/repair): the anytime NPR-placement
 // search that turns "unschedulable" into a sequence of split/coarsen/
 // priority transforms that fix it. Session.Repair drives it through
-// the incremental analyzer; lpdag-serve exposes it as
+// the pooled analyzer; lpdag-serve exposes it as
 // POST /v1/sessions/{id}/repair and the REPL as `fix`.
 type (
 	// RepairConfig parameterises a repair search; the zero value is a
@@ -318,8 +319,8 @@ const (
 
 // RepairSearch looks for the cheapest transform sequence that makes
 // tasks schedulable under eval — see repair.Search. Most callers want
-// Session.Repair instead, which binds eval to the session's
-// incremental analyzer.
+// Session.Repair instead, which binds eval to an analysis under the
+// session's options.
 func RepairSearch(ctx context.Context, tasks []*Task, cfg RepairConfig, eval repair.Eval) (*RepairResult, error) {
 	return repair.Search(ctx, tasks, cfg, eval)
 }
