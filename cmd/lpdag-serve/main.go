@@ -1,8 +1,9 @@
 // Command lpdag-serve runs the concurrent analysis engine as an HTTP
-// service: a bounded worker pool over the response-time analysis of
-// Serrano et al. (DATE 2016) with a shared content-addressed cache, so
-// repeated and concurrent requests for structurally identical task
-// graphs compute the expensive blocking terms once.
+// service: the response-time analysis of Serrano et al. (DATE 2016),
+// at most -workers jobs at once, each on its request's goroutine, with
+// a shared content-addressed cache, so repeated and concurrent requests
+// for structurally identical task graphs compute the expensive blocking
+// terms once.
 //
 // Usage:
 //
@@ -19,7 +20,7 @@
 //	                   SIGTERM drain begins) with worker load and live
 //	                   session count
 //	GET  /stats        engine + cache + worker counters
-//	GET  /metrics      Prometheus text exposition: engine pool, cache,
+//	GET  /metrics      Prometheus text exposition: engine slots, cache,
 //	                   sessions, campaign/cluster, HTTP, analysis traces
 //
 // Results and errors are JSON (ndjson on /v1/campaign and /v1/shard),
@@ -108,8 +109,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		workers   = fs.Int("workers", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 0, "pending-job buffer (0 = 4x workers)")
+		workers   = fs.Int("workers", 0, "jobs that run at once (0 = GOMAXPROCS)")
 		cacheSize = fs.Int("cache", 0, "µ-table cache entries, 0 = default, negative = disable")
 		maxBody   = fs.Int64("max-body", engine.DefaultMaxBodyBytes, "request body limit in bytes")
 		inFlight  = fs.Int("max-inflight", engine.DefaultMaxInFlight, "concurrent HTTP requests before shedding 503s")
@@ -154,8 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Config{
-		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheSize,
-		Obs: reg,
+		Workers: *workers, CacheEntries: *cacheSize, Obs: reg,
 	})
 	defer eng.Close()
 
@@ -285,9 +284,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		// Drain budget exhausted: sever the remaining connections so
-		// their request contexts cancel, which lets workers skip the
-		// jobs those requests still have queued. Jobs already executing
-		// run to completion (Engine.Close waits for them).
+		// their request contexts cancel: jobs still waiting for a slot
+		// give up without running, and running jobs stop at their next
+		// cancellation check (Engine.Close waits for them).
 		fmt.Fprintf(stderr, "lpdag-serve: drain budget exceeded, closing connections: %v\n", err)
 		srv.Close()
 	}

@@ -26,27 +26,34 @@ func (a *Analyzer) CriticalScaling(ctx context.Context, ts *model.TaskSet, maxPe
 	if maxPermille < 1 {
 		return 0, fmt.Errorf("core: invalid maxPermille: %d (must be ≥ 1)", maxPermille)
 	}
-	ok, err := a.scaledSchedulable(ctx, ts, 1)
-	if err != nil {
-		return 0, err
+	return BisectPermille(maxPermille, func(permille int) (bool, error) {
+		return a.scaledSchedulable(ctx, ts, permille)
+	})
+}
+
+// BisectPermille returns the largest permille p in [1, maxPermille]
+// with ok(p), or 0 when ok(1) is false. ok must be monotone: true up to
+// some permille and false beyond it. The search probes 1, then
+// maxPermille, then bisects between them; the first error ends it.
+// CriticalScaling and the session's per-task sensitivity both run it,
+// each after checking its own arguments (maxPermille ≥ 1).
+func BisectPermille(maxPermille int, ok func(permille int) (bool, error)) (int, error) {
+	if yes, err := ok(1); err != nil || !yes {
+		return 0, err // ok(1) is false, or its error
 	}
-	if !ok {
-		return 0, nil // not schedulable even at (essentially) zero WCET
-	}
-	lo, hi := 1, maxPermille // invariant: lo schedulable, hi+1 unknown
-	if ok, err = a.scaledSchedulable(ctx, ts, maxPermille); err != nil {
+	if yes, err := ok(maxPermille); err != nil {
 		return 0, err
-	} else if ok {
+	} else if yes {
 		return maxPermille, nil
 	}
-	// Invariant: schedulable at lo, unschedulable at hi.
+	lo, hi := 1, maxPermille // invariant: ok(lo), !ok(hi)
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		ok, err := a.scaledSchedulable(ctx, ts, mid)
+		yes, err := ok(mid)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
+		if yes {
 			lo = mid
 		} else {
 			hi = mid

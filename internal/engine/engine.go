@@ -1,15 +1,15 @@
 // Package engine is a long-running concurrent analysis service over the
-// lpdag library: a bounded worker pool that executes analyze, simulate
-// and generate jobs, backed by a shared content-addressed cache
-// (internal/engine/cache) so that concurrent and repeated requests for
-// structurally identical task graphs compute the expensive blocking
-// quantities once.
+// lpdag library: analyze, simulate, generate, sweep and session jobs
+// admitted through one slot semaphore of Workers slots, backed by a
+// shared content-addressed cache (internal/engine/cache) so that
+// concurrent and repeated requests for structurally identical task
+// graphs compute the expensive blocking quantities once.
 //
 // The engine is the process-wide singleton behind cmd/lpdag-serve (see
 // server.go for the HTTP front end) but is equally usable embedded: the
-// public methods are synchronous — they enqueue a job, wait for a
-// worker, and return the result — so callers get backpressure for free
-// and can fan out with their own goroutines.
+// public methods are synchronous — each takes a slot, runs its job on
+// the caller's goroutine and returns the result — so callers get
+// backpressure for free and can fan out with their own goroutines.
 package engine
 
 import (
@@ -30,19 +30,15 @@ import (
 
 // Config parameterises an Engine.
 type Config struct {
-	// Workers is the number of concurrent job executors; 0 means
-	// GOMAXPROCS.
+	// Workers is the number of jobs that run at once; 0 means
+	// GOMAXPROCS. Further submitters wait for a slot (or fail when
+	// their context expires), which is the engine's admission control.
 	Workers int
-	// QueueDepth is the pending-job buffer beyond the running workers;
-	// 0 means 4× workers. When the queue is full, Submit blocks (or
-	// fails when the caller's context expires), which is the engine's
-	// admission control.
-	QueueDepth int
 	// CacheEntries bounds the shared µ-table cache (0 =
 	// cache.DefaultMaxEntries). Negative disables caching.
 	CacheEntries int
 	// Obs, when non-nil, is the metric registry the engine instruments
-	// itself into: pool gauges and counters, per-kind job latency
+	// itself into: slot gauges and counters, per-kind job latency
 	// histograms, cache counters, and the analysis-phase trace threaded
 	// down to the rta layer. Nil — the default — means no metrics and
 	// no overhead beyond one nil check per job.
@@ -63,8 +59,8 @@ const (
 	JobSweep
 	// JobSession is one stateful-session operation (create, edit,
 	// admission probe, sensitivity query), submitted by the session
-	// registry so interactive what-if traffic shares the pool's
-	// backpressure with everything else.
+	// registry so interactive what-if traffic shares the engine's
+	// slots with everything else.
 	JobSession
 	numJobKinds
 )
@@ -85,44 +81,26 @@ func (k JobKind) String() string {
 	return fmt.Sprintf("JobKind(%d)", int(k))
 }
 
-// job is one queued unit of work. ctx is the submitter's context: a
-// worker popping a job whose submitter has already given up skips the
-// computation instead of burning a worker on a result nobody reads; the
-// same context is passed into run, so an executing job (a long LP-ILP
-// solve) observes cancellation mid-computation too.
-type job struct {
-	kind JobKind
-	ctx  context.Context
-	run  func(context.Context) (any, error)
-	done chan jobResult
-	enq  time.Time // submit time; set only when metrics are on
-}
-
-type jobResult struct {
-	val any
-	err error
-}
-
 // ErrClosed is returned by job submissions after Close.
 var ErrClosed = fmt.Errorf("engine: closed")
 
 // Engine is the concurrent analysis service. Construct with New; Close
-// drains the queue and stops the workers.
+// refuses new jobs and waits for the admitted ones.
 type Engine struct {
-	cfg  Config
-	memo *cache.Cache // nil when caching is disabled
-	jobs chan *job
-	wg   sync.WaitGroup
+	cfg   Config
+	memo  *cache.Cache   // nil when caching is disabled
+	slots chan struct{}  // one token per running job; capacity Workers
+	wg    sync.WaitGroup // admitted jobs, running or waiting for a slot
 
-	// mu guards closed and, held shared, every send on jobs, so Close
-	// cannot close the channel under an in-flight send.
+	// mu guards closed and, held shared, every wg.Add, so Close's Wait
+	// cannot race an admission.
 	mu     sync.RWMutex
 	closed bool
 
-	queued    int64 // jobs submitted but not yet finished (atomic)
-	served    [numJobKinds]uint64
-	failed    uint64
-	abandoned uint64 // queued jobs skipped: submitter context expired
+	queued    atomic.Int64 // jobs admitted but not yet finished
+	served    [numJobKinds]atomic.Uint64
+	failed    atomic.Uint64
+	abandoned atomic.Uint64 // jobs whose submitter context expired before they ran
 
 	// Observability (nil without Config.Obs): the registry itself (for
 	// the session layer to attach to), the pre-resolved hot-path
@@ -133,40 +111,28 @@ type Engine struct {
 	trace   *obs.Trace
 }
 
-// New starts an Engine with the given configuration.
+// New returns an Engine with the given configuration. It starts no
+// goroutines.
 func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
-	e := &Engine{
-		cfg:  cfg,
-		jobs: make(chan *job, cfg.QueueDepth),
-	}
+	e := &Engine{cfg: cfg, slots: make(chan struct{}, cfg.Workers)}
 	if cfg.CacheEntries >= 0 {
 		e.memo = cache.New(cfg.CacheEntries)
 	}
 	if cfg.Obs != nil {
 		e.registerMetrics(cfg.Obs)
 	}
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
-	}
 	return e
 }
 
-// Close stops accepting jobs, lets queued ones finish (except jobs
-// whose submitter context is already cancelled, which are skipped),
-// and waits for the workers to exit. Safe to call more than once.
+// Close stops accepting jobs and waits for every admitted one: running
+// jobs finish, and jobs still waiting for a slot run too, unless their
+// submitter context expires first. Safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.jobs)
-	}
+	e.closed = true
 	e.mu.Unlock()
 	e.wg.Wait()
 }
@@ -180,15 +146,14 @@ func (e *Engine) Cache() *cache.Cache { return e.memo }
 // scrape covers the whole process.
 func (e *Engine) Obs() *obs.Registry { return e.obsReg }
 
-// Workers returns the configured worker count — the natural bound for
-// callers fanning batches out over the pool.
+// Workers returns the number of job slots — the natural bound for
+// callers fanning batches out over the engine.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // Stats is a point-in-time snapshot of the engine counters.
 type Stats struct {
 	Workers     int         `json:"workers"`
-	QueueDepth  int         `json:"queue_depth"` // jobs in flight or waiting
-	QueueCap    int         `json:"queue_cap"`
+	QueueDepth  int         `json:"queue_depth"` // jobs running or waiting for a slot
 	Analyses    uint64      `json:"analyses"`
 	Simulations uint64      `json:"simulations"`
 	Generations uint64      `json:"generations"`
@@ -207,14 +172,13 @@ func (s Stats) JobsServed() uint64 {
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		Workers:     e.cfg.Workers,
-		QueueDepth:  int(atomic.LoadInt64(&e.queued)),
-		QueueCap:    e.cfg.QueueDepth,
-		Analyses:    atomic.LoadUint64(&e.served[JobAnalyze]),
-		Simulations: atomic.LoadUint64(&e.served[JobSimulate]),
-		Generations: atomic.LoadUint64(&e.served[JobGenerate]),
-		Sweeps:      atomic.LoadUint64(&e.served[JobSweep]),
-		SessionOps:  atomic.LoadUint64(&e.served[JobSession]),
-		Failed:      atomic.LoadUint64(&e.failed),
+		QueueDepth:  int(e.queued.Load()),
+		Analyses:    e.served[JobAnalyze].Load(),
+		Simulations: e.served[JobSimulate].Load(),
+		Generations: e.served[JobGenerate].Load(),
+		Sweeps:      e.served[JobSweep].Load(),
+		SessionOps:  e.served[JobSession].Load(),
+		Failed:      e.failed.Load(),
 	}
 	if e.memo != nil {
 		s.Cache = e.memo.Stats()
@@ -222,74 +186,63 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	m := e.metrics
-	for j := range e.jobs {
-		if err := j.ctx.Err(); err != nil {
-			// Submitter abandoned the job while it was queued (request
-			// cancelled, server shutting down): don't compute.
-			atomic.AddUint64(&e.abandoned, 1)
-			atomic.AddInt64(&e.queued, -1)
-			j.done <- jobResult{err: err}
-			continue
-		}
-		var t0 time.Time
-		if m != nil {
-			m.queueWait.Since(j.enq)
-			t0 = time.Now()
-		}
-		val, err := j.run(j.ctx)
-		if m != nil {
-			m.jobDur[j.kind].Since(t0)
-		}
-		atomic.AddUint64(&e.served[j.kind], 1)
-		if err != nil {
-			atomic.AddUint64(&e.failed, 1)
-		}
-		atomic.AddInt64(&e.queued, -1)
-		j.done <- jobResult{val: val, err: err}
-	}
-}
-
-// submit enqueues fn and waits for its result. It returns ErrClosed
-// after Close, and the context's error if ctx expires while the job is
-// still queued (a running job observes the same context through its
-// argument and aborts at the analysis layer's next cancellation check).
+// submit waits for a slot, runs fn on the caller's goroutine and
+// returns its result once fn returns. It returns ErrClosed after Close,
+// and the context's error if ctx expires before the job got to run; a
+// running job observes the same context through its argument and stops
+// at the analysis layer's next cancellation check.
 func (e *Engine) submit(ctx context.Context, kind JobKind, fn func(context.Context) (any, error)) (any, error) {
-	j := &job{kind: kind, ctx: ctx, run: fn, done: make(chan jobResult, 1)}
-	if e.metrics != nil {
-		j.enq = time.Now()
-	}
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	atomic.AddInt64(&e.queued, 1)
-	select {
-	case e.jobs <- j:
-		e.mu.RUnlock()
-	case <-ctx.Done():
-		e.mu.RUnlock()
-		atomic.AddInt64(&e.queued, -1)
-		return nil, ctx.Err()
+	e.wg.Add(1)
+	e.mu.RUnlock()
+	defer e.wg.Done()
+	e.queued.Add(1)
+	defer e.queued.Add(-1)
+
+	m := e.metrics
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
 	}
 	select {
-	case res := <-j.done:
-		return res.val, res.err
+	case e.slots <- struct{}{}:
+		defer func() { <-e.slots }()
 	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	if err := ctx.Err(); err != nil {
+		// The submitter gave up (request cancelled, server shutting
+		// down) before the job ran: don't compute.
+		e.abandoned.Add(1)
+		return nil, err
+	}
+	if m != nil {
+		m.queueWait.Since(t0)
+		t0 = time.Now()
+	}
+	val, err := fn(ctx)
+	if m != nil {
+		m.jobDur[kind].Since(t0)
+	}
+	e.served[kind].Add(1)
+	if err != nil {
+		e.failed.Add(1)
+	}
+	return val, err
 }
 
-// Submit runs fn as a pooled job of the given kind and returns its
-// result: the exported generic entry point for callers that orchestrate
-// their own work units over the engine's worker pool (the experiment
-// orchestrator submits one JobSweep per sweep point). fn MUST NOT submit
-// further jobs to the same engine — a job waiting on a nested job can
-// deadlock the pool once every worker does it. fn receives the
-// submitter's context and should observe it during long computations.
+// Submit runs fn as a job of the given kind on the caller's goroutine
+// once a slot is free, and returns its result when fn returns: the
+// exported generic entry point for callers that orchestrate their own
+// work units over the engine (the experiment orchestrator submits one
+// JobSweep per sweep point). A cancelled context ends only the wait for
+// a slot; fn receives the same context and should observe it during
+// long computations. fn MUST NOT submit further jobs to the same engine
+// — a job holding a slot while it waits for another can deadlock the
+// engine once every slot does it.
 func (e *Engine) Submit(ctx context.Context, kind JobKind, fn func(context.Context) (any, error)) (any, error) {
 	if kind < 0 || kind >= numJobKinds {
 		return nil, fmt.Errorf("engine: unknown job kind %d", int(kind))
@@ -305,29 +258,22 @@ type AnalyzeSpec struct {
 	FinalNPR bool // Options.FinalNPRRefinement
 }
 
-// Analyze runs the response-time analysis of ts as a pooled job. All
+// Analyze runs the response-time analysis of ts as an engine job. All
 // engine analyses share the content-addressed cache, so concurrent
 // requests for overlapping task sets dedupe the blocking computations,
 // and every job draws warm rta scratch state from core's process-wide
 // pool, whatever its spec. The engine keeps no per-spec state.
 func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpec) (*core.Report, error) {
-	opts := core.Options{
+	a, err := core.New(core.Options{
 		Cores: spec.Cores, Method: spec.Method, Backend: spec.Backend,
 		FinalNPRRefinement: spec.FinalNPR,
 		Cache:              e.memo,
 		Trace:              e.trace,
-	}
-	if err := core.ValidateOptions(opts); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	v, err := e.submit(ctx, JobAnalyze, func(jobCtx context.Context) (any, error) {
-		// Built inside the job, where it stays on the stack; a pointer
-		// captured from outside would be one more allocation per task
-		// set. New cannot fail on the options validated above.
-		a, err := core.New(opts)
-		if err != nil {
-			return nil, err
-		}
 		return a.Analyze(jobCtx, ts)
 	})
 	if err != nil {
@@ -337,11 +283,11 @@ func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpe
 }
 
 // AnalyzeBatch analyzes every (task set, spec) pair, fanning the jobs
-// out over the worker pool and preserving order. Per-item failures are
-// reported in errs; the call itself only fails when ctx expires.
+// out over the engine's slots and preserving order. Per-item failures
+// are reported in errs; the call itself only fails when ctx expires.
 //
 // The fan-out is bounded at the engine's worker count — only that many
-// jobs can execute at once, so goroutine-per-item would buy nothing but
+// jobs can run at once, so goroutine-per-item would buy nothing but
 // stacks (batches can be MaxBatch-sized and arrive MaxInFlight at a
 // time from the HTTP front end).
 func (e *Engine) AnalyzeBatch(ctx context.Context, sets []*model.TaskSet, specs []AnalyzeSpec) (reports []*core.Report, errs []error, err error) {
@@ -361,7 +307,7 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, sets []*model.TaskSet, specs 
 
 // forEachBounded runs fn(0..n-1) on at most bound concurrent
 // goroutines, returning when all calls finished. fn must handle its own
-// cancellation (the engine's job layer does).
+// cancellation (the engine's slot wait does).
 func forEachBounded(n, bound int, fn func(i int)) {
 	if bound > n {
 		bound = n
@@ -391,7 +337,7 @@ type SimulateSpec struct {
 	MaxJobs  int
 }
 
-// Simulate runs the discrete-event scheduler simulator as a pooled job.
+// Simulate runs the discrete-event scheduler simulator as an engine job.
 func (e *Engine) Simulate(ctx context.Context, ts *model.TaskSet, spec SimulateSpec) (*sim.Result, error) {
 	v, err := e.submit(ctx, JobSimulate, func(context.Context) (any, error) {
 		return sim.Run(ts, sim.Config{M: spec.Cores, Duration: spec.Duration, MaxJobs: spec.MaxJobs})
@@ -411,8 +357,8 @@ type GenerateSpec struct {
 	SeqProb     float64
 }
 
-// Generate produces a random task set as a pooled job, deterministic in
-// the spec's seed.
+// Generate produces a random task set as an engine job, deterministic
+// in the spec's seed.
 func (e *Engine) Generate(ctx context.Context, spec GenerateSpec) (*model.TaskSet, error) {
 	v, err := e.submit(ctx, JobGenerate, func(context.Context) (any, error) {
 		params := gen.PaperParams(spec.Group)

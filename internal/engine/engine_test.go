@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,54 +150,111 @@ func TestSubmitAfterClose(t *testing.T) {
 	if err != ErrClosed {
 		t.Fatalf("Analyze after Close = %v, want ErrClosed", err)
 	}
+
+	// Close waits for every admitted job: the one running in the single
+	// slot and the one waiting for it both run before Close returns.
+	e = New(Config{Workers: 1})
+	ctx := context.Background()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var firstDone, secondRan atomic.Bool
+	errs := make(chan error, 2)
+	go func() {
+		_, err := e.Submit(ctx, JobAnalyze, func(context.Context) (any, error) {
+			close(started)
+			<-release
+			firstDone.Store(true)
+			return nil, nil
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, err := e.Submit(ctx, JobAnalyze, func(context.Context) (any, error) {
+			secondRan.Store(true)
+			return nil, nil
+		})
+		errs <- err
+	}()
+	for e.Stats().QueueDepth < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		close(release)
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if !firstDone.Load() || !secondRan.Load() {
+		t.Errorf("after Close: running job done = %v, waiting job ran = %v; want both",
+			firstDone.Load(), secondRan.Load())
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("admitted job failed: %v", err)
+		}
+	}
+	if _, err := e.Submit(ctx, JobAnalyze, func(context.Context) (any, error) {
+		return nil, nil
+	}); err != ErrClosed {
+		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
 }
 
 func TestContextCancelWhileQueued(t *testing.T) {
-	e := testEngine(t, Config{Workers: 1, QueueDepth: 1})
+	e := testEngine(t, Config{Workers: 1})
 	release := make(chan struct{})
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		// Occupy the single worker.
+		// Occupy the single slot.
 		e.submit(context.Background(), JobAnalyze, func(context.Context) (any, error) {
 			<-release
 			return nil, nil
 		})
 	}()
-	// Give the blocker time to reach the worker.
+	// Give the blocker time to take the slot.
 	for e.Stats().QueueDepth == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	// Fill the one-slot queue, then overflow it: both must unblock on
-	// ctx expiry rather than hang.
+	// Both submits wait for the one slot, which the blocker holds until
+	// they are done: each must unblock on ctx expiry rather than hang,
+	// and neither may run.
 	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = e.submit(ctx, JobAnalyze, func(context.Context) (any, error) { return nil, nil })
+			_, errs[i] = e.submit(ctx, JobAnalyze, func(context.Context) (any, error) {
+				t.Error("a submit ran although its context expired while it waited")
+				return nil, nil
+			})
 		}(i)
 	}
 	wg.Wait()
 	close(release)
 	<-blockerDone
 	for i, err := range errs {
-		if err != nil && err != context.DeadlineExceeded {
-			t.Errorf("submit %d: unexpected error %v", i, err)
+		if err != context.DeadlineExceeded {
+			t.Errorf("submit %d: error %v, want %v", i, err, context.DeadlineExceeded)
 		}
-	}
-	if errs[0] == nil && errs[1] == nil {
-		t.Error("at least the overflowed submit should have timed out")
 	}
 }
 
-// TestConcurrentEngineHammer fans many mixed jobs over a small pool;
-// with -race this certifies the pool and the shared cache together.
+// TestConcurrentEngineHammer fans many mixed jobs over a few slots;
+// with -race this certifies the slots and the shared cache together.
 func TestConcurrentEngineHammer(t *testing.T) {
-	e := testEngine(t, Config{Workers: 4, QueueDepth: 2, CacheEntries: 64})
+	e := testEngine(t, Config{Workers: 4, CacheEntries: 64})
 	ctx := context.Background()
 	ts := fixture.TaskSet()
 	var wg sync.WaitGroup

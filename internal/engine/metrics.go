@@ -1,22 +1,18 @@
 package engine
 
-// Metric registration for the engine pool, its cache, and the session
-// registry. Everything the engine already counts for Stats() is
+// Metric registration for the engine's job slots, its cache, and the
+// session registry. Everything the engine already counts for Stats() is
 // re-exported through scrape-time CounterFunc/GaugeFunc readers — no
 // double bookkeeping, no new hot-path writes. The only new hot-path
-// instruments are the two latency histograms (queue wait, job duration
-// by kind), which the worker loop feeds behind a single nil check, and
-// the abandoned-jobs counter (jobs whose submitter gave up while they
-// were queued — the shed/drain signal Stats() never surfaced).
+// instruments are the two latency histograms (slot wait, job duration
+// by kind), which submit feeds behind a single nil check, and the
+// abandoned-jobs counter (jobs whose submitter gave up while they
+// waited for a slot — the shed/drain signal Stats() never surfaced).
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // engineMetrics holds the pre-resolved hot-path series. nil when no
-// registry is configured, which the worker loop checks once per job.
+// registry is configured, which submit checks once per job.
 type engineMetrics struct {
 	queueWait *obs.Histogram
 	jobDur    [numJobKinds]*obs.Histogram
@@ -29,12 +25,10 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	e.trace = obs.NewTrace(r)
 
 	r.Gauge("lpdag_engine_workers",
-		"Configured worker goroutines of the engine pool.").Set(float64(e.cfg.Workers))
-	r.Gauge("lpdag_engine_queue_capacity",
-		"Capacity of the pending-job queue (admission-control bound).").Set(float64(e.cfg.QueueDepth))
+		"Job slots of the engine: the most jobs that run at once.").Set(float64(e.cfg.Workers))
 	r.GaugeFunc("lpdag_engine_queue_depth",
 		"Jobs submitted and not yet finished (running or queued).",
-		func() float64 { return float64(atomic.LoadInt64(&e.queued)) })
+		func() float64 { return float64(e.queued.Load()) })
 
 	m := &engineMetrics{
 		queueWait: r.Histogram("lpdag_engine_queue_wait_seconds",
@@ -45,7 +39,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		k := k
 		r.CounterFunc("lpdag_engine_jobs_total",
 			"Completed jobs by kind.",
-			func() float64 { return float64(atomic.LoadUint64(&e.served[k])) },
+			func() float64 { return float64(e.served[k].Load()) },
 			"kind", k.String())
 		m.jobDur[k] = r.Histogram("lpdag_engine_job_duration_seconds",
 			"Job execution time by kind (excludes queue wait).",
@@ -54,10 +48,10 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	}
 	r.CounterFunc("lpdag_engine_job_failures_total",
 		"Jobs that completed with an error.",
-		func() float64 { return float64(atomic.LoadUint64(&e.failed)) })
+		func() float64 { return float64(e.failed.Load()) })
 	r.CounterFunc("lpdag_engine_jobs_abandoned_total",
 		"Queued jobs skipped because the submitter's context expired first.",
-		func() float64 { return float64(atomic.LoadUint64(&e.abandoned)) })
+		func() float64 { return float64(e.abandoned.Load()) })
 	e.metrics = m
 
 	if c := e.memo; c != nil {

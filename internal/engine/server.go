@@ -11,8 +11,8 @@ package engine
 //
 // Every POST body is capped at ServerConfig.MaxBodyBytes and the number
 // of concurrently served requests at MaxInFlight (excess requests get
-// 503, the caller's signal to back off — the engine's own queue already
-// provides backpressure per job).
+// 503, the caller's signal to back off — the engine's slots already
+// provide backpressure per job).
 //
 // Results and errors are JSON, whatever the Accept header asks for.
 
@@ -925,9 +925,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "count %d exceeds limit %d", req.Count, s.cfg.MaxBatch)
 		return
 	}
-	// Fan the generations out over the worker pool (each is
+	// Fan the generations out over the engine's slots (each is
 	// deterministic in its own derived seed, so order is preserved by
-	// slot, not by completion).
+	// index, not by completion).
 	sets := make([]json.RawMessage, req.Count)
 	errs := make([]error, req.Count)
 	forEachBounded(req.Count, s.eng.Workers(), func(i int) {

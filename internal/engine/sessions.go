@@ -63,17 +63,17 @@ type SessionRegistryConfig struct {
 // allocation, lookup-with-touch, bounded count, and TTL eviction
 // (lazily, on every registry operation — a registry nobody talks to
 // holds only memory, not goroutines). Session operations submitted
-// through Do run on the engine's worker pool as JobSession jobs, so
-// interactive what-if traffic shares the pool's backpressure with batch
-// analyses.
+// through Do run as JobSession jobs in the engine's slots, so
+// interactive what-if traffic shares the engine's backpressure with
+// batch analyses.
 type SessionRegistry struct {
 	eng *Engine
 	cfg SessionRegistryConfig
 
 	// Metrics, resolved from the engine's registry at construction (all
 	// nil when the engine has none). gateWait measures time spent in
-	// Do's per-session serialization gate — queueing invisible to the
-	// pool's own queue-wait histogram.
+	// Do's per-session serialization gate — waiting invisible to the
+	// engine's own slot-wait histogram.
 	created   *obs.Counter
 	expired   *obs.Counter
 	snapshots *obs.Counter
@@ -101,17 +101,18 @@ type sessionEntry struct {
 	// mutex.
 	persisted uint64
 
-	// op serializes this session's pooled operations BEFORE they reach
-	// the worker pool (capacity 1). The session's own mutex would
-	// serialize them too — but inside the pool, where every waiter
-	// pins a worker in an uncancellable mutex sleep; W concurrent ops
-	// on one session must park W-1 request goroutines here instead,
-	// each still honouring its context.
+	// op (capacity 1) serializes this session's jobs BEFORE they take
+	// an engine slot, and is held until the job's function returns.
+	// The session's own mutex would serialize them too — but inside a
+	// slot, where every waiter holds the slot in an uncancellable
+	// mutex sleep; W concurrent ops on one session must park W-1
+	// request goroutines here instead, each still honouring its
+	// context.
 	op chan struct{}
 }
 
 // NewSessionRegistry returns a registry whose session analyses share
-// the engine's cache and worker pool.
+// the engine's cache and job slots.
 func NewSessionRegistry(e *Engine, cfg SessionRegistryConfig) *SessionRegistry {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
@@ -318,12 +319,14 @@ func (r *SessionRegistry) Delete(id string) bool {
 	return ok
 }
 
-// Do resolves the session and runs fn against it as a JobSession job on
-// the engine's worker pool. At most one pooled job per session runs at
-// a time: concurrent operations on the same session queue here, on the
-// caller's goroutine under the caller's context — never inside the
-// pool, where each waiter would pin a worker in an uncancellable mutex
-// sleep and one busy session could starve every other job.
+// Do resolves the session and runs fn against it as a JobSession job in
+// one of the engine's slots. At most one job per session runs at a
+// time: concurrent operations on the same session wait here, on the
+// caller's goroutine under the caller's context — never inside a slot,
+// where each waiter would hold the slot in an uncancellable mutex sleep
+// and one busy session could starve every other job. Do holds the
+// session's gate for the whole job: a caller whose context is cancelled
+// while fn runs returns only when fn does.
 func (r *SessionRegistry) Do(ctx context.Context, id string, fn func(ctx context.Context, s *session.Session) (any, error)) (any, error) {
 	e, err := r.entry(id)
 	if err != nil {

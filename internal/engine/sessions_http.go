@@ -122,8 +122,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The initial analysis solves every graph's µ tables, the largest
-	// cost a session ever pays; run it as a pooled job like every other
-	// session operation so creates share the worker pool's backpressure.
+	// cost a session ever pays; run it as an engine job like every other
+	// session operation so creates share the engine's slots.
 	v, err := s.sessions.Do(r.Context(), id,
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			return sess.Report(ctx)

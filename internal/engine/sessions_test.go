@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,8 +339,9 @@ func TestAnalyzeFinalNPRWire(t *testing.T) {
 // TestSessionDoSerializesOutsidePool pins the registry's per-session
 // gate: while one operation holds a session, a second operation on the
 // SAME session waits on the caller's goroutine under the caller's
-// context — it never reaches the worker pool, and cancelling it
-// returns promptly without running its function.
+// context — it never takes an engine slot, and cancelling it returns
+// promptly without running its function. The gate is held until the
+// first operation's function returns, even after its caller gave up.
 func TestSessionDoSerializesOutsidePool(t *testing.T) {
 	e := engine.New(engine.Config{Workers: 2})
 	defer e.Close()
@@ -393,6 +395,48 @@ func TestSessionDoSerializesOutsidePool(t *testing.T) {
 
 	close(hold)
 	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// A first op whose fn ignores ctx keeps running after its caller's
+	// context is cancelled; a second op on the same session must not
+	// start its fn until the first fn returns.
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	started = make(chan struct{})
+	var running atomic.Bool
+	first := make(chan error, 1)
+	go func() {
+		_, err := reg.Do(ctx1, id, func(context.Context, *session.Session) (any, error) {
+			running.Store(true)
+			close(started)
+			<-release
+			running.Store(false)
+			return nil, nil
+		})
+		first <- err
+	}()
+	<-started
+	cancel1()
+	second := make(chan error, 1)
+	go func() {
+		_, err := reg.Do(context.Background(), id, func(context.Context, *session.Session) (any, error) {
+			if running.Load() {
+				return nil, errors.New("second operation ran while the first was still running")
+			}
+			return nil, nil
+		})
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		close(release)
+		t.Fatalf("second operation returned while the first was still running: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-first
+	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 // The parallel sharded campaign orchestrator: sweeps a grid of
-// (scenario, cores, utilization) points over the engine worker pool.
+// (scenario, cores, utilization) points over the engine's job slots.
 //
 // A campaign's points run on the experiment runner (runner.go): striped
 // into deterministic shards, one engine job per point, so the
@@ -172,7 +172,8 @@ type CampaignConfig struct {
 	// does not supply one (0 = GOMAXPROCS).
 	Workers int
 	// Shards is the number of work stripes the point grid is cut into
-	// (0 = 4× workers, capped at the point count). Sharding never
+	// (0 = the engine's workers, capped at the point count); each stripe
+	// is one goroutine running its points in turn. Sharding never
 	// affects results, only load balance.
 	Shards int
 }
@@ -485,12 +486,11 @@ func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOp
 }
 
 // runCampaignPoint generates and analyzes the task sets of one grid
-// point. It runs inside an engine worker, so the analyses execute inline
-// (submitting nested jobs from a job would deadlock the pool) against
-// the campaign-shared cache. The sets are generated once and each method
-// analyzes them as one ScheduleBatch, so the whole point reuses a single
-// warm rta scratch state per method — the sweep-side half of the
-// "one analyzer per worker" reuse story.
+// point. It runs as one engine job, holding one slot, so the analyses
+// execute inline (submitting nested jobs from a job could deadlock the
+// engine) against the campaign-shared cache. The sets are generated
+// once and each method analyzes them as one ScheduleBatch, so the whole
+// point reuses a single warm rta scratch state per method.
 func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point, memo *cache.Cache) (PointResult, error) {
 	res := PointResult{
 		Index:    pt.Index,

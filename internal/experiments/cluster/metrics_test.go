@@ -59,10 +59,9 @@ var metricsCatalog = []string{
 	"lpdag_engine_job_duration_seconds|histogram|kind|Job execution time by kind (excludes queue wait).",
 	"lpdag_engine_jobs_abandoned_total|counter||Queued jobs skipped because the submitter's context expired first.",
 	"lpdag_engine_jobs_total|counter|kind|Completed jobs by kind.",
-	"lpdag_engine_queue_capacity|gauge||Capacity of the pending-job queue (admission-control bound).",
 	"lpdag_engine_queue_depth|gauge||Jobs submitted and not yet finished (running or queued).",
 	"lpdag_engine_queue_wait_seconds|histogram||Time a job spent queued before a worker picked it up.",
-	"lpdag_engine_workers|gauge||Configured worker goroutines of the engine pool.",
+	"lpdag_engine_workers|gauge||Job slots of the engine: the most jobs that run at once.",
 	"lpdag_http_in_flight|gauge||Requests currently inside the admission semaphore.",
 	"lpdag_http_phase_seconds|histogram|phase,route|Serving time by route and phase: decode (body read, JSON decode, task graphs built), analyze (engine batch), encode (response encode and write).",
 	"lpdag_http_request_duration_seconds|histogram|route|HTTP request latency by route pattern.",

@@ -104,7 +104,7 @@ type CurvePoint struct {
 // Figure2 sweeps the utilization grid and returns one point per
 // utilization. It runs as a campaign of one scenario and one core count
 // over the utilization fractions u/m, so set j of grid point i is
-// fig2Set(cfg, i, j, u) and the analyses run on the engine pool.
+// fig2Set(cfg, i, j, u) and the analyses run on the engine.
 func Figure2(cfg Fig2Config) ([]CurvePoint, error) {
 	us, err := cfg.utilizations()
 	if err != nil {

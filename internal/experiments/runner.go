@@ -4,7 +4,7 @@ package experiments
 // cluster worker's slice of one, the soundness harness and the paper
 // figures — is a list of independent points, each a pure function of
 // its index (seed.go). runPoints is the only code that submits points
-// to the engine pool; Merger is its ordered half, streaming campaign
+// to the engine; Merger is its ordered half, streaming campaign
 // results in index order with progress, and cluster.Run feeds the same
 // Merger from remote shard streams.
 
@@ -19,14 +19,16 @@ import (
 
 // runPoints computes point(ctx, idx[p]) for every position p as one
 // engine.JobSweep, the positions striped into shards (PlanShards; 0 =
-// 4× the engine's workers) — sharding never affects results, only load
-// balance. done(p, v) runs on the caller's goroutine as each point
-// finishes, in completion order. A failed point is skipped; the first
-// failure is returned once every point has finished.
+// the engine's workers). Each shard is one goroutine that runs its
+// points' jobs itself, one after another, so more shards than slots
+// would only wait for slots on more stacks. Sharding never affects
+// results, only load balance. done(p, v) runs on the caller's goroutine
+// as each point finishes, in completion order. A failed point is
+// skipped; the first failure is returned once every point has finished.
 func runPoints[T any](ctx context.Context, eng *engine.Engine, shards int, idx []int,
 	point func(ctx context.Context, i int) (T, error), done func(p int, v T)) error {
 	if shards <= 0 {
-		shards = 4 * eng.Workers()
+		shards = eng.Workers()
 	}
 	type finished struct {
 		p   int

@@ -66,7 +66,7 @@ type SoundnessConfig struct {
 	// UnitSplitEvery runs the FP-ideal unit-split check on every k-th
 	// point (default 1 = all points; raise to trade coverage for time).
 	UnitSplitEvery int
-	// Workers bounds the engine pool (0 = GOMAXPROCS).
+	// Workers bounds the engine's concurrent jobs (0 = GOMAXPROCS).
 	Workers int
 	// MaxViolations caps the number of minimized reproducers collected
 	// (default 8); counting continues past the cap.

@@ -243,9 +243,6 @@ func (a *Analyzer) Reconfigure(cfg Config) error {
 	return nil
 }
 
-// Config returns the analyzer's configuration.
-func (a *Analyzer) Config() Config { return a.cfg }
-
 // Analyze runs the analysis and returns a freshly allocated Result the
 // caller owns. The context cancels long analyses between tasks and
 // between fixed-point chunks.

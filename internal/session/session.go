@@ -293,7 +293,7 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 	if maxPermille < 1 {
 		return 0, fmt.Errorf("session: invalid maxPermille: %d (must be ≥ 1)", maxPermille)
 	}
-	probe := func(permille int) (bool, error) {
+	return core.BisectPermille(maxPermille, func(permille int) (bool, error) {
 		scaled, err := core.ScaleTask(s.tasks[i], permille)
 		if err != nil {
 			return false, err
@@ -305,33 +305,7 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 			return false, err
 		}
 		return rep.Schedulable, nil
-	}
-	ok, err := probe(1)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	if ok, err = probe(maxPermille); err != nil {
-		return 0, err
-	} else if ok {
-		return maxPermille, nil
-	}
-	lo, hi := 1, maxPermille // invariant: lo schedulable, hi not
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		ok, err := probe(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	})
 }
 
 // analyzeLocked analyzes an arbitrary ordering (committed or trial)

@@ -337,7 +337,7 @@ func NewSession(opts Options, tasks ...*Task) (*Session, error) {
 }
 
 // NewSessionRegistry returns a session registry whose analyses share
-// the engine's cache and worker pool.
+// the engine's cache and job slots.
 func NewSessionRegistry(e *Engine, cfg SessionRegistryConfig) *SessionRegistry {
 	return engine.NewSessionRegistry(e, cfg)
 }
@@ -358,11 +358,12 @@ func RestoreSession(snap *SessionSnapshot) (*Session, error) {
 // Service types (see internal/engine): the long-running concurrent
 // analysis engine and its HTTP front end (cmd/lpdag-serve).
 type (
-	// Engine is a bounded worker pool executing analyze/simulate/
-	// generate jobs; its analyses share one content-addressed µ-table
-	// cache.
+	// Engine runs analyze/simulate/generate jobs on their callers'
+	// goroutines, at most Workers at once; its analyses share one
+	// content-addressed µ-table cache.
 	Engine = engine.Engine
-	// EngineConfig sizes an Engine (workers, queue, cache).
+	// EngineConfig sizes an Engine (workers, cache) and wires its
+	// metrics.
 	EngineConfig = engine.Config
 	// EngineStats snapshots the engine's job and cache counters.
 	EngineStats = engine.Stats
@@ -391,7 +392,7 @@ type (
 	CacheStats = cache.Stats
 	// MetricsRegistry collects the process's metric series and writes
 	// Prometheus text exposition. Pass one via EngineConfig.Obs to
-	// instrument an engine (pool, cache, sessions, analysis traces);
+	// instrument an engine (slots, cache, sessions, analysis traces);
 	// its Handler serves GET /metrics. A nil registry disables all
 	// instrumentation at zero cost.
 	MetricsRegistry = obs.Registry
@@ -442,8 +443,8 @@ type (
 	SoundnessViolation = experiments.SoundnessViolation
 )
 
-// RunCampaign executes a sweep campaign over an engine worker pool,
-// streaming per-point results in deterministic index order. Output is
+// RunCampaign executes a sweep campaign on an engine, one job per
+// point, streaming per-point results in deterministic index order. Output is
 // byte-identical for any worker and shard count (see DESIGN.md,
 // "Campaign orchestrator").
 func RunCampaign(cfg CampaignConfig, opts CampaignRunOptions) ([]CampaignPointResult, error) {
