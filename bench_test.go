@@ -380,7 +380,7 @@ func BenchmarkEngineCachedSweep(b *testing.B) { benchEngineSweep(b, 0) }
 func BenchmarkEngineUncachedSweep(b *testing.B) { benchEngineSweep(b, -1) }
 
 // benchCampaignSweep runs one fixed multi-scenario campaign through the
-// sharded orchestrator at a given worker count. Each iteration builds a
+// orchestrator at a given worker count. Each iteration builds a
 // fresh engine (and µ-table cache), so iterations do not feed each
 // other and the serial/parallel comparison is honest.
 func benchCampaignSweep(b *testing.B, workers int) {

@@ -77,10 +77,6 @@ func newRemoteSession(peers []string, opts core.Options, tasks []*model.Task) (*
 	if err != nil {
 		return nil, err
 	}
-	backendWire, err := engine.BackendWire(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	rs := &remoteSession{
 		peers: peers,
 		// Redirects are followed manually: a 307 carries the owner's base
@@ -94,7 +90,7 @@ func newRemoteSession(peers []string, opts core.Options, tasks []*model.Task) (*
 		sleep: time.Sleep,
 	}
 	body := map[string]any{
-		"cores": opts.Cores, "method": methodWire, "backend": backendWire,
+		"cores": opts.Cores, "method": methodWire, "backend": opts.Backend.String(),
 		"final_npr": opts.FinalNPRRefinement,
 	}
 	if len(tasks) > 0 {

@@ -17,7 +17,7 @@
 //
 // The extended campaign orchestrator sweeps scenario families × core
 // counts × utilizations in parallel, streaming results as JSON lines
-// (byte-identical for any -workers / -shards):
+// (byte-identical for any -workers):
 //
 //	lpdag-experiments -campaign -scenarios mixed,wide,deep \
 //	    -ms 4,8,16,32,64 -sets 100 -workers 8 -jsonl out.jsonl -progress
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/experiments/cluster"
 	"repro/internal/obs"
@@ -68,13 +69,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvPath    = fs.String("csv", "", "also write the active sweep as CSV to this file")
 		backend    = fs.String("backend", "combinatorial", "LP-ILP solver: combinatorial | paper-ilp")
 
-		campaign  = fs.Bool("campaign", false, "run the parallel sharded sweep campaign")
+		campaign  = fs.Bool("campaign", false, "run the parallel sweep campaign")
 		ms        = fs.String("ms", "4,8,16", "campaign core counts (comma-separated, up to 64)")
 		ufracs    = fs.String("ufracs", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", "campaign utilizations as fractions of m")
 		scenarios = fs.String("scenarios", "mixed", "campaign scenario families (comma-separated; see -list-scenarios)")
 		listScen  = fs.Bool("list-scenarios", false, "list the scenario registry and exit")
 		workers   = fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 0, "campaign shard count (0 = auto; never affects results)")
 		jsonlPath = fs.String("jsonl", "", "stream campaign results as JSON lines to this file (- = stdout)")
 		resume    = fs.String("resume", "", "resume a campaign from a partial JSONL file (same seed and grid)")
 		progress  = fs.Bool("progress", false, "report campaign progress and ETA on stderr")
@@ -113,14 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go msrv.Serve(mln)
 	}
 
-	var be core.Backend
-	switch *backend {
-	case "combinatorial":
-		be = core.Combinatorial
-	case "paper-ilp":
-		be = core.PaperILP
-	default:
-		fmt.Fprintf(stderr, "lpdag-experiments: unknown backend %q\n", *backend)
+	be, err := engine.ParseBackend(*backend)
+	if err != nil {
+		fmt.Fprintf(stderr, "lpdag-experiments: -backend: %v\n", err)
 		return 2
 	}
 
@@ -147,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		code := runCampaign(campaignArgs{
 			seed: *seed, ms: *ms, ufracs: *ufracs, scenarios: *scenarios,
-			sets: *sets, workers: *workers, shards: *shards, backend: be,
+			sets: *sets, workers: *workers, backend: be,
 			jsonlPath: *jsonlPath, csvPath: *csvPath, resume: *resume,
 			progress: *progress, cluster: *clusterHosts,
 			leaseTimeout: *leaseTimeout, shardRetries: *shardRetries,
@@ -290,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 type campaignArgs struct {
 	seed                  int64
 	ms, ufracs, scenarios string
-	sets, workers, shards int
+	sets, workers         int
 	backend               core.Backend
 	jsonlPath, csvPath    string
 	resume                string
@@ -324,7 +319,7 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 	}
 	cfg := experiments.CampaignConfig{
 		Seed: a.seed, Ms: msList, UFracs: fracs, SetsPerPoint: a.sets,
-		Scenarios: scens, Backend: a.backend, Workers: a.workers, Shards: a.shards,
+		Scenarios: scens, Backend: a.backend, Workers: a.workers,
 	}
 
 	opts := experiments.RunOptions{Obs: a.obs}
@@ -391,7 +386,7 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 		results, err = cluster.Run(cluster.Config{
 			Campaign: cfg, Workers: urls,
 			LeaseTimeout: a.leaseTimeout, MaxShardRetries: a.shardRetries,
-			Shards: a.shards, MaxLeasePoints: a.maxLease,
+			MaxLeasePoints: a.maxLease,
 		}, opts)
 	} else {
 		results, err = experiments.RunCampaign(cfg, opts)

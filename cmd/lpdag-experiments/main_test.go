@@ -96,7 +96,7 @@ func TestCampaignByteIdenticalAcrossWorkers(t *testing.T) {
 	if code := run(append(base, "-workers", "1", "-jsonl", a), &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
-	if code := run(append(base, "-workers", "8", "-shards", "3", "-jsonl", b), &out, &bytes.Buffer{}); code != 0 {
+	if code := run(append(base, "-workers", "8", "-jsonl", b), &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
 	da, err := os.ReadFile(a)
@@ -279,6 +279,7 @@ func TestCampaignBadFlags(t *testing.T) {
 		"bad ms":       {"-campaign", "-ms", "2,x"},
 		"bad ufracs":   {"-campaign", "-ufracs", "0.1,?"},
 		"bad scenario": {"-campaign", "-scenarios", "bogus"},
+		"gone shards":  {"-campaign", "-shards", "3"},
 	} {
 		if code := run(args, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)

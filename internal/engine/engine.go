@@ -9,7 +9,7 @@
 // server.go for the HTTP front end) but is equally usable embedded: the
 // public methods are synchronous — each takes a slot, runs its job on
 // the caller's goroutine and returns the result — so callers get
-// backpressure for free and can fan out with their own goroutines.
+// backpressure for free; FanOut is the one bounded fan-out over them.
 package engine
 
 import (
@@ -283,51 +283,63 @@ func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpe
 }
 
 // AnalyzeBatch analyzes every (task set, spec) pair, fanning the jobs
-// out over the engine's slots and preserving order. Per-item failures
-// are reported in errs; the call itself only fails when ctx expires.
-//
-// The fan-out is bounded at the engine's worker count — only that many
-// jobs can run at once, so goroutine-per-item would buy nothing but
-// stacks (batches can be MaxBatch-sized and arrive MaxInFlight at a
-// time from the HTTP front end).
+// out over the engine's slots (FanOut) and preserving order. Per-item
+// failures are reported in errs; the call itself only fails when ctx
+// expires.
 func (e *Engine) AnalyzeBatch(ctx context.Context, sets []*model.TaskSet, specs []AnalyzeSpec) (reports []*core.Report, errs []error, err error) {
 	if len(sets) != len(specs) {
 		return nil, nil, fmt.Errorf("engine: %d task sets but %d specs", len(sets), len(specs))
 	}
 	reports = make([]*core.Report, len(sets))
 	errs = make([]error, len(sets))
-	forEachBounded(len(sets), e.cfg.Workers, func(i int) {
+	e.FanOut(ctx, len(sets), func(i int) {
 		reports[i], errs[i] = e.Analyze(ctx, sets[i], specs[i])
-	})
+	}, nil)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return nil, nil, ctxErr
 	}
 	return reports, errs, nil
 }
 
-// forEachBounded runs fn(0..n-1) on at most bound concurrent
-// goroutines, returning when all calls finished. fn must handle its own
-// cancellation (the engine's slot wait does).
-func forEachBounded(n, bound int, fn func(i int)) {
-	if bound > n {
-		bound = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < bound; w++ {
-		wg.Add(1)
+// FanOut calls fn(i) for every i in [0, n) on at most Workers
+// goroutines, each taking the next index from a shared counter, so a
+// slow index holds up only its own goroutine; more goroutines than
+// slots would only wait for slots. done(i), when non-nil, runs on the
+// caller's goroutine after fn(i) returns, one call at a time, in
+// completion order. No index is handed out once ctx is done, so the
+// indices left unstarted are a suffix of [0, n), and FanOut then
+// returns ctx's error. It returns only after every started fn has
+// returned. fn must observe ctx itself, as the engine's slot wait does.
+func (e *Engine) FanOut(ctx context.Context, n int, fn, done func(i int)) error {
+	var next atomic.Int64
+	finished := make(chan int) // an index for done, or -1 as a goroutine exits
+	live := min(e.cfg.Workers, n)
+	for range live {
 		go func() {
-			defer wg.Done()
-			for i := range idx {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					break
+				}
 				fn(i)
+				if done != nil {
+					finished <- i
+				}
 			}
+			finished <- -1
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
+	for live > 0 {
+		if i := <-finished; i < 0 {
+			live--
+		} else {
+			done(i)
+		}
 	}
-	close(idx)
-	wg.Wait()
+	if next.Load() < int64(n) {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // SimulateSpec parameterises a simulation job.

@@ -2,9 +2,12 @@ package engine
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/core"
@@ -73,6 +76,124 @@ func TestAnalyzeBatchOrderAndErrors(t *testing.T) {
 	if _, _, err := e.AnalyzeBatch(context.Background(), sets, specs[:2]); err == nil {
 		t.Error("mismatched lengths should fail")
 	}
+}
+
+// TestFanOutProperties drives FanOut over random index counts, slot
+// counts and cancel points, with and without done, n = 0 and
+// n < Workers included: every handed-out index runs exactly once and
+// the handed-out indices are a prefix, never more than Workers run at
+// once, done runs once per run index on the caller's goroutine, and
+// once fn cancels the context its goroutine starts nothing more while
+// each other goroutine starts at most the one index it had already
+// taken. FanOut returns the context's error exactly when it left
+// indices unstarted, and only after every started fn has returned.
+func TestFanOutProperties(t *testing.T) {
+	check := func(nRaw, workersRaw, cancelRaw uint8, withDone bool) bool {
+		n := int(nRaw % 40)
+		workers := int(workersRaw%8) + 1
+		cancelAt := int(cancelRaw) % (n + 1) // n: never cancel
+		e := testEngine(t, Config{Workers: workers, CacheEntries: -1})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+
+		caller := goroutineID()
+		var (
+			mu                                  sync.Mutex
+			runs                                = make([]int, n)
+			active, peak, returned, afterCancel int
+			cancelled                           bool
+		)
+		dones := make([]int, n) // the caller's goroutine alone touches it
+		done := func(i int) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("n=%d workers=%d: done(%d) ran on goroutine %s, caller is %s", n, workers, i, id, caller)
+			}
+			dones[i]++
+		}
+		if !withDone {
+			done = nil
+		}
+		err := e.FanOut(ctx, n, func(i int) {
+			mu.Lock()
+			runs[i]++
+			active++
+			peak = max(peak, active)
+			if cancelled {
+				afterCancel++
+			}
+			mu.Unlock()
+			runtime.Gosched()
+			if i == cancelAt {
+				cancel()
+			}
+			mu.Lock()
+			cancelled = cancelled || i == cancelAt
+			active--
+			returned++
+			mu.Unlock()
+		}, done)
+
+		ok := true
+		fail := func(format string, args ...any) {
+			t.Errorf("n=%d workers=%d cancelAt=%d: "+format, append([]any{n, workers, cancelAt}, args...)...)
+			ok = false
+		}
+		started := 0
+		for i, r := range runs {
+			switch {
+			case r > 1:
+				fail("index %d ran %d times", i, r)
+			case r == 1 && started != i:
+				fail("index %d ran although index %d never did", i, started)
+			case r == 1:
+				started++
+			}
+			if withDone && dones[i] != r {
+				fail("done(%d) ran %d times for %d runs", i, dones[i], r)
+			}
+		}
+		if returned != started {
+			fail("FanOut returned with %d of %d started calls finished", returned, started)
+		}
+		if peak > workers {
+			fail("%d calls ran at once", peak)
+		}
+		if afterCancel > workers-1 {
+			fail("%d indices started after the cancel", afterCancel)
+		}
+		if wantErr := started < n; (err != nil) != wantErr || (wantErr && err != context.Canceled) {
+			fail("FanOut = %v with %d of %d started", err, started, n)
+		}
+		if cancelAt == n && started != n {
+			fail("uncancelled run started %d of %d indices", started, n)
+		}
+		return ok
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// The edges quick may not draw: nothing to do, fewer indices than
+	// slots, and one slot cancelled by its first index.
+	for _, c := range [][3]uint8{{0, 3, 0}, {2, 7, 2}, {3, 0, 0}} {
+		for _, withDone := range []bool{true, false} {
+			if !check(c[0], c[1], c[2], withDone) {
+				t.Fatalf("case %v (done given: %v) failed", c, withDone)
+			}
+		}
+	}
+	e := testEngine(t, Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := e.FanOut(ctx, 5, func(i int) { t.Errorf("index %d started under a done context", i) }, nil); err != context.Canceled {
+		t.Errorf("FanOut under a done context = %v, want %v", err, context.Canceled)
+	}
+}
+
+// goroutineID returns the running goroutine's id from its stack header
+// ("goroutine 18 [running]: ...").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
 func TestGenerateDeterministic(t *testing.T) {

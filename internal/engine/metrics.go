@@ -27,12 +27,12 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 	r.Gauge("lpdag_engine_workers",
 		"Job slots of the engine: the most jobs that run at once.").Set(float64(e.cfg.Workers))
 	r.GaugeFunc("lpdag_engine_queue_depth",
-		"Jobs submitted and not yet finished (running or queued).",
+		"Jobs submitted and not yet finished (running or waiting for a slot).",
 		func() float64 { return float64(e.queued.Load()) })
 
 	m := &engineMetrics{
 		queueWait: r.Histogram("lpdag_engine_queue_wait_seconds",
-			"Time a job spent queued before a worker picked it up.",
+			"Time a job waited for an engine slot before it ran.",
 			obs.LatencyBuckets),
 	}
 	for k := JobKind(0); k < numJobKinds; k++ {
@@ -50,7 +50,7 @@ func (e *Engine) registerMetrics(r *obs.Registry) {
 		"Jobs that completed with an error.",
 		func() float64 { return float64(e.failed.Load()) })
 	r.CounterFunc("lpdag_engine_jobs_abandoned_total",
-		"Queued jobs skipped because the submitter's context expired first.",
+		"Jobs not run because the submitter's context expired while they waited for a slot.",
 		func() float64 { return float64(e.abandoned.Load()) })
 	e.metrics = m
 

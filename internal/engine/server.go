@@ -414,18 +414,6 @@ func ParseBackend(s string) (core.Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (want combinatorial | paper-ilp)", s)
 }
 
-// BackendWire renders a core.Backend in the wire spelling ParseBackend
-// accepts (the String form capitalises for display).
-func BackendWire(b core.Backend) (string, error) {
-	switch b {
-	case core.Combinatorial:
-		return "combinatorial", nil
-	case core.PaperILP:
-		return "paper-ilp", nil
-	}
-	return "", fmt.Errorf("engine: backend %v has no wire spelling", b)
-}
-
 // analyzeItem is one batch element: a task set plus optional per-request
 // overrides of the top-level defaults. Its wire form is
 // {"taskset", "cores", "method", "backend", "final_npr"}; the set is
@@ -930,7 +918,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// index, not by completion).
 	sets := make([]json.RawMessage, req.Count)
 	errs := make([]error, req.Count)
-	forEachBounded(req.Count, s.eng.Workers(), func(i int) {
+	fanErr := s.eng.FanOut(r.Context(), req.Count, func(i int) {
 		ts, err := s.eng.Generate(r.Context(), GenerateSpec{
 			Seed: req.Seed + int64(i), Group: group,
 			Utilization: req.Utilization, Tasks: req.Tasks, SeqProb: req.SeqProb,
@@ -940,8 +928,9 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sets[i], errs[i] = ts.MarshalJSON()
-	})
-	for _, err := range errs {
+	}, nil)
+	// The indices FanOut never handed out failed with its error.
+	for _, err := range append(errs, fanErr) {
 		if err != nil {
 			s.writeError(w, statusForJobError(err), "generate: %v", err)
 			return

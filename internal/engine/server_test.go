@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -360,6 +361,17 @@ func TestGenerateAnalyzePipeline(t *testing.T) {
 
 	if w := post(t, h, "/v1/generate", `{"group": "no-such-group"}`); w.Code != http.StatusBadRequest {
 		t.Errorf("bad group: status %d, want 400", w.Code)
+	}
+
+	// A client gone before any set is handed out gets the job-error
+	// status, not a 200 with null sets.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/generate", strings.NewReader(genBody)).WithContext(ctx)
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "context canceled") {
+		t.Errorf("cancelled generate: status %d: %s, want 400 context canceled", w.Code, w.Body)
 	}
 }
 

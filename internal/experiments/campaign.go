@@ -1,17 +1,17 @@
 package experiments
 
-// The parallel sharded campaign orchestrator: sweeps a grid of
-// (scenario, cores, utilization) points over the engine's job slots.
+// The parallel campaign orchestrator: sweeps a grid of (scenario,
+// cores, utilization) points over the engine's job slots.
 //
-// A campaign's points run on the experiment runner (runner.go): striped
-// into deterministic shards, one engine job per point, so the
-// concurrency is the engine's worker count while every analysis of a
-// campaign shares the engine's µ-table cache. Each task set's RNG seed
-// derives from (campaign seed, point index, set index) alone (see
-// seed.go), so campaign output is bit-identical regardless of shard
-// count and worker count; the Merger reorders finished points back into
-// index order before writing, which keeps the JSONL and CSV streams
-// byte-stable too.
+// A campaign's points run on the experiment runner (runner.go): one
+// engine job per point, pulled in index order by the engine's workers,
+// so the concurrency is the engine's worker count while every analysis
+// of a campaign shares the engine's µ-table cache. Each task set's RNG
+// seed derives from (campaign seed, point index, set index) alone (see
+// seed.go), so campaign output is bit-identical regardless of worker
+// count and completion order; the Merger reorders finished points back
+// into index order before writing, which keeps the JSONL and CSV
+// streams byte-stable too.
 
 import (
 	"context"
@@ -169,13 +169,8 @@ type CampaignConfig struct {
 	Methods      []core.Method // analysis methods (default all three)
 	Backend      core.Backend
 	// Workers sizes the engine the campaign creates when RunOptions
-	// does not supply one (0 = GOMAXPROCS).
+	// does not supply one (0 = GOMAXPROCS). It never affects results.
 	Workers int
-	// Shards is the number of work stripes the point grid is cut into
-	// (0 = the engine's workers, capped at the point count); each stripe
-	// is one goroutine running its points in turn. Sharding never
-	// affects results, only load balance.
-	Shards int
 }
 
 // normalized fills defaults and validates; it returns a copy.
@@ -238,31 +233,6 @@ func (c CampaignConfig) Points() ([]Point, error) {
 		}
 	}
 	return pts, nil
-}
-
-// PlanShards partitions the point indices 0..points-1 into at most
-// shards stripes: shard s holds indices s, s+S, s+2S, … Striping
-// interleaves the cheap low-utilization points with the expensive
-// high-utilization ones, so shards are naturally load-balanced. The
-// result is always a partition: every index appears in exactly one
-// shard, and empty shards are dropped.
-func PlanShards(points, shards int) [][]int {
-	if points <= 0 {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > points {
-		shards = points
-	}
-	out := make([][]int, shards)
-	for s := range out {
-		for i := s; i < points; i += shards {
-			out[s] = append(out[s], i)
-		}
-	}
-	return out
 }
 
 // PointResult is the outcome at one grid point: the schedulable count
@@ -480,7 +450,7 @@ func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOp
 		defer eng.Close()
 	}
 	memo := eng.Cache()
-	return runPoints(ctx, eng, cfg.Shards, idx, func(ctx context.Context, i int) (PointResult, error) {
+	return runPoints(ctx, eng, idx, func(ctx context.Context, i int) (PointResult, error) {
 		return runCampaignPoint(ctx, cfg, points[i], memo)
 	}, done)
 }

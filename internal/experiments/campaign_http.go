@@ -44,7 +44,6 @@ type CampaignRequest struct {
 	Scenarios    []string  `json:"scenarios,omitempty"`
 	Methods      []string  `json:"methods,omitempty"`
 	Backend      string    `json:"backend,omitempty"`
-	Shards       int       `json:"shards,omitempty"`
 }
 
 // CampaignHandler serves POST /v1/campaign on the given engine.
@@ -104,7 +103,6 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 		Ms:           req.Ms,
 		UFracs:       req.UFracs,
 		SetsPerPoint: req.SetsPerPoint,
-		Shards:       req.Shards,
 	}
 	for _, m := range req.Ms {
 		if err := engine.CheckCores(m); err != nil {
@@ -150,7 +148,6 @@ func (c CampaignConfig) WireRequest() (CampaignRequest, error) {
 		Ms:           c.Ms,
 		UFracs:       c.UFracs,
 		SetsPerPoint: c.SetsPerPoint,
-		Shards:       0, // worker-local load balancing is the worker's business
 	}
 	for _, sc := range c.Scenarios {
 		reg, err := ScenarioByName(sc.Name)

@@ -91,6 +91,7 @@ func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 		"huge cores":       `{"ms":[65]}`,
 		"too many sets":    `{"sets_per_point":100000}`,
 		"unknown field":    `{"bogus":1}`,
+		"retired shards":   `{"shards":2}`,
 	} {
 		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
 		if err != nil {

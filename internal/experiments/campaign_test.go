@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"bufio"
+	"context"
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // tinyCampaign is a campaign small enough for unit tests but with a
@@ -146,15 +151,13 @@ func TestRunCampaignStreamsAndResults(t *testing.T) {
 
 // TestCampaignByteIdenticalAcrossWorkersAndShards is the core
 // determinism contract: same campaign seed ⇒ byte-identical JSONL and
-// CSV regardless of worker count and shard count.
+// CSV regardless of worker count. (The shard knob it also varied is
+// gone; the name stays so the test's identity does.)
 func TestCampaignByteIdenticalAcrossWorkersAndShards(t *testing.T) {
-	type variant struct{ workers, shards int }
-	variants := []variant{{1, 1}, {1, 5}, {4, 1}, {4, 3}, {8, 16}}
 	var refJSONL, refCSV string
-	for i, v := range variants {
+	for i, workers := range []int{1, 2, 3, 4, 8} {
 		cfg := tinyCampaign()
-		cfg.Workers = v.workers
-		cfg.Shards = v.shards
+		cfg.Workers = workers
 		var jsonl, csv strings.Builder
 		if _, err := RunCampaign(cfg, RunOptions{JSONL: &jsonl, CSV: &csv}); err != nil {
 			t.Fatal(err)
@@ -164,12 +167,81 @@ func TestCampaignByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			continue
 		}
 		if jsonl.String() != refJSONL {
-			t.Fatalf("workers=%d shards=%d: JSONL differs from workers=1 shards=1", v.workers, v.shards)
+			t.Fatalf("workers=%d: JSONL differs from workers=1", workers)
 		}
 		if csv.String() != refCSV {
-			t.Fatalf("workers=%d shards=%d: CSV differs from workers=1 shards=1", v.workers, v.shards)
+			t.Fatalf("workers=%d: CSV differs from workers=1", workers)
 		}
 	}
+}
+
+// TestCampaignCancelStopsSubmitting cancels a 20-point campaign from
+// its first progress report: the run fails with an error wrapping
+// context.Canceled, the JSONL it wrote is a contiguous prefix of the
+// grid, and the runner stops handing out points instead of submitting
+// every one left, so at most one point per slot ends up counted in
+// lpdag_engine_jobs_abandoned_total.
+func TestCampaignCancelStopsSubmitting(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		reg := obs.NewRegistry()
+		eng := engine.New(engine.Config{Workers: workers, Obs: reg})
+		cfg := CampaignConfig{
+			Seed:         5,
+			Ms:           []int{2, 4},
+			UFracs:       []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
+			SetsPerPoint: 1,
+			Workers:      workers,
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var jsonl strings.Builder
+		_, err := RunCampaign(cfg, RunOptions{
+			Context:    ctx,
+			Engine:     eng,
+			JSONL:      &jsonl,
+			OnProgress: func(Progress) { cancel() },
+		})
+		cancel()
+		eng.Close()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled campaign returned %v, want an error wrapping %v", workers, err, context.Canceled)
+		}
+		prefix, err := ReadCampaignJSONL(strings.NewReader(jsonl.String()))
+		if err != nil {
+			t.Fatalf("workers=%d: written JSONL: %v", workers, err)
+		}
+		for i, pr := range prefix {
+			if pr.Index != i {
+				t.Fatalf("workers=%d: JSONL line %d holds point %d, want a contiguous prefix", workers, i, pr.Index)
+			}
+		}
+		if len(prefix) == 20 {
+			t.Errorf("workers=%d: all 20 points written although the run was cancelled", workers)
+		}
+		if got := scrapeCounter(t, reg, "lpdag_engine_jobs_abandoned_total"); got > float64(workers) {
+			t.Errorf("workers=%d: %v jobs abandoned, want at most %d", workers, got, workers)
+		}
+	}
+}
+
+// scrapeCounter reads an unlabelled series from reg's text exposition.
+func scrapeCounter(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(strings.NewReader(sb.String()))
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s not exposed", name)
+	return 0
 }
 
 // TestCampaignResume: feeding a prefix of a previous run's JSONL back as
@@ -314,18 +386,6 @@ func TestScenarioNPRTransforms(t *testing.T) {
 	}
 	if coarseNodes > baseNodes {
 		t.Errorf("coarsening grew the node count: %d > %d", coarseNodes, baseNodes)
-	}
-}
-
-func TestPlanShardsEdgeCases(t *testing.T) {
-	if got := PlanShards(0, 4); got != nil {
-		t.Errorf("PlanShards(0,4) = %v, want nil", got)
-	}
-	if got := PlanShards(3, 0); len(got) != 1 || len(got[0]) != 3 {
-		t.Errorf("PlanShards(3,0) = %v, want one shard of 3", got)
-	}
-	if got := PlanShards(3, 10); len(got) != 3 {
-		t.Errorf("PlanShards(3,10) has %d shards, want 3", len(got))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package cluster fans a sweep campaign out across machines: a
 // coordinator splits the campaign's point grid into shard leases
-// (reusing the experiments shard planner) and dispatches them to remote
+// (striped by planShards) and dispatches them to remote
 // lpdag-serve workers over POST /v1/shard, merging the streamed JSONL
 // shard results back in index order.
 //
@@ -50,8 +50,8 @@ const (
 // Config parameterises a cluster campaign run.
 type Config struct {
 	// Campaign is the campaign to run. Scenarios must be registry
-	// entries (the wire protocol names them); Workers/Shards fields of
-	// the campaign are worker-local knobs and are not shipped.
+	// entries (the wire protocol names them); the campaign's Workers
+	// field is a worker-local knob and is not shipped.
 	Campaign experiments.CampaignConfig
 	// Workers are the base URLs of the lpdag-serve worker nodes, e.g.
 	// "http://host1:8080". At least one is required.
@@ -70,14 +70,12 @@ type Config struct {
 	// WorkerFailLimit excludes a worker after this many consecutive
 	// failures; 0 means DefaultWorkerFailLimit.
 	WorkerFailLimit int
-	// Shards is the lease granularity (0 = 4 × len(Workers), capped at
-	// the remaining point count). More shards mean finer failover
-	// rebalancing; shard count never affects output bytes.
-	Shards int
 	// MaxLeasePoints caps the points of one lease; 0 means
 	// DefaultMaxShardPoints (the workers' default admission limit).
-	// Set it to the smallest -max-shard-points across the cluster —
-	// the shard count is raised as needed so no lease exceeds it.
+	// Set it to the smallest -max-shard-points across the cluster.
+	// The coordinator plans 4 × len(Workers) leases, capped at the
+	// remaining point count, and more where that would exceed the cap;
+	// the lease plan never affects output bytes.
 	MaxLeasePoints int
 }
 
@@ -120,31 +118,16 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 		return nil, err
 	}
 
-	shardCount := cfg.Shards
-	if shardCount <= 0 {
-		shardCount = 4 * len(cfg.Workers)
-	}
-	// Never plan a lease the workers would refuse to admit: striping
-	// makes shard sizes differ by at most one, so this shard count
-	// keeps every lease within the cap.
+	// Four leases per worker, for failover rebalancing, and never a
+	// lease the workers would refuse to admit: striping makes shard
+	// sizes differ by at most one, so enough shards keep every lease
+	// within the cap.
 	maxLease := cfg.MaxLeasePoints
 	if maxLease <= 0 {
 		maxLease = DefaultMaxShardPoints
 	}
-	if min := (len(remaining) + maxLease - 1) / maxLease; shardCount < min {
-		shardCount = min
-	}
-	// PlanShards stripes positions; map them back to point indices. The
-	// stripes of an ascending list are ascending, as the wire requires.
-	var shards [][]int
-	for _, positions := range experiments.PlanShards(len(remaining), shardCount) {
-		pts := make([]int, len(positions))
-		for i, p := range positions {
-			pts[i] = remaining[p]
-		}
-		shards = append(shards, pts)
-	}
-	tracker := NewTracker(shards, cfg.MaxShardRetries)
+	shardCount := max(4*len(cfg.Workers), (len(remaining)+maxLease-1)/maxLease)
+	tracker := NewTracker(planShards(remaining, shardCount), cfg.MaxShardRetries)
 	tracker.Instrument(opts.Obs)
 
 	// A context watcher aborts the tracker so worker loops blocked in

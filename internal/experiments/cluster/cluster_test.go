@@ -100,9 +100,8 @@ func TestClusterEndToEndWorkerDeath(t *testing.T) {
 	var jb, cb bytes.Buffer
 	results, err := Run(Config{
 		Campaign:     cfg,
-		Workers:      urls,
+		Workers:      urls, // four leases each, so the kill lands mid-campaign
 		LeaseTimeout: 3 * time.Second,
-		Shards:       12, // several leases per worker, so the kill lands mid-campaign
 	}, experiments.RunOptions{
 		JSONL: &jb,
 		CSV:   &cb,
@@ -178,7 +177,6 @@ func TestClusterDrainingWorker(t *testing.T) {
 		Campaign:     cfg,
 		Workers:      []string{w0.ts.URL, w1.ts.URL},
 		LeaseTimeout: 3 * time.Second,
-		Shards:       8,
 	}, experiments.RunOptions{
 		JSONL: &jb,
 		OnProgress: func(p experiments.Progress) {
@@ -225,15 +223,16 @@ func TestClusterResume(t *testing.T) {
 	}
 }
 
-// TestClusterLeaseCapRespected pins the admission-cap interplay: even
-// when the requested shard count would produce leases larger than the
-// workers' -max-shard-points limit, the coordinator raises the shard
-// count instead of dispatching leases every worker rejects.
+// TestClusterLeaseCapRespected pins the admission-cap interplay: when
+// the default lease plan (four leases per worker) would produce leases
+// larger than the workers' -max-shard-points limit, the coordinator
+// raises the lease count instead of dispatching leases every worker
+// rejects.
 func TestClusterLeaseCapRespected(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/shard", NewWorkerHandler(eng, WorkerConfig{MaxPoints: 2, Heartbeat: 100 * time.Millisecond}))
+	mux.Handle("/v1/shard", NewWorkerHandler(eng, WorkerConfig{MaxPoints: 1, Heartbeat: 100 * time.Millisecond}))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
@@ -249,8 +248,7 @@ func TestClusterLeaseCapRespected(t *testing.T) {
 		Campaign:       cfg,
 		Workers:        []string{ts.URL},
 		LeaseTimeout:   3 * time.Second,
-		Shards:         1, // would be one 8-point lease without the cap
-		MaxLeasePoints: 2,
+		MaxLeasePoints: 1, // four 2-point leases without the cap
 	}, experiments.RunOptions{JSONL: &jb})
 	if err != nil {
 		t.Fatalf("capped cluster run: %v", err)
@@ -335,6 +333,10 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	}
 	if w := post(`{"campaign": {"scenarios": ["no-such"]}, "points": [0]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("unknown scenario: status %d, want 400", w.Code)
+	}
+	if w := post(`{"campaign": {"seed": 1, "shards": 2}, "points": [0]}`); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), "unknown field") {
+		t.Errorf("retired shards field: status %d (%s), want 400 unknown field", w.Code, w.Body)
 	}
 	if w := post(`{"campaign": {"seed": 1}, "points": [3,1]}`); w.Code != http.StatusOK {
 		t.Errorf("descending points: status %d, want 200 (stream with error line)", w.Code)
@@ -444,7 +446,6 @@ func TestClusterBinaryLeaseByteIdentical(t *testing.T) {
 			Workers:      []string{w1.ts.URL, w2.ts.URL},
 			Client:       &http.Client{Transport: acceptTransport(accept)},
 			LeaseTimeout: 3 * time.Second,
-			Shards:       8,
 		}, experiments.RunOptions{JSONL: &jb, CSV: &cb})
 		if err != nil {
 			t.Fatalf("cluster run: %v", err)

@@ -1,7 +1,7 @@
 package cluster
 
 // The coordinator's lease state machine. A campaign's remaining points
-// are partitioned into shards (experiments.PlanShards); each shard is
+// are partitioned into shards (planShards); each shard is
 // leased to at most one worker at a time, shrinks as the worker streams
 // point results back (Progress), and is either completed or failed and
 // requeued with its remaining points. Requeues from genuine failures
@@ -78,6 +78,27 @@ func NewTracker(shards [][]int, maxRetries int) *Tracker {
 		t.pending = append(t.pending, i)
 	}
 	return t
+}
+
+// planShards partitions the point indices pts into at most shards
+// stripes: shard s holds pts[s], pts[s+S], pts[s+2S], … Striping
+// interleaves the cheap low-utilization points with the expensive
+// high-utilization ones, so shards are naturally load-balanced, and the
+// stripes of an ascending list are ascending, as the wire requires. The
+// result is always a partition: every index appears in exactly one
+// shard, and empty shards are dropped.
+func planShards(pts []int, shards int) [][]int {
+	if len(pts) == 0 {
+		return nil
+	}
+	shards = max(1, min(shards, len(pts)))
+	out := make([][]int, shards)
+	for s := range out {
+		for i := s; i < len(pts); i += shards {
+			out[s] = append(out[s], pts[i])
+		}
+	}
+	return out
 }
 
 // Instrument publishes the tracker's lease flow in reg (nil = no-op):

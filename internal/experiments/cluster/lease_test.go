@@ -246,3 +246,97 @@ func TestLeaseTrackerPartialRequeue(t *testing.T) {
 		t.Error("all points streamed: tracker should be done")
 	}
 }
+
+// stripePoints returns n strictly increasing point indices unequal to
+// their positions, so a plan that mixes the two up shows.
+func stripePoints(n int) []int {
+	pts := make([]int, n)
+	for i := range pts {
+		pts[i] = 3*i + 1
+	}
+	return pts
+}
+
+// TestPlanShardsIsPartition: for arbitrary (points, shards), planShards
+// yields a partition of the point list — every index in exactly one
+// shard, each shard ascending, no shard empty, shard count
+// min(shards, points) clamped to at least one.
+func TestPlanShardsIsPartition(t *testing.T) {
+	f := func(pointsRaw uint16, shardsRaw int8) bool {
+		points := int(pointsRaw % 600)
+		shards := int(shardsRaw) // may be negative or zero: planner clamps
+		pts := stripePoints(points)
+		plan := planShards(pts, shards)
+		if points == 0 {
+			return plan == nil
+		}
+		wantShards := shards
+		if wantShards < 1 {
+			wantShards = 1
+		}
+		if wantShards > points {
+			wantShards = points
+		}
+		if len(plan) != wantShards {
+			return false
+		}
+		seen := make(map[int]int, points)
+		for _, shard := range plan {
+			if len(shard) == 0 {
+				return false
+			}
+			for k, idx := range shard {
+				if k > 0 && idx <= shard[k-1] {
+					return false
+				}
+				seen[idx]++
+			}
+		}
+		if len(seen) != points {
+			return false
+		}
+		for _, idx := range pts {
+			if seen[idx] != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlanShardsBalanced: stripe sizes differ by at most one.
+func TestPlanShardsBalanced(t *testing.T) {
+	f := func(pointsRaw uint16, shardsRaw uint8) bool {
+		points := int(pointsRaw%600) + 1
+		shards := int(shardsRaw%32) + 1
+		plan := planShards(stripePoints(points), shards)
+		min, max := points, 0
+		for _, shard := range plan {
+			if len(shard) < min {
+				min = len(shard)
+			}
+			if len(shard) > max {
+				max = len(shard)
+			}
+		}
+		return max-min <= 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPlanShardsEdgeCases(t *testing.T) {
+	if got := planShards(nil, 4); got != nil {
+		t.Errorf("planShards(nil, 4) = %v, want nil", got)
+	}
+	if got := planShards(stripePoints(3), 0); len(got) != 1 || len(got[0]) != 3 {
+		t.Errorf("planShards(3 points, 0) = %v, want one shard of 3", got)
+	}
+	if got := planShards(stripePoints(3), 10); len(got) != 3 {
+		t.Errorf("planShards(3 points, 10) has %d shards, want 3", len(got))
+	}
+}

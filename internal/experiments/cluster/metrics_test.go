@@ -57,10 +57,10 @@ var metricsCatalog = []string{
 	"lpdag_cluster_shards_served_total|counter||Shard leases this worker finished (completed or failed).",
 	"lpdag_engine_job_failures_total|counter||Jobs that completed with an error.",
 	"lpdag_engine_job_duration_seconds|histogram|kind|Job execution time by kind (excludes queue wait).",
-	"lpdag_engine_jobs_abandoned_total|counter||Queued jobs skipped because the submitter's context expired first.",
+	"lpdag_engine_jobs_abandoned_total|counter||Jobs not run because the submitter's context expired while they waited for a slot.",
 	"lpdag_engine_jobs_total|counter|kind|Completed jobs by kind.",
-	"lpdag_engine_queue_depth|gauge||Jobs submitted and not yet finished (running or queued).",
-	"lpdag_engine_queue_wait_seconds|histogram||Time a job spent queued before a worker picked it up.",
+	"lpdag_engine_queue_depth|gauge||Jobs submitted and not yet finished (running or waiting for a slot).",
+	"lpdag_engine_queue_wait_seconds|histogram||Time a job waited for an engine slot before it ran.",
 	"lpdag_engine_workers|gauge||Job slots of the engine: the most jobs that run at once.",
 	"lpdag_http_in_flight|gauge||Requests currently inside the admission semaphore.",
 	"lpdag_http_phase_seconds|histogram|phase,route|Serving time by route and phase: decode (body read, JSON decode, task graphs built), analyze (engine batch), encode (response encode and write).",
@@ -254,7 +254,6 @@ func TestClusterScrapeDuringCampaign(t *testing.T) {
 	_, err := Run(Config{
 		Campaign: cfg,
 		Workers:  urls,
-		Shards:   8,
 	}, experiments.RunOptions{
 		Context: context.Background(),
 		Obs:     coordReg,

@@ -18,48 +18,36 @@ import (
 )
 
 // runPoints computes point(ctx, idx[p]) for every position p as one
-// engine.JobSweep, the positions striped into shards (PlanShards; 0 =
-// the engine's workers). Each shard is one goroutine that runs its
-// points' jobs itself, one after another, so more shards than slots
-// would only wait for slots on more stacks. Sharding never affects
-// results, only load balance. done(p, v) runs on the caller's goroutine
-// as each point finishes, in completion order. A failed point is
-// skipped; the first failure is returned once every point has finished.
-func runPoints[T any](ctx context.Context, eng *engine.Engine, shards int, idx []int,
+// engine.JobSweep, the positions pulled in order from a shared counter
+// by at most eng.Workers() goroutines (engine.FanOut), so an expensive
+// point delays only its own goroutine. done(p, v) runs on the caller's goroutine as
+// each point finishes, in completion order. A failed point is skipped;
+// the first failure is returned once every started point has finished.
+// Once ctx is done no point starts, and the points never started fail
+// with ctx's error.
+func runPoints[T any](ctx context.Context, eng *engine.Engine, idx []int,
 	point func(ctx context.Context, i int) (T, error), done func(p int, v T)) error {
-	if shards <= 0 {
-		shards = eng.Workers()
-	}
-	type finished struct {
-		p   int
-		v   T
-		err error
-	}
-	out := make(chan finished)
-	for _, stripe := range PlanShards(len(idx), shards) {
-		go func() {
-			for _, p := range stripe {
-				v, err := eng.Submit(ctx, engine.JobSweep, func(jobCtx context.Context) (any, error) {
-					return point(jobCtx, idx[p])
-				})
-				f := finished{p: p, err: err}
-				if err == nil {
-					f.v = v.(T)
-				}
-				out <- f
-			}
-		}()
-	}
+	vals := make([]T, len(idx))
+	errs := make([]error, len(idx))
 	var first error
-	for range idx {
-		f := <-out
-		if f.err != nil {
-			if first == nil {
-				first = fmt.Errorf("experiments: point %d: %w", idx[f.p], f.err)
-			}
-			continue
+	if err := eng.FanOut(ctx, len(idx), func(p int) {
+		v, err := eng.Submit(ctx, engine.JobSweep, func(jobCtx context.Context) (any, error) {
+			return point(jobCtx, idx[p])
+		})
+		if err == nil {
+			vals[p] = v.(T)
 		}
-		done(f.p, f.v)
+		errs[p] = err
+	}, func(p int) {
+		if errs[p] != nil {
+			if first == nil {
+				first = fmt.Errorf("experiments: point %d: %w", idx[p], errs[p])
+			}
+			return
+		}
+		done(p, vals[p])
+	}); err != nil && first == nil {
+		first = fmt.Errorf("experiments: %w", err)
 	}
 	return first
 }
@@ -72,7 +60,7 @@ func sweep[T any](eng *engine.Engine, n int, point func(ctx context.Context, i i
 		idx[i] = i
 	}
 	out := make([]T, n)
-	if err := runPoints(context.Background(), eng, 0, idx, point, func(p int, v T) { out[p] = v }); err != nil {
+	if err := runPoints(context.Background(), eng, idx, point, func(p int, v T) { out[p] = v }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -415,8 +415,7 @@ func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Experiment-orchestration types (see internal/experiments): the
-// parallel sharded campaign sweeps and the differential soundness
-// harness.
+// parallel campaign sweeps and the differential soundness harness.
 type (
 	// CampaignConfig describes a sweep campaign: the cartesian grid
 	// Scenarios × Ms × UFracs with SetsPerPoint task sets per point.
@@ -444,9 +443,10 @@ type (
 )
 
 // RunCampaign executes a sweep campaign on an engine, one job per
-// point, streaming per-point results in deterministic index order. Output is
-// byte-identical for any worker and shard count (see DESIGN.md,
-// "Campaign orchestrator").
+// point, the engine's workers pulling points in index order, and
+// streams per-point results in deterministic index order. Output is
+// byte-identical for any worker count (see DESIGN.md, "Campaign
+// orchestrator").
 func RunCampaign(cfg CampaignConfig, opts CampaignRunOptions) ([]CampaignPointResult, error) {
 	return experiments.RunCampaign(cfg, opts)
 }
@@ -493,7 +493,7 @@ type (
 // RunClusterCampaign executes a campaign across remote lpdag-serve
 // workers, merging streamed shard results in index order: the JSONL/CSV
 // output is byte-identical to a local RunCampaign of the same config,
-// regardless of worker count, shard count, retries, or mid-campaign
+// regardless of worker count, lease plan, retries, or mid-campaign
 // worker failures.
 func RunClusterCampaign(cfg ClusterConfig, opts CampaignRunOptions) ([]CampaignPointResult, error) {
 	return cluster.Run(cfg, opts)
