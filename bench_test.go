@@ -8,7 +8,9 @@ package lpdag
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -581,6 +583,55 @@ func BenchmarkServeAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkServeSessionQuery drives the HTTP session query path: one
+// GET …/report and one POST …/admit per op, through the server's
+// handler, against the 16-task LP-ILP session of BenchmarkSessionEdit
+// on m = 8, created over HTTP. Both answers carry the whole report, so
+// beside the envelope decode and the admit probe's analysis (the report
+// is memoized) the op times two report encodes.
+func BenchmarkServeSessionQuery(b *testing.B) {
+	tasks := sessionBenchTasks(b)
+	set, err := (&TaskSet{Tasks: tasks}).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe, err := (&Task{Name: "probe", G: tasks[5].G, Deadline: tasks[5].Deadline, Period: tasks[5].Period}).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := engine.New(engine.Config{Workers: 4})
+	defer e.Close()
+	h := engine.NewServer(e, engine.ServerConfig{})
+	serve := func(method, target string, body []byte, want int) *httptest.ResponseRecorder {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, target, rd))
+		if w.Code != want {
+			b.Fatalf("%s %s: status %d: %s", method, target, w.Code, w.Body)
+		}
+		return w
+	}
+	w := serve(http.MethodPost, "/v1/sessions",
+		fmt.Appendf(nil, `{"cores": 8, "method": "lp-ilp", "taskset": %s}`, set), http.StatusCreated)
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
+		b.Fatal(err)
+	}
+	report, admit := "/v1/sessions/"+created.ID+"/report", "/v1/sessions/"+created.ID+"/admit"
+	admitBody := fmt.Appendf(nil, `{"task": %s}`, probe)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(http.MethodGet, report, nil, http.StatusOK)
+		serve(http.MethodPost, admit, admitBody, http.StatusOK)
 	}
 }
 

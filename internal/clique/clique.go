@@ -7,20 +7,24 @@
 // The solver is a depth-first branch-and-bound over a weight-descending
 // vertex order with a prefix-sum admissible bound. The paper's
 // generator emits DAGs of a few dozen nodes; node splitting (the
-// npr-fine campaign family) makes graphs of up to ~200 nodes, which the
-// twin reduction below shrinks back to about the original count. The
-// search is exact for any input and is cross-checked against both brute
-// force and the paper-faithful ILP encoding in tests.
+// npr-fine campaign family) makes graphs of up to ~200 nodes, which one
+// round of twin reduction (see setup) shrinks back to about the
+// original count. The search is exact for any input and is
+// cross-checked against both brute force and the paper-faithful ILP
+// encoding in tests.
 //
-// All scratch state — candidate sets per search depth, the reordered
-// problem, twin-reduction buffers — lives on a reusable Solver, so a
-// campaign computing millions of µ tables allocates nothing in steady
-// state. The package-level MaxWeightKSet and MuTable draw Solvers from a
-// shared pool; MuTable additionally performs the twin reduction and the
-// weight reordering once and reuses them for every c.
+// All scratch state — candidate sets per search depth, the reduced and
+// reordered problem, the twin-reduction marks — lives on a reusable
+// Solver, so a campaign computing millions of µ tables allocates
+// nothing in steady state. The package-level MaxWeightKSet and MuTable
+// draw Solvers from a shared pool; MuTable additionally performs the
+// twin reduction and the weight reordering once and reuses them for
+// every c.
 package clique
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,14 +55,9 @@ type Solver struct {
 	rest, sub []*bitset.Set
 	universe  *bitset.Set
 
-	// Setup scratch: vertex ordering and twin-reduction ping-pong
-	// buffers (reductions can cascade, so consecutive rounds alternate
-	// between the two buffer groups).
-	order, pos, keep []int
-	claimed          []bool
-	rw               [2][]int64
-	radj             [2][]*bitset.Set
-	rorig            [2][]int
+	// Setup scratch: each input vertex's search index, and twin marks.
+	pos     []int
+	claimed []bool
 }
 
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
@@ -149,100 +148,63 @@ func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 }
 
 // setup prepares the reduced, reordered problem in the solver's scratch:
-// twin reduction to a fixed point, then a stable non-increasing weight
-// order so that candidate prefix sums give a tight admissible bound and
-// heavy vertices are branched on first.
+// one round of twin reduction, then a stable non-increasing weight order
+// so that candidate prefix sums give a tight admissible bound and heavy
+// vertices are branched on first.
+//
+// Twin reduction: vertices with identical adjacency sets are necessarily
+// non-adjacent to each other (v ∉ adj[v] = adj[u]), so no valid set
+// contains two of them, and they are interchangeable with respect to
+// every other vertex — only the heaviest of each class can appear in an
+// optimum (for any k). Node-split graphs (ppp.SplitNodes, the npr-fine
+// campaign family) turn every node into a chain of such twins, so
+// without this the branch-and-bound faces hundreds of vertices at large
+// c; with it the problem shrinks back to the original node count.
+//
+// One round reaches the fixed point. Suppose kept vertices a and b have
+// the same kept neighbours, and let x ∈ adj[a] be dropped for its kept
+// twin y. Then a ∈ adj[x] = adj[y] gives y ∈ adj[a], so y ∈ adj[b],
+// so b ∈ adj[y] = adj[x] and x ∈ adj[b]. Hence adj[a] = adj[b]: a and
+// b were already one class.
 func (s *Solver) setup(weights []int64, adj []*bitset.Set) {
-	// Twin reduction: vertices with identical adjacency sets are
-	// necessarily non-adjacent to each other (v ∉ adj[v] = adj[u]), so
-	// no valid set contains two of them, and they are interchangeable
-	// with respect to every other vertex — only the heaviest of each
-	// class can appear in an optimum (for any k). Node-split graphs
-	// (ppp.SplitNodes, the npr-fine campaign family) turn every node
-	// into a chain of such twins, so without this the branch-and-bound
-	// faces hundreds of vertices at large c; with it the problem shrinks
-	// back to the original node count. Reduction repeats until a fixed
-	// point (dropping twins can equalise further adjacency sets).
-	cw, cadj := weights, adj
-	var corig []int // nil = identity
-	for flip := 0; ; flip ^= 1 {
-		keep := s.twinReduce(cw, cadj)
-		if len(keep) == len(cw) {
-			break
-		}
-		s.pos = grow(s.pos, len(cw))
-		inv := s.pos // reuse; rebuilt by the ordering pass below
-		for i := range cw {
-			inv[i] = -1
-		}
-		rw := growInt64(s.rw[flip], len(keep))
-		rorig := grow(s.rorig[flip], len(keep))
-		for i, v := range keep {
-			inv[v] = i
-			rw[i] = cw[v]
-			if corig == nil {
-				rorig[i] = v
-			} else {
-				rorig[i] = corig[v]
-			}
-		}
-		radj := growSets(&s.radj[flip], len(keep))
-		for i, v := range keep {
-			t := radj[i]
-			t.Reset(len(keep))
-			cadj[v].ForEach(func(u int) bool {
-				if inv[u] >= 0 {
-					t.Add(inv[u])
-				}
-				return true
-			})
-		}
-		s.rw[flip], s.rorig[flip] = rw, rorig
-		cw, cadj, corig = rw, radj, rorig
-	}
-
-	n := len(cw)
+	s.twinReduce(weights, adj)
+	order := s.orig
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
+	n := len(order)
 	s.n = n
-	s.order = grow(s.order, n)
-	for i := range s.order {
-		s.order[i] = i
+	s.pos = grow(s.pos, len(weights)) // input vertex -> search index, −1 if dropped
+	for v := range s.pos {
+		s.pos[v] = -1
 	}
-	sort.SliceStable(s.order, func(a, b int) bool { return cw[s.order[a]] > cw[s.order[b]] })
-	s.pos = grow(s.pos, n) // current vertex -> search index
-	for idx, v := range s.order {
+	for idx, v := range order {
 		s.pos[v] = idx
 	}
 	s.w = growInt64(s.w, n)
-	s.orig = grow(s.orig, n)
 	nadj := growSets(&s.nadj, n)
-	for idx, v := range s.order {
-		s.w[idx] = cw[v]
-		if corig == nil {
-			s.orig[idx] = v
-		} else {
-			s.orig[idx] = corig[v]
-		}
+	for idx, v := range order {
+		s.w[idx] = weights[v]
 		t := nadj[idx]
 		t.Reset(n)
-		cadj[v].ForEach(func(u int) bool {
-			t.Add(s.pos[u])
+		adj[v].ForEach(func(u int) bool {
+			if p := s.pos[u]; p >= 0 {
+				t.Add(p)
+			}
 			return true
 		})
 	}
-	s.w, s.orig = s.w[:n], s.orig[:n]
 }
 
 // twinReduce partitions vertices into classes of identical adjacency
-// sets and returns the heaviest member of each class, ascending. The
-// returned slice is solver scratch, valid until the next call.
-func (s *Solver) twinReduce(weights []int64, adj []*bitset.Set) []int {
+// sets and leaves the heaviest member of each class (the first of equal
+// weights) in s.orig, ascending.
+func (s *Solver) twinReduce(weights []int64, adj []*bitset.Set) {
 	n := len(weights)
 	s.claimed = growBool(s.claimed, n)
 	claimed := s.claimed
 	for i := range claimed {
 		claimed[i] = false
 	}
-	s.keep = s.keep[:0]
+	s.orig = s.orig[:0]
 	for v := 0; v < n; v++ {
 		if claimed[v] {
 			continue
@@ -257,9 +219,8 @@ func (s *Solver) twinReduce(weights []int64, adj []*bitset.Set) []int {
 				best = u
 			}
 		}
-		s.keep = append(s.keep, best)
+		s.orig = append(s.orig, best)
 	}
-	return s.keep
 }
 
 // search runs the branch-and-bound for set size k on the prepared

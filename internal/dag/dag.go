@@ -22,6 +22,7 @@ package dag
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -307,7 +308,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Edges returns all direct edges in deterministic (source, target) order.
 func (g *Graph) Edges() [][2]int {
-	var out [][2]int
+	out := slices.Grow([][2]int(nil), g.NumEdges()) // one allocation; nil when edgeless
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.succ[u] {
 			out = append(out, [2]int{u, v})
@@ -656,7 +657,8 @@ func (g *Graph) closureMatching() (matchL, matchR []int, size int) {
 func (g *Graph) SortedWCETs() []int64 {
 	g.sortedOnce.Do(func() {
 		c := g.WCETs()
-		sort.Slice(c, func(i, j int) bool { return c[i] > c[j] })
+		slices.Sort(c)
+		slices.Reverse(c)
 		g.sorted = c
 	})
 	return g.sorted

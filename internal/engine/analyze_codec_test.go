@@ -14,8 +14,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/repair"
 )
 
 // refAnalyzeItem and refAnalyzeRequest are the struct form the /v1/analyze
@@ -166,17 +168,121 @@ func TestAnalyzeDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestAnalyzeResponseJSONMatchesEncoder pins the append-style response
-// encoder to the json.Encoder output it replaced, over random results
-// and the string and float corners.
-func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
-	encode := func(results []analyzeResult) ([]byte, error) {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		err := enc.Encode(analyzeResponse{Results: results})
-		return buf.Bytes(), err
+// analyzeResponse, transformJSON and repairResponse are the struct forms
+// writeJSON encoded the /v1/analyze and POST …/repair bodies from before
+// they were appended by hand. With the maps the other session responses
+// were encoded from (checkSessionEnvelopes) they are the appenders'
+// oracle.
+type analyzeResponse struct {
+	Results []analyzeResult `json:"results"`
+}
+
+type transformJSON struct {
+	Op     string `json:"op"`
+	Task   string `json:"task"`
+	MaxNPR int64  `json:"max_npr,omitempty"`
+	To     int    `json:"to,omitempty"`
+}
+
+type repairResponse struct {
+	Fixed         bool            `json:"fixed"`
+	Stopped       bool            `json:"stopped"`
+	Applied       bool            `json:"applied"`
+	Candidates    int             `json:"candidates"`
+	FailingBefore int             `json:"failing_before"`
+	FailingAfter  int             `json:"failing_after"`
+	SlackBefore   int64           `json:"slack_before"`
+	SlackAfter    int64           `json:"slack_after"`
+	Transforms    []transformJSON `json:"transforms"`
+	Report        analyzeResult   `json:"report"`
+}
+
+func repairResponseOf(res *repair.Result, applied bool) repairResponse {
+	out := repairResponse{
+		Fixed:         res.Fixed,
+		Stopped:       res.Stopped,
+		Applied:       applied,
+		Candidates:    res.Candidates,
+		FailingBefore: res.FailingBefore,
+		FailingAfter:  res.FailingAfter,
+		SlackBefore:   res.SlackBefore,
+		SlackAfter:    res.SlackAfter,
+		Transforms:    make([]transformJSON, len(res.Transforms)),
+		Report:        reportJSON(res.Report),
 	}
+	for i, tr := range res.Transforms {
+		out.Transforms[i] = transformJSON{Op: tr.Op.String(), Task: tr.Task, MaxNPR: tr.MaxNPR, To: tr.To}
+	}
+	return out
+}
+
+// encodeIndented is writeJSON's encoding: json.Encoder indenting by two
+// spaces.
+func encodeIndented(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// checkSessionEnvelopes fails t unless every report-bearing session
+// response around rep — create with id, report and edits (one
+// envelope), admit, and repair of res with rep as its report — appends
+// to the bytes encodeIndented writes for its old form, or both fail.
+func checkSessionEnvelopes(t testing.TB, id string, rep *core.Report, res *repair.Result, applied bool) {
+	t.Helper()
+	r := reportJSON(rep)
+	res.Report = rep
+	for _, c := range []struct {
+		name string
+		old  any
+		lead []byte
+	}{
+		{"create", map[string]any{"id": id, "report": r}, createLead(id)},
+		{"report", map[string]any{"report": r}, nil},
+		{"admit", map[string]any{"admitted": rep.Schedulable, "report": r}, admitLead(rep.Schedulable)},
+		{"repair", repairResponseOf(res, applied), repairLead(res, applied)},
+	} {
+		want, wantErr := encodeIndented(c.old)
+		got, err := appendSessionJSON(nil, c.lead, &r)
+		if (err == nil) != (wantErr == nil) || err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("%s response differs (err %v, encoding/json %v):\n%s\nwant:\n%s", c.name, err, wantErr, got, want)
+		}
+	}
+}
+
+// FuzzSessionResponseJSON pins the session response appenders to the
+// json.Encoder forms they replaced, non-finite utilizations included.
+func FuzzSessionResponseJSON(f *testing.F) {
+	f.Add("tau1", "0123abcd", true, false, int64(42), 3, 1.5, int64(25), 2)
+	f.Add("<a&b>", "", false, true, int64(-7), 0, 0.0, int64(0), 0)
+	f.Add("q\"\\\n\t\x01 é\xff\u2028", "x\u2029", true, true, int64(1)<<62, 1<<20, 1e-7, int64(-1), -3)
+	f.Add("n", "id", false, false, int64(0), 1, math.NaN(), int64(1), 1)
+	f.Add("n", "id", true, false, int64(9), 2, math.Inf(1), int64(3), 0)
+	f.Add("n", "id", false, true, int64(9), 2, math.Inf(-1), int64(0), 5)
+	f.Fuzz(func(t *testing.T, name, id string, b1, b2 bool, v int64, n int, util float64, maxNPR int64, to int) {
+		rep := &core.Report{Schedulable: b1, Method: core.Methods()[uint(n)%3], Cores: n, Utilization: util,
+			Tasks: []core.TaskReport{
+				{Name: name, Schedulable: b1, Analyzed: b2, ResponseTime: v, Deadline: -v, DeltaM: maxNPR, Iterations: n},
+				{Name: id, Schedulable: b2, Analyzed: b1, ResponseTime: maxNPR, DeltaM1: v, Preemptions: int64(to)},
+			}}
+		res := &repair.Result{Fixed: b1, Stopped: b2, Candidates: n, FailingBefore: to, FailingAfter: -n,
+			SlackBefore: v, SlackAfter: maxNPR, Transforms: []repair.Transform{
+				{Op: repair.OpSplit, Task: name, MaxNPR: maxNPR},
+				{Op: repair.OpMove, Task: id, To: to},
+			}}
+		checkSessionEnvelopes(t, id, rep, res, b2)
+		rep.Tasks, res.Transforms = nil, nil
+		checkSessionEnvelopes(t, id, rep, res, b1)
+	})
+}
+
+// TestAnalyzeResponseJSONMatchesEncoder pins the append-style response
+// encoders to the json.Encoder output they replaced, over random
+// /v1/analyze results and session responses and the string and float
+// corners.
+func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
 	names := []string{"tau1", "", "<a&b>", "q\"\\\n\t\x01", " é\xff"}
 	utils := []float64{0, 1, 2.5, 0.1, 1e-7, 3e21, -0.5, 123456789.123}
 	rng := rand.New(rand.NewSource(3))
@@ -200,18 +306,39 @@ func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
 				})
 			}
 		}
-		want, _ := encode(results)
+		want, _ := encodeIndented(analyzeResponse{Results: results})
 		got, err := appendAnalyzeResponseJSON(nil, results)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("response JSON differs (err %v):\n%s\nwant:\n%s", err, got, want)
 		}
+
+		rep := &core.Report{Schedulable: rng.Intn(2) == 0, Method: core.Methods()[rng.Intn(3)],
+			Cores: rng.Intn(3) * 4, Utilization: utils[rng.Intn(len(utils))]}
+		for k := rng.Intn(4); k > 0; k-- { // zero tasks too
+			rep.Tasks = append(rep.Tasks, core.TaskReport{
+				Name: names[rng.Intn(len(names))], Schedulable: rng.Intn(2) == 0, Analyzed: rng.Intn(2) == 0,
+				ResponseTime: rng.Int63n(1e6) - 10, Deadline: rng.Int63(), DeltaM: rng.Int63n(100),
+				DeltaM1: rng.Int63n(100), Preemptions: rng.Int63n(9), Iterations: rng.Intn(20),
+			})
+		}
+		res := &repair.Result{Fixed: rng.Intn(2) == 0, Stopped: rng.Intn(2) == 0, Candidates: rng.Intn(5000),
+			FailingBefore: rng.Intn(4), FailingAfter: rng.Intn(4), SlackBefore: rng.Int63n(200) - 100,
+			SlackAfter: rng.Int63n(200) - 100}
+		for k := rng.Intn(4); k > 0; k-- { // empty transforms too
+			res.Transforms = append(res.Transforms, repair.Transform{Op: repair.Op(rng.Intn(3)),
+				Task: names[rng.Intn(len(names))], MaxNPR: rng.Int63n(3) * 25, To: rng.Intn(3)}) // zero max_npr and to too
+		}
+		checkSessionEnvelopes(t, names[rng.Intn(len(names))], rep, res, rng.Intn(2) == 0)
 	}
 	nan := []analyzeResult{{Utilization: math.NaN()}}
-	if _, err := encode(nan); err == nil {
+	if _, err := encodeIndented(analyzeResponse{Results: nan}); err == nil {
 		t.Fatal("encoding/json accepted NaN")
 	}
 	if _, err := appendAnalyzeResponseJSON(nil, nan); err == nil {
 		t.Fatal("append encoder accepted NaN")
+	}
+	if _, err := appendSessionJSON(nil, nil, &nan[0]); err == nil {
+		t.Fatal("session appender accepted NaN")
 	}
 }
 
@@ -271,10 +398,20 @@ func TestWriteErrorsCounted(t *testing.T) {
 		t.Fatalf("writeErrs after encode failure = %d, want 1", n)
 	}
 
+	// The appended session responses fail the same way.
+	w = httptest.NewRecorder()
+	s.writeReport(w, http.StatusOK, nil, &core.Report{Utilization: math.Inf(1)})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("session encode failure status %d, want 500", w.Code)
+	}
+	if n := atomic.LoadUint64(&s.writeErrs); n != 2 {
+		t.Fatalf("writeErrs after session encode failure = %d, want 2", n)
+	}
+
 	// Mid-body write failure.
 	s.writeJSON(failingWriter{httptest.NewRecorder()}, http.StatusOK, map[string]string{"ok": "yes"})
-	if n := atomic.LoadUint64(&s.writeErrs); n != 2 {
-		t.Fatalf("writeErrs after write failure = %d, want 2", n)
+	if n := atomic.LoadUint64(&s.writeErrs); n != 3 {
+		t.Fatalf("writeErrs after write failure = %d, want 3", n)
 	}
 
 	// The counter is exported on /metrics.
@@ -283,7 +420,7 @@ func TestWriteErrorsCounted(t *testing.T) {
 	if mw.Code != http.StatusOK {
 		t.Fatalf("/metrics status %d", mw.Code)
 	}
-	if !strings.Contains(mw.Body.String(), "lpdag_http_write_errors_total 2") {
-		t.Fatalf("/metrics missing lpdag_http_write_errors_total 2:\n%s", mw.Body)
+	if !strings.Contains(mw.Body.String(), "lpdag_http_write_errors_total 3") {
+		t.Fatalf("/metrics missing lpdag_http_write_errors_total 3:\n%s", mw.Body)
 	}
 }

@@ -308,6 +308,21 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.writeBody(w, status, "application/json", buf.Bytes())
 }
 
+// writeAppended sends the JSON body that appendBody appends to a pooled
+// buffer, or encodeFailed's 500 when appendBody fails.
+func (s *Server) writeAppended(w http.ResponseWriter, status int, appendBody func([]byte) ([]byte, error)) {
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	out, err := appendBody(buf.AvailableBuffer())
+	if err != nil {
+		s.encodeFailed(w, err)
+		return
+	}
+	buf.Write(out)
+	s.writeBody(w, status, "application/json", buf.Bytes())
+}
+
 // encodeFailed answers a response that could not be encoded. Encoding
 // fails before any byte reaches the wire, so a clean error status is
 // still possible (and still counts: the caller lost a response either
@@ -594,11 +609,6 @@ type taskReportJSON struct {
 	Iterations   int    `json:"iterations"`
 }
 
-// analyzeResponse is the POST /v1/analyze JSON response body.
-type analyzeResponse struct {
-	Results []analyzeResult `json:"results"`
-}
-
 // analyzeResult is one batch element's outcome; exactly one of Error or
 // the report fields is meaningful.
 type analyzeResult struct {
@@ -634,73 +644,83 @@ func reportJSON(rep *core.Report) analyzeResult {
 	return out
 }
 
-// appendAnalyzeResponseJSON appends the /v1/analyze JSON body: byte for
-// byte what writeJSON (a json.Encoder indenting by two spaces) writes
-// for analyzeResponse{Results: results}, without reflection.
+// appendAnalyzeResponseJSON appends the /v1/analyze JSON body,
+// {"results": […]}: byte for byte what writeJSON (a json.Encoder
+// indenting by two spaces) writes for it, without reflection.
 func appendAnalyzeResponseJSON(buf []byte, results []analyzeResult) ([]byte, error) {
 	if len(results) == 0 {
 		return append(buf, "{\n  \"results\": []\n}\n"...), nil // handleAnalyze never sends nil
 	}
-	const resInd, taskInd, fieldInd = "\n      ", "\n        ", "\n          "
 	buf = append(buf, "{\n  \"results\": ["...)
-	for i, r := range results {
-		if i > 0 {
-			buf = append(buf, ',')
+	for i := range results {
+		var err error
+		if buf, err = appendResultJSON(appendNext(buf, indent(2), ""), &results[i], 2); err != nil {
+			return buf, err
 		}
-		buf = append(buf, "\n    {"...)
-		if r.Error != "" {
-			buf = append(buf, resInd+`"error": `...)
-			buf = jsonwire.AppendString(buf, r.Error)
-			buf = append(buf, ',')
-		}
-		buf = append(buf, resInd+`"schedulable": `...)
-		buf = strconv.AppendBool(buf, r.Schedulable)
-		if r.Method != "" {
-			buf = append(buf, ","+resInd+`"method": `...)
-			buf = jsonwire.AppendString(buf, r.Method)
-		}
-		if r.Cores != 0 {
-			buf = append(buf, ","+resInd+`"cores": `...)
-			buf = strconv.AppendInt(buf, int64(r.Cores), 10)
-		}
-		if r.Utilization != 0 {
-			buf = append(buf, ","+resInd+`"utilization": `...)
-			var err error
-			if buf, err = jsonwire.AppendFloat(buf, r.Utilization); err != nil {
-				return buf, err
-			}
-		}
-		if len(r.Tasks) > 0 {
-			buf = append(buf, ","+resInd+`"tasks": [`...)
-			for k, t := range r.Tasks {
-				if k > 0 {
-					buf = append(buf, ',')
-				}
-				buf = append(buf, taskInd+"{"+fieldInd+`"name": `...)
-				buf = jsonwire.AppendString(buf, t.Name)
-				buf = append(buf, ","+fieldInd+`"schedulable": `...)
-				buf = strconv.AppendBool(buf, t.Schedulable)
-				buf = append(buf, ","+fieldInd+`"analyzed": `...)
-				buf = strconv.AppendBool(buf, t.Analyzed)
-				buf = append(buf, ","+fieldInd+`"response_time": `...)
-				buf = strconv.AppendInt(buf, t.ResponseTime, 10)
-				buf = append(buf, ","+fieldInd+`"deadline": `...)
-				buf = strconv.AppendInt(buf, t.Deadline, 10)
-				buf = append(buf, ","+fieldInd+`"delta_m": `...)
-				buf = strconv.AppendInt(buf, t.DeltaM, 10)
-				buf = append(buf, ","+fieldInd+`"delta_m1": `...)
-				buf = strconv.AppendInt(buf, t.DeltaM1, 10)
-				buf = append(buf, ","+fieldInd+`"preemptions": `...)
-				buf = strconv.AppendInt(buf, t.Preemptions, 10)
-				buf = append(buf, ","+fieldInd+`"iterations": `...)
-				buf = strconv.AppendInt(buf, int64(t.Iterations), 10)
-				buf = append(buf, taskInd+"}"...)
-			}
-			buf = append(buf, resInd+"]"...)
-		}
-		buf = append(buf, "\n    }"...)
 	}
 	return append(buf, "\n  ]\n}\n"...), nil
+}
+
+// indentLine holds a line break and json.Encoder's two-space indent,
+// deep enough for a task field of a result at depth 2.
+const indentLine = "\n          "
+
+// indent returns the line break and indentation of depth d.
+func indent(d int) string { return indentLine[:1+2*d] }
+
+// appendNext starts the next member of an indented JSON object or
+// element of an array: the comma after the previous one (none at the
+// start of buf or right after the opening bracket), the line break and
+// indentation ind, and then s, a member's quoted name with its ": " or
+// an element's opening bracket.
+func appendNext(buf []byte, ind, s string) []byte {
+	if n := len(buf); n > 0 && buf[n-1] != '{' && buf[n-1] != '[' {
+		buf = append(buf, ',')
+	}
+	return append(append(buf, ind...), s...)
+}
+
+// appendResultJSON appends r as a json.Encoder indenting by two spaces
+// writes it when the object opens at the given depth: /v1/analyze
+// results sit at depth 2, the report of a session response at depth 1.
+// Its one error is encoding/json's: a non-finite utilization.
+func appendResultJSON(buf []byte, r *analyzeResult, depth int) ([]byte, error) {
+	res, task, field := indent(depth+1), indent(depth+2), indent(depth+3)
+	buf = append(buf, '{')
+	if r.Error != "" {
+		buf = jsonwire.AppendString(appendNext(buf, res, `"error": `), r.Error)
+	}
+	buf = strconv.AppendBool(appendNext(buf, res, `"schedulable": `), r.Schedulable)
+	if r.Method != "" {
+		buf = jsonwire.AppendString(appendNext(buf, res, `"method": `), r.Method)
+	}
+	if r.Cores != 0 {
+		buf = strconv.AppendInt(appendNext(buf, res, `"cores": `), int64(r.Cores), 10)
+	}
+	if r.Utilization != 0 {
+		var err error
+		if buf, err = jsonwire.AppendFloat(appendNext(buf, res, `"utilization": `), r.Utilization); err != nil {
+			return buf, err
+		}
+	}
+	if len(r.Tasks) > 0 {
+		buf = appendNext(buf, res, `"tasks": [`)
+		for _, t := range r.Tasks {
+			buf = appendNext(buf, task, "{")
+			buf = jsonwire.AppendString(appendNext(buf, field, `"name": `), t.Name)
+			buf = strconv.AppendBool(appendNext(buf, field, `"schedulable": `), t.Schedulable)
+			buf = strconv.AppendBool(appendNext(buf, field, `"analyzed": `), t.Analyzed)
+			buf = strconv.AppendInt(appendNext(buf, field, `"response_time": `), t.ResponseTime, 10)
+			buf = strconv.AppendInt(appendNext(buf, field, `"deadline": `), t.Deadline, 10)
+			buf = strconv.AppendInt(appendNext(buf, field, `"delta_m": `), t.DeltaM, 10)
+			buf = strconv.AppendInt(appendNext(buf, field, `"delta_m1": `), t.DeltaM1, 10)
+			buf = strconv.AppendInt(appendNext(buf, field, `"preemptions": `), t.Preemptions, 10)
+			buf = strconv.AppendInt(appendNext(buf, field, `"iterations": `), int64(t.Iterations), 10)
+			buf = append(append(buf, task...), '}')
+		}
+		buf = append(append(buf, res...), ']')
+	}
+	return append(append(buf, indent(depth)...), '}'), nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -794,16 +814,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		results[slot] = reportJSON(reports[j])
 	}
-	buf := respBufPool.Get().(*bytes.Buffer)
-	defer respBufPool.Put(buf)
-	buf.Reset()
-	out, err := appendAnalyzeResponseJSON(buf.AvailableBuffer(), results)
-	if err != nil {
-		s.encodeFailed(w, err)
-		return
-	}
-	buf.Write(out)
-	s.writeBody(w, http.StatusOK, "application/json", buf.Bytes())
+	s.writeAppended(w, http.StatusOK, func(buf []byte) ([]byte, error) {
+		return appendAnalyzeResponseJSON(buf, results)
+	})
 }
 
 // simulateRequest is the /v1/simulate body.

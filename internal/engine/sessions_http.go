@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonwire"
 	"repro/internal/model"
 	"repro/internal/ppp"
 	"repro/internal/repair"
@@ -134,7 +135,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	s.writeJSON(w, http.StatusCreated, map[string]any{"id": id, "report": reportJSON(v.(*core.Report))})
+	s.writeReport(w, http.StatusCreated, createLead(id), v.(*core.Report))
 }
 
 func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +152,37 @@ func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
+	s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
+}
+
+// writeReport answers a session request with one JSON object whose last
+// member is "report", rep at depth 1, after the members lead holds
+// (rendered by createLead, admitLead or repairLead). The bytes are what
+// writeJSON writes for the map or struct of the same members
+// (json.Encoder sorts map keys, and every lead key sorts before
+// "report"); a non-finite utilization is its 500 too.
+func (s *Server) writeReport(w http.ResponseWriter, status int, lead []byte, rep *core.Report) {
+	res := reportJSON(rep)
+	s.writeAppended(w, status, func(buf []byte) ([]byte, error) {
+		return appendSessionJSON(buf, lead, &res)
+	})
+}
+
+// appendSessionJSON appends writeReport's body.
+func appendSessionJSON(buf, lead []byte, res *analyzeResult) ([]byte, error) {
+	buf = append(append(buf, '{'), lead...)
+	buf, err := appendResultJSON(appendNext(buf, indent(1), `"report": `), res, 1)
+	return append(buf, "\n}\n"...), err
+}
+
+// createLead renders the "id" member of a POST /v1/sessions response.
+func createLead(id string) []byte {
+	return jsonwire.AppendString(appendNext(nil, indent(1), `"id": `), id)
+}
+
+// admitLead renders the "admitted" member of a POST …/admit response.
+func admitLead(admitted bool) []byte {
+	return strconv.AppendBool(appendNext(nil, indent(1), `"admitted": `), admitted)
 }
 
 // sessionEditJSON is one element of the edits batch. Tasks may be
@@ -276,7 +307,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
+	s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
 }
 
 // sessionAdmitRequest is the POST /v1/sessions/{id}/admit body.
@@ -317,10 +348,7 @@ func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setSessionEpoch(w, id)
 	rep := v.(*core.Report)
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"admitted": rep.Schedulable,
-		"report":   reportJSON(rep),
-	})
+	s.writeReport(w, http.StatusOK, admitLead(rep.Schedulable), rep)
 }
 
 // sessionSensitivityRequest is the POST /v1/sessions/{id}/sensitivity
@@ -414,50 +442,36 @@ func (req sessionRepairRequest) repairConfig() (repair.Config, error) {
 	return cfg, nil
 }
 
-// transformJSON is one repair step on the wire.
-type transformJSON struct {
-	Op     string `json:"op"`
-	Task   string `json:"task"`
-	MaxNPR int64  `json:"max_npr,omitempty"`
-	To     int    `json:"to,omitempty"`
-}
-
-// repairResponse is the POST /v1/sessions/{id}/repair response body.
-type repairResponse struct {
-	Fixed         bool            `json:"fixed"`
-	Stopped       bool            `json:"stopped"`
-	Applied       bool            `json:"applied"`
-	Candidates    int             `json:"candidates"`
-	FailingBefore int             `json:"failing_before"`
-	FailingAfter  int             `json:"failing_after"`
-	SlackBefore   int64           `json:"slack_before"`
-	SlackAfter    int64           `json:"slack_after"`
-	Transforms    []transformJSON `json:"transforms"`
-	Report        analyzeResult   `json:"report"`
-}
-
-func repairResponseOf(res *repair.Result, applied bool) repairResponse {
-	out := repairResponse{
-		Fixed:         res.Fixed,
-		Stopped:       res.Stopped,
-		Applied:       applied,
-		Candidates:    res.Candidates,
-		FailingBefore: res.FailingBefore,
-		FailingAfter:  res.FailingAfter,
-		SlackBefore:   res.SlackBefore,
-		SlackAfter:    res.SlackAfter,
-		Transforms:    make([]transformJSON, len(res.Transforms)),
-		Report:        reportJSON(res.Report),
-	}
-	for i, tr := range res.Transforms {
-		out.Transforms[i] = transformJSON{
-			Op:     tr.Op.String(),
-			Task:   tr.Task,
-			MaxNPR: tr.MaxNPR,
-			To:     tr.To,
+// repairLead renders the members of a POST …/repair response before its
+// report: eight scalars, then "transforms", one object per step whose
+// max_npr and to are left out when zero.
+func repairLead(res *repair.Result, applied bool) []byte {
+	ind, step, field := indent(1), indent(2), indent(3)
+	buf := strconv.AppendBool(appendNext(nil, ind, `"fixed": `), res.Fixed)
+	buf = strconv.AppendBool(appendNext(buf, ind, `"stopped": `), res.Stopped)
+	buf = strconv.AppendBool(appendNext(buf, ind, `"applied": `), applied)
+	buf = strconv.AppendInt(appendNext(buf, ind, `"candidates": `), int64(res.Candidates), 10)
+	buf = strconv.AppendInt(appendNext(buf, ind, `"failing_before": `), int64(res.FailingBefore), 10)
+	buf = strconv.AppendInt(appendNext(buf, ind, `"failing_after": `), int64(res.FailingAfter), 10)
+	buf = strconv.AppendInt(appendNext(buf, ind, `"slack_before": `), res.SlackBefore, 10)
+	buf = strconv.AppendInt(appendNext(buf, ind, `"slack_after": `), res.SlackAfter, 10)
+	buf = appendNext(buf, ind, `"transforms": [`)
+	for _, tr := range res.Transforms {
+		buf = appendNext(buf, step, "{")
+		buf = jsonwire.AppendString(appendNext(buf, field, `"op": `), tr.Op.String())
+		buf = jsonwire.AppendString(appendNext(buf, field, `"task": `), tr.Task)
+		if tr.MaxNPR != 0 {
+			buf = strconv.AppendInt(appendNext(buf, field, `"max_npr": `), tr.MaxNPR, 10)
 		}
+		if tr.To != 0 {
+			buf = strconv.AppendInt(appendNext(buf, field, `"to": `), int64(tr.To), 10)
+		}
+		buf = append(append(buf, step...), '}')
 	}
-	return out
+	if len(res.Transforms) > 0 {
+		buf = append(buf, ind...)
+	}
+	return append(buf, ']')
 }
 
 func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
@@ -496,7 +510,7 @@ func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 	s.sessions.ObserveRepair(res, time.Since(t0))
 	s.setSessionEpoch(w, id)
 	applied := req.Apply && res.Fixed && len(res.Transforms) > 0
-	s.writeJSON(w, http.StatusOK, repairResponseOf(res, applied))
+	s.writeReport(w, http.StatusOK, repairLead(res, applied), res.Report)
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
