@@ -769,3 +769,49 @@ func BenchmarkSessionRepair(b *testing.B) {
 		}
 	}
 }
+
+// repairSearchBenchTasks has the shape of the repair searches of
+// perfbench's session workload: a 16-task mixed set at total
+// utilization 2.4 for m = 8, with a one-node blocker twice the shortest
+// deadline long at the lowest priority. Generator seed 216 gives a set
+// whose greedy search spends its whole 64-candidate budget without
+// fixing it, so an op pays for every candidate, unlike
+// BenchmarkSessionRepair, whose first candidate is the fix.
+func repairSearchBenchTasks(b *testing.B) []*Task {
+	b.Helper()
+	tasks := NewGenerator(216, PaperGenParams(GroupMixed)).TaskSetN(16, 2.4).Tasks
+	minD := tasks[0].Deadline
+	var bld GraphBuilder
+	bld.AddNode(2 * minD)
+	return append(tasks, &Task{Name: "blocker", G: bld.MustBuild(),
+		Deadline: 1000 * minD, Period: 1000 * minD})
+}
+
+// BenchmarkRepairSearch measures the per-candidate cost of repair: one
+// query-mode greedy search of repairSearchBenchTasks on m = 8 under
+// LP-ILP, 64 candidates, each a transformed graph, its µ table and a
+// full analysis. Every op searches a session over fresh clones of the
+// graphs, made with the timer stopped, so all memos start cold.
+func BenchmarkRepairSearch(b *testing.B) {
+	tasks := repairSearchBenchTasks(b)
+	ctx := context.Background()
+	cfg := RepairConfig{MaxCandidates: 64, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := NewSession(Options{Cores: 8, Method: LPILP}, (&TaskSet{Tasks: tasks}).Clone().Tasks...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := s.Repair(ctx, cfg, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Fixed || !res.Stopped || res.Candidates != cfg.MaxCandidates {
+			b.Fatalf("repair bench search must spend its budget unfixed: fixed=%v stopped=%v candidates=%d",
+				res.Fixed, res.Stopped, res.Candidates)
+		}
+	}
+}

@@ -74,7 +74,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeSessionQuery|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkRepairSearch|BenchmarkServeAnalyze|BenchmarkServeSessionQuery|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
 
 // Budget is one standing absolute gate: Bench's Metric ("ns/op" or
 // "allocs/op") may not exceed Max. Unlike Compare the bound is not

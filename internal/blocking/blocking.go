@@ -62,6 +62,12 @@ func (b Backend) String() string {
 // per backend: a table solved at m serves every m' ≤ m as its prefix,
 // and a larger m solves again and replaces it. The result is shared;
 // callers must not modify it.
+//
+// The combinatorial backend solves on the run classes of g
+// (dag.RunClasses): each linear run, such as the chain of pieces
+// dag.Split makes of a long node, is one vertex weighing its heaviest
+// member, so neither g's Par sets nor a solve over every piece is
+// needed. The paper-ILP backend, the oracle, solves on g itself.
 func Mu(g *dag.Graph, m int, be Backend) []int64 {
 	if mu := MemoMu(g, m, be); mu != nil {
 		return mu
@@ -69,7 +75,8 @@ func Mu(g *dag.Graph, m int, be Backend) []int64 {
 	var mu []int64
 	switch be {
 	case Combinatorial:
-		mu = clique.MuTable(g.WCETs(), g.Parallel(), m)
+		w, par := dag.RunClasses(g)
+		mu = clique.MuTable(w, par, m)
 	case PaperILP:
 		mu = make([]int64, m)
 		isPar := g.IsParallelMatrix()

@@ -1,0 +1,153 @@
+package blocking_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/blocking"
+	"repro/internal/clique"
+	"repro/internal/dag"
+	"repro/internal/fixture"
+	"repro/internal/gen"
+	"repro/internal/ppp"
+)
+
+// runShapes returns the graphs of the run-class quickcheck: single
+// nodes, chains, permuted random DAGs from sparse (long runs) to dense
+// (none), generated task graphs of every shape, and splits and coarsens
+// of all of these, splits of coarsens included.
+func runShapes(rng *rand.Rand) []*dag.Graph {
+	var base []*dag.Graph
+	chain := func(n int) *dag.Graph {
+		var b dag.Builder
+		for v := 0; v < n; v++ {
+			b.AddNode(int64(1 + rng.Intn(40)))
+			if v > 0 {
+				b.AddEdge(v-1, v)
+			}
+		}
+		return b.MustBuild()
+	}
+	for _, n := range []int{1, 1, 2, 3, 9, 70} {
+		base = append(base, chain(n))
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(30)
+		var b dag.Builder
+		for range n {
+			b.AddNode(int64(1 + rng.Intn(40)))
+		}
+		perm, p := rng.Perm(n), 2.5*rng.Float64()/float64(n)
+		for j := 1; j < n; j++ {
+			for i := 0; i < j; i++ {
+				if rng.Float64() < p {
+					b.AddEdge(perm[i], perm[j])
+				}
+			}
+		}
+		base = append(base, b.MustBuild())
+	}
+	for _, p := range []gen.Params{
+		gen.PaperParams(gen.GroupMixed),
+		gen.PaperParams(gen.GroupParallel),
+		{DAG: gen.PaperDAGParams(), Shape: gen.ShapeWide, Beta: 0.5},
+		{DAG: gen.PaperDAGParams(), Shape: gen.ShapeDeep, Beta: 0.5},
+		{DAG: gen.PaperDAGParams(), Shape: gen.ShapeOpenMP, Beta: 0.5},
+	} {
+		g := gen.New(rng.Int63(), p)
+		for range 20 {
+			base = append(base, g.Graph())
+		}
+	}
+	base = append(base, fixture.LowerPriorityGraphs()...)
+	out := slices.Clone(base)
+	for _, g := range base {
+		top := g.MaxWCET()
+		coarse := ppp.CoarsenChains(g, 2*top)
+		out = append(out, coarse, dag.Split(coarse, max(1, top/2)))
+		for _, q := range []int64{top / 4, top / 2, top - 1} {
+			if q >= 1 {
+				out = append(out, dag.Split(g, q))
+			}
+		}
+	}
+	return out
+}
+
+// TestMuOnRunClassesMatchesFullSolve is the run-class quickcheck: the
+// combinatorial µ table, solved on the run classes of a graph, equals
+// the one clique solves on the graph's own WCETs and Par sets, for
+// every m up to 16.
+func TestMuOnRunClassesMatchesFullSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tables, withRuns := 0, 0
+	for i, g := range runShapes(rng) {
+		if w, _ := dag.RunClasses(g); len(w) < g.N() {
+			withRuns++
+		}
+		for m := 1; m <= 16; m++ {
+			got := blocking.Mu(g.Clone(), m, blocking.Combinatorial)
+			want := clique.MuTable(g.WCETs(), g.Parallel(), m)
+			if !slices.Equal(got, want) {
+				t.Fatalf("graph %d (%d nodes, %d edges), m=%d: µ %v, want %v", i, g.N(), g.NumEdges(), m, got, want)
+			}
+			tables++
+		}
+	}
+	if withRuns < tables/16/2 {
+		t.Fatalf("only %d of %d graphs have runs; the check would not exercise the classes", withRuns, tables/16)
+	}
+}
+
+// TestRunClassesOfChainAndFork pins the classes of three small shapes:
+// a chain is one class weighing its heaviest node, each node of a
+// fork-join without runs is a class with the node's Par set, and a
+// split fork branch is one class parallel to the other branch.
+func TestRunClassesOfChainAndFork(t *testing.T) {
+	var b dag.Builder
+	for _, c := range []int64{3, 9, 4} {
+		b.AddNode(c)
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	w, par := dag.RunClasses(b.MustBuild())
+	if !slices.Equal(w, []int64{9}) || len(par) != 1 || par[0].Count() != 0 {
+		t.Fatalf("chain: weights %v, par %v", w, par)
+	}
+	// a → {b, c} → d, with e after c: the link c→e is not a run, as c
+	// has two successors.
+	b.Reset()
+	for range 5 {
+		b.AddNode(1)
+	}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {2, 4}} {
+		b.AddEdge(e[0], e[1])
+	}
+	fork := b.MustBuild()
+	w, par = dag.RunClasses(fork)
+	if !slices.Equal(w, fork.WCETs()) || len(par) != fork.N() {
+		t.Fatalf("run-free graph: weights %v, par %v", w, par)
+	}
+	for v, s := range fork.Parallel() { // its order is 0..4, so classes are nodes
+		if !par[v].Equal(s) {
+			t.Fatalf("run-free graph: Par(class %d) = %v, want %v", v, par[v], s)
+		}
+	}
+	b.Reset()
+	for _, c := range []int64{1, 10, 2, 1} {
+		b.AddNode(c)
+	}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	w, par = dag.RunClasses(dag.Split(b.MustBuild(), 3))
+	if !slices.Equal(w, []int64{1, 3, 2, 1}) {
+		t.Fatalf("split fork: weights %v", w)
+	}
+	for c, want := range []string{"{}", "{2}", "{1}", "{}"} {
+		if par[c].String() != want {
+			t.Fatalf("split fork: Par(class %d) = %v, want %v", c, par[c], want)
+		}
+	}
+}

@@ -6,12 +6,14 @@
 //
 // The solver is a depth-first branch-and-bound over a weight-descending
 // vertex order with a prefix-sum admissible bound. The paper's
-// generator emits DAGs of a few dozen nodes; node splitting (the
-// npr-fine campaign family) makes graphs of up to ~200 nodes, which one
-// round of twin reduction (see setup) shrinks back to about the
-// original count. The search is exact for any input and is
-// cross-checked against both brute force and the paper-faithful ILP
-// encoding in tests.
+// generator emits DAGs of a few dozen nodes. Node splitting (the
+// npr-fine campaign family, repair) makes graphs of up to ~200 nodes,
+// but blocking.Mu hands this package the split's run classes, one
+// vertex per chain of pieces, so the problem it sees keeps about the
+// original count; one round of twin reduction (see setup) merges the
+// remaining vertices with identical parallelism. The search is exact
+// for any input and is cross-checked against both brute force and the
+// paper-faithful ILP encoding in tests.
 //
 // All scratch state — candidate sets per search depth, the reduced and
 // reordered problem, the twin-reduction marks — lives on a reusable
@@ -156,10 +158,10 @@ func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 // non-adjacent to each other (v ∉ adj[v] = adj[u]), so no valid set
 // contains two of them, and they are interchangeable with respect to
 // every other vertex — only the heaviest of each class can appear in an
-// optimum (for any k). Node-split graphs (ppp.SplitNodes, the npr-fine
-// campaign family) turn every node into a chain of such twins, so
-// without this the branch-and-bound faces hundreds of vertices at large
-// c; with it the problem shrinks back to the original node count.
+// optimum (for any k). The members of a linear run of a DAG are such
+// twins; blocking.Mu contracts runs before it calls MuTable
+// (dag.RunClasses), so split pieces do not reach this reduction, but
+// any caller passing a DAG's own Par sets gets them merged here.
 //
 // One round reaches the fixed point. Suppose kept vertices a and b have
 // the same kept neighbours, and let x ∈ adj[a] be dropped for its kept

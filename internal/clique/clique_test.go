@@ -278,7 +278,7 @@ func BenchmarkMuTableFigure1(b *testing.B) {
 
 // twinExpand replaces every vertex of an instance with a chain of
 // `copies` mutually non-adjacent twins carrying split weights — the
-// structure ppp.SplitNodes produces. The optimum of the expanded
+// structure dag.Split produces. The optimum of the expanded
 // instance must pick the heaviest twin per class, i.e. equal the
 // original optimum with per-class max weights.
 func twinExpand(w []int64, adj []*bitset.Set, copies int) ([]int64, []*bitset.Set) {

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
+	"repro/internal/dag"
 	"repro/internal/gen"
-	"repro/internal/ppp"
 )
 
 // TestOneTwinRoundLeavesNoTwins checks setup's claim that one round of
@@ -65,7 +65,7 @@ func TestOneTwinRoundLeavesNoTwins(t *testing.T) {
 		for _, group := range []gen.Group{gen.GroupMixed, gen.GroupParallel} {
 			g := gen.New(seed, gen.PaperParams(group)).Graph()
 			for _, q := range []int64{1, 2, 5, 20} {
-				s := ppp.SplitNodes(g, q)
+				s := dag.Split(g, q)
 				check("split graph", s.WCETs(), s.Parallel())
 			}
 		}

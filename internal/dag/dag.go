@@ -32,8 +32,9 @@ import (
 )
 
 // Graph is an immutable directed acyclic graph of non-preemptive regions.
-// Build one with a Builder. Node indices run from 0 to N()-1; in the
-// paper's notation node v_{i,j} of task τ_i is index j-1.
+// Build one with a Builder, or derive one from another with Split.
+// Node indices run from 0 to N()-1; in the paper's notation node
+// v_{i,j} of task τ_i is index j-1.
 //
 // Because a Graph never changes after Build, every derived quantity is
 // a pure function of it and is memoized: the cheap O(V+E) scalars
@@ -490,6 +491,74 @@ func (g *Graph) Parallel() []*bitset.Set {
 	return g.par
 }
 
+// RunClasses contracts every linear run of g — a maximal path whose
+// links u→v have v as u's only successor and u as v's only predecessor
+// — into one class weighing its heaviest member, and returns the class
+// weights and each class's Par set over the classes. Members of a run
+// are pairwise ordered and share one Par set, so a set of pairwise
+// parallel nodes holds at most one member per class and µ (Equation
+// (6)) is the same on the classes as on the nodes (DESIGN.md,
+// "Performance"). Classes are numbered in the topological order of
+// their first members; on a graph without runs each node is its own
+// class, and the Par sets are g's, renumbered. The result is fresh and
+// owned by the caller; the Par sets share one slab with the class
+// reachability sets they were derived from.
+func RunClasses(g *Graph) (weights []int64, par []*bitset.Set) {
+	n := g.N()
+	// linked reports whether v continues its predecessor's run.
+	linked := func(v int) bool {
+		p := g.pred[v]
+		return len(p) == 1 && len(g.succ[p[0]]) == 1
+	}
+	r := n
+	for v := range n {
+		if linked(v) {
+			r--
+		}
+	}
+	cls := make([]int, n)
+	weights = make([]int64, r)
+	next := 0
+	for _, v := range g.topo {
+		if linked(v) {
+			cls[v] = cls[g.pred[v][0]]
+		} else {
+			cls[v] = next
+			next++
+		}
+		weights[cls[v]] = max(weights[cls[v]], g.wcet[v])
+	}
+	// Only a run's last member has successors, and only its first
+	// member predecessors, outside the run, so the reverse topological
+	// walk (successors) and the topological one (predecessors) union in
+	// only finished sets.
+	sets := bitset.Slab(2*r, r)
+	reach, par := sets[:r], sets[r:]
+	for i := n - 1; i >= 0; i-- {
+		v := g.topo[i]
+		for _, w := range g.succ[v] {
+			if c, d := cls[v], cls[w]; c != d {
+				reach[c].Add(d)
+				reach[c].UnionWith(reach[d])
+			}
+		}
+	}
+	for _, v := range g.topo {
+		for _, u := range g.pred[v] {
+			if c, e := cls[v], cls[u]; c != e {
+				par[c].Add(e)
+				par[c].UnionWith(par[e])
+			}
+		}
+	}
+	for c, s := range par {
+		s.UnionWith(reach[c])
+		s.Add(c)
+		s.Complement()
+	}
+	return weights, par
+}
+
 // Algorithm1Parallel is a verbatim implementation of Algorithm 1 of
 // Serrano et al. (DATE 2016): it derives Par(v) from the SIBLING, SUCC
 // and PRED sets in two passes, the second in topological order.
@@ -768,4 +837,72 @@ func (g *Graph) Clone() *Graph {
 		c.pred[i] = append([]int(nil), g.pred[i]...)
 	}
 	return c
+}
+
+// Split returns the graph in which every node v of g with WCET above
+// maxNPR becomes a chain of k = ⌈C_v/maxNPR⌉ pieces of near-equal WCET
+// (the first C_v mod k one unit longer), numbered consecutively in node
+// order; an edge (u,v) of g runs from u's last piece to v's first. It
+// is built straight from g, with no Builder round trip: the adjacency
+// lists fill one slab, already sorted because pieces keep their nodes'
+// order, and the volume and longest path carry over, since pieces sum
+// to their node's WCET and run in sequence. The topological order is
+// g's with each node expanded into its chain, which is the order Build
+// would give the split (DESIGN.md, "Performance"). The split carries no
+// node names, and its memos start empty. maxNPR must be ≥ 1.
+func Split(g *Graph, maxNPR int64) *Graph {
+	if maxNPR < 1 {
+		panic("dag: maxNPR must be ≥ 1")
+	}
+	n := g.N()
+	// first[v] is the index of v's first piece, first[n] the piece count.
+	first := make([]int, n+1)
+	for v, c := range g.wcet {
+		first[v+1] = first[v] + int((c-1)/maxNPR+1)
+	}
+	np := first[n]
+	s := &Graph{wcet: make([]int64, np), topo: make([]int, 0, np), volume: g.volume, longest: g.longest}
+	lists := make([][]int, 2*np)
+	s.succ, s.pred = lists[:np:np], lists[np:]
+	slab := make([]int, 2*(np-n+g.NumEdges()))
+	// take carves the next window of d ints from the slab.
+	take := func(d int) []int {
+		w := slab[:d:d]
+		slab = slab[d:]
+		return w
+	}
+	for v, c := range g.wcet {
+		lo, hi := first[v], first[v+1]
+		k := int64(hi - lo)
+		for i := range k {
+			s.wcet[lo+int(i)] = c / k
+			if i < c%k {
+				s.wcet[lo+int(i)]++
+			}
+		}
+		for p := lo; p+1 < hi; p++ {
+			s.succ[p], s.pred[p+1] = take(1), take(1)
+			s.succ[p][0], s.pred[p+1][0] = p+1, p
+		}
+		if d := len(g.succ[v]); d > 0 {
+			out := take(d)
+			for i, w := range g.succ[v] {
+				out[i] = first[w]
+			}
+			s.succ[hi-1] = out
+		}
+		if d := len(g.pred[v]); d > 0 {
+			in := take(d)
+			for i, u := range g.pred[v] {
+				in[i] = first[u+1] - 1
+			}
+			s.pred[lo] = in
+		}
+	}
+	for _, v := range g.topo {
+		for p := first[v]; p < first[v+1]; p++ {
+			s.topo = append(s.topo, p)
+		}
+	}
+	return s
 }

@@ -168,11 +168,57 @@ func TestAnalyzeDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// analyzeResponse, transformJSON and repairResponse are the struct forms
-// writeJSON encoded the /v1/analyze and POST …/repair bodies from before
-// they were appended by hand. With the maps the other session responses
-// were encoded from (checkSessionEnvelopes) they are the appenders'
-// oracle.
+// taskReportJSON, analyzeResult, analyzeResponse, transformJSON and
+// repairResponse are the struct forms writeJSON encoded the /v1/analyze
+// and POST …/repair bodies from before they were appended by hand, and
+// reportJSON is the copy of a core.Report they were filled from. With
+// the maps the other session responses were encoded from
+// (checkSessionEnvelopes) they are the appenders' oracle.
+type taskReportJSON struct {
+	Name         string `json:"name"`
+	Schedulable  bool   `json:"schedulable"`
+	Analyzed     bool   `json:"analyzed"`
+	ResponseTime int64  `json:"response_time"`
+	Deadline     int64  `json:"deadline"`
+	DeltaM       int64  `json:"delta_m"`
+	DeltaM1      int64  `json:"delta_m1"`
+	Preemptions  int64  `json:"preemptions"`
+	Iterations   int    `json:"iterations"`
+}
+
+type analyzeResult struct {
+	Error       string           `json:"error,omitempty"`
+	Schedulable bool             `json:"schedulable"`
+	Method      string           `json:"method,omitempty"`
+	Cores       int              `json:"cores,omitempty"`
+	Utilization float64          `json:"utilization,omitempty"`
+	Tasks       []taskReportJSON `json:"tasks,omitempty"`
+}
+
+func reportJSON(rep *core.Report) analyzeResult {
+	out := analyzeResult{
+		Schedulable: rep.Schedulable,
+		Method:      rep.Method.String(),
+		Cores:       rep.Cores,
+		Utilization: rep.Utilization,
+		Tasks:       make([]taskReportJSON, len(rep.Tasks)),
+	}
+	for i, tr := range rep.Tasks {
+		out.Tasks[i] = taskReportJSON{
+			Name:         tr.Name,
+			Schedulable:  tr.Schedulable,
+			Analyzed:     tr.Analyzed,
+			ResponseTime: tr.ResponseTime,
+			Deadline:     tr.Deadline,
+			DeltaM:       tr.DeltaM,
+			DeltaM1:      tr.DeltaM1,
+			Preemptions:  tr.Preemptions,
+			Iterations:   tr.Iterations,
+		}
+	}
+	return out
+}
+
 type analyzeResponse struct {
 	Results []analyzeResult `json:"results"`
 }
@@ -245,7 +291,7 @@ func checkSessionEnvelopes(t testing.TB, id string, rep *core.Report, res *repai
 		{"repair", repairResponseOf(res, applied), repairLead(res, applied)},
 	} {
 		want, wantErr := encodeIndented(c.old)
-		got, err := appendSessionJSON(nil, c.lead, &r)
+		got, err := appendSessionJSON(nil, c.lead, rep)
 		if (err == nil) != (wantErr == nil) || err == nil && !bytes.Equal(got, want) {
 			t.Fatalf("%s response differs (err %v, encoding/json %v):\n%s\nwant:\n%s", c.name, err, wantErr, got, want)
 		}
@@ -286,32 +332,7 @@ func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
 	names := []string{"tau1", "", "<a&b>", "q\"\\\n\t\x01", " é\xff"}
 	utils := []float64{0, 1, 2.5, 0.1, 1e-7, 3e21, -0.5, 123456789.123}
 	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 500; iter++ {
-		results := make([]analyzeResult, rng.Intn(4)+1)
-		for i := range results {
-			r := &results[i]
-			if rng.Intn(4) == 0 {
-				r.Error = names[rng.Intn(len(names))]
-				continue
-			}
-			r.Schedulable = rng.Intn(2) == 0
-			r.Method = []string{"", "LP-ILP", "FP-ideal"}[rng.Intn(3)]
-			r.Cores = rng.Intn(3) * 4
-			r.Utilization = utils[rng.Intn(len(utils))]
-			for k := rng.Intn(3); k > 0; k-- {
-				r.Tasks = append(r.Tasks, taskReportJSON{
-					Name: names[rng.Intn(len(names))], Schedulable: rng.Intn(2) == 0, Analyzed: rng.Intn(2) == 0,
-					ResponseTime: rng.Int63n(1e6) - 10, Deadline: rng.Int63(), DeltaM: rng.Int63n(100),
-					DeltaM1: rng.Int63n(100), Preemptions: rng.Int63n(9), Iterations: rng.Intn(20),
-				})
-			}
-		}
-		want, _ := encodeIndented(analyzeResponse{Results: results})
-		got, err := appendAnalyzeResponseJSON(nil, results)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("response JSON differs (err %v):\n%s\nwant:\n%s", err, got, want)
-		}
-
+	randReport := func() *core.Report {
 		rep := &core.Report{Schedulable: rng.Intn(2) == 0, Method: core.Methods()[rng.Intn(3)],
 			Cores: rng.Intn(3) * 4, Utilization: utils[rng.Intn(len(utils))]}
 		for k := rng.Intn(4); k > 0; k-- { // zero tasks too
@@ -321,6 +342,26 @@ func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
 				DeltaM1: rng.Int63n(100), Preemptions: rng.Int63n(9), Iterations: rng.Intn(20),
 			})
 		}
+		return rep
+	}
+	for iter := 0; iter < 500; iter++ {
+		n := rng.Intn(4) + 1
+		reps, fails, results := make([]*core.Report, n), make([]string, n), make([]analyzeResult, n)
+		for i := range reps {
+			if rng.Intn(4) == 0 { // a failed element, empty error text too
+				fails[i] = names[rng.Intn(len(names))]
+				results[i] = analyzeResult{Error: fails[i]}
+				continue
+			}
+			reps[i] = randReport()
+			results[i] = reportJSON(reps[i])
+		}
+		want, _ := encodeIndented(analyzeResponse{Results: results})
+		got, err := appendAnalyzeResponseJSON(nil, reps, fails)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("response JSON differs (err %v):\n%s\nwant:\n%s", err, got, want)
+		}
+
 		res := &repair.Result{Fixed: rng.Intn(2) == 0, Stopped: rng.Intn(2) == 0, Candidates: rng.Intn(5000),
 			FailingBefore: rng.Intn(4), FailingAfter: rng.Intn(4), SlackBefore: rng.Int63n(200) - 100,
 			SlackAfter: rng.Int63n(200) - 100}
@@ -328,16 +369,16 @@ func TestAnalyzeResponseJSONMatchesEncoder(t *testing.T) {
 			res.Transforms = append(res.Transforms, repair.Transform{Op: repair.Op(rng.Intn(3)),
 				Task: names[rng.Intn(len(names))], MaxNPR: rng.Int63n(3) * 25, To: rng.Intn(3)}) // zero max_npr and to too
 		}
-		checkSessionEnvelopes(t, names[rng.Intn(len(names))], rep, res, rng.Intn(2) == 0)
+		checkSessionEnvelopes(t, names[rng.Intn(len(names))], randReport(), res, rng.Intn(2) == 0)
 	}
-	nan := []analyzeResult{{Utilization: math.NaN()}}
-	if _, err := encodeIndented(analyzeResponse{Results: nan}); err == nil {
+	nan := &core.Report{Utilization: math.NaN()}
+	if _, err := encodeIndented(analyzeResponse{Results: []analyzeResult{reportJSON(nan)}}); err == nil {
 		t.Fatal("encoding/json accepted NaN")
 	}
-	if _, err := appendAnalyzeResponseJSON(nil, nan); err == nil {
+	if _, err := appendAnalyzeResponseJSON(nil, []*core.Report{nan}, []string{""}); err == nil {
 		t.Fatal("append encoder accepted NaN")
 	}
-	if _, err := appendSessionJSON(nil, nil, &nan[0]); err == nil {
+	if _, err := appendSessionJSON(nil, nil, nan); err == nil {
 		t.Fatal("session appender accepted NaN")
 	}
 }

@@ -596,65 +596,19 @@ func readOverride[T any](d *jsonwire.Dec, dst **T, read func(*T, string) error, 
 	return read(v, field)
 }
 
-// taskReportJSON is the wire form of one core.TaskReport.
-type taskReportJSON struct {
-	Name         string `json:"name"`
-	Schedulable  bool   `json:"schedulable"`
-	Analyzed     bool   `json:"analyzed"`
-	ResponseTime int64  `json:"response_time"`
-	Deadline     int64  `json:"deadline"`
-	DeltaM       int64  `json:"delta_m"`
-	DeltaM1      int64  `json:"delta_m1"`
-	Preemptions  int64  `json:"preemptions"`
-	Iterations   int    `json:"iterations"`
-}
-
-// analyzeResult is one batch element's outcome; exactly one of Error or
-// the report fields is meaningful.
-type analyzeResult struct {
-	Error       string           `json:"error,omitempty"`
-	Schedulable bool             `json:"schedulable"`
-	Method      string           `json:"method,omitempty"`
-	Cores       int              `json:"cores,omitempty"`
-	Utilization float64          `json:"utilization,omitempty"`
-	Tasks       []taskReportJSON `json:"tasks,omitempty"`
-}
-
-func reportJSON(rep *core.Report) analyzeResult {
-	out := analyzeResult{
-		Schedulable: rep.Schedulable,
-		Method:      rep.Method.String(),
-		Cores:       rep.Cores,
-		Utilization: rep.Utilization,
-		Tasks:       make([]taskReportJSON, len(rep.Tasks)),
-	}
-	for i, tr := range rep.Tasks {
-		out.Tasks[i] = taskReportJSON{
-			Name:         tr.Name,
-			Schedulable:  tr.Schedulable,
-			Analyzed:     tr.Analyzed,
-			ResponseTime: tr.ResponseTime,
-			Deadline:     tr.Deadline,
-			DeltaM:       tr.DeltaM,
-			DeltaM1:      tr.DeltaM1,
-			Preemptions:  tr.Preemptions,
-			Iterations:   tr.Iterations,
-		}
-	}
-	return out
-}
-
 // appendAnalyzeResponseJSON appends the /v1/analyze JSON body,
-// {"results": […]}: byte for byte what writeJSON (a json.Encoder
-// indenting by two spaces) writes for it, without reflection.
-func appendAnalyzeResponseJSON(buf []byte, results []analyzeResult) ([]byte, error) {
-	if len(results) == 0 {
+// {"results": […]}, for results reps, where a nil report stands for a
+// failed element whose error string is in fails: byte for byte what
+// writeJSON (a json.Encoder indenting by two spaces) writes for it,
+// without reflection.
+func appendAnalyzeResponseJSON(buf []byte, reps []*core.Report, fails []string) ([]byte, error) {
+	if len(reps) == 0 {
 		return append(buf, "{\n  \"results\": []\n}\n"...), nil // handleAnalyze never sends nil
 	}
 	buf = append(buf, "{\n  \"results\": ["...)
-	for i := range results {
+	for i, rep := range reps {
 		var err error
-		if buf, err = appendResultJSON(appendNext(buf, indent(2), ""), &results[i], 2); err != nil {
+		if buf, err = appendResultJSON(appendNext(buf, indent(2), ""), rep, fails[i], 2); err != nil {
 			return buf, err
 		}
 	}
@@ -680,32 +634,37 @@ func appendNext(buf []byte, ind, s string) []byte {
 	return append(append(buf, ind...), s...)
 }
 
-// appendResultJSON appends r as a json.Encoder indenting by two spaces
-// writes it when the object opens at the given depth: /v1/analyze
-// results sit at depth 2, the report of a session response at depth 1.
-// Its one error is encoding/json's: a non-finite utilization.
-func appendResultJSON(buf []byte, r *analyzeResult, depth int) ([]byte, error) {
+// appendResultJSON appends one result as a json.Encoder indenting by
+// two spaces writes it when the object opens at the given depth:
+// /v1/analyze results sit at depth 2, the report of a session response
+// at depth 1. A result is rep's members or, when rep is nil, a failed
+// /v1/analyze element: its error string (omitted when empty) and
+// "schedulable": false. Its one error is encoding/json's: a non-finite
+// utilization.
+func appendResultJSON(buf []byte, rep *core.Report, fail string, depth int) ([]byte, error) {
 	res, task, field := indent(depth+1), indent(depth+2), indent(depth+3)
 	buf = append(buf, '{')
-	if r.Error != "" {
-		buf = jsonwire.AppendString(appendNext(buf, res, `"error": `), r.Error)
+	if rep == nil {
+		if fail != "" {
+			buf = jsonwire.AppendString(appendNext(buf, res, `"error": `), fail)
+		}
+		buf = append(appendNext(buf, res, `"schedulable": `), "false"...)
+		return append(append(buf, indent(depth)...), '}'), nil
 	}
-	buf = strconv.AppendBool(appendNext(buf, res, `"schedulable": `), r.Schedulable)
-	if r.Method != "" {
-		buf = jsonwire.AppendString(appendNext(buf, res, `"method": `), r.Method)
+	buf = strconv.AppendBool(appendNext(buf, res, `"schedulable": `), rep.Schedulable)
+	buf = jsonwire.AppendString(appendNext(buf, res, `"method": `), rep.Method.String())
+	if rep.Cores != 0 {
+		buf = strconv.AppendInt(appendNext(buf, res, `"cores": `), int64(rep.Cores), 10)
 	}
-	if r.Cores != 0 {
-		buf = strconv.AppendInt(appendNext(buf, res, `"cores": `), int64(r.Cores), 10)
-	}
-	if r.Utilization != 0 {
+	if rep.Utilization != 0 {
 		var err error
-		if buf, err = jsonwire.AppendFloat(appendNext(buf, res, `"utilization": `), r.Utilization); err != nil {
+		if buf, err = jsonwire.AppendFloat(appendNext(buf, res, `"utilization": `), rep.Utilization); err != nil {
 			return buf, err
 		}
 	}
-	if len(r.Tasks) > 0 {
+	if len(rep.Tasks) > 0 {
 		buf = appendNext(buf, res, `"tasks": [`)
-		for _, t := range r.Tasks {
+		for _, t := range rep.Tasks {
 			buf = appendNext(buf, task, "{")
 			buf = jsonwire.AppendString(appendNext(buf, field, `"name": `), t.Name)
 			buf = strconv.AppendBool(appendNext(buf, field, `"schedulable": `), t.Schedulable)
@@ -751,7 +710,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]analyzeResult, len(req.items))
+	reps := make([]*core.Report, len(req.items))
+	fails := make([]string, len(req.items)) // error of each element without a report
 	sets := make([]*model.TaskSet, 0, len(req.items))
 	specs := make([]AnalyzeSpec, 0, len(req.items))
 	slots := make([]int, 0, len(req.items)) // result index per submitted job
@@ -772,24 +732,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			backendStr = *item.backend
 		}
 		if err := CheckCores(spec.Cores); err != nil {
-			results[i].Error = err.Error()
+			fails[i] = err.Error()
 			continue
 		}
 		var err error
 		if spec.Method, err = ParseMethod(methodStr); err != nil {
-			results[i].Error = err.Error()
+			fails[i] = err.Error()
 			continue
 		}
 		if spec.Backend, err = ParseBackend(backendStr); err != nil {
-			results[i].Error = err.Error()
+			fails[i] = err.Error()
 			continue
 		}
 		if !item.hasSet {
-			results[i].Error = "missing taskset"
+			fails[i] = "missing taskset"
 			continue
 		}
 		if item.setErr != nil {
-			results[i].Error = item.setErr.Error()
+			fails[i] = item.setErr.Error()
 			continue
 		}
 		sets = append(sets, item.set)
@@ -809,13 +769,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer s.analyzePhases[phaseEncode].Since(t2)
 	for j, slot := range slots {
 		if errs[j] != nil {
-			results[slot].Error = errs[j].Error()
+			fails[slot] = errs[j].Error()
 			continue
 		}
-		results[slot] = reportJSON(reports[j])
+		reps[slot] = reports[j]
 	}
 	s.writeAppended(w, http.StatusOK, func(buf []byte) ([]byte, error) {
-		return appendAnalyzeResponseJSON(buf, results)
+		return appendAnalyzeResponseJSON(buf, reps, fails)
 	})
 }
 

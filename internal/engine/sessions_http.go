@@ -162,16 +162,15 @@ func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
 // (json.Encoder sorts map keys, and every lead key sorts before
 // "report"); a non-finite utilization is its 500 too.
 func (s *Server) writeReport(w http.ResponseWriter, status int, lead []byte, rep *core.Report) {
-	res := reportJSON(rep)
 	s.writeAppended(w, status, func(buf []byte) ([]byte, error) {
-		return appendSessionJSON(buf, lead, &res)
+		return appendSessionJSON(buf, lead, rep)
 	})
 }
 
 // appendSessionJSON appends writeReport's body.
-func appendSessionJSON(buf, lead []byte, res *analyzeResult) ([]byte, error) {
+func appendSessionJSON(buf, lead []byte, rep *core.Report) ([]byte, error) {
 	buf = append(append(buf, '{'), lead...)
-	buf, err := appendResultJSON(appendNext(buf, indent(1), `"report": `), res, 1)
+	buf, err := appendResultJSON(appendNext(buf, indent(1), `"report": `), rep, "", 1)
 	return append(buf, "\n}\n"...), err
 }
 
@@ -411,7 +410,7 @@ type sessionRepairRequest struct {
 }
 
 // repairConfig validates the request at the wire boundary (so
-// ppp.SplitNodes' maxNPR panic is unreachable from a request body) and
+// dag.Split's maxNPR panic is unreachable from a request body) and
 // lifts it into a repair.Config.
 func (req sessionRepairRequest) repairConfig() (repair.Config, error) {
 	strategy, err := repair.ParseStrategy(req.Strategy)

@@ -147,7 +147,7 @@ func TestSessionRepairApplyHTTP(t *testing.T) {
 
 // TestSessionRepairValidation: malformed parameters 400 at the wire
 // boundary with the invalid-field convention — in particular budgets
-// that would reach ppp.SplitNodes' maxNPR panic.
+// that would reach dag.Split's maxNPR panic.
 func TestSessionRepairValidation(t *testing.T) {
 	s := testServer(t)
 	id := repairTestSession(t, s)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/engine/cache"
 	"repro/internal/gen"
@@ -50,7 +51,7 @@ type Scenario struct {
 	// probability (0 = default 0.5).
 	SeqProb float64 `json:"seqprob,omitempty"`
 	// NPRSplit, when > 0, caps every NPR at this length by splitting
-	// long nodes (ppp.SplitNodes) after generation: the fine-grained
+	// long nodes (dag.Split) after generation: the fine-grained
 	// end of the preemption-point granularity sweep.
 	NPRSplit int64 `json:"npr_split,omitempty"`
 	// NPRCoarsen, when > 0, merges linear runs up to this length
@@ -98,7 +99,7 @@ func (s Scenario) TaskSet(seed int64, targetU float64) *model.TaskSet {
 		for i, t := range ts.Tasks {
 			graph := t.G
 			if s.NPRSplit > 0 {
-				graph = ppp.SplitNodes(graph, s.NPRSplit)
+				graph = dag.Split(graph, s.NPRSplit)
 			}
 			if s.NPRCoarsen > 0 {
 				graph = ppp.CoarsenChains(graph, s.NPRCoarsen)

@@ -37,10 +37,10 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/ppp"
 	"repro/internal/rta"
 	"repro/internal/sim"
 )
@@ -218,7 +218,7 @@ func analyzeAll(ts *model.TaskSet, m int, be core.Backend) (boundCheckSet, error
 func unitSplit(ts *model.TaskSet) *model.TaskSet {
 	tasks := make([]*model.Task, len(ts.Tasks))
 	for i, t := range ts.Tasks {
-		tasks[i] = &model.Task{Name: t.Name, G: ppp.SplitNodes(t.G, 1), Deadline: t.Deadline, Period: t.Period}
+		tasks[i] = &model.Task{Name: t.Name, G: dag.Split(t.G, 1), Deadline: t.Deadline, Period: t.Period}
 	}
 	return &model.TaskSet{Tasks: tasks}
 }

@@ -14,7 +14,7 @@
 //   - finer NPRs (splitting long nodes) cap the blocking at the split
 //     length, at the price of more preemption points.
 //
-// SplitNodes and CoarsenChains are the two placement transforms, and
+// dag.Split and CoarsenChains are the two placement transforms, and
 // Explore sweeps an NPR-length budget over a task set, reporting how the
 // schedulability verdict and the blocking terms move.
 package ppp
@@ -30,7 +30,7 @@ import (
 	"repro/internal/rta"
 )
 
-// CheckMaxNPR validates an NPR budget before it reaches SplitNodes or
+// CheckMaxNPR validates an NPR budget before it reaches dag.Split or
 // CoarsenChains, which panic on out-of-range values. Boundary layers
 // (wire decoding, session parameters) call this so the panic stays a
 // programming-error assertion, never reachable from external input.
@@ -39,44 +39,6 @@ func CheckMaxNPR(maxNPR int64) error {
 		return fmt.Errorf("ppp: invalid maxNPR: %d (must be ≥ 1)", maxNPR)
 	}
 	return nil
-}
-
-// SplitNodes returns a graph in which every node with WCET above maxNPR
-// is replaced by a chain of pieces, each at most maxNPR long, preserving
-// the volume, the precedence structure, and (because pieces are
-// sequential) the longest path. maxNPR must be ≥ 1.
-func SplitNodes(g *dag.Graph, maxNPR int64) *dag.Graph {
-	if maxNPR < 1 {
-		panic("ppp: maxNPR must be ≥ 1")
-	}
-	var b dag.Builder
-	first := make([]int, g.N())
-	last := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		c := g.WCET(v)
-		k := (c + maxNPR - 1) / maxNPR
-		base := c / k
-		rem := c % k
-		prev := -1
-		for i := int64(0); i < k; i++ {
-			w := base
-			if i < rem {
-				w++
-			}
-			nv := b.AddNode(w)
-			if prev == -1 {
-				first[v] = nv
-			} else {
-				b.AddEdge(prev, nv)
-			}
-			prev = nv
-		}
-		last[v] = prev
-	}
-	for _, e := range g.Edges() {
-		b.AddEdge(last[e[0]], first[e[1]])
-	}
-	return b.MustBuild()
 }
 
 // CoarsenChains returns a graph in which maximal linear runs (node v
@@ -197,7 +159,7 @@ func Explore(ts *model.TaskSet, m int, budgets []int64, method rta.Method, be bl
 	}
 	out := make([]Point, 0, len(budgets))
 	for _, q := range budgets {
-		split := Transform(ts, func(g *dag.Graph) *dag.Graph { return SplitNodes(g, q) })
+		split := Transform(ts, func(g *dag.Graph) *dag.Graph { return dag.Split(g, q) })
 		res, err := rta.Analyze(context.Background(), split, rta.Config{M: m, Method: method, Backend: be})
 		if err != nil {
 			return nil, err

@@ -44,7 +44,7 @@ func randomDAG(rng *rand.Rand, n int) *dag.Graph {
 
 func TestSplitNodesBasic(t *testing.T) {
 	g := chain(10)
-	s := SplitNodes(g, 3)
+	s := dag.Split(g, 3)
 	if s.N() != 4 { // 10 → 3+3+2+2
 		t.Fatalf("N = %d, want 4", s.N())
 	}
@@ -60,7 +60,7 @@ func TestSplitNodesBasic(t *testing.T) {
 
 func TestSplitNodesNoOp(t *testing.T) {
 	g := fixture.Tau1()
-	s := SplitNodes(g, 100)
+	s := dag.Split(g, 100)
 	if s.N() != g.N() || s.Volume() != g.Volume() {
 		t.Error("budget above all WCETs must not split")
 	}
@@ -71,7 +71,7 @@ func TestSplitPreservesStructure(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g := randomDAG(rng, 1+rng.Intn(12))
 		for _, q := range []int64{1, 2, 5, 17, 50} {
-			s := SplitNodes(g, q)
+			s := dag.Split(g, q)
 			if s.Volume() != g.Volume() {
 				t.Fatalf("volume changed: %d → %d", g.Volume(), s.Volume())
 			}
@@ -94,7 +94,7 @@ func TestSplitPanicsOnBadBudget(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	SplitNodes(chain(5), 0)
+	dag.Split(chain(5), 0)
 }
 
 func TestCoarsenChainsBasic(t *testing.T) {
@@ -156,7 +156,7 @@ func TestCoarsenPreservesSemantics(t *testing.T) {
 // budget recovers a graph no finer than the original chain.
 func TestSplitCoarsenRoundTrip(t *testing.T) {
 	g := chain(30)
-	s := SplitNodes(g, 7) // 5 pieces
+	s := dag.Split(g, 7) // 5 pieces
 	c := CoarsenChains(s, 30)
 	if c.N() != 1 || c.WCET(0) != 30 {
 		t.Fatalf("round trip left %d nodes", c.N())
@@ -177,7 +177,7 @@ func TestSplitReducesBlocking(t *testing.T) {
 		for _, q := range []int64{5, 10, 25, 50, 100} {
 			var split []*dag.Graph
 			for _, g := range graphs {
-				split = append(split, SplitNodes(g, q))
+				split = append(split, dag.Split(g, q))
 			}
 			d := blocking.Compute(split, m, blocking.LPMax, blocking.Combinatorial).DeltaM
 			if prev >= 0 && d < prev {
@@ -190,7 +190,7 @@ func TestSplitReducesBlocking(t *testing.T) {
 
 func TestTransformKeepsTiming(t *testing.T) {
 	ts := fixture.TaskSet()
-	out := Transform(ts, func(g *dag.Graph) *dag.Graph { return SplitNodes(g, 2) })
+	out := Transform(ts, func(g *dag.Graph) *dag.Graph { return dag.Split(g, 2) })
 	if out.N() != ts.N() {
 		t.Fatal("task count changed")
 	}
@@ -233,7 +233,7 @@ func TestQuickSplitInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomDAG(rng, 1+rng.Intn(10))
 		budget := int64(budgetRaw%50) + 1
-		s := SplitNodes(g, budget)
+		s := dag.Split(g, budget)
 		return s.Volume() == g.Volume() && s.MaxWCET() <= budget &&
 			s.LongestPath() == g.LongestPath()
 	}

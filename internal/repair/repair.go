@@ -8,7 +8,7 @@
 // largest, Δ^{m-1} the m−1 largest), so where the NPR boundaries sit
 // decides schedulability. This package turns internal/ppp from a
 // passive sweep into an optimizer: given an unschedulable set, it
-// searches sequences of per-task transforms — SplitNodes budgets,
+// searches sequences of per-task transforms — split budgets,
 // optional CoarsenChains, optional priority reassignment — for the
 // cheapest sequence that makes the set schedulable, or the best
 // partial repair when the budget runs out.
@@ -19,7 +19,10 @@
 // evaluated through a caller-supplied Eval, which sessions bind to a
 // from-scratch analysis on the pooled analyzer; the µ tables of graphs
 // a transform left alone stay memoized on them, so a candidate solves
-// tables only for the graphs it rewrote. All enumeration orders are
+// tables only for the graphs it rewrote. A search makes one split (or
+// coarsen) per (graph, budget): a transform it has made before returns
+// the same graph, so a split reused across frontier states is built,
+// fingerprinted and solved once. All enumeration orders are
 // fixed and equal-score ties are broken by a seed-pinned rank, so a
 // given (task set, Config) pair always yields the same transform
 // sequence.
@@ -33,6 +36,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/ppp"
 )
@@ -80,7 +84,7 @@ type Op int
 
 // Transform kinds.
 const (
-	// OpSplit caps a task's NPR lengths at MaxNPR via ppp.SplitNodes,
+	// OpSplit caps a task's NPR lengths at MaxNPR via dag.Split,
 	// shrinking the blocking it imposes on higher-priority tasks.
 	OpSplit Op = iota
 	// OpCoarsen merges a task's preemptible chains up to MaxNPR via
@@ -277,7 +281,7 @@ type Eval func(ctx context.Context, tasks []*model.Task) (*core.Report, error)
 func Apply(tasks []*model.Task, trs []Transform) ([]*model.Task, error) {
 	out := append([]*model.Task(nil), tasks...)
 	for i, tr := range trs {
-		next, err := applyOne(out, tr)
+		next, err := applyOne(out, tr, transformGraph)
 		if err != nil {
 			return nil, fmt.Errorf("repair: transform %d (%s): %w", i, tr, err)
 		}
@@ -286,7 +290,16 @@ func Apply(tasks []*model.Task, trs []Transform) ([]*model.Task, error) {
 	return out, nil
 }
 
-func applyOne(tasks []*model.Task, tr Transform) ([]*model.Task, error) {
+// transformGraph returns g split or coarsened at budget q.
+func transformGraph(g *dag.Graph, op Op, q int64) *dag.Graph {
+	if op == OpSplit {
+		return dag.Split(g, q)
+	}
+	return ppp.CoarsenChains(g, q)
+}
+
+// applyOne applies tr to tasks, rewriting graphs through transform.
+func applyOne(tasks []*model.Task, tr Transform, transform func(*dag.Graph, Op, int64) *dag.Graph) ([]*model.Task, error) {
 	idx := -1
 	for i, t := range tasks {
 		if t.Name == tr.Task {
@@ -304,13 +317,7 @@ func applyOne(tasks []*model.Task, tr Transform) ([]*model.Task, error) {
 			return nil, fmt.Errorf("invalid MaxNPR: %d (must be ≥ 1)", tr.MaxNPR)
 		}
 		t := out[idx]
-		g := t.G
-		if tr.Op == OpSplit {
-			g = ppp.SplitNodes(g, tr.MaxNPR)
-		} else {
-			g = ppp.CoarsenChains(g, tr.MaxNPR)
-		}
-		out[idx] = &model.Task{Name: t.Name, G: g, Deadline: t.Deadline, Period: t.Period}
+		out[idx] = &model.Task{Name: t.Name, G: transform(t.G, tr.Op, tr.MaxNPR), Deadline: t.Deadline, Period: t.Period}
 	case OpMove:
 		if tr.To < 0 || tr.To >= len(out) {
 			return nil, fmt.Errorf("invalid To: %d (must be in [0, %d])", tr.To, len(out)-1)
@@ -394,9 +401,15 @@ type state struct {
 
 // stateKey identifies a candidate up to analysis equivalence: the
 // priority order of (name, graph-content) pairs. Deadlines and periods
-// never change under repair transforms, so they are not keyed.
+// never change under repair transforms, so they are not keyed. The key
+// is sized first, so building it allocates once.
 func stateKey(tasks []*model.Task) string {
 	var b strings.Builder
+	size := 0
+	for _, t := range tasks {
+		size += len(t.Name) + len(t.G.Fingerprint()) + 2
+	}
+	b.Grow(size)
 	for _, t := range tasks {
 		b.WriteString(t.Name)
 		b.WriteByte(':')
@@ -433,7 +446,7 @@ func Search(ctx context.Context, tasks []*model.Task, cfg Config, eval Eval) (*R
 		return nil, err
 	}
 
-	r := &searcher{cfg: cfg, eval: eval}
+	r := &searcher{cfg: cfg, eval: eval, graphs: map[graphOp]*dag.Graph{}}
 	base := &state{tasks: append([]*model.Task(nil), tasks...)}
 	if err := r.evaluate(ctx, base); err != nil {
 		return nil, err
@@ -468,7 +481,28 @@ type searcher struct {
 	eval       Eval
 	candidates int
 	best       *state
-	err        error // fatal (non-context) evaluation failure
+	err        error                  // fatal (non-context) evaluation failure
+	graphs     map[graphOp]*dag.Graph // transform's results
+}
+
+// graphOp is one graph transform: source graph, split or coarsen, budget.
+type graphOp struct {
+	g  *dag.Graph
+	op Op
+	q  int64
+}
+
+// transform is transformGraph with one result per (graph, op, budget)
+// for the whole search: a split reused across frontier states is the
+// same graph, so its fingerprint and µ tables are computed once.
+func (r *searcher) transform(g *dag.Graph, op Op, q int64) *dag.Graph {
+	k := graphOp{g, op, q}
+	t, ok := r.graphs[k]
+	if !ok {
+		t = transformGraph(g, op, q)
+		r.graphs[k] = t
+	}
+	return t
 }
 
 func (r *searcher) evaluate(ctx context.Context, s *state) error {
@@ -573,7 +607,7 @@ func (r *searcher) expand(ctx context.Context, s *state, depth int, cand *int, s
 		if r.exhausted(ctx) {
 			return true
 		}
-		tasks, err := applyOne(s.tasks, tr)
+		tasks, err := applyOne(s.tasks, tr, r.transform)
 		if err != nil {
 			continue // unreachable for generated moves
 		}

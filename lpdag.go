@@ -207,7 +207,7 @@ type (
 
 // SplitNodes caps every NPR at maxNPR by splitting long nodes into
 // chains (finer preemption points, less blocking on others).
-func SplitNodes(g *Graph, maxNPR int64) *Graph { return ppp.SplitNodes(g, maxNPR) }
+func SplitNodes(g *Graph, maxNPR int64) *Graph { return dag.Split(g, maxNPR) }
 
 // CoarsenChains merges linear runs of nodes up to maxNPR (fewer
 // preemption points, more blocking on others).
