@@ -92,10 +92,19 @@ type Budget struct {
 var Budgets = []Budget{
 	// One full campaign (generation, three methods, streaming) per op.
 	// The pooled solver and wire codecs brought it from ~362k to ~60k
-	// allocs; 1.5× headroom passes noise, while any per-result
-	// allocation creeping back (it multiplies by the point count) fails.
-	{"CampaignThroughput", "allocs/op", 90000,
-		"per-result allocation is back on the stream path"},
+	// allocs, and pooled builders and run classes and leaving the
+	// µ-table cache to ~7.5k; 1.5× headroom passes noise, while any
+	// per-graph or per-result allocation creeping back (it multiplies
+	// by the graph or point count) fails.
+	{"CampaignThroughput", "allocs/op", 11000,
+		"per-graph or per-result allocation is back on the campaign path"},
+	// One cold m = 16 table for each of 18 graphs per op. The run
+	// classes and the clique search live in pooled scratch, so a table
+	// allocates only itself: 18 allocs; 1.5× headroom passes the pool
+	// refills after a GC, while a per-graph scratch allocation back on
+	// the cold path (36) fails.
+	{"MuTableCold", "allocs/op", 27,
+		"a cold µ solve allocates more than its table again"},
 	// One edit + report + snapshot append + fsync per op: 25 ms is an
 	// order of magnitude over a worst-case rotational fsync, so only a
 	// second fsync on the commit path, compaction under the append lock
@@ -265,11 +274,13 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 }
 
 // inversionNsSlack is the multiplicative tolerance of the cache
-// inversion gate's ns/op leg. Cached and uncached sweeps share the
-// same steady-state code path (the µ memo on each graph), so their
-// times differ only by run-to-run noise; 5% covers that noise while
-// still catching anything like the 2× inversion the gate exists for.
-// The allocs/op leg is exact — allocation counts are deterministic.
+// inversion gate's ns/op leg. Both sweeps analyze fresh clones of the
+// same graphs, the cached one fetching every µ table by fingerprint
+// and the uncached one solving it, so a working cache leaves the
+// cached sweep several times faster; 5% absorbs run-to-run noise
+// should the two ever come close, while still catching anything like
+// the 2× inversion the gate exists for. The allocs/op leg is exact —
+// allocation counts are deterministic.
 const inversionNsSlack = 1.05
 
 // CheckInversion enforces the cache's reason to exist: on the

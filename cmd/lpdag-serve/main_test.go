@@ -148,6 +148,80 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeCampaignLeavesCache sends an analyze batch, then a campaign
+// stream, then the same batch again, to a node with a small µ-table
+// cache. The campaign's freshly generated sets must neither look
+// tables up nor add or evict entries, so the repeated batch is served
+// entirely from the entries the first one made.
+func TestServeCampaignLeavesCache(t *testing.T) {
+	base, shutdown := startServer(t, "-workers", "2", "-cache", "256")
+	g := lpdag.NewGenerator(5, lpdag.PaperGenParams(lpdag.GroupMixed))
+	reqs := make([]string, 4)
+	for i := range reqs {
+		raw, err := g.TaskSet(3).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = fmt.Sprintf(`{"taskset": %s}`, raw)
+	}
+	batch := fmt.Sprintf(`{"cores": 8, "requests": [%s]}`, strings.Join(reqs, ","))
+	postOK := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", path, resp.StatusCode, data)
+		}
+		return data
+	}
+	type cacheStats struct {
+		Hits, Misses, Waits, Evictions, Entries int
+	}
+	stats := func() cacheStats {
+		t.Helper()
+		resp, err := http.Get(base + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Cache cacheStats `json:"cache"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Cache
+	}
+
+	first := postOK("/v1/analyze", batch)
+	before := stats()
+	if before.Misses == 0 || before.Entries != before.Misses || before.Evictions != 0 {
+		t.Fatalf("first batch: cache %+v, want one entry per miss and no eviction", before)
+	}
+	// 2 families × 3 core counts × 2 utilizations × 20 sets: far more
+	// graphs than the cache holds.
+	postOK("/v1/campaign", `{"seed":3,"ms":[2,4,8],"u_fracs":[0.4,0.8],"sets_per_point":20,"scenarios":["mixed","parallel"]}`)
+	if after := stats(); after != before {
+		t.Fatalf("campaign touched the cache: %+v, before %+v", after, before)
+	}
+	if second := postOK("/v1/analyze", batch); !bytes.Equal(second, first) {
+		t.Fatalf("repeated batch answered differently:\n%s\nfirst:\n%s", second, first)
+	}
+	lookups := before.Hits + before.Misses + before.Waits
+	want := before
+	want.Hits += lookups
+	if got := stats(); got != want {
+		t.Fatalf("repeated batch: cache %+v, want all %d lookups hits: %+v", got, lookups, want)
+	}
+	if code := shutdown(); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+}
+
 // TestServeShardAndDrain exercises the cluster-worker surface of the
 // server: /v1/shard streams a leased subset as campaign JSONL, and
 // once shutdown begins (with -drain-grace holding the listener open)

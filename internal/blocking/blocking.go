@@ -24,6 +24,7 @@ package blocking
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/clique"
 	"repro/internal/dag"
@@ -67,7 +68,9 @@ func (b Backend) String() string {
 // (dag.RunClasses): each linear run, such as the chain of pieces
 // dag.Split makes of a long node, is one vertex weighing its heaviest
 // member, so neither g's Par sets nor a solve over every piece is
-// needed. The paper-ILP backend, the oracle, solves on g itself.
+// needed. The classes and the clique search live in pooled scratch, so
+// a cold solve allocates only the table it returns. The paper-ILP
+// backend, the oracle, solves on g itself.
 func Mu(g *dag.Graph, m int, be Backend) []int64 {
 	if mu := MemoMu(g, m, be); mu != nil {
 		return mu
@@ -75,8 +78,10 @@ func Mu(g *dag.Graph, m int, be Backend) []int64 {
 	var mu []int64
 	switch be {
 	case Combinatorial:
-		w, par := dag.RunClasses(g)
-		mu = clique.MuTable(w, par, m)
+		sc := muScratchPool.Get().(*muScratch)
+		w, par := sc.classes.Classes(g)
+		mu = sc.solver.MuTable(w, par, m)
+		muScratchPool.Put(sc)
 	case PaperILP:
 		mu = make([]int64, m)
 		isPar := g.IsParallelMatrix()
@@ -93,6 +98,16 @@ func Mu(g *dag.Graph, m int, be Backend) []int64 {
 	StoreMu(g, be, mu)
 	return mu
 }
+
+// muScratch is the reusable memory of a combinatorial µ solve: the
+// run classes of the graph and the clique solver that searches them.
+// Drawn from a pool, it makes a cold solve allocate only its table.
+type muScratch struct {
+	classes dag.ClassScratch
+	solver  clique.Solver
+}
+
+var muScratchPool = sync.Pool{New: func() any { return new(muScratch) }}
 
 // MemoMu returns the first m entries of the µ table memoized on g for
 // backend be, or nil when g holds no table that long. It never solves.

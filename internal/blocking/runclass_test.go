@@ -1,8 +1,10 @@
 package blocking_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/blocking"
@@ -149,5 +151,111 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 		if par[c].String() != want {
 			t.Fatalf("split fork: Par(class %d) = %v, want %v", c, par[c], want)
 		}
+	}
+}
+
+// scratchShapes returns n random graphs in random order, of 1 to 150
+// nodes, from run-free (dense) to mostly runs (sparse, and chains), so
+// a scratch fed them in turn grows and shrinks across bitset word
+// boundaries.
+func scratchShapes(rng *rand.Rand, n int) []*dag.Graph {
+	out := make([]*dag.Graph, n)
+	for i := range out {
+		var b dag.Builder
+		size := 1 + rng.Intn(150)
+		for range size {
+			b.AddNode(int64(1 + rng.Intn(40)))
+		}
+		perm := rng.Perm(size)
+		if rng.Intn(5) == 0 { // a chain: one class
+			for j := 1; j < size; j++ {
+				b.AddEdge(perm[j-1], perm[j])
+			}
+		} else {
+			p := 4 * rng.Float64() / float64(size)
+			for j := 1; j < size; j++ {
+				for k := 0; k < j; k++ {
+					if rng.Float64() < p {
+						b.AddEdge(perm[k], perm[j])
+					}
+				}
+			}
+		}
+		out[i] = b.MustBuild()
+		if rng.Intn(3) == 0 {
+			out[i] = dag.Split(out[i], int64(1+rng.Intn(20)))
+		}
+	}
+	return out
+}
+
+// TestClassScratchReuseMatchesFresh feeds one ClassScratch a random
+// sequence of growing and shrinking graphs, with and without runs: each
+// result must equal a fresh RunClasses, so no weight or bit of an
+// earlier, larger graph leaks into a later one.
+func TestClassScratchReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var sc dag.ClassScratch
+	withRuns, grew, shrank, prev := 0, 0, 0, 0
+	for i, g := range append(scratchShapes(rng, 400), runShapes(rng)...) {
+		want, wantPar := dag.RunClasses(g)
+		got, par := sc.Classes(g)
+		if !slices.Equal(got, want) || len(par) != len(wantPar) {
+			t.Fatalf("graph %d (%d nodes): weights %v, want %v", i, g.N(), got, want)
+		}
+		for c := range par {
+			if !par[c].Equal(wantPar[c]) {
+				t.Fatalf("graph %d (%d nodes): Par(class %d) = %v, want %v", i, g.N(), c, par[c], wantPar[c])
+			}
+		}
+		if len(want) < g.N() {
+			withRuns++
+		}
+		switch {
+		case len(want) > prev:
+			grew++
+		case len(want) < prev:
+			shrank++
+		}
+		prev = len(want)
+	}
+	if withRuns < 100 || grew < 100 || shrank < 100 {
+		t.Fatalf("%d graphs with runs, %d growths, %d shrinks: the sequence does not exercise the scratch", withRuns, grew, shrank)
+	}
+}
+
+// TestMuConcurrentMatchesSerial solves combinatorial µ tables on fresh
+// clones from several goroutines at once, so the pooled class and
+// solver scratch is shared between them, and compares each table with
+// the one solved serially. Run it under -race.
+func TestMuConcurrentMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	graphs := scratchShapes(rng, 120)
+	const m = 8
+	want := make([][]int64, len(graphs))
+	for i, g := range graphs {
+		want[i] = blocking.Mu(g.Clone(), m, blocking.Combinatorial)
+	}
+	const workers = 4
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i := (w + round) % workers; i < len(graphs); i += workers {
+					if got := blocking.Mu(graphs[i].Clone(), m, blocking.Combinatorial); !slices.Equal(got, want[i]) {
+						errs <- fmt.Sprintf("graph %d (%d nodes): µ %v, want %v", i, graphs[i].N(), got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -18,17 +18,16 @@
 // All scratch state — candidate sets per search depth, the reduced and
 // reordered problem, the twin-reduction marks — lives on a reusable
 // Solver, so a campaign computing millions of µ tables allocates
-// nothing in steady state. The package-level MaxWeightKSet and MuTable
-// draw Solvers from a shared pool; MuTable additionally performs the
-// twin reduction and the weight reordering once and reuses them for
-// every c.
+// nothing in steady state: blocking.Mu keeps Solvers in a pool beside
+// its run-class scratch. The package-level MaxWeightKSet and MuTable
+// solve on a fresh Solver. MuTable performs the twin reduction and the
+// weight reordering once and reuses them for every c.
 package clique
 
 import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 )
@@ -62,8 +61,6 @@ type Solver struct {
 	claimed []bool
 }
 
-var solverPool = sync.Pool{New: func() any { return new(Solver) }}
-
 // MaxWeightKSet returns the maximum total weight of a set of exactly k
 // vertices that are pairwise adjacent in the compatibility relation adj,
 // together with one optimal vertex set (ascending order). If no such set
@@ -73,20 +70,14 @@ var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 // compatible with v and must be symmetric and irreflexive (as produced by
 // dag.(*Graph).Parallel).
 func MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64, []int) {
-	s := solverPool.Get().(*Solver)
-	v, set := s.MaxWeightKSet(weights, adj, k)
-	solverPool.Put(s)
-	return v, set
+	return new(Solver).MaxWeightKSet(weights, adj, k)
 }
 
 // MuTable returns µ[c] for c = 1..m (index c-1): the worst-case workload
 // of the c heaviest pairwise-parallel nodes, or 0 when fewer than c nodes
 // can run in parallel (Equation (6) and Table I of the paper).
 func MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
-	s := solverPool.Get().(*Solver)
-	mu := s.MuTable(weights, adj, m)
-	solverPool.Put(s)
-	return mu
+	return new(Solver).MuTable(weights, adj, m)
 }
 
 // MaxWeightKSet is the Solver form of the package-level function.

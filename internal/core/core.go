@@ -65,10 +65,11 @@ type Options struct {
 	// Cache, when non-nil, memoizes the content-addressed µ[c] tables
 	// (the clique-search / ILP-solve work of Equation (6)) across graph
 	// instances, behind the µ memo each graph keeps for itself. Share
-	// one cache so structurally identical graphs — wherever and however
-	// they were built — solve each table once; cheaper derived
-	// quantities are recomputed, never cached. Verdicts are identical
-	// with or without it.
+	// one cache so structurally identical graphs — decoded again from
+	// a recurring request, say — solve each table once; graphs that
+	// are analyzed once and never recur, like generated ones, gain
+	// nothing from it. Cheaper derived quantities are recomputed, never
+	// cached. Verdicts are identical with or without it.
 	Cache *cache.Cache
 
 	// Trace, when non-nil, records analysis-phase span timings into its

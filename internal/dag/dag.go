@@ -68,7 +68,7 @@ type Graph struct {
 	parMat     [][]bool // IsPar matrix over par
 
 	fpOnce sync.Once
-	fp     string // sha256 over canonical content
+	fp     [32]byte // sha256 over canonical content
 
 	muLock   sync.Mutex
 	muTables [2][]int64 // longest µ table per solver backend (LoadMu)
@@ -501,9 +501,25 @@ func (g *Graph) Parallel() []*bitset.Set {
 // "Performance"). Classes are numbered in the topological order of
 // their first members; on a graph without runs each node is its own
 // class, and the Par sets are g's, renumbered. The result is fresh and
-// owned by the caller; the Par sets share one slab with the class
-// reachability sets they were derived from.
+// owned by the caller; ClassScratch.Classes computes the same into
+// reused memory.
 func RunClasses(g *Graph) (weights []int64, par []*bitset.Set) {
+	return new(ClassScratch).Classes(g)
+}
+
+// ClassScratch is the reusable memory of RunClasses: the class of each
+// node, the class weights, and the class reachability and Par sets.
+// Its buffers grow to the largest graph seen. The zero value is ready
+// to use; a ClassScratch is not safe for concurrent use.
+type ClassScratch struct {
+	cls     []int
+	weights []int64
+	sets    []*bitset.Set
+}
+
+// Classes returns RunClasses(g) in the scratch's memory: the weights
+// and Par sets are views of it, valid until its next use.
+func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	n := g.N()
 	// linked reports whether v continues its predecessor's run.
 	linked := func(v int) bool {
@@ -516,8 +532,10 @@ func RunClasses(g *Graph) (weights []int64, par []*bitset.Set) {
 			r--
 		}
 	}
-	cls := make([]int, n)
-	weights = make([]int64, r)
+	sc.cls = slices.Grow(sc.cls[:0], n)[:n]
+	sc.weights = slices.Grow(sc.weights[:0], r)[:r]
+	cls, weights := sc.cls, sc.weights
+	clear(weights)
 	next := 0
 	for _, v := range g.topo {
 		if linked(v) {
@@ -532,7 +550,13 @@ func RunClasses(g *Graph) (weights []int64, par []*bitset.Set) {
 	// member predecessors, outside the run, so the reverse topological
 	// walk (successors) and the topological one (predecessors) union in
 	// only finished sets.
-	sets := bitset.Slab(2*r, r)
+	if len(sc.sets) < 2*r {
+		sc.sets = append(sc.sets, bitset.Slab(2*r-len(sc.sets), r)...)
+	}
+	sets := sc.sets[:2*r]
+	for _, s := range sets {
+		s.Reset(r)
+	}
 	reach, par := sets[:r], sets[r:]
 	for i := n - 1; i >= 0; i-- {
 		v := g.topo[i]
@@ -738,11 +762,13 @@ func (g *Graph) SortedWCETs() []int64 {
 // deterministic edge list; display names are excluded because they never
 // affect analysis). Structurally identical graphs — however and wherever
 // they were built — share one fingerprint, which makes it the O(1)
-// content-addressing key of the analysis cache. Memoized on the graph.
-func (g *Graph) Fingerprint() string {
+// content-addressing key of the analysis cache. Memoized on the graph;
+// the canonical text is written into a pooled buffer, so a fingerprint
+// allocates nothing once the pool is warm.
+func (g *Graph) Fingerprint() [32]byte {
 	g.fpOnce.Do(func() {
-		buf := make([]byte, 0, 16*g.N())
-		buf = strconv.AppendInt(buf, int64(g.N()), 10)
+		bp := fpTextPool.Get().(*[]byte)
+		buf := strconv.AppendInt((*bp)[:0], int64(g.N()), 10)
 		buf = append(buf, ';')
 		for _, c := range g.wcet {
 			buf = strconv.AppendInt(buf, c, 10)
@@ -757,11 +783,15 @@ func (g *Graph) Fingerprint() string {
 				buf = append(buf, ',')
 			}
 		}
-		sum := sha256.Sum256(buf)
-		g.fp = string(sum[:])
+		g.fp = sha256.Sum256(buf)
+		*bp = buf
+		fpTextPool.Put(bp)
 	})
 	return g.fp
 }
+
+// fpTextPool holds the canonical-text buffers of Fingerprint.
+var fpTextPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // LoadMu returns the µ table memoized on g in the given slot (one per µ
 // solver backend, 0 or 1), cut to its first m entries, or nil when the

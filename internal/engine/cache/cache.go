@@ -160,8 +160,7 @@ func (c *Cache) Stats() Stats {
 // with the cache; callers must not modify it. The hit path is inlined
 // ahead of the compute closure so a hit never constructs it.
 func (c *Cache) MuTable(g *dag.Graph, m int, be blocking.Backend) []int64 {
-	k := key{m: int32(m), be: int32(be)}
-	copy(k.fp[:], g.Fingerprint())
+	k := key{fp: g.Fingerprint(), m: int32(m), be: int32(be)}
 	s := &c.shards[k.fp[0]%numShards]
 	s.mu.RLock()
 	e := s.entries[k]

@@ -5,13 +5,14 @@ package experiments
 //
 // A campaign's points run on the experiment runner (runner.go): one
 // engine job per point, pulled in index order by the engine's workers,
-// so the concurrency is the engine's worker count while every analysis
-// of a campaign shares the engine's µ-table cache. Each task set's RNG
-// seed derives from (campaign seed, point index, set index) alone (see
-// seed.go), so campaign output is bit-identical regardless of worker
-// count and completion order; the Merger reorders finished points back
-// into index order before writing, which keeps the JSONL and CSV
-// streams byte-stable too.
+// so the concurrency is the engine's worker count. The analyses do not
+// consult the engine's µ-table cache: every set is generated fresh and
+// analyzed once, and the µ memo on each graph already serves a set's
+// other methods. Each task set's RNG seed derives from (campaign seed,
+// point index, set index) alone (see seed.go), so campaign output is
+// bit-identical regardless of worker count and completion order; the
+// Merger reorders finished points back into index order before
+// writing, which keeps the JSONL and CSV streams byte-stable too.
 
 import (
 	"context"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
-	"repro/internal/engine/cache"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -270,9 +270,10 @@ type Progress struct {
 type RunOptions struct {
 	// Context cancels the campaign (nil = background).
 	Context context.Context
-	// Engine runs the point jobs; when nil the campaign starts its own
-	// with CampaignConfig.Workers workers and closes it on return. The
-	// engine's cache shares µ tables across the campaign's analyses.
+	// Engine runs the point jobs, at most its worker count at once;
+	// when nil the campaign starts its own with CampaignConfig.Workers
+	// workers and closes it on return. The campaign leaves the engine's
+	// µ-table cache alone: its freshly generated sets would only miss.
 	Engine *engine.Engine
 	// JSONL, when non-nil, receives one compact JSON PointResult per
 	// line, in point-index order, as points complete.
@@ -450,19 +451,19 @@ func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOp
 		eng = engine.New(engine.Config{Workers: cfg.Workers})
 		defer eng.Close()
 	}
-	memo := eng.Cache()
 	return runPoints(ctx, eng, idx, func(ctx context.Context, i int) (PointResult, error) {
-		return runCampaignPoint(ctx, cfg, points[i], memo)
+		return runCampaignPoint(ctx, cfg, points[i])
 	}, done)
 }
 
 // runCampaignPoint generates and analyzes the task sets of one grid
 // point. It runs as one engine job, holding one slot, so the analyses
 // execute inline (submitting nested jobs from a job could deadlock the
-// engine) against the campaign-shared cache. The sets are generated
-// once and each method analyzes them as one ScheduleBatch, so the whole
-// point reuses a single warm rta scratch state per method.
-func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point, memo *cache.Cache) (PointResult, error) {
+// engine). The sets are generated once and each method analyzes them
+// as one ScheduleBatch, so the whole point reuses a single warm rta
+// scratch state per method, and the µ table each graph memoizes for the
+// first LP-ILP method serves the next.
+func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point) (PointResult, error) {
 	res := PointResult{
 		Index:    pt.Index,
 		Scenario: pt.Scenario.Name,
@@ -476,7 +477,7 @@ func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point, memo *c
 		sets[si] = pt.Scenario.TaskSet(SeedFor(cfg.Seed, pt.Index, si), pt.U)
 	}
 	for _, method := range cfg.Methods {
-		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method, Backend: cfg.Backend, Cache: memo})
+		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method, Backend: cfg.Backend})
 		if err != nil {
 			return res, err
 		}

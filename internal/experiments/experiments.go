@@ -245,7 +245,7 @@ func TasksSweep(cfg TasksSweepConfig) ([]TasksSweepPoint, error) {
 		}
 		pct := make(map[core.Method]float64, 3)
 		for _, method := range core.Methods() {
-			sched, err := countSchedulable(ctx, batch, core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend, Cache: eng.Cache()})
+			sched, err := countSchedulable(ctx, batch, core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend})
 			if err != nil {
 				return TasksSweepPoint{}, err
 			}
@@ -445,12 +445,12 @@ func Variants(cfg Fig2Config) ([]VariantPoint, error) {
 	eng := engine.New(engine.Config{})
 	defer eng.Close()
 	// The variants differ only in the fixed-point iteration; the µ
-	// tables they share come from one cache.
-	memo := eng.Cache()
+	// table the first one solves is memoized on each graph for the
+	// other two.
 	variants := []rta.Config{
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo},
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo, FinalNPRRefinement: true},
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, Cache: memo, AblateRepeatedBlocking: true},
+		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend},
+		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, FinalNPRRefinement: true},
+		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, AblateRepeatedBlocking: true},
 	}
 	return sweep(eng, len(us), func(ctx context.Context, point int) (VariantPoint, error) {
 		sets := make([]*model.TaskSet, n)
@@ -520,7 +520,7 @@ func Pessimism(cfg PessimismConfig) (PessimismResult, error) {
 	}
 	eng := engine.New(engine.Config{})
 	defer eng.Close()
-	a, err := core.New(core.Options{Cores: cfg.M, Method: core.LPILP, Backend: cfg.Backend, Cache: eng.Cache()})
+	a, err := core.New(core.Options{Cores: cfg.M, Method: core.LPILP, Backend: cfg.Backend})
 	if err != nil {
 		return PessimismResult{}, err
 	}

@@ -361,7 +361,7 @@ func minimizeSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int
 // workers.
 func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 	cfg = cfg.normalized()
-	eng := engine.New(engine.Config{Workers: cfg.Workers, CacheEntries: -1})
+	eng := engine.New(engine.Config{Workers: cfg.Workers})
 	defer eng.Close()
 
 	type pointOut struct {

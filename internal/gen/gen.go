@@ -27,6 +27,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/model"
@@ -195,19 +196,30 @@ func New(seed int64, params Params) *Generator {
 // Graph generates one DAG with the generator's parameters, choosing the
 // population-appropriate shape (or the explicitly requested family).
 func (g *Generator) Graph() *dag.Graph {
-	switch g.params.Shape {
-	case ShapeWide:
-		return g.wideGraph()
-	case ShapeDeep:
-		return g.deepGraph()
-	case ShapeOpenMP:
-		return g.openmpGraph()
+	b := builders.Get().(*dag.Builder)
+	b.Reset()
+	switch {
+	case g.params.Shape == ShapeWide:
+		g.wideGraph(b)
+	case g.params.Shape == ShapeDeep:
+		g.deepGraph(b)
+	case g.params.Shape == ShapeOpenMP:
+		g.openmpGraph(b)
+	case g.params.Group == GroupMixed && g.rng.Float64() < g.params.SeqProb:
+		g.sequentialGraph(b)
+	default:
+		g.parallelGraph(b)
 	}
-	if g.params.Group == GroupMixed && g.rng.Float64() < g.params.SeqProb {
-		return g.sequentialGraph()
-	}
-	return g.parallelGraph()
+	graph := b.MustBuild()
+	builders.Put(b)
+	return graph
 }
+
+// builders holds the Builders graphs are generated in. Build copies
+// what it keeps, so a Builder serves graph after graph, and the many
+// short-lived generators of a campaign, one per task set, do not each
+// grow their own node and edge lists.
+var builders = sync.Pool{New: func() any { return new(dag.Builder) }}
 
 // sequentialGraph emits a chain — the control-flow tasks of the
 // embedded-domain population. Chains use at least three NPRs so that the
@@ -215,8 +227,7 @@ func (g *Generator) Graph() *dag.Graph {
 // with WCET ~U[1,100] would have a deadline smaller than a single
 // blocking NPR of its neighbours, drowning the low-utilization end of
 // every curve in structural failures the paper does not show).
-func (g *Generator) sequentialGraph() *dag.Graph {
-	var b dag.Builder
+func (g *Generator) sequentialGraph(b *dag.Builder) {
 	lo := 3
 	if lo > g.params.DAG.MaxPathLen {
 		lo = g.params.DAG.MaxPathLen
@@ -230,15 +241,13 @@ func (g *Generator) sequentialGraph() *dag.Graph {
 		}
 		prev = v
 	}
-	return b.MustBuild()
 }
 
 // parallelGraph grows a nested fork-join with the paper's expansion
 // probabilities. Depth is measured in fork nestings; each nesting adds a
 // fork and a join node to every path through it, so the path-length cap
 // bounds the admissible depth.
-func (g *Generator) parallelGraph() *dag.Graph {
-	var b dag.Builder
+func (g *Generator) parallelGraph(b *dag.Builder) {
 	budget := g.params.DAG.MaxNodes
 	maxDepth := (g.params.DAG.MaxPathLen - 1) / 2 // nodes on a path of d nestings: 2d+1
 
@@ -281,7 +290,6 @@ func (g *Generator) parallelGraph() *dag.Graph {
 		b.AddEdge(fork, s)
 		b.AddEdge(t, join)
 	}
-	return b.MustBuild()
 }
 
 // openmpGraph emits the blocked-LU wavefront of examples/openmp with a
@@ -292,7 +300,7 @@ func (g *Generator) parallelGraph() *dag.Graph {
 // K + K(K−1)/2 nodes and a longest path of 2K−1 nodes, so K is drawn
 // from [2, Kmax] with Kmax the largest value fitting MaxNodes and
 // MaxPathLen.
-func (g *Generator) openmpGraph() *dag.Graph {
+func (g *Generator) openmpGraph(b *dag.Builder) {
 	kMax := 2
 	for k := 3; k+k*(k-1)/2 <= g.params.DAG.MaxNodes && 2*k-1 <= g.params.DAG.MaxPathLen; k++ {
 		kMax = k
@@ -301,7 +309,6 @@ func (g *Generator) openmpGraph() *dag.Graph {
 	if kMax > 2 {
 		blocks = 2 + g.rng.Intn(kMax-1)
 	}
-	var b dag.Builder
 	diag := make([]int, blocks)
 	panel := make([][]int, blocks)
 	for k := 0; k < blocks; k++ {
@@ -320,13 +327,11 @@ func (g *Generator) openmpGraph() *dag.Graph {
 			b.AddEdge(panel[k-1][k], diag[k])
 		}
 	}
-	return b.MustBuild()
 }
 
 // wideGraph emits one flat fork-join of width ≥ NPar (capped by the node
 // budget): the widest structure the node budget admits at path length 3.
-func (g *Generator) wideGraph() *dag.Graph {
-	var b dag.Builder
+func (g *Generator) wideGraph(b *dag.Builder) {
 	w := g.params.DAG.NPar + g.rng.Intn(g.params.DAG.NPar+1)
 	if w < 2 {
 		w = 2
@@ -343,14 +348,12 @@ func (g *Generator) wideGraph() *dag.Graph {
 		b.AddEdge(fork, v)
 		b.AddEdge(v, join)
 	}
-	return b.MustBuild()
 }
 
 // deepGraph emits a chain of MaxPathLen nodes in which interior links are
 // occasionally widened into two-branch diamonds: the deepest admissible
 // structure with token parallelism (width ≤ 2).
-func (g *Generator) deepGraph() *dag.Graph {
-	var b dag.Builder
+func (g *Generator) deepGraph(b *dag.Builder) {
 	depth := g.params.DAG.MaxPathLen
 	if depth < 3 {
 		depth = 3
@@ -382,7 +385,6 @@ func (g *Generator) deepGraph() *dag.Graph {
 		prev = v
 		budget--
 	}
-	return b.MustBuild()
 }
 
 func (g *Generator) wcet() int64 {

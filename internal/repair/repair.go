@@ -413,7 +413,8 @@ func stateKey(tasks []*model.Task) string {
 	for _, t := range tasks {
 		b.WriteString(t.Name)
 		b.WriteByte(':')
-		b.WriteString(t.G.Fingerprint())
+		fp := t.G.Fingerprint()
+		b.Write(fp[:])
 		b.WriteByte(';')
 	}
 	return b.String()

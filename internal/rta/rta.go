@@ -77,10 +77,12 @@ type Config struct {
 	// reaches the shared cache only when the graph holds no table for
 	// M cores yet, so steady-state re-analysis costs the same with or
 	// without it, while structurally identical graphs built elsewhere
-	// (fresh deserializations, regenerated sets) skip the clique search
-	// or ILP solve. Cheaper quantities (top-NPR lists, suffix Δ
-	// aggregates) are never cached — recompute wins. Results are
-	// identical with or without a cache.
+	// (fresh deserializations of recurring task sets) skip the clique
+	// search or ILP solve. A graph analyzed once and never seen again,
+	// such as a freshly generated one, only pays the fingerprint and
+	// an entry, so such callers leave Cache nil. Cheaper quantities
+	// (top-NPR lists, suffix Δ aggregates) are never cached —
+	// recompute wins. Results are identical with or without a cache.
 	Cache *cache.Cache
 
 	// FinalNPRRefinement enables the paper's future-work item (ii): for
