@@ -25,17 +25,12 @@ import (
 )
 
 // figure1Graphs rebuilds the four Figure 1 graphs with the timer
-// stopped and their parallelism memos warm, so an iteration times the
-// µ solves alone: µ tables memoize on their graph, and reused graphs
-// would time memo hits instead.
+// stopped, so an iteration times the µ solves: µ tables memoize on
+// their graph, and reused graphs would time memo hits instead.
 func figure1Graphs(b *testing.B) []*Graph {
 	b.StopTimer()
 	defer b.StartTimer()
-	graphs := fixture.LowerPriorityGraphs()
-	for _, g := range graphs {
-		g.IsParallelMatrix()
-	}
-	return graphs
+	return fixture.LowerPriorityGraphs()
 }
 
 // BenchmarkTableI regenerates Table I: the µ_i[c] worst-case workload

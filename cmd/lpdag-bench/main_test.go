@@ -42,25 +42,31 @@ func TestParseBenchOutput(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	base := Entry{Benchmarks: map[string]Measurement{
-		"A": {NsPerOp: 100, AllocsPerOp: 0},
-		"B": {NsPerOp: 1000, AllocsPerOp: 5},
-		"C": {NsPerOp: 50, AllocsPerOp: 200},
-		"E": {NsPerOp: 50, AllocsPerOp: 200},
+		"A":                  {NsPerOp: 100, AllocsPerOp: 0},
+		"B":                  {NsPerOp: 1000, AllocsPerOp: 5},
+		"C":                  {NsPerOp: 50, AllocsPerOp: 200},
+		"E":                  {NsPerOp: 50, AllocsPerOp: 200},
+		"SessionEdit":        {NsPerOp: 10e3, AllocsPerOp: 30},
+		"SessionEditDurable": {NsPerOp: 150e3, AllocsPerOp: 60},
 	}}
 	cur := Entry{Benchmarks: map[string]Measurement{
-		"A": {NsPerOp: 115, AllocsPerOp: 1},  // +15% ns, +1 alloc — inside both gates
-		"B": {NsPerOp: 1300, AllocsPerOp: 5}, // +30% — ns regression
-		"C": {NsPerOp: 40, AllocsPerOp: 204}, // faster but allocs grew past 1%+1
-		"D": {NsPerOp: 1, AllocsPerOp: 0},    // new benchmark — ignored
-		"E": {NsPerOp: 50, AllocsPerOp: 203}, // +3 allocs = 1%+1 of 200 — tolerated
+		"A":                  {NsPerOp: 115, AllocsPerOp: 1},    // +15% ns, +1 alloc — inside both gates
+		"B":                  {NsPerOp: 1300, AllocsPerOp: 5},   // +30% — ns regression
+		"C":                  {NsPerOp: 40, AllocsPerOp: 204},   // faster but allocs grew past 1%+1
+		"D":                  {NsPerOp: 1, AllocsPerOp: 0},      // new benchmark — ignored
+		"E":                  {NsPerOp: 50, AllocsPerOp: 203},   // +3 allocs = 1%+1 of 200 — tolerated
+		"SessionEdit":        {NsPerOp: 20e3, AllocsPerOp: 30},  // 2× ns — regression
+		"SessionEditDurable": {NsPerOp: 300e3, AllocsPerOp: 62}, // 2× ns left to its budget row; +2 allocs — regression
 	}}
 	regs := Compare(base, cur, 20)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2: %v", len(regs), regs)
+	if len(regs) != 4 {
+		t.Fatalf("got %d regressions, want 4: %v", len(regs), regs)
 	}
 	joined := strings.Join(regs, "\n")
-	if !strings.Contains(joined, "B: ns/op") || !strings.Contains(joined, "C: allocs/op") {
-		t.Errorf("unexpected regression set: %v", regs)
+	for _, want := range []string{"B: ns/op", "C: allocs/op", "SessionEdit: ns/op", "SessionEditDurable: allocs/op"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("regression %q missing from %v", want, regs)
+		}
 	}
 }
 

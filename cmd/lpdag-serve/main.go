@@ -36,6 +36,8 @@
 //	POST   /v1/sessions/{id}/edits        apply an edit batch → report
 //	POST   /v1/sessions/{id}/admit        admission probe, no commit
 //	POST   /v1/sessions/{id}/sensitivity  per-task WCET headroom
+//	POST   /v1/sessions/{id}/repair       placement search to fix an
+//	                                      unschedulable set (apply: commit)
 //	DELETE /v1/sessions/{id}              drop the session
 //	POST   /v1/sessions/handoff           peer drain hand-off (binary
 //	                                      snapshot frames, epoch-checked)

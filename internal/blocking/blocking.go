@@ -65,7 +65,7 @@ func (b Backend) String() string {
 // callers must not modify it.
 //
 // The combinatorial backend solves on the run classes of g
-// (dag.RunClasses): each linear run, such as the chain of pieces
+// (dag.ClassScratch): each linear run, such as the chain of pieces
 // dag.Split makes of a long node, is one vertex weighing its heaviest
 // member, so neither g's Par sets nor a solve over every piece is
 // needed. The classes and the clique search live in pooled scratch, so

@@ -346,9 +346,6 @@ func BenchmarkComputeLPILPFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		graphs := fixture.LowerPriorityGraphs()
-		for _, g := range graphs {
-			g.Parallel()
-		}
 		b.StartTimer()
 		Compute(graphs, fixture.M, LPILP, Combinatorial)
 	}

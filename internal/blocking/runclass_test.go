@@ -85,12 +85,13 @@ func TestMuOnRunClassesMatchesFullSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tables, withRuns := 0, 0
 	for i, g := range runShapes(rng) {
-		if w, _ := dag.RunClasses(g); len(w) < g.N() {
+		if w, _ := new(dag.ClassScratch).Classes(g); len(w) < g.N() {
 			withRuns++
 		}
+		w, par := g.WCETs(), g.Parallel()
 		for m := 1; m <= 16; m++ {
 			got := blocking.Mu(g.Clone(), m, blocking.Combinatorial)
-			want := clique.MuTable(g.WCETs(), g.Parallel(), m)
+			want := new(clique.Solver).MuTable(w, par, m)
 			if !slices.Equal(got, want) {
 				t.Fatalf("graph %d (%d nodes, %d edges), m=%d: µ %v, want %v", i, g.N(), g.NumEdges(), m, got, want)
 			}
@@ -113,7 +114,7 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 	}
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
-	w, par := dag.RunClasses(b.MustBuild())
+	w, par := new(dag.ClassScratch).Classes(b.MustBuild())
 	if !slices.Equal(w, []int64{9}) || len(par) != 1 || par[0].Count() != 0 {
 		t.Fatalf("chain: weights %v, par %v", w, par)
 	}
@@ -127,7 +128,7 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	fork := b.MustBuild()
-	w, par = dag.RunClasses(fork)
+	w, par = new(dag.ClassScratch).Classes(fork)
 	if !slices.Equal(w, fork.WCETs()) || len(par) != fork.N() {
 		t.Fatalf("run-free graph: weights %v, par %v", w, par)
 	}
@@ -143,7 +144,7 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
 		b.AddEdge(e[0], e[1])
 	}
-	w, par = dag.RunClasses(dag.Split(b.MustBuild(), 3))
+	w, par = new(dag.ClassScratch).Classes(dag.Split(b.MustBuild(), 3))
 	if !slices.Equal(w, []int64{1, 3, 2, 1}) {
 		t.Fatalf("split fork: weights %v", w)
 	}
@@ -191,14 +192,14 @@ func scratchShapes(rng *rand.Rand, n int) []*dag.Graph {
 
 // TestClassScratchReuseMatchesFresh feeds one ClassScratch a random
 // sequence of growing and shrinking graphs, with and without runs: each
-// result must equal a fresh RunClasses, so no weight or bit of an
+// result must equal a fresh scratch's, so no weight or bit of an
 // earlier, larger graph leaks into a later one.
 func TestClassScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var sc dag.ClassScratch
 	withRuns, grew, shrank, prev := 0, 0, 0, 0
 	for i, g := range append(scratchShapes(rng, 400), runShapes(rng)...) {
-		want, wantPar := dag.RunClasses(g)
+		want, wantPar := new(dag.ClassScratch).Classes(g)
 		got, par := sc.Classes(g)
 		if !slices.Equal(got, want) || len(par) != len(wantPar) {
 			t.Fatalf("graph %d (%d nodes): weights %v, want %v", i, g.N(), got, want)

@@ -19,9 +19,9 @@
 // reordered problem, the twin-reduction marks — lives on a reusable
 // Solver, so a campaign computing millions of µ tables allocates
 // nothing in steady state: blocking.Mu keeps Solvers in a pool beside
-// its run-class scratch. The package-level MaxWeightKSet and MuTable
-// solve on a fresh Solver. MuTable performs the twin reduction and the
-// weight reordering once and reuses them for every c.
+// its run-class scratch; a one-off solve uses new(Solver). MuTable
+// performs the twin reduction and the weight reordering once and
+// reuses them for every c.
 package clique
 
 import (
@@ -69,18 +69,6 @@ type Solver struct {
 // weights[v] must be non-negative; adj[v] is the set of vertices
 // compatible with v and must be symmetric and irreflexive (as produced by
 // dag.(*Graph).Parallel).
-func MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64, []int) {
-	return new(Solver).MaxWeightKSet(weights, adj, k)
-}
-
-// MuTable returns µ[c] for c = 1..m (index c-1): the worst-case workload
-// of the c heaviest pairwise-parallel nodes, or 0 when fewer than c nodes
-// can run in parallel (Equation (6) and Table I of the paper).
-func MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
-	return new(Solver).MuTable(weights, adj, m)
-}
-
-// MaxWeightKSet is the Solver form of the package-level function.
 func (s *Solver) MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64, []int) {
 	n := len(weights)
 	if k <= 0 || k > n {
@@ -109,10 +97,12 @@ func (s *Solver) MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64
 	return v, out
 }
 
-// MuTable is the Solver form of the package-level function: the twin
+// MuTable returns µ[c] for c = 1..m (index c-1): the worst-case workload
+// of the c heaviest pairwise-parallel vertices, or 0 when fewer than c
+// can run in parallel (Equation (6) and Table I of the paper). The twin
 // reduction and the weight reordering are shared across all c (they do
 // not depend on the set size), so the table costs one setup plus m
-// searches.
+// searches. weights and adj are as for MaxWeightKSet.
 func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 	mu := make([]int64, m)
 	if m < 1 || len(weights) == 0 {
@@ -151,7 +141,7 @@ func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 // every other vertex — only the heaviest of each class can appear in an
 // optimum (for any k). The members of a linear run of a DAG are such
 // twins; blocking.Mu contracts runs before it calls MuTable
-// (dag.RunClasses), so split pieces do not reach this reduction, but
+// (dag.ClassScratch), so split pieces do not reach this reduction, but
 // any caller passing a DAG's own Par sets gets them merged here.
 //
 // One round reaches the fixed point. Suppose kept vertices a and b have

@@ -35,7 +35,7 @@ func emptyAdj(n int) []*bitset.Set {
 
 func TestKOne(t *testing.T) {
 	w := []int64{4, 9, 2}
-	v, set := MaxWeightKSet(w, emptyAdj(3), 1)
+	v, set := new(Solver).MaxWeightKSet(w, emptyAdj(3), 1)
 	if v != 9 || len(set) != 1 || set[0] != 1 {
 		t.Fatalf("got (%d, %v), want (9, [1])", v, set)
 	}
@@ -43,17 +43,17 @@ func TestKOne(t *testing.T) {
 
 func TestDegenerateK(t *testing.T) {
 	w := []int64{4, 9}
-	if v, set := MaxWeightKSet(w, completeAdj(2), 0); v != 0 || set != nil {
+	if v, set := new(Solver).MaxWeightKSet(w, completeAdj(2), 0); v != 0 || set != nil {
 		t.Errorf("k=0: got (%d, %v)", v, set)
 	}
-	if v, set := MaxWeightKSet(w, completeAdj(2), 3); v != 0 || set != nil {
+	if v, set := new(Solver).MaxWeightKSet(w, completeAdj(2), 3); v != 0 || set != nil {
 		t.Errorf("k>n: got (%d, %v)", v, set)
 	}
 }
 
 func TestCompleteGraphTakesHeaviest(t *testing.T) {
 	w := []int64{5, 1, 8, 3, 7}
-	v, set := MaxWeightKSet(w, completeAdj(5), 3)
+	v, set := new(Solver).MaxWeightKSet(w, completeAdj(5), 3)
 	if v != 20 { // 8 + 7 + 5
 		t.Errorf("weight = %d, want 20", v)
 	}
@@ -67,7 +67,7 @@ func TestCompleteGraphTakesHeaviest(t *testing.T) {
 
 func TestNoCliqueExists(t *testing.T) {
 	w := []int64{5, 6, 7}
-	if v, set := MaxWeightKSet(w, emptyAdj(3), 2); v != 0 || set != nil {
+	if v, set := new(Solver).MaxWeightKSet(w, emptyAdj(3), 2); v != 0 || set != nil {
 		t.Errorf("got (%d, %v), want (0, nil)", v, set)
 	}
 }
@@ -77,7 +77,7 @@ func TestNoCliqueExists(t *testing.T) {
 func TestTableI(t *testing.T) {
 	want := fixture.TableI()
 	for i, g := range fixture.LowerPriorityGraphs() {
-		mu := MuTable(g.WCETs(), g.Parallel(), fixture.M)
+		mu := new(Solver).MuTable(g.WCETs(), g.Parallel(), fixture.M)
 		for c := 1; c <= fixture.M; c++ {
 			if mu[c-1] != want[i][c-1] {
 				t.Errorf("µ%d[%d] = %d, want %d", i+1, c, mu[c-1], want[i][c-1])
@@ -91,13 +91,13 @@ func TestTableI(t *testing.T) {
 func TestTableIWitnesses(t *testing.T) {
 	g3 := fixture.Tau3()
 	// µ3[2] = C3,3 + C3,4 = 7 → nodes indices {2, 3}.
-	v, set := MaxWeightKSet(g3.WCETs(), g3.Parallel(), 2)
+	v, set := new(Solver).MaxWeightKSet(g3.WCETs(), g3.Parallel(), 2)
 	if v != 7 || len(set) != 2 || set[0] != 2 || set[1] != 3 {
 		t.Errorf("µ3[2] witness = (%d, %v), want (7, [2 3])", v, set)
 	}
 	g4 := fixture.Tau4()
 	// µ4[3] = C4,4 + C4,3 + C4,5 = 12 → indices {2, 3, 4}.
-	v, set = MaxWeightKSet(g4.WCETs(), g4.Parallel(), 3)
+	v, set = new(Solver).MaxWeightKSet(g4.WCETs(), g4.Parallel(), 3)
 	if v != 12 || len(set) != 3 || set[0] != 2 || set[1] != 3 || set[2] != 4 {
 		t.Errorf("µ4[3] witness = (%d, %v), want (12, [2 3 4])", v, set)
 	}
@@ -109,7 +109,7 @@ func TestWitnessIsAClique(t *testing.T) {
 		n := 2 + rng.Intn(16)
 		w, adj := randomInstance(rng, n)
 		for k := 1; k <= n; k++ {
-			v, set := MaxWeightKSet(w, adj, k)
+			v, set := new(Solver).MaxWeightKSet(w, adj, k)
 			if set == nil {
 				continue
 			}
@@ -190,7 +190,7 @@ func TestMatchesBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		w, adj := randomInstance(rng, n)
 		for k := 1; k <= n && k <= 6; k++ {
-			got, _ := MaxWeightKSet(w, adj, k)
+			got, _ := new(Solver).MaxWeightKSet(w, adj, k)
 			want := bruteKSet(w, adj, k)
 			if got != want {
 				t.Fatalf("trial %d n=%d k=%d: got %d, want %d", trial, n, k, got, want)
@@ -207,7 +207,7 @@ func TestMatchesBruteForceOnDAGs(t *testing.T) {
 		g := randomDAG(rng, 2+rng.Intn(11))
 		w, adj := g.WCETs(), g.Parallel()
 		for k := 1; k <= 5; k++ {
-			got, _ := MaxWeightKSet(w, adj, k)
+			got, _ := new(Solver).MaxWeightKSet(w, adj, k)
 			want := bruteKSet(w, adj, k)
 			if got != want {
 				t.Fatalf("trial %d k=%d: got %d, want %d\n%s", trial, k, got, want, g.DOT("g"))
@@ -243,7 +243,7 @@ func TestMuTableInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
 		g := randomDAG(rng, 2+rng.Intn(14))
-		mu := MuTable(g.WCETs(), g.Parallel(), 8)
+		mu := new(Solver).MuTable(g.WCETs(), g.Parallel(), 8)
 		zeroSeen := false
 		for c := 1; c < len(mu); c++ {
 			if mu[c] == 0 {
@@ -271,7 +271,7 @@ func BenchmarkMuTableFigure1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, g := range graphs {
-			MuTable(g.WCETs(), pars[j], fixture.M)
+			new(Solver).MuTable(g.WCETs(), pars[j], fixture.M)
 		}
 	}
 }
@@ -317,7 +317,7 @@ func TestTwinReductionExact(t *testing.T) {
 		ew, eadj := twinExpand(w, adj, 5)
 		for k := 1; k <= 6; k++ {
 			want := bruteKSet(w, adj, k)
-			got, set := MaxWeightKSet(ew, eadj, k)
+			got, set := new(Solver).MaxWeightKSet(ew, eadj, k)
 			if want < 0 {
 				if set != nil {
 					t.Fatalf("trial %d k=%d: expanded instance found a set where none exists", trial, k)
@@ -340,7 +340,7 @@ func TestTwinHeavyLargeInstanceFast(t *testing.T) {
 	ew, eadj := twinExpand(w, adj, 30)
 	start := time.Now()
 	for k := 1; k <= 16; k++ {
-		MaxWeightKSet(ew, eadj, k)
+		new(Solver).MaxWeightKSet(ew, eadj, k)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("twin-heavy instance took %v; reduction regressed", d)

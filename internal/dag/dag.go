@@ -37,14 +37,11 @@ import (
 // v_{i,j} of task τ_i is index j-1.
 //
 // Because a Graph never changes after Build, every derived quantity is
-// a pure function of it and is memoized: the cheap O(V+E) scalars
-// (volume, longest path) are computed once at Build time, the heavier
-// structures (sorted WCETs, reachability and parallelism bitsets, the
-// content fingerprint, the µ tables of LoadMu/StoreMu) lazily on first
-// use, concurrency-safely. The memos live and die with the Graph, so
-// analyses that revisit a graph — every fixed-point iteration, every
-// suffix of a priority ordering, every method of a comparison sweep —
-// pay for each quantity once.
+// a pure function of it. What analyses revisiting a graph read again
+// is memoized: volume and longest path at Build time; the sorted WCETs,
+// the content fingerprint and the µ tables of LoadMu/StoreMu lazily,
+// concurrency-safely. The reachability and parallelism sets are built
+// fresh on every call, since the µ solver works on run classes.
 type Graph struct {
 	wcet  []int64
 	succ  [][]int  // direct successors, each sorted ascending
@@ -57,15 +54,6 @@ type Graph struct {
 
 	sortedOnce sync.Once
 	sorted     []int64 // WCETs, non-increasing
-
-	reachOnce sync.Once
-	reach     []*bitset.Set // SUCC(v) per node
-
-	parOnce sync.Once
-	par     []*bitset.Set // Par(v) per node (exact definition)
-
-	parMatOnce sync.Once
-	parMat     [][]bool // IsPar matrix over par
 
 	fpOnce sync.Once
 	fp     [32]byte // sha256 over canonical content
@@ -300,13 +288,6 @@ func (g *Graph) Successors(v int) []int { return g.succ[v] }
 // The returned slice is shared; callers must not modify it.
 func (g *Graph) Predecessors(v int) []int { return g.pred[v] }
 
-// HasEdge reports whether the direct edge (u,v) exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	s := g.succ[u]
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
 // Edges returns all direct edges in deterministic (source, target) order.
 func (g *Graph) Edges() [][2]int {
 	out := slices.Grow([][2]int(nil), g.NumEdges()) // one allocation; nil when edgeless
@@ -330,17 +311,6 @@ func (g *Graph) NumEdges() int {
 // TopologicalOrder returns a topological order of the nodes. The returned
 // slice is shared; callers must not modify it.
 func (g *Graph) TopologicalOrder() []int { return g.topo }
-
-// Sources returns the nodes with no predecessors, ascending.
-func (g *Graph) Sources() []int {
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		if len(g.pred[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // Sinks returns the nodes with no successors, ascending.
 func (g *Graph) Sinks() []int {
@@ -380,62 +350,26 @@ func (g *Graph) computeLongestPath() int64 {
 	return l
 }
 
-// CriticalPath returns one longest path as a node sequence from a source
-// to a sink, deterministically (smallest-index tie-break).
-func (g *Graph) CriticalPath() []int {
-	n := g.N()
-	best := make([]int64, n)
-	from := make([]int, n)
-	for i := range from {
-		from[i] = -1
-	}
-	end, endLen := -1, int64(-1)
-	for _, v := range g.topo {
-		best[v] = g.wcet[v]
-		for _, u := range g.pred[v] {
-			if best[u]+g.wcet[v] > best[v] {
-				best[v] = best[u] + g.wcet[v]
-				from[v] = u
-			}
-		}
-		if best[v] > endLen {
-			endLen = best[v]
-			end = v
-		}
-	}
-	var rev []int
-	for v := end; v != -1; v = from[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Reach returns, for every node v, the set SUCC(v) of nodes reachable
-// from v by one or more edges (v itself excluded). The result is
-// memoized on the graph and shared; callers must not modify the sets.
+// from v by one or more edges (v itself excluded). Every call builds a
+// fresh slab, which the caller owns and may modify.
 func (g *Graph) Reach() []*bitset.Set {
-	g.reachOnce.Do(func() {
-		n := g.N()
-		out := bitset.Slab(n, n)
-		// Reverse topological order: successors' reach is complete first.
-		for i := n - 1; i >= 0; i-- {
-			v := g.topo[i]
-			for _, w := range g.succ[v] {
-				out[v].Add(w)
-				out[v].UnionWith(out[w])
-			}
+	n := g.N()
+	out := bitset.Slab(n, n)
+	// Reverse topological order: successors' reach is complete first.
+	for i := n - 1; i >= 0; i-- {
+		v := g.topo[i]
+		for _, w := range g.succ[v] {
+			out[v].Add(w)
+			out[v].UnionWith(out[w])
 		}
-		g.reach = out
-	})
-	return g.reach
+	}
+	return out
 }
 
 // CoReach returns, for every node v, the set PRED(v) of nodes from which
-// v is reachable (v itself excluded). Unlike Reach it is not memoized:
-// every call builds a fresh slab, which the caller owns and may modify.
+// v is reachable (v itself excluded). Every call builds a fresh slab,
+// which the caller owns and may modify.
 func (g *Graph) CoReach() []*bitset.Set {
 	n := g.N()
 	out := bitset.Slab(n, n)
@@ -468,57 +402,40 @@ func (g *Graph) Siblings() []*bitset.Set {
 }
 
 // Parallel returns, for every node v, the exact set Par(v) of nodes that
-// can execute in parallel with v: the nodes u ≠ v such that u is not
-// reachable from v and v is not reachable from u. This is the definition
-// the blocking analysis relies on; it is sound for arbitrary DAGs. The
-// result is memoized on the graph and shared; callers must not modify
-// the sets.
-//
-// Par(v) is the complement of PRED(v) ∪ {v} ∪ SUCC(v), so it costs a
-// few word operations per node on top of Reach and CoReach, whose fresh
-// slab it takes over.
+// can execute in parallel with v: the nodes u ≠ v such that neither
+// reaches the other, the definition the blocking analysis relies on
+// (sound for arbitrary DAGs). Par(v) is the complement of PRED(v) ∪ {v}
+// ∪ SUCC(v): a few word operations per node on a fresh CoReach slab,
+// which the caller owns and may modify.
 func (g *Graph) Parallel() []*bitset.Set {
-	g.parOnce.Do(func() {
-		succ := g.Reach()
-		par := g.CoReach()
-		for v, s := range par {
-			s.UnionWith(succ[v])
-			s.Add(v)
-			s.Complement()
-		}
-		g.par = par
-	})
-	return g.par
+	succ := g.Reach()
+	par := g.CoReach()
+	for v, s := range par {
+		s.UnionWith(succ[v])
+		s.Add(v)
+		s.Complement()
+	}
+	return par
 }
 
-// RunClasses contracts every linear run of g — a maximal path whose
-// links u→v have v as u's only successor and u as v's only predecessor
-// — into one class weighing its heaviest member, and returns the class
-// weights and each class's Par set over the classes. Members of a run
-// are pairwise ordered and share one Par set, so a set of pairwise
-// parallel nodes holds at most one member per class and µ (Equation
-// (6)) is the same on the classes as on the nodes (DESIGN.md,
-// "Performance"). Classes are numbered in the topological order of
-// their first members; on a graph without runs each node is its own
-// class, and the Par sets are g's, renumbered. The result is fresh and
-// owned by the caller; ClassScratch.Classes computes the same into
-// reused memory.
-func RunClasses(g *Graph) (weights []int64, par []*bitset.Set) {
-	return new(ClassScratch).Classes(g)
-}
-
-// ClassScratch is the reusable memory of RunClasses: the class of each
-// node, the class weights, and the class reachability and Par sets.
-// Its buffers grow to the largest graph seen. The zero value is ready
-// to use; a ClassScratch is not safe for concurrent use.
+// ClassScratch is the reusable memory of Classes; its buffers grow to
+// the largest graph seen. The zero value is ready to use; a
+// ClassScratch is not safe for concurrent use.
 type ClassScratch struct {
 	cls     []int
 	weights []int64
 	sets    []*bitset.Set
 }
 
-// Classes returns RunClasses(g) in the scratch's memory: the weights
-// and Par sets are views of it, valid until its next use.
+// Classes contracts every linear run of g — a maximal path whose links
+// u→v have v as u's only successor and u as v's only predecessor —
+// into one class weighing its heaviest member, and returns the class
+// weights and each class's Par set over the classes, as views of the
+// scratch valid until its next use. Members of a run are pairwise
+// ordered and share one Par set, so µ (Equation (6)) is the same on the
+// classes as on the nodes (DESIGN.md, "Performance"). Classes are
+// numbered in the topological order of their first members; a graph
+// without runs has one class per node, with g's Par sets renumbered.
 func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	n := g.N()
 	// linked reports whether v continues its predecessor's run.
@@ -632,116 +549,54 @@ func (g *Graph) Algorithm1Parallel() []*bitset.Set {
 
 // IsParallelMatrix returns the symmetric boolean matrix IsPar of the
 // paper's first ILP: IsPar[j][k] is true iff nodes j and k can execute in
-// parallel (exact reachability definition). The result is memoized on
-// the graph and shared; callers must not modify it.
+// parallel (exact reachability definition). Every call builds a fresh
+// matrix, which the caller owns and may modify.
 func (g *Graph) IsParallelMatrix() [][]bool {
-	g.parMatOnce.Do(func() {
-		n := g.N()
-		par := g.Parallel()
-		m := make([][]bool, n)
-		for j := 0; j < n; j++ {
-			m[j] = make([]bool, n)
-			par[j].ForEach(func(k int) bool {
-				m[j][k] = true
-				return true
-			})
-		}
-		g.parMat = m
-	})
-	return g.parMat
+	m := make([][]bool, g.N())
+	for j, s := range g.Parallel() {
+		m[j] = make([]bool, g.N())
+		s.ForEach(func(k int) bool {
+			m[j][k] = true
+			return true
+		})
+	}
+	return m
 }
 
 // Width returns the maximum number of nodes that can execute in parallel:
 // the maximum antichain of the precedence partial order. By Dilworth's
-// theorem this equals n minus the maximum matching of the bipartite graph
-// over the transitive closure.
+// theorem this equals n minus the size of a maximum matching of the
+// bipartite graph over the transitive closure — left copy u to right
+// copy v iff u precedes v — which Kuhn's augmenting paths find (n is
+// small in this domain).
 func (g *Graph) Width() int {
-	_, _, size := g.closureMatching()
-	return g.N() - size
-}
-
-// MaxAntichain returns one maximum antichain (a largest set of mutually
-// parallel nodes), ascending. Its length equals Width. It is derived from
-// the minimum chain cover via the König construction.
-func (g *Graph) MaxAntichain() []int {
 	n := g.N()
 	reach := g.Reach()
-	matchL, matchR, _ := g.closureMatching()
-	// König: minimum vertex cover from unmatched-left alternating
-	// reachability; antichain = nodes not in the cover, mapped back.
-	visitedL := make([]bool, n)
-	visitedR := make([]bool, n)
-	var alt func(u int)
-	alt = func(u int) {
-		visitedL[u] = true
-		reach[u].ForEach(func(v int) bool {
-			if !visitedR[v] {
-				visitedR[v] = true
-				if matchR[v] != -1 && !visitedL[matchR[v]] {
-					alt(matchR[v])
-				}
-			}
-			return true
-		})
-	}
-	for u := 0; u < n; u++ {
-		if matchL[u] == -1 {
-			alt(u)
-		}
-	}
-	// Cover = (left not visited) ∪ (right visited). A node i is in the
-	// antichain iff left-i not in cover and right-i not in cover.
-	var out []int
-	for i := 0; i < n; i++ {
-		leftInCover := !visitedL[i]
-		rightInCover := visitedR[i]
-		if !leftInCover && !rightInCover {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// closureMatching computes a maximum matching of the bipartite graph over
-// the transitive closure — left copy u to right copy v iff u precedes v —
-// with Kuhn's augmenting paths (n is small in this domain). It returns
-// each left node's partner, each right node's partner (-1 = unmatched),
-// and the matching size.
-func (g *Graph) closureMatching() (matchL, matchR []int, size int) {
-	n := g.N()
-	reach := g.Reach()
-	matchL = make([]int, n)
-	matchR = make([]int, n)
-	for i := range matchL {
-		matchL[i] = -1
-		matchR[i] = -1
-	}
+	partner := make([]int, n) // right node v's left partner + 1; 0 = unmatched
 	seen := make([]bool, n)
 	var try func(u int) bool
 	try = func(u int) bool {
 		found := false
 		reach[u].ForEach(func(v int) bool {
-			if seen[v] {
-				return true
+			if !seen[v] {
+				seen[v] = true
+				if partner[v] == 0 || try(partner[v]-1) {
+					partner[v] = u + 1
+					found = true
+				}
 			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v]) {
-				matchL[u] = v
-				matchR[v] = u
-				found = true
-				return false
-			}
-			return true
+			return !found
 		})
 		return found
 	}
-	for u := 0; u < n; u++ {
+	width := n
+	for u := range n {
 		clear(seen)
 		if try(u) {
-			size++
+			width--
 		}
 	}
-	return matchL, matchR, size
+	return width
 }
 
 // SortedWCETs returns the node WCETs in non-increasing order — the

@@ -71,8 +71,8 @@ func TestTaskSetValid(t *testing.T) {
 		t.Errorf("highest-priority task = %q", ts.Tasks[0].Name)
 	}
 	for _, task := range ts.Tasks {
-		if !task.Feasible() {
-			t.Errorf("task %q infeasible (L > D)", task.Name)
+		if l := task.G.LongestPath(); l > task.Deadline {
+			t.Errorf("task %q infeasible: L %d > D %d", task.Name, l, task.Deadline)
 		}
 	}
 }

@@ -4,7 +4,25 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dag"
 )
+
+// pathNodes returns the number of nodes on g's longest path counted in
+// nodes, not weighed by WCET: the unit of DAGParams.MaxPathLen, so the
+// cap holds on every path iff it holds on this one.
+func pathNodes(g *dag.Graph) int {
+	depth := make([]int, g.N()) // nodes on the longest path ending at v
+	longest := 0
+	for _, v := range g.TopologicalOrder() {
+		for _, u := range g.Predecessors(v) {
+			depth[v] = max(depth[v], depth[u])
+		}
+		depth[v]++
+		longest = max(longest, depth[v])
+	}
+	return longest
+}
 
 func TestPaperParamsDefaults(t *testing.T) {
 	p := PaperDAGParams()
@@ -25,10 +43,8 @@ func TestGraphRespectsCaps(t *testing.T) {
 			if gr.N() > 30 {
 				t.Fatalf("%v: %d nodes > 30", group, gr.N())
 			}
-			// Longest path cap is in nodes; convert weights: count nodes
-			// on the critical path.
-			if got := len(gr.CriticalPath()); got > 7 {
-				t.Fatalf("%v: critical path has %d nodes > 7", group, got)
+			if got := pathNodes(gr); got > 7 {
+				t.Fatalf("%v: a path has %d nodes > 7", group, got)
 			}
 			for v := 0; v < gr.N(); v++ {
 				if c := gr.WCET(v); c < 1 || c > 100 {
@@ -160,7 +176,13 @@ func TestGraphAlwaysSingleSource(t *testing.T) {
 	f := func(seed int64) bool {
 		g := New(seed, PaperParams(GroupParallel))
 		for i := 0; i < 20; i++ {
-			if len(g.Graph().Sources()) != 1 {
+			gr, sources := g.Graph(), 0
+			for v := range gr.N() {
+				if len(gr.Predecessors(v)) == 0 {
+					sources++
+				}
+			}
+			if sources != 1 {
 				return false
 			}
 		}
@@ -183,8 +205,8 @@ func TestShapeWide(t *testing.T) {
 		if w := gr.Width(); w < p.DAG.NPar {
 			t.Fatalf("wide graph width %d below NPar %d", w, p.DAG.NPar)
 		}
-		if got := len(gr.CriticalPath()); got != 3 {
-			t.Fatalf("wide graph critical path has %d nodes, want 3", got)
+		if got := pathNodes(gr); got != 3 {
+			t.Fatalf("wide graph's longest path has %d nodes, want 3", got)
 		}
 	}
 }
@@ -204,8 +226,8 @@ func TestShapeDeep(t *testing.T) {
 		if gr.N() > p.DAG.MaxNodes {
 			t.Fatalf("deep graph exceeds node cap: %d", gr.N())
 		}
-		if got := len(gr.CriticalPath()); got > p.DAG.MaxPathLen {
-			t.Fatalf("deep graph critical path %d > cap %d", got, p.DAG.MaxPathLen)
+		if got := pathNodes(gr); got > p.DAG.MaxPathLen {
+			t.Fatalf("deep graph path of %d nodes > cap %d", got, p.DAG.MaxPathLen)
 		} else if got < 3 {
 			t.Fatalf("deep graph too shallow: %d path nodes", got)
 		}
@@ -230,32 +252,17 @@ func TestShapeOpenMP(t *testing.T) {
 		if gr.N() > p.DAG.MaxNodes {
 			t.Fatalf("openmp graph exceeds node cap: %d", gr.N())
 		}
-		if got := len(gr.CriticalPath()); got > p.DAG.MaxPathLen {
-			t.Fatalf("openmp critical path %d > cap %d", got, p.DAG.MaxPathLen)
+		longest := pathNodes(gr)
+		if longest > p.DAG.MaxPathLen {
+			t.Fatalf("openmp path of %d nodes > cap %d", longest, p.DAG.MaxPathLen)
 		}
 		// A K-block wavefront has K + K(K−1)/2 nodes whose longest
-		// path (by node count — the critical path weighs WCETs and
-		// may be shorter) threads every diagonal: 2K−1 nodes.
+		// path threads every diagonal: 2K−1 nodes.
 		var k int
 		for k = 2; k+k*(k-1)/2 < gr.N(); k++ {
 		}
 		if gr.N() != k+k*(k-1)/2 {
 			t.Fatalf("openmp node count %d is no wavefront", gr.N())
-		}
-		depth := make([]int, gr.N())
-		longest := 0
-		for _, v := range gr.TopologicalOrder() {
-			if depth[v] == 0 {
-				depth[v] = 1
-			}
-			if depth[v] > longest {
-				longest = depth[v]
-			}
-			for _, w := range gr.Successors(v) {
-				if depth[v]+1 > depth[w] {
-					depth[w] = depth[v] + 1
-				}
-			}
 		}
 		if longest != 2*k-1 {
 			t.Fatalf("K=%d wavefront has longest path of %d nodes, want %d", k, longest, 2*k-1)

@@ -22,9 +22,7 @@ type Task struct {
 }
 
 // Validate reports an error if the task parameters are inconsistent:
-// missing graph, non-positive deadline or period, unconstrained deadline,
-// or a longest path that cannot fit in the deadline even alone on
-// infinitely many cores.
+// missing graph, non-positive deadline or period, or D > T.
 func (t *Task) Validate() error {
 	if t.G == nil {
 		return fmt.Errorf("model: task %q has no graph", t.Name)
@@ -46,15 +44,6 @@ func (t *Task) Validate() error {
 func (t *Task) Utilization() float64 {
 	return float64(t.G.Volume()) / float64(t.Period)
 }
-
-// Density returns vol(G)/D.
-func (t *Task) Density() float64 {
-	return float64(t.G.Volume()) / float64(t.Deadline)
-}
-
-// Feasible reports whether the task can possibly meet its deadline on any
-// number of cores: L ≤ D.
-func (t *Task) Feasible() bool { return t.G.LongestPath() <= t.Deadline }
 
 // Clone returns a deep copy of the task.
 func (t *Task) Clone() *Task {
@@ -101,13 +90,6 @@ func (ts *TaskSet) Utilization() float64 {
 	}
 	return u
 }
-
-// HigherPriority returns the tasks with priority strictly higher than
-// index k, i.e. hp(k) = Tasks[:k]. The slice is shared with the set.
-func (ts *TaskSet) HigherPriority(k int) []*Task { return ts.Tasks[:k] }
-
-// LowerPriority returns lp(k) = Tasks[k+1:]. The slice is shared.
-func (ts *TaskSet) LowerPriority(k int) []*Task { return ts.Tasks[k+1:] }
 
 // Clone returns a deep copy of the set.
 func (ts *TaskSet) Clone() *TaskSet {

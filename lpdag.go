@@ -33,9 +33,9 @@
 //	fmt.Print(report)
 //
 // For interactive what-if and admission-control workloads, hold a
-// Session instead of re-analyzing: edits (add/remove/reprioritize a
-// task, change the core count) are absorbed statefully and each query
-// re-analyzes only what the edits touched:
+// Session: edits (add/remove/reprioritize a task, change the core
+// count) are absorbed statefully; a query re-analyzes the set from
+// scratch, reusing the µ tables memoized on the graphs it holds:
 //
 //	s, err := lpdag.NewSession(lpdag.Options{Cores: 4, Method: lpdag.LPILP}, tasks...)
 //	...

@@ -186,21 +186,6 @@ func TestFacadeCriticalScaling(t *testing.T) {
 	}
 }
 
-func TestFacadeSimStats(t *testing.T) {
-	ts := PaperExample()
-	res, err := Simulate(ts, SimConfig{M: 4, Duration: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := res.Stats(ts.N())
-	if len(stats) != ts.N() {
-		t.Fatalf("got %d stats", len(stats))
-	}
-	if !strings.Contains(res.StatsTable(ts), "p95") {
-		t.Error("stats table malformed")
-	}
-}
-
 func TestFacadeEngine(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 2})
 	defer e.Close()
