@@ -58,7 +58,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		m       = fs.Int("m", 4, "number of identical cores")
 		method  = fs.String("method", "lp-ilp", "analysis: fp-ideal | lp-ilp | lp-max")
-		backend = fs.String("backend", "combinatorial", "LP-ILP solver: combinatorial | paper-ilp")
 		compare = fs.Bool("compare", false, "run all three methods and print all reports")
 		refine  = fs.Bool("final-npr", false, "enable the final-NPR refinement (future-work (ii))")
 		repl    = fs.Bool("session", false, "interactive what-if shell (reads commands from stdin)")
@@ -74,12 +73,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpdag-analyze: %v\n", err)
 		return 2
 	}
-	be, err := engine.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintf(stderr, "lpdag-analyze: %v\n", err)
-		return 2
-	}
-	opts := core.Options{Cores: *m, Method: meth, Backend: be, FinalNPRRefinement: *refine}
+	opts := core.Options{Cores: *m, Method: meth, FinalNPRRefinement: *refine}
 
 	// In session mode stdin carries commands, so the task set (if any)
 	// must come from -f.
@@ -154,7 +148,7 @@ func runSession(opts core.Options, ts *model.TaskSet, servers string, stdin io.R
 	if ts != nil {
 		tasks = ts.Tasks
 	}
-	var sess sessionBackend
+	var sess replSession
 	if servers != "" {
 		var peers []string
 		for _, p := range strings.Split(servers, ",") {
@@ -392,7 +386,7 @@ func printRepair(stdout io.Writer, res *repair.Result, apply bool) {
 }
 
 // sessionExit computes the final verdict for the exit status.
-func sessionExit(ctx context.Context, sess sessionBackend, stderr io.Writer) int {
+func sessionExit(ctx context.Context, sess replSession, stderr io.Writer) int {
 	rep, err := sess.Report(ctx)
 	if err != nil {
 		fmt.Fprintf(stderr, "lpdag-analyze: %v\n", err)
@@ -417,7 +411,7 @@ func splitAtArg(rest string) (int, string) {
 }
 
 // resolveTask parses a task reference (priority index or name).
-func resolveTask(sess sessionBackend, ref string, stderr io.Writer) (int, bool) {
+func resolveTask(sess replSession, ref string, stderr io.Writer) (int, bool) {
 	if ref == "" {
 		fmt.Fprintf(stderr, "error: missing task index or name\n")
 		return 0, false

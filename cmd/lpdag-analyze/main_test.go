@@ -70,7 +70,7 @@ func TestAnalyzeBadInputs(t *testing.T) {
 		stdin string
 	}{
 		{[]string{"-method", "bogus"}, schedulableSet},
-		{[]string{"-backend", "bogus"}, schedulableSet},
+		{[]string{"-backend", "paper-ilp"}, schedulableSet}, // no solver flag: every analysis solves combinatorially
 		{[]string{"-badflag"}, schedulableSet},
 		{[]string{}, "not json"},
 		{[]string{"-f", "/nonexistent-xyz.json"}, ""},
@@ -80,15 +80,6 @@ func TestAnalyzeBadInputs(t *testing.T) {
 		if code != 2 {
 			t.Errorf("args %v: exit %d, want 2", tc.args, code)
 		}
-	}
-}
-
-func TestAnalyzePaperILPBackend(t *testing.T) {
-	var out bytes.Buffer
-	code := run([]string{"-m", "2", "-backend", "paper-ilp"},
-		strings.NewReader(schedulableSet), &out, &bytes.Buffer{})
-	if code != 0 {
-		t.Fatalf("exit %d", code)
 	}
 }
 

@@ -32,10 +32,10 @@ import (
 	"repro/internal/session"
 )
 
-// sessionBackend is what the REPL loop drives: the local
+// replSession is what the REPL loop drives: the local
 // *session.Session satisfies it directly, remoteSession speaks it over
 // HTTP.
-type sessionBackend interface {
+type replSession interface {
 	Len() int
 	Tasks() []*model.Task
 	TaskIndex(name string) int
@@ -50,7 +50,7 @@ type sessionBackend interface {
 	Repair(ctx context.Context, cfg repair.Config, apply bool) (*repair.Result, error)
 }
 
-var _ sessionBackend = (*session.Session)(nil)
+var _ replSession = (*session.Session)(nil)
 
 const (
 	remoteMaxAttempts = 8
@@ -90,8 +90,7 @@ func newRemoteSession(peers []string, opts core.Options, tasks []*model.Task) (*
 		sleep: time.Sleep,
 	}
 	body := map[string]any{
-		"cores": opts.Cores, "method": methodWire, "backend": opts.Backend.String(),
-		"final_npr": opts.FinalNPRRefinement,
+		"cores": opts.Cores, "method": methodWire, "final_npr": opts.FinalNPRRefinement,
 	}
 	if len(tasks) > 0 {
 		body["taskset"] = &model.TaskSet{Tasks: rs.tasks}

@@ -243,8 +243,10 @@ var benchLineRE = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 // ParseBenchOutput condenses benchmark output to the best (minimum)
-// ns/op per benchmark name across repetitions, keeping the memory
-// columns of the selected repetition.
+// value of each column per benchmark name across repetitions. Each
+// column takes its own minimum: a pooled scratch refilled after a GC
+// adds an allocation to whichever repetition pays for it, so the
+// fastest repetition's memory columns would move with GC timing.
 func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 	out := make(map[string]Measurement)
 	sc := bufio.NewScanner(r)
@@ -267,9 +269,12 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 			a, _ := strconv.ParseFloat(m[4], 64)
 			meas.AllocsPerOp = int64(a)
 		}
-		if prev, ok := out[name]; !ok || meas.NsPerOp < prev.NsPerOp {
-			out[name] = meas
+		if prev, ok := out[name]; ok {
+			meas.NsPerOp = min(meas.NsPerOp, prev.NsPerOp)
+			meas.BytesPerOp = min(meas.BytesPerOp, prev.BytesPerOp)
+			meas.AllocsPerOp = min(meas.AllocsPerOp, prev.AllocsPerOp)
 		}
+		out[name] = meas
 	}
 	return out, sc.Err()
 }

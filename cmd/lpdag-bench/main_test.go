@@ -13,6 +13,8 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkAnalyzePoint-8         	    1000	       950.0 ns/op	      16 B/op	       1 allocs/op
 BenchmarkAnalyzePoint-8         	    1000	       710.5 ns/op	       0 B/op	       0 allocs/op
 BenchmarkCampaignThroughput     	      50	  47042648 ns/op	15534114 B/op	  372141 allocs/op
+BenchmarkMuTableCold-8          	   20000	     61234 ns/op	    5312 B/op	      19 allocs/op
+BenchmarkMuTableCold-8          	   20000	     64890 ns/op	    5280 B/op	      18 allocs/op
 BenchmarkNoMem-8                	     100	      1234 ns/op
 PASS
 ok  	repro	1.234s
@@ -23,14 +25,18 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
 	}
-	// Best-of-count: the faster AnalyzePoint repetition wins, with its
-	// own memory columns.
+	// Best-of-count, column by column: the faster AnalyzePoint
+	// repetition is also the leaner one, while the faster MuTableCold
+	// repetition allocates more than the slower one.
 	ap := got["AnalyzePoint"]
 	if ap.NsPerOp != 710.5 || ap.AllocsPerOp != 0 || ap.BytesPerOp != 0 {
 		t.Errorf("AnalyzePoint = %+v, want best-of-count {710.5 0 0}", ap)
+	}
+	if mu := got["MuTableCold"]; mu != (Measurement{NsPerOp: 61234, BytesPerOp: 5280, AllocsPerOp: 18}) {
+		t.Errorf("MuTableCold = %+v, want each column's minimum {61234 5280 18}", mu)
 	}
 	if got["CampaignThroughput"].AllocsPerOp != 372141 {
 		t.Errorf("CampaignThroughput = %+v", got["CampaignThroughput"])

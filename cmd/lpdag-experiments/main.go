@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/experiments/cluster"
 	"repro/internal/obs"
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 2016, "base random seed")
 		seqProb    = fs.Float64("seqprob", 0, "override mixed-group sequential-task probability")
 		csvPath    = fs.String("csv", "", "also write the active sweep as CSV to this file")
-		backend    = fs.String("backend", "combinatorial", "LP-ILP solver: combinatorial | paper-ilp")
 
 		campaign  = fs.Bool("campaign", false, "run the parallel sweep campaign")
 		ms        = fs.String("ms", "4,8,16", "campaign core counts (comma-separated, up to 64)")
@@ -113,12 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go msrv.Serve(mln)
 	}
 
-	be, err := engine.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintf(stderr, "lpdag-experiments: -backend: %v\n", err)
-		return 2
-	}
-
 	if *listScen {
 		fmt.Fprintln(stdout, "scenario families:")
 		for _, sc := range experiments.StandardScenarios() {
@@ -142,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		code := runCampaign(campaignArgs{
 			seed: *seed, ms: *ms, ufracs: *ufracs, scenarios: *scenarios,
-			sets: *sets, workers: *workers, backend: be,
+			sets: *sets, workers: *workers,
 			jsonlPath: *jsonlPath, csvPath: *csvPath, resume: *resume,
 			progress: *progress, cluster: *clusterHosts,
 			leaseTimeout: *leaseTimeout, shardRetries: *shardRetries,
@@ -155,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *soundness {
 		ran = true
 		rep, err := experiments.RunSoundness(experiments.SoundnessConfig{
-			Seed: *seed, Points: *points, Backend: be, Workers: *workers,
+			Seed: *seed, Points: *points, Workers: *workers,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "lpdag-experiments: soundness: %v\n", err)
@@ -179,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fig2 || *all {
 		ran = true
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed)
-		cfg.Backend = be
 		cfg.SeqProbOverride = *seqProb
 		points, err := experiments.Figure2(cfg)
 		if err != nil {
@@ -203,7 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *group2 || *all {
 		ran = true
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed+1)
-		cfg.Backend = be
 		res, err := experiments.Group2(cfg)
 		if err != nil {
 			return figureErr(stderr, "-group2", err)
@@ -220,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran = true
 		cfg := experiments.TasksSweepConfig{
 			M: *m, U: float64(*m) / 4, NStart: 2, NEnd: 16,
-			SetsPerPoint: *sets, Seed: *seed + 2, Backend: be,
+			SetsPerPoint: *sets, Seed: *seed + 2,
 		}
 		points, err := experiments.TasksSweep(cfg)
 		if err != nil {
@@ -237,7 +227,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *variants || *all {
 		ran = true
 		cfg := experiments.PaperFig2Config(*m, *sets, *seed+4)
-		cfg.Backend = be
 		points, err := experiments.Variants(cfg)
 		if err != nil {
 			return figureErr(stderr, "-variants", err)
@@ -254,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *pessimism || *all {
 		ran = true
 		res, err := experiments.Pessimism(experiments.PessimismConfig{
-			M: *m, U: *u, Sets: *sets, Seed: *seed + 5, Backend: be,
+			M: *m, U: *u, Sets: *sets, Seed: *seed + 5,
 		})
 		if err != nil {
 			return figureErr(stderr, "-pessimism", err)
@@ -269,7 +258,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *timing || *all {
 		ran = true
 		res := experiments.Timing(experiments.TimingConfig{
-			Ms: []int{4, 8, 16}, Sets: min(*sets, 20), Seed: *seed + 3, Backend: be,
+			Ms: []int{4, 8, 16}, Sets: min(*sets, 20), Seed: *seed + 3,
 		})
 		fmt.Fprintln(stdout, "Analysis runtime (Section VI-B):")
 		fmt.Fprint(stdout, experiments.TimingTable(res))
@@ -286,7 +275,6 @@ type campaignArgs struct {
 	seed                  int64
 	ms, ufracs, scenarios string
 	sets, workers         int
-	backend               core.Backend
 	jsonlPath, csvPath    string
 	resume                string
 	progress              bool
@@ -319,7 +307,7 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 	}
 	cfg := experiments.CampaignConfig{
 		Seed: a.seed, Ms: msList, UFracs: fracs, SetsPerPoint: a.sets,
-		Scenarios: scens, Backend: a.backend, Workers: a.workers,
+		Scenarios: scens, Workers: a.workers,
 	}
 
 	opts := experiments.RunOptions{Obs: a.obs}

@@ -301,8 +301,11 @@ func TestBadFlagsAndBackend(t *testing.T) {
 	if code := run([]string{"-badflag"}, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 		t.Error("bad flag accepted")
 	}
-	if code := run([]string{"-tables", "-backend", "bogus"}, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
-		t.Error("bad backend accepted")
+	// There is no solver flag: -backend is unknown.
+	var stderr bytes.Buffer
+	if code := run([]string{"-tables", "-backend", "paper-ilp"}, &bytes.Buffer{}, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -backend") {
+		t.Errorf("-backend: exit %d, stderr %q; want 2 and an unknown-flag error", code, stderr.String())
 	}
 	if code := run([]string{"-fig2", "-m", "2", "-sets", "2", "-csv", "/nonexistent-dir-xyz/x.csv"},
 		&bytes.Buffer{}, &bytes.Buffer{}); code != 1 {

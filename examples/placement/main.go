@@ -51,7 +51,7 @@ func main() {
 
 	const m = 2
 	budgets := []int64{5, 10, 20, 40, 60}
-	points, err := lpdag.ExplorePlacement(ts, m, budgets, lpdag.LPILP, lpdag.Combinatorial)
+	points, err := lpdag.ExplorePlacement(ts, m, budgets, lpdag.LPILP)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,8 +17,9 @@
 // Each LP-ILP quantity can be computed by two interchangeable backends:
 // exact combinatorial solvers (max-weight parallel c-set, Hungarian
 // assignment, and a knapsack-style scenario sweep) or the paper-faithful
-// 0-1 ILP encodings. Tests assert they agree; the combinatorial backend
-// is the default and is orders of magnitude faster.
+// 0-1 ILP encodings. Tests assert they agree. The combinatorial backend
+// is orders of magnitude faster and the only one the analysis (package
+// rta) asks for; the ILP encodings are its oracle.
 package blocking
 
 import (

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/blocking"
 	"repro/internal/engine/cache"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -36,22 +35,10 @@ const (
 // Methods lists all variants in presentation order.
 func Methods() []Method { return []Method{FPIdeal, LPILP, LPMax} }
 
-// Backend selects the LP-ILP solver implementation.
-type Backend = blocking.Backend
-
-// Solver backends, re-exported.
-const (
-	// Combinatorial uses exact clique/assignment solvers (default, fast).
-	Combinatorial = blocking.Combinatorial
-	// PaperILP uses the paper's 0-1 ILP encodings via branch and bound.
-	PaperILP = blocking.PaperILP
-)
-
 // Options configure an Analyzer.
 type Options struct {
-	Cores   int     // number of identical cores m, ≥ 1
-	Method  Method  // analysis variant; default FPIdeal
-	Backend Backend // LP-ILP solver; default Combinatorial
+	Cores  int    // number of identical cores m, ≥ 1
+	Method Method // analysis variant; default FPIdeal
 
 	// FinalNPRRefinement enables the paper's future-work item (ii):
 	// for single-sink tasks, interference is accounted only until the
@@ -63,8 +50,8 @@ type Options struct {
 	FinalNPRRefinement bool
 
 	// Cache, when non-nil, memoizes the content-addressed µ[c] tables
-	// (the clique-search / ILP-solve work of Equation (6)) across graph
-	// instances, behind the µ memo each graph keeps for itself. Share
+	// (the clique search of Equation (6)) across graph instances,
+	// behind the µ memo each graph keeps for itself. Share
 	// one cache so structurally identical graphs — decoded again from
 	// a recurring request, say — solve each table once; graphs that
 	// are analyzed once and never recur, like generated ones, gain
@@ -116,11 +103,6 @@ func ValidateOptions(opts Options) error {
 	default:
 		return fmt.Errorf("core: invalid Options.Method: %v", opts.Method)
 	}
-	switch opts.Backend {
-	case Combinatorial, PaperILP:
-	default:
-		return fmt.Errorf("core: invalid Options.Backend: %v", opts.Backend)
-	}
 	return nil
 }
 
@@ -137,7 +119,6 @@ func rtaConfig(opts Options) rta.Config {
 	return rta.Config{
 		M:                  opts.Cores,
 		Method:             opts.Method,
-		Backend:            opts.Backend,
 		FinalNPRRefinement: opts.FinalNPRRefinement,
 		Cache:              opts.Cache,
 		Trace:              opts.Trace,

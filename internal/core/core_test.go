@@ -30,9 +30,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Cores: 2, Method: Method(99)}); err == nil {
 		t.Error("bad method accepted")
 	}
-	if _, err := New(Options{Cores: 2, Backend: Backend(99)}); err == nil {
-		t.Error("bad backend accepted")
-	}
 	a, err := New(Options{Cores: 4, Method: LPILP})
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
@@ -244,7 +241,6 @@ func TestOptionsValidationErrors(t *testing.T) {
 		{"zero cores", Options{Cores: 0, Method: LPILP}, "invalid Options.Cores: 0"},
 		{"negative cores", Options{Cores: -3, Method: LPILP}, "invalid Options.Cores: -3"},
 		{"bad method", Options{Cores: 4, Method: Method(99)}, "invalid Options.Method: Method(99)"},
-		{"bad backend", Options{Cores: 4, Method: LPILP, Backend: Backend(7)}, "invalid Options.Backend: Backend(7)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

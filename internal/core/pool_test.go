@@ -16,19 +16,13 @@ import (
 
 // TestPooledAnalyzersAcrossSpecs pins that the one process-wide pool of
 // rta scratch states serves every configuration: 8 goroutines
-// interleave core counts 1–8, all three methods, both backends and the
-// final-NPR refinement on shared task sets, and every report equals the
-// one-shot rta result on a clone (fresh graphs, empty µ memos).
+// interleave core counts 1–8, all three methods and the final-NPR
+// refinement on shared task sets, and every report equals the one-shot
+// rta result on a clone (fresh graphs, empty µ memos).
 func TestPooledAnalyzersAcrossSpecs(t *testing.T) {
-	sets := map[Backend][]*model.TaskSet{}
-	for _, be := range []Backend{Combinatorial, PaperILP} {
-		params := gen.PaperParams(gen.GroupMixed)
-		if be == PaperILP {
-			params.DAG.MaxNodes = 12 // the ILP backend is slow on larger graphs
-		}
-		for seed := int64(1); seed <= 4; seed++ {
-			sets[be] = append(sets[be], gen.New(seed, params).TaskSetN(3+int(seed)%3, 1.5))
-		}
+	var sets []*model.TaskSet
+	for seed := int64(1); seed <= 4; seed++ {
+		sets = append(sets, gen.New(seed, gen.PaperParams(gen.GroupMixed)).TaskSetN(3+int(seed)%3, 1.5))
 	}
 	const goroutines, perGoroutine = 8, 24
 	var wg sync.WaitGroup
@@ -41,10 +35,9 @@ func TestPooledAnalyzersAcrossSpecs(t *testing.T) {
 				opts := Options{
 					Cores:              1 + k%8,
 					Method:             Methods()[k/8%3],
-					Backend:            []Backend{Combinatorial, PaperILP}[k/24%2],
-					FinalNPRRefinement: k/48%2 == 1,
+					FinalNPRRefinement: k/24%2 == 1,
 				}
-				ts := sets[opts.Backend][k%len(sets[opts.Backend])]
+				ts := sets[k%len(sets)]
 				got, err := MustNew(opts).Analyze(context.Background(), ts)
 				if err != nil {
 					t.Errorf("%+v: %v", opts, err)

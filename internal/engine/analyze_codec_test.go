@@ -27,14 +27,12 @@ type refAnalyzeItem struct {
 	TaskSet  json.RawMessage `json:"taskset"`
 	Cores    *int            `json:"cores,omitempty"`
 	Method   *string         `json:"method,omitempty"`
-	Backend  *string         `json:"backend,omitempty"`
 	FinalNPR *bool           `json:"final_npr,omitempty"`
 }
 
 type refAnalyzeRequest struct {
 	Cores    int              `json:"cores,omitempty"`
 	Method   string           `json:"method,omitempty"`
-	Backend  string           `json:"backend,omitempty"`
 	FinalNPR bool             `json:"final_npr,omitempty"`
 	Requests []refAnalyzeItem `json:"requests"`
 }
@@ -69,7 +67,7 @@ func checkAnalyzeAgainstRef(t *testing.T, body []byte) {
 	if gotErr != nil {
 		return
 	}
-	if got.cores != want.Cores || got.method != want.Method || got.backend != want.Backend ||
+	if got.cores != want.Cores || got.method != want.Method ||
 		got.finalNPR != want.FinalNPR || got.batch != len(want.Requests) {
 		t.Fatalf("envelope differs on %q: %+v vs %+v", body, got, want)
 	}
@@ -79,7 +77,7 @@ func checkAnalyzeAgainstRef(t *testing.T, body []byte) {
 	for i, ref := range want.Requests {
 		it := got.items[i]
 		if !reflect.DeepEqual(it.cores, ref.Cores) || !reflect.DeepEqual(it.method, ref.Method) ||
-			!reflect.DeepEqual(it.backend, ref.Backend) || !reflect.DeepEqual(it.finalNPR, ref.FinalNPR) {
+			!reflect.DeepEqual(it.finalNPR, ref.FinalNPR) {
 			t.Fatalf("element %d overrides differ on %q", i, body)
 		}
 		if it.hasSet != (len(ref.TaskSet) > 0) {
@@ -105,10 +103,10 @@ func checkAnalyzeAgainstRef(t *testing.T, body []byte) {
 
 var analyzeBodies = []string{
 	`{"cores":8,"method":"lp-max","requests":[{"taskset":{"tasks":[{"name":"a","wcet":[2,3],"edges":[[0,1]],"deadline":9,"period":9}]}}]}`,
-	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"cores":2,"method":"fp-ideal","backend":"paper-ilp","final_npr":true}]}`,
+	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"cores":2,"method":"fp-ideal","final_npr":true}]}`,
 	`{"requests":[{"taskset":{"tasks":[]}},{},null,{"taskset":null},{"taskset":5},{"taskset":{"tasks":[{"wcet":"x"}]}}]}`,
 	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"cores":8},{"method":"lp-max"}],"requests":[{"cores":null},null]}`,
-	`{"requests":[{"cores":1},{"cores":2},{"cores":3}],"requests":[{"method":"x"}],"requests":[{},{"backend":"y"}]}`,
+	`{"requests":[{"cores":1},{"cores":2},{"cores":3}],"requests":[{"method":"x"}],"requests":[{},{"final_npr":true}]}`,
 	`{"requests":[{"cores":1},{"cores":2}],"requests":[],"requests":[{},{}]}`,
 	`{"REQUESTS":[{"TaskSet":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"Final_NPR":false}],"Cores":3}`,
 	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]}}],"bogus":1}`,
@@ -127,6 +125,8 @@ var analyzeBodies = []string{
 	`{"requests":[{},{},{},{},{},{},{},{},{}]}`,
 	`{"requests":[{},{},{},{},{},{},{},{},{}],"requests":[{"cores":4}]}`,
 	`null`, `[]`, `""`, ``, `{}`,
+	`{"backend":"paper-ilp","requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]}}]}`,
+	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"backend":"combinatorial"}]}`,
 }
 
 // FuzzAnalyzeRequest pins the one-pass /v1/analyze decoder to the

@@ -1,8 +1,10 @@
 // Package cache is a content-addressed memo store for the one derived
 // quantity of the limited-preemption analysis that is genuinely more
 // expensive to recompute than to look up: the per-graph µ[c] worst-case
-// workload tables of Equation (6), whether produced by the
-// combinatorial max-weight clique search or by the paper's ILP backend.
+// workload tables of Equation (6). Every analysis asks for the
+// combinatorial max-weight clique search's tables; the solver stays a
+// key field because blocking.Mu keeps the paper's ILP as its oracle,
+// and callers outside the analysis may name either.
 // Everything cheaper is deliberately not memoized: top-NPR lists are a
 // copy of the graph's memoized sorted-WCET slice, and the Δ^m/Δ^{m-1}
 // suffix aggregates are O(n·m) incremental work that the rta layer's
@@ -13,7 +15,7 @@
 // Entries are keyed by the graph's memoized content fingerprint — the
 // SHA-256 of its canonical structure (node WCETs + edge list; see
 // dag.(*Graph).Fingerprint) — packed with the analysis parameters
-// (cores, backend) into a fixed-size comparable struct, so two
+// (cores, solver) into a fixed-size comparable struct, so two
 // structurally identical graphs share one entry regardless of how or
 // where they were built: a task set deserialized twice from JSON
 // computes each table once. A SHA-256 collision would be needed for

@@ -103,9 +103,9 @@ type Engine struct {
 	abandoned atomic.Uint64 // jobs whose submitter context expired before they ran
 
 	// Observability (nil without Config.Obs): the registry itself (for
-	// the session layer to attach to), the pre-resolved hot-path
-	// histograms, and the analysis-phase trace every pooled analyzer
-	// shares.
+	// the session layer and the HTTP server to attach to), the
+	// pre-resolved hot-path histograms, and the analysis-phase trace
+	// every pooled analyzer shares.
 	obsReg  *obs.Registry
 	metrics *engineMetrics
 	trace   *obs.Trace
@@ -254,7 +254,6 @@ func (e *Engine) Submit(ctx context.Context, kind JobKind, fn func(context.Conte
 type AnalyzeSpec struct {
 	Cores    int
 	Method   core.Method
-	Backend  core.Backend
 	FinalNPR bool // Options.FinalNPRRefinement
 }
 
@@ -265,7 +264,7 @@ type AnalyzeSpec struct {
 // pool, whatever its spec. The engine keeps no per-spec state.
 func (e *Engine) Analyze(ctx context.Context, ts *model.TaskSet, spec AnalyzeSpec) (*core.Report, error) {
 	a, err := core.New(core.Options{
-		Cores: spec.Cores, Method: spec.Method, Backend: spec.Backend,
+		Cores: spec.Cores, Method: spec.Method,
 		FinalNPRRefinement: spec.FinalNPR,
 		Cache:              e.memo,
 		Trace:              e.trace,

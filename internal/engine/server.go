@@ -67,13 +67,6 @@ type ServerConfig struct {
 	// another node owns answer 307 + X-Lpdag-Session-Owner unless the
 	// session is present locally (restored or handed off here).
 	Peers []string
-	// Obs, when non-nil, mounts GET /metrics (Prometheus text format,
-	// deliberately outside the MaxInFlight semaphore — a scrape must
-	// succeed while the server sheds) and registers the server-level
-	// series (in-flight requests, sheds, draining flag, shard load).
-	// Nil falls back to the engine's registry, so passing Config.Obs to
-	// New is enough to get the full serving surface.
-	Obs *obs.Registry
 }
 
 // Server limits. The per-job compute caps exist because the HTTP
@@ -162,9 +155,6 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.Obs == nil {
-		cfg.Obs = e.obsReg
-	}
 	s := &Server{eng: e, cfg: cfg, inFlight: make(chan struct{}, cfg.MaxInFlight), start: time.Now()}
 	if len(cfg.Peers) > 0 {
 		// SelfURL is implicitly a member: a peer list that omits the
@@ -197,9 +187,11 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.limited(s.handleSessionDelete))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	if reg := cfg.Obs; reg != nil {
-		// Unlimited like /healthz and /stats: observability endpoints
-		// must answer while the data plane sheds or drains.
+	if reg := e.obsReg; reg != nil {
+		// GET /metrics (Prometheus text format) and the server-level
+		// series, on the engine's registry. Unlimited like /healthz and
+		// /stats: a scrape must answer while the data plane sheds or
+		// drains.
 		mux.Handle("GET /metrics", reg.Handler())
 		reg.RegisterRuntime(s.start)
 		reg.GaugeFunc("lpdag_http_in_flight",
@@ -417,39 +409,24 @@ func MethodWire(m core.Method) (string, error) {
 	return "", fmt.Errorf("engine: method %v has no wire spelling", m)
 }
 
-// ParseBackend maps the API wire spelling to a core.Backend ("" =
-// combinatorial).
-func ParseBackend(s string) (core.Backend, error) {
-	switch s {
-	case "", "combinatorial":
-		return core.Combinatorial, nil
-	case "paper-ilp":
-		return core.PaperILP, nil
-	}
-	return 0, fmt.Errorf("unknown backend %q (want combinatorial | paper-ilp)", s)
-}
-
 // analyzeItem is one batch element: a task set plus optional per-request
-// overrides of the top-level defaults. Its wire form is
-// {"taskset", "cores", "method", "backend", "final_npr"}; the set is
-// decoded while the body is read, and a set that fails to decode fails
-// only its own element.
+// overrides of the top-level defaults. Its wire form is {"taskset",
+// "cores", "method", "final_npr"}; the set is decoded while the body is
+// read, and a set that fails to decode fails only its own element.
 type analyzeItem struct {
 	hasSet   bool
 	set      *model.TaskSet
 	setErr   error
 	cores    *int
 	method   *string
-	backend  *string
 	finalNPR *bool
 }
 
-// analyzeRequest is the /v1/analyze body, {"cores", "method", "backend",
-// "final_npr", "requests"}: defaults plus a batch.
+// analyzeRequest is the /v1/analyze body, {"cores", "method", "final_npr",
+// "requests"}: defaults plus a batch.
 type analyzeRequest struct {
 	cores    int    // default 4
 	method   string // default "lp-ilp"
-	backend  string // default "combinatorial"
 	finalNPR bool   // Options.FinalNPRRefinement
 	batch    int    // elements in "requests"
 	items    []analyzeItem
@@ -481,8 +458,6 @@ func decodeAnalyzeRequest(body []byte, maxBatch int) (*analyzeRequest, error) {
 				keep(d.Int(&req.cores, "cores"))
 			case jsonwire.KeyIs(key, "method"):
 				keep(d.Str(&req.method, "method"))
-			case jsonwire.KeyIs(key, "backend"):
-				keep(d.Str(&req.backend, "backend"))
 			case jsonwire.KeyIs(key, "final_npr"):
 				keep(d.Bool(&req.finalNPR, "final_npr"))
 			case jsonwire.KeyIs(key, "requests"):
@@ -571,8 +546,6 @@ func (it *analyzeItem) decode(d *jsonwire.Dec, skipSet bool) error {
 			keep(readOverride(d, &it.cores, d.Int, "cores"))
 		case jsonwire.KeyIs(key, "method"):
 			keep(readOverride(d, &it.method, d.Str, "method"))
-		case jsonwire.KeyIs(key, "backend"):
-			keep(readOverride(d, &it.backend, d.Str, "backend"))
 		case jsonwire.KeyIs(key, "final_npr"):
 			keep(readOverride(d, &it.finalNPR, d.Bool, "final_npr"))
 		default:
@@ -718,7 +691,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for i := range req.items {
 		item := &req.items[i]
 		spec := AnalyzeSpec{Cores: req.cores, FinalNPR: req.finalNPR}
-		methodStr, backendStr := req.method, req.backend
+		methodStr := req.method
 		if item.cores != nil {
 			spec.Cores = *item.cores
 		}
@@ -728,19 +701,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if item.method != nil {
 			methodStr = *item.method
 		}
-		if item.backend != nil {
-			backendStr = *item.backend
-		}
 		if err := CheckCores(spec.Cores); err != nil {
 			fails[i] = err.Error()
 			continue
 		}
 		var err error
 		if spec.Method, err = ParseMethod(methodStr); err != nil {
-			fails[i] = err.Error()
-			continue
-		}
-		if spec.Backend, err = ParseBackend(backendStr); err != nil {
 			fails[i] = err.Error()
 			continue
 		}

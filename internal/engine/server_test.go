@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -297,6 +299,49 @@ func TestCoreBound(t *testing.T) {
 	w = get(t, h, "/healthz")
 	if body := w.Body.String(); w.Code != http.StatusOK || !strings.Contains(body, `"ok"`) ||
 		!strings.Contains(body, `"active_sessions": 1`) {
+		t.Errorf("healthz after the probes: status %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestRetiredBackendField pins that the µ solver is no longer client
+// input. The probe that once pinned a worker for minutes, one 30-node
+// random DAG at 24 cores naming "backend": "paper-ilp" in a 1.3 KB body,
+// and a session create naming a backend now answer the unknown-field
+// 400 at once, start no job, and leave the node healthy.
+func TestRetiredBackendField(t *testing.T) {
+	e := engine.New(engine.Config{})
+	t.Cleanup(e.Close)
+	h := engine.NewServer(e, engine.ServerConfig{})
+	rng := rand.New(rand.NewSource(30))
+	var wcets, edges []string
+	for v := 0; v < 30; v++ {
+		wcets = append(wcets, strconv.Itoa(1+rng.Intn(100)))
+		for u := 0; u < v; u++ {
+			if rng.Intn(3) == 0 {
+				edges = append(edges, fmt.Sprintf("[%d,%d]", u, v))
+			}
+		}
+	}
+	set := fmt.Sprintf(`{"tasks":[{"name":"probe","wcet":[%s],"edges":[%s],"deadline":100000,"period":100000}]}`,
+		strings.Join(wcets, ","), strings.Join(edges, ","))
+	for _, tc := range []struct{ name, path, body string }{
+		{"analyze", "/v1/analyze", `{"cores": 24, "backend": "paper-ilp", "requests": [{"taskset": ` + set + `}]}`},
+		{"analyze element", "/v1/analyze", `{"cores": 24, "requests": [{"taskset": ` + set + `, "backend": "paper-ilp"}]}`},
+		{"session create", "/v1/sessions", `{"cores": 24, "backend": "paper-ilp", "taskset": ` + set + `}`},
+	} {
+		start := time.Now()
+		w := post(t, h, tc.path, tc.body)
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: 400 took %v, want under 1s", tc.name, elapsed)
+		}
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"backend\"`) {
+			t.Errorf("%s (%d-byte body): status %d %s, want 400 unknown field \"backend\"", tc.name, len(tc.body), w.Code, w.Body)
+		}
+	}
+	if st := e.Stats(); st.JobsServed() != 0 || st.QueueDepth != 0 {
+		t.Errorf("rejected bodies reached the engine: %+v", st)
+	}
+	if w := get(t, h, "/healthz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ok"`) {
 		t.Errorf("healthz after the probes: status %d: %s", w.Code, w.Body)
 	}
 }

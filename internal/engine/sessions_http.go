@@ -80,9 +80,8 @@ func (s *Server) setSessionEpoch(w http.ResponseWriter, id string) {
 // optional: admission-control sessions often start empty and admit.
 type createSessionRequest struct {
 	TaskSet  json.RawMessage `json:"taskset,omitempty"`
-	Cores    int             `json:"cores,omitempty"`   // default 4
-	Method   string          `json:"method,omitempty"`  // default "lp-ilp"
-	Backend  string          `json:"backend,omitempty"` // default "combinatorial"
+	Cores    int             `json:"cores,omitempty"`  // default 4
+	Method   string          `json:"method,omitempty"` // default "lp-ilp"
 	FinalNPR bool            `json:"final_npr,omitempty"`
 }
 
@@ -101,10 +100,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	opts := core.Options{Cores: req.Cores, FinalNPRRefinement: req.FinalNPR}
 	var err error
 	if opts.Method, err = ParseMethod(req.Method); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if opts.Backend, err = ParseBackend(req.Backend); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

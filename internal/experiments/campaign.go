@@ -168,7 +168,6 @@ type CampaignConfig struct {
 	SetsPerPoint int       // task sets per grid point (default 25)
 	Scenarios    []Scenario
 	Methods      []core.Method // analysis methods (default all three)
-	Backend      core.Backend
 	// Workers sizes the engine the campaign creates when RunOptions
 	// does not supply one (0 = GOMAXPROCS). It never affects results.
 	Workers int
@@ -477,7 +476,7 @@ func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point) (PointR
 		sets[si] = pt.Scenario.TaskSet(SeedFor(cfg.Seed, pt.Index, si), pt.U)
 	}
 	for _, method := range cfg.Methods {
-		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method, Backend: cfg.Backend})
+		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method})
 		if err != nil {
 			return res, err
 		}

@@ -43,7 +43,6 @@ type CampaignRequest struct {
 	SetsPerPoint int       `json:"sets_per_point,omitempty"`
 	Scenarios    []string  `json:"scenarios,omitempty"`
 	Methods      []string  `json:"methods,omitempty"`
-	Backend      string    `json:"backend,omitempty"`
 }
 
 // CampaignHandler serves POST /v1/campaign on the given engine.
@@ -126,10 +125,6 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 		}
 		cfg.Methods = append(cfg.Methods, m)
 	}
-	var err error
-	if cfg.Backend, err = engine.ParseBackend(req.Backend); err != nil {
-		return cfg, err
-	}
 	// Return the normalized form (defaults filled), so every consumer —
 	// the campaign handler's admission estimate, the shard endpoint's —
 	// reasons about the grid actually computed instead of restating the
@@ -166,7 +161,6 @@ func (c CampaignConfig) WireRequest() (CampaignRequest, error) {
 		}
 		req.Methods = append(req.Methods, w)
 	}
-	req.Backend = c.Backend.String()
 	// Round-trip through Config so a campaign the wire-level limits
 	// would reject (core counts, sets per point) fails at the
 	// coordinator, not on every worker.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -80,13 +81,54 @@ func TestCampaignEndpointStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestCampaignEndpointRejectsBackend pins that the µ solver is no
+// longer campaign input: a full-grid body naming "backend", as every
+// campaign an older coordinator plans does, answers the unknown-field
+// 400 at once beside a healthy node and runs no point.
+func TestCampaignEndpointRejectsBackend(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 2})
+	t.Cleanup(eng.Close)
+	mux := http.NewServeMux()
+	mux.Handle("/", engine.NewServer(eng, engine.ServerConfig{}))
+	mux.Handle("POST /v1/campaign", CampaignHandler(eng))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	for _, backend := range []string{"paper-ilp", "combinatorial"} {
+		body := `{"seed":7,"ms":[8,16],"sets_per_point":200,"scenarios":["mixed","wide"],"backend":"` + backend + `"}`
+		start := time.Now()
+		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("backend %q: 400 took %v, want under 1s", backend, elapsed)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"backend\"`) {
+			t.Errorf("backend %q: status %d %s, want 400 unknown field", backend, resp.StatusCode, msg)
+		}
+	}
+	if n := eng.Stats().Sweeps; n != 0 {
+		t.Errorf("rejected campaigns ran %d points", n)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(msg), `"ok"`) {
+		t.Errorf("healthz after the probes: status %d: %s", resp.StatusCode, msg)
+	}
+}
+
 func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 	srv, _ := campaignTestServer(t)
 	for name, body := range map[string]string{
 		"bad json":         `{`,
 		"unknown scenario": `{"scenarios":["bogus"]}`,
 		"unknown method":   `{"methods":["qp"]}`,
-		"unknown backend":  `{"backend":"x"}`,
 		"zero cores":       `{"ms":[0]}`,
 		"huge cores":       `{"ms":[65]}`,
 		"too many sets":    `{"sets_per_point":100000}`,

@@ -57,7 +57,6 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		Seed: 3, Ms: []int{2, 4}, UFracs: []float64{0.25, 0.75},
 		SetsPerPoint: 3, Scenarios: []Scenario{sc},
 		Methods: []core.Method{core.LPILP, core.FPIdeal},
-		Backend: core.Combinatorial,
 	}
 	wire, err := cfg.WireRequest()
 	if err != nil {

@@ -338,6 +338,11 @@ func TestWorkerHandlerValidation(t *testing.T) {
 		!strings.Contains(w.Body.String(), "unknown field") {
 		t.Errorf("retired shards field: status %d (%s), want 400 unknown field", w.Code, w.Body)
 	}
+	// An older coordinator names the solver in every lease.
+	if w := post(`{"campaign": {"seed": 1, "backend": "combinatorial"}, "points": [0]}`); w.Code != http.StatusBadRequest ||
+		!strings.Contains(w.Body.String(), `unknown field \"backend\"`) {
+		t.Errorf("retired backend field: status %d (%s), want 400 unknown field", w.Code, w.Body)
+	}
 	if w := post(`{"campaign": {"seed": 1}, "points": [3,1]}`); w.Code != http.StatusOK {
 		t.Errorf("descending points: status %d, want 200 (stream with error line)", w.Code)
 	} else if !strings.Contains(w.Body.String(), "increasing") {

@@ -39,7 +39,6 @@ type Fig2Config struct {
 	SetsPerPoint int     // task sets per utilization (paper: 300)
 	Seed         int64
 	Group        gen.Group
-	Backend      core.Backend
 
 	// SeqProbOverride, when non-zero, overrides the mixed population's
 	// sequential-task probability (calibration knob; the paper does not
@@ -118,7 +117,6 @@ func Figure2(cfg Fig2Config) ([]CurvePoint, error) {
 		Seed: cfg.Seed, Ms: []int{cfg.M}, UFracs: fracs,
 		SetsPerPoint: max(cfg.SetsPerPoint, 1),
 		Scenarios:    []Scenario{cfg.scenario()},
-		Backend:      cfg.Backend,
 	}, RunOptions{})
 	if err != nil {
 		return nil, err
@@ -216,7 +214,6 @@ type TasksSweepConfig struct {
 	SetsPerPoint int
 	Seed         int64
 	Group        gen.Group
-	Backend      core.Backend
 }
 
 // TasksSweepPoint is the outcome at one task count.
@@ -245,7 +242,7 @@ func TasksSweep(cfg TasksSweepConfig) ([]TasksSweepPoint, error) {
 		}
 		pct := make(map[core.Method]float64, 3)
 		for _, method := range core.Methods() {
-			sched, err := countSchedulable(ctx, batch, core.Options{Cores: cfg.M, Method: method, Backend: cfg.Backend})
+			sched, err := countSchedulable(ctx, batch, core.Options{Cores: cfg.M, Method: method})
 			if err != nil {
 				return TasksSweepPoint{}, err
 			}
@@ -301,11 +298,10 @@ func Group2(cfg Fig2Config) (Group2Result, error) {
 // Section VI-B (MATLAB+CPLEX: 0.45 s, 4.75 s, 43 min for m = 4, 8, 16;
 // the absolute Go numbers are not comparable, the growth trend is).
 type TimingConfig struct {
-	Ms      []int   // core counts to measure (paper: 4, 8, 16)
-	Sets    int     // sets per core count
-	UFrac   float64 // target utilization as a fraction of m (default 0.4)
-	Seed    int64
-	Backend core.Backend
+	Ms    []int   // core counts to measure (paper: 4, 8, 16)
+	Sets  int     // sets per core count
+	UFrac float64 // target utilization as a fraction of m (default 0.4)
+	Seed  int64
 }
 
 // TimingResult is the measurement at one core count.
@@ -336,7 +332,7 @@ func Timing(cfg TimingConfig) []TimingResult {
 			sets[i] = gen.New(SeedFor(cfg.Seed, m, i), gen.PaperParams(gen.GroupMixed)).
 				TaskSet(cfg.UFrac * float64(m))
 		}
-		a := core.MustNew(core.Options{Cores: m, Method: core.LPILP, Backend: cfg.Backend})
+		a := core.MustNew(core.Options{Cores: m, Method: core.LPILP})
 		start := time.Now()
 		sched := 0
 		for _, ts := range sets {
@@ -448,9 +444,9 @@ func Variants(cfg Fig2Config) ([]VariantPoint, error) {
 	// table the first one solves is memoized on each graph for the
 	// other two.
 	variants := []rta.Config{
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend},
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, FinalNPRRefinement: true},
-		{M: cfg.M, Method: rta.LPILP, Backend: cfg.Backend, AblateRepeatedBlocking: true},
+		{M: cfg.M, Method: rta.LPILP},
+		{M: cfg.M, Method: rta.LPILP, FinalNPRRefinement: true},
+		{M: cfg.M, Method: rta.LPILP, AblateRepeatedBlocking: true},
 	}
 	return sweep(eng, len(us), func(ctx context.Context, point int) (VariantPoint, error) {
 		sets := make([]*model.TaskSet, n)
@@ -497,7 +493,6 @@ type PessimismConfig struct {
 	Sets    int
 	Seed    int64
 	Horizon int64 // simulation length per set (default 20 max periods)
-	Backend core.Backend
 }
 
 // PessimismResult quantifies how often the LP-ILP analysis rejects a set
@@ -520,7 +515,7 @@ func Pessimism(cfg PessimismConfig) (PessimismResult, error) {
 	}
 	eng := engine.New(engine.Config{})
 	defer eng.Close()
-	a, err := core.New(core.Options{Cores: cfg.M, Method: core.LPILP, Backend: cfg.Backend})
+	a, err := core.New(core.Options{Cores: cfg.M, Method: core.LPILP})
 	if err != nil {
 		return PessimismResult{}, err
 	}

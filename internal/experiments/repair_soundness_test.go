@@ -102,7 +102,7 @@ func TestRepairSoundnessQuickcheck(t *testing.T) {
 			// The differential harness must stay quiet on the repaired
 			// set: bounds vs LP simulator, FP-ideal vs unit-split
 			// oracle, static dominance — no violation of any kind.
-			viols, _, _, err := checkSoundness(fixed, m, 0, 4, true)
+			viols, _, _, err := checkSoundness(fixed, m, 4, true)
 			if err != nil {
 				t.Fatalf("point %d %v: checkSoundness: %v", point, strat, err)
 			}

@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -58,7 +57,6 @@ type SoundnessConfig struct {
 	// standard families with WCETs capped at 25 so unit-split
 	// simulations stay cheap).
 	Scenarios []Scenario
-	Backend   core.Backend
 	// SimPeriods scales the simulation horizon: SimPeriods × the set's
 	// largest period (default 4; the synchronous release at t=0 is the
 	// classic worst-case-style scenario, so short horizons already bite).
@@ -190,19 +188,19 @@ type boundCheckSet struct {
 // soundnessAnalyses is the number of rta.Analyze calls per point.
 const soundnessAnalyses = 7
 
-func analyzeAll(ts *model.TaskSet, m int, be core.Backend) (boundCheckSet, error) {
+func analyzeAll(ts *model.TaskSet, m int) (boundCheckSet, error) {
 	var out boundCheckSet
 	for _, step := range []struct {
 		dst **rta.Result
 		cfg rta.Config
 	}{
-		{&out.fp, rta.Config{M: m, Method: rta.FPIdeal, Backend: be}},
-		{&out.lpMax, rta.Config{M: m, Method: rta.LPMax, Backend: be}},
-		{&out.lpILP, rta.Config{M: m, Method: rta.LPILP, Backend: be}},
-		{&out.refined, rta.Config{M: m, Method: rta.LPILP, Backend: be, FinalNPRRefinement: true}},
-		{&out.lpMaxSafe, rta.Config{M: m, Method: rta.LPMax, Backend: be, DonationSafeBlocking: true}},
-		{&out.lpILPSafe, rta.Config{M: m, Method: rta.LPILP, Backend: be, DonationSafeBlocking: true}},
-		{&out.refinedSafe, rta.Config{M: m, Method: rta.LPILP, Backend: be, FinalNPRRefinement: true, DonationSafeBlocking: true}},
+		{&out.fp, rta.Config{M: m, Method: rta.FPIdeal}},
+		{&out.lpMax, rta.Config{M: m, Method: rta.LPMax}},
+		{&out.lpILP, rta.Config{M: m, Method: rta.LPILP}},
+		{&out.refined, rta.Config{M: m, Method: rta.LPILP, FinalNPRRefinement: true}},
+		{&out.lpMaxSafe, rta.Config{M: m, Method: rta.LPMax, DonationSafeBlocking: true}},
+		{&out.lpILPSafe, rta.Config{M: m, Method: rta.LPILP, DonationSafeBlocking: true}},
+		{&out.refinedSafe, rta.Config{M: m, Method: rta.LPILP, FinalNPRRefinement: true, DonationSafeBlocking: true}},
 	} {
 		res, err := rta.Analyze(context.Background(), ts, step.cfg)
 		if err != nil {
@@ -236,8 +234,8 @@ func maxPeriod(ts *model.TaskSet) int64 {
 // checkSoundness runs every differential check on one task set and
 // returns the violations (without reproducer JSON attached — the caller
 // minimizes first). analyses/sims report the work done.
-func checkSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int, unitSplitCheck bool) (viols []SoundnessViolation, analyses, sims int, err error) {
-	bounds, err := analyzeAll(ts, m, be)
+func checkSoundness(ts *model.TaskSet, m int, simPeriods int, unitSplitCheck bool) (viols []SoundnessViolation, analyses, sims int, err error) {
+	bounds, err := analyzeAll(ts, m)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -327,11 +325,11 @@ func checkSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int, u
 // returning the smallest reproducer found and its violations. viols is
 // the caller's (already computed) check result for ts — when empty the
 // check is (re)run, so passing nil gives standalone behaviour.
-func minimizeSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int, unitSplitCheck bool, viols []SoundnessViolation) (*model.TaskSet, []SoundnessViolation) {
+func minimizeSoundness(ts *model.TaskSet, m int, simPeriods int, unitSplitCheck bool, viols []SoundnessViolation) (*model.TaskSet, []SoundnessViolation) {
 	cur, curViols := ts, viols
 	if len(curViols) == 0 {
 		var err error
-		curViols, _, _, err = checkSoundness(cur, m, be, simPeriods, unitSplitCheck)
+		curViols, _, _, err = checkSoundness(cur, m, simPeriods, unitSplitCheck)
 		if err != nil || len(curViols) == 0 {
 			return cur, curViols
 		}
@@ -342,7 +340,7 @@ func minimizeSoundness(ts *model.TaskSet, m int, be core.Backend, simPeriods int
 			cand := &model.TaskSet{Tasks: make([]*model.Task, 0, len(cur.Tasks)-1)}
 			cand.Tasks = append(cand.Tasks, cur.Tasks[:i]...)
 			cand.Tasks = append(cand.Tasks, cur.Tasks[i+1:]...)
-			v, _, _, err := checkSoundness(cand, m, be, simPeriods, unitSplitCheck)
+			v, _, _, err := checkSoundness(cand, m, simPeriods, unitSplitCheck)
 			if err == nil && len(v) > 0 {
 				cur, curViols = cand, v
 				shrunk = true
@@ -372,13 +370,13 @@ func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 		pt := derivePoint(cfg, p)
 		ts := pt.scenario.TaskSet(pt.seed, pt.u)
 		unit := p%cfg.UnitSplitEvery == 0
-		viols, analyses, sims, err := checkSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit)
+		viols, analyses, sims, err := checkSoundness(ts, pt.m, cfg.SimPeriods, unit)
 		po := pointOut{analyses: analyses, sims: sims}
 		if err != nil || len(viols) == 0 {
 			return po, err
 		}
 		// Shrink and attach the reproducer.
-		minTS, minViols := minimizeSoundness(ts, pt.m, cfg.Backend, cfg.SimPeriods, unit, viols)
+		minTS, minViols := minimizeSoundness(ts, pt.m, cfg.SimPeriods, unit, viols)
 		if len(minViols) == 0 { // flaky shrink guard: keep the original
 			minTS, minViols = ts, viols
 		}

@@ -119,7 +119,7 @@ func brokenBoundSet() *model.TaskSet {
 func TestSoundnessCheckCatchesInjectedViolation(t *testing.T) {
 	ts := brokenBoundSet()
 	m := 2
-	bounds, err := analyzeAll(ts, m, 0)
+	bounds, err := analyzeAll(ts, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSoundnessCheckCatchesInjectedViolation(t *testing.T) {
 	// The genuine checker must not flag this set: FP-ideal is checked
 	// against the fully-preemptive (unit-split) oracle, where the bound
 	// holds, and the LP bounds cover the blocking.
-	viols, _, _, err := checkSoundness(ts, m, 0, 4, true)
+	viols, _, _, err := checkSoundness(ts, m, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSoundnessCheckCatchesInjectedViolation(t *testing.T) {
 func TestMinimizeSoundnessNoViolationIsIdentity(t *testing.T) {
 	sc := Scenario{Name: "mixed", Group: gen.GroupMixed}
 	ts := sc.TaskSet(3, 1.0)
-	got, viols := minimizeSoundness(ts, 4, 0, 2, false, nil)
+	got, viols := minimizeSoundness(ts, 4, 2, false, nil)
 	if len(viols) != 0 {
 		t.Fatalf("unexpected violations: %v", viols)
 	}
@@ -218,7 +218,7 @@ func TestEagerDonationGapReproducer(t *testing.T) {
 		t.Fatalf("donation-safe bound %d still below observed %d", st.ResponseTimeCeil(m), sr.MaxResponse[0])
 	}
 	// And the full checker must stay quiet on this set.
-	viols, _, _, err := checkSoundness(ts, m, 0, 4, true)
+	viols, _, _, err := checkSoundness(ts, m, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}

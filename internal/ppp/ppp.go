@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/blocking"
 	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/rta"
@@ -153,14 +152,14 @@ type Point struct {
 // Explore splits every task's nodes to each budget in budgets and runs
 // the limited-preemptive analysis, returning one Point per budget.
 // Budgets are processed as given; pass them sorted for readable output.
-func Explore(ts *model.TaskSet, m int, budgets []int64, method rta.Method, be blocking.Backend) ([]Point, error) {
+func Explore(ts *model.TaskSet, m int, budgets []int64, method rta.Method) ([]Point, error) {
 	if method == rta.FPIdeal {
 		return nil, fmt.Errorf("ppp: placement exploration needs a limited-preemptive method")
 	}
 	out := make([]Point, 0, len(budgets))
 	for _, q := range budgets {
 		split := Transform(ts, func(g *dag.Graph) *dag.Graph { return dag.Split(g, q) })
-		res, err := rta.Analyze(context.Background(), split, rta.Config{M: m, Method: method, Backend: be})
+		res, err := rta.Analyze(context.Background(), split, rta.Config{M: m, Method: method})
 		if err != nil {
 			return nil, err
 		}

@@ -206,7 +206,7 @@ func TestTransformKeepsTiming(t *testing.T) {
 
 func TestExplore(t *testing.T) {
 	ts := fixture.TaskSet()
-	points, err := Explore(ts, fixture.M, []int64{1, 2, 4, 8}, rta.LPILP, blocking.Combinatorial)
+	points, err := Explore(ts, fixture.M, []int64{1, 2, 4, 8}, rta.LPILP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExplore(t *testing.T) {
 			t.Error("blocking should not shrink with a looser budget")
 		}
 	}
-	if _, err := Explore(ts, fixture.M, []int64{1}, rta.FPIdeal, blocking.Combinatorial); err == nil {
+	if _, err := Explore(ts, fixture.M, []int64{1}, rta.FPIdeal); err == nil {
 		t.Error("FPIdeal must be rejected")
 	}
 }
@@ -252,7 +252,7 @@ func TestExploreTradeoffRealistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := Explore(ts, 2, []int64{10, 60}, rta.LPILP, blocking.Combinatorial)
+	points, err := Explore(ts, 2, []int64{10, 60}, rta.LPILP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"weak"
 
-	"repro/internal/blocking"
 	"repro/internal/dag"
 	"repro/internal/engine/cache"
 	"repro/internal/fixture"
@@ -154,9 +153,9 @@ func TestAnalyzerEquivalence(t *testing.T) {
 
 // TestCachedUncachedEquivalenceUnderEdits quick-checks the cache
 // demotion invariant end to end: a cached analyzer and an uncached one
-// report bit-identical results across methods, solver backends, and a
-// random edit sequence applied to the task set (swap priorities, drop
-// a task, append a fresh one — the session workload shape). One cache
+// report bit-identical results across methods and a random edit
+// sequence applied to the task set (swap priorities, drop a task,
+// append a fresh one — the session workload shape). One cache
 // instance serves the whole sequence, so µ tables materialized for an
 // earlier version of the set are re-served, content-addressed, to the
 // edited versions; every TaskResult field must still match recompute.
@@ -164,64 +163,58 @@ func TestAnalyzerEquivalence(t *testing.T) {
 // each µ table itself instead of reading the graph memo.
 func TestCachedUncachedEquivalenceUnderEdits(t *testing.T) {
 	for _, method := range []Method{LPMax, LPILP} {
-		for _, be := range []blocking.Backend{blocking.Combinatorial, blocking.PaperILP} {
-			memo := cache.New(0)
-			cached, err := NewAnalyzer(Config{M: 3, Method: method, Backend: be, Cache: memo})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := NewAnalyzer(Config{M: 3, Method: method, Backend: be})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				ts := randomTaskSet(rng, 2+rng.Intn(3))
-				for step := 0; ; step++ {
-					got, err := cached.AnalyzeInPlace(context.Background(), ts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := plain.AnalyzeInPlace(context.Background(), ts.Clone())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Schedulable != want.Schedulable || len(got.Tasks) != len(want.Tasks) {
+		memo := cache.New(0)
+		cached, err := NewAnalyzer(Config{M: 3, Method: method, Cache: memo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewAnalyzer(Config{M: 3, Method: method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			ts := randomTaskSet(rng, 2+rng.Intn(3))
+			for step := 0; ; step++ {
+				got, err := cached.AnalyzeInPlace(context.Background(), ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := plain.AnalyzeInPlace(context.Background(), ts.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Schedulable != want.Schedulable || len(got.Tasks) != len(want.Tasks) {
+					return false
+				}
+				for i := range got.Tasks {
+					if got.Tasks[i] != want.Tasks[i] {
+						t.Logf("seed=%d method=%v step=%d task=%d: cached %+v uncached %+v",
+							seed, method, step, i, got.Tasks[i], want.Tasks[i])
 						return false
 					}
-					for i := range got.Tasks {
-						if got.Tasks[i] != want.Tasks[i] {
-							t.Logf("seed=%d method=%v be=%v step=%d task=%d: cached %+v uncached %+v",
-								seed, method, be, step, i, got.Tasks[i], want.Tasks[i])
-							return false
-						}
-					}
-					if step == 3 {
-						return true
-					}
-					tasks := append([]*model.Task(nil), ts.Tasks...)
-					switch n := len(tasks); rng.Intn(3) {
-					case 0: // swap two priorities
-						i, j := rng.Intn(n), rng.Intn(n)
-						tasks[i], tasks[j] = tasks[j], tasks[i]
-					case 1: // drop one task (keep the set non-empty)
-						if n > 1 {
-							i := rng.Intn(n)
-							tasks = append(tasks[:i], tasks[i+1:]...)
-						}
-					default: // append a fresh lowest-priority task
-						tasks = append(tasks, randomTaskSet(rng, 1).Tasks[0])
-					}
-					ts = &model.TaskSet{Tasks: tasks}
 				}
+				if step == 3 {
+					return true
+				}
+				tasks := append([]*model.Task(nil), ts.Tasks...)
+				switch n := len(tasks); rng.Intn(3) {
+				case 0: // swap two priorities
+					i, j := rng.Intn(n), rng.Intn(n)
+					tasks[i], tasks[j] = tasks[j], tasks[i]
+				case 1: // drop one task (keep the set non-empty)
+					if n > 1 {
+						i := rng.Intn(n)
+						tasks = append(tasks[:i], tasks[i+1:]...)
+					}
+				default: // append a fresh lowest-priority task
+					tasks = append(tasks, randomTaskSet(rng, 1).Tasks[0])
+				}
+				ts = &model.TaskSet{Tasks: tasks}
 			}
-			maxCount := 30
-			if be == blocking.PaperILP {
-				maxCount = 8 // the ILP backend is orders of magnitude slower
-			}
-			if err := quick.Check(check, &quick.Config{MaxCount: maxCount}); err != nil {
-				t.Errorf("%v/%v: %v", method, be, err)
-			}
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%v: %v", method, err)
 		}
 	}
 }

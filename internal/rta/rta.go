@@ -67,9 +67,8 @@ func (m Method) String() string {
 
 // Config parameterises an analysis run.
 type Config struct {
-	M       int    // number of identical cores, ≥ 1
-	Method  Method // analysis variant
-	Backend blocking.Backend
+	M      int    // number of identical cores, ≥ 1
+	Method Method // analysis variant
 
 	// Cache, when non-nil, memoizes the content-addressed per-graph
 	// µ[c] tables (Equation (6)) across graph instances. It backs the
@@ -78,9 +77,9 @@ type Config struct {
 	// M cores yet, so steady-state re-analysis costs the same with or
 	// without it, while structurally identical graphs built elsewhere
 	// (fresh deserializations of recurring task sets) skip the clique
-	// search or ILP solve. A graph analyzed once and never seen again,
-	// such as a freshly generated one, only pays the fingerprint and
-	// an entry, so such callers leave Cache nil. Cheaper quantities
+	// search. A graph analyzed once and never seen again, such as a
+	// freshly generated one, only pays the fingerprint and an entry,
+	// so such callers leave Cache nil. Cheaper quantities
 	// (top-NPR lists, suffix Δ aggregates) are never cached —
 	// recompute wins. Results are identical with or without a cache.
 	Cache *cache.Cache
@@ -216,11 +215,6 @@ func validateConfig(cfg Config) error {
 	default:
 		return fmt.Errorf("rta: invalid Config.Method: %v", cfg.Method)
 	}
-	switch cfg.Backend {
-	case blocking.Combinatorial, blocking.PaperILP:
-	default:
-		return fmt.Errorf("rta: invalid Config.Backend: %v", cfg.Backend)
-	}
 	return nil
 }
 
@@ -301,30 +295,31 @@ func (a *Analyzer) ensure(n int) {
 	a.res.Tasks = a.res.Tasks[:n]
 }
 
-// muTable returns the µ table of g (LP-ILP path). The graph's own memo
+// muTable returns the combinatorial µ table of g (LP-ILP path); the
+// paper-ILP solver is the tests' oracle for it. The graph's own memo
 // answers when it holds a table for M cores. Otherwise the shared
 // content-addressed cache does, when one is configured, and its table
-// is stored on the graph, so the clique search or ILP solve runs at
-// most once per graph structure across every analyzer sharing the
-// cache. Without a cache, blocking.Mu solves and stores. Only the
+// is stored on the graph, so the clique search runs at most once per
+// graph structure across every analyzer sharing the cache. Without a
+// cache, blocking.Mu solves and stores. Only the
 // shared fetch is traced as a cache lookup; graph memo hits are below
 // measurement noise.
 func (a *Analyzer) muTable(g *dag.Graph) []int64 {
-	if mu := blocking.MemoMu(g, a.cfg.M, a.cfg.Backend); mu != nil {
+	if mu := blocking.MemoMu(g, a.cfg.M, blocking.Combinatorial); mu != nil {
 		return mu
 	}
 	if a.cfg.Cache == nil {
-		return blocking.Mu(g, a.cfg.M, a.cfg.Backend)
+		return blocking.Mu(g, a.cfg.M, blocking.Combinatorial)
 	}
 	var t0 time.Time
 	if a.cfg.Trace != nil {
 		t0 = time.Now()
 	}
-	mu := a.cfg.Cache.MuTable(g, a.cfg.M, a.cfg.Backend)
+	mu := a.cfg.Cache.MuTable(g, a.cfg.M, blocking.Combinatorial)
 	if a.cfg.Trace != nil {
 		a.cfg.Trace.CacheLookup.Since(t0)
 	}
-	blocking.StoreMu(g, a.cfg.Backend, mu)
+	blocking.StoreMu(g, blocking.Combinatorial, mu)
 	return mu
 }
 

@@ -288,28 +288,42 @@ func TestMethodOrdering(t *testing.T) {
 	}
 }
 
-// TestBackendsAgreeEndToEnd: the two LP-ILP backends must produce
-// identical analysis results.
+// TestBackendsAgreeEndToEnd: an LP-ILP analysis on µ tables the
+// paper's ILP solved equals the clique-solved analysis in every
+// TaskResult. The analysis reads the combinatorial table of each graph,
+// so the ILP tables are planted under that key on a clone's graphs,
+// each solved on a further clone so the clone's memo holds only the
+// plant.
 func TestBackendsAgreeEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		ts := randomTaskSet(rng, 2+rng.Intn(3))
 		m := 2 + rng.Intn(3)
-		a, err := Analyze(context.Background(), ts, Config{M: m, Method: LPILP, Backend: blocking.Combinatorial})
+		want, err := Analyze(context.Background(), ts, Config{M: m, Method: LPILP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Analyze(context.Background(), ts, Config{M: m, Method: LPILP, Backend: blocking.PaperILP})
+		planted := ts.Clone()
+		ilp := make([][]int64, len(planted.Tasks))
+		for i, task := range planted.Tasks {
+			ilp[i] = blocking.Mu(task.G.Clone(), m, blocking.PaperILP)
+			blocking.StoreMu(task.G, blocking.Combinatorial, ilp[i])
+		}
+		got, err := Analyze(context.Background(), planted, Config{M: m, Method: LPILP})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Schedulable != b.Schedulable {
-			t.Fatalf("trial %d: verdicts differ", trial)
+		for i, task := range planted.Tasks {
+			if mu := blocking.MemoMu(task.G, m, blocking.Combinatorial); &mu[0] != &ilp[i][0] {
+				t.Fatalf("trial %d task %d: the planted ILP table was replaced", trial, i)
+			}
 		}
-		for i := range a.Tasks {
-			if a.Tasks[i].ResponseTimeM != b.Tasks[i].ResponseTimeM {
-				t.Fatalf("trial %d task %d: Rm %d vs %d", trial, i,
-					a.Tasks[i].ResponseTimeM, b.Tasks[i].ResponseTimeM)
+		if got.Schedulable != want.Schedulable || len(got.Tasks) != len(want.Tasks) {
+			t.Fatalf("trial %d: ILP-table analysis %+v, clique %+v", trial, got, want)
+		}
+		for i := range want.Tasks {
+			if got.Tasks[i] != want.Tasks[i] {
+				t.Fatalf("trial %d task %d: ILP tables give %+v, clique %+v", trial, i, got.Tasks[i], want.Tasks[i])
 			}
 		}
 	}
@@ -523,7 +537,6 @@ func TestConfigValidationErrors(t *testing.T) {
 		{"zero cores", Config{M: 0, Method: LPILP}, "invalid Config.M: 0"},
 		{"negative cores", Config{M: -1, Method: LPILP}, "invalid Config.M: -1"},
 		{"bad method", Config{M: 4, Method: Method(42)}, "invalid Config.Method: Method(42)"},
-		{"bad backend", Config{M: 4, Method: LPILP, Backend: blocking.Backend(9)}, "invalid Config.Backend: Backend(9)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,8 +46,12 @@ const (
 	snapMethodLPMax   = 1
 	snapMethodLPILP   = 2
 
-	snapBackendCombinatorial = 0
-	snapBackendPaperILP      = 1
+	// The µ-solver code. Every analysis solves µ combinatorially, so
+	// snapshots carry 0; a 1 was written when sessions could choose the
+	// paper-ILP solver, whose µ tables are identical, and restores to
+	// the same analysis.
+	snapSolverCombinatorial = 0
+	snapSolverPaperILP      = 1
 )
 
 // Snapshot is the serializable state of one session. Opts.Cache and
@@ -101,17 +105,13 @@ func (snap *Snapshot) Append(dst []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	bcode, err := backendCode(snap.Opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	dst = append(dst, snapshotVersion)
 	dst = wire.AppendString(dst, snap.ID)
 	dst = wire.AppendUvarint(dst, snap.Epoch)
 	dst = wire.AppendZigzag(dst, snap.LastTouch)
 	dst = wire.AppendZigzag(dst, int64(snap.Opts.Cores))
 	dst = wire.AppendUvarint(dst, mcode)
-	dst = wire.AppendUvarint(dst, bcode)
+	dst = wire.AppendUvarint(dst, snapSolverCombinatorial)
 	dst = appendSnapBool(dst, snap.Opts.FinalNPRRefinement)
 	dst = wire.AppendUvarint(dst, uint64(len(snap.Tasks)))
 	for _, t := range snap.Tasks {
@@ -149,8 +149,8 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	}
 	snap.Opts.Cores = int(d.Zigzag())
 	method, merr := methodOf(d.Uvarint())
-	backend, berr := backendOf(d.Uvarint())
-	snap.Opts.Method, snap.Opts.Backend = method, backend
+	serr := checkSolver(d.Uvarint())
+	snap.Opts.Method = method
 	snap.Opts.FinalNPRRefinement = d.Byte() != 0
 	ntasks := d.Uvarint()
 	if err := checkCount(d, ntasks, maxSnapshotTasks, "tasks"); err != nil {
@@ -173,8 +173,8 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	if merr != nil {
 		return nil, merr
 	}
-	if berr != nil {
-		return nil, berr
+	if serr != nil {
+		return nil, serr
 	}
 	return snap, nil
 }
@@ -257,22 +257,9 @@ func methodOf(code uint64) (core.Method, error) {
 	return 0, fmt.Errorf("session: unknown snapshot method code %d", code)
 }
 
-func backendCode(b core.Backend) (uint64, error) {
-	switch b {
-	case core.Combinatorial:
-		return snapBackendCombinatorial, nil
-	case core.PaperILP:
-		return snapBackendPaperILP, nil
+func checkSolver(code uint64) error {
+	if code != snapSolverCombinatorial && code != snapSolverPaperILP {
+		return fmt.Errorf("session: unknown snapshot backend code %d", code)
 	}
-	return 0, fmt.Errorf("session: backend %v has no snapshot code", b)
-}
-
-func backendOf(code uint64) (core.Backend, error) {
-	switch code {
-	case snapBackendCombinatorial:
-		return core.Combinatorial, nil
-	case snapBackendPaperILP:
-		return core.PaperILP, nil
-	}
-	return 0, fmt.Errorf("session: unknown snapshot backend code %d", code)
+	return nil
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // snapshotOf is the test shorthand: snapshot under a fixed identity.
@@ -165,6 +167,79 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// legacySolverSnapshot returns an encoding of sess's snapshot whose
+// µ-solver byte is code, as a session that chose the paper-ILP solver
+// (code 1) once wrote it.
+func legacySolverSnapshot(t testing.TB, sess *Session, code byte) []byte {
+	t.Helper()
+	snap := sess.Snapshot("legacy", 7)
+	enc, err := snap.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcode, err := methodCode(snap.Opts.Method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The solver byte follows the header fields Append writes first.
+	head := wire.AppendString([]byte{snapshotVersion}, snap.ID)
+	head = wire.AppendUvarint(head, snap.Epoch)
+	head = wire.AppendZigzag(head, snap.LastTouch)
+	head = wire.AppendZigzag(head, int64(snap.Opts.Cores))
+	at := len(wire.AppendUvarint(head, mcode))
+	if enc[at] != snapSolverCombinatorial {
+		t.Fatalf("solver byte at %d is %d, want %d", at, enc[at], snapSolverCombinatorial)
+	}
+	enc[at] = code
+	return enc
+}
+
+// TestSnapshotLegacySolverByte pins the snapshot's µ-solver byte: a
+// legacy 1 restores to the analysis a fresh session of the same set
+// reports, since both solvers give identical µ tables, and re-encodes
+// as 0; any other code is still rejected.
+func TestSnapshotLegacySolverByte(t *testing.T) {
+	ctx := context.Background()
+	sess, err := New(core.Options{Cores: fixture.M, Method: core.LPILP}, fixture.TaskSet().Tasks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSnapshot(legacySolverSnapshot(t, sess, snapSolverPaperILP))
+	if err != nil {
+		t.Fatalf("legacy solver byte rejected: %v", err)
+	}
+	restored, err := Restore(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(core.Options{Cores: fixture.M, Method: core.LPILP}, fixture.TaskSet().Tasks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Report(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy snapshot reports\n%v\nfresh session\n%v", got, want)
+	}
+	reenc, err := dec.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon := legacySolverSnapshot(t, sess, snapSolverCombinatorial); !bytes.Equal(reenc, canon) {
+		t.Errorf("legacy snapshot re-encodes as\n%x\nwant\n%x", reenc, canon)
+	}
+	if _, err := DecodeSnapshot(legacySolverSnapshot(t, sess, 2)); err == nil ||
+		!strings.Contains(err.Error(), "unknown snapshot backend code 2") {
+		t.Errorf("solver byte 2: err %v, want unknown snapshot backend code 2", err)
+	}
+}
+
 // FuzzSessionSnapshotRoundTrip asserts the decoder never panics on
 // arbitrary bytes and that every accepted payload re-encodes to a fixed
 // point: encode(decode(b)) decodes again to the identical encoding.
@@ -190,6 +265,7 @@ func FuzzSessionSnapshotRoundTrip(f *testing.F) {
 	f.Add(seed2)
 	f.Add([]byte{})
 	f.Add([]byte{snapshotVersion})
+	f.Add(legacySolverSnapshot(f, sess, snapSolverPaperILP))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {

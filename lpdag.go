@@ -96,8 +96,6 @@ type (
 	TaskReport = core.TaskReport
 	// Method selects the analysis variant.
 	Method = core.Method
-	// Backend selects the LP-ILP solver implementation.
-	Backend = core.Backend
 )
 
 // Analysis variants.
@@ -111,16 +109,6 @@ const (
 	// LPILP bounds blocking by the largest NPR sets that can actually
 	// run in parallel (Equations (6)-(8)): tighter, costlier.
 	LPILP = core.LPILP
-)
-
-// LP-ILP solver backends.
-const (
-	// Combinatorial solves µ and ρ with exact max-weight-clique and
-	// assignment algorithms (default, fast).
-	Combinatorial = core.Combinatorial
-	// PaperILP solves the paper's literal 0-1 ILP encodings with a
-	// built-in branch-and-bound solver.
-	PaperILP = core.PaperILP
 )
 
 // Methods lists the analysis variants in presentation order.
@@ -215,8 +203,8 @@ func CoarsenChains(g *Graph, maxNPR int64) *Graph { return ppp.CoarsenChains(g, 
 
 // ExplorePlacement sweeps NPR-length budgets over the task set under a
 // limited-preemptive analysis method.
-func ExplorePlacement(ts *TaskSet, cores int, budgets []int64, method Method, be Backend) ([]PlacementPoint, error) {
-	return ppp.Explore(ts, cores, budgets, method, be)
+func ExplorePlacement(ts *TaskSet, cores int, budgets []int64, method Method) ([]PlacementPoint, error) {
+	return ppp.Explore(ts, cores, budgets, method)
 }
 
 // Blocking terms (see internal/blocking), exposed for tooling that wants
@@ -224,6 +212,18 @@ func ExplorePlacement(ts *TaskSet, cores int, budgets []int64, method Method, be
 type (
 	// Interference bundles Δ^m and Δ^{m-1}.
 	Interference = blocking.Interference
+	// Backend selects the solvers of BlockingLPILP.
+	Backend = blocking.Backend
+)
+
+// BlockingLPILP solvers.
+const (
+	// Combinatorial solves µ and ρ with exact max-weight-clique and
+	// assignment algorithms, as every analysis does.
+	Combinatorial = blocking.Combinatorial
+	// PaperILP solves the paper's literal 0-1 ILP encodings with a
+	// built-in branch-and-bound solver: the same values, far slower.
+	PaperILP = blocking.PaperILP
 )
 
 // BlockingLPMax computes Δ^m and Δ^{m-1} of a lower-priority set under
@@ -232,7 +232,9 @@ func BlockingLPMax(graphs []*Graph, cores int) Interference {
 	return blocking.Compute(graphs, cores, blocking.LPMax, blocking.Combinatorial)
 }
 
-// BlockingLPILP computes Δ^m and Δ^{m-1} under Equations (6)-(8).
+// BlockingLPILP computes Δ^m and Δ^{m-1} under Equations (6)-(8) with
+// the solvers be names: Combinatorial, as every analysis does, or the
+// paper's PaperILP encodings, its oracle.
 func BlockingLPILP(graphs []*Graph, cores int, be Backend) Interference {
 	return blocking.Compute(graphs, cores, blocking.LPILP, be)
 }
@@ -246,9 +248,9 @@ func PaperExample() *TaskSet { return fixture.TaskSet() }
 func PaperExampleGraphs() []*Graph { return fixture.LowerPriorityGraphs() }
 
 // Analyze is a one-shot convenience: analyze ts on the given core count
-// with the given method and the default solver backend. Callers needing
-// cancellation, non-default options, or warm scratch reuse should hold
-// an Analyzer and call its context-aware Analyze.
+// with the given method. Callers needing cancellation, non-default
+// options, or warm scratch reuse should hold an Analyzer and call its
+// context-aware Analyze.
 func Analyze(ts *TaskSet, cores int, method Method) (*Report, error) {
 	a, err := NewAnalyzer(Options{Cores: cores, Method: method})
 	if err != nil {
@@ -382,7 +384,7 @@ type (
 	// feeds its load gauges.
 	EngineServer = engine.Server
 	// Cache is the content-addressed memo store for the expensive
-	// µ-table computations (clique searches, ILP solves); share one via
+	// µ-table computations (clique searches); share one via
 	// Options.Cache so structurally identical graphs — however they
 	// arrive — solve each table once across analyzers. Cheap derived
 	// quantities are recomputed, never cached: a hit must beat

@@ -101,7 +101,7 @@ func TestFacadeSimulate(t *testing.T) {
 
 func TestFacadePlacement(t *testing.T) {
 	ts := PaperExample()
-	pts, err := ExplorePlacement(ts, 4, []int64{1, 3, 6}, LPILP, Combinatorial)
+	pts, err := ExplorePlacement(ts, 4, []int64{1, 3, 6}, LPILP)
 	if err != nil {
 		t.Fatal(err)
 	}
