@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -705,11 +706,51 @@ func muBenchGraphs(b *testing.B) []*Graph {
 
 // BenchmarkMuTableCold is the cold µ-table layer of the serving path: a
 // freshly decoded graph pays once for its run classes and its Equation
-// (6) table. One op solves the m = 16 combinatorial table
-// of every graph of muBenchGraphs, each on a fresh Clone() made with the
-// timer stopped, so no memo carries over between ops.
+// (6) table, one branch-and-bound for all core counts. One op solves
+// the m = 16 combinatorial table of every graph of muBenchGraphs.
 func BenchmarkMuTableCold(b *testing.B) {
-	pool := muBenchGraphs(b)
+	benchMuTables(b, muBenchGraphs(b), 16)
+}
+
+// muRandomGraph returns a 60-node DAG with WCETs uniform in [1, 100]
+// and each forward edge i → j (i < j) present with probability 0.05:
+// wide graphs whose antichains reach twenty-odd nodes, far wider than
+// the generator's.
+func muRandomGraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	var bld GraphBuilder
+	for range 60 {
+		bld.AddNode(int64(1 + rng.Intn(100)))
+	}
+	for j := 1; j < 60; j++ {
+		for i := 0; i < j; i++ {
+			if rng.Float64() < 0.05 {
+				bld.AddEdge(i, j)
+			}
+		}
+	}
+	return bld.MustBuild()
+}
+
+// BenchmarkMuTableRandom is the shape that is hardest on the µ search:
+// one op solves the m = 24 tables of four random 60-node DAGs
+// (muRandomGraph). Seeds 2 and 7 give graphs of width 26 and 25; the
+// width of seeds 5 and 21 is 21 and 22, so their searches must also
+// show that no larger set exists, the case a search sharing its
+// pruning across all core counts could slow. Each table takes
+// milliseconds.
+func BenchmarkMuTableRandom(b *testing.B) {
+	var pool []*Graph
+	for _, seed := range []int64{2, 5, 7, 21} {
+		pool = append(pool, muRandomGraph(seed))
+	}
+	benchMuTables(b, pool, 24)
+}
+
+// benchMuTables times cold m-core µ tables of the pool's graphs: every
+// op solves them on fresh Clone()s made with the timer stopped, so no
+// memo carries over between ops.
+func benchMuTables(b *testing.B, pool []*Graph, m int) {
 	graphs := make([]*Graph, len(pool))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -720,7 +761,7 @@ func BenchmarkMuTableCold(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, g := range graphs {
-			blocking.Mu(g, 16, blocking.Combinatorial)
+			blocking.Mu(g, m, blocking.Combinatorial)
 		}
 	}
 }

@@ -75,7 +75,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkRepairSearch|BenchmarkServeAnalyze|BenchmarkServeSessionQuery|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkRepairSearch|BenchmarkServeAnalyze|BenchmarkServeSessionQuery|BenchmarkServeDecode|BenchmarkServeBuild|BenchmarkMuTableCold|BenchmarkMuTableRandom)$"
 
 // Budget is one standing absolute gate: Bench's Metric ("ns/op" or
 // "allocs/op") may not exceed Max. Unlike Compare the bound is not
@@ -93,11 +93,12 @@ type Budget struct {
 var Budgets = []Budget{
 	// One full campaign (generation, three methods, streaming) per op.
 	// The pooled solver and wire codecs brought it from ~362k to ~60k
-	// allocs, and pooled builders and run classes and leaving the
-	// µ-table cache to ~7.5k; 1.5× headroom passes noise, while any
-	// per-graph or per-result allocation creeping back (it multiplies
-	// by the graph or point count) fails.
-	{"CampaignThroughput", "allocs/op", 11000,
+	// allocs, pooled builders and run classes and leaving the µ-table
+	// cache to ~7.5k, and graphs of three allocations with their build
+	// scratch on the Builder to ~5.2k; 1.5× headroom passes noise, while
+	// any per-graph or per-result allocation creeping back (it
+	// multiplies by the graph or point count) fails.
+	{"CampaignThroughput", "allocs/op", 7800,
 		"per-graph or per-result allocation is back on the campaign path"},
 	// One cold m = 16 table for each of 18 graphs per op. The run
 	// classes and the clique search live in pooled scratch, so a table
@@ -119,10 +120,11 @@ var Budgets = []Budget{
 	{"SessionRepair", "ns/op", 10e6,
 		"the greedy search path regressed structurally"},
 	// One 16-set /v1/analyze batch per op: decode, graph builds, µ
-	// tables, analysis and encode. It stands at ~760 allocs; 1.5×
-	// headroom passes warm-up noise, while an allocation per node or per
-	// edge back in the decode or build layer fails.
-	{"ServeAnalyze", "allocs/op", 1200,
+	// tables, analysis and encode. It stands at ~400 allocs, three per
+	// graph built; 1.5× headroom passes warm-up noise, while an
+	// allocation per graph, node or edge back in the decode or build
+	// layer fails.
+	{"ServeAnalyze", "allocs/op", 600,
 		"a per-node or per-edge allocation is back on the serving path"},
 	// One session GET …/report and POST …/admit per op, both answering
 	// the 16-task report. It stands at 77 allocs; json.Encoder's

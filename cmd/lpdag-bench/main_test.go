@@ -145,8 +145,8 @@ func TestCheckBudgets(t *testing.T) {
 		})
 	}
 	// The bounds are the standing contract; moving one is a reviewed act.
-	want := map[string]float64{"CampaignThroughput": 11000, "MuTableCold": 27, "SessionEditDurable": 25e6,
-		"SessionRepair": 10e6, "ServeAnalyze": 1200, "ServeSessionQuery": 110}
+	want := map[string]float64{"CampaignThroughput": 7800, "MuTableCold": 27, "SessionEditDurable": 25e6,
+		"SessionRepair": 10e6, "ServeAnalyze": 600, "ServeSessionQuery": 110}
 	if len(Budgets) != len(want) {
 		t.Errorf("%d budgets, want %d", len(Budgets), len(want))
 	}

@@ -5,7 +5,10 @@
 // parallelism graph.
 //
 // The solver is a depth-first branch-and-bound over a weight-descending
-// vertex order with a prefix-sum admissible bound. The paper's
+// vertex order with a prefix-sum admissible bound. MuTable runs one
+// search for every c at once, each visited set updating the entry of
+// its size; MaxWeightKSet runs one per size and returns a witness set,
+// and tests hold the table to it. The paper's
 // generator emits DAGs of a few dozen nodes. Node splitting (the
 // npr-fine campaign family, repair) makes graphs of up to ~200 nodes,
 // but blocking.Mu hands this package the split's run classes, one
@@ -19,9 +22,8 @@
 // reordered problem, the twin-reduction marks — lives on a reusable
 // Solver, so a campaign computing millions of µ tables allocates
 // nothing in steady state: blocking.Mu keeps Solvers in a pool beside
-// its run-class scratch; a one-off solve uses new(Solver). MuTable
-// performs the twin reduction and the weight reordering once and
-// reuses them for every c.
+// its run-class scratch; a one-off solve uses new(Solver). A table
+// costs one twin reduction, one weight reordering and one search.
 package clique
 
 import (
@@ -45,12 +47,17 @@ type Solver struct {
 	nadj []*bitset.Set
 	orig []int
 
-	// Branch-and-bound state.
+	// Per-size branch-and-bound state (MaxWeightKSet).
 	k       int
 	bestW   int64
-	record  bool
 	picked  []int
 	bestSet []int
+
+	// One-pass table state (MuTable): mu[c-1] is the heaviest c-set
+	// found so far, for c up to the table's reach, and found the
+	// largest c whose entry is positive.
+	mu    []int64
+	found int
 
 	// Per-depth candidate scratch (depth d uses rest[d] and sub[d]).
 	rest, sub []*bitset.Set
@@ -85,7 +92,7 @@ func (s *Solver) MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64
 		return best, []int{arg}
 	}
 	s.setup(weights, adj)
-	v, ok := s.search(k, true)
+	v, ok := s.search(k)
 	if !ok {
 		return 0, nil
 	}
@@ -99,10 +106,11 @@ func (s *Solver) MaxWeightKSet(weights []int64, adj []*bitset.Set, k int) (int64
 
 // MuTable returns µ[c] for c = 1..m (index c-1): the worst-case workload
 // of the c heaviest pairwise-parallel vertices, or 0 when fewer than c
-// can run in parallel (Equation (6) and Table I of the paper). The twin
-// reduction and the weight reordering are shared across all c (they do
-// not depend on the set size), so the table costs one setup plus m
-// searches. weights and adj are as for MaxWeightKSet.
+// can run in parallel (Equation (6) and Table I of the paper). The table
+// costs one setup and one branch-and-bound for every c at once (see
+// recTable); it equals MaxWeightKSet's weight at every c, the per-size
+// search that is its oracle in tests. weights and adj are as for
+// MaxWeightKSet.
 func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 	mu := make([]int64, m)
 	if m < 1 || len(weights) == 0 {
@@ -119,14 +127,13 @@ func (s *Solver) MuTable(weights []int64, adj []*bitset.Set, m int) []int64 {
 		return mu
 	}
 	s.setup(weights, adj)
-	for c := 2; c <= m && c <= s.n; c++ {
-		v, ok := s.search(c, false)
-		if !ok {
-			// No c-clique exists; larger cliques cannot exist either.
-			break
-		}
-		mu[c-1] = v
+	s.mu, s.found = mu[:min(m, s.n)], 0
+	if best > 0 {
+		s.found = 1
 	}
+	s.scratch(len(s.mu))
+	s.recTable(s.universe, 0, 0)
+	s.mu = nil
 	return mu
 }
 
@@ -206,16 +213,10 @@ func (s *Solver) twinReduce(weights []int64, adj []*bitset.Set) {
 	}
 }
 
-// search runs the branch-and-bound for set size k on the prepared
-// problem, returning the best weight and whether any k-set exists. With
-// record it also leaves one optimal set (as search indices) in bestSet.
-func (s *Solver) search(k int, record bool) (int64, bool) {
-	if k > s.n {
-		return 0, false
-	}
-	s.k, s.record, s.bestW = k, record, -1
-	s.picked = s.picked[:0]
-	for len(s.rest) < k {
+// scratch readies the candidate sets of a search of the given depth
+// and the universe of the prepared problem.
+func (s *Solver) scratch(depth int) {
+	for len(s.rest) < depth {
 		s.rest = append(s.rest, new(bitset.Set))
 		s.sub = append(s.sub, new(bitset.Set))
 	}
@@ -224,6 +225,80 @@ func (s *Solver) search(k int, record bool) (int64, bool) {
 	}
 	s.universe.Reset(s.n)
 	s.universe.Fill()
+}
+
+// recTable is MuTable's branch-and-bound: one canonical enumeration of the
+// sets pairwise compatible, in which every visited set S of size d+1
+// and weight w updates mu[d]. cand holds the vertices that extend the
+// current set (size d, weight cur) and follow its last vertex. A child
+// S ∪ {v} is entered, and the loop over v continued, only while open
+// finds some size c whose µ the subtree could still beat, by the
+// prefix-sum bound of the per-size search. A subtree is cut only when,
+// for every c, no c-set in it is heavier than the c-set already found;
+// each optimal c-set is therefore still visited, or one of equal
+// weight was, so every entry equals the per-size search's optimum.
+func (s *Solver) recTable(cand *bitset.Set, cur int64, d int) {
+	rest := s.rest[d]
+	rest.CopyFrom(cand)
+	for v := rest.Next(0); v != -1; v = rest.Next(v + 1) {
+		rest.Remove(v)
+		w := cur + s.w[v]
+		if w > s.mu[d] {
+			s.mu[d] = w
+			s.found = max(s.found, d+1)
+		}
+		if d+1 < len(s.mu) {
+			sub := s.sub[d]
+			sub.CopyFrom(rest)
+			sub.IntersectWith(s.nadj[v])
+			if s.open(sub, w, d+1) {
+				s.recTable(sub, w, d+1)
+			}
+		}
+		if !s.open(rest, cur, d) {
+			break
+		}
+	}
+}
+
+// open reports whether a set of size d and weight cur, grown by
+// vertices of cand, could still beat mu at some size: whether cur plus
+// the j heaviest members of cand exceeds mu[d+j-1] for some j ≥ 1 with
+// d+j within the table.
+func (s *Solver) open(cand *bitset.Set, cur int64, d int) bool {
+	mu, w := s.mu, s.w
+	if d >= len(mu) {
+		return false
+	}
+	// Sizes above found still hold 0, which every extension of a set
+	// of positive weight beats, so for them the test is a count: the
+	// same answer the prefix sums below give, without the walk.
+	if cur > 0 && s.found < len(mu) && cand.Count() >= max(1, s.found+1-d) {
+		return true
+	}
+	beats := false
+	cand.ForEach(func(v int) bool {
+		cur += w[v]
+		if cur > mu[d] {
+			beats = true
+			return false
+		}
+		d++
+		return d < len(mu)
+	})
+	return beats
+}
+
+// search runs the per-size branch-and-bound for set size k on the
+// prepared problem, returning the best weight and whether any k-set
+// exists, and leaves one optimal set (as search indices) in bestSet.
+func (s *Solver) search(k int) (int64, bool) {
+	if k > s.n {
+		return 0, false
+	}
+	s.k, s.bestW = k, -1
+	s.picked = s.picked[:0]
+	s.scratch(k)
 	s.rec(s.universe, 0, 0)
 	if s.bestW < 0 {
 		return 0, false
@@ -258,9 +333,7 @@ func (s *Solver) rec(cand *bitset.Set, cur int64, depth int) {
 	if need == 0 {
 		if cur > s.bestW {
 			s.bestW = cur
-			if s.record {
-				s.bestSet = append(s.bestSet[:0], s.picked...)
-			}
+			s.bestSet = append(s.bestSet[:0], s.picked...)
 		}
 		return
 	}

@@ -388,3 +388,93 @@ func TestSolverReuse(t *testing.T) {
 		}
 	}
 }
+
+// tiedInstance returns a random instance of n vertices whose weights
+// tie often and include zeros, with compatibility density p.
+func tiedInstance(rng *rand.Rand, n int, p float64) ([]int64, []*bitset.Set) {
+	w := make([]int64, n)
+	top := int64(1 + rng.Intn(6))
+	if rng.Intn(3) == 0 {
+		top = 100
+	}
+	for i := range w {
+		w[i] = rng.Int63n(top + 1)
+	}
+	adj := emptyAdj(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < p {
+				adj[i].Add(j)
+				adj[j].Add(i)
+			}
+		}
+	}
+	return w, adj
+}
+
+// checkMuTable fails t unless MuTable(w, adj, m) holds, at every c, the
+// per-size search's weight (0 where no c-set exists), and brute force's
+// for n ≤ 14. One Solver serves both, so stale one-pass state would show.
+func checkMuTable(t *testing.T, s *Solver, w []int64, adj []*bitset.Set, m int) {
+	t.Helper()
+	mu := s.MuTable(w, adj, m)
+	if len(mu) != m {
+		t.Fatalf("n=%d m=%d: table of length %d", len(w), m, len(mu))
+	}
+	for c := 1; c <= m; c++ {
+		want, _ := s.MaxWeightKSet(w, adj, c)
+		if mu[c-1] != want {
+			t.Fatalf("n=%d m=%d weights %v: µ[%d] = %d, per-size search %d", len(w), m, w, c, mu[c-1], want)
+		}
+		if len(w) <= 14 {
+			if brute := bruteKSet(w, adj, c); mu[c-1] != brute {
+				t.Fatalf("n=%d m=%d weights %v: µ[%d] = %d, brute force %d", len(w), m, w, c, mu[c-1], brute)
+			}
+		}
+	}
+}
+
+// TestMuTableMatchesPerSizeSearch pins the one-pass table to the
+// per-size search, and to brute force on small instances: random
+// relations of up to 40 vertices whose weights tie and include zeros,
+// at densities from sparse to nearly complete, and the Par sets of
+// random DAGs of up to 60 nodes, for m up to 24.
+func TestMuTableMatchesPerSizeSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var s Solver
+	for range 4000 {
+		n := 1 + rng.Intn(40)
+		p := []float64{0.1, 0.3, 0.5, 0.7, 0.9}[rng.Intn(5)]
+		if n > 24 && p > 0.5 {
+			p = 0.5 // keep the per-size oracle's searches short
+		}
+		w, adj := tiedInstance(rng, n, p)
+		checkMuTable(t, &s, w, adj, 1+rng.Intn(24))
+	}
+	for range 300 {
+		g := randomDAG(rng, 1+rng.Intn(60))
+		checkMuTable(t, &s, g.WCETs(), g.Parallel(), 1+rng.Intn(24))
+	}
+	for range 60 {
+		g := sparseDAG(rng, 1+rng.Intn(60), []float64{0.05, 0.1, 0.2}[rng.Intn(3)])
+		checkMuTable(t, &s, g.WCETs(), g.Parallel(), 1+rng.Intn(24))
+	}
+}
+
+// sparseDAG returns an n-node DAG with each forward edge i → j (i < j)
+// present with probability p: wide graphs with large parallel sets
+// when p is small.
+func sparseDAG(rng *rand.Rand, n int, p float64) *dag.Graph {
+	var b dag.Builder
+	for range n {
+		b.AddNode(int64(1 + rng.Intn(100)))
+	}
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			if rng.Float64() < p {
+				b.AddEdge(i, j)
+			}
+		}
+	}
+	return b.MustBuild()
+}

@@ -17,6 +17,10 @@
 //     paper, which matches Parallel on every single-source DAG (the only
 //     kind the paper's generator emits) but under-approximates on DAGs
 //     with several sources. Tests pin both behaviours.
+//
+// A Graph keeps its structure in one pointer-free slab (compressed-row
+// adjacency in both directions plus the topological order): an unnamed
+// graph is three allocations, and only its header holds pointers.
 package dag
 
 import (
@@ -42,11 +46,15 @@ import (
 // the content fingerprint and the µ tables of LoadMu/StoreMu lazily,
 // concurrency-safely. The reachability and parallelism sets are built
 // fresh on every call, since the µ solver works on run classes.
+//
+// The structure is one pointer-free slab in compressed-row form: for
+// n nodes, adj[v]..adj[v+1] bounds v's successors and adj[n+v]..
+// adj[n+v+1] its predecessors (2n+1 offsets, the first pointing just
+// past them), the lists follow, each sorted ascending, and the last n
+// words hold one fixed topological order.
 type Graph struct {
 	wcet  []int64
-	succ  [][]int  // direct successors, each sorted ascending
-	pred  [][]int  // direct predecessors, each sorted ascending
-	topo  []int    // one fixed topological order
+	adj   []int    // offsets, successor lists, predecessor lists, order
 	names []string // display names; nil when no node has one
 
 	volume  int64 // Σ wcet, fixed at Build
@@ -63,11 +71,15 @@ type Graph struct {
 }
 
 // Builder accumulates nodes and edges and validates them into a Graph.
-// The zero value is ready to use.
+// The zero value is ready to use. Build's scratch stays on the Builder,
+// so a Builder reused graph after graph allocates only the graphs.
 type Builder struct {
 	wcet  []int64
 	names []string // up to the last named node only
 	edges [][2]int
+
+	deg  []int   // Build's list cursors, in-degrees and ready heap
+	best []int64 // Build's longest-path table
 }
 
 // AddNode appends a node with the given worst-case execution time and
@@ -112,10 +124,11 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: node %d has non-positive WCET %d", i, c)
 		}
 	}
-	// deg[u] counts u's successors, deg[n+v] v's predecessors. Once the
-	// adjacency lists are carved, the topological sort consumes the
-	// in-degree half and keeps its heap of ready nodes in the other.
-	deg := make([]int, 2*n)
+	// deg[u] counts u's successors, deg[n+v] v's predecessors; once
+	// the offsets are set, each is the cursor of its list.
+	b.deg = slices.Grow(b.deg[:0], 2*n)[:2*n]
+	deg := b.deg
+	clear(deg)
 	for _, e := range b.edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n || u == v {
@@ -124,42 +137,45 @@ func (b *Builder) Build() (*Graph, error) {
 		deg[u]++
 		deg[n+v]++
 	}
-	// Both adjacency lists live in one slab, each node owning a
-	// capacity-capped window of it; nodes without neighbours keep nil.
-	lists := make([][]int, 2*n)
-	slab := make([]int, 2*len(b.edges))
+	adj := make([]int, 2*n+1+2*len(b.edges)+n)
+	adj[0] = 2*n + 1
 	for i, d := range deg {
-		if d > 0 {
-			lists[i], slab = slab[:0:d], slab[d:]
-		}
+		adj[i+1] = adj[i] + d
+		deg[i] = adj[i]
 	}
-	succ, pred := lists[:n:n], lists[n:]
 	for _, e := range b.edges {
-		succ[e[0]] = append(succ[e[0]], e[1])
+		adj[deg[e[0]]] = e[1]
+		deg[e[0]]++
 	}
-	for u, s := range succ {
+	for u := range n {
+		s := adj[adj[u]:adj[u+1]]
 		sort.Ints(s)
 		for i, v := range s {
 			if i > 0 && s[i-1] == v {
 				return nil, b.edgeError()
 			}
-			pred[v] = append(pred[v], u) // ascending, as u is
+			adj[deg[n+v]] = u // ascending, as u is
+			deg[n+v]++
 		}
 	}
-	g := &Graph{wcet: append([]int64(nil), b.wcet...), succ: succ, pred: pred}
+	g := &Graph{wcet: append([]int64(nil), b.wcet...), adj: adj}
 	if len(b.names) > 0 {
 		g.names = make([]string, n)
 		copy(g.names, b.names)
 	}
-	topo, err := g.computeTopo(deg[n:], deg[:0:n])
-	if err != nil {
+	// The topological sort consumes the in-degrees in deg[n:] and keeps
+	// its heap of ready nodes in deg[:n].
+	for v := range n {
+		deg[n+v] = adj[n+v+1] - adj[n+v]
+	}
+	if err := g.computeTopo(deg[n:], deg[:0:n]); err != nil {
 		return nil, err
 	}
-	g.topo = topo
 	for _, c := range g.wcet {
 		g.volume += c
 	}
-	g.longest = g.computeLongestPath()
+	b.best = slices.Grow(b.best[:0], n)[:n]
+	g.longest = g.computeLongestPath(b.best)
 	return g, nil
 }
 
@@ -196,25 +212,25 @@ func (b *Builder) edgeError() error {
 	panic("dag: edgeError on a valid edge list")
 }
 
-// computeTopo returns a deterministic topological order (Kahn's algorithm
-// with smallest-index tie-breaking) or an error if the graph is cyclic.
-// indeg holds the in-degree of every node and is consumed; heap, of
-// capacity n, holds the binary min-heap of ready nodes, so the sort
-// takes O((V+E) log V).
-func (g *Graph) computeTopo(indeg, heap []int) ([]int, error) {
+// computeTopo writes a deterministic topological order (Kahn's
+// algorithm with smallest-index tie-breaking) into the last n words of
+// the slab, or reports an error if the graph is cyclic. indeg holds the
+// in-degree of every node and is consumed; heap, of capacity n, holds
+// the binary min-heap of ready nodes, so the sort takes O((V+E) log V).
+func (g *Graph) computeTopo(indeg, heap []int) error {
 	for v, d := range indeg {
 		if d == 0 {
 			heap = append(heap, v) // ascending, so already a heap
 		}
 	}
-	order := make([]int, 0, g.N())
+	order := g.TopologicalOrder()[:0]
 	for len(heap) > 0 {
 		v, last := heap[0], len(heap)-1
 		heap[0] = heap[last]
 		heap = heap[:last]
 		siftDown(heap)
 		order = append(order, v)
-		for _, w := range g.succ[v] {
+		for _, w := range g.Successors(v) {
 			if indeg[w]--; indeg[w] == 0 {
 				heap = append(heap, w)
 				siftUp(heap)
@@ -222,9 +238,9 @@ func (g *Graph) computeTopo(indeg, heap []int) ([]int, error) {
 		}
 	}
 	if len(order) < g.N() {
-		return nil, fmt.Errorf("dag: cycle detected")
+		return fmt.Errorf("dag: cycle detected")
 	}
-	return order, nil
+	return nil
 }
 
 // siftUp restores the min-heap order of h after an append.
@@ -281,18 +297,27 @@ func (g *Graph) Name(v int) string {
 }
 
 // Successors returns the direct successors of v in ascending order. The
-// returned slice is shared; callers must not modify it.
-func (g *Graph) Successors(v int) []int { return g.succ[v] }
+// returned slice is a capacity-capped window of the graph's slab;
+// callers must not modify it.
+func (g *Graph) Successors(v int) []int { return g.list(v) }
 
 // Predecessors returns the direct predecessors of v in ascending order.
-// The returned slice is shared; callers must not modify it.
-func (g *Graph) Predecessors(v int) []int { return g.pred[v] }
+// The returned slice is a capacity-capped window of the graph's slab;
+// callers must not modify it.
+func (g *Graph) Predecessors(v int) []int { return g.list(len(g.wcet) + v) }
+
+// list returns the i-th adjacency list of the slab: a successor list
+// for i < n, a predecessor list after.
+func (g *Graph) list(i int) []int {
+	lo, hi := g.adj[i], g.adj[i+1]
+	return g.adj[lo:hi:hi]
+}
 
 // Edges returns all direct edges in deterministic (source, target) order.
 func (g *Graph) Edges() [][2]int {
 	out := slices.Grow([][2]int(nil), g.NumEdges()) // one allocation; nil when edgeless
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.succ[u] {
+		for _, v := range g.Successors(u) {
 			out = append(out, [2]int{u, v})
 		}
 	}
@@ -301,22 +326,19 @@ func (g *Graph) Edges() [][2]int {
 
 // NumEdges returns the number of direct edges.
 func (g *Graph) NumEdges() int {
-	n := 0
-	for _, s := range g.succ {
-		n += len(s)
-	}
-	return n
+	n := g.N()
+	return g.adj[n] - g.adj[0]
 }
 
 // TopologicalOrder returns a topological order of the nodes. The returned
 // slice is shared; callers must not modify it.
-func (g *Graph) TopologicalOrder() []int { return g.topo }
+func (g *Graph) TopologicalOrder() []int { return g.adj[len(g.adj)-g.N():] }
 
 // Sinks returns the nodes with no successors, ascending.
 func (g *Graph) Sinks() []int {
 	var out []int
 	for v := 0; v < g.N(); v++ {
-		if len(g.succ[v]) == 0 {
+		if len(g.Successors(v)) == 0 {
 			out = append(out, v)
 		}
 	}
@@ -332,13 +354,13 @@ func (g *Graph) Volume() int64 { return g.volume }
 // Memoized at Build time; O(1).
 func (g *Graph) LongestPath() int64 { return g.longest }
 
-// computeLongestPath is the Build-time longest-path DP.
-func (g *Graph) computeLongestPath() int64 {
-	best := make([]int64, g.N())
+// computeLongestPath is the Build-time longest-path DP; best, of
+// length n, is its scratch.
+func (g *Graph) computeLongestPath(best []int64) int64 {
 	var l int64
-	for _, v := range g.topo {
+	for _, v := range g.TopologicalOrder() {
 		best[v] = g.wcet[v]
-		for _, u := range g.pred[v] {
+		for _, u := range g.Predecessors(v) {
 			if best[u]+g.wcet[v] > best[v] {
 				best[v] = best[u] + g.wcet[v]
 			}
@@ -356,10 +378,11 @@ func (g *Graph) computeLongestPath() int64 {
 func (g *Graph) Reach() []*bitset.Set {
 	n := g.N()
 	out := bitset.Slab(n, n)
+	topo := g.TopologicalOrder()
 	// Reverse topological order: successors' reach is complete first.
 	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
-		for _, w := range g.succ[v] {
+		v := topo[i]
+		for _, w := range g.Successors(v) {
 			out[v].Add(w)
 			out[v].UnionWith(out[w])
 		}
@@ -373,8 +396,8 @@ func (g *Graph) Reach() []*bitset.Set {
 func (g *Graph) CoReach() []*bitset.Set {
 	n := g.N()
 	out := bitset.Slab(n, n)
-	for _, v := range g.topo {
-		for _, u := range g.pred[v] {
+	for _, v := range g.TopologicalOrder() {
+		for _, u := range g.Predecessors(v) {
 			out[v].Add(u)
 			out[v].UnionWith(out[u])
 		}
@@ -389,7 +412,7 @@ func (g *Graph) Siblings() []*bitset.Set {
 	n := g.N()
 	out := bitset.Slab(n, n)
 	for u := 0; u < n; u++ {
-		children := g.succ[u]
+		children := g.Successors(u)
 		for _, a := range children {
 			for _, b := range children {
 				if a != b {
@@ -438,10 +461,11 @@ type ClassScratch struct {
 // without runs has one class per node, with g's Par sets renumbered.
 func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	n := g.N()
+	topo := g.TopologicalOrder()
 	// linked reports whether v continues its predecessor's run.
 	linked := func(v int) bool {
-		p := g.pred[v]
-		return len(p) == 1 && len(g.succ[p[0]]) == 1
+		p := g.Predecessors(v)
+		return len(p) == 1 && len(g.Successors(p[0])) == 1
 	}
 	r := n
 	for v := range n {
@@ -454,9 +478,9 @@ func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	cls, weights := sc.cls, sc.weights
 	clear(weights)
 	next := 0
-	for _, v := range g.topo {
+	for _, v := range topo {
 		if linked(v) {
-			cls[v] = cls[g.pred[v][0]]
+			cls[v] = cls[g.Predecessors(v)[0]]
 		} else {
 			cls[v] = next
 			next++
@@ -476,16 +500,16 @@ func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	}
 	reach, par := sets[:r], sets[r:]
 	for i := n - 1; i >= 0; i-- {
-		v := g.topo[i]
-		for _, w := range g.succ[v] {
+		v := topo[i]
+		for _, w := range g.Successors(v) {
 			if c, d := cls[v], cls[w]; c != d {
 				reach[c].Add(d)
 				reach[c].UnionWith(reach[d])
 			}
 		}
 	}
-	for _, v := range g.topo {
-		for _, u := range g.pred[v] {
+	for _, v := range topo {
+		for _, u := range g.Predecessors(v) {
 			if c, e := cls[v], cls[u]; c != e {
 				par[c].Add(e)
 				par[c].UnionWith(par[e])
@@ -530,8 +554,8 @@ func (g *Graph) Algorithm1Parallel() []*bitset.Set {
 	}
 	// Second loop (lines 11-16): inherit from predecessors in topological
 	// order, discarding own ancestors.
-	for _, vj := range g.topo {
-		for _, vl := range g.pred[vj] {
+	for _, vj := range g.TopologicalOrder() {
+		for _, vl := range g.Predecessors(vj) {
 			p := par[vl].Clone()
 			p.DifferenceWith(pred[vj])
 			par[vj].UnionWith(p)
@@ -631,7 +655,7 @@ func (g *Graph) Fingerprint() [32]byte {
 		}
 		buf = append(buf, ';')
 		for u := 0; u < g.N(); u++ {
-			for _, v := range g.succ[u] {
+			for _, v := range g.Successors(u) {
 				buf = strconv.AppendInt(buf, int64(u), 10)
 				buf = append(buf, '>')
 				buf = strconv.AppendInt(buf, int64(v), 10)
@@ -708,33 +732,27 @@ func (g *Graph) DOT(graphName string) string {
 // Clone returns a deep copy of the graph. The Build-time scalars carry
 // over; the lazy memos, µ tables included, start empty on the copy.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		wcet:    append([]int64(nil), g.wcet...),
-		succ:    make([][]int, g.N()),
-		pred:    make([][]int, g.N()),
-		topo:    append([]int(nil), g.topo...),
+		adj:     append([]int(nil), g.adj...),
 		names:   append([]string(nil), g.names...),
 		volume:  g.volume,
 		longest: g.longest,
 	}
-	for i := range g.succ {
-		c.succ[i] = append([]int(nil), g.succ[i]...)
-		c.pred[i] = append([]int(nil), g.pred[i]...)
-	}
-	return c
 }
 
 // Split returns the graph in which every node v of g with WCET above
 // maxNPR becomes a chain of k = ⌈C_v/maxNPR⌉ pieces of near-equal WCET
 // (the first C_v mod k one unit longer), numbered consecutively in node
 // order; an edge (u,v) of g runs from u's last piece to v's first. It
-// is built straight from g, with no Builder round trip: the adjacency
-// lists fill one slab, already sorted because pieces keep their nodes'
-// order, and the volume and longest path carry over, since pieces sum
-// to their node's WCET and run in sequence. The topological order is
-// g's with each node expanded into its chain, which is the order Build
-// would give the split (DESIGN.md, "Performance"). The split carries no
-// node names, and its memos start empty. maxNPR must be ≥ 1.
+// is built straight from g, with no Builder round trip: the lists are
+// written into the slab in piece order, already sorted because pieces
+// keep their nodes' order, and the volume and longest path carry over,
+// since pieces sum to their node's WCET and run in sequence. The
+// topological order is g's with each node expanded into its chain,
+// which is the order Build would give the split (DESIGN.md,
+// "Performance"). The split carries no node names, and its memos start
+// empty. maxNPR must be ≥ 1.
 func Split(g *Graph, maxNPR int64) *Graph {
 	if maxNPR < 1 {
 		panic("dag: maxNPR must be ≥ 1")
@@ -746,16 +764,10 @@ func Split(g *Graph, maxNPR int64) *Graph {
 		first[v+1] = first[v] + int((c-1)/maxNPR+1)
 	}
 	np := first[n]
-	s := &Graph{wcet: make([]int64, np), topo: make([]int, 0, np), volume: g.volume, longest: g.longest}
-	lists := make([][]int, 2*np)
-	s.succ, s.pred = lists[:np:np], lists[np:]
-	slab := make([]int, 2*(np-n+g.NumEdges()))
-	// take carves the next window of d ints from the slab.
-	take := func(d int) []int {
-		w := slab[:d:d]
-		slab = slab[d:]
-		return w
-	}
+	adj := make([]int, 2*np+1+2*(np-n+g.NumEdges())+np)
+	s := &Graph{wcet: make([]int64, np), adj: adj, volume: g.volume, longest: g.longest}
+	// at is the slab's write cursor; list i starts where it stands.
+	at := 2*np + 1
 	for v, c := range g.wcet {
 		lo, hi := first[v], first[v+1]
 		k := int64(hi - lo)
@@ -766,27 +778,32 @@ func Split(g *Graph, maxNPR int64) *Graph {
 			}
 		}
 		for p := lo; p+1 < hi; p++ {
-			s.succ[p], s.pred[p+1] = take(1), take(1)
-			s.succ[p][0], s.pred[p+1][0] = p+1, p
+			adj[p], adj[at] = at, p+1
+			at++
 		}
-		if d := len(g.succ[v]); d > 0 {
-			out := take(d)
-			for i, w := range g.succ[v] {
-				out[i] = first[w]
-			}
-			s.succ[hi-1] = out
-		}
-		if d := len(g.pred[v]); d > 0 {
-			in := take(d)
-			for i, u := range g.pred[v] {
-				in[i] = first[u+1] - 1
-			}
-			s.pred[lo] = in
+		adj[hi-1] = at
+		for _, w := range g.Successors(v) {
+			adj[at] = first[w]
+			at++
 		}
 	}
-	for _, v := range g.topo {
+	for v := range n {
+		lo, hi := first[v], first[v+1]
+		adj[np+lo] = at
+		for _, u := range g.Predecessors(v) {
+			adj[at] = first[u+1] - 1
+			at++
+		}
+		for p := lo + 1; p < hi; p++ {
+			adj[np+p], adj[at] = at, p-1
+			at++
+		}
+	}
+	adj[2*np] = at
+	for _, v := range g.TopologicalOrder() {
 		for p := first[v]; p < first[v+1]; p++ {
-			s.topo = append(s.topo, p)
+			adj[at] = p
+			at++
 		}
 	}
 	return s

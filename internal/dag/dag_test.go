@@ -463,10 +463,26 @@ func TestCloneIsDeep(t *testing.T) {
 	if g.wcet[0] == 99 {
 		t.Error("clone shares WCET storage")
 	}
-	c.succ[0][0] = 3
-	if g.succ[0][0] == 3 {
+	cs, _ := lists(c)
+	cs[0][0] = 3
+	if gs, _ := lists(g); gs[0][0] == 3 {
 		t.Error("clone shares adjacency storage")
 	}
+}
+
+// lists returns g's adjacency in per-node list shape, each list a
+// window of the graph's slab and nil when empty, as refBuild returns it.
+func lists(g *Graph) (succ, pred [][]int) {
+	succ, pred = make([][]int, g.N()), make([][]int, g.N())
+	for v := range g.N() {
+		if s := g.Successors(v); len(s) > 0 {
+			succ[v] = s
+		}
+		if p := g.Predecessors(v); len(p) > 0 {
+			pred[v] = p
+		}
+	}
+	return succ, pred
 }
 
 func TestWCETsReturnsCopy(t *testing.T) {
@@ -591,9 +607,10 @@ func TestBuildMatchesReference(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if !reflect.DeepEqual(g.succ, succ) || !reflect.DeepEqual(g.pred, pred) || !reflect.DeepEqual(g.topo, topo) {
+		gs, gp := lists(g)
+		if !reflect.DeepEqual(gs, succ) || !reflect.DeepEqual(gp, pred) || !reflect.DeepEqual(g.TopologicalOrder(), topo) {
 			t.Fatalf("wcet %v edges %v: adjacency or order differs:\n%v %v %v\nwant %v %v %v",
-				wcet, edges, g.succ, g.pred, g.topo, succ, pred, topo)
+				wcet, edges, gs, gp, g.TopologicalOrder(), succ, pred, topo)
 		}
 	}
 }
@@ -644,9 +661,12 @@ func buildVsRef(t testing.TB, wcet []int64, edges [][2]int) (*Graph, error) {
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%d nodes, edges %v: Build error %v, want %v", len(wcet), edges, err, wantErr)
 	}
-	if err == nil && (!reflect.DeepEqual(g.succ, succ) || !reflect.DeepEqual(g.pred, pred) || !reflect.DeepEqual(g.topo, topo)) {
+	if err != nil {
+		return g, err
+	}
+	if gs, gp := lists(g); !reflect.DeepEqual(gs, succ) || !reflect.DeepEqual(gp, pred) || !reflect.DeepEqual(g.TopologicalOrder(), topo) {
 		t.Fatalf("%d nodes, edges %v: adjacency or order differs:\n%v %v %v\nwant %v %v %v",
-			len(wcet), edges, g.succ, g.pred, g.topo, succ, pred, topo)
+			len(wcet), edges, gs, gp, g.TopologicalOrder(), succ, pred, topo)
 	}
 	return g, err
 }

@@ -22,11 +22,17 @@
 // lies in [β, vol/L]), deadlines are implicit (D = T), and task sets are
 // assembled by adding tasks until a target utilization is reached, the
 // last period being stretched so the total matches the target.
+//
+// A Generator draws from math/rand's generator, seeded as
+// rand.NewSource seeds it, so a seed gives the same task sets it always
+// has; the register is filled by jump-ahead (source.go), which makes
+// the generator-per-task-set pattern of campaigns cheap.
 package gen
 
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 
 	"repro/internal/dag"
@@ -190,7 +196,7 @@ func New(seed int64, params Params) *Generator {
 	if params.SeqProb <= 0 || params.SeqProb >= 1 {
 		params.SeqProb = 0.5
 	}
-	return &Generator{rng: rand.New(rand.NewSource(seed)), params: params}
+	return &Generator{rng: rand.New(newSource(seed)), params: params}
 }
 
 // Graph generates one DAG with the generator's parameters, choosing the
@@ -409,7 +415,7 @@ func (g *Generator) Task() *model.Task {
 		period = l
 	}
 	return &model.Task{
-		Name:     fmt.Sprintf("tau%d", g.nTasks),
+		Name:     "tau" + strconv.Itoa(g.nTasks),
 		G:        graph,
 		Deadline: period,
 		Period:   period,
