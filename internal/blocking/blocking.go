@@ -60,31 +60,32 @@ func (b Backend) String() string {
 // Mu returns the worst-case workload table µ[c], c = 1..m (index c-1),
 // of one task: the heaviest c pairwise-parallel NPRs, or 0 when fewer
 // than c NPRs can run in parallel (Equation (6)). Per the paper this is a
-// compile-time, task-local quantity, so the table is memoized on g, one
-// per backend: a table solved at m serves every m' ≤ m as its prefix,
+// compile-time, task-local quantity, so the combinatorial table is
+// memoized on g: a table solved at m serves every m' ≤ m as its prefix,
 // and a larger m solves again and replaces it. The result is shared;
 // callers must not modify it.
 //
 // The combinatorial backend solves on the run classes of g
 // (dag.ClassScratch): each linear run, such as the chain of pieces
 // dag.Split makes of a long node, is one vertex weighing its heaviest
-// member, so neither g's Par sets nor a solve over every piece is
-// needed. The classes and the clique search live in pooled scratch, so
-// a cold solve allocates only the table it returns. The paper-ILP
-// backend, the oracle, solves on g itself.
+// member, and the classes come in the weight order clique.Solver
+// searches in place. The classes and the search live in pooled scratch,
+// so a cold solve allocates only the table it returns. The paper-ILP
+// backend, the oracle, solves on g itself on every call.
 func Mu(g *dag.Graph, m int, be Backend) []int64 {
-	if mu := MemoMu(g, m, be); mu != nil {
-		return mu
-	}
-	var mu []int64
 	switch be {
 	case Combinatorial:
+		if mu := MemoMu(g, m); mu != nil {
+			return mu
+		}
 		sc := muScratchPool.Get().(*muScratch)
 		w, par := sc.classes.Classes(g)
-		mu = sc.solver.MuTable(w, par, m)
+		mu := sc.solver.MuTable(w, par, m)
 		muScratchPool.Put(sc)
+		StoreMu(g, mu)
+		return mu
 	case PaperILP:
-		mu = make([]int64, m)
+		mu := make([]int64, m)
 		isPar := g.IsParallelMatrix()
 		w := g.WCETs()
 		for c := 1; c <= m; c++ {
@@ -93,11 +94,9 @@ func Mu(g *dag.Graph, m int, be Backend) []int64 {
 				break // no c-clique ⇒ no larger one either
 			}
 		}
-	default:
-		panic(fmt.Sprintf("blocking: unknown backend %d", int(be)))
+		return mu
 	}
-	StoreMu(g, be, mu)
-	return mu
+	panic(fmt.Sprintf("blocking: unknown backend %d", int(be)))
 }
 
 // muScratch is the reusable memory of a combinatorial µ solve: the
@@ -110,18 +109,19 @@ type muScratch struct {
 
 var muScratchPool = sync.Pool{New: func() any { return new(muScratch) }}
 
-// MemoMu returns the first m entries of the µ table memoized on g for
-// backend be, or nil when g holds no table that long. It never solves.
-func MemoMu(g *dag.Graph, m int, be Backend) []int64 {
-	return dag.LoadMu(g, int(be), m)
+// MemoMu returns the first m entries of the combinatorial µ table
+// memoized on g, or nil when g holds no table that long. It never
+// solves.
+func MemoMu(g *dag.Graph, m int) []int64 {
+	return dag.LoadMu(g, m)
 }
 
-// StoreMu memoizes on g a µ table solved for it under backend be
-// elsewhere — by the content-addressed cache, for a structurally
-// identical graph — so the next lookup of g does not leave the graph.
-// A table shorter than the one g holds is ignored.
-func StoreMu(g *dag.Graph, be Backend, mu []int64) {
-	dag.StoreMu(g, int(be), mu)
+// StoreMu memoizes on g a combinatorial µ table solved for it elsewhere
+// — by the content-addressed cache, for a structurally identical graph
+// — so the next lookup of g does not leave the graph. A table shorter
+// than the one g holds is ignored.
+func StoreMu(g *dag.Graph, mu []int64) {
+	dag.StoreMu(g, mu)
 }
 
 // MuTables computes Mu for every graph.

@@ -213,60 +213,50 @@ func TestDeltaMonotoneInCores(t *testing.T) {
 	}
 }
 
-// TestMuMemoOnGraph pins the µ memo on dag.Graph over random DAGs for
-// both backends: a table solved at m = 8 serves m = 4 as a
-// capacity-capped prefix without solving again; m = 16 solves again and
-// keeps the longer table, which equals a fresh solve on a clone (whose
-// first 8 entries are the m = 8 table); and each backend's slot stays
-// empty until that backend solves, whatever the other one holds.
+// TestMuMemoOnGraph pins the µ memo on dag.Graph over random DAGs: a
+// table solved at m = 8 serves m = 4 as a capacity-capped prefix
+// without solving again; m = 16 solves again and keeps the longer
+// table, which equals a fresh solve on a clone (whose first 8 entries
+// are the m = 8 table). A paper-ILP solve, the oracle, leaves the memo
+// empty.
 func TestMuMemoOnGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 20, 0.15)
-		backends := []Backend{Combinatorial}
 		if g.N() <= 12 { // the paper ILP is slow beyond that
-			backends = append(backends, PaperILP)
+			Mu(g, 8, PaperILP)
 		}
-		held := map[Backend][]int64{}
-		for _, be := range backends {
-			if MemoMu(g, 1, be) != nil {
-				t.Fatalf("trial %d %v: slot filled before solving", trial, be)
-			}
-			mu8 := Mu(g, 8, be)
-			if mu4 := Mu(g, 4, be); &mu4[0] != &mu8[0] || len(mu4) != 4 || cap(mu4) != 4 {
-				t.Fatalf("trial %d %v: m=4 not served as the capped prefix of the m=8 table", trial, be)
-			}
-			mu16 := Mu(g, 16, be)
-			if len(mu16) != 16 || &mu16[0] == &mu8[0] {
-				t.Fatalf("trial %d %v: m=16 was not solved again", trial, be)
-			}
-			if got := MemoMu(g, 8, be); &got[0] != &mu16[0] {
-				t.Fatalf("trial %d %v: the m=16 table did not replace the m=8 one", trial, be)
-			}
-			fresh := Mu(g.Clone(), 16, be)
-			if !slices.Equal(mu16, fresh) || !slices.Equal(mu8, fresh[:8]) {
-				t.Fatalf("trial %d %v: memo %v/%v, fresh solve %v", trial, be, mu8, mu16, fresh)
-			}
-			held[be] = mu16
+		if MemoMu(g, 1) != nil {
+			t.Fatalf("trial %d: memo filled before a combinatorial solve", trial)
 		}
-		for be, mu := range held {
-			if got := MemoMu(g, 16, be); &got[0] != &mu[0] {
-				t.Fatalf("trial %d %v: slot overwritten by the other backend", trial, be)
-			}
+		mu8 := Mu(g, 8, Combinatorial)
+		if mu4 := Mu(g, 4, Combinatorial); &mu4[0] != &mu8[0] || len(mu4) != 4 || cap(mu4) != 4 {
+			t.Fatalf("trial %d: m=4 not served as the capped prefix of the m=8 table", trial)
+		}
+		mu16 := Mu(g, 16, Combinatorial)
+		if len(mu16) != 16 || &mu16[0] == &mu8[0] {
+			t.Fatalf("trial %d: m=16 was not solved again", trial)
+		}
+		if got := MemoMu(g, 8); &got[0] != &mu16[0] {
+			t.Fatalf("trial %d: the m=16 table did not replace the m=8 one", trial)
+		}
+		fresh := Mu(g.Clone(), 16, Combinatorial)
+		if !slices.Equal(mu16, fresh) || !slices.Equal(mu8, fresh[:8]) {
+			t.Fatalf("trial %d: memo %v/%v, fresh solve %v", trial, mu8, mu16, fresh)
 		}
 	}
 }
 
-// TestMuMemoConcurrent drives one graph's µ slots from several
-// goroutines at once, at mixed core counts on both backends, so tables
-// are loaded while longer ones replace them. With -race this certifies
-// the slot's locking; every table served must equal a fresh solve on a
-// clone.
+// TestMuMemoConcurrent drives one graph's µ memo from several
+// goroutines at once, at mixed core counts, so tables are loaded while
+// longer ones replace them. With -race this certifies the memo's
+// locking; every table served must equal a fresh solve on a clone. A
+// paper-ILP solve first must leave the memo empty.
 func TestMuMemoConcurrent(t *testing.T) {
 	g := fixture.Tau1()
-	want := map[Backend][]int64{}
-	for _, be := range []Backend{Combinatorial, PaperILP} {
-		want[be] = Mu(g.Clone(), 8, be)
+	want := Mu(g.Clone(), 8, Combinatorial)
+	if Mu(g, 8, PaperILP); MemoMu(g, 1) != nil {
+		t.Fatal("a paper-ILP solve filled the memo")
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -274,9 +264,9 @@ func TestMuMemoConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				be, m := Backend((w+i)%2), 1+(w*7+i)%8
-				if got := Mu(g, m, be); !slices.Equal(got, want[be][:m]) {
-					t.Errorf("%v m=%d: got %v, want %v", be, m, got, want[be][:m])
+				m := 1 + (w*7+i)%8
+				if got := Mu(g, m, Combinatorial); !slices.Equal(got, want[:m]) {
+					t.Errorf("m=%d: got %v, want %v", m, got, want[:m])
 					return
 				}
 			}

@@ -1,6 +1,7 @@
 package blocking_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -77,6 +78,25 @@ func runShapes(rng *rand.Rand) []*dag.Graph {
 	return out
 }
 
+// byWeight returns g relabelled through dag.Builder so that its WCETs
+// are non-increasing, ties in g's topological order: the order the
+// clique solver requires of a node-level problem, and the one Classes
+// gives a graph without runs.
+func byWeight(g *dag.Graph) *dag.Graph {
+	nodes := slices.Clone(g.TopologicalOrder())
+	slices.SortStableFunc(nodes, func(a, b int) int { return cmp.Compare(g.WCET(b), g.WCET(a)) })
+	idx := make([]int, g.N())
+	var b dag.Builder
+	for i, v := range nodes {
+		idx[v] = i
+		b.AddNode(g.WCET(v))
+	}
+	for _, e := range g.Edges() {
+		b.AddEdge(idx[e[0]], idx[e[1]])
+	}
+	return b.MustBuild()
+}
+
 // TestMuOnRunClassesMatchesFullSolve is the run-class quickcheck: the
 // combinatorial µ table, solved on the run classes of a graph, equals
 // the one clique solves on the graph's own WCETs and Par sets, for
@@ -88,7 +108,8 @@ func TestMuOnRunClassesMatchesFullSolve(t *testing.T) {
 		if w, _ := new(dag.ClassScratch).Classes(g); len(w) < g.N() {
 			withRuns++
 		}
-		w, par := g.WCETs(), g.Parallel()
+		h := byWeight(g)
+		w, par := h.WCETs(), h.Parallel()
 		for m := 1; m <= 16; m++ {
 			got := blocking.Mu(g.Clone(), m, blocking.Combinatorial)
 			want := new(clique.Solver).MuTable(w, par, m)
@@ -106,7 +127,8 @@ func TestMuOnRunClassesMatchesFullSolve(t *testing.T) {
 // TestRunClassesOfChainAndFork pins the classes of three small shapes:
 // a chain is one class weighing its heaviest node, each node of a
 // fork-join without runs is a class with the node's Par set, and a
-// split fork branch is one class parallel to the other branch.
+// split fork branch is one class, the heaviest and so the first,
+// parallel to the other branch.
 func TestRunClassesOfChainAndFork(t *testing.T) {
 	var b dag.Builder
 	for _, c := range []int64{3, 9, 4} {
@@ -132,7 +154,7 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 	if !slices.Equal(w, fork.WCETs()) || len(par) != fork.N() {
 		t.Fatalf("run-free graph: weights %v, par %v", w, par)
 	}
-	for v, s := range fork.Parallel() { // its order is 0..4, so classes are nodes
+	for v, s := range fork.Parallel() { // equal weights, order 0..4: classes are nodes
 		if !par[v].Equal(s) {
 			t.Fatalf("run-free graph: Par(class %d) = %v, want %v", v, par[v], s)
 		}
@@ -145,13 +167,64 @@ func TestRunClassesOfChainAndFork(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	w, par = new(dag.ClassScratch).Classes(dag.Split(b.MustBuild(), 3))
-	if !slices.Equal(w, []int64{1, 3, 2, 1}) {
+	if !slices.Equal(w, []int64{3, 2, 1, 1}) {
 		t.Fatalf("split fork: weights %v", w)
 	}
-	for c, want := range []string{"{}", "{2}", "{1}", "{}"} {
+	for c, want := range []string{"{1}", "{0}", "{}", "{}"} {
 		if par[c].String() != want {
 			t.Fatalf("split fork: Par(class %d) = %v, want %v", c, par[c], want)
 		}
+	}
+}
+
+// TestClassesInWeightOrder pins the numbering the µ search relies on:
+// classes come by non-increasing weight, ties in the topological order
+// of their first members. On a graph without runs the classes are its
+// nodes, so they must be the graph relabelled by byWeight, Par sets
+// included; splitting such a graph turns each long node into a run of
+// pieces, whose classes must be the same relabelling of the graph with
+// each node weighing its heaviest piece.
+func TestClassesInWeightOrder(t *testing.T) {
+	check := func(what string, g, want *dag.Graph) {
+		t.Helper()
+		w, par := new(dag.ClassScratch).Classes(g)
+		if !slices.Equal(w, want.WCETs()) || len(par) != want.N() {
+			t.Fatalf("%s: weights %v, want %v", what, w, want.WCETs())
+		}
+		for c, s := range want.Parallel() {
+			if !par[c].Equal(s) {
+				t.Fatalf("%s: Par(class %d) = %v, want %v", what, c, par[c], s)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	runFree := 0
+	for i, g := range runShapes(rng) {
+		w, _ := new(dag.ClassScratch).Classes(g)
+		if !slices.IsSortedFunc(w, func(a, b int64) int { return cmp.Compare(b, a) }) {
+			t.Fatalf("graph %d (%d nodes): class weights %v rise", i, g.N(), w)
+		}
+		if len(w) < g.N() {
+			continue
+		}
+		runFree++
+		check(fmt.Sprintf("graph %d", i), g, byWeight(g))
+		top := g.MaxWCET()
+		for _, q := range []int64{max(1, top/3), max(1, top/2)} {
+			var b dag.Builder
+			for v := range g.N() {
+				c := g.WCET(v)
+				k := (c-1)/q + 1
+				b.AddNode((c + k - 1) / k)
+			}
+			for _, e := range g.Edges() {
+				b.AddEdge(e[0], e[1])
+			}
+			check(fmt.Sprintf("graph %d split at %d", i, q), dag.Split(g, q), byWeight(b.MustBuild()))
+		}
+	}
+	if runFree < 100 {
+		t.Fatalf("only %d run-free graphs; the check would not exercise the relabelling", runFree)
 	}
 }
 

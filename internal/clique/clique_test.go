@@ -1,7 +1,9 @@
 package clique
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,16 +35,88 @@ func emptyAdj(n int) []*bitset.Set {
 	return adj
 }
 
+// byWeight returns g relabelled through dag.Builder so that its WCETs
+// are non-increasing, ties in g's topological order, as the solver
+// requires, and the node of g behind each new index.
+func byWeight(g *dag.Graph) (*dag.Graph, []int) {
+	nodes := slices.Clone(g.TopologicalOrder())
+	slices.SortStableFunc(nodes, func(a, b int) int { return cmp.Compare(g.WCET(b), g.WCET(a)) })
+	idx := make([]int, g.N())
+	var b dag.Builder
+	for i, v := range nodes {
+		idx[v] = i
+		b.AddNode(g.WCET(v))
+	}
+	for _, e := range g.Edges() {
+		b.AddEdge(idx[e[0]], idx[e[1]])
+	}
+	return b.MustBuild(), nodes
+}
+
+// inWeightOrder relabels a relation so that its weights are
+// non-increasing.
+func inWeightOrder(w []int64, adj []*bitset.Set) ([]int64, []*bitset.Set) {
+	perm := make([]int, len(w))
+	for v := range perm {
+		perm[v] = v
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(w[b], w[a]) })
+	idx := make([]int, len(w))
+	for i, v := range perm {
+		idx[v] = i
+	}
+	ow, oadj := make([]int64, len(w)), emptyAdj(len(w))
+	for i, v := range perm {
+		ow[i] = w[v]
+		adj[v].ForEach(func(u int) bool {
+			oadj[i].Add(idx[u])
+			return true
+		})
+	}
+	return ow, oadj
+}
+
+// sortDesc sorts weights into the non-increasing order the solver
+// requires. For a random relation drawn independently of its weights
+// this loses no generality.
+func sortDesc(w []int64) {
+	slices.Sort(w)
+	slices.Reverse(w)
+}
+
 func TestKOne(t *testing.T) {
-	w := []int64{4, 9, 2}
+	w := []int64{9, 4, 2}
 	v, set := new(Solver).MaxWeightKSet(w, emptyAdj(3), 1)
-	if v != 9 || len(set) != 1 || set[0] != 1 {
-		t.Fatalf("got (%d, %v), want (9, [1])", v, set)
+	if v != 9 || len(set) != 1 || set[0] != 0 {
+		t.Fatalf("got (%d, %v), want (9, [0])", v, set)
+	}
+}
+
+// TestIncreasingWeightsPanic pins the order contract: both entry points
+// refuse weights that rise anywhere, whatever the size asked for.
+func TestIncreasingWeightsPanic(t *testing.T) {
+	for _, w := range [][]int64{{3, 5, 1}, {5, 3, 3, 4}, {0, 1}} {
+		adj := completeAdj(len(w))
+		for name, call := range map[string]func(){
+			"MuTable m=1":       func() { new(Solver).MuTable(w, adj, 1) },
+			"MuTable m=3":       func() { new(Solver).MuTable(w, adj, 3) },
+			"MaxWeightKSet k=1": func() { new(Solver).MaxWeightKSet(w, adj, 1) },
+			"MaxWeightKSet k=2": func() { new(Solver).MaxWeightKSet(w, adj, 2) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on weights %v did not panic", name, w)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }
 
 func TestDegenerateK(t *testing.T) {
-	w := []int64{4, 9}
+	w := []int64{9, 4}
 	if v, set := new(Solver).MaxWeightKSet(w, completeAdj(2), 0); v != 0 || set != nil {
 		t.Errorf("k=0: got (%d, %v)", v, set)
 	}
@@ -52,21 +126,18 @@ func TestDegenerateK(t *testing.T) {
 }
 
 func TestCompleteGraphTakesHeaviest(t *testing.T) {
-	w := []int64{5, 1, 8, 3, 7}
+	w := []int64{8, 7, 5, 3, 1}
 	v, set := new(Solver).MaxWeightKSet(w, completeAdj(5), 3)
 	if v != 20 { // 8 + 7 + 5
 		t.Errorf("weight = %d, want 20", v)
 	}
-	want := map[int]bool{0: true, 2: true, 4: true}
-	for _, x := range set {
-		if !want[x] {
-			t.Errorf("unexpected vertex %d in %v", x, set)
-		}
+	if !slices.Equal(set, []int{0, 1, 2}) {
+		t.Errorf("set = %v, want [0 1 2]", set)
 	}
 }
 
 func TestNoCliqueExists(t *testing.T) {
-	w := []int64{5, 6, 7}
+	w := []int64{7, 6, 5}
 	if v, set := new(Solver).MaxWeightKSet(w, emptyAdj(3), 2); v != 0 || set != nil {
 		t.Errorf("got (%d, %v), want (0, nil)", v, set)
 	}
@@ -77,6 +148,7 @@ func TestNoCliqueExists(t *testing.T) {
 func TestTableI(t *testing.T) {
 	want := fixture.TableI()
 	for i, g := range fixture.LowerPriorityGraphs() {
+		g, _ := byWeight(g)
 		mu := new(Solver).MuTable(g.WCETs(), g.Parallel(), fixture.M)
 		for c := 1; c <= fixture.M; c++ {
 			if mu[c-1] != want[i][c-1] {
@@ -87,18 +159,24 @@ func TestTableI(t *testing.T) {
 }
 
 // TestTableIWitnesses checks that the witness sets returned for the µ
-// values of Table I are the node sets the paper names.
+// values of Table I, mapped back to node ids, are the node sets the
+// paper names.
 func TestTableIWitnesses(t *testing.T) {
-	g3 := fixture.Tau3()
+	witness := func(g *dag.Graph, k int) (int64, []int) {
+		g, node := byWeight(g)
+		v, set := new(Solver).MaxWeightKSet(g.WCETs(), g.Parallel(), k)
+		for i, x := range set {
+			set[i] = node[x]
+		}
+		slices.Sort(set)
+		return v, set
+	}
 	// µ3[2] = C3,3 + C3,4 = 7 → nodes indices {2, 3}.
-	v, set := new(Solver).MaxWeightKSet(g3.WCETs(), g3.Parallel(), 2)
-	if v != 7 || len(set) != 2 || set[0] != 2 || set[1] != 3 {
+	if v, set := witness(fixture.Tau3(), 2); v != 7 || !slices.Equal(set, []int{2, 3}) {
 		t.Errorf("µ3[2] witness = (%d, %v), want (7, [2 3])", v, set)
 	}
-	g4 := fixture.Tau4()
 	// µ4[3] = C4,4 + C4,3 + C4,5 = 12 → indices {2, 3, 4}.
-	v, set = new(Solver).MaxWeightKSet(g4.WCETs(), g4.Parallel(), 3)
-	if v != 12 || len(set) != 3 || set[0] != 2 || set[1] != 3 || set[2] != 4 {
+	if v, set := witness(fixture.Tau4(), 3); v != 12 || !slices.Equal(set, []int{2, 3, 4}) {
 		t.Errorf("µ4[3] witness = (%d, %v), want (12, [2 3 4])", v, set)
 	}
 }
@@ -137,6 +215,7 @@ func randomInstance(rng *rand.Rand, n int) ([]int64, []*bitset.Set) {
 	for i := range w {
 		w[i] = int64(1 + rng.Intn(100))
 	}
+	sortDesc(w)
 	adj := emptyAdj(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -204,7 +283,7 @@ func TestMatchesBruteForce(t *testing.T) {
 func TestMatchesBruteForceOnDAGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 100; trial++ {
-		g := randomDAG(rng, 2+rng.Intn(11))
+		g, _ := byWeight(randomDAG(rng, 2+rng.Intn(11)))
 		w, adj := g.WCETs(), g.Parallel()
 		for k := 1; k <= 5; k++ {
 			got, _ := new(Solver).MaxWeightKSet(w, adj, k)
@@ -242,7 +321,7 @@ func randomDAG(rng *rand.Rand, n int) *dag.Graph {
 func TestMuTableInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
-		g := randomDAG(rng, 2+rng.Intn(14))
+		g, _ := byWeight(randomDAG(rng, 2+rng.Intn(14)))
 		mu := new(Solver).MuTable(g.WCETs(), g.Parallel(), 8)
 		zeroSeen := false
 		for c := 1; c < len(mu); c++ {
@@ -266,7 +345,8 @@ func BenchmarkMuTableFigure1(b *testing.B) {
 	graphs := fixture.LowerPriorityGraphs()
 	pars := make([][]*bitset.Set, len(graphs))
 	for i, g := range graphs {
-		pars[i] = g.Parallel()
+		graphs[i], _ = byWeight(g)
+		pars[i] = graphs[i].Parallel()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -278,9 +358,9 @@ func BenchmarkMuTableFigure1(b *testing.B) {
 
 // twinExpand replaces every vertex of an instance with a chain of
 // `copies` mutually non-adjacent twins carrying split weights — the
-// structure dag.Split produces. The optimum of the expanded
-// instance must pick the heaviest twin per class, i.e. equal the
-// original optimum with per-class max weights.
+// structure dag.Split produces — and returns it in weight order. The
+// optimum of the expanded instance must pick the heaviest twin per
+// class, i.e. equal the original optimum with per-class max weights.
 func twinExpand(w []int64, adj []*bitset.Set, copies int) ([]int64, []*bitset.Set) {
 	n := len(w)
 	en := n * copies
@@ -303,7 +383,7 @@ func twinExpand(w []int64, adj []*bitset.Set, copies int) ([]int64, []*bitset.Se
 			eadj[i] = s
 		}
 	}
-	return ew, eadj
+	return inWeightOrder(ew, eadj)
 }
 
 // TestTwinReductionExact: expanding every vertex into a twin chain must
@@ -400,6 +480,7 @@ func tiedInstance(rng *rand.Rand, n int, p float64) ([]int64, []*bitset.Set) {
 	for i := range w {
 		w[i] = rng.Int63n(top + 1)
 	}
+	sortDesc(w)
 	adj := emptyAdj(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -452,11 +533,11 @@ func TestMuTableMatchesPerSizeSearch(t *testing.T) {
 		checkMuTable(t, &s, w, adj, 1+rng.Intn(24))
 	}
 	for range 300 {
-		g := randomDAG(rng, 1+rng.Intn(60))
+		g, _ := byWeight(randomDAG(rng, 1+rng.Intn(60)))
 		checkMuTable(t, &s, g.WCETs(), g.Parallel(), 1+rng.Intn(24))
 	}
 	for range 60 {
-		g := sparseDAG(rng, 1+rng.Intn(60), []float64{0.05, 0.1, 0.2}[rng.Intn(3)])
+		g, _ := byWeight(sparseDAG(rng, 1+rng.Intn(60), []float64{0.05, 0.1, 0.2}[rng.Intn(3)]))
 		checkMuTable(t, &s, g.WCETs(), g.Parallel(), 1+rng.Intn(24))
 	}
 }
@@ -477,4 +558,45 @@ func sparseDAG(rng *rand.Rand, n int, p float64) *dag.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// FuzzMuTable holds MuTable to the per-size search and to brute force
+// at every c, on relations of up to 16 vertices decoded from the input:
+// weights from 0 to 7 in non-increasing order, so ties and zeros are
+// common, and one compatibility bit per vertex pair.
+func FuzzMuTable(f *testing.F) {
+	f.Add([]byte{4, 3, 5, 3, 3, 0, 0xff})
+	f.Add([]byte{15, 16, 7, 7, 6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 0, 0, 0, 0, 0xaa, 0x55, 0xf0, 0x0f, 0xff, 0x3c, 0xc3, 0x99, 0x66, 0xa5, 0x5a, 0xee, 0x77, 0xbd, 0xdb, 0x7e})
+	f.Add([]byte{7, 2, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, m := 1+int(data[0])%16, 1+int(data[1])%17
+		data = data[2:]
+		w := make([]int64, n)
+		for v := range min(n, len(data)) {
+			w[v] = int64(data[v] % 8)
+		}
+		sortDesc(w)
+		bits := data[min(n, len(data)):]
+		adj, p := emptyAdj(n), 0
+		for a := range n {
+			for b := a + 1; b < n; b++ {
+				if p/8 < len(bits) && bits[p/8]>>(p%8)&1 == 1 {
+					adj[a].Add(b)
+					adj[b].Add(a)
+				}
+				p++
+			}
+		}
+		var s Solver
+		mu := s.MuTable(w, adj, m)
+		for c := 1; c <= m; c++ {
+			kset, _ := s.MaxWeightKSet(w, adj, c)
+			if brute := bruteKSet(w, adj, c); mu[c-1] != kset || mu[c-1] != brute {
+				t.Fatalf("weights %v m=%d: µ[%d] = %d, per-size search %d, brute force %d", w, m, c, mu[c-1], kset, brute)
+			}
+		}
+	})
 }

@@ -1,27 +1,33 @@
-package clique_test
+package clique
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/clique"
 	"repro/internal/dag"
 	"repro/internal/gen"
 )
 
-// TestOneTwinRoundLeavesNoTwins checks setup's claim that one round of
-// twin reduction reaches the fixed point: no two vertices of the reduced
-// problem share a compatibility set, on random relations whose twin
-// classes nest and on node-split task graphs.
+// TestOneTwinRoundLeavesNoTwins checks twins' claim that one round of
+// twin reduction reaches the fixed point: no two vertices kept in the
+// universe have the same kept neighbours, on random relations whose
+// twin classes nest and on node-split task graphs.
 func TestOneTwinRoundLeavesNoTwins(t *testing.T) {
 	check := func(what string, w []int64, adj []*bitset.Set) {
 		t.Helper()
-		red := clique.ReducedAdjacency(w, adj)
+		var s Solver
+		s.twins(w, adj)
+		kept := s.universe.Indices()
+		red := make([]*bitset.Set, len(kept))
+		for i, v := range kept {
+			red[i] = adj[v].Clone()
+			red[i].IntersectWith(s.universe)
+		}
 		for a := range red {
 			for b := a + 1; b < len(red); b++ {
 				if red[a].Equal(red[b]) {
-					t.Fatalf("%s: reduced vertices %d and %d of %d are still twins", what, a, b, len(red))
+					t.Fatalf("%s: kept vertices %d and %d of %d are still twins", what, kept[a], kept[b], len(red))
 				}
 			}
 		}
@@ -40,6 +46,7 @@ func TestOneTwinRoundLeavesNoTwins(t *testing.T) {
 				class[v] = class[rng.Intn(v)]
 			}
 		}
+		sortDesc(w)
 		compatible := make(map[[2]int]bool)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
@@ -65,7 +72,7 @@ func TestOneTwinRoundLeavesNoTwins(t *testing.T) {
 		for _, group := range []gen.Group{gen.GroupMixed, gen.GroupParallel} {
 			g := gen.New(seed, gen.PaperParams(group)).Graph()
 			for _, q := range []int64{1, 2, 5, 20} {
-				s := dag.Split(g, q)
+				s, _ := byWeight(dag.Split(g, q))
 				check("split graph", s.WCETs(), s.Parallel())
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -252,5 +253,32 @@ func TestOptionsValidationErrors(t *testing.T) {
 				t.Errorf("New(%+v) error = %q, want it to contain %q", tc.opts, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestVolumeOverflowRejected is the "values wrap" probe: one task of two
+// independent nodes of WCET 2^62 with D = T = 2^62, whose volume used to
+// wrap to −2^63, so that LP-ILP on one core reported it schedulable with
+// a negative bound. The task-set decoder every entry point uses now
+// refuses it where the graph is built, and the same task at half the
+// WCETs analyzes to its exact bound R = vol = 2^62.
+func TestVolumeOverflowRejected(t *testing.T) {
+	probe := func(c int64) string {
+		return fmt.Sprintf(`{"tasks":[{"name":"t","wcet":[%d,%d],"edges":[],"deadline":%d,"period":%d}]}`, c, c, int64(1)<<62, int64(1)<<62)
+	}
+	_, err := model.ReadJSON(strings.NewReader(probe(1 << 62)))
+	if err == nil || !strings.Contains(err.Error(), "WCET sum overflows int64") {
+		t.Fatalf("decoding the probe: error %v, want the WCET sum overflow", err)
+	}
+	ts, err := model.ReadJSON(strings.NewReader(probe(1 << 61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := MustNew(Options{Cores: 1, Method: LPILP}).Analyze(context.Background(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := rep.Tasks[0]; !rep.Schedulable || tr.ResponseTime != 1<<62 || rep.Utilization != 1 {
+		t.Fatalf("half probe: schedulable %v, R = %d, U = %v; want true, 2^62, 1", rep.Schedulable, tr.ResponseTime, rep.Utilization)
 	}
 }

@@ -26,6 +26,7 @@ package dag
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -43,7 +44,7 @@ import (
 // Because a Graph never changes after Build, every derived quantity is
 // a pure function of it. What analyses revisiting a graph read again
 // is memoized: volume and longest path at Build time; the sorted WCETs,
-// the content fingerprint and the µ tables of LoadMu/StoreMu lazily,
+// the content fingerprint and the µ table of LoadMu/StoreMu lazily,
 // concurrency-safely. The reachability and parallelism sets are built
 // fresh on every call, since the µ solver works on run classes.
 //
@@ -66,8 +67,8 @@ type Graph struct {
 	fpOnce sync.Once
 	fp     [32]byte // sha256 over canonical content
 
-	muLock   sync.Mutex
-	muTables [2][]int64 // longest µ table per solver backend (LoadMu)
+	muLock sync.Mutex
+	mu     []int64 // longest µ table solved so far (LoadMu)
 }
 
 // Builder accumulates nodes and edges and validates them into a Graph.
@@ -111,18 +112,25 @@ func (b *Builder) Reset() {
 }
 
 // Build validates the accumulated nodes and edges and returns the Graph.
-// It reports an error if the builder is empty, a WCET is non-positive, an
-// edge endpoint is out of range, an edge is duplicated or a self-loop, or
-// the edge set contains a cycle.
+// It reports an error if the builder is empty, a WCET is non-positive,
+// the WCETs sum past int64, an edge endpoint is out of range, an edge is
+// duplicated or a self-loop, or the edge set contains a cycle. The
+// longest path is at most the volume, and Split and Clone carry it
+// over, so this one bound keeps every graph's sums in range.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.wcet)
 	if n == 0 {
 		return nil, fmt.Errorf("dag: graph must have at least one node")
 	}
+	var volume int64
 	for i, c := range b.wcet {
 		if c <= 0 {
 			return nil, fmt.Errorf("dag: node %d has non-positive WCET %d", i, c)
 		}
+		if volume > math.MaxInt64-c {
+			return nil, fmt.Errorf("dag: WCET sum overflows int64 at node %d", i)
+		}
+		volume += c
 	}
 	// deg[u] counts u's successors, deg[n+v] v's predecessors; once
 	// the offsets are set, each is the cursor of its list.
@@ -158,7 +166,7 @@ func (b *Builder) Build() (*Graph, error) {
 			deg[n+v]++
 		}
 	}
-	g := &Graph{wcet: append([]int64(nil), b.wcet...), adj: adj}
+	g := &Graph{wcet: append([]int64(nil), b.wcet...), adj: adj, volume: volume}
 	if len(b.names) > 0 {
 		g.names = make([]string, n)
 		copy(g.names, b.names)
@@ -170,9 +178,6 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	if err := g.computeTopo(deg[n:], deg[:0:n]); err != nil {
 		return nil, err
-	}
-	for _, c := range g.wcet {
-		g.volume += c
 	}
 	b.best = slices.Grow(b.best[:0], n)[:n]
 	g.longest = g.computeLongestPath(b.best)
@@ -446,6 +451,7 @@ func (g *Graph) Parallel() []*bitset.Set {
 // ClassScratch is not safe for concurrent use.
 type ClassScratch struct {
 	cls     []int
+	order   []int // class ids by weight, then each id's place in that order
 	weights []int64
 	sets    []*bitset.Set
 }
@@ -457,8 +463,10 @@ type ClassScratch struct {
 // scratch valid until its next use. Members of a run are pairwise
 // ordered and share one Par set, so µ (Equation (6)) is the same on the
 // classes as on the nodes (DESIGN.md, "Performance"). Classes are
-// numbered in the topological order of their first members; a graph
-// without runs has one class per node, with g's Par sets renumbered.
+// numbered by non-increasing weight, ties in the topological order of
+// their first members: the order the µ search (clique.Solver) takes
+// them in, so it searches these slices in place. A graph without runs
+// has one class per node, with g's Par sets renumbered.
 func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 	n := g.N()
 	topo := g.TopologicalOrder()
@@ -486,6 +494,24 @@ func (sc *ClassScratch) Classes(g *Graph) (weights []int64, par []*bitset.Set) {
 			next++
 		}
 		weights[cls[v]] = max(weights[cls[v]], g.wcet[v])
+	}
+	// Renumber by weight: an insertion sort of the weights, carrying
+	// each class's topological number (stable, so ties keep that
+	// order), then one remap of cls.
+	sc.order = slices.Grow(sc.order[:0], 2*r)[:2*r]
+	byWeight, rank := sc.order[:r], sc.order[r:]
+	for c := range r {
+		w, i := weights[c], c
+		for ; i > 0 && weights[i-1] < w; i-- {
+			weights[i], byWeight[i] = weights[i-1], byWeight[i-1]
+		}
+		weights[i], byWeight[i] = w, c
+	}
+	for i, c := range byWeight {
+		rank[c] = i
+	}
+	for v, c := range cls {
+		cls[v] = rank[c]
 	}
 	// Only a run's last member has successors, and only its first
 	// member predecessors, outside the run, so the reverse topological
@@ -672,19 +698,18 @@ func (g *Graph) Fingerprint() [32]byte {
 // fpTextPool holds the canonical-text buffers of Fingerprint.
 var fpTextPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// LoadMu returns the µ table memoized on g in the given slot (one per µ
-// solver backend, 0 or 1), cut to its first m entries, or nil when the
-// slot holds fewer than m. µ[c] does not depend on the core count beyond
-// the table's length, so one table serves every m up to its own. The
-// result is a capacity-capped view of the memo; callers must not modify
-// it.
+// LoadMu returns the µ table memoized on g, cut to its first m entries,
+// or nil when the memo holds fewer than m. µ[c] does not depend on the
+// core count beyond the table's length, so one table serves every m up
+// to its own. The result is a capacity-capped view of the memo; callers
+// must not modify it.
 //
 // LoadMu and StoreMu are package-level functions, not methods, so that
 // the public Graph alias exposes no way to plant tables the analysis
 // would trust; internal/blocking is their one caller.
-func LoadMu(g *Graph, slot, m int) []int64 {
+func LoadMu(g *Graph, m int) []int64 {
 	g.muLock.Lock()
-	mu := g.muTables[slot]
+	mu := g.mu
 	g.muLock.Unlock()
 	if len(mu) < m {
 		return nil
@@ -692,12 +717,12 @@ func LoadMu(g *Graph, slot, m int) []int64 {
 	return mu[:m:m]
 }
 
-// StoreMu memoizes the µ table mu, solved for g, in the given slot,
-// unless the slot already holds a table at least as long.
-func StoreMu(g *Graph, slot int, mu []int64) {
+// StoreMu memoizes the µ table mu, solved for g, unless the memo
+// already holds a table at least as long.
+func StoreMu(g *Graph, mu []int64) {
 	g.muLock.Lock()
-	if len(mu) > len(g.muTables[slot]) {
-		g.muTables[slot] = mu
+	if len(mu) > len(g.mu) {
+		g.mu = mu
 	}
 	g.muLock.Unlock()
 }

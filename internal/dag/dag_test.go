@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -511,6 +512,38 @@ func TestLongestPathAtMostVolume(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsVolumeOverflow pins the value-range check: two
+// independent nodes of WCET 2^62 (volume 2^63) are refused with
+// refBuild's error, naming the node where the sum leaves int64, while
+// the largest volume that fits builds, and its split and clone carry it
+// over with a longest path inside it. Before the check the first graph
+// built with volume −2^63, which an analysis on one core read as
+// schedulable with a negative bound.
+func TestBuildRejectsVolumeOverflow(t *testing.T) {
+	const big = int64(1) << 62
+	for _, wcet := range [][]int64{{big, big}, {1, big, big - 1, 5}, {math.MaxInt64, 1}} {
+		var b Builder
+		for _, c := range wcet {
+			b.AddNode(c)
+		}
+		_, err := b.Build()
+		_, _, _, want := refBuild(wcet, nil)
+		if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("WCETs %v: Build error %v, want %v", wcet, err, want)
+		}
+	}
+	var b Builder
+	b.AddNode(big)
+	b.AddNode(big - 1)
+	b.AddEdge(0, 1)
+	g := b.MustBuild()
+	for what, h := range map[string]*Graph{"built": g, "split": Split(g, big/3), "clone": g.Clone()} {
+		if h.Volume() != math.MaxInt64 || h.LongestPath() != math.MaxInt64 {
+			t.Errorf("%s: volume %d, longest path %d, want both %d", what, h.Volume(), h.LongestPath(), int64(math.MaxInt64))
+		}
+	}
+}
+
 // refBuild is the map-based Build the slab version replaced, kept as the
 // oracle for error precedence and adjacency.
 func refBuild(wcet []int64, edges [][2]int) (succ, pred [][]int, topo []int, err error) {
@@ -518,10 +551,15 @@ func refBuild(wcet []int64, edges [][2]int) (succ, pred [][]int, topo []int, err
 	if n == 0 {
 		return nil, nil, nil, fmtErr("dag: graph must have at least one node")
 	}
+	var vol int64
 	for i, c := range wcet {
 		if c <= 0 {
 			return nil, nil, nil, fmtErr("dag: node %d has non-positive WCET %d", i, c)
 		}
+		if vol > math.MaxInt64-c {
+			return nil, nil, nil, fmtErr("dag: WCET sum overflows int64 at node %d", i)
+		}
+		vol += c
 	}
 	succ, pred = make([][]int, n), make([][]int, n)
 	seen := map[[2]int]bool{}

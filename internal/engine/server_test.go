@@ -163,6 +163,35 @@ func TestAnalyzePerItemOverridesAndErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeVolumeOverflowElement posts the "values wrap" probe (two
+// independent nodes of WCET 2^62, D = T = 2^62, whose volume wrapped to
+// −2^63 and read schedulable on one core) beside the paper's example:
+// the probe's element fails with the build error, the example's still
+// succeeds.
+func TestAnalyzeVolumeOverflowElement(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	probe := `{"tasks":[{"name":"t","wcet":[4611686018427387904,4611686018427387904],"edges":[],"deadline":4611686018427387904,"period":4611686018427387904}]}`
+	body := fmt.Sprintf(`{"cores": 1, "method": "lp-ilp", "requests": [{"taskset": %s}, {"taskset": %s}]}`, paperExampleJSON(t), probe)
+	w := post(t, h, "/v1/analyze", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Results []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 2 || resp.Results[0].Error != "" {
+		t.Fatalf("results %+v: want the example analyzed", resp.Results)
+	}
+	if !strings.Contains(resp.Results[1].Error, "WCET sum overflows int64") {
+		t.Errorf("probe element: error %q, want the WCET sum overflow", resp.Results[1].Error)
+	}
+}
+
 func TestAnalyzeBadRequests(t *testing.T) {
 	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
 	cases := []struct {

@@ -305,7 +305,7 @@ func (a *Analyzer) ensure(n int) {
 // shared fetch is traced as a cache lookup; graph memo hits are below
 // measurement noise.
 func (a *Analyzer) muTable(g *dag.Graph) []int64 {
-	if mu := blocking.MemoMu(g, a.cfg.M, blocking.Combinatorial); mu != nil {
+	if mu := blocking.MemoMu(g, a.cfg.M); mu != nil {
 		return mu
 	}
 	if a.cfg.Cache == nil {
@@ -319,7 +319,7 @@ func (a *Analyzer) muTable(g *dag.Graph) []int64 {
 	if a.cfg.Trace != nil {
 		a.cfg.Trace.CacheLookup.Since(t0)
 	}
-	blocking.StoreMu(g, blocking.Combinatorial, mu)
+	blocking.StoreMu(g, mu)
 	return mu
 }
 

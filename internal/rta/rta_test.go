@@ -307,14 +307,14 @@ func TestBackendsAgreeEndToEnd(t *testing.T) {
 		ilp := make([][]int64, len(planted.Tasks))
 		for i, task := range planted.Tasks {
 			ilp[i] = blocking.Mu(task.G.Clone(), m, blocking.PaperILP)
-			blocking.StoreMu(task.G, blocking.Combinatorial, ilp[i])
+			blocking.StoreMu(task.G, ilp[i])
 		}
 		got, err := Analyze(context.Background(), planted, Config{M: m, Method: LPILP})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, task := range planted.Tasks {
-			if mu := blocking.MemoMu(task.G, m, blocking.Combinatorial); &mu[0] != &ilp[i][0] {
+			if mu := blocking.MemoMu(task.G, m); &mu[0] != &ilp[i][0] {
 				t.Fatalf("trial %d task %d: the planted ILP table was replaced", trial, i)
 			}
 		}
