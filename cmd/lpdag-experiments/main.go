@@ -25,6 +25,10 @@
 //	lpdag-experiments -campaign -cluster http://host1:8080,http://host2:8080 \
 //	    -jsonl out.jsonl        # same bytes, computed on remote workers
 //	lpdag-experiments -soundness -points 2000   # sim-vs-analysis harness
+//
+// A cluster campaign's leases are sized from the bound every worker
+// admits by (experiments.CampaignConfig.LeasePoints), so no lease-size
+// flag exists on either side.
 package main
 
 import (
@@ -80,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clusterHosts = fs.String("cluster", "", "run the campaign on remote lpdag-serve workers (comma-separated base URLs, e.g. http://host1:8080,http://host2:8080); output is byte-identical to a local run")
 		leaseTimeout = fs.Duration("lease-timeout", cluster.DefaultLeaseTimeout, "cluster shard lease: max stream silence before requeueing to another worker")
 		shardRetries = fs.Int("shard-retries", cluster.DefaultMaxShardRetries, "cluster shard lease: failure requeues per shard before the campaign fails")
-		maxLease     = fs.Int("max-lease-points", cluster.DefaultMaxShardPoints, "cluster shard lease: points per lease, at most the smallest -max-shard-points across the workers")
 
 		soundness = fs.Bool("soundness", false, "run the simulation-vs-analysis soundness harness")
 		points    = fs.Int("points", 1000, "generated points for -soundness")
@@ -138,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			jsonlPath: *jsonlPath, csvPath: *csvPath, resume: *resume,
 			progress: *progress, cluster: *clusterHosts,
 			leaseTimeout: *leaseTimeout, shardRetries: *shardRetries,
-			maxLease: *maxLease, obs: reg,
+			obs: reg,
 		}, stdout, stderr)
 		if code != 0 {
 			return code
@@ -281,7 +284,6 @@ type campaignArgs struct {
 	cluster               string
 	leaseTimeout          time.Duration
 	shardRetries          int
-	maxLease              int
 	obs                   *obs.Registry
 }
 
@@ -374,7 +376,6 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 		results, err = cluster.Run(cluster.Config{
 			Campaign: cfg, Workers: urls,
 			LeaseTimeout: a.leaseTimeout, MaxShardRetries: a.shardRetries,
-			MaxLeasePoints: a.maxLease,
 		}, opts)
 	} else {
 		results, err = experiments.RunCampaign(cfg, opts)

@@ -24,8 +24,11 @@
 //	                   sessions, campaign/cluster, HTTP, analysis traces
 //
 // Results and errors are JSON (ndjson on /v1/campaign and /v1/shard),
-// whatever the Accept header asks for. The one binary body is the
-// snapshot stream a draining peer posts to /v1/sessions/handoff.
+// whatever the Accept header asks for. The ndjson lines are flushed
+// once per tick (-heartbeat on /v1/shard, with a blank keepalive line
+// when nothing is pending; 2s on /v1/campaign), not per line. The one
+// binary body is the snapshot stream a draining peer posts to
+// /v1/sessions/handoff.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
 // server-side and re-analyzes it from scratch per query, with µ tables
@@ -96,7 +99,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/experiments/cluster"
 	"repro/internal/obs"
 )
 
@@ -127,9 +129,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		// Cluster worker mode: the node serves POST /v1/shard leases from
 		// a campaign coordinator (lpdag-experiments -cluster).
-		maxShardPoints = fs.Int("max-shard-points", cluster.DefaultMaxShardPoints, "grid points per shard lease")
-		heartbeat      = fs.Duration("heartbeat", cluster.DefaultHeartbeat, "shard-stream keepalive interval; must stay well below every coordinator's -lease-timeout, or slow points are mistaken for dead workers")
-		drainGrace     = fs.Duration("drain-grace", 0, "after SIGTERM, keep serving this long with /healthz reporting draining so coordinators reroute before the listener closes")
+		heartbeat  = fs.Duration("heartbeat", experiments.DefaultHeartbeat, "shard-stream tick: pending lines are flushed, a silent tick sends a keepalive line (0 or less = default); must stay well below every coordinator's -lease-timeout, or slow points are mistaken for dead workers")
+		drainGrace = fs.Duration("drain-grace", 0, "after SIGTERM, keep serving this long with /healthz reporting draining so coordinators reroute before the listener closes")
 
 		// Observability: structured request logging + /metrics exposition.
 		logFormat = fs.String("log-format", "text", "request log format: text | json")
@@ -230,15 +231,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/campaign", experiments.CampaignHandler(eng))
-	if *heartbeat <= 0 {
-		// A worker without keepalives breaks coordinators' lease
-		// watchdogs on any point slower than their -lease-timeout;
-		// serving mode always heartbeats (embedders can still disable
-		// via ClusterWorkerConfig).
-		*heartbeat = cluster.DefaultHeartbeat
-	}
-	mux.Handle("/v1/shard", cluster.NewWorkerHandler(eng, cluster.WorkerConfig{
-		MaxPoints: *maxShardPoints, Heartbeat: *heartbeat, Load: engSrv,
+	mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
+		Heartbeat: *heartbeat, Load: engSrv,
 	}))
 	mux.Handle("/", engSrv)
 	// The logging/metrics middleware wraps the WHOLE outer mux, so

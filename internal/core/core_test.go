@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -195,6 +197,69 @@ func TestCriticalScalingSaturatesAtMax(t *testing.T) {
 	}
 	if alpha != 5000 {
 		t.Fatalf("got %d, want saturation at 5000", alpha)
+	}
+}
+
+// TestScaleTaskDoesNotWrap pins ⌈C·α/1000⌉ taken without overflow: a
+// WCET of 2^61 at 2000‰ is exactly 2^62 (the product once wrapped and
+// was floored to 1), rounding still goes up, and a task whose scaled
+// WCET or volume leaves int64 is refused with ErrScaleOverflow.
+func TestScaleTaskDoesNotWrap(t *testing.T) {
+	task := func(wcets ...int64) *model.Task {
+		return &model.Task{Name: "t", G: chain(wcets...), Deadline: math.MaxInt64, Period: math.MaxInt64}
+	}
+	for _, tc := range []struct {
+		wcet     int64
+		permille int
+		want     int64
+	}{
+		{1 << 61, 2000, 1 << 62},
+		{1 << 61, 1000, 1 << 61},
+		{1001, 1, 2}, // ⌈1.001⌉
+		{1000, 1, 1}, // exact
+		{7, 0, 1},    // floored at 1
+		{1, 1 << 62, (1<<62 + 999) / 1000},
+		{math.MaxInt64, 1000, math.MaxInt64},
+	} {
+		st, err := ScaleTask(task(tc.wcet), tc.permille)
+		if err != nil {
+			t.Fatalf("ScaleTask(%d, %d‰): %v", tc.wcet, tc.permille, err)
+		}
+		if got := st.G.WCET(0); got != tc.want {
+			t.Errorf("ScaleTask(%d, %d‰) = %d, want %d", tc.wcet, tc.permille, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		wcets    []int64
+		permille int
+	}{
+		{[]int64{1 << 61}, 4000},          // 2^63
+		{[]int64{math.MaxInt64}, 1001},    // past int64 by a hair
+		{[]int64{1 << 12}, 1 << 62},       // ⌈2^74/1000⌉
+		{[]int64{1 << 61, 1 << 61}, 2000}, // each WCET fits, the volume does not
+	} {
+		if _, err := ScaleTask(task(tc.wcets...), tc.permille); !errors.Is(err, ErrScaleOverflow) {
+			t.Errorf("ScaleTask(%v, %d‰) error %v, want ErrScaleOverflow", tc.wcets, tc.permille, err)
+		}
+	}
+}
+
+// TestCriticalScalingHugeWCET is the probe that once wrapped: one node
+// of WCET 2^61 with D = T = 2^62 on one core is schedulable up to
+// exactly 2000‰. Past 4000‰ its WCET leaves int64; that probe counts as
+// not schedulable, so the bisection answers 2000 instead of the
+// search's maximum.
+func TestCriticalScalingHugeWCET(t *testing.T) {
+	ts, _ := model.NewTaskSet(&model.Task{Name: "t", G: chain(1 << 61), Deadline: 1 << 62, Period: 1 << 62})
+	a := MustNew(Options{Cores: 1, Method: LPILP})
+	for _, maxPermille := range []int{4000, 1 << 62} {
+		alpha, err := a.CriticalScaling(context.Background(), ts, maxPermille)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alpha != 2000 {
+			t.Errorf("max %d‰: CriticalScaling = %d, want 2000", maxPermille, alpha)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dag"
 	"repro/internal/model"
@@ -18,7 +20,9 @@ import (
 // Scaled WCETs are ⌈C·α/1000⌉ (rounding up keeps the scaled system an
 // over-approximation, so schedulability at α is a sound claim for every
 // real factor ≤ α/1000). Schedulability is monotone in the WCETs, hence
-// in α, which makes bisection exact at permille resolution.
+// in α, which makes bisection exact at permille resolution. A factor
+// whose scaled WCETs leave int64 (ErrScaleOverflow) counts as not
+// schedulable.
 func (a *Analyzer) CriticalScaling(ctx context.Context, ts *model.TaskSet, maxPermille int) (int, error) {
 	if err := ts.Validate(); err != nil {
 		return 0, err
@@ -62,26 +66,40 @@ func BisectPermille(maxPermille int, ok func(permille int) (bool, error)) (int, 
 	return lo, nil
 }
 
+// ErrScaleOverflow refuses a scaled task whose WCETs or volume leave
+// int64. CriticalScaling and the session's sensitivity count such a
+// probe as not schedulable: it is conservative, and monotone in the
+// permille, so the bisection still answers.
+var ErrScaleOverflow = errors.New("core: scaled WCETs overflow int64")
+
 // ScaleTask returns a copy of the task with every node WCET multiplied
-// by permille/1000, rounded up to keep the scaled system an
-// over-approximation (and floored at 1: a zero-WCET node would change
-// the graph's structure). Shared by the whole-set bisection here and the
-// per-task sensitivity queries of the session API.
+// by permille/1000 (permille ≥ 0), rounded up to keep the scaled system
+// an over-approximation (and floored at 1: a zero-WCET node would
+// change the graph's structure). The product is taken in 128 bits, so
+// it never wraps; a task whose scaled WCETs or volume leave int64 is
+// refused with ErrScaleOverflow. Shared by the whole-set bisection here
+// and the per-task sensitivity queries of the session API.
 func ScaleTask(t *model.Task, permille int) (*model.Task, error) {
 	var b dag.Builder
 	for v := 0; v < t.G.N(); v++ {
-		c := (t.G.WCET(v)*int64(permille) + 999) / 1000
-		if c < 1 {
-			c = 1
+		// N = C·α + 999 in 128 bits; ⌊N/1000⌋ fits int64 exactly when
+		// N < 1000·2^63 = 500·2^64.
+		hi, lo := bits.Mul64(uint64(t.G.WCET(v)), uint64(permille))
+		lo, carry := bits.Add64(lo, 999, 0)
+		if hi += carry; hi >= 500 {
+			return nil, fmt.Errorf("%w at node %d", ErrScaleOverflow, v)
 		}
-		b.AddNode(c)
+		q, _ := bits.Div64(hi, lo, 1000)
+		b.AddNode(max(int64(q), 1))
 	}
 	for _, e := range t.G.Edges() {
 		b.AddEdge(e[0], e[1])
 	}
 	g, err := b.Build()
 	if err != nil {
-		return nil, err
+		// The copy has the source's valid structure and positive
+		// WCETs, so only its volume can fail.
+		return nil, fmt.Errorf("%w: %v", ErrScaleOverflow, err)
 	}
 	return &model.Task{Name: t.Name, G: g, Deadline: t.Deadline, Period: t.Period}, nil
 }
@@ -92,6 +110,9 @@ func (a *Analyzer) scaledSchedulable(ctx context.Context, ts *model.TaskSet, per
 	scaled := &model.TaskSet{Tasks: make([]*model.Task, ts.N())}
 	for i, t := range ts.Tasks {
 		st, err := ScaleTask(t, permille)
+		if errors.Is(err, ErrScaleOverflow) {
+			return false, nil
+		}
 		if err != nil {
 			return false, err
 		}

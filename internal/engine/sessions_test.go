@@ -62,6 +62,39 @@ func createSession(t *testing.T, h http.Handler) (string, sessionReport) {
 	return resp.ID, resp.Report
 }
 
+// TestSessionSensitivityHugeMaxPermille pins that the wire's unbounded
+// max_permille cannot wrap the scaled WCETs: at 2^62 every probe past
+// int64 counts as not schedulable, so each task's answer equals the one
+// a 10^9‰ search finds (the wrapped product once read as schedulable
+// and answered the maximum).
+func TestSessionSensitivityHugeMaxPermille(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	id, created := createSession(t, h)
+	sensitivity := func(index int, maxPermille int64) int64 {
+		t.Helper()
+		w := post(t, h, "/v1/sessions/"+id+"/sensitivity", fmt.Sprintf(`{"index": %d, "max_permille": %d}`, index, maxPermille))
+		if w.Code != http.StatusOK {
+			t.Fatalf("sensitivity %d at %d‰: status %d: %s", index, maxPermille, w.Code, w.Body)
+		}
+		var sens struct {
+			Permille int64 `json:"permille"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &sens); err != nil {
+			t.Fatal(err)
+		}
+		return sens.Permille
+	}
+	for i := range created.Tasks {
+		want := sensitivity(i, 1_000_000_000)
+		if want >= 1_000_000_000 {
+			t.Fatalf("task %d: reference search saturated at %d‰", i, want)
+		}
+		if got := sensitivity(i, 1<<62); got != want {
+			t.Errorf("task %d: max 2^62‰ answers %d, want %d", i, got, want)
+		}
+	}
+}
+
 // TestSessionLifecycleHTTP drives a session end to end over the HTTP
 // surface: create, report, edits, admit (no commit), sensitivity,
 // delete, and pins the reports against the direct library results.

@@ -149,10 +149,19 @@ func StandardScenarios() []Scenario {
 	}
 }
 
-// ScenarioByName resolves a registry name.
+// registry backs ScenarioByName, so resolving a name does not build the
+// whole registry: a wire body may name thousands of scenarios.
+var registry = StandardScenarios()
+
+// ScenarioByName resolves a registry name. The result is the caller's
+// own: its DAG parameters are a fresh copy.
 func ScenarioByName(name string) (Scenario, error) {
-	for _, s := range StandardScenarios() {
+	for _, s := range registry {
 		if s.Name == name {
+			if s.DAG != nil {
+				d := *s.DAG
+				s.DAG = &d
+			}
 			return s, nil
 		}
 	}
@@ -223,16 +232,35 @@ func (c CampaignConfig) Points() ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]Point, 0, len(cfg.Scenarios)*len(cfg.Ms)*len(cfg.UFracs))
-	for _, sc := range cfg.Scenarios {
-		for _, m := range cfg.Ms {
-			for _, f := range cfg.UFracs {
-				u := math.Round(f*float64(m)*1e6) / 1e6
-				pts = append(pts, Point{Index: len(pts), Scenario: sc, M: m, U: u})
-			}
-		}
+	pts := make([]Point, cfg.gridSize())
+	for i := range pts {
+		pts[i] = cfg.point(i)
 	}
 	return pts, nil
+}
+
+// gridSize is the point count of a normalized grid, or math.MaxInt
+// where the product overflows, so a bound can be checked before
+// anything is built for the grid.
+func (c CampaignConfig) gridSize() int {
+	return mulCapped(mulCapped(len(c.Scenarios), len(c.Ms)), len(c.UFracs))
+}
+
+// point derives grid point i of a normalized config from its index, in
+// Points order, so running a lease never builds the grid.
+func (c CampaignConfig) point(i int) Point {
+	nu, nm := len(c.UFracs), len(c.Ms)
+	m, f := c.Ms[i/nu%nm], c.UFracs[i%nu]
+	return Point{Index: i, Scenario: c.Scenarios[i/nu/nm], M: m, U: math.Round(f*float64(m)*1e6) / 1e6}
+}
+
+// mulCapped returns a·b for a, b ≥ 0, or math.MaxInt where that
+// overflows.
+func mulCapped(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // PointResult is the outcome at one grid point: the schedulable count
@@ -301,15 +329,15 @@ type RunOptions struct {
 // campaign's file (or accepting a confused cluster worker's stream)
 // would otherwise silently emit stale foreign points as this campaign's
 // output.
-func CheckResult(cfg CampaignConfig, points []Point, pr PointResult) error {
+func CheckResult(cfg CampaignConfig, pr PointResult) error {
 	ncfg, err := cfg.normalized()
 	if err != nil {
 		return err
 	}
-	if pr.Index < 0 || pr.Index >= len(points) {
-		return fmt.Errorf("experiments: point index %d outside this campaign's grid (%d points)", pr.Index, len(points))
+	if n := ncfg.gridSize(); pr.Index < 0 || pr.Index >= n {
+		return fmt.Errorf("experiments: point index %d outside this campaign's grid (%d points)", pr.Index, n)
 	}
-	pt := points[pr.Index]
+	pt := ncfg.point(pr.Index)
 	if pr.Scenario != pt.Scenario.Name || pr.M != pt.M || pr.U != pt.U || pr.Sets != ncfg.SetsPerPoint {
 		return fmt.Errorf("experiments: point %d is (%s, m=%d, u=%v, sets=%d) in the carried data but (%s, m=%d, u=%v, sets=%d) in this campaign — wrong file or changed config",
 			pr.Index, pr.Scenario, pr.M, pr.U, pr.Sets, pt.Scenario.Name, pt.M, pt.U, ncfg.SetsPerPoint)
@@ -326,15 +354,11 @@ func RunCampaign(cfg CampaignConfig, opts RunOptions) ([]PointResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	points, err := ncfg.Points()
+	m, missing, err := NewMerger(ncfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	m, missing, err := NewMerger(ncfg, points, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := runCampaignPoints(ncfg, points, missing, opts, func(p int, pr PointResult) { m.Put(missing[p], pr) }); err != nil {
+	if err := runCampaignPoints(ncfg, missing, opts, func(p int, pr PointResult) { m.Put(missing[p], pr) }); err != nil {
 		return nil, err
 	}
 	return m.Results()
@@ -355,7 +379,7 @@ type StreamEmitter struct {
 }
 
 // NewStreamEmitter builds an emitter over the given sinks (either may
-// be nil); names are the CSV method columns (CampaignConfig.MethodNames).
+// be nil); names are the CSV method columns.
 func NewStreamEmitter(jsonl, csv io.Writer, names []string) *StreamEmitter {
 	return &StreamEmitter{jsonl: jsonl, csv: csv, names: names}
 }
@@ -394,16 +418,6 @@ func (e *StreamEmitter) Emit(r PointResult) {
 // Err returns the latched first write error, if any.
 func (e *StreamEmitter) Err() error { return e.err }
 
-// MethodNames returns the campaign's method column names after
-// normalization (the default method set when none are configured).
-func (c CampaignConfig) MethodNames() []string {
-	ncfg, err := c.normalized()
-	if err != nil {
-		return methodNames(c.Methods)
-	}
-	return methodNames(ncfg.Methods)
-}
-
 // RunCampaignSubset computes just the given grid points of a campaign:
 // the worker half of the cluster shard protocol (the coordinator leases
 // index subsets to remote workers, each of which calls this). Indices
@@ -416,13 +430,10 @@ func RunCampaignSubset(cfg CampaignConfig, indices []int, opts RunOptions) ([]Po
 	if err != nil {
 		return nil, err
 	}
-	points, err := ncfg.Points()
-	if err != nil {
-		return nil, err
-	}
+	n := ncfg.gridSize()
 	for i, idx := range indices {
-		if idx < 0 || idx >= len(points) {
-			return nil, fmt.Errorf("experiments: subset: point index %d outside this campaign's grid (%d points)", idx, len(points))
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("experiments: subset: point index %d outside this campaign's grid (%d points)", idx, n)
 		}
 		if i > 0 && idx <= indices[i-1] {
 			return nil, fmt.Errorf("experiments: subset: indices must be strictly increasing (%d after %d)", idx, indices[i-1])
@@ -432,15 +443,16 @@ func RunCampaignSubset(cfg CampaignConfig, indices []int, opts RunOptions) ([]Po
 		return nil, nil
 	}
 	m := newMerger(make([]PointResult, len(indices)), make([]bool, len(indices)), methodNames(ncfg.Methods), opts)
-	if err := runCampaignPoints(ncfg, points, indices, opts, m.Put); err != nil {
+	if err := runCampaignPoints(ncfg, indices, opts, m.Put); err != nil {
 		return nil, err
 	}
 	return m.Results()
 }
 
-// runCampaignPoints computes the grid points idx on the runner, over
-// opts.Engine or a private engine of cfg.Workers workers.
-func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOptions, done func(p int, pr PointResult)) error {
+// runCampaignPoints computes the grid points idx of a normalized config
+// on the runner, over opts.Engine or a private engine of cfg.Workers
+// workers.
+func runCampaignPoints(cfg CampaignConfig, idx []int, opts RunOptions, done func(p int, pr PointResult)) error {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -451,7 +463,7 @@ func runCampaignPoints(cfg CampaignConfig, points []Point, idx []int, opts RunOp
 		defer eng.Close()
 	}
 	return runPoints(ctx, eng, idx, func(ctx context.Context, i int) (PointResult, error) {
-		return runCampaignPoint(ctx, cfg, points[i])
+		return runCampaignPoint(ctx, cfg, cfg.point(i))
 	}, done)
 }
 

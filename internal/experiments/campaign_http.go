@@ -7,17 +7,23 @@ package experiments
 //
 //	POST /v1/campaign   run a sweep campaign, streaming one JSON
 //	                    PointResult per line (application/x-ndjson)
+//	POST /v1/shard      cluster worker: the same stream for a leased
+//	                    subset of a campaign's grid points
 //
-// The response is a plain campaign JSONL stream (ReadCampaignJSONL
-// parses it back); if the run fails after streaming began, a final
-// {"error": ...} line is appended, which JSONL readers reject — the
-// stream is only complete if every line parses.
+// Both routes are one path: each decodes its own body, then route.serve
+// admits the point list (LeasePoints), writes the ndjson header, runs
+// RunCampaignSubset over it (the full grid is the lease of every point)
+// and, if the run fails after streaming began, appends a final
+// {"error": ...} line, which JSONL readers reject — the stream is only
+// complete if every line parses. One tickWriter carries both streams.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -31,11 +37,15 @@ const (
 	MaxCampaignAnalyses  = 250_000
 )
 
+// DefaultHeartbeat is the stream tick: /v1/campaign's always, and
+// /v1/shard's unless ShardConfig.Heartbeat sets one.
+const DefaultHeartbeat = 2 * time.Second
+
 // CampaignRequest is the wire form of a campaign configuration: the
-// /v1/campaign body, and the campaign half of the cluster shard
-// protocol's /v1/shard body (internal/experiments/cluster). Scenarios
-// are registry names (StandardScenarios); methods use the wire
-// spellings of the analyze endpoint ("fp-ideal" | "lp-ilp" | "lp-max").
+// /v1/campaign body, and the campaign half of the /v1/shard body.
+// Scenarios are registry names (StandardScenarios); methods use the
+// wire spellings of the analyze endpoint ("fp-ideal" | "lp-ilp" |
+// "lp-max").
 type CampaignRequest struct {
 	Seed         int64     `json:"seed"`
 	Ms           []int     `json:"ms,omitempty"`
@@ -45,19 +55,32 @@ type CampaignRequest struct {
 	Methods      []string  `json:"methods,omitempty"`
 }
 
+// ShardRequest is the POST /v1/shard body: the campaign's wire form
+// plus the leased point indices (strictly increasing).
+type ShardRequest struct {
+	Campaign CampaignRequest `json:"campaign"`
+	Points   []int           `json:"points"`
+}
+
+// ShardConfig parameterises the /v1/shard handler.
+type ShardConfig struct {
+	// Heartbeat is the stream tick: pending lines are flushed, and a
+	// tick with none sends a blank keepalive line, so the coordinator's
+	// lease watchdog can tell a slow point from a dead worker. 0 or
+	// less means DefaultHeartbeat.
+	Heartbeat time.Duration
+	// Load, when non-nil, is the node's server: its draining state
+	// refuses new leases with a 503, and its shard gauges behind
+	// /healthz and /stats count the admitted ones.
+	Load *engine.Server
+}
+
 // CampaignHandler serves POST /v1/campaign on the given engine.
 func CampaignHandler(eng *engine.Engine) http.Handler {
+	rt := route{eng: eng, tick: DefaultHeartbeat}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes)
 		var req CampaignRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid request: %v", err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		cfg, err := req.Config()
@@ -65,34 +88,106 @@ func CampaignHandler(eng *engine.Engine) http.Handler {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		points, err := cfg.Points()
+		// Bound the grid before anything is built for it.
+		n := cfg.gridSize()
+		if n > MaxCampaignPoints {
+			httpError(w, http.StatusBadRequest, "%d grid points exceed limit %d", n, MaxCampaignPoints)
+			return
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		rt.serve(w, r, cfg, idx)
+	})
+}
+
+// ShardHandler serves POST /v1/shard on the given engine: the worker
+// half of the cluster protocol (internal/experiments/cluster). Its
+// stream holds exactly the lines a local run emits for the leased
+// indices, blank keepalive lines aside.
+func ShardHandler(eng *engine.Engine, cfg ShardConfig) http.Handler {
+	rt := route{eng: eng, tick: cfg.Heartbeat, keepalive: true, load: cfg.Load}
+	if rt.tick <= 0 {
+		rt.tick = DefaultHeartbeat
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if rt.load != nil && rt.load.Draining() {
+			httpError(w, http.StatusServiceUnavailable, "draining")
+			return
+		}
+		var req ShardRequest
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		campaign, err := req.Campaign.Config()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if len(points) > MaxCampaignPoints {
-			httpError(w, http.StatusBadRequest, "%d grid points exceed limit %d", len(points), MaxCampaignPoints)
+		if len(req.Points) == 0 {
+			httpError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
 			return
 		}
-		if analyses := len(points) * cfg.SetsPerPoint * len(cfg.Methods); analyses > MaxCampaignAnalyses {
-			httpError(w, http.StatusBadRequest, "%d analyses exceed limit %d", analyses, MaxCampaignAnalyses)
-			return
-		}
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		out := &flushLineWriter{w: w}
-		if _, err := RunCampaign(cfg, RunOptions{
-			Context: r.Context(),
-			Engine:  eng,
-			JSONL:   out,
-			Obs:     eng.Obs(),
-		}); err != nil {
-			// Too late for a status code; emit a terminal error line.
-			data, _ := json.Marshal(map[string]string{"error": err.Error()})
-			w.Write(append(data, '\n'))
-		}
+		rt.serve(w, r, campaign, req.Points)
 	})
+}
+
+// route is what sets /v1/campaign and /v1/shard apart once their bodies
+// are decoded.
+type route struct {
+	eng       *engine.Engine
+	tick      time.Duration
+	keepalive bool           // blank line on a silent tick (shard streams)
+	load      *engine.Server // shard gauges; nil on /v1/campaign
+}
+
+// serve is the one core of both routes: it admits the points idx of the
+// normalized campaign cfg, writes the ndjson header, streams their
+// results and appends the terminal error line if the run fails.
+func (rt route) serve(w http.ResponseWriter, r *http.Request, cfg CampaignConfig, idx []int) {
+	if lim := cfg.LeasePoints(); len(idx) > lim {
+		httpError(w, http.StatusBadRequest, "%d points exceed limit %d (%d sets × %d methods per point, at most %d points and %d analyses)",
+			len(idx), lim, cfg.SetsPerPoint, len(cfg.Methods), MaxCampaignPoints, MaxCampaignAnalyses)
+		return
+	}
+	if rt.load != nil {
+		rt.load.ShardStarted()
+		defer rt.load.ShardFinished()
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	out := startTicks(w, rt.tick, rt.keepalive)
+	defer out.stop()
+	if _, err := RunCampaignSubset(cfg, idx, RunOptions{
+		Context: r.Context(),
+		Engine:  rt.eng,
+		JSONL:   out,
+		Obs:     rt.eng.Obs(),
+	}); err != nil {
+		// Too late for a status code; emit a terminal error line (a
+		// coordinator treats it as a shard failure).
+		data, _ := json.Marshal(map[string]string{"error": err.Error()})
+		out.Write(append(data, '\n'))
+	}
+}
+
+// decodeBody decodes a POST body of at most MaxCampaignBodyBytes into v,
+// refusing unknown fields. It answers the 405 or 400 itself and reports
+// whether the handler goes on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return false
+	}
+	return true
 }
 
 // Config validates and resolves the wire form into a CampaignConfig.
@@ -126,10 +221,32 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 		cfg.Methods = append(cfg.Methods, m)
 	}
 	// Return the normalized form (defaults filled), so every consumer —
-	// the campaign handler's admission estimate, the shard endpoint's —
-	// reasons about the grid actually computed instead of restating the
-	// package defaults.
-	return cfg.normalized()
+	// the routes' admission, the coordinator's lease plan — reasons
+	// about the grid actually computed instead of restating the package
+	// defaults. A point whose analyses alone pass the bound fits no
+	// request, so LeasePoints stays at least 1 for every wire campaign.
+	ncfg, err := cfg.normalized()
+	if err != nil {
+		return ncfg, err
+	}
+	if per := ncfg.SetsPerPoint * len(ncfg.Methods); per > MaxCampaignAnalyses {
+		return ncfg, fmt.Errorf("%d analyses per point exceed limit %d", per, MaxCampaignAnalyses)
+	}
+	return ncfg, nil
+}
+
+// LeasePoints returns the most grid points one /v1/campaign or
+// /v1/shard request of this campaign may name: MaxCampaignPoints, or
+// fewer where the points' sets × methods analyses would pass
+// MaxCampaignAnalyses. Both routes admit by it and the cluster
+// coordinator sizes its leases by it, so a planned lease is never
+// refused. It is 0 for a config normalization rejects.
+func (c CampaignConfig) LeasePoints() int {
+	ncfg, err := c.normalized()
+	if err != nil {
+		return 0
+	}
+	return min(MaxCampaignPoints, MaxCampaignAnalyses/mulCapped(ncfg.SetsPerPoint, len(ncfg.Methods)))
 }
 
 // WireRequest renders a campaign configuration into its wire form, the
@@ -162,8 +279,8 @@ func (c CampaignConfig) WireRequest() (CampaignRequest, error) {
 		req.Methods = append(req.Methods, w)
 	}
 	// Round-trip through Config so a campaign the wire-level limits
-	// would reject (core counts, sets per point) fails at the
-	// coordinator, not on every worker.
+	// would reject (core counts, sets or analyses per point) fails at
+	// the coordinator, not on every worker.
 	if _, err := req.Config(); err != nil {
 		return req, err
 	}
@@ -176,16 +293,59 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// flushLineWriter flushes the HTTP response after every write, so the
-// ndjson stream reaches clients point by point.
-type flushLineWriter struct {
-	w http.ResponseWriter
+// tickWriter is the one stream writer of both routes. Lines stay in
+// net/http's response buffer, which writes through by itself once full;
+// once per tick the writer flushes whatever is pending, so no line
+// waits longer than a tick and none costs a flush of its own. With
+// keepalive (shard streams) a tick with nothing pending sends a blank
+// line instead, which campaign JSONL readers skip. The handler's writes
+// and the ticks share a mutex.
+type tickWriter struct {
+	mu        sync.Mutex
+	w         http.ResponseWriter
+	keepalive bool
+	pending   bool // written since the last flush
+	stopped   bool // the handler is returning w to net/http
+	timer     *time.Timer
 }
 
-func (f *flushLineWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if fl, ok := f.w.(http.Flusher); ok {
-		fl.Flush()
-	}
-	return n, err
+func startTicks(w http.ResponseWriter, tick time.Duration, keepalive bool) *tickWriter {
+	t := &tickWriter{w: w, keepalive: keepalive}
+	t.mu.Lock() // the first tick reads t.timer
+	defer t.mu.Unlock()
+	t.timer = time.AfterFunc(tick, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if t.stopped {
+			return
+		}
+		if t.pending || t.keepalive {
+			if !t.pending {
+				t.w.Write([]byte{'\n'})
+			}
+			t.pending = false
+			if fl, ok := t.w.(http.Flusher); ok {
+				fl.Flush()
+			}
+		}
+		t.timer.Reset(tick)
+	})
+	return t
+}
+
+func (t *tickWriter) Write(p []byte) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.pending = true
+	return t.w.Write(p)
+}
+
+// stop ends the ticks and fences them off w: once stop returns no tick
+// touches w again, and net/http flushes what is left when the handler
+// returns.
+func (t *tickWriter) stop() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stopped = true
+	t.timer.Stop()
 }

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bufio"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,5 +166,207 @@ func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d, want 405", getResp.StatusCode)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts its flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestStreamFlushesPerTick pins the one stream writer: lines stay in the
+// response buffer, so eight lines written within one tick cost at most
+// one flush on either route, where each line once cost its own.
+func TestStreamFlushesPerTick(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 2})
+	t.Cleanup(eng.Close)
+	campaign := `{"seed":9,"ms":[2],"u_fracs":[0.2,0.4,0.6,0.8],"sets_per_point":1,"scenarios":["mixed","wide"]}`
+	for name, tc := range map[string]struct {
+		h    http.Handler
+		body string
+	}{
+		"campaign": {CampaignHandler(eng), campaign},
+		"shard":    {ShardHandler(eng, ShardConfig{Heartbeat: time.Hour}), `{"campaign":` + campaign + `,"points":[0,1,2,3,4,5,6,7]}`},
+	} {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		tc.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body)))
+		results, err := ReadCampaignJSONL(w.Body)
+		if err != nil || len(results) != 8 {
+			t.Fatalf("%s: %d results (%v), want 8", name, len(results), err)
+		}
+		if w.flushes > 1 {
+			t.Errorf("%s: %d flushes for 8 lines within one tick, want at most 1", name, w.flushes)
+		}
+	}
+}
+
+// holdSlot occupies the engine's one slot until release, so the points
+// of a stream wait and the stream stays silent.
+func holdSlot(t *testing.T, eng *engine.Engine) (release func()) {
+	held, done := make(chan struct{}), make(chan struct{})
+	go eng.Submit(context.Background(), engine.JobAnalyze, func(context.Context) (any, error) {
+		close(held)
+		<-done
+		return nil, nil
+	})
+	<-held
+	release = sync.OnceFunc(func() { close(done) })
+	t.Cleanup(release)
+	return release
+}
+
+// TestStreamKeepalives pins what a silent tick sends: a shard stream
+// gets a blank keepalive line, so the coordinator's lease watchdog sees
+// a live worker; a /v1/campaign stream gets nothing, and its bytes stay
+// exactly RunCampaign's JSONL.
+func TestStreamKeepalives(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	req := CampaignRequest{Seed: 4, Ms: []int{2}, UFracs: []float64{0.3, 0.6}, SetsPerPoint: 1}
+	campaign := `{"seed":4,"ms":[2],"u_fracs":[0.3,0.6],"sets_per_point":1}`
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if _, err := RunCampaign(cfg, RunOptions{JSONL: &want}); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("shard", func(t *testing.T) {
+		release := holdSlot(t, eng)
+		srv := httptest.NewServer(ShardHandler(eng, ShardConfig{Heartbeat: 10 * time.Millisecond}))
+		defer srv.Close()
+		// Bounded: without a keepalive no byte, not even the header,
+		// would leave the server while the slot is held.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL, strings.NewReader(`{"campaign":`+campaign+`,"points":[0,1]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("no response from a silent shard stream: %v", err)
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		if line, err := br.ReadString('\n'); err != nil || line != "\n" {
+			t.Fatalf("first line of a silent shard stream %q (%v), want a blank keepalive", line, err)
+		}
+		release()
+		rest, err := io.ReadAll(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results strings.Builder
+		for _, line := range strings.SplitAfter(string(rest), "\n") {
+			if line != "\n" {
+				results.WriteString(line)
+			}
+		}
+		if results.String() != want.String() {
+			t.Errorf("shard stream results %q, want %q", results.String(), want.String())
+		}
+	})
+
+	t.Run("campaign", func(t *testing.T) {
+		release := holdSlot(t, eng)
+		time.AfterFunc(DefaultHeartbeat+500*time.Millisecond, release)
+		srv := httptest.NewServer(CampaignHandler(eng))
+		defer srv.Close()
+		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(campaign))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want.String() {
+			t.Errorf("campaign stream silent for a tick reads %q, want exactly %q", got, want.String())
+		}
+	})
+}
+
+// TestTickFlushesPending pins the other half of a tick: a line written
+// between ticks is flushed at the next one, while the stream goes on,
+// and a campaign stream's tick adds no keepalive beside it.
+func TestTickFlushesPending(t *testing.T) {
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	out := startTicks(w, 5*time.Millisecond, false)
+	defer out.stop()
+	out.Write([]byte("{}\n"))
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		out.mu.Lock()
+		flushes, body := w.flushes, w.Body.String()
+		out.mu.Unlock()
+		if flushes > 0 {
+			if body != "{}\n" {
+				t.Errorf("flushed body %q, want the pending line alone", body)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a pending line was not flushed within 5 s of 5 ms ticks")
+		}
+	}
+}
+
+// allocDuring returns the bytes allocated while f runs.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// hugeGridBodies are a 4 KB /v1/campaign body naming a 10^6-point grid
+// (ms and u_fracs of 1 000 entries each) and a /v1/shard body leasing
+// its last point.
+func hugeGridBodies() (campaign, shard string) {
+	ms := strings.TrimSuffix(strings.Repeat("2,", 1000), ",")
+	fracs := strings.TrimSuffix(strings.Repeat("1,", 1000), ",")
+	campaign = `{"seed":1,"ms":[` + ms + `],"u_fracs":[` + fracs + `]}`
+	return campaign, `{"campaign":` + campaign + `,"points":[999999]}`
+}
+
+// TestCampaignGridBoundedBeforeBuild pins that no route builds a grid
+// to bound it: the 10^6-point /v1/campaign body is a 400 and the
+// one-point lease of that grid a 200 (under a cancelled request
+// context, so nothing is computed), each allocating under 1 MB where
+// building the grid took 112 MB.
+func TestCampaignGridBoundedBeforeBuild(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	campaign, shard := hugeGridBodies()
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		body string
+		want int
+	}{
+		{"campaign", CampaignHandler(eng), campaign, http.StatusBadRequest},
+		{"shard", ShardHandler(eng, ShardConfig{}), shard, http.StatusOK},
+	} {
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body)).WithContext(cancelled)
+		alloc := allocDuring(func() { tc.h.ServeHTTP(w, req) })
+		if w.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body, tc.want)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: a %d-byte body allocated %.2f MB, want under 1 MB", tc.name, len(tc.body), float64(alloc)/(1<<20))
+		}
 	}
 }

@@ -93,16 +93,51 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeasePointsBound pins the one bound both routes admit by and the
+// coordinator plans with: min(MaxCampaignPoints, ⌊MaxCampaignAnalyses /
+// (sets · methods)⌋), and a wire campaign whose one point alone passes
+// the analyses limit is refused by Config, so the bound of every wire
+// campaign is at least 1.
+func TestLeasePointsBound(t *testing.T) {
+	methods := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "lp-ilp"
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		sets, methods, want int
+	}{
+		{1, 1, MaxCampaignPoints},
+		{25, 3, MaxCampaignPoints},
+		{100, 3, 833},
+		{200, 3, 416},
+		{200, 1250, 1},
+	} {
+		cfg, err := CampaignRequest{SetsPerPoint: tc.sets, Methods: methods(tc.methods)}.Config()
+		if err != nil {
+			t.Fatalf("%d sets × %d methods: %v", tc.sets, tc.methods, err)
+		}
+		if got := cfg.LeasePoints(); got != tc.want {
+			t.Errorf("%d sets × %d methods: LeasePoints = %d, want %d", tc.sets, tc.methods, got, tc.want)
+		}
+	}
+	if _, err := (CampaignRequest{SetsPerPoint: 200, Methods: methods(1251)}).Config(); err == nil ||
+		!strings.Contains(err.Error(), "250200 analyses per point exceed limit 250000") {
+		t.Errorf("one point past the analyses limit: %v", err)
+	}
+	if got := (CampaignConfig{Ms: []int{0}}).LeasePoints(); got != 0 {
+		t.Errorf("LeasePoints of an invalid config = %d, want 0", got)
+	}
+}
+
 // TestPrepareResumeValidation pins the foreign-file rejection shared by
 // -resume and the cluster merger (both go through NewMerger).
 func TestPrepareResumeValidation(t *testing.T) {
 	cfg := CampaignConfig{Seed: 1, Ms: []int{2}, UFracs: []float64{0.5}, SetsPerPoint: 1}
-	points, err := cfg.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
 	good := PointResult{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 1, Sched: map[string]int{}}
-	if _, missing, err := NewMerger(cfg, points, RunOptions{Completed: []PointResult{good}}); err != nil || len(missing) != 0 {
+	if _, missing, err := NewMerger(cfg, RunOptions{Completed: []PointResult{good}}); err != nil || len(missing) != 0 {
 		t.Fatalf("valid carried point rejected: %v (missing %v)", err, missing)
 	}
 	for _, bad := range []PointResult{
@@ -112,7 +147,7 @@ func TestPrepareResumeValidation(t *testing.T) {
 		{Index: 0, Scenario: "mixed", M: 2, U: 2, Sets: 1},
 		{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 7},
 	} {
-		if _, _, err := NewMerger(cfg, points, RunOptions{Completed: []PointResult{bad}}); err == nil {
+		if _, _, err := NewMerger(cfg, RunOptions{Completed: []PointResult{bad}}); err == nil {
 			t.Errorf("foreign point %+v accepted", bad)
 		}
 	}

@@ -349,6 +349,24 @@ func TestStandardScenarios(t *testing.T) {
 	}
 }
 
+// TestScenarioByNameReturnsCopy pins that a resolved scenario is the
+// caller's own: editing its DAG parameters leaves the registry, and so
+// every later request naming it, untouched.
+func TestScenarioByNameReturnsCopy(t *testing.T) {
+	sc, err := ScenarioByName("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.DAG.MaxNodes = 1
+	again, err := ScenarioByName("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.DAG.MaxNodes == 1 {
+		t.Fatal("editing a resolved scenario changed the registry")
+	}
+}
+
 func TestScenarioNPRTransforms(t *testing.T) {
 	fine := Scenario{Name: "npr-fine", Group: gen.GroupMixed, NPRSplit: 10}
 	ts := fine.TaskSet(7, 2.0)

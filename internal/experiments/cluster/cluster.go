@@ -1,7 +1,7 @@
 // Package cluster fans a sweep campaign out across machines: a
 // coordinator splits the campaign's point grid into shard leases
-// (striped by planShards) and dispatches them to remote
-// lpdag-serve workers over POST /v1/shard, merging the streamed JSONL
+// (planLeases) and dispatches them to remote lpdag-serve workers over
+// POST /v1/shard (experiments.ShardHandler), merging the streamed JSONL
 // shard results back in index order.
 //
 // Determinism: every grid point is deterministic in (campaign seed,
@@ -13,8 +13,9 @@
 // asserts exactly that.
 //
 // Failure handling: a lease dies when its stream goes silent past
-// LeaseTimeout (the worker heartbeats every couple of seconds, so
-// silence means death or stall), returns an error line, breaks, or
+// LeaseTimeout (the worker's stream ticks every couple of seconds, with
+// a blank keepalive line when no result is pending, so silence means
+// death or stall), returns an error line, breaks, or
 // ends with points missing. The shard's not-yet-streamed points are
 // requeued to another worker, bounded by MaxShardRetries; a worker
 // that fails WorkerFailLimit consecutive times is excluded, and one
@@ -62,7 +63,8 @@ type Config struct {
 	Client *http.Client
 	// LeaseTimeout is the maximum silence on a shard stream before the
 	// lease is declared dead and requeued; 0 means DefaultLeaseTimeout.
-	// Workers heartbeat well below the default.
+	// Worker streams tick (experiments.DefaultHeartbeat) well below the
+	// default.
 	LeaseTimeout time.Duration
 	// MaxShardRetries bounds the failure requeues of one shard; 0 means
 	// DefaultMaxShardRetries. Exceeding it fails the campaign.
@@ -70,13 +72,6 @@ type Config struct {
 	// WorkerFailLimit excludes a worker after this many consecutive
 	// failures; 0 means DefaultWorkerFailLimit.
 	WorkerFailLimit int
-	// MaxLeasePoints caps the points of one lease; 0 means
-	// DefaultMaxShardPoints (the workers' default admission limit).
-	// Set it to the smallest -max-shard-points across the cluster.
-	// The coordinator plans 4 × len(Workers) leases, capped at the
-	// remaining point count, and more where that would exceed the cap;
-	// the lease plan never affects output bytes.
-	MaxLeasePoints int
 }
 
 // Run executes the campaign across the cluster and returns the
@@ -104,30 +99,16 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 	if err != nil {
 		return nil, err
 	}
-	points, err := cfg.Campaign.Points()
-	if err != nil {
-		return nil, err
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 
-	merger, remaining, err := experiments.NewMerger(cfg.Campaign, points, opts)
+	merger, remaining, err := experiments.NewMerger(cfg.Campaign, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// Four leases per worker, for failover rebalancing, and never a
-	// lease the workers would refuse to admit: striping makes shard
-	// sizes differ by at most one, so enough shards keep every lease
-	// within the cap.
-	maxLease := cfg.MaxLeasePoints
-	if maxLease <= 0 {
-		maxLease = DefaultMaxShardPoints
-	}
-	shardCount := max(4*len(cfg.Workers), (len(remaining)+maxLease-1)/maxLease)
-	tracker := NewTracker(planShards(remaining, shardCount), cfg.MaxShardRetries)
+	tracker := NewTracker(planLeases(cfg.Campaign, remaining, len(cfg.Workers)), cfg.MaxShardRetries)
 	tracker.Instrument(opts.Obs)
 
 	// A context watcher aborts the tracker so worker loops blocked in
@@ -141,7 +122,7 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 		}
 	}()
 
-	c := &coordinator{cfg: cfg, wreq: wreq, points: points, tracker: tracker,
+	c := &coordinator{cfg: cfg, wreq: wreq, tracker: tracker,
 		resultc: make(chan experiments.PointResult, 2*len(cfg.Workers))}
 	var wg sync.WaitGroup
 	for _, url := range cfg.Workers {
@@ -175,11 +156,21 @@ func Run(cfg Config, opts experiments.RunOptions) ([]experiments.PointResult, er
 	return merger.Results()
 }
 
+// planLeases stripes the remaining points into four leases per worker,
+// for failover rebalancing, and into more where a lease would pass the
+// campaign's experiments.LeasePoints, the bound every worker admits by:
+// striping makes lease sizes differ by at most one, so enough leases
+// keep each within it. The campaign has passed WireRequest, which keeps
+// the bound at least 1. The plan never affects output bytes.
+func planLeases(campaign experiments.CampaignConfig, remaining []int, workers int) [][]int {
+	bound := campaign.LeasePoints()
+	return planShards(remaining, max(4*workers, (len(remaining)+bound-1)/bound))
+}
+
 // coordinator carries the per-run state shared by the worker loops.
 type coordinator struct {
 	cfg     Config
 	wreq    experiments.CampaignRequest
-	points  []experiments.Point
 	tracker *Tracker
 	resultc chan experiments.PointResult
 }
@@ -294,9 +285,9 @@ func (c *coordinator) checkHealth(ctx context.Context, url string) (draining boo
 // runShard executes one lease: POST the shard, stream the result lines,
 // validate each against the grid, and feed them to the merger. Any
 // received silence longer than LeaseTimeout kills the request — the
-// worker heartbeats, so a live shard is never silent that long.
+// worker's stream ticks, so a live shard is never silent that long.
 func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) error {
-	body, err := json.Marshal(ShardRequest{Campaign: c.wreq, Points: lease.Points})
+	body, err := json.Marshal(experiments.ShardRequest{Campaign: c.wreq, Points: lease.Points})
 	if err != nil {
 		return err
 	}
@@ -329,13 +320,13 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		watchdog.Reset(c.cfg.LeaseTimeout)
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
-			continue // heartbeat
+			continue // keepalive
 		}
 		pr, err := experiments.DecodeResultLine(raw)
 		if err != nil {
 			return fmt.Errorf("shard stream: %w", err)
 		}
-		if err := experiments.CheckResult(c.cfg.Campaign, c.points, pr); err != nil {
+		if err := experiments.CheckResult(c.cfg.Campaign, pr); err != nil {
 			return fmt.Errorf("shard stream: %w", err)
 		}
 		if err := c.tracker.Progress(lease.Shard, url, pr.Index); err != nil {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +33,7 @@ func newTestWorker(t *testing.T) *testWorker {
 	t.Cleanup(eng.Close)
 	srv := engine.NewServer(eng, engine.ServerConfig{})
 	mux := http.NewServeMux()
-	mux.Handle("/v1/shard", NewWorkerHandler(eng, WorkerConfig{
+	mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
 		Heartbeat: 100 * time.Millisecond, Load: srv,
 	}))
 	mux.Handle("/", srv)
@@ -223,38 +225,161 @@ func TestClusterResume(t *testing.T) {
 	}
 }
 
-// TestClusterLeaseCapRespected pins the admission-cap interplay: when
-// the default lease plan (four leases per worker) would produce leases
-// larger than the workers' -max-shard-points limit, the coordinator
-// raises the lease count instead of dispatching leases every worker
-// rejects.
+// TestClusterLeaseCapRespected pins the lease bound the coordinator
+// derives: a 2000-point campaign at 200 sets and three methods admits
+// at most ⌊250000 / 600⌋ = 416 points per request, so the coordinator
+// plans five leases instead of its default four per worker. The worker
+// admits every lease through a real shard handler under a cancelled
+// request context, so nothing is computed there, then streams
+// synthetic results; the merged stream must be exactly those lines, in
+// index order.
 func TestClusterLeaseCapRespected(t *testing.T) {
-	eng := engine.New(engine.Config{Workers: 2})
+	mixed, err := experiments.ScenarioByName("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.CampaignConfig{Seed: 3, Ms: []int{2}, SetsPerPoint: 200, Scenarios: []experiments.Scenario{mixed}}
+	for i := 1; i <= 2000; i++ {
+		cfg.UFracs = append(cfg.UFracs, float64(i)/1000)
+	}
+	points, err := cfg.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := func(i int) experiments.PointResult {
+		pt := points[i]
+		return experiments.PointResult{Index: i, Scenario: pt.Scenario.Name, M: pt.M, U: pt.U, Sets: 200,
+			Sched: map[string]int{"FP-ideal": i % 201, "LP-ILP": i % 199, "LP-max": i % 197}}
+	}
+	var want bytes.Buffer
+	for i := range points {
+		if err := experiments.WritePointResult(&want, result(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
+	shard := experiments.ShardHandler(eng, experiments.ShardConfig{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var (
+		mu     sync.Mutex
+		leases []int
+	)
 	mux := http.NewServeMux()
-	mux.Handle("/v1/shard", NewWorkerHandler(eng, WorkerConfig{MaxPoints: 1, Heartbeat: 100 * time.Millisecond}))
+	mux.HandleFunc("/v1/shard", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		admit := httptest.NewRecorder()
+		shard.ServeHTTP(admit, httptest.NewRequest(http.MethodPost, "/v1/shard", bytes.NewReader(body)).WithContext(cancelled))
+		if admit.Code != http.StatusOK {
+			w.WriteHeader(admit.Code)
+			w.Write(admit.Body.Bytes())
+			return
+		}
+		var req experiments.ShardRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		leases = append(leases, len(req.Points))
+		mu.Unlock()
+		for _, i := range req.Points {
+			experiments.WritePointResult(w, result(i))
+		}
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	cfg := e2eCampaign(t)
-	cfg.UFracs = cfg.UFracs[:2] // 8 points
-	wantJSONL, _ := runLocalReference(t, cfg)
-
 	var jb bytes.Buffer
-	_, err := Run(Config{
-		Campaign:       cfg,
-		Workers:        []string{ts.URL},
-		LeaseTimeout:   3 * time.Second,
-		MaxLeasePoints: 1, // four 2-point leases without the cap
-	}, experiments.RunOptions{JSONL: &jb})
-	if err != nil {
-		t.Fatalf("capped cluster run: %v", err)
+	if _, err := Run(Config{
+		Campaign:        cfg,
+		Workers:         []string{ts.URL},
+		LeaseTimeout:    3 * time.Second,
+		MaxShardRetries: 1,
+	}, experiments.RunOptions{JSONL: &jb}); err != nil {
+		t.Fatalf("cluster run: %v", err)
 	}
-	if !bytes.Equal(jb.Bytes(), wantJSONL) {
-		t.Error("capped-lease JSONL differs from local run")
+	if !bytes.Equal(jb.Bytes(), want.Bytes()) {
+		t.Error("merged JSONL differs from the worker's lines in index order")
+	}
+	if bound := cfg.LeasePoints(); bound != 416 {
+		t.Fatalf("LeasePoints = %d, want 416", bound)
+	}
+	if len(leases) != 5 {
+		t.Errorf("%d leases granted, want 5 (2000 points at most 416 each)", len(leases))
+	}
+	for _, n := range leases {
+		if n > 416 {
+			t.Errorf("lease of %d points passes the bound 416", n)
+		}
+	}
+}
+
+// TestPlannedLeasesAdmitted pins that a coordinator never plans a lease
+// a worker refuses: over grids of up to 5 000 points, 1 to 200 sets per
+// point and one to three methods, on one and three workers, a real
+// shard handler answers every planned lease 200 under an already
+// cancelled request context, so nothing is computed. The 4096-point
+// grid at 100 sets is the probe whose 1024-point leases a worker used
+// to refuse with "307200 analyses exceed limit 250000".
+func TestPlannedLeasesAdmitted(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	shard := experiments.ShardHandler(eng, experiments.ShardConfig{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	names := []string{"mixed", "parallel", "heavy", "light", "wide"}
+	wireMethods := []string{"fp-ideal", "lp-ilp", "lp-max"}
+	list := func(n int, at func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = at(i)
+		}
+		return out
+	}
+	for _, grid := range [][3]int{{1, 1, 1}, {1, 3, 9}, {2, 4, 49}, {3, 31, 22}, {1, 1, 2049}, {4, 64, 16}, {5, 40, 25}} {
+		var ms []int
+		for _, m := range list(grid[1], func(i int) float64 { return float64(i%64 + 1) }) {
+			ms = append(ms, int(m))
+		}
+		fracs := list(grid[2], func(i int) float64 { return float64(i+1) / 100 })
+		for _, sets := range []int{1, 25, 100, 200} {
+			for k := 1; k <= 3; k++ {
+				req := experiments.CampaignRequest{Seed: 1, Ms: ms, UFracs: fracs, SetsPerPoint: sets,
+					Scenarios: names[:grid[0]], Methods: wireMethods[:k]}
+				cfg, err := req.Config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				all := make([]int, grid[0]*grid[1]*grid[2])
+				for i := range all {
+					all[i] = i
+				}
+				for _, workers := range []int{1, 3} {
+					for _, lease := range planLeases(cfg, all, workers) {
+						body, err := json.Marshal(experiments.ShardRequest{Campaign: req, Points: lease})
+						if err != nil {
+							t.Fatal(err)
+						}
+						w := httptest.NewRecorder()
+						shard.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/shard", bytes.NewReader(body)).WithContext(cancelled))
+						if w.Code != http.StatusOK {
+							t.Fatalf("grid %v, %d sets, %d methods, %d workers: a %d-point lease got %d: %s",
+								grid, sets, k, workers, len(lease), w.Code, w.Body)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -316,7 +441,7 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
 	srv := engine.NewServer(eng, engine.ServerConfig{})
-	h := NewWorkerHandler(eng, WorkerConfig{MaxPoints: 4, Load: srv})
+	h := experiments.ShardHandler(eng, experiments.ShardConfig{Load: srv})
 
 	post := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/shard", strings.NewReader(body))
@@ -328,7 +453,11 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	if w := post(`{"campaign": {"seed": 1}, "points": []}`); w.Code != http.StatusBadRequest {
 		t.Errorf("empty lease: status %d, want 400", w.Code)
 	}
-	if w := post(`{"campaign": {"seed": 1}, "points": [0,1,2,3,4]}`); w.Code != http.StatusBadRequest {
+	oversized := make([]string, experiments.MaxCampaignPoints+1)
+	for i := range oversized {
+		oversized[i] = strconv.Itoa(i)
+	}
+	if w := post(`{"campaign": {"seed": 1}, "points": [` + strings.Join(oversized, ",") + `]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("oversized lease: status %d, want 400", w.Code)
 	}
 	if w := post(`{"campaign": {"scenarios": ["no-such"]}, "points": [0]}`); w.Code != http.StatusBadRequest {
@@ -363,7 +492,7 @@ func TestWorkerStreamMatchesLocalSubset(t *testing.T) {
 		Seed: 7, Ms: []int{2}, UFracs: []float64{0.3, 0.6}, SetsPerPoint: 2,
 		Scenarios: []string{"mixed"},
 	}
-	body, _ := json.Marshal(ShardRequest{Campaign: campaign, Points: []int{0, 1}})
+	body, _ := json.Marshal(experiments.ShardRequest{Campaign: campaign, Points: []int{0, 1}})
 	resp, err := http.Post(w.ts.URL+"/v1/shard", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +531,7 @@ func probeWorker(t *testing.T) (*testWorker, func() []string) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
 	srv := engine.NewServer(eng, engine.ServerConfig{})
-	shard := NewWorkerHandler(eng, WorkerConfig{Heartbeat: 100 * time.Millisecond, Load: srv})
+	shard := experiments.ShardHandler(eng, experiments.ShardConfig{Heartbeat: 100 * time.Millisecond, Load: srv})
 	var (
 		mu     sync.Mutex
 		leases []string

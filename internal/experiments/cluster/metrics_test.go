@@ -233,7 +233,7 @@ func TestClusterScrapeDuringCampaign(t *testing.T) {
 		t.Cleanup(eng.Close)
 		srv := engine.NewServer(eng, engine.ServerConfig{})
 		mux := http.NewServeMux()
-		mux.Handle("/v1/shard", NewWorkerHandler(eng, WorkerConfig{
+		mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
 			Heartbeat: 100 * time.Millisecond, Load: srv,
 		}))
 		mux.Handle("/", srv)

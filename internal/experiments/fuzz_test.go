@@ -6,9 +6,14 @@ package experiments
 // re-encoded bytes are a fixed point).
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func jsonlSeedCorpus() []string {
@@ -98,6 +103,39 @@ func FuzzCampaignCSVRoundTrip(f *testing.F) {
 		}
 		if enc2 := CampaignCSV(back, methods2); enc2 != enc {
 			t.Fatalf("encoding not a fixed point:\n%q\nvs\n%q", enc, enc2)
+		}
+	})
+}
+
+// FuzzCampaignBody posts arbitrary bytes to /v1/campaign and /v1/shard
+// under an already-cancelled request context, so no point is computed:
+// neither route may panic, each answers 200, 400 or 503, and the bytes
+// allocated during the call stay under 64 × len(body) + 1 MiB, so no
+// body can make a node build a grid for it.
+func FuzzCampaignBody(f *testing.F) {
+	campaign, shard := hugeGridBodies()
+	small := `{"seed":1,"ms":[2,4],"u_fracs":[0.5],"sets_per_point":2,"scenarios":["wide"]}`
+	for _, body := range []string{campaign, shard, small, `{"campaign":` + small + `,"points":[1]}`} {
+		f.Add([]byte(body))
+	}
+	eng := engine.New(engine.Config{Workers: 1})
+	f.Cleanup(eng.Close)
+	routes := []http.Handler{CampaignHandler(eng), ShardHandler(eng, ShardConfig{})}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, h := range routes {
+			w := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(string(body))).WithContext(cancelled)
+			alloc := allocDuring(func() { h.ServeHTTP(w, req) })
+			switch w.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable:
+			default:
+				t.Fatalf("status %d for %q: %s", w.Code, body, w.Body)
+			}
+			if limit := uint64(64*len(body) + 1<<20); alloc > limit {
+				t.Fatalf("a %d-byte body allocated %d bytes, over %d", len(body), alloc, limit)
+			}
 		}
 	})
 }

@@ -91,11 +91,16 @@ type Merger struct {
 // results carried over in opts.Completed (the -resume mechanism) with
 // CheckResult, emits their contiguous prefix at once, and returns the
 // indices still to compute, ascending.
-func NewMerger(cfg CampaignConfig, points []Point, opts RunOptions) (*Merger, []int, error) {
-	results := make([]PointResult, len(points))
-	ready := make([]bool, len(points))
+func NewMerger(cfg CampaignConfig, opts RunOptions) (*Merger, []int, error) {
+	ncfg, err := cfg.normalized()
+	if err != nil {
+		return nil, nil, err
+	}
+	n := ncfg.gridSize()
+	results := make([]PointResult, n)
+	ready := make([]bool, n)
 	for _, pr := range opts.Completed {
-		if err := CheckResult(cfg, points, pr); err != nil {
+		if err := CheckResult(ncfg, pr); err != nil {
 			return nil, nil, fmt.Errorf("resume: %w", err)
 		}
 		if !ready[pr.Index] {
@@ -103,12 +108,12 @@ func NewMerger(cfg CampaignConfig, points []Point, opts RunOptions) (*Merger, []
 		}
 	}
 	var missing []int
-	for i := range points {
+	for i := range n {
 		if !ready[i] {
 			missing = append(missing, i)
 		}
 	}
-	return newMerger(results, ready, cfg.MethodNames(), opts), missing, nil
+	return newMerger(results, ready, methodNames(ncfg.Methods), opts), missing, nil
 }
 
 func newMerger(results []PointResult, ready []bool, names []string, opts RunOptions) *Merger {

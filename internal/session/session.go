@@ -22,6 +22,7 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -295,6 +296,9 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 	}
 	return core.BisectPermille(maxPermille, func(permille int) (bool, error) {
 		scaled, err := core.ScaleTask(s.tasks[i], permille)
+		if errors.Is(err, core.ErrScaleOverflow) {
+			return false, nil // conservative, and monotone in permille
+		}
 		if err != nil {
 			return false, err
 		}

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/engine/cache"
 	"repro/internal/fixture"
 	"repro/internal/gen"
@@ -311,6 +312,30 @@ func TestSessionSensitivitySingleTask(t *testing.T) {
 	}
 	if got < 1000 {
 		t.Fatalf("lone feasible task should sustain ≥ 1.0×, got %d", got)
+	}
+}
+
+// TestSessionSensitivityHugeWCET is core's wrapped-scaling probe on a
+// session: one node of WCET 2^61, D = T = 2^62, one core. Probes whose
+// WCET leaves int64 count as not schedulable, so both a 4000‰ and a
+// 2^62‰ search answer 2000‰, as CriticalScaling does.
+func TestSessionSensitivityHugeWCET(t *testing.T) {
+	var b dag.Builder
+	b.AddNode(1 << 61)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := New(core.Options{Cores: 1, Method: core.LPILP},
+		&model.Task{Name: "t", G: g, Deadline: 1 << 62, Period: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxPermille := range []int{4000, 1 << 62} {
+		got, err := sess.Sensitivity(context.Background(), 0, maxPermille)
+		if err != nil || got != 2000 {
+			t.Errorf("max %d‰: Sensitivity = %d, %v; want 2000", maxPermille, got, err)
+		}
 	}
 }
 

@@ -488,8 +488,9 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterLease is one granted shard lease (for introspection).
 	ClusterLease = cluster.Lease
-	// ClusterWorkerConfig parameterises the worker-side shard handler.
-	ClusterWorkerConfig = cluster.WorkerConfig
+	// ClusterWorkerConfig parameterises the worker-side shard handler:
+	// the stream tick and the node's *EngineServer.
+	ClusterWorkerConfig = experiments.ShardConfig
 )
 
 // RunClusterCampaign executes a campaign across remote lpdag-serve
@@ -502,11 +503,12 @@ func RunClusterCampaign(cfg ClusterConfig, opts CampaignRunOptions) ([]CampaignP
 }
 
 // NewShardWorkerHandler serves POST /v1/shard on the given engine: the
-// worker half of the cluster protocol. Pass the node's *Server (from
+// worker half of the cluster protocol, on the same path as
+// NewCampaignHandler. Pass the node's *EngineServer (from
 // NewEngineServer) as cfg.Load so shard load and draining state reach
 // /healthz and /stats.
 func NewShardWorkerHandler(e *Engine, cfg ClusterWorkerConfig) http.Handler {
-	return cluster.NewWorkerHandler(e, cfg)
+	return experiments.ShardHandler(e, cfg)
 }
 
 // Sequential-task substrate (see internal/seqlp): the RTNS 2015 analysis
