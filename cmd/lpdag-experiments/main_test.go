@@ -120,10 +120,8 @@ func TestCampaignClusterFlag(t *testing.T) {
 		eng := lpdag.NewEngine(lpdag.EngineConfig{Workers: 2})
 		t.Cleanup(eng.Close)
 		srv := lpdag.NewEngineServer(eng, lpdag.ServerConfig{})
-		mux := http.NewServeMux()
-		mux.Handle("/v1/shard", lpdag.NewShardWorkerHandler(eng, lpdag.ClusterWorkerConfig{Load: srv}))
-		mux.Handle("/", srv)
-		ts := httptest.NewServer(mux)
+		lpdag.MountCampaignRoutes(srv)
+		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		return ts
 	}

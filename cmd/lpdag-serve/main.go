@@ -23,12 +23,15 @@
 //	GET  /metrics      Prometheus text exposition: engine slots, cache,
 //	                   sessions, campaign/cluster, HTTP, analysis traces
 //
-// Results and errors are JSON (ndjson on /v1/campaign and /v1/shard),
-// whatever the Accept header asks for. The ndjson lines are flushed
-// once per tick (-heartbeat on /v1/shard, with a blank keepalive line
-// when nothing is pending; 2s on /v1/campaign), not per line. The one
-// binary body is the snapshot stream a draining peer posts to
-// /v1/sessions/handoff.
+// Every API route sits behind one admission (-max-inflight, -max-body;
+// /healthz, /stats and /metrics stay outside it) and answers with one
+// decoder and error writer. Results and errors are JSON (ndjson on
+// /v1/campaign and /v1/shard), whatever the Accept header asks for.
+// The ndjson lines are flushed once per tick, not per line: every 2s on
+// /v1/campaign, and on /v1/shard every quarter of the lease timeout the
+// coordinator sends, 2s at most, with a blank keepalive line when
+// nothing is pending. The one binary body is the snapshot stream a
+// draining peer posts to /v1/sessions/handoff.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
 // server-side and re-analyzes it from scratch per query, with µ tables
@@ -53,7 +56,8 @@
 // mid-append. With -self-url and -peers a static group of servers forms
 // a consistent-hash ring over session ids: requests for sessions owned
 // elsewhere answer 307 with the owner in X-Lpdag-Session-Owner, every
-// session response carries the edit epoch in X-Lpdag-Session-Epoch (so
+// session response (a create, and every operation run on the session,
+// failed or not) carries the edit epoch in X-Lpdag-Session-Epoch (so
 // clients can tell whether an edit whose connection died actually
 // committed), and the SIGTERM drain hands each live session to its next
 // ring owner before the listener closes. See DESIGN.md, "Durable
@@ -129,7 +133,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		// Cluster worker mode: the node serves POST /v1/shard leases from
 		// a campaign coordinator (lpdag-experiments -cluster).
-		heartbeat  = fs.Duration("heartbeat", experiments.DefaultHeartbeat, "shard-stream tick: pending lines are flushed, a silent tick sends a keepalive line (0 or less = default); must stay well below every coordinator's -lease-timeout, or slow points are mistaken for dead workers")
 		drainGrace = fs.Duration("drain-grace", 0, "after SIGTERM, keep serving this long with /healthz reporting draining so coordinators reroute before the listener closes")
 
 		// Observability: structured request logging + /metrics exposition.
@@ -193,12 +196,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Request contexts deliberately do NOT derive from the signal
 	// context: SIGTERM must stop accepting and let Shutdown drain
 	// in-flight requests, not cancel them mid-analysis.
-	//
-	// The campaign orchestrator and the cluster shard endpoint mount
-	// beside the engine endpoints (they live in internal/experiments,
-	// one layer above the engine). The engine server doubles as the
-	// node's worker-state surface: the shard handler feeds its load
-	// gauges, and /healthz flips to "draining" when shutdown begins.
 	var peerList []string
 	if *peers != "" {
 		if *selfURL == "" {
@@ -229,17 +226,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpdag-serve: session store %s: %d sessions restored\n",
 			*sessionDir, engSrv.Sessions().Len())
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/v1/campaign", experiments.CampaignHandler(eng))
-	mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
-		Heartbeat: *heartbeat, Load: engSrv,
-	}))
-	mux.Handle("/", engSrv)
-	// The logging/metrics middleware wraps the WHOLE outer mux, so
-	// campaign and shard streams are logged and counted exactly like the
-	// engine endpoints (the route label is the innermost mux pattern).
+	// The campaign orchestrator and the cluster shard endpoint mount on
+	// the engine server (they live in internal/experiments, one layer
+	// above the engine), behind the admission of every engine route.
+	// The engine server doubles as the node's worker-state surface: the
+	// shard route feeds its load gauges, and /healthz flips to
+	// "draining" when shutdown begins. The logging/metrics middleware
+	// wraps it, so every request is logged and counted once, labelled
+	// by its route pattern.
+	experiments.Mount(engSrv)
 	srv := &http.Server{
-		Handler:           engine.LogRequests(mux, logger, reg, *slowReq),
+		Handler:           engine.LogRequests(engSrv, logger, reg, *slowReq),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Fprintf(stderr, "lpdag-serve: listening on %s\n", ln.Addr())

@@ -227,7 +227,7 @@ func TestServeCampaignLeavesCache(t *testing.T) {
 // once shutdown begins (with -drain-grace holding the listener open)
 // /healthz flips to 503 "draining" while new shard leases are refused.
 func TestServeShardAndDrain(t *testing.T) {
-	base, shutdown := startServer(t, "-workers", "2", "-drain-grace", "1s", "-heartbeat", "100ms")
+	base, shutdown := startServer(t, "-workers", "2", "-drain-grace", "1s")
 
 	resp, err := http.Post(base+"/v1/shard", "application/json", strings.NewReader(
 		`{"campaign": {"seed": 3, "ms": [2], "u_fracs": [0.4, 0.8], "sets_per_point": 2, "scenarios": ["mixed"]}, "points": [0, 1]}`))
@@ -287,7 +287,7 @@ func TestServeShardAndDrain(t *testing.T) {
 // /v1/shard) that the same request without the header gets, byte for
 // byte.
 func TestServeBinaryAcceptGetsJSON(t *testing.T) {
-	base, shutdown := startServer(t, "-workers", "2", "-heartbeat", "1h")
+	base, shutdown := startServer(t, "-workers", "2")
 	defer shutdown()
 	raw, err := lpdag.PaperExample().MarshalJSON()
 	if err != nil {

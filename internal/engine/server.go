@@ -1,7 +1,7 @@
 package engine
 
 // HTTP front end of the engine: a stdlib-only JSON API served by
-// cmd/lpdag-serve.
+// cmd/lpdag-serve, the node's only HTTP surface.
 //
 //	POST /v1/analyze   batch response-time analysis
 //	POST /v1/simulate  discrete-event scheduler simulation
@@ -9,10 +9,12 @@ package engine
 //	GET  /healthz      liveness probe
 //	GET  /stats        engine + cache counters
 //
-// Every POST body is capped at ServerConfig.MaxBodyBytes and the number
-// of concurrently served requests at MaxInFlight (excess requests get
-// 503, the caller's signal to back off — the engine's slots already
-// provide backpressure per job).
+// Layers above the engine mount their routes with Server.Handle (the
+// campaign streams of internal/experiments). Every POST body is capped
+// at ServerConfig.MaxBodyBytes and the number of concurrently served
+// requests at MaxInFlight (excess requests get 503, the caller's signal
+// to back off — the engine's slots already provide backpressure per
+// job).
 //
 // Results and errors are JSON, whatever the Accept header asks for.
 
@@ -108,8 +110,8 @@ func CheckCores(m int) error {
 // http.Handler for the engine endpoints it carries the node's worker
 // state for cluster deployments: a draining flag (set by StartDraining
 // when SIGTERM drain begins, reported by /healthz so coordinators stop
-// scheduling here) and shard-load gauges fed by the /v1/shard handler
-// (internal/experiments/cluster).
+// scheduling here) and shard-load gauges fed by the /v1/shard route
+// that internal/experiments mounts.
 type Server struct {
 	eng       *Engine
 	cfg       ServerConfig
@@ -235,6 +237,17 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 // programmatic access to the sessions the HTTP surface manages).
 func (s *Server) Sessions() *SessionRegistry { return s.sessions }
 
+// Engine returns the engine the server dispatches onto.
+func (s *Server) Engine() *Engine { return s.eng }
+
+// Handle mounts h under the ServeMux pattern behind the admission of
+// every engine route: the in-flight semaphore, the /stats http_requests
+// count and the MaxBodyBytes cap. A mounted route answers with the
+// server's Decode and WriteError.
+func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, s.limited(h))
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -267,7 +280,7 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 			defer func() { <-s.inFlight }()
 		default:
 			atomic.AddUint64(&s.shed, 1)
-			s.writeError(w, http.StatusServiceUnavailable, "server at capacity, retry later")
+			s.WriteError(w, http.StatusServiceUnavailable, "server at capacity, retry later")
 			return
 		}
 		atomic.AddUint64(&s.requests, 1)
@@ -334,13 +347,15 @@ func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError answers status with the JSON body {"error": message}.
+func (s *Server) WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decode parses the body into v, mapping oversized bodies to 413 and
-// malformed JSON to 400. It reports whether decoding succeeded.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// Decode parses the body into v, refusing unknown fields, and answers
+// a failure itself: 413 when the body exceeds MaxBodyBytes, else 400.
+// It reports whether decoding succeeded.
+func (s *Server) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -372,11 +387,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer
 func (s *Server) rejectBody(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		s.WriteError(w, http.StatusRequestEntityTooLarge,
 			"request body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
-	s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+	s.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 }
 
 // ParseMethod maps the API wire spelling to a core.Method ("" =
@@ -664,22 +679,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeAnalyzeRequest(body.Bytes(), s.cfg.MaxBatch)
 	respBufPool.Put(body) // the decoded request holds no reference into it
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		s.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	if req.batch == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty batch: requests must hold at least one task set")
+		s.WriteError(w, http.StatusBadRequest, "empty batch: requests must hold at least one task set")
 		return
 	}
 	if req.batch > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", req.batch, s.cfg.MaxBatch)
+		s.WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", req.batch, s.cfg.MaxBatch)
 		return
 	}
 	if req.cores == 0 {
 		req.cores = 4
 	}
 	if err := CheckCores(req.cores); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -727,7 +742,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.analyzePhases[phaseDecode].Observe(t1.Sub(t0).Seconds())
 	reports, errs, err := s.eng.AnalyzeBatch(r.Context(), sets, specs)
 	if err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "batch aborted: %v", err)
+		s.WriteError(w, http.StatusServiceUnavailable, "batch aborted: %v", err)
 		return
 	}
 	t2 := time.Now()
@@ -764,30 +779,30 @@ type simulateResponse struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if len(req.TaskSet) == 0 {
-		s.writeError(w, http.StatusBadRequest, "missing taskset")
+		s.WriteError(w, http.StatusBadRequest, "missing taskset")
 		return
 	}
 	ts := new(model.TaskSet)
 	if err := ts.UnmarshalJSON(req.TaskSet); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid taskset: %v", err)
+		s.WriteError(w, http.StatusBadRequest, "invalid taskset: %v", err)
 		return
 	}
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
 	if err := CheckCores(req.Cores); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Duration == 0 {
 		req.Duration = 10000
 	}
 	if req.Duration > MaxSimDuration {
-		s.writeError(w, http.StatusBadRequest, "duration %d exceeds limit %d", req.Duration, MaxSimDuration)
+		s.WriteError(w, http.StatusBadRequest, "duration %d exceeds limit %d", req.Duration, MaxSimDuration)
 		return
 	}
 	if req.MaxJobs <= 0 || req.MaxJobs > MaxSimJobs {
@@ -797,7 +812,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Cores: req.Cores, Duration: req.Duration, MaxJobs: req.MaxJobs,
 	})
 	if err != nil {
-		s.writeError(w, statusForJobError(err), "simulate: %v", err)
+		s.WriteError(w, statusForJobError(err), "simulate: %v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, simulateResponse{
@@ -821,7 +836,7 @@ type generateRequest struct {
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req generateRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	var group gen.Group
@@ -831,25 +846,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	case "parallel":
 		group = gen.GroupParallel
 	default:
-		s.writeError(w, http.StatusBadRequest, "unknown group %q (want mixed | parallel)", req.Group)
+		s.WriteError(w, http.StatusBadRequest, "unknown group %q (want mixed | parallel)", req.Group)
 		return
 	}
 	if req.Utilization <= 0 {
 		req.Utilization = 2
 	}
 	if req.Utilization > MaxGenUtilization {
-		s.writeError(w, http.StatusBadRequest, "utilization %g exceeds limit %d", req.Utilization, MaxGenUtilization)
+		s.WriteError(w, http.StatusBadRequest, "utilization %g exceeds limit %d", req.Utilization, MaxGenUtilization)
 		return
 	}
 	if req.Tasks > MaxGenTasks {
-		s.writeError(w, http.StatusBadRequest, "tasks %d exceeds limit %d", req.Tasks, MaxGenTasks)
+		s.WriteError(w, http.StatusBadRequest, "tasks %d exceeds limit %d", req.Tasks, MaxGenTasks)
 		return
 	}
 	if req.Count <= 0 {
 		req.Count = 1
 	}
 	if req.Count > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "count %d exceeds limit %d", req.Count, s.cfg.MaxBatch)
+		s.WriteError(w, http.StatusBadRequest, "count %d exceeds limit %d", req.Count, s.cfg.MaxBatch)
 		return
 	}
 	// Fan the generations out over the engine's slots (each is
@@ -871,7 +886,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	// The indices FanOut never handed out failed with its error.
 	for _, err := range append(errs, fanErr) {
 		if err != nil {
-			s.writeError(w, statusForJobError(err), "generate: %v", err)
+			s.WriteError(w, statusForJobError(err), "generate: %v", err)
 			return
 		}
 	}

@@ -3,11 +3,13 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -329,6 +331,26 @@ func TestCoreBound(t *testing.T) {
 	if body := w.Body.String(); w.Code != http.StatusOK || !strings.Contains(body, `"ok"`) ||
 		!strings.Contains(body, `"active_sessions": 1`) {
 		t.Errorf("healthz after the probes: status %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestHandoffFrameHeaderAllocatesNoPayload pins that a hand-off frame
+// allocates with the bytes that arrive, not with the length its header
+// declares: a 5-byte body, 'S' and a uvarint of 8 MiB, answers 400 and
+// allocates under 1 MiB, where the declared payload was once allocated
+// before the first byte of it was read.
+func TestHandoffFrameHeaderAllocatesNoPayload(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	body := string(binary.AppendUvarint([]byte{wire.FrameSnapshot}, engine.DefaultMaxBodyBytes))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := post(t, h, "/v1/sessions/handoff", body)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unexpected EOF") {
+		t.Errorf("%d-byte hand-off frame header: status %d %s, want 400 unexpected EOF", len(body), w.Code, w.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("a %d-byte hand-off body allocated %.2f MiB, want under 1 MiB", len(body), float64(alloc)/(1<<20))
 	}
 }
 

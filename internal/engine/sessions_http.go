@@ -43,9 +43,10 @@ import (
 const sessionOwnerHeader = "X-Lpdag-Session-Owner"
 
 // sessionEpochHeader carries the session's monotonic edit epoch on every
-// session response. A client whose connection died mid-edit compares it
-// against the epoch it last saw to decide whether the edit committed
-// before resending.
+// session response: a create's, and that of every operation run on the
+// session (sessionOp), failed or not. A client whose connection died
+// mid-edit compares it against the epoch it last saw to decide whether
+// the edit committed before resending.
 const sessionEpochHeader = "X-Lpdag-Session-Epoch"
 
 // redirectSession answers 307 + X-Lpdag-Session-Owner when another ring
@@ -76,6 +77,28 @@ func (s *Server) setSessionEpoch(w http.ResponseWriter, id string) {
 	}
 }
 
+// sessionOp is the one path of the session routes that run an operation
+// on session {id} (report, edits, admit, sensitivity, repair): it answers
+// the ring redirect, runs op through SessionRegistry.Do, stamps the
+// epoch on the response whether op failed or not (a failed edit batch
+// may still have committed) and answers a failure with its status,
+// prefixed by what. It reports op's value and whether the caller writes
+// the answer.
+func (s *Server) sessionOp(w http.ResponseWriter, r *http.Request, what string,
+	op func(ctx context.Context, sess *session.Session) (any, error)) (any, bool) {
+	id := r.PathValue("id")
+	if s.redirectSession(w, r, id) {
+		return nil, false
+	}
+	v, err := s.sessions.Do(r.Context(), id, op)
+	s.setSessionEpoch(w, id)
+	if err != nil {
+		s.WriteError(w, statusForSessionError(err), "%s: %v", what, err)
+		return nil, false
+	}
+	return v, true
+}
+
 // createSessionRequest is the POST /v1/sessions body. The task set is
 // optional: admission-control sessions often start empty and admit.
 type createSessionRequest struct {
@@ -87,34 +110,34 @@ type createSessionRequest struct {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
 	if err := CheckCores(req.Cores); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opts := core.Options{Cores: req.Cores, FinalNPRRefinement: req.FinalNPR}
 	var err error
 	if opts.Method, err = ParseMethod(req.Method); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var tasks []*model.Task
 	if len(req.TaskSet) > 0 {
 		ts := new(model.TaskSet)
 		if err := ts.UnmarshalJSON(req.TaskSet); err != nil {
-			s.writeError(w, http.StatusBadRequest, "invalid taskset: %v", err)
+			s.WriteError(w, http.StatusBadRequest, "invalid taskset: %v", err)
 			return
 		}
 		tasks = ts.Tasks
 	}
 	id, _, err := s.sessions.Create(opts, tasks...)
 	if err != nil {
-		s.writeError(w, statusForSessionError(err), "create session: %v", err)
+		s.WriteError(w, statusForSessionError(err), "create session: %v", err)
 		return
 	}
 	// The initial analysis solves every graph's µ tables, the largest
@@ -126,7 +149,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		})
 	if err != nil {
 		s.sessions.Delete(id)
-		s.writeError(w, statusForSessionError(err), "create session: %v", err)
+		s.WriteError(w, statusForSessionError(err), "create session: %v", err)
 		return
 	}
 	s.setSessionEpoch(w, id)
@@ -134,20 +157,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.redirectSession(w, r, id) {
-		return
-	}
-	v, err := s.sessions.Do(r.Context(), id,
+	v, ok := s.sessionOp(w, r, "session report",
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			return sess.Report(ctx)
 		})
-	if err != nil {
-		s.writeError(w, statusForSessionError(err), "session report: %v", err)
-		return
+	if ok {
+		s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
 	}
-	s.setSessionEpoch(w, id)
-	s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
 }
 
 // writeReport answers a session request with one JSON object whose last
@@ -260,26 +276,22 @@ func decodeEdit(e sessionEditJSON) (session.Edit, error) {
 
 func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 	var req sessionEditsRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Edits) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty edit batch")
+		s.WriteError(w, http.StatusBadRequest, "empty edit batch")
 		return
 	}
 	edits := make([]session.Edit, len(req.Edits))
 	for i, e := range req.Edits {
 		var err error
 		if edits[i], err = decodeEdit(e); err != nil {
-			s.writeError(w, http.StatusBadRequest, "edit %d: %v", i, err)
+			s.WriteError(w, http.StatusBadRequest, "edit %d: %v", i, err)
 			return
 		}
 	}
-	id := r.PathValue("id")
-	if s.redirectSession(w, r, id) {
-		return
-	}
-	v, err := s.sessions.Do(r.Context(), id,
+	v, ok := s.sessionOp(w, r, "session edits",
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			if err := sess.Apply(edits); err != nil {
 				return nil, err
@@ -295,13 +307,9 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 			}
 			return rep, nil
 		})
-	if err != nil {
-		s.setSessionEpoch(w, id) // edits may have committed even when the report failed
-		s.writeError(w, statusForSessionError(err), "session edits: %v", err)
-		return
+	if ok {
+		s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
 	}
-	s.setSessionEpoch(w, id)
-	s.writeReport(w, http.StatusOK, nil, v.(*core.Report))
 }
 
 // sessionAdmitRequest is the POST /v1/sessions/{id}/admit body.
@@ -312,37 +320,30 @@ type sessionAdmitRequest struct {
 
 func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request) {
 	var req sessionAdmitRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Task) == 0 {
-		s.writeError(w, http.StatusBadRequest, "missing task")
+		s.WriteError(w, http.StatusBadRequest, "missing task")
 		return
 	}
 	t := new(model.Task)
 	if err := t.UnmarshalJSON(req.Task); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid task: %v", err)
+		s.WriteError(w, http.StatusBadRequest, "invalid task: %v", err)
 		return
 	}
 	at := -1
 	if req.At != nil {
 		at = *req.At
 	}
-	id := r.PathValue("id")
-	if s.redirectSession(w, r, id) {
-		return
-	}
-	v, err := s.sessions.Do(r.Context(), id,
+	v, ok := s.sessionOp(w, r, "session admit",
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			return sess.TryAdmit(ctx, t, at)
 		})
-	if err != nil {
-		s.writeError(w, statusForSessionError(err), "session admit: %v", err)
-		return
+	if ok {
+		rep := v.(*core.Report)
+		s.writeReport(w, http.StatusOK, admitLead(rep.Schedulable), rep)
 	}
-	s.setSessionEpoch(w, id)
-	rep := v.(*core.Report)
-	s.writeReport(w, http.StatusOK, admitLead(rep.Schedulable), rep)
 }
 
 // sessionSensitivityRequest is the POST /v1/sessions/{id}/sensitivity
@@ -355,21 +356,17 @@ type sessionSensitivityRequest struct {
 
 func (s *Server) handleSessionSensitivity(w http.ResponseWriter, r *http.Request) {
 	var req sessionSensitivityRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if req.MaxPermille == 0 {
 		req.MaxPermille = 10_000
 	}
 	if req.Name == "" && req.Index == nil {
-		s.writeError(w, http.StatusBadRequest, "missing index or name")
+		s.WriteError(w, http.StatusBadRequest, "missing index or name")
 		return
 	}
-	id := r.PathValue("id")
-	if s.redirectSession(w, r, id) {
-		return
-	}
-	v, err := s.sessions.Do(r.Context(), id,
+	v, ok := s.sessionOp(w, r, "session sensitivity",
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			i := 0
 			if req.Name != "" {
@@ -382,11 +379,9 @@ func (s *Server) handleSessionSensitivity(w http.ResponseWriter, r *http.Request
 			}
 			return sess.Sensitivity(ctx, i, req.MaxPermille)
 		})
-	if err != nil {
-		s.writeError(w, statusForSessionError(err), "session sensitivity: %v", err)
-		return
+	if ok {
+		s.writeJSON(w, http.StatusOK, map[string]any{"permille": v.(int)})
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"permille": v.(int)})
 }
 
 // sessionRepairRequest is the POST /v1/sessions/{id}/repair body. The
@@ -470,20 +465,16 @@ func repairLead(res *repair.Result, applied bool) []byte {
 
 func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 	var req sessionRepairRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	cfg, err := req.repairConfig()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id := r.PathValue("id")
-	if s.redirectSession(w, r, id) {
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	t0 := time.Now()
-	v, err := s.sessions.Do(r.Context(), id,
+	v, ok := s.sessionOp(w, r, "session repair",
 		func(ctx context.Context, sess *session.Session) (any, error) {
 			if req.TimeoutMs > 0 {
 				// The timeout is the anytime budget, not a failure
@@ -495,14 +486,11 @@ func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 			}
 			return sess.Repair(ctx, cfg, req.Apply)
 		})
-	if err != nil {
-		s.setSessionEpoch(w, id) // an applied repair bumps the epoch
-		s.writeError(w, statusForSessionError(err), "session repair: %v", err)
+	if !ok {
 		return
 	}
 	res := v.(*repair.Result)
 	s.sessions.ObserveRepair(res, time.Since(t0))
-	s.setSessionEpoch(w, id)
 	applied := req.Apply && res.Fixed && len(res.Transforms) > 0
 	s.writeReport(w, http.StatusOK, repairLead(res, applied), res.Report)
 }
@@ -513,7 +501,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.sessions.Delete(id) {
-		s.writeError(w, http.StatusNotFound, "%v", ErrSessionNotFound)
+		s.WriteError(w, http.StatusNotFound, "%v", ErrSessionNotFound)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -526,8 +514,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // session back. The response counts both outcomes so the sender can log
 // what landed.
 func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	rd := wire.NewReader(body, int(s.cfg.MaxBodyBytes))
+	rd := wire.NewReader(r.Body, int(s.cfg.MaxBodyBytes))
 	installed, stale := 0, 0
 	for {
 		typ, payload, err := rd.ReadFrame()
@@ -535,22 +522,22 @@ func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
+			s.WriteError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}
 		if typ != wire.FrameSnapshot {
-			s.writeError(w, http.StatusBadRequest, "handoff: unexpected frame type %q", typ)
+			s.WriteError(w, http.StatusBadRequest, "handoff: unexpected frame type %q", typ)
 			return
 		}
 		snap, err := session.DecodeSnapshot(payload)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
+			s.WriteError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}
 		// A peer's frame is client input: it gets the request core bound
 		// (restores from this node's own store do not).
 		if err := CheckCores(snap.Opts.Cores); err != nil {
-			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
+			s.WriteError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}
 		switch err := s.sessions.Install(snap, true, true); {
@@ -560,7 +547,7 @@ func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrStaleSnapshot):
 			stale++
 		default:
-			s.writeError(w, statusForSessionError(err), "handoff: %v", err)
+			s.WriteError(w, statusForSessionError(err), "handoff: %v", err)
 			return
 		}
 	}

@@ -217,6 +217,58 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestSessionEpochOnEveryOperation pins that every operation run on a
+// live session answers with the session's current edit epoch, failed or
+// not: report, edits, admit, sensitivity and repair, each once with a
+// 200 and once with a failure the operation itself returns (a 400, or
+// for report, which no request can make fail, a 503 under a cancelled
+// context). Sensitivity never sent the header, and report and admit
+// dropped it on failure.
+func TestSessionEpochOnEveryOperation(t *testing.T) {
+	e := engine.New(engine.Config{})
+	t.Cleanup(e.Close)
+	srv := engine.NewServer(e, engine.ServerConfig{})
+	id, _ := createSession(t, srv)
+	w := post(t, srv, "/v1/sessions", `{"cores": 2}`)
+	var empty struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &empty); w.Code != http.StatusCreated || err != nil {
+		t.Fatalf("create empty session: status %d, err %v: %s", w.Code, err, w.Body)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	probe := `{"name": "probe", "wcet": [1], "edges": [], "deadline": 1000, "period": 1000}`
+	for _, tc := range []struct {
+		name, method, id, op, body string
+		ctx                        context.Context
+		status                     int
+	}{
+		{"report", http.MethodGet, id, "report", "", context.Background(), http.StatusOK},
+		{"report cancelled", http.MethodGet, id, "report", "", cancelled, http.StatusServiceUnavailable},
+		{"edits", http.MethodPost, id, "edits", `{"edits": [{"op": "set_cores", "cores": 8}]}`, context.Background(), http.StatusOK},
+		{"edits refused", http.MethodPost, id, "edits", `{"edits": [{"op": "remove", "index": 99}]}`, context.Background(), http.StatusBadRequest},
+		{"admit", http.MethodPost, id, "admit", `{"task": ` + probe + `}`, context.Background(), http.StatusOK},
+		{"admit refused", http.MethodPost, id, "admit", `{"task": ` + probe + `, "at": 99}`, context.Background(), http.StatusBadRequest},
+		{"sensitivity", http.MethodPost, id, "sensitivity", `{"index": 0}`, context.Background(), http.StatusOK},
+		{"sensitivity refused", http.MethodPost, id, "sensitivity", `{"index": 99}`, context.Background(), http.StatusBadRequest},
+		{"repair", http.MethodPost, id, "repair", `{"seed": 7}`, context.Background(), http.StatusOK},
+		{"repair refused", http.MethodPost, empty.ID, "repair", `{}`, context.Background(), http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(tc.method, "/v1/sessions/"+tc.id+"/"+tc.op, strings.NewReader(tc.body)).WithContext(tc.ctx)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != tc.status {
+			t.Errorf("%s: status %d %s, want %d", tc.name, w.Code, w.Body, tc.status)
+			continue
+		}
+		epoch, ok := srv.Sessions().Epoch(tc.id)
+		if got, want := w.Header().Get("X-Lpdag-Session-Epoch"), fmt.Sprint(epoch); !ok || got != want {
+			t.Errorf("%s: epoch header %q, want %q", tc.name, got, want)
+		}
+	}
+}
+
 // TestSessionTTLEviction pins the TTL story end to end over HTTP with an
 // injected clock: touching a session keeps it alive, passing the TTL
 // expires it, and an expired id is indistinguishable from an unknown one

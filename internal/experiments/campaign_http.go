@@ -1,16 +1,17 @@
 package experiments
 
-// HTTP front end of the campaign orchestrator, mounted by
-// cmd/lpdag-serve next to the engine's /v1/ endpoints (it lives here
-// rather than in internal/engine because the orchestrator builds on the
-// engine — the import only points one way).
+// HTTP front end of the campaign orchestrator: two routes that Mount
+// adds to the node's engine.Server (they live here rather than in
+// internal/engine because the orchestrator builds on the engine — the
+// import only points one way).
 //
 //	POST /v1/campaign   run a sweep campaign, streaming one JSON
 //	                    PointResult per line (application/x-ndjson)
 //	POST /v1/shard      cluster worker: the same stream for a leased
 //	                    subset of a campaign's grid points
 //
-// Both routes are one path: each decodes its own body, then route.serve
+// Both routes sit behind the server's admission, body cap, decoder and
+// error writer like every engine route. Once a body is decoded, serve
 // admits the point list (LeasePoints), writes the ndjson header, runs
 // RunCampaignSubset over it (the full grid is the lease of every point)
 // and, if the run fails after streaming began, appends a final
@@ -31,15 +32,18 @@ import (
 // Campaign API limits: the HTTP boundary is where untrusted sizes
 // arrive, and one campaign fans out points × sets × methods analyses.
 const (
-	MaxCampaignBodyBytes = 1 << 20 // 1 MiB of JSON config is plenty
-	MaxCampaignPoints    = 2048
-	MaxCampaignSets      = 200
-	MaxCampaignAnalyses  = 250_000
+	MaxCampaignPoints   = 2048
+	MaxCampaignSets     = 200
+	MaxCampaignAnalyses = 250_000
 )
 
-// DefaultHeartbeat is the stream tick: /v1/campaign's always, and
-// /v1/shard's unless ShardConfig.Heartbeat sets one.
-const DefaultHeartbeat = 2 * time.Second
+// Stream ticks. DefaultHeartbeat is /v1/campaign's tick and the longest
+// /v1/shard tick; minShardTick is the shortest, so that no lease a
+// client declares makes a stream of keepalive lines.
+const (
+	DefaultHeartbeat = 2 * time.Second
+	minShardTick     = 10 * time.Millisecond
+)
 
 // CampaignRequest is the wire form of a campaign configuration: the
 // /v1/campaign body, and the campaign half of the /v1/shard body.
@@ -55,139 +59,111 @@ type CampaignRequest struct {
 	Methods      []string  `json:"methods,omitempty"`
 }
 
-// ShardRequest is the POST /v1/shard body: the campaign's wire form
-// plus the leased point indices (strictly increasing).
+// ShardRequest is the POST /v1/shard body: the campaign's wire form,
+// the leased point indices (strictly increasing) and the coordinator's
+// lease timeout, the stream silence after which it declares the lease
+// dead (0 = not given).
 type ShardRequest struct {
-	Campaign CampaignRequest `json:"campaign"`
-	Points   []int           `json:"points"`
+	Campaign       CampaignRequest `json:"campaign"`
+	Points         []int           `json:"points"`
+	LeaseTimeoutMs int64           `json:"lease_timeout_ms,omitempty"`
 }
 
-// ShardConfig parameterises the /v1/shard handler.
-type ShardConfig struct {
-	// Heartbeat is the stream tick: pending lines are flushed, and a
-	// tick with none sends a blank keepalive line, so the coordinator's
-	// lease watchdog can tell a slow point from a dead worker. 0 or
-	// less means DefaultHeartbeat.
-	Heartbeat time.Duration
-	// Load, when non-nil, is the node's server: its draining state
-	// refuses new leases with a 503, and its shard gauges behind
-	// /healthz and /stats count the admitted ones.
-	Load *engine.Server
+// shardTick is the stream tick of a lease that dies after leaseMs of
+// silence: a quarter of it, so a keepalive always lands well inside the
+// coordinator's watchdog, within [minShardTick, DefaultHeartbeat]. A
+// lease that gives no timeout ticks at DefaultHeartbeat, well below the
+// coordinator default.
+func shardTick(leaseMs int64) time.Duration {
+	if leaseMs <= 0 || leaseMs/4 >= DefaultHeartbeat.Milliseconds() {
+		return DefaultHeartbeat
+	}
+	return max(minShardTick, time.Duration(leaseMs)*time.Millisecond/4)
 }
 
-// CampaignHandler serves POST /v1/campaign on the given engine.
-func CampaignHandler(eng *engine.Engine) http.Handler {
-	rt := route{eng: eng, tick: DefaultHeartbeat}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// Mount serves POST /v1/campaign and POST /v1/shard on srv, the node's
+// one HTTP front end: the engine they run on, the admission they pass,
+// and the decoder and error writer they answer with are srv's. The
+// shard route refuses new leases with a 503 while srv drains, and
+// feeds srv's shard gauges behind /healthz and /stats; its stream
+// holds exactly the lines a local run emits for the leased indices,
+// blank keepalive lines aside.
+func Mount(srv *engine.Server) {
+	srv.Handle("POST /v1/campaign", func(w http.ResponseWriter, r *http.Request) {
 		var req CampaignRequest
-		if !decodeBody(w, r, &req) {
+		if !srv.Decode(w, r, &req) {
 			return
 		}
 		cfg, err := req.Config()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			srv.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// Bound the grid before anything is built for it.
 		n := cfg.gridSize()
 		if n > MaxCampaignPoints {
-			httpError(w, http.StatusBadRequest, "%d grid points exceed limit %d", n, MaxCampaignPoints)
+			srv.WriteError(w, http.StatusBadRequest, "%d grid points exceed limit %d", n, MaxCampaignPoints)
 			return
 		}
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
 		}
-		rt.serve(w, r, cfg, idx)
+		serve(srv, w, r, cfg, idx, DefaultHeartbeat, false)
 	})
-}
-
-// ShardHandler serves POST /v1/shard on the given engine: the worker
-// half of the cluster protocol (internal/experiments/cluster). Its
-// stream holds exactly the lines a local run emits for the leased
-// indices, blank keepalive lines aside.
-func ShardHandler(eng *engine.Engine, cfg ShardConfig) http.Handler {
-	rt := route{eng: eng, tick: cfg.Heartbeat, keepalive: true, load: cfg.Load}
-	if rt.tick <= 0 {
-		rt.tick = DefaultHeartbeat
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if rt.load != nil && rt.load.Draining() {
-			httpError(w, http.StatusServiceUnavailable, "draining")
+	srv.Handle("POST /v1/shard", func(w http.ResponseWriter, r *http.Request) {
+		if srv.Draining() {
+			srv.WriteError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
 		var req ShardRequest
-		if !decodeBody(w, r, &req) {
+		if !srv.Decode(w, r, &req) {
 			return
 		}
 		campaign, err := req.Campaign.Config()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			srv.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if len(req.Points) == 0 {
-			httpError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
+			srv.WriteError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
 			return
 		}
-		rt.serve(w, r, campaign, req.Points)
+		serve(srv, w, r, campaign, req.Points, shardTick(req.LeaseTimeoutMs), true)
 	})
-}
-
-// route is what sets /v1/campaign and /v1/shard apart once their bodies
-// are decoded.
-type route struct {
-	eng       *engine.Engine
-	tick      time.Duration
-	keepalive bool           // blank line on a silent tick (shard streams)
-	load      *engine.Server // shard gauges; nil on /v1/campaign
 }
 
 // serve is the one core of both routes: it admits the points idx of the
 // normalized campaign cfg, writes the ndjson header, streams their
-// results and appends the terminal error line if the run fails.
-func (rt route) serve(w http.ResponseWriter, r *http.Request, cfg CampaignConfig, idx []int) {
+// results, flushed once per tick, and appends the terminal error line if
+// the run fails. A shard stream (shard) sends a blank keepalive line on
+// a silent tick and counts in srv's shard gauges.
+func serve(srv *engine.Server, w http.ResponseWriter, r *http.Request, cfg CampaignConfig, idx []int, tick time.Duration, shard bool) {
 	if lim := cfg.LeasePoints(); len(idx) > lim {
-		httpError(w, http.StatusBadRequest, "%d points exceed limit %d (%d sets × %d methods per point, at most %d points and %d analyses)",
+		srv.WriteError(w, http.StatusBadRequest, "%d points exceed limit %d (%d sets × %d methods per point, at most %d points and %d analyses)",
 			len(idx), lim, cfg.SetsPerPoint, len(cfg.Methods), MaxCampaignPoints, MaxCampaignAnalyses)
 		return
 	}
-	if rt.load != nil {
-		rt.load.ShardStarted()
-		defer rt.load.ShardFinished()
+	if shard {
+		srv.ShardStarted()
+		defer srv.ShardFinished()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := startTicks(w, rt.tick, rt.keepalive)
+	out := startTicks(w, tick, shard)
 	defer out.stop()
+	eng := srv.Engine()
 	if _, err := RunCampaignSubset(cfg, idx, RunOptions{
 		Context: r.Context(),
-		Engine:  rt.eng,
+		Engine:  eng,
 		JSONL:   out,
-		Obs:     rt.eng.Obs(),
+		Obs:     eng.Obs(),
 	}); err != nil {
 		// Too late for a status code; emit a terminal error line (a
 		// coordinator treats it as a shard failure).
 		data, _ := json.Marshal(map[string]string{"error": err.Error()})
 		out.Write(append(data, '\n'))
 	}
-}
-
-// decodeBody decodes a POST body of at most MaxCampaignBodyBytes into v,
-// refusing unknown fields. It answers the 405 or 400 itself and reports
-// whether the handler goes on.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return false
-	}
-	return true
 }
 
 // Config validates and resolves the wire form into a CampaignConfig.
@@ -285,12 +261,6 @@ func (c CampaignConfig) WireRequest() (CampaignRequest, error) {
 		return req, err
 	}
 	return req, nil
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // tickWriter is the one stream writer of both routes. Lines stay in

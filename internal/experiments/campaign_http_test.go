@@ -3,7 +3,9 @@ package experiments
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,19 +17,29 @@ import (
 	"repro/internal/engine"
 )
 
-func campaignTestServer(t *testing.T) (*httptest.Server, *engine.Engine) {
+// mountedServer is a node's one HTTP front end on eng: the engine
+// server with the campaign routes mounted, as cmd/lpdag-serve wires it.
+func mountedServer(eng *engine.Engine, cfg engine.ServerConfig) *engine.Server {
+	srv := engine.NewServer(eng, cfg)
+	Mount(srv)
+	return srv
+}
+
+// campaignTestServer serves a mounted server and returns the URL of its
+// /v1/campaign route.
+func campaignTestServer(t *testing.T) (string, *engine.Engine) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv := httptest.NewServer(CampaignHandler(eng))
+	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{}))
 	t.Cleanup(srv.Close)
-	return srv, eng
+	return srv.URL + "/v1/campaign", eng
 }
 
 func TestCampaignEndpointStreamsNDJSON(t *testing.T) {
-	srv, eng := campaignTestServer(t)
+	url, eng := campaignTestServer(t)
 	body := `{"seed":9,"ms":[2],"u_fracs":[0.4,0.8],"sets_per_point":2,"scenarios":["mixed","wide"]}`
-	resp, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +83,7 @@ func TestCampaignEndpointStreamsNDJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
+	resp2, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +104,7 @@ func TestCampaignEndpointStreamsNDJSON(t *testing.T) {
 func TestCampaignEndpointRejectsBackend(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
-	mux := http.NewServeMux()
-	mux.Handle("/", engine.NewServer(eng, engine.ServerConfig{}))
-	mux.Handle("POST /v1/campaign", CampaignHandler(eng))
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{}))
 	t.Cleanup(srv.Close)
 	for _, backend := range []string{"paper-ilp", "combinatorial"} {
 		body := `{"seed":7,"ms":[8,16],"sets_per_point":200,"scenarios":["mixed","wide"],"backend":"` + backend + `"}`
@@ -128,7 +137,7 @@ func TestCampaignEndpointRejectsBackend(t *testing.T) {
 }
 
 func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
-	srv, _ := campaignTestServer(t)
+	url, _ := campaignTestServer(t)
 	for name, body := range map[string]string{
 		"bad json":         `{`,
 		"unknown scenario": `{"scenarios":["bogus"]}`,
@@ -139,7 +148,7 @@ func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 		"unknown field":    `{"bogus":1}`,
 		"retired shards":   `{"shards":2}`,
 	} {
-		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +158,7 @@ func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 		}
 	}
 	// Grid-size cap.
-	resp, err := http.Post(srv.URL, "application/json", strings.NewReader(
+	resp, err := http.Post(url, "application/json", strings.NewReader(
 		`{"ms":[2,3,4,5,6,7,8,9],"u_fracs":[`+strings.Repeat("0.1,", 400)+`0.2]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +168,7 @@ func TestCampaignEndpointRejectsBadRequests(t *testing.T) {
 		t.Errorf("oversized grid: status %d, want 400", resp.StatusCode)
 	}
 	// GET is not allowed.
-	getResp, err := http.Get(srv.URL)
+	getResp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +195,17 @@ func (f *flushCounter) Flush() {
 func TestStreamFlushesPerTick(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
+	srv := mountedServer(eng, engine.ServerConfig{})
 	campaign := `{"seed":9,"ms":[2],"u_fracs":[0.2,0.4,0.6,0.8],"sets_per_point":1,"scenarios":["mixed","wide"]}`
 	for name, tc := range map[string]struct {
-		h    http.Handler
+		path string
 		body string
 	}{
-		"campaign": {CampaignHandler(eng), campaign},
-		"shard":    {ShardHandler(eng, ShardConfig{Heartbeat: time.Hour}), `{"campaign":` + campaign + `,"points":[0,1,2,3,4,5,6,7]}`},
+		"campaign": {"/v1/campaign", campaign},
+		"shard":    {"/v1/shard", `{"campaign":` + campaign + `,"points":[0,1,2,3,4,5,6,7]}`},
 	} {
 		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
-		tc.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body)))
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
 		results, err := ReadCampaignJSONL(w.Body)
 		if err != nil || len(results) != 8 {
 			t.Fatalf("%s: %d results (%v), want 8", name, len(results), err)
@@ -238,16 +248,16 @@ func TestStreamKeepalives(t *testing.T) {
 	if _, err := RunCampaign(cfg, RunOptions{JSONL: &want}); err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{}))
+	defer srv.Close()
 
 	t.Run("shard", func(t *testing.T) {
 		release := holdSlot(t, eng)
-		srv := httptest.NewServer(ShardHandler(eng, ShardConfig{Heartbeat: 10 * time.Millisecond}))
-		defer srv.Close()
 		// Bounded: without a keepalive no byte, not even the header,
 		// would leave the server while the slot is held.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL, strings.NewReader(`{"campaign":`+campaign+`,"points":[0,1]}`))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/shard", strings.NewReader(`{"campaign":`+campaign+`,"points":[0,1],"lease_timeout_ms":40}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +289,7 @@ func TestStreamKeepalives(t *testing.T) {
 	t.Run("campaign", func(t *testing.T) {
 		release := holdSlot(t, eng)
 		time.AfterFunc(DefaultHeartbeat+500*time.Millisecond, release)
-		srv := httptest.NewServer(CampaignHandler(eng))
-		defer srv.Close()
-		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(campaign))
+		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json", strings.NewReader(campaign))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,26 +355,146 @@ func hugeGridBodies() (campaign, shard string) {
 func TestCampaignGridBoundedBeforeBuild(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
+	srv := mountedServer(eng, engine.ServerConfig{})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	campaign, shard := hugeGridBodies()
 	for _, tc := range []struct {
 		name string
-		h    http.Handler
+		path string
 		body string
 		want int
 	}{
-		{"campaign", CampaignHandler(eng), campaign, http.StatusBadRequest},
-		{"shard", ShardHandler(eng, ShardConfig{}), shard, http.StatusOK},
+		{"campaign", "/v1/campaign", campaign, http.StatusBadRequest},
+		{"shard", "/v1/shard", shard, http.StatusOK},
 	} {
 		w := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body)).WithContext(cancelled)
-		alloc := allocDuring(func() { tc.h.ServeHTTP(w, req) })
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(cancelled)
+		alloc := allocDuring(func() { srv.ServeHTTP(w, req) })
 		if w.Code != tc.want {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body, tc.want)
 		}
 		if alloc >= 1<<20 {
 			t.Errorf("%s: a %d-byte body allocated %.2f MB, want under 1 MB", tc.name, len(tc.body), float64(alloc)/(1<<20))
+		}
+	}
+}
+
+// TestMountedRoutesShareAdmission pins the one admission of a node's
+// HTTP front end: on a MaxInFlight-1 server whose one engine slot is
+// held, an open /v1/campaign stream takes the one in-flight place, so a
+// second campaign, a shard lease and an analyze are each shed with 503
+// and /stats counts the stream; once it ends, an oversized campaign or
+// shard body answers the 413, body for body, that /v1/analyze answers.
+func TestMountedRoutesShareAdmission(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	const maxBody = 1 << 10
+	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{MaxInFlight: 1, MaxBodyBytes: maxBody}))
+	t.Cleanup(srv.Close)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	httpRequests := func() uint64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			HTTPRequests uint64 `json:"http_requests"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.HTTPRequests
+	}
+
+	release := holdSlot(t, eng)
+	campaign := `{"seed":4,"ms":[2],"u_fracs":[0.3,0.6],"sets_per_point":1}`
+	streamed := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json", strings.NewReader(campaign))
+		if err != nil {
+			t.Error(err)
+			streamed <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		streamed <- resp.StatusCode
+	}()
+	// /stats sits outside the admission, so it sees the stream admitted.
+	for deadline := time.Now().Add(10 * time.Second); httpRequests() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("/stats never counted the open /v1/campaign stream")
+		}
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/campaign", campaign},
+		{"/v1/shard", `{"campaign":` + campaign + `,"points":[0]}`},
+		{"/v1/analyze", `{"requests":[{"taskset":{"tasks":[]}}]}`},
+	} {
+		if code, body := post(tc.path, tc.body); code != http.StatusServiceUnavailable || !strings.Contains(body, "server at capacity") {
+			t.Errorf("%s beside an open stream: status %d %s, want 503 server at capacity", tc.path, code, body)
+		}
+	}
+	if n := httpRequests(); n != 1 {
+		t.Errorf("/stats http_requests %d with one stream admitted and three shed, want 1", n)
+	}
+	release()
+	if code := <-streamed; code != http.StatusOK {
+		t.Fatalf("campaign stream: status %d", code)
+	}
+
+	// Well-formed JSON past the cap, so every decoder reads up to it.
+	long := strings.Repeat("a", maxBody)
+	wantCode, want := post("/v1/analyze", `{"method":"`+long+`"}`)
+	if wantCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized analyze: status %d %s, want 413", wantCode, want)
+	}
+	for path, body := range map[string]string{
+		"/v1/campaign": `{"scenarios":["` + long + `"]}`,
+		"/v1/shard":    `{"campaign":{"scenarios":["` + long + `"]},"points":[0]}`,
+	} {
+		if code, got := post(path, body); code != wantCode || got != want {
+			t.Errorf("oversized %s body: status %d %q, want %d %q as /v1/analyze", path, code, got, wantCode, want)
+		}
+	}
+}
+
+// TestShardTick pins the tick a shard lease's timeout gives its stream:
+// a quarter of it, at least 10 ms and at most 2 s; a lease that names
+// no timeout ticks every 2 s.
+func TestShardTick(t *testing.T) {
+	for _, tc := range []struct {
+		leaseMs int64
+		want    time.Duration
+	}{
+		{0, 2 * time.Second},
+		{-1, 2 * time.Second},
+		{1, 10 * time.Millisecond},
+		{40, 10 * time.Millisecond},
+		{300, 75 * time.Millisecond},
+		{7999, 1999750 * time.Microsecond},
+		{8000, 2 * time.Second},
+		{30_000, 2 * time.Second},
+		{math.MaxInt64, 2 * time.Second},
+	} {
+		if got := shardTick(tc.leaseMs); got != tc.want {
+			t.Errorf("shardTick(%d) = %v, want %v", tc.leaseMs, got, tc.want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cluster fans a sweep campaign out across machines: a
 // coordinator splits the campaign's point grid into shard leases
 // (planLeases) and dispatches them to remote lpdag-serve workers over
-// POST /v1/shard (experiments.ShardHandler), merging the streamed JSONL
-// shard results back in index order.
+// POST /v1/shard (mounted by experiments.Mount), merging the streamed
+// JSONL shard results back in index order.
 //
 // Determinism: every grid point is deterministic in (campaign seed,
 // point index) alone — experiments.SeedFor — so it does not matter
@@ -13,14 +13,14 @@
 // asserts exactly that.
 //
 // Failure handling: a lease dies when its stream goes silent past
-// LeaseTimeout (the worker's stream ticks every couple of seconds, with
-// a blank keepalive line when no result is pending, so silence means
-// death or stall), returns an error line, breaks, or
-// ends with points missing. The shard's not-yet-streamed points are
-// requeued to another worker, bounded by MaxShardRetries; a worker
-// that fails WorkerFailLimit consecutive times is excluded, and one
-// whose /healthz reports draining is handed back its lease and simply
-// stops being scheduled (no retry consumed). Points that did arrive
+// LeaseTimeout (each lease carries it, and the worker's stream ticks
+// every quarter of it, 2 s at most, with a blank keepalive line when no
+// result is pending, so silence means death or stall), returns an error
+// line, breaks, or ends with points missing. The shard's
+// not-yet-streamed points are requeued to another worker, bounded by
+// MaxShardRetries; a worker that fails WorkerFailLimit consecutive
+// times is excluded, and one whose /healthz reports draining is handed
+// back its lease and simply stops being scheduled (no retry consumed). Points that did arrive
 // before a failure are kept — the requeued lease re-runs only what is
 // missing, exactly like resuming from a partial JSONL.
 package cluster
@@ -63,8 +63,8 @@ type Config struct {
 	Client *http.Client
 	// LeaseTimeout is the maximum silence on a shard stream before the
 	// lease is declared dead and requeued; 0 means DefaultLeaseTimeout.
-	// Worker streams tick (experiments.DefaultHeartbeat) well below the
-	// default.
+	// Every lease carries it, and the worker derives its stream tick
+	// from it, so no worker setting has to agree with it.
 	LeaseTimeout time.Duration
 	// MaxShardRetries bounds the failure requeues of one shard; 0 means
 	// DefaultMaxShardRetries. Exceeding it fails the campaign.
@@ -287,7 +287,8 @@ func (c *coordinator) checkHealth(ctx context.Context, url string) (draining boo
 // received silence longer than LeaseTimeout kills the request — the
 // worker's stream ticks, so a live shard is never silent that long.
 func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) error {
-	body, err := json.Marshal(experiments.ShardRequest{Campaign: c.wreq, Points: lease.Points})
+	body, err := json.Marshal(experiments.ShardRequest{Campaign: c.wreq, Points: lease.Points,
+		LeaseTimeoutMs: c.cfg.LeaseTimeout.Milliseconds()})
 	if err != nil {
 		return err
 	}

@@ -19,9 +19,9 @@ import (
 	"repro/internal/wire"
 )
 
-// testWorker is one in-process lpdag-serve worker node: an engine, its
-// HTTP server (healthz/stats + drain flag), and the shard endpoint,
-// wired exactly like cmd/lpdag-serve.
+// testWorker is one in-process lpdag-serve worker node: an engine and
+// its HTTP server (healthz/stats + drain flag) with the campaign routes
+// mounted, wired exactly like cmd/lpdag-serve.
 type testWorker struct {
 	srv *engine.Server
 	ts  *httptest.Server
@@ -31,15 +31,17 @@ func newTestWorker(t *testing.T) *testWorker {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv := engine.NewServer(eng, engine.ServerConfig{})
-	mux := http.NewServeMux()
-	mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
-		Heartbeat: 100 * time.Millisecond, Load: srv,
-	}))
-	mux.Handle("/", srv)
-	ts := httptest.NewServer(mux)
+	srv := mountedServer(eng)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return &testWorker{srv: srv, ts: ts}
+}
+
+// mountedServer is a worker node's one HTTP front end on eng.
+func mountedServer(eng *engine.Engine) *engine.Server {
+	srv := engine.NewServer(eng, engine.ServerConfig{})
+	experiments.Mount(srv)
+	return srv
 }
 
 // e2eCampaign is the ~200-point campaign of the end-to-end tests:
@@ -164,6 +166,53 @@ func workerShardsServed(t *testing.T, w *testWorker) uint64 {
 	return st.ShardsServed
 }
 
+// TestClusterLeaseTimeoutSetsTick pins that a worker's stream tick
+// follows the lease: under a 300 ms lease timeout, well below the 2 s
+// default tick, the worker's one slot is held for 1.5 s, past the
+// coordinator's three tries of the lease, and keepalive lines keep the
+// lease alive until the points run; the merged JSONL is byte-identical
+// to a local run. (A worker ticking every 2 s lost all three leases to
+// the watchdog and the campaign failed with "all 1 workers failed".)
+func TestClusterLeaseTimeoutSetsTick(t *testing.T) {
+	mixed, err := experiments.ScenarioByName("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.CampaignConfig{Seed: 5, Ms: []int{2}, UFracs: []float64{0.3, 0.6, 0.9}, SetsPerPoint: 1,
+		Scenarios: []experiments.Scenario{mixed}}
+	wantJSONL, _ := runLocalReference(t, cfg)
+
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(mountedServer(eng))
+	t.Cleanup(ts.Close)
+	held, release := make(chan struct{}), make(chan struct{})
+	go eng.Submit(context.Background(), engine.JobAnalyze, func(context.Context) (any, error) {
+		close(held)
+		<-release
+		return nil, nil
+	})
+	<-held
+	timer := time.AfterFunc(1500*time.Millisecond, func() { close(release) })
+	t.Cleanup(func() {
+		if timer.Stop() {
+			close(release)
+		}
+	})
+
+	var jb bytes.Buffer
+	if _, err := Run(Config{
+		Campaign:     cfg,
+		Workers:      []string{ts.URL},
+		LeaseTimeout: 300 * time.Millisecond,
+	}, experiments.RunOptions{JSONL: &jb}); err != nil {
+		t.Fatalf("cluster run under a 300 ms lease timeout: %v", err)
+	}
+	if !bytes.Equal(jb.Bytes(), wantJSONL) {
+		t.Errorf("cluster JSONL differs from local run (%d vs %d bytes)", jb.Len(), len(wantJSONL))
+	}
+}
+
 // TestClusterDrainingWorker marks one of two workers as draining
 // mid-campaign: the coordinator must stop scheduling to it (healthz
 // gate or shard-endpoint 503 — both paths hand the lease back without
@@ -260,7 +309,7 @@ func TestClusterLeaseCapRespected(t *testing.T) {
 
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
-	shard := experiments.ShardHandler(eng, experiments.ShardConfig{})
+	shard := mountedServer(eng)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	var (
@@ -334,7 +383,7 @@ func TestClusterLeaseCapRespected(t *testing.T) {
 func TestPlannedLeasesAdmitted(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
-	shard := experiments.ShardHandler(eng, experiments.ShardConfig{})
+	shard := mountedServer(eng)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	names := []string{"mixed", "parallel", "heavy", "light", "wide"}
@@ -440,13 +489,12 @@ func TestClusterContextCancel(t *testing.T) {
 func TestWorkerHandlerValidation(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv := engine.NewServer(eng, engine.ServerConfig{})
-	h := experiments.ShardHandler(eng, experiments.ShardConfig{Load: srv})
+	srv := mountedServer(eng)
 
 	post := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/v1/shard", strings.NewReader(body))
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
+		srv.ServeHTTP(w, req)
 		return w
 	}
 
@@ -485,7 +533,7 @@ func TestWorkerHandlerValidation(t *testing.T) {
 }
 
 // TestWorkerStreamMatchesLocalSubset pins the worker's stream bytes to
-// a local RunCampaignSubset of the same lease, heartbeat lines aside.
+// a local RunCampaignSubset of the same lease, keepalive lines aside.
 func TestWorkerStreamMatchesLocalSubset(t *testing.T) {
 	w := newTestWorker(t)
 	campaign := experiments.CampaignRequest{
@@ -530,21 +578,19 @@ func probeWorker(t *testing.T) (*testWorker, func() []string) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv := engine.NewServer(eng, engine.ServerConfig{})
-	shard := experiments.ShardHandler(eng, experiments.ShardConfig{Heartbeat: 100 * time.Millisecond, Load: srv})
+	srv := mountedServer(eng)
 	var (
 		mu     sync.Mutex
 		leases []string
 	)
-	mux := http.NewServeMux()
-	mux.Handle("/v1/shard", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shard.ServeHTTP(w, r)
-		mu.Lock()
-		leases = append(leases, r.Header.Get("Accept")+" -> "+w.Header().Get("Content-Type"))
-		mu.Unlock()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/shard" {
+			mu.Lock()
+			leases = append(leases, r.Header.Get("Accept")+" -> "+w.Header().Get("Content-Type"))
+			mu.Unlock()
+		}
 	}))
-	mux.Handle("/", srv)
-	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return &testWorker{srv: srv, ts: ts}, func() []string {
 		mu.Lock()

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -231,13 +230,7 @@ func TestClusterScrapeDuringCampaign(t *testing.T) {
 		reg := obs.NewRegistry()
 		eng := engine.New(engine.Config{Workers: 2, Obs: reg})
 		t.Cleanup(eng.Close)
-		srv := engine.NewServer(eng, engine.ServerConfig{})
-		mux := http.NewServeMux()
-		mux.Handle("/v1/shard", experiments.ShardHandler(eng, experiments.ShardConfig{
-			Heartbeat: 100 * time.Millisecond, Load: srv,
-		}))
-		mux.Handle("/", srv)
-		ts := httptest.NewServer(mux)
+		ts := httptest.NewServer(mountedServer(eng))
 		t.Cleanup(ts.Close)
 		workers = append(workers, obsWorker{url: ts.URL, reg: reg})
 	}

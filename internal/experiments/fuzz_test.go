@@ -3,17 +3,22 @@ package experiments
 // Fuzz targets for the experiment-result streaming codecs, alongside the
 // dag/model fuzzers: anything the readers accept must round-trip
 // canonically (decode → encode → decode is the identity, and the
-// re-encoded bytes are a fixed point).
+// re-encoded bytes are a fixed point). FuzzCampaignBody fuzzes the
+// request bodies of every POST route.
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 func jsonlSeedCorpus() []string {
@@ -107,34 +112,76 @@ func FuzzCampaignCSVRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCampaignBody posts arbitrary bytes to /v1/campaign and /v1/shard
-// under an already-cancelled request context, so no point is computed:
-// neither route may panic, each answers 200, 400 or 503, and the bytes
+// FuzzCampaignBody posts arbitrary bytes to every POST route of a
+// node's one HTTP front end — analyze, simulate, generate, the session
+// create, the edits, admit, sensitivity and repair routes of a live
+// session, the hand-off route, /v1/campaign and /v1/shard — under an
+// already-cancelled request context, so no job runs: no route may
+// panic, each answers a status of its route's set, and the bytes
 // allocated during the call stay under 64 × len(body) + 1 MiB, so no
-// body can make a node build a grid for it.
+// body can make a node build a grid or allocate a size it only declares.
 func FuzzCampaignBody(f *testing.F) {
 	campaign, shard := hugeGridBodies()
 	small := `{"seed":1,"ms":[2,4],"u_fracs":[0.5],"sets_per_point":2,"scenarios":["wide"]}`
-	for _, body := range []string{campaign, shard, small, `{"campaign":` + small + `,"points":[1]}`} {
+	set := `{"tasks":[{"name":"a","wcet":[2,4,3],"edges":[[0,1],[0,2]],"deadline":20,"period":20}]}`
+	for _, body := range []string{campaign, shard, small, `{"campaign":` + small + `,"points":[1]}`,
+		// The hand-off probe: a frame header that declares an 8 MiB
+		// payload and sends none.
+		string(binary.AppendUvarint([]byte{wire.FrameSnapshot}, engine.DefaultMaxBodyBytes)),
+		`{"cores":2,"requests":[{"taskset":` + set + `}]}`,
+		`{"cores":2,"taskset":` + set + `}`,
+		`{"edits":[{"op":"remove","name":"a"}]}`,
+		`{"task":{"name":"b","wcet":[1],"edges":[],"deadline":9,"period":9}}`,
+		`{"index":0}`,
+		`{"seed":7,"budgets":[1]}`,
+	} {
 		f.Add([]byte(body))
 	}
 	eng := engine.New(engine.Config{Workers: 1})
 	f.Cleanup(eng.Close)
-	routes := []http.Handler{CampaignHandler(eng), ShardHandler(eng, ShardConfig{})}
+	srv := mountedServer(eng, engine.ServerConfig{})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"cores":2,"taskset":`+set+`}`)))
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &created); w.Code != http.StatusCreated || err != nil {
+		f.Fatalf("create session: status %d, err %v: %s", w.Code, err, w.Body)
+	}
+	live := "/v1/sessions/" + created.ID
+	// A cancelled job answers 503 on the session routes and 400 on
+	// simulate and generate (statusForJobError). Only /v1/analyze (a
+	// batch whose every element failed), hand-off (which runs no job)
+	// and the streams (their 200 goes out before any point runs) can
+	// answer 200.
+	routes := []struct {
+		path  string
+		codes []int
+	}{
+		{"/v1/analyze", []int{200, 400, 413, 503}},
+		{"/v1/simulate", []int{400, 413}},
+		{"/v1/generate", []int{400, 413}},
+		{"/v1/sessions", []int{400, 413, 503}},
+		{live + "/edits", []int{400, 413, 503}},
+		{live + "/admit", []int{400, 413, 503}},
+		{live + "/sensitivity", []int{400, 413, 503}},
+		{live + "/repair", []int{400, 413, 503}},
+		{"/v1/sessions/handoff", []int{200, 400, 503}},
+		{"/v1/campaign", []int{200, 400, 413}},
+		{"/v1/shard", []int{200, 400, 413, 503}},
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, h := range routes {
+		for _, rt := range routes {
 			w := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(string(body))).WithContext(cancelled)
-			alloc := allocDuring(func() { h.ServeHTTP(w, req) })
-			switch w.Code {
-			case http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable:
-			default:
-				t.Fatalf("status %d for %q: %s", w.Code, body, w.Body)
+			req := httptest.NewRequest(http.MethodPost, rt.path, strings.NewReader(string(body))).WithContext(cancelled)
+			alloc := allocDuring(func() { srv.ServeHTTP(w, req) })
+			if !slices.Contains(rt.codes, w.Code) {
+				t.Fatalf("%s: status %d for %q: %s", rt.path, w.Code, body, w.Body)
 			}
 			if limit := uint64(64*len(body) + 1<<20); alloc > limit {
-				t.Fatalf("a %d-byte body allocated %d bytes, over %d", len(body), alloc, limit)
+				t.Fatalf("%s: a %d-byte body allocated %d bytes, over %d", rt.path, len(body), alloc, limit)
 			}
 		}
 	})

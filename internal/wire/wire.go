@@ -19,6 +19,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -45,7 +46,7 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 // frames (the returned payload is valid until the next ReadFrame).
 type Reader struct {
 	br  *bufio.Reader
-	buf []byte
+	buf bytes.Buffer
 	max int
 }
 
@@ -75,14 +76,13 @@ func (r *Reader) ReadFrame() (typ byte, payload []byte, err error) {
 	if n > uint64(r.max) {
 		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, r.max)
 	}
-	if uint64(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+	// The buffer grows with the bytes that arrive, not to the declared
+	// length: a frame header alone must not allocate its claimed payload.
+	r.buf.Reset()
+	if _, err := io.CopyN(&r.buf, r.br, int64(n)); err != nil {
 		return 0, nil, unexpectedEOF(err)
 	}
-	return typ, r.buf, nil
+	return typ, r.buf.Bytes(), nil
 }
 
 func unexpectedEOF(err error) error {

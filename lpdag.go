@@ -50,7 +50,6 @@ package lpdag
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"repro/internal/blocking"
 	"repro/internal/core"
@@ -380,8 +379,8 @@ type (
 	ServerConfig = engine.ServerConfig
 	// EngineServer is the engine's HTTP front end plus the node's
 	// worker state: StartDraining flips /healthz to "draining" (and
-	// stops the shard endpoint taking leases), and the shard handler
-	// feeds its load gauges.
+	// stops the shard route taking leases), and the shard route feeds
+	// its load gauges.
 	EngineServer = engine.Server
 	// Cache is the content-addressed memo store for the expensive
 	// µ-table computations (clique searches); share one via
@@ -404,8 +403,9 @@ type (
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // NewEngineServer returns the engine's HTTP server (the lpdag-serve
-// API: POST /v1/analyze, /v1/simulate, /v1/generate, GET /healthz,
-// /stats). The returned server is an http.Handler and also the node's
+// API: POST /v1/analyze, /v1/simulate, /v1/generate, the session
+// routes, GET /healthz, /stats; MountCampaignRoutes adds the campaign
+// streams). The returned server is an http.Handler and also the node's
 // worker-state surface for cluster deployments.
 func NewEngineServer(e *Engine, cfg ServerConfig) *EngineServer { return engine.NewServer(e, cfg) }
 
@@ -475,10 +475,6 @@ func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 	return experiments.RunSoundness(cfg)
 }
 
-// NewCampaignHandler serves POST /v1/campaign (streamed ndjson results)
-// on the given engine; cmd/lpdag-serve mounts it beside the engine API.
-func NewCampaignHandler(e *Engine) http.Handler { return experiments.CampaignHandler(e) }
-
 // Cluster types (see internal/experiments/cluster): the coordinator
 // that fans a campaign out across lpdag-serve worker nodes over shard
 // leases, with failover that never changes a byte of output.
@@ -488,9 +484,6 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterLease is one granted shard lease (for introspection).
 	ClusterLease = cluster.Lease
-	// ClusterWorkerConfig parameterises the worker-side shard handler:
-	// the stream tick and the node's *EngineServer.
-	ClusterWorkerConfig = experiments.ShardConfig
 )
 
 // RunClusterCampaign executes a campaign across remote lpdag-serve
@@ -502,14 +495,12 @@ func RunClusterCampaign(cfg ClusterConfig, opts CampaignRunOptions) ([]CampaignP
 	return cluster.Run(cfg, opts)
 }
 
-// NewShardWorkerHandler serves POST /v1/shard on the given engine: the
-// worker half of the cluster protocol, on the same path as
-// NewCampaignHandler. Pass the node's *EngineServer (from
-// NewEngineServer) as cfg.Load so shard load and draining state reach
+// MountCampaignRoutes serves POST /v1/campaign (a sweep campaign as
+// streamed ndjson results) and POST /v1/shard (the worker half of the
+// cluster protocol) on srv, as cmd/lpdag-serve does: behind srv's
+// admission, on srv's engine, with shard load and draining state on its
 // /healthz and /stats.
-func NewShardWorkerHandler(e *Engine, cfg ClusterWorkerConfig) http.Handler {
-	return experiments.ShardHandler(e, cfg)
-}
+func MountCampaignRoutes(srv *EngineServer) { experiments.Mount(srv) }
 
 // Sequential-task substrate (see internal/seqlp): the RTNS 2015 analysis
 // of Thekkilakattil et al. the paper generalises to DAGs.
