@@ -166,3 +166,22 @@ func writeTemp(t *testing.T, content string) string {
 	}
 	return f
 }
+
+// TestAnalyzeRefusesWrap is the probe whose m-scaled bound once wrapped:
+// one node of WCET 2^62 with D = T = 2^62 on three cores printed
+// SCHEDULABLE with R = −1537228672809129300. m·D leaves int64, so the
+// analysis refuses it naming the task, and the tool exits 2; the CLIs
+// read their files through the same shape bounds as the server.
+func TestAnalyzeRefusesWrap(t *testing.T) {
+	const probe = `{"tasks":[{"name":"huge","wcet":[4611686018427387904],"edges":[],"deadline":4611686018427387904,"period":4611686018427387904}]}`
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-m", "3"}, strings.NewReader(probe), &stdout, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), `task "huge"`) || strings.Contains(stdout.String(), "SCHEDULABLE") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 2 naming the task", code, stdout.String(), stderr.String())
+	}
+	wide := `{"tasks":[{"name":"w","wcet":[` + strings.TrimSuffix(strings.Repeat("1,", 1025), ",") + `],"edges":[],"deadline":9999,"period":9999}]}`
+	stderr.Reset()
+	if code := run(nil, strings.NewReader(wide), &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid nodes: 1025") {
+		t.Fatalf("1025-node task: exit %d, stderr %q; want 2 naming the node bound", code, stderr.String())
+	}
+}

@@ -25,8 +25,14 @@
 //
 // Every API route sits behind one admission (-max-inflight, -max-body;
 // /healthz, /stats and /metrics stay outside it) and answers with one
-// decoder and error writer. Results and errors are JSON (ndjson on
-// /v1/campaign and /v1/shard), whatever the Accept header asks for.
+// decoder and error writer. What a body may ask for is bounded by one
+// table, internal/limits, with no flag: cores ≤ 64, 1024 task sets per
+// analyze batch or generate count, 4096 tasks per set, 1024 nodes and
+// 8192 edges per task, and the simulate, generate, campaign and repair
+// bounds. A value past its bound is a 400 naming it, e.g. "invalid
+// cores: 65 (must be in [1, 64])", before any job starts. Results and
+// errors are JSON (ndjson on /v1/campaign and /v1/shard), whatever the
+// Accept header asks for.
 // The ndjson lines are flushed once per tick, not per line: every 2s on
 // /v1/campaign, and on /v1/shard every quarter of the lease timeout the
 // coordinator sends, 2s at most, with a blank keepalive line when
@@ -121,7 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cacheSize = fs.Int("cache", 0, "µ-table cache entries, 0 = default, negative = disable")
 		maxBody   = fs.Int64("max-body", engine.DefaultMaxBodyBytes, "request body limit in bytes")
 		inFlight  = fs.Int("max-inflight", engine.DefaultMaxInFlight, "concurrent HTTP requests before shedding 503s")
-		maxBatch  = fs.Int("max-batch", engine.DefaultMaxBatch, "task sets per analyze batch")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 
 		// Stateful analysis sessions (/v1/sessions).
@@ -218,13 +223,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer store.Close()
 	}
 	engSrv := engine.NewServer(eng, engine.ServerConfig{
-		MaxBodyBytes: *maxBody, MaxInFlight: *inFlight, MaxBatch: *maxBatch,
+		MaxBodyBytes: *maxBody, MaxInFlight: *inFlight,
 		MaxSessions: *maxSessions, SessionTTL: *sessionTTL,
 		SessionStore: store, SelfURL: *selfURL, Peers: peerList,
 	})
 	if store != nil {
-		fmt.Fprintf(stderr, "lpdag-serve: session store %s: %d sessions restored\n",
-			*sessionDir, engSrv.Sessions().Len())
+		fmt.Fprintf(stderr, "lpdag-serve: session store %s: %d sessions restored, %d records past a limits bound skipped\n",
+			*sessionDir, engSrv.Sessions().Len(), store.Skipped())
 	}
 	// The campaign orchestrator and the cluster shard endpoint mount on
 	// the engine server (they live in internal/experiments, one layer

@@ -382,6 +382,10 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "256.0.0.1:http"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad addr: exit %d, want 2", code)
 	}
+	// The analyze batch is a limits bound, not a knob.
+	if code := run(context.Background(), []string{"-max-batch", "5"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-max-batch: exit %d, want 2", code)
+	}
 }
 
 // TestPprofOptIn pins the profiling surface: off by default (nothing

@@ -52,7 +52,7 @@ func suffixesViaAggregator(graphs []*dag.Graph, m int, method Method, be Backend
 // TestSuffixAggregatorEquivalence quick-checks that the one-pass
 // suffix-incremental aggregation matches the independent per-suffix
 // Compute for every suffix of random graph lists, for both methods and
-// both backends. The LP-max row reaches m = 64 (engine.MaxCores) and
+// both backends. The LP-max row reaches m = 64 (limits.Cores) and
 // graphs of up to 40 nodes, so lists both shorter and longer than m
 // occur; its oracle is DeltaMax's independent sort-and-sum.
 func TestSuffixAggregatorEquivalence(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/fixture"
 	"repro/internal/model"
+	"repro/internal/rta"
 )
 
 func chain(wcets ...int64) *dag.Graph {
@@ -203,7 +204,7 @@ func TestCriticalScalingSaturatesAtMax(t *testing.T) {
 // TestScaleTaskDoesNotWrap pins ⌈C·α/1000⌉ taken without overflow: a
 // WCET of 2^61 at 2000‰ is exactly 2^62 (the product once wrapped and
 // was floored to 1), rounding still goes up, and a task whose scaled
-// WCET or volume leaves int64 is refused with ErrScaleOverflow.
+// WCET or volume leaves int64 is refused with rta.ErrOverflow.
 func TestScaleTaskDoesNotWrap(t *testing.T) {
 	task := func(wcets ...int64) *model.Task {
 		return &model.Task{Name: "t", G: chain(wcets...), Deadline: math.MaxInt64, Period: math.MaxInt64}
@@ -238,8 +239,8 @@ func TestScaleTaskDoesNotWrap(t *testing.T) {
 		{[]int64{1 << 12}, 1 << 62},       // ⌈2^74/1000⌉
 		{[]int64{1 << 61, 1 << 61}, 2000}, // each WCET fits, the volume does not
 	} {
-		if _, err := ScaleTask(task(tc.wcets...), tc.permille); !errors.Is(err, ErrScaleOverflow) {
-			t.Errorf("ScaleTask(%v, %d‰) error %v, want ErrScaleOverflow", tc.wcets, tc.permille, err)
+		if _, err := ScaleTask(task(tc.wcets...), tc.permille); !errors.Is(err, rta.ErrOverflow) {
+			t.Errorf("ScaleTask(%v, %d‰) error %v, want rta.ErrOverflow", tc.wcets, tc.permille, err)
 		}
 	}
 }
@@ -345,5 +346,17 @@ func TestVolumeOverflowRejected(t *testing.T) {
 	}
 	if tr := rep.Tasks[0]; !rep.Schedulable || tr.ResponseTime != 1<<62 || rep.Utilization != 1 {
 		t.Fatalf("half probe: schedulable %v, R = %d, U = %v; want true, 2^62, 1", rep.Schedulable, tr.ResponseTime, rep.Utilization)
+	}
+}
+
+// TestCriticalScalingCountsRangeErrorUnschedulable pins that a scaling
+// the analysis refuses as out of int64 range counts as not schedulable:
+// with D = T = 2^62 on three cores, m·D leaves int64 at every factor,
+// so the critical factor is 0, not an error.
+func TestCriticalScalingCountsRangeErrorUnschedulable(t *testing.T) {
+	ts, _ := model.NewTaskSet(&model.Task{Name: "t", G: chain(1 << 40), Deadline: 1 << 62, Period: 1 << 62})
+	alpha, err := MustNew(Options{Cores: 3, Method: LPILP}).CriticalScaling(context.Background(), ts, 4000)
+	if err != nil || alpha != 0 {
+		t.Fatalf("CriticalScaling = %d, %v; want 0", alpha, err)
 	}
 }

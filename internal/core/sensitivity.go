@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/model"
+	"repro/internal/rta"
 )
 
 // CriticalScaling performs sensitivity analysis: it returns the largest
@@ -21,8 +22,9 @@ import (
 // over-approximation, so schedulability at α is a sound claim for every
 // real factor ≤ α/1000). Schedulability is monotone in the WCETs, hence
 // in α, which makes bisection exact at permille resolution. A factor
-// whose scaled WCETs leave int64 (ErrScaleOverflow) counts as not
-// schedulable.
+// whose scaled WCETs, volume or analysis terms leave int64
+// (rta.ErrOverflow) counts as not schedulable: that is conservative,
+// and monotone in α, so the bisection still answers.
 func (a *Analyzer) CriticalScaling(ctx context.Context, ts *model.TaskSet, maxPermille int) (int, error) {
 	if err := ts.Validate(); err != nil {
 		return 0, err
@@ -66,18 +68,12 @@ func BisectPermille(maxPermille int, ok func(permille int) (bool, error)) (int, 
 	return lo, nil
 }
 
-// ErrScaleOverflow refuses a scaled task whose WCETs or volume leave
-// int64. CriticalScaling and the session's sensitivity count such a
-// probe as not schedulable: it is conservative, and monotone in the
-// permille, so the bisection still answers.
-var ErrScaleOverflow = errors.New("core: scaled WCETs overflow int64")
-
 // ScaleTask returns a copy of the task with every node WCET multiplied
 // by permille/1000 (permille ≥ 0), rounded up to keep the scaled system
 // an over-approximation (and floored at 1: a zero-WCET node would
 // change the graph's structure). The product is taken in 128 bits, so
 // it never wraps; a task whose scaled WCETs or volume leave int64 is
-// refused with ErrScaleOverflow. Shared by the whole-set bisection here
+// refused with rta.ErrOverflow. Shared by the whole-set bisection here
 // and the per-task sensitivity queries of the session API.
 func ScaleTask(t *model.Task, permille int) (*model.Task, error) {
 	var b dag.Builder
@@ -87,7 +83,7 @@ func ScaleTask(t *model.Task, permille int) (*model.Task, error) {
 		hi, lo := bits.Mul64(uint64(t.G.WCET(v)), uint64(permille))
 		lo, carry := bits.Add64(lo, 999, 0)
 		if hi += carry; hi >= 500 {
-			return nil, fmt.Errorf("%w at node %d", ErrScaleOverflow, v)
+			return nil, fmt.Errorf("core: scaled WCET at node %d: %w", v, rta.ErrOverflow)
 		}
 		q, _ := bits.Div64(hi, lo, 1000)
 		b.AddNode(max(int64(q), 1))
@@ -99,7 +95,7 @@ func ScaleTask(t *model.Task, permille int) (*model.Task, error) {
 	if err != nil {
 		// The copy has the source's valid structure and positive
 		// WCETs, so only its volume can fail.
-		return nil, fmt.Errorf("%w: %v", ErrScaleOverflow, err)
+		return nil, fmt.Errorf("core: scaled volume: %w (%v)", rta.ErrOverflow, err)
 	}
 	return &model.Task{Name: t.Name, G: g, Deadline: t.Deadline, Period: t.Period}, nil
 }
@@ -108,15 +104,18 @@ func ScaleTask(t *model.Task, permille int) (*model.Task, error) {
 // permille/1000, rounded up.
 func (a *Analyzer) scaledSchedulable(ctx context.Context, ts *model.TaskSet, permille int) (bool, error) {
 	scaled := &model.TaskSet{Tasks: make([]*model.Task, ts.N())}
+	var err error
 	for i, t := range ts.Tasks {
-		st, err := ScaleTask(t, permille)
-		if errors.Is(err, ErrScaleOverflow) {
-			return false, nil
+		if scaled.Tasks[i], err = ScaleTask(t, permille); err != nil {
+			break
 		}
-		if err != nil {
-			return false, err
-		}
-		scaled.Tasks[i] = st
 	}
-	return a.Schedulable(ctx, scaled)
+	ok := false
+	if err == nil {
+		ok, err = a.Schedulable(ctx, scaled)
+	}
+	if errors.Is(err, rta.ErrOverflow) {
+		return false, nil // conservative, and monotone in permille
+	}
+	return ok, err
 }

@@ -39,7 +39,10 @@ type refAnalyzeRequest struct {
 
 // refDecodeAnalyze is the former decode: json.Decoder with unknown
 // fields disallowed, plus the one rule the one-pass decoder adds — only
-// whitespace may follow the value.
+// whitespace may follow the value. Element sets decode through
+// model.TaskSet.UnmarshalJSON on both sides, so the shape rule of a
+// decoded task (pinned against encoding/json by FuzzTaskSetJSON) holds
+// on both.
 func refDecodeAnalyze(body []byte) (refAnalyzeRequest, error) {
 	var req refAnalyzeRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -127,6 +130,10 @@ var analyzeBodies = []string{
 	`null`, `[]`, `""`, ``, `{}`,
 	`{"backend":"paper-ilp","requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]}}]}`,
 	`{"requests":[{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]},"backend":"combinatorial"}]}`,
+	// The shape rule: a set past a limits bound fails its element in
+	// decoding, and only the last of repeated keys counts.
+	`{"requests":[{"taskset":{"tasks":[{"name":"w","wcet":[` + strings.TrimSuffix(strings.Repeat("1,", 1025), ",") + `],"deadline":5000,"period":5000}]}},{"taskset":{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}]}}]}`,
+	`{"requests":[{"taskset":{"tasks":[{"name":"w","wcet":[` + strings.TrimSuffix(strings.Repeat("1,", 1025), ",") + `],"wcet":[1],"deadline":5000,"period":5000}]}}]}`,
 }
 
 // FuzzAnalyzeRequest pins the one-pass /v1/analyze decoder to the

@@ -14,7 +14,9 @@ package engine
 // at ServerConfig.MaxBodyBytes and the number of concurrently served
 // requests at MaxInFlight (excess requests get 503, the caller's signal
 // to back off — the engine's slots already provide backpressure per
-// job).
+// job). What a body may ask for — cores, batch and set sizes, task
+// shapes, per-route work — is bounded by internal/limits: a value past
+// its bound is a 400 before any job starts.
 //
 // Results and errors are JSON, whatever the Accept header asks for.
 
@@ -33,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/jsonwire"
+	"repro/internal/limits"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/ring"
@@ -45,9 +48,6 @@ type ServerConfig struct {
 	// MaxInFlight caps concurrently served requests; 0 means
 	// DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxBatch caps the task sets in one analyze batch; 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
 	// MaxSessions caps live analysis sessions; 0 means
 	// DefaultMaxSessions.
 	MaxSessions int
@@ -71,40 +71,12 @@ type ServerConfig struct {
 	Peers []string
 }
 
-// Server limits. The per-job compute caps exist because the HTTP
-// boundary is where untrusted sizes arrive: a single tiny request must
-// not be able to pin a worker on an effectively unbounded simulation or
-// generation (the library-level engine API deliberately stays
-// uncapped — embedders control their own inputs).
+// Server defaults. What a request itself may ask for is bounded by
+// internal/limits, checked by the routes that take it.
 const (
 	DefaultMaxBodyBytes = 8 << 20 // 8 MiB
 	DefaultMaxInFlight  = 256
-	DefaultMaxBatch     = 1024
-
-	// MaxSimDuration bounds one simulation's horizon; at the paper's
-	// time scales this is minutes of wall clock on one worker.
-	MaxSimDuration = 100_000_000
-	// MaxSimJobs bounds the released jobs of one simulation (applied
-	// as the default when the request leaves max_jobs unset).
-	MaxSimJobs = 10_000_000
-	// MaxGenUtilization and MaxGenTasks bound one generated task set.
-	MaxGenUtilization = 1024
-	MaxGenTasks       = 4096
-	// MaxCores bounds the core count m of every request that names one:
-	// analyze (top level and per element), simulate, session creates,
-	// set_cores edits and campaign grids. The analysis cost grows
-	// superlinearly in m; a 1 KB analyze body with m = 200000000 once
-	// ran a node out of memory.
-	MaxCores = 64
 )
-
-// CheckCores validates a requested core count against [1, MaxCores].
-func CheckCores(m int) error {
-	if m < 1 || m > MaxCores {
-		return fmt.Errorf("invalid cores: %d (must be in [1, %d])", m, MaxCores)
-	}
-	return nil
-}
 
 // Server dispatches HTTP requests onto an Engine. Beyond being the
 // http.Handler for the engine endpoints it carries the node's worker
@@ -153,9 +125,6 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
 	}
 	s := &Server{eng: e, cfg: cfg, inFlight: make(chan struct{}, cfg.MaxInFlight), start: time.Now()}
 	if len(cfg.Peers) > 0 {
@@ -676,26 +645,30 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := decodeAnalyzeRequest(body.Bytes(), s.cfg.MaxBatch)
+	req, err := decodeAnalyzeRequest(body.Bytes(), int(limits.Batch.Max))
 	respBufPool.Put(body) // the decoded request holds no reference into it
 	if err != nil {
 		s.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	if req.batch == 0 {
-		s.WriteError(w, http.StatusBadRequest, "empty batch: requests must hold at least one task set")
-		return
-	}
-	if req.batch > s.cfg.MaxBatch {
-		s.WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", req.batch, s.cfg.MaxBatch)
+	if err := limits.Check(limits.Batch, req.batch); err != nil {
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.cores == 0 {
 		req.cores = 4
 	}
-	if err := CheckCores(req.cores); err != nil {
+	if err := limits.Check(limits.Cores, req.cores); err != nil {
 		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	// A set past a shape bound fails the request, not only its element:
+	// the bound is on the request's size, like the batch's.
+	for i, item := range req.items {
+		if item.setErr != nil && errors.As(item.setErr, new(*limits.Error)) {
+			s.WriteError(w, http.StatusBadRequest, "requests[%d]: %v", i, item.setErr)
+			return
+		}
 	}
 
 	reps := make([]*core.Report, len(req.items))
@@ -716,7 +689,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if item.method != nil {
 			methodStr = *item.method
 		}
-		if err := CheckCores(spec.Cores); err != nil {
+		if err := limits.Check(limits.Cores, spec.Cores); err != nil {
 			fails[i] = err.Error()
 			continue
 		}
@@ -794,19 +767,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
-	if err := CheckCores(req.Cores); err != nil {
-		s.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if req.Duration == 0 {
 		req.Duration = 10000
 	}
-	if req.Duration > MaxSimDuration {
-		s.WriteError(w, http.StatusBadRequest, "duration %d exceeds limit %d", req.Duration, MaxSimDuration)
-		return
+	if req.MaxJobs == 0 {
+		req.MaxJobs = int(limits.Jobs.Max)
 	}
-	if req.MaxJobs <= 0 || req.MaxJobs > MaxSimJobs {
-		req.MaxJobs = MaxSimJobs
+	if err := errors.Join(limits.Check(limits.Cores, req.Cores), limits.Check(limits.Duration, req.Duration),
+		limits.Check(limits.Jobs, req.MaxJobs)); err != nil {
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	res, err := s.eng.Simulate(r.Context(), ts, SimulateSpec{
 		Cores: req.Cores, Duration: req.Duration, MaxJobs: req.MaxJobs,
@@ -852,19 +822,12 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if req.Utilization <= 0 {
 		req.Utilization = 2
 	}
-	if req.Utilization > MaxGenUtilization {
-		s.WriteError(w, http.StatusBadRequest, "utilization %g exceeds limit %d", req.Utilization, MaxGenUtilization)
-		return
-	}
-	if req.Tasks > MaxGenTasks {
-		s.WriteError(w, http.StatusBadRequest, "tasks %d exceeds limit %d", req.Tasks, MaxGenTasks)
-		return
-	}
 	if req.Count <= 0 {
 		req.Count = 1
 	}
-	if req.Count > s.cfg.MaxBatch {
-		s.WriteError(w, http.StatusBadRequest, "count %d exceeds limit %d", req.Count, s.cfg.MaxBatch)
+	if err := errors.Join(limits.Check(limits.Utilization, req.Utilization), limits.Check(limits.Tasks, req.Tasks),
+		limits.Check(limits.Count, req.Count)); err != nil {
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Fan the generations out over the engine's slots (each is

@@ -30,8 +30,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jsonwire"
+	"repro/internal/limits"
 	"repro/internal/model"
-	"repro/internal/ppp"
 	"repro/internal/repair"
 	"repro/internal/session"
 	"repro/internal/wire"
@@ -116,7 +116,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
-	if err := CheckCores(req.Cores); err != nil {
+	if err := limits.Check(limits.Cores, req.Cores); err != nil {
 		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -258,7 +258,7 @@ func decodeEdit(e sessionEditJSON) (session.Edit, error) {
 		}
 		out.From, out.To = from, *e.To
 	case session.OpSetCores:
-		if err := CheckCores(e.Cores); err != nil {
+		if err := limits.Check(limits.Cores, e.Cores); err != nil {
 			return out, err
 		}
 		out.Cores = e.Cores
@@ -393,24 +393,19 @@ type sessionRepairRequest struct {
 	Coarsen       bool    `json:"coarsen,omitempty"`        // admit coarsen transforms
 	Reprioritize  bool    `json:"reprioritize,omitempty"`   // admit priority moves
 	Beam          int     `json:"beam,omitempty"`           // greedy frontier width, default 4
-	MaxCandidates int     `json:"max_candidates,omitempty"` // anytime candidate cap, default 4096
+	MaxCandidates int     `json:"max_candidates,omitempty"` // anytime candidate cap, default and bound limits.Candidates
 	Seed          int64   `json:"seed,omitempty"`           // tie-break pin
 	TimeoutMs     int     `json:"timeout_ms,omitempty"`     // anytime wall-clock budget, 0 = none
 	Apply         bool    `json:"apply,omitempty"`          // commit the repair when it fixes the set
 }
 
 // repairConfig validates the request at the wire boundary (so
-// dag.Split's maxNPR panic is unreachable from a request body) and
-// lifts it into a repair.Config.
+// dag.Split's maxNPR panic is unreachable from a request body: Validate
+// refuses a budget below 1) and lifts it into a repair.Config.
 func (req sessionRepairRequest) repairConfig() (repair.Config, error) {
 	strategy, err := repair.ParseStrategy(req.Strategy)
 	if err != nil {
 		return repair.Config{}, err
-	}
-	for _, q := range req.Budgets {
-		if err := ppp.CheckMaxNPR(q); err != nil {
-			return repair.Config{}, err
-		}
 	}
 	if req.TimeoutMs < 0 {
 		return repair.Config{}, fmt.Errorf("engine: invalid timeout_ms: %d (must be ≥ 0)", req.TimeoutMs)
@@ -426,6 +421,9 @@ func (req sessionRepairRequest) repairConfig() (repair.Config, error) {
 		Seed:          req.Seed,
 	}
 	if err := cfg.Validate(); err != nil {
+		return repair.Config{}, err
+	}
+	if err := limits.Check(limits.Candidates, req.MaxCandidates); err != nil {
 		return repair.Config{}, err
 	}
 	return cfg, nil
@@ -509,22 +507,25 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionHandoff accepts a stream of 'S' snapshot frames from a
 // draining peer and installs each (marking it freshly used, persisting
-// it to this node's store). Snapshots older than a live local session's
-// epoch are rejected as stale — a late duplicate push must not roll a
-// session back. The response counts both outcomes so the sender can log
-// what landed.
+// it to this node's store). The body is read whole like every other
+// route's, so one past -max-body is the same 413. Snapshots older than a
+// live local session's epoch are rejected as stale — a late duplicate
+// push must not roll a session back. The response counts both outcomes
+// so the sender can log what landed.
 func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
-	rd := wire.NewReader(r.Body, int(s.cfg.MaxBodyBytes))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	defer respBufPool.Put(body)
 	installed, stale := 0, 0
-	for {
-		typ, payload, err := rd.ReadFrame()
-		if err == io.EOF {
-			break
-		}
+	for rest := body.Bytes(); len(rest) > 0; {
+		typ, payload, next, err := wire.ReadFrame(rest)
 		if err != nil {
 			s.WriteError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}
+		rest = next
 		if typ != wire.FrameSnapshot {
 			s.WriteError(w, http.StatusBadRequest, "handoff: unexpected frame type %q", typ)
 			return
@@ -536,7 +537,7 @@ func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
 		}
 		// A peer's frame is client input: it gets the request core bound
 		// (restores from this node's own store do not).
-		if err := CheckCores(snap.Opts.Cores); err != nil {
+		if err := limits.Check(limits.Cores, snap.Opts.Cores); err != nil {
 			s.WriteError(w, http.StatusBadRequest, "handoff: %v", err)
 			return
 		}

@@ -155,8 +155,9 @@ func TestSessionRepairValidation(t *testing.T) {
 		body string
 		want string
 	}{
-		{`{"budgets": [10, 0]}`, "ppp: invalid maxNPR: 0"},
-		{`{"budgets": [-3]}`, "ppp: invalid maxNPR: -3"},
+		{`{"budgets": [10, 0]}`, "repair: invalid Config.Budgets[1]: 0 (must be ≥ 1)"},
+		{`{"budgets": [-3]}`, "repair: invalid Config.Budgets[0]: -3 (must be ≥ 1)"},
+		{`{"max_candidates": 4097}`, "invalid max_candidates: 4097 (must be in [0, 4096])"},
 		{`{"strategy": "magic"}`, "invalid strategy"},
 		{`{"max_steps": -1}`, "invalid Config.MaxSteps"},
 		{`{"beam": -1}`, "invalid Config.Beam"},

@@ -17,14 +17,17 @@ package engine
 // through it to prove the recovery story end to end.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/limits"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
@@ -38,10 +41,6 @@ const (
 
 // sessionLogName is the store's single log file inside the session dir.
 const sessionLogName = "sessions.log"
-
-// maxSessionRecordBytes caps one encoded snapshot record; a session is
-// bounded by the HTTP body caps that fed it, so this is generous.
-const maxSessionRecordBytes = 64 << 20
 
 // FaultConfig injects faults into the durable session plane for crash
 // testing: all methods are safe for concurrent use and a nil
@@ -121,6 +120,10 @@ type SessionStore struct {
 	logBytes  int64
 	liveBytes int64
 	buf       []byte
+
+	// skipped counts the intact records recovery refused on a limits
+	// bound (records a node without that bound wrote).
+	skipped int
 }
 
 // OpenSessionStore opens (creating if needed) the durable session store
@@ -154,58 +157,53 @@ func OpenSessionStore(dir string) (*SessionStore, error) {
 		return nil, fmt.Errorf("engine: session store: %w", err)
 	}
 	st.logBytes = valid
-	ids := make([]string, 0, len(st.latest))
-	for id := range st.latest {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		snap, err := session.DecodeSnapshot(st.latest[id])
-		if err != nil {
-			// Unreachable: replay only keeps payloads DecodeSnapshot
-			// accepted. Skip rather than fail recovery.
-			continue
+	for _, id := range slices.Sorted(maps.Keys(st.latest)) {
+		// replay keeps only payloads DecodeSnapshot accepted.
+		if snap, err := session.DecodeSnapshot(st.latest[id]); err == nil {
+			st.recovered = append(st.recovered, snap)
 		}
-		st.recovered = append(st.recovered, snap)
 	}
 	return st, nil
 }
 
 // replay scans the log, populating latest/liveBytes, and returns the
-// byte length of the longest valid prefix.
+// byte length of the longest valid prefix. An intact record whose
+// snapshot a limits bound refuses is skipped and counted, and its
+// session dropped rather than restored at an older epoch; the records
+// after it still count.
 func (st *SessionStore) replay(data []byte) int64 {
-	off := 0
-	for off < len(data) {
-		typ := data[off]
-		n, k := binary.Uvarint(data[off+1:])
-		if k <= 0 || n > maxSessionRecordBytes {
-			break
+	rest := data
+	for len(rest) > 0 {
+		typ, payload, next, err := wire.ReadFrame(rest)
+		if err != nil {
+			break // torn tail or unknown frame: stop here
 		}
-		end := off + 1 + k + int(n)
-		if end > len(data) {
-			break // torn tail
-		}
-		payload := data[off+1+k : end]
-		switch typ {
-		case wire.FrameSnapshot:
-			snap, err := session.DecodeSnapshot(payload)
-			if err != nil {
-				return int64(off) // corrupt record: stop here
+		var id string // a tombstone's, or a refused record's
+		var snap *session.Snapshot
+		if typ == wire.FrameSnapshot {
+			snap, err = session.DecodeSnapshot(payload)
+			if errors.As(err, new(*limits.Error)) {
+				st.skipped++
+				id, snap, err = snap.ID, nil, nil
 			}
-			st.setLatestLocked(snap.ID, payload)
-		case wire.FrameDelete:
+		} else {
 			d := wire.NewDec(payload)
-			id := d.String(maxSessionRecordBytes)
-			if d.Err() != nil || d.Rest() != 0 {
-				return int64(off)
+			id = d.String(limits.SessionID)
+			if err = d.Err(); err == nil && d.Rest() != 0 {
+				err = errors.New("trailing bytes after a tombstone id")
 			}
-			st.dropLatestLocked(id)
-		default:
-			return int64(off)
 		}
-		off = end
+		if err != nil {
+			break // corrupt record: stop here
+		}
+		if snap != nil {
+			st.setLatestLocked(snap.ID, payload)
+		} else {
+			st.dropLatestLocked(id)
+		}
+		rest = next
 	}
-	return int64(off)
+	return int64(len(data) - len(rest))
 }
 
 func (st *SessionStore) setLatestLocked(id string, payload []byte) {
@@ -236,6 +234,10 @@ func (st *SessionStore) Fault() *FaultConfig {
 // live id, in id order). The slice is immutable; appends after open do
 // not change it.
 func (st *SessionStore) Recovered() []*session.Snapshot { return st.recovered }
+
+// Skipped returns the count of intact records recovery refused on a
+// limits bound.
+func (st *SessionStore) Skipped() int { return st.skipped }
 
 // Len returns the number of live (non-tombstoned) ids in the store.
 func (st *SessionStore) Len() int {

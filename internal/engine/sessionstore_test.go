@@ -1,15 +1,19 @@
 package engine_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/engine"
 	"repro/internal/fixture"
+	"repro/internal/model"
 	"repro/internal/session"
+	"repro/internal/wire"
 )
 
 // newSnapshot builds a snapshot of the Figure 1 example under the given
@@ -239,5 +243,49 @@ func TestFaultKillAfterAppendsFiresOnce(t *testing.T) {
 		if fired.Load() != want {
 			t.Fatalf("after append %d: kill fired %d times, want %d", i+1, fired.Load(), want)
 		}
+	}
+}
+
+// TestSessionStoreSkipsRecordsPastABound pins recovery across a new
+// limits bound: a log written without the node bound holds an intact
+// record whose 1025-node task the snapshot decoder now refuses. That
+// record is skipped and counted, not taken for a torn tail: its session
+// is dropped rather than restored at the older epoch the log also
+// holds, the records after it survive, and the log is not truncated.
+func TestSessionStoreSkipsRecordsPastABound(t *testing.T) {
+	dir := t.TempDir()
+	wide := newSnapshot(t, "bb", 300, 0)
+	var b dag.Builder
+	for range 1025 {
+		b.AddNode(1)
+	}
+	wide.Tasks = append(wide.Tasks, &model.Task{Name: "wide", G: b.MustBuild(), Deadline: 5000, Period: 5000})
+	wide.Epoch++
+	var log []byte
+	for _, snap := range []*session.Snapshot{newSnapshot(t, "aa", 100, 0), newSnapshot(t, "bb", 200, 0), wide, newSnapshot(t, "cc", 400, 1)} {
+		payload, err := snap.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = wire.AppendFrame(log, wire.FrameSnapshot, payload)
+	}
+	path := filepath.Join(dir, "sessions.log")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := engine.OpenSessionStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var ids []string
+	for _, snap := range st.Recovered() {
+		ids = append(ids, snap.ID)
+	}
+	if fmt.Sprint(ids) != "[aa cc]" || st.Skipped() != 1 {
+		t.Fatalf("recovered %v with %d skipped, want [aa cc] with 1", ids, st.Skipped())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(log)) {
+		t.Fatalf("log size after recovery: %v, %v; want %d (not truncated)", fi.Size(), err, len(log))
 	}
 }

@@ -27,14 +27,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-)
-
-// Campaign API limits: the HTTP boundary is where untrusted sizes
-// arrive, and one campaign fans out points × sets × methods analyses.
-const (
-	MaxCampaignPoints   = 2048
-	MaxCampaignSets     = 200
-	MaxCampaignAnalyses = 250_000
+	"repro/internal/limits"
 )
 
 // Stream ticks. DefaultHeartbeat is /v1/campaign's tick and the longest
@@ -101,8 +94,8 @@ func Mount(srv *engine.Server) {
 		}
 		// Bound the grid before anything is built for it.
 		n := cfg.gridSize()
-		if n > MaxCampaignPoints {
-			srv.WriteError(w, http.StatusBadRequest, "%d grid points exceed limit %d", n, MaxCampaignPoints)
+		if err := limits.Check(limits.Points, n); err != nil {
+			srv.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		idx := make([]int, n)
@@ -125,10 +118,6 @@ func Mount(srv *engine.Server) {
 			srv.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if len(req.Points) == 0 {
-			srv.WriteError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
-			return
-		}
 		serve(srv, w, r, campaign, req.Points, shardTick(req.LeaseTimeoutMs), true)
 	})
 }
@@ -139,9 +128,10 @@ func Mount(srv *engine.Server) {
 // the run fails. A shard stream (shard) sends a blank keepalive line on
 // a silent tick and counts in srv's shard gauges.
 func serve(srv *engine.Server, w http.ResponseWriter, r *http.Request, cfg CampaignConfig, idx []int, tick time.Duration, shard bool) {
-	if lim := cfg.LeasePoints(); len(idx) > lim {
-		srv.WriteError(w, http.StatusBadRequest, "%d points exceed limit %d (%d sets × %d methods per point, at most %d points and %d analyses)",
-			len(idx), lim, cfg.SetsPerPoint, len(cfg.Methods), MaxCampaignPoints, MaxCampaignAnalyses)
+	points := limits.Points
+	points.Max = int64(cfg.LeasePoints())
+	if err := limits.Check(points, len(idx)); err != nil {
+		srv.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if shard {
@@ -175,12 +165,9 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 		SetsPerPoint: req.SetsPerPoint,
 	}
 	for _, m := range req.Ms {
-		if err := engine.CheckCores(m); err != nil {
+		if err := limits.Check(limits.Cores, m); err != nil {
 			return cfg, err
 		}
-	}
-	if cfg.SetsPerPoint > MaxCampaignSets {
-		return cfg, fmt.Errorf("sets_per_point %d exceeds limit %d", cfg.SetsPerPoint, MaxCampaignSets)
 	}
 	for _, name := range req.Scenarios {
 		sc, err := ScenarioByName(name)
@@ -205,24 +192,24 @@ func (req CampaignRequest) Config() (CampaignConfig, error) {
 	if err != nil {
 		return ncfg, err
 	}
-	if per := ncfg.SetsPerPoint * len(ncfg.Methods); per > MaxCampaignAnalyses {
-		return ncfg, fmt.Errorf("%d analyses per point exceed limit %d", per, MaxCampaignAnalyses)
+	if err := limits.Check(limits.Sets, ncfg.SetsPerPoint); err != nil {
+		return ncfg, err
 	}
-	return ncfg, nil
+	return ncfg, limits.Check(limits.Analyses, mulCapped(ncfg.SetsPerPoint, len(ncfg.Methods)))
 }
 
 // LeasePoints returns the most grid points one /v1/campaign or
-// /v1/shard request of this campaign may name: MaxCampaignPoints, or
-// fewer where the points' sets × methods analyses would pass
-// MaxCampaignAnalyses. Both routes admit by it and the cluster
-// coordinator sizes its leases by it, so a planned lease is never
-// refused. It is 0 for a config normalization rejects.
+// /v1/shard request of this campaign may name: limits.Points, or fewer
+// where the points' sets × methods analyses would pass
+// limits.Analyses. Both routes admit by it and the cluster coordinator
+// sizes its leases by it, so a planned lease is never refused. It is 0
+// for a config normalization rejects.
 func (c CampaignConfig) LeasePoints() int {
 	ncfg, err := c.normalized()
 	if err != nil {
 		return 0
 	}
-	return min(MaxCampaignPoints, MaxCampaignAnalyses/mulCapped(ncfg.SetsPerPoint, len(ncfg.Methods)))
+	return min(int(limits.Points.Max), int(limits.Analyses.Max)/mulCapped(ncfg.SetsPerPoint, len(ncfg.Methods)))
 }
 
 // WireRequest renders a campaign configuration into its wire form, the

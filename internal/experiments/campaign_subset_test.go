@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/limits"
 )
 
 // TestRunCampaignSubsetByteSlice checks that the subset runner emits
@@ -94,7 +95,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 }
 
 // TestLeasePointsBound pins the one bound both routes admit by and the
-// coordinator plans with: min(MaxCampaignPoints, ⌊MaxCampaignAnalyses /
+// coordinator plans with: min(limits.Points, ⌊limits.Analyses /
 // (sets · methods)⌋), and a wire campaign whose one point alone passes
 // the analyses limit is refused by Config, so the bound of every wire
 // campaign is at least 1.
@@ -109,8 +110,8 @@ func TestLeasePointsBound(t *testing.T) {
 	for _, tc := range []struct {
 		sets, methods, want int
 	}{
-		{1, 1, MaxCampaignPoints},
-		{25, 3, MaxCampaignPoints},
+		{1, 1, int(limits.Points.Max)},
+		{25, 3, int(limits.Points.Max)},
 		{100, 3, 833},
 		{200, 3, 416},
 		{200, 1250, 1},
@@ -124,7 +125,7 @@ func TestLeasePointsBound(t *testing.T) {
 		}
 	}
 	if _, err := (CampaignRequest{SetsPerPoint: 200, Methods: methods(1251)}).Config(); err == nil ||
-		!strings.Contains(err.Error(), "250200 analyses per point exceed limit 250000") {
+		!strings.Contains(err.Error(), "invalid analyses: 250200 (must be in [1, 250000])") {
 		t.Errorf("one point past the analyses limit: %v", err)
 	}
 	if got := (CampaignConfig{Ms: []int{0}}).LeasePoints(); got != 0 {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/limits"
 	"repro/internal/wire"
 )
 
@@ -501,7 +502,7 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	if w := post(`{"campaign": {"seed": 1}, "points": []}`); w.Code != http.StatusBadRequest {
 		t.Errorf("empty lease: status %d, want 400", w.Code)
 	}
-	oversized := make([]string, experiments.MaxCampaignPoints+1)
+	oversized := make([]string, limits.Points.Max+1)
 	for i := range oversized {
 		oversized[i] = strconv.Itoa(i)
 	}

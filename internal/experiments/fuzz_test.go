@@ -7,6 +7,7 @@ package experiments
 // request bodies of every POST route.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -16,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/wire"
@@ -137,6 +139,9 @@ func FuzzCampaignBody(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
+	for _, body := range nodeDenseBodies() {
+		f.Add([]byte(body.body))
+	}
 	eng := engine.New(engine.Config{Workers: 1})
 	f.Cleanup(eng.Close)
 	srv := mountedServer(eng, engine.ServerConfig{})
@@ -185,4 +190,67 @@ func FuzzCampaignBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nodeDenseBodies are request bodies that cost ~100 bytes per node once
+// built against 1–2 on the wire: a 100 KB hand-off snapshot of a
+// 100 000-node graph (it allocated 9.98 MB), a 200 KB /v1/analyze body
+// of one 100 000-node task (14.0 MB) and a 40 KB one of a 20 000-node
+// antichain, whose µ search took 69 s.
+func nodeDenseBodies() []struct{ path, body string } {
+	snap := []byte{1} // snapshot version
+	snap = wire.AppendString(snap, "dense")
+	snap = wire.AppendUvarint(snap, 1)                       // epoch
+	snap = wire.AppendZigzag(snap, 0)                        // last touch
+	snap = wire.AppendZigzag(snap, 4)                        // cores
+	snap = append(snap, 2, 0, 0)                             // LP-ILP, combinatorial, no final-NPR refinement
+	snap = wire.AppendUvarint(snap, 1)                       // tasks
+	snap = wire.AppendString(snap, "t")                      // name
+	snap = wire.AppendZigzag(snap, 1<<40)                    // deadline
+	snap = wire.AppendZigzag(snap, 1<<40)                    // period
+	snap = wire.AppendUvarint(snap, 100_000)                 // nodes
+	snap = append(snap, bytes.Repeat([]byte{2}, 100_000)...) // WCET 1 each
+	snap = wire.AppendUvarint(snap, 0)                       // edges
+	analyze := func(n int) string {
+		return `{"cores":4,"requests":[{"taskset":{"tasks":[{"name":"t","wcet":[` +
+			strings.TrimSuffix(strings.Repeat("1,", n), ",") + `],"edges":[],"deadline":1000000,"period":1000000}]}}]}`
+	}
+	return []struct{ path, body string }{
+		{"/v1/sessions/handoff", string(wire.AppendFrame(nil, wire.FrameSnapshot, snap))},
+		{"/v1/analyze", analyze(100_000)},
+		{"/v1/analyze", analyze(20_000)},
+	}
+}
+
+// TestNodeDenseBodiesRefused pins the node bound on the probes behind
+// it: each node-dense body is a 400 naming the bound before any graph is
+// built, within refusalBudget (10 ms; the fastest of three, so a
+// scheduler hiccup does not fail it) and inside FuzzCampaignBody's
+// 64 × body + 1 MiB.
+func TestNodeDenseBodiesRefused(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv := mountedServer(eng, engine.ServerConfig{})
+	for _, tc := range nodeDenseBodies() {
+		fastest, alloc := time.Hour, uint64(0)
+		for range 3 {
+			w := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			start := time.Now()
+			alloc = allocDuring(func() { srv.ServeHTTP(w, req) })
+			fastest = min(fastest, time.Since(start))
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "invalid nodes: ") {
+				t.Fatalf("%s, %d bytes: status %d %.200s, want 400 invalid nodes", tc.path, len(tc.body), w.Code, w.Body)
+			}
+		}
+		if fastest > refusalBudget {
+			t.Errorf("%s, %d bytes: 400 took %v, want under %v", tc.path, len(tc.body), fastest, refusalBudget)
+		}
+		if limit := uint64(64*len(tc.body) + 1<<20); alloc > limit {
+			t.Errorf("%s, %d bytes: allocated %d bytes, over %d", tc.path, len(tc.body), alloc, limit)
+		}
+		if st := eng.Stats(); st.JobsServed() != 0 || st.Failed != 0 {
+			t.Errorf("%s: a refused body ran a job", tc.path)
+		}
+	}
 }

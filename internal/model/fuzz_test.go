@@ -9,13 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/limits"
 )
 
 // refTaskJSON and the ref* functions are the encoding/json codec this
 // package used before the one-pass one: json.Unmarshal into
 // []json.RawMessage, then into this struct per task, and a marshal →
 // unmarshal → MarshalIndent round trip to encode. They stay here as the
-// differential oracle.
+// differential oracle, with the one rule the one-pass decoder adds: the
+// limits shape bounds on the decoded lists and name.
 type refTaskJSON struct {
 	Name     string   `json:"name"`
 	WCET     []int64  `json:"wcet"`
@@ -28,6 +30,9 @@ func refUnmarshalTask(data []byte) (*Task, error) {
 	var tj refTaskJSON
 	if err := json.Unmarshal(data, &tj); err != nil {
 		return nil, err
+	}
+	if len(tj.Name) > int(limits.Name.Max) || len(tj.WCET) > int(limits.Nodes.Max) || len(tj.Edges) > int(limits.Edges.Max) {
+		return nil, fmt.Errorf("task %q past a shape bound", tj.Name)
 	}
 	var b dag.Builder
 	for _, c := range tj.WCET {
@@ -50,6 +55,9 @@ func refUnmarshalTaskSet(data []byte) (*TaskSet, error) {
 	}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, err
+	}
+	if len(raw.Tasks) > int(limits.Tasks.Max) {
+		return nil, fmt.Errorf("%d tasks past the bound", len(raw.Tasks))
 	}
 	ts := new(TaskSet)
 	for _, r := range raw.Tasks {
@@ -235,11 +243,45 @@ var deepSets = []string{
 	`{"tasks":[{"name":"a","wcet":[1],"deadline":5,"period":5}],"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
 }
 
+// boundSets sit on either side of the limits shape bounds, where only
+// the last of repeated keys counts. Like deepSets they stay out of the
+// fuzz corpus.
+func boundSets() []string {
+	list := func(n int, elem string) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(elem+",", n), ",") + "]"
+	}
+	task := func(name, wcet, edges string) string {
+		return `{"name":"` + name + `","wcet":` + wcet + `,"edges":` + edges + `,"deadline":5000,"period":5000}`
+	}
+	one := task("a", "[1]", "[]")
+	nodes, edges := int(limits.Nodes.Max), int(limits.Edges.Max)
+	chain := func(n int) string { // n edges from 128 sources to 65 sinks
+		pairs := make([]string, n)
+		for i := range pairs {
+			pairs[i] = fmt.Sprintf("[%d,%d]", i%128, 128+i/128)
+		}
+		return task("c", list(193, "1"), "["+strings.Join(pairs, ",")+"]")
+	}
+	return []string{
+		`{"tasks":[` + task("w", list(nodes, "1"), "[]") + `]}`,
+		`{"tasks":[` + task("w", list(nodes+1, "1"), "[]") + `]}`,
+		`{"tasks":[{"name":"w","wcet":` + list(nodes+1, "1") + `,"wcet":[1,2],"deadline":9,"period":9}]}`,
+		`{"tasks":[{"name":"w","wcet":[1,2],"wcet":` + list(nodes+1, "1") + `,"deadline":9,"period":9}]}`,
+		`{"tasks":[` + chain(edges) + `]}`,
+		`{"tasks":[` + chain(edges+1) + `]}`,
+		`{"tasks":[` + task(strings.Repeat("n", int(limits.Name.Max)), "[1]", "[]") + `]}`,
+		`{"tasks":[` + task(strings.Repeat("n", int(limits.Name.Max)+1), "[1]", "[]") + `]}`,
+		`{"tasks":` + list(int(limits.Tasks.Max), one) + `}`,
+		`{"tasks":` + list(int(limits.Tasks.Max)+1, one) + `}`,
+		`{"tasks":` + list(int(limits.Tasks.Max)+1, "null") + `,"tasks":[` + one + `]}`,
+	}
+}
+
 // TestDecodeMatchesEncodingJSON runs the differential check over the
-// tricky corners and over seeded random mutations of valid sets: byte
-// flips, deletions, and insertions of JSON tokens.
+// tricky corners, the shape bounds and seeded random mutations of valid
+// sets: byte flips, deletions, and insertions of JSON tokens.
 func TestDecodeMatchesEncodingJSON(t *testing.T) {
-	for _, s := range append(trickySets, deepSets...) {
+	for _, s := range append(append(trickySets, deepSets...), boundSets()...) {
 		checkAgainstRef(t, []byte(s))
 	}
 	bases := []string{
@@ -267,5 +309,33 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 		checkAgainstRef(t, b)
+	}
+}
+
+// TestDecodeShapeBounds pins the shape rule of a decoded task: each
+// bound is admitted, one past it is refused naming the field and the
+// count, and only the last of repeated keys counts.
+func TestDecodeShapeBounds(t *testing.T) {
+	want := []string{
+		"",
+		`model: task "w": invalid nodes: 1025 (must be in [0, 1024])`,
+		"",
+		`model: task "w": invalid nodes: 1025 (must be in [0, 1024])`,
+		"",
+		`model: task "c": invalid edges: 8193 (must be in [0, 8192])`,
+		"",
+		"invalid name: 4097 (must be in [0, 4096])",
+		"",
+		"model: invalid tasks: 4097 (must be in [0, 4096])",
+		"",
+	}
+	for i, s := range boundSets() {
+		err := new(TaskSet).UnmarshalJSON([]byte(s))
+		switch {
+		case want[i] == "" && err != nil:
+			t.Errorf("set %d: %v, want accepted", i, err)
+		case want[i] != "" && (err == nil || !strings.Contains(err.Error(), want[i])):
+			t.Errorf("set %d: error %v, want %q", i, err, want[i])
+		}
 	}
 }

@@ -13,6 +13,7 @@ package model
 // to the former json.Marshal and json.MarshalIndent output.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/jsonwire"
+	"repro/internal/limits"
 )
 
 // MarshalJSON encodes the task as {name, wcet, edges, deadline, period}.
@@ -76,9 +78,10 @@ func (ts *TaskSet) UnmarshalJSON(data []byte) error {
 // DecodeTaskSet reads one task-set value at d's cursor, in one pass,
 // and returns the validated set. A malformed document latches a syntax
 // error in d (returned here too, and by d.Err). Any other error — a
-// value of the wrong kind, an invalid graph, a failed validation — is
-// returned with the set's value fully consumed, so a caller decoding a
-// larger document can record it and carry on.
+// value of the wrong kind, a set or task past its limits bound, an
+// invalid graph, a failed validation — is returned with the set's value
+// fully consumed, so a caller decoding a larger document can record it
+// and carry on. Tasks past limits.Tasks are counted, not decoded.
 func DecodeTaskSet(d *jsonwire.Dec) (*TaskSet, error) {
 	ts := new(TaskSet)
 	sc := scratchPool.Get().(*taskScratch)
@@ -86,6 +89,7 @@ func DecodeTaskSet(d *jsonwire.Dec) (*TaskSet, error) {
 	var (
 		setErr  error // the set's own shape is wrong: sticky, as in encoding/json
 		taskErr error // the first failing task of the latest "tasks" array
+		ntasks  int   // the length of the latest "tasks" array
 	)
 	switch d.Peek() {
 	case jsonwire.Null:
@@ -102,11 +106,12 @@ func DecodeTaskSet(d *jsonwire.Dec) (*TaskSet, error) {
 			switch d.Peek() {
 			case jsonwire.Null:
 				d.Skip()
-				ts.Tasks, taskErr = nil, nil
+				ts.Tasks, taskErr, ntasks = nil, nil, 0
 			case jsonwire.Array:
-				ts.Tasks, taskErr = nil, nil
-				d.Array(func(int) {
-					if taskErr != nil {
+				ts.Tasks, taskErr, ntasks = nil, nil, 0
+				d.Array(func(i int) {
+					ntasks = i + 1
+					if taskErr != nil || i >= int(limits.Tasks.Max) {
 						d.Skip()
 						return
 					}
@@ -131,7 +136,11 @@ func DecodeTaskSet(d *jsonwire.Dec) (*TaskSet, error) {
 		return nil, d.Err()
 	case setErr != nil:
 		return nil, setErr
-	case taskErr != nil:
+	}
+	if err := limits.Check(limits.Tasks, ntasks); err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
+	if taskErr != nil {
 		return nil, taskErr
 	}
 	if err := ts.Validate(); err != nil {
@@ -152,13 +161,15 @@ var scratchPool = sync.Pool{New: func() any { return new(taskScratch) }}
 
 // decode reads one task value (an object, or null for an empty one) and
 // builds it. The value is always consumed whole: after the first error
-// the rest of the object is only validated.
+// the rest of the object is only validated. A task past a limits shape
+// bound fails before its graph is built, and list elements past the
+// bound are counted, not stored.
 func (sc *taskScratch) decode(d *jsonwire.Dec) (*Task, error) {
 	t := new(Task)
-	// hw* count the list elements written while decoding this task; see
-	// readList.
+	// hw* count the list elements written while decoding this task, n*
+	// the elements of the latest list; see readList.
 	wcet, edges := sc.wcet[:0], sc.edges[:0]
-	hwWCET, hwEdges := 0, 0
+	hwWCET, hwEdges, nWCET, nEdges := 0, 0, 0, 0
 	var err error
 	switch d.Peek() {
 	case jsonwire.Null:
@@ -171,9 +182,9 @@ func (sc *taskScratch) decode(d *jsonwire.Dec) (*Task, error) {
 			case jsonwire.KeyIs(key, "name"):
 				err = d.Str(&t.Name, "name")
 			case jsonwire.KeyIs(key, "wcet"):
-				wcet, hwWCET, err = readList(d, wcet, hwWCET, "wcet", readWCET)
+				wcet, hwWCET, nWCET, err = readList(d, wcet, hwWCET, limits.Nodes, "wcet", readWCET)
 			case jsonwire.KeyIs(key, "edges"):
-				edges, hwEdges, err = readList(d, edges, hwEdges, "edges", readEdge)
+				edges, hwEdges, nEdges, err = readList(d, edges, hwEdges, limits.Edges, "edges", readEdge)
 			case jsonwire.KeyIs(key, "deadline"):
 				err = d.Int64(&t.Deadline, "deadline")
 			case jsonwire.KeyIs(key, "period"):
@@ -191,6 +202,10 @@ func (sc *taskScratch) decode(d *jsonwire.Dec) (*Task, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if err := errors.Join(limits.Check(limits.Name, len(t.Name)),
+		limits.Check(limits.Nodes, nWCET), limits.Check(limits.Edges, nEdges)); err != nil {
+		return nil, fmt.Errorf("model: task %q: %w", t.Name, err)
 	}
 	sc.b.Reset()
 	for _, c := range wcet {
@@ -217,21 +232,23 @@ func (sc *taskScratch) decode(d *jsonwire.Dec) (*Task, error) {
 // stale elements of the earlier value. s reuses scratch memory, so hw —
 // the count of backing elements written while decoding this task —
 // tells stale elements (below hw) from ones encoding/json would hand
-// out zeroed.
-func readList[E any](d *jsonwire.Dec, s []E, hw int, field string, elem func(*jsonwire.Dec, *E) error) ([]E, int, error) {
+// out zeroed. Elements past bound.Max are counted but not stored: the
+// returned n is the array's length, which the caller checks once the
+// task's last repeated key has been read.
+func readList[E any](d *jsonwire.Dec, s []E, hw int, bound limits.Bound, field string, elem func(*jsonwire.Dec, *E) error) ([]E, int, int, error) {
 	switch d.Peek() {
 	case jsonwire.Null:
 		d.Skip()
-		return s[:0], 0, nil
+		return s[:0], 0, 0, nil
 	case jsonwire.Array:
 	default:
-		return s, hw, d.Mismatch(field, "array")
+		return s, hw, len(s), d.Mismatch(field, "array")
 	}
 	var err error
 	n := 0
 	d.Array(func(i int) {
 		n = i + 1
-		if err != nil {
+		if err != nil || i >= int(bound.Max) {
 			d.Skip()
 			return
 		}
@@ -254,7 +271,7 @@ func readList[E any](d *jsonwire.Dec, s []E, hw int, field string, elem func(*js
 	if n == 0 {
 		hw = 0 // encoding/json allocates a fresh empty slice for []
 	}
-	return s, hw, err
+	return s, hw, n, err
 }
 
 func readWCET(d *jsonwire.Dec, c *int64) error { return d.Int64(c, "wcet") }

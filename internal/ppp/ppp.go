@@ -29,17 +29,6 @@ import (
 	"repro/internal/rta"
 )
 
-// CheckMaxNPR validates an NPR budget before it reaches dag.Split or
-// CoarsenChains, which panic on out-of-range values. Boundary layers
-// (wire decoding, session parameters) call this so the panic stays a
-// programming-error assertion, never reachable from external input.
-func CheckMaxNPR(maxNPR int64) error {
-	if maxNPR < 1 {
-		return fmt.Errorf("ppp: invalid maxNPR: %d (must be ≥ 1)", maxNPR)
-	}
-	return nil
-}
-
 // CoarsenChains returns a graph in which maximal linear runs (node v
 // with a single successor w that has v as its single predecessor) are
 // greedily merged while the merged WCET stays within maxNPR. Volume and

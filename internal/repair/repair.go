@@ -37,8 +37,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/limits"
 	"repro/internal/model"
 	"repro/internal/ppp"
+	"repro/internal/rta"
 )
 
 // Strategy selects the search algorithm.
@@ -135,11 +137,11 @@ func (t Transform) String() string {
 	return fmt.Sprintf("%s %s at %d", t.Op, t.Task, t.MaxNPR)
 }
 
-// Search defaults.
+// Search defaults. The candidate cap's default is its wire bound,
+// limits.Candidates.
 const (
-	DefaultMaxSteps      = 4
-	DefaultBeam          = 4
-	DefaultMaxCandidates = 4096
+	DefaultMaxSteps = 4
+	DefaultBeam     = 4
 )
 
 // Config parameterises a Search. The zero value is a usable greedy
@@ -165,7 +167,7 @@ type Config struct {
 	// Beam is the greedy frontier width. 0 means DefaultBeam.
 	Beam int
 	// MaxCandidates caps evaluated candidates; the search returns its
-	// best-so-far when the cap strikes. 0 means DefaultMaxCandidates.
+	// best-so-far when the cap strikes. 0 means limits.Candidates.Max.
 	MaxCandidates int
 	// Seed pins the tie-break rank among equal-scoring candidates.
 	// Any fixed value gives reproducible results; it exists so callers
@@ -188,7 +190,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("repair: invalid Config.Beam: %d (must be ≥ 0; 0 means %d)", c.Beam, DefaultBeam)
 	}
 	if c.MaxCandidates < 0 {
-		return fmt.Errorf("repair: invalid Config.MaxCandidates: %d (must be ≥ 0; 0 means %d)", c.MaxCandidates, DefaultMaxCandidates)
+		return fmt.Errorf("repair: invalid Config.MaxCandidates: %d (must be ≥ 0; 0 means %d)", c.MaxCandidates, limits.Candidates.Max)
 	}
 	for i, q := range c.Budgets {
 		if q < 1 {
@@ -209,7 +211,7 @@ func (c Config) withDefaults(tasks []*model.Task) (Config, error) {
 		c.Beam = DefaultBeam
 	}
 	if c.MaxCandidates == 0 {
-		c.MaxCandidates = DefaultMaxCandidates
+		c.MaxCandidates = int(limits.Candidates.Max)
 	}
 	if len(c.Budgets) == 0 {
 		c.Budgets = DeriveBudgets(tasks)
@@ -296,6 +298,21 @@ func transformGraph(g *dag.Graph, op Op, q int64) *dag.Graph {
 		return dag.Split(g, q)
 	}
 	return ppp.CoarsenChains(g, q)
+}
+
+// splitFits reports whether dag.Split(g, q), with its Σ⌈C_v/q⌉ nodes
+// and a chain edge per extra piece, stays within the limits shape bounds
+// of a decoded task, counted before anything is built. A repaired
+// session then always restores from its own snapshot.
+func splitFits(g *dag.Graph, q int64) bool {
+	nodes := int64(0)
+	for v := range g.N() {
+		if nodes += (g.WCET(v)-1)/q + 1; limits.Check(limits.Nodes, nodes) != nil {
+			return false
+		}
+	}
+	extra := nodes - int64(g.N())
+	return limits.Check(limits.Edges, int64(g.NumEdges())+extra) == nil
 }
 
 // applyOne applies tr to tasks, rewriting graphs through transform.
@@ -424,7 +441,9 @@ func stateKey(tasks []*model.Task) string {
 // schedulable under eval, or the best partial repair within budget.
 // Cancelling ctx mid-search is the anytime exit: the best-so-far
 // Result is returned with Stopped set, not an error. Errors are
-// reserved for invalid input and failing evaluation of the input set.
+// reserved for invalid input and failing evaluation of the input set: a
+// candidate whose analysis leaves int64 (rta.ErrOverflow) is counted
+// and skipped, as a split past the shape bounds is never built.
 func Search(ctx context.Context, tasks []*model.Task, cfg Config, eval Eval) (*Result, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("repair: invalid task set: empty (must have ≥ 1 task)")
@@ -573,8 +592,8 @@ func (r *searcher) moves(s *state) []Transform {
 	sort.SliceStable(targets, func(a, b int) bool { return targets[a].max > targets[b].max })
 	for _, tg := range targets {
 		for _, q := range r.cfg.Budgets {
-			if tg.max <= q {
-				continue // the split would be a no-op
+			if tg.max <= q || !splitFits(s.tasks[tg.idx].G, q) {
+				continue // the split would be a no-op, or past the shape bounds
 			}
 			out = append(out, Transform{Op: OpSplit, Task: s.tasks[tg.idx].Name, MaxNPR: q})
 		}
@@ -626,6 +645,10 @@ func (r *searcher) expand(ctx context.Context, s *state, depth int, cand *int, s
 		if err := r.evaluate(ctx, c); err != nil {
 			if isCtxErr(err) {
 				return true
+			}
+			if errors.Is(err, rta.ErrOverflow) {
+				r.candidates++
+				continue
 			}
 			r.err = err
 			return true

@@ -3,6 +3,7 @@ package repair_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/repair"
+	"repro/internal/rta"
 )
 
 func chainTask(t *testing.T, name string, wcets []int64, d, p int64) *model.Task {
@@ -349,5 +351,59 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 	if _, err := repair.ParseOp("magic"); err == nil {
 		t.Error("ParseOp must reject unknown spellings")
+	}
+}
+
+// TestSearchSkipsSplitsPastTheShapeBounds pins the one shape bound an
+// in-process graph obeys: a split whose Σ⌈C_v/q⌉ nodes pass
+// limits.Nodes is counted before dag.Split and never evaluated, so a
+// repaired session always restores from its own snapshot. Splitting a
+// 2000-WCET node at 1 would build 2000 nodes; at 2 it builds 1000.
+func TestSearchSkipsSplitsPastTheShapeBounds(t *testing.T) {
+	eval := evalWith(t, core.Options{Cores: 2, Method: core.LPILP})
+	tasks := []*model.Task{
+		chainTask(t, "hi", []int64{5, 5}, 25, 40),
+		chainTask(t, "lo", []int64{2000}, 9000, 10000),
+	}
+	res, err := repair.Search(context.Background(), tasks, repair.Config{Budgets: []int64{1}}, eval)
+	if err != nil || res.Fixed || res.Candidates != 1 {
+		t.Fatalf("budget 1: %+v, %v; want unfixed after the base analysis alone", res, err)
+	}
+	res, err = repair.Search(context.Background(), tasks, repair.Config{Budgets: []int64{1, 2}}, eval)
+	if err != nil || !res.Fixed || fmt.Sprint(res.Transforms) != "[split lo at 2]" || res.Candidates != 2 {
+		t.Fatalf("budgets 1, 2: %+v, %v; want fixed by splitting lo at 2", res, err)
+	}
+	if n := res.Tasks[1].G.N(); n != 1000 {
+		t.Fatalf("repaired lo has %d nodes, want 1000", n)
+	}
+}
+
+// TestSearchSkipsCandidatesPastInt64 pins that a candidate the analysis
+// refuses as out of int64 range is skipped, not fatal. On two cores the
+// base set analyzes within int64, but splitting hi's 64-unit node at 1
+// raises its q to 63, and q·Δ^{m−1} = 63 · 2^58 (lo's NPR) leaves
+// int64. The exhaustive
+// search, which splits the failing task itself, counts the refused
+// candidate and answers unfixed.
+func TestSearchSkipsCandidatesPastInt64(t *testing.T) {
+	eval := evalWith(t, core.Options{Cores: 2, Method: core.LPILP})
+	tasks := []*model.Task{
+		chainTask(t, "hi", []int64{64}, 1000, 1000),
+		chainTask(t, "lo", []int64{1 << 58}, 1<<59, 1<<59),
+	}
+	if rep, err := eval(context.Background(), tasks); err != nil || rep.Schedulable {
+		t.Fatalf("base set: %v, want unschedulable", err)
+	}
+	split, err := repair.Apply(tasks, []repair.Transform{{Op: repair.OpSplit, Task: "hi", MaxNPR: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eval(context.Background(), split); !errors.Is(err, rta.ErrOverflow) {
+		t.Fatalf("split set: %v, want rta.ErrOverflow", err)
+	}
+	cfg := repair.Config{Strategy: repair.Exhaustive, Budgets: []int64{1}}
+	res, err := repair.Search(context.Background(), tasks, cfg, eval)
+	if err != nil || res.Fixed || res.Candidates != 2 || len(res.Transforms) != 0 {
+		t.Fatalf("search: %+v, %v; want unfixed after the base and the refused split", res, err)
 	}
 }

@@ -25,11 +25,20 @@
 //
 // which is Melani et al.'s W_i(Δ) = ⌊(Δ+R_i-vol_i/m)/T_i⌋·vol_i +
 // min(vol_i, m·((Δ+R_i-vol_i/m) mod T_i)) evaluated exactly.
+//
+// No intermediate wraps: before the Δ fold takes a task in and before
+// task k's fixed point forms a product, every intermediate is bounded
+// from what the analyzer holds, and a *RangeError naming the task
+// refuses the analysis when a bound leaves int64 (DESIGN.md, "Exact
+// arithmetic", has the argument).
 package rta
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/blocking"
@@ -164,6 +173,39 @@ type TaskResult struct {
 	// point (unscaled workload units).
 	InterferenceHP int64
 	InterferenceLP int64
+}
+
+// RangeError refuses an analysis in which an intermediate of task
+// Task's m-scaled fixed point, or of the Δ fold of the tasks below it,
+// could leave int64 on M cores. It unwraps to ErrOverflow.
+type RangeError struct {
+	Task string
+	M    int
+}
+
+// ErrOverflow marks values that leave int64.
+var ErrOverflow = errors.New("overflow int64")
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("rta: task %q: response-time terms scaled by m = %d %v", e.Task, e.M, ErrOverflow)
+}
+
+func (e *RangeError) Unwrap() error { return ErrOverflow }
+
+// addSat and mulSat add and multiply non-negative values, saturating at
+// math.MaxInt64, the range checks' "out of range".
+func addSat(a, b int64) int64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return math.MaxInt64
+}
+
+func mulSat(a, b int64) int64 {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi == 0 && lo < math.MaxInt64 {
+		return int64(lo)
+	}
+	return math.MaxInt64
 }
 
 // ResponseTimeCeil returns ⌈R⌉ in time units for an analysis on m cores.
@@ -378,20 +420,27 @@ func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Resu
 	}
 
 	// Blocking: suffix[k] is the Δ pair of graphs[k+1:], starting from
-	// the empty lowest-priority suffix.
+	// the empty lowest-priority suffix. The fold's entries stay within
+	// the pushed volume sum.
 	if cfg.Method != FPIdeal {
 		a.agg.Reset(cfg.M)
 		a.suffix[n-1] = a.agg.Interference()
+		var foldVol int64
 		for k := n - 2; k >= 0; k-- {
 			if err := ctx.Err(); err != nil {
 				return nil, err
+			}
+			if foldVol = addSat(foldVol, a.vols[k+1]); foldVol == math.MaxInt64 {
+				return nil, &RangeError{Task: ts.Tasks[k+1].Name, M: cfg.M}
 			}
 			a.push(a.graphs[k+1])
 			a.suffix[k] = a.agg.Interference()
 		}
 	}
 
-	// Fixed points, top-down.
+	// Fixed points, top-down. dMax and tMax are the largest deadline and
+	// period of the tasks above k.
+	var dMax, tMax int64
 	for k := 0; k < n; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -407,22 +456,24 @@ func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Resu
 		if cfg.Method != FPIdeal {
 			tr.DeltaM, tr.DeltaM1 = a.suffix[k].DeltaM, a.suffix[k].DeltaM1
 		}
-		if err := a.solveTask(ctx, ts, k, tr); err != nil {
+		if err := a.solveTask(ctx, ts, k, dMax, tMax, tr); err != nil {
 			return nil, err
 		}
 		if !tr.Schedulable {
 			res.Schedulable = false
 		}
+		dMax, tMax = max(dMax, ts.Tasks[k].Deadline), max(tMax, ts.Tasks[k].Period)
 	}
 	return res, nil
 }
 
 // solveTask runs the Equation (1)/(4) fixed point for task k, whose
-// blocking terms (tr.DeltaM/DeltaM1) the caller has already filled in.
-// It reads the structural scratch (a.vols, a.longs) and the
-// higher-priority response bounds a.rm[:k], and writes the remaining
-// TaskResult fields plus a.rm[k].
-func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *TaskResult) error {
+// blocking terms (tr.DeltaM/DeltaM1) the caller has already filled in;
+// dMax and tMax are the largest deadline and period above k. It reads
+// the structural scratch (a.vols, a.longs) and the higher-priority
+// response bounds a.rm[:k], and writes the remaining TaskResult fields
+// plus a.rm[k].
+func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, dMax, tMax int64, tr *TaskResult) error {
 	cfg := a.cfg
 	var t0 time.Time
 	if cfg.Trace != nil {
@@ -432,6 +483,10 @@ func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *
 	m64 := int64(cfg.M)
 	l := a.longs[k]
 	vol := a.vols[k]
+	q := int64(task.G.PreemptionPoints())
+	if !fixedPointFits(m64, task.Deadline, l, vol, tr.DeltaM, tr.DeltaM1, q, int64(k), dMax, tMax) {
+		return &RangeError{Task: task.Name, M: cfg.M}
+	}
 	dm := m64 * task.Deadline
 
 	// Final-NPR refinement (future-work (ii)): iterate on the start
@@ -451,7 +506,6 @@ func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *
 	// m·L' + (vol'-L') = m·(L-sinkC) + (vol-L).
 	base := m64*(l-sinkC) + (vol - l)
 	cur := base
-	q := int64(task.G.PreemptionPoints())
 	converged := false
 	for it := 1; it <= DefaultMaxIterations; it++ {
 		if it%ctxCheckStride == 0 {
@@ -499,6 +553,19 @@ func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, tr *
 		cfg.Trace.FixedPointIters.Observe(float64(tr.Iterations))
 	}
 	return nil
+}
+
+// fixedPointFits reports whether every intermediate of the m-scaled
+// fixed point of a task (deadline d, longest path l, volume vol, Δ
+// terms dM and dM1, q preemption points) below h tasks whose largest
+// deadline and period are dMax and tMax, ⌈R⌉ included, fits in int64.
+func fixedPointFits(m, d, l, vol, dM, dM1, q, h, dMax, tMax int64) bool {
+	top := addSat(mulSat(m, l), vol-l) // base + m·C_sink
+	w := max(top, mulSat(m, d))
+	mD := mulSat(m, dMax)
+	ihp := mulSat(h, addSat(w, addSat(mD, mD)))
+	ilp := addSat(dM, mulSat(q, dM1))
+	return max(addSat(w, mulSat(m, tMax)), addSat(addSat(top, ilp), addSat(ihp, m))) < math.MaxInt64
 }
 
 // carryInWorkload evaluates W_i for an interferer with the given volume

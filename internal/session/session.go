@@ -27,7 +27,9 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/limits"
 	"repro/internal/model"
+	"repro/internal/rta"
 )
 
 // Session is a long-lived, editable task set. Create with New; a zero
@@ -114,25 +116,9 @@ func (s *Session) indexLocked(name string) int {
 
 // addLocked validates and inserts t at priority index at.
 func (s *Session) addLocked(t *model.Task, at int) error {
-	if t == nil {
-		return fmt.Errorf("session: invalid task: nil")
-	}
-	if err := t.Validate(); err != nil {
+	at, err := s.insertAtLocked(t, at)
+	if err != nil {
 		return err
-	}
-	if at == -1 {
-		at = len(s.tasks)
-	}
-	if at < 0 || at > len(s.tasks) {
-		return fmt.Errorf("session: invalid at: %d (must be in [0, %d] or -1)", at, len(s.tasks))
-	}
-	for _, u := range s.tasks {
-		if u == t {
-			return fmt.Errorf("session: invalid task: %q is already in the session (tasks are immutable; add a fresh copy)", t.Name)
-		}
-		if u.Name == t.Name {
-			return fmt.Errorf("session: invalid task: duplicate name %q", t.Name)
-		}
 	}
 	s.tasks = append(s.tasks, nil)
 	copy(s.tasks[at+1:], s.tasks[at:])
@@ -140,6 +126,36 @@ func (s *Session) addLocked(t *model.Task, at int) error {
 	s.rep = nil
 	s.epoch++
 	return nil
+}
+
+// insertAtLocked validates t for insertion at priority index at
+// (AddTask's convention) and returns the index. The bound of a decoded
+// set holds for a session's too, so that its snapshot always decodes.
+func (s *Session) insertAtLocked(t *model.Task, at int) (int, error) {
+	if t == nil {
+		return 0, fmt.Errorf("session: invalid task: nil")
+	}
+	if err := t.Validate(); err != nil {
+		return 0, err
+	}
+	if at == -1 {
+		at = len(s.tasks)
+	}
+	if at < 0 || at > len(s.tasks) {
+		return 0, fmt.Errorf("session: invalid at: %d (must be in [0, %d] or -1)", at, len(s.tasks))
+	}
+	if err := limits.Check(limits.Tasks, len(s.tasks)+1); err != nil {
+		return 0, fmt.Errorf("session: %w", err)
+	}
+	for _, u := range s.tasks {
+		if u == t {
+			return 0, fmt.Errorf("session: invalid task: %q is already in the session (tasks are immutable; add a fresh copy)", t.Name)
+		}
+		if u.Name == t.Name {
+			return 0, fmt.Errorf("session: invalid task: duplicate name %q", t.Name)
+		}
+	}
+	return at, nil
 }
 
 // AddTask inserts t at priority index at (0 = highest; -1 or len =
@@ -253,22 +269,9 @@ func (s *Session) Report(ctx context.Context) (*core.Report, error) {
 func (s *Session) TryAdmit(ctx context.Context, t *model.Task, at int) (*core.Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t == nil {
-		return nil, fmt.Errorf("session: invalid task: nil")
-	}
-	if err := t.Validate(); err != nil {
+	at, err := s.insertAtLocked(t, at)
+	if err != nil {
 		return nil, err
-	}
-	if at == -1 {
-		at = len(s.tasks)
-	}
-	if at < 0 || at > len(s.tasks) {
-		return nil, fmt.Errorf("session: invalid at: %d (must be in [0, %d] or -1)", at, len(s.tasks))
-	}
-	for _, u := range s.tasks {
-		if u.Name == t.Name {
-			return nil, fmt.Errorf("session: invalid task: duplicate name %q", t.Name)
-		}
 	}
 	trial := make([]*model.Task, 0, len(s.tasks)+1)
 	trial = append(trial, s.tasks[:at]...)
@@ -296,19 +299,18 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 	}
 	return core.BisectPermille(maxPermille, func(permille int) (bool, error) {
 		scaled, err := core.ScaleTask(s.tasks[i], permille)
-		if errors.Is(err, core.ErrScaleOverflow) {
+		if err == nil {
+			trial := append([]*model.Task(nil), s.tasks...)
+			trial[i] = scaled
+			var rep *core.Report
+			if rep, err = s.analyzeLocked(ctx, trial); err == nil {
+				return rep.Schedulable, nil
+			}
+		}
+		if errors.Is(err, rta.ErrOverflow) {
 			return false, nil // conservative, and monotone in permille
 		}
-		if err != nil {
-			return false, err
-		}
-		trial := append([]*model.Task(nil), s.tasks...)
-		trial[i] = scaled
-		rep, err := s.analyzeLocked(ctx, trial)
-		if err != nil {
-			return false, err
-		}
-		return rep.Schedulable, nil
+		return false, err
 	})
 }
 

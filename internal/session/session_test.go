@@ -441,3 +441,47 @@ func TestSessionConcurrentOps(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionSensitivityCountsRangeErrorUnschedulable pins that a probe
+// the analysis refuses as out of int64 range counts as not schedulable,
+// as ScaleTask's overflow does: with D = T = 2^62 on three cores, m·D
+// leaves int64 at every scaling, so the headroom is 0, not an error.
+func TestSessionSensitivityCountsRangeErrorUnschedulable(t *testing.T) {
+	var b dag.Builder
+	b.AddNode(1 << 40)
+	sess, err := New(core.Options{Cores: 3, Method: core.LPILP},
+		&model.Task{Name: "t", G: b.MustBuild(), Deadline: 1 << 62, Period: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sess.Sensitivity(context.Background(), 0, 4000); err != nil || got != 0 {
+		t.Errorf("Sensitivity = %d, %v; want 0", got, err)
+	}
+	if _, err := sess.Report(context.Background()); err == nil || !strings.Contains(err.Error(), `task "t"`) {
+		t.Errorf("Report error %v, want the range error naming the task", err)
+	}
+}
+
+// TestSessionTaskBound pins that a session holds at most limits.Tasks
+// tasks, the bound of a decoded set, so that its snapshot decodes.
+func TestSessionTaskBound(t *testing.T) {
+	tasks := make([]*model.Task, 4096)
+	for i := range tasks {
+		var b dag.Builder
+		b.AddNode(1)
+		tasks[i] = &model.Task{Name: fmt.Sprint("t", i), G: b.MustBuild(), Deadline: 1 << 20, Period: 1 << 20}
+	}
+	sess, err := New(core.Options{Cores: 4, Method: core.LPILP}, tasks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b dag.Builder
+	b.AddNode(1)
+	err = sess.Apply([]Edit{{Op: OpAdd, Task: &model.Task{Name: "one-more", G: b.MustBuild(), Deadline: 9, Period: 9}, At: -1}})
+	if want := "session: invalid tasks: 4097 (must be in [0, 4096])"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("adding task 4097: %v, want %q", err, want)
+	}
+	if sess.Len() != 4096 {
+		t.Fatalf("session holds %d tasks after the refused add", sess.Len())
+	}
+}

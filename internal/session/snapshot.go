@@ -20,23 +20,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/limits"
 	"repro/internal/model"
 	"repro/internal/wire"
 )
 
 // snapshotVersion is the leading byte of every encoded snapshot.
 const snapshotVersion = 1
-
-// Decode limits: a corrupt length prefix must fail fast, not drive a
-// huge allocation or a long parse.
-const (
-	maxSnapshotID    = 256
-	maxSnapshotName  = 1 << 12
-	maxSnapshotTasks = 1 << 16
-	maxSnapshotNodes = 1 << 20
-	maxSnapshotEdges = 1 << 22
-	maxSnapshotSlack = 1 // minimum encoded bytes per counted element
-)
 
 // Stable wire codes for the option enums. Deliberately independent of
 // the core constants' iota values: a renumbering there must not silently
@@ -135,15 +125,20 @@ func (snap *Snapshot) Append(dst []byte) ([]byte, error) {
 
 // DecodeSnapshot parses an encoded snapshot, validating structure as it
 // goes (graphs are rebuilt through dag.Builder, so a decoded snapshot
-// holds only well-formed DAGs). It never panics on corrupt or truncated
-// input.
+// holds only well-formed DAGs). Its tasks obey the limits shape bounds
+// of a JSON task: a count past one, corrupt or not, is refused with a
+// *limits.Error before anything is built or allocated for it, and a
+// latched decode error reads as count 0. Past the version byte a failed
+// decode returns what it read with its error, so that the ID of a
+// record a bound refuses names the session to drop. It never panics on
+// corrupt or truncated input.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	d := wire.NewDec(payload)
 	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("session: unknown snapshot version %d", v)
 	}
 	snap := &Snapshot{
-		ID:        d.String(maxSnapshotID),
+		ID:        d.String(limits.SessionID),
 		Epoch:     d.Uvarint(),
 		LastTouch: d.Zigzag(),
 	}
@@ -153,38 +148,35 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	snap.Opts.Method = method
 	snap.Opts.FinalNPRRefinement = d.Byte() != 0
 	ntasks := d.Uvarint()
-	if err := checkCount(d, ntasks, maxSnapshotTasks, "tasks"); err != nil {
-		return nil, err
+	if err := limits.Check(limits.Tasks, ntasks); err != nil {
+		return snap, err
 	}
 	snap.Tasks = make([]*model.Task, 0, int(ntasks))
 	for i := uint64(0); i < ntasks && d.Err() == nil; i++ {
 		t, err := decodeSnapshotTask(d)
 		if err != nil {
-			return nil, err
+			return snap, err
 		}
 		snap.Tasks = append(snap.Tasks, t)
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return snap, err
 	}
 	if d.Rest() != 0 {
-		return nil, fmt.Errorf("session: %d trailing bytes after snapshot", d.Rest())
+		return snap, fmt.Errorf("session: %d trailing bytes after snapshot", d.Rest())
 	}
 	if merr != nil {
-		return nil, merr
+		return snap, merr
 	}
-	if serr != nil {
-		return nil, serr
-	}
-	return snap, nil
+	return snap, serr
 }
 
 func decodeSnapshotTask(d *wire.Dec) (*model.Task, error) {
-	name := d.String(maxSnapshotName)
+	name := d.String(limits.Name)
 	deadline := d.Zigzag()
 	period := d.Zigzag()
 	nnodes := d.Uvarint()
-	if err := checkCount(d, nnodes, maxSnapshotNodes, "nodes"); err != nil {
+	if err := limits.Check(limits.Nodes, nnodes); err != nil {
 		return nil, err
 	}
 	var b dag.Builder
@@ -192,7 +184,7 @@ func decodeSnapshotTask(d *wire.Dec) (*model.Task, error) {
 		b.AddNode(d.Zigzag())
 	}
 	nedges := d.Uvarint()
-	if err := checkCount(d, nedges, maxSnapshotEdges, "edges"); err != nil {
+	if err := limits.Check(limits.Edges, nedges); err != nil {
 		return nil, err
 	}
 	for e := uint64(0); e < nedges && d.Err() == nil; e++ {
@@ -208,22 +200,6 @@ func decodeSnapshotTask(d *wire.Dec) (*model.Task, error) {
 		return nil, fmt.Errorf("session: snapshot task %q: %w", name, err)
 	}
 	return &model.Task{Name: name, G: g, Deadline: deadline, Period: period}, nil
-}
-
-// checkCount bounds a decoded element count both by the hard limit and
-// by the bytes actually left (each element costs at least one byte), so
-// a corrupt count cannot drive a huge allocation.
-func checkCount(d *wire.Dec, n uint64, max uint64, what string) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n > max {
-		return fmt.Errorf("session: snapshot %s count %d exceeds limit %d", what, n, max)
-	}
-	if n*maxSnapshotSlack > uint64(d.Rest()) {
-		return fmt.Errorf("session: snapshot %s count %d exceeds remaining payload", what, n)
-	}
-	return nil
 }
 
 func appendSnapBool(dst []byte, b bool) []byte {

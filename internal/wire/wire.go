@@ -18,11 +18,11 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/limits"
 )
 
 // ContentType is the MIME type of the framing, the Content-Type of a
@@ -42,54 +42,29 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Reader decodes a frame stream, reusing one payload buffer across
-// frames (the returned payload is valid until the next ReadFrame).
-type Reader struct {
-	br  *bufio.Reader
-	buf bytes.Buffer
-	max int
-}
-
-// NewReader wraps r for frame decoding; maxPayload caps a single frame's
-// payload (a corrupt length prefix must not become an attempted huge
-// allocation).
-func NewReader(r io.Reader, maxPayload int) *Reader {
-	return &Reader{br: bufio.NewReader(r), max: maxPayload}
-}
-
-// ReadFrame returns the next frame. At end of stream it returns io.EOF;
-// a stream truncated mid-frame returns io.ErrUnexpectedEOF.
-func (r *Reader) ReadFrame() (typ byte, payload []byte, err error) {
-	typ, err = r.br.ReadByte()
-	if err != nil {
-		return 0, nil, err // io.EOF here is a clean end of stream
+// ReadFrame splits the frame at the front of b into its type and
+// payload, and returns the bytes after it. The payload is a view of b:
+// a length prefix declares, it never allocates. A b that ends inside
+// the frame returns io.ErrUnexpectedEOF; an empty b is the caller's
+// clean end of stream.
+func ReadFrame(b []byte) (typ byte, payload, rest []byte, err error) {
+	if len(b) == 0 {
+		return 0, nil, nil, io.ErrUnexpectedEOF
 	}
-	switch typ {
+	switch typ = b[0]; typ {
 	case FrameSnapshot, FrameDelete:
 	default:
-		return 0, nil, fmt.Errorf("wire: unknown frame type 0x%02x", typ)
+		return 0, nil, nil, fmt.Errorf("wire: unknown frame type 0x%02x", typ)
 	}
-	n, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, nil, unexpectedEOF(err)
+	n, k := binary.Uvarint(b[1:])
+	if k < 0 {
+		return 0, nil, nil, fmt.Errorf("wire: overlong frame length")
 	}
-	if n > uint64(r.max) {
-		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, r.max)
+	if k == 0 || n > uint64(len(b)-1-k) {
+		return 0, nil, nil, io.ErrUnexpectedEOF
 	}
-	// The buffer grows with the bytes that arrive, not to the declared
-	// length: a frame header alone must not allocate its claimed payload.
-	r.buf.Reset()
-	if _, err := io.CopyN(&r.buf, r.br, int64(n)); err != nil {
-		return 0, nil, unexpectedEOF(err)
-	}
-	return typ, r.buf.Bytes(), nil
-}
-
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	b = b[1+k:]
+	return typ, b[:n], b[n:], nil
 }
 
 // AppendUvarint appends v as an unsigned varint.
@@ -153,14 +128,15 @@ func (d *Dec) Zigzag() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// String consumes a length-prefixed string of at most max bytes.
-func (d *Dec) String(max int) string {
+// String consumes a length-prefixed string whose byte length lies in
+// b; a length outside it latches b's limits error.
+func (d *Dec) String(b limits.Bound) string {
 	n := d.Uvarint()
 	if d.err != nil {
 		return ""
 	}
-	if n > uint64(max) {
-		d.fail("string length %d exceeds limit %d", n, max)
+	if err := limits.Check(b, n); err != nil {
+		d.err = err
 		return ""
 	}
 	if uint64(len(d.b)) < n {

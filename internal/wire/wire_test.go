@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/limits"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -15,47 +18,53 @@ func TestFrameRoundTrip(t *testing.T) {
 	buf = AppendFrame(buf, FrameDelete, nil)
 	buf = AppendFrame(buf, FrameDelete, []byte("id"))
 
-	r := NewReader(bytes.NewReader(buf), 1<<20)
-	typ, p, err := r.ReadFrame()
+	typ, p, rest, err := ReadFrame(buf)
 	if err != nil || typ != FrameSnapshot || string(p) != "hello" {
 		t.Fatalf("frame 1: typ=%c p=%q err=%v", typ, p, err)
 	}
-	typ, p, err = r.ReadFrame()
+	typ, p, rest, err = ReadFrame(rest)
 	if err != nil || typ != FrameDelete || len(p) != 0 {
 		t.Fatalf("frame 2: typ=%c p=%q err=%v", typ, p, err)
 	}
-	typ, p, err = r.ReadFrame()
+	typ, p, rest, err = ReadFrame(rest)
 	if err != nil || typ != FrameDelete || string(p) != "id" {
 		t.Fatalf("frame 3: typ=%c p=%q err=%v", typ, p, err)
 	}
-	if _, _, err = r.ReadFrame(); err != io.EOF {
-		t.Fatalf("end of stream: err=%v, want io.EOF", err)
+	if len(rest) != 0 {
+		t.Fatalf("end of stream: %d bytes left", len(rest))
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
 	full := AppendFrame(nil, FrameSnapshot, []byte("payload"))
-	for cut := 1; cut < len(full); cut++ {
-		r := NewReader(bytes.NewReader(full[:cut]), 1<<20)
-		if _, _, err := r.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, _, err := ReadFrame(full[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut=%d: err=%v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
 }
 
+// TestReadFrameRejectsUnknownTypeAndOversize pins the frame header
+// checks: an unknown type is refused, and a length past the bytes that
+// remain — up to the largest uvarint — is a truncated frame, never an
+// allocation or a wrapped slice bound.
 func TestReadFrameRejectsUnknownTypeAndOversize(t *testing.T) {
 	// 'R', 'H' and 'E' tagged result, heartbeat and error frames in
 	// older servers' response streams; no snapshot stream holds them.
 	for _, typ := range "ZRHE" {
-		r := NewReader(strings.NewReader(string(typ)+"\x00"), 1<<20)
-		if _, _, err := r.ReadFrame(); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+		if _, _, _, err := ReadFrame([]byte(string(typ) + "\x00")); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
 			t.Fatalf("type %c: err=%v", typ, err)
 		}
 	}
-	big := AppendFrame(nil, FrameSnapshot, make([]byte, 100))
-	r := NewReader(bytes.NewReader(big), 10)
-	if _, _, err := r.ReadFrame(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversize: err=%v", err)
+	for _, n := range []uint64{8, 1 << 23, math.MaxInt64, math.MaxUint64} {
+		b := append(binary.AppendUvarint([]byte{FrameSnapshot}, n), "1234567"...)
+		if _, _, _, err := ReadFrame(b); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("declared %d: err=%v, want ErrUnexpectedEOF", n, err)
+		}
+	}
+	overlong := append([]byte{FrameSnapshot}, bytes.Repeat([]byte{0xff}, 10)...)
+	if _, _, _, err := ReadFrame(append(overlong, 1)); err == nil || !strings.Contains(err.Error(), "overlong") {
+		t.Fatalf("overlong length: err=%v", err)
 	}
 }
 
@@ -69,7 +78,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	b = append(b, 0x7f)
 
 	d := NewDec(b)
-	if s := d.String(64); s != "scenario-1" {
+	if s := d.String(limits.Bound{Field: "s", Max: 64}); s != "scenario-1" {
 		t.Fatalf("String = %q", s)
 	}
 	if v := d.Uvarint(); v != math.MaxUint64 {
@@ -94,7 +103,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 
 func TestDecLatchesFirstError(t *testing.T) {
 	d := NewDec([]byte{0x05, 'a'}) // claims 5 bytes, has 1
-	if s := d.String(64); s != "" {
+	if s := d.String(limits.Bound{Field: "s", Max: 64}); s != "" {
 		t.Fatalf("truncated String = %q", s)
 	}
 	first := d.Err()
@@ -116,7 +125,7 @@ func TestDecLatchesFirstError(t *testing.T) {
 func TestDecStringLimit(t *testing.T) {
 	b := AppendString(nil, "abcdef")
 	d := NewDec(b)
-	if d.String(3); d.Err() == nil {
+	if d.String(limits.Bound{Field: "s", Max: 3}); d.Err() == nil {
 		t.Fatal("no error for over-limit string")
 	}
 }

@@ -374,8 +374,9 @@ type (
 	SimulateSpec = engine.SimulateSpec
 	// GenerateSpec parameterises an engine generation job.
 	GenerateSpec = engine.GenerateSpec
-	// ServerConfig limits the HTTP front end (body size, in-flight
-	// requests, batch size).
+	// ServerConfig configures the HTTP front end (body size, in-flight
+	// requests, sessions); what a request may ask for is bounded by
+	// internal/limits, not configured.
 	ServerConfig = engine.ServerConfig
 	// EngineServer is the engine's HTTP front end plus the node's
 	// worker state: StartDraining flips /healthz to "draining" (and
