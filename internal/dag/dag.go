@@ -20,7 +20,9 @@
 //
 // A Graph keeps its structure in one pointer-free slab (compressed-row
 // adjacency in both directions plus the topological order): an unnamed
-// graph is three allocations, and only its header holds pointers.
+// graph is three allocations, and only its header holds pointers. Built
+// into an Arena, it takes its header and slab from a graph of the
+// arena's last round instead, and allocates nothing once warm.
 package dag
 
 import (
@@ -53,6 +55,9 @@ import (
 // adj[n+v+1] its predecessors (2n+1 offsets, the first pointing just
 // past them), the lists follow, each sorted ascending, and the last n
 // words hold one fixed topological order.
+//
+// A Graph built into an Arena is valid until the arena's next Reset;
+// a campaign point's graphs die when its job returns.
 type Graph struct {
 	wcet  []int64
 	adj   []int    // offsets, successor lists, predecessor lists, order
@@ -117,7 +122,39 @@ func (b *Builder) Reset() {
 // duplicated or a self-loop, or the edge set contains a cycle. The
 // longest path is at most the volume, and Split and Clone carry it
 // over, so this one bound keeps every graph's sums in range.
-func (b *Builder) Build() (*Graph, error) {
+func (b *Builder) Build() (*Graph, error) { return BuildIn(nil, b) }
+
+// Arena is recycled storage for graphs: BuildIn and SplitIn reuse its
+// graphs' headers and buffers with every memo emptied. The zero value
+// is ready to use, a nil *Arena allocates, and none is concurrency-safe.
+type Arena struct {
+	graphs []*Graph
+	used   int   // graphs taken since the last Reset
+	first  []int // SplitIn's piece offsets
+}
+
+// Reset recycles every graph taken from a since the last Reset.
+func (a *Arena) Reset() { a.used = 0 }
+
+// graph returns a Graph with n WCETs and a slab of the given length,
+// their contents unspecified and every memo empty: a recycled one when
+// a is not nil.
+func (a *Arena) graph(n, slab int) *Graph {
+	if a == nil {
+		return &Graph{wcet: make([]int64, n), adj: make([]int, slab)}
+	}
+	if a.used == len(a.graphs) {
+		a.graphs = append(a.graphs, new(Graph))
+	}
+	g := a.graphs[a.used]
+	a.used++
+	*g = Graph{wcet: slices.Grow(g.wcet[:0], n)[:n], adj: slices.Grow(g.adj[:0], slab)[:slab], sorted: g.sorted[:0]}
+	return g
+}
+
+// BuildIn is Build into a's storage (fresh when a is nil); like LoadMu,
+// it and SplitIn are functions so the public aliases gain no method.
+func BuildIn(a *Arena, b *Builder) (*Graph, error) {
 	n := len(b.wcet)
 	if n == 0 {
 		return nil, fmt.Errorf("dag: graph must have at least one node")
@@ -145,7 +182,8 @@ func (b *Builder) Build() (*Graph, error) {
 		deg[u]++
 		deg[n+v]++
 	}
-	adj := make([]int, 2*n+1+2*len(b.edges)+n)
+	g := a.graph(n, 2*n+1+2*len(b.edges)+n)
+	adj := g.adj
 	adj[0] = 2*n + 1
 	for i, d := range deg {
 		adj[i+1] = adj[i] + d
@@ -166,7 +204,8 @@ func (b *Builder) Build() (*Graph, error) {
 			deg[n+v]++
 		}
 	}
-	g := &Graph{wcet: append([]int64(nil), b.wcet...), adj: adj, volume: volume}
+	copy(g.wcet, b.wcet)
+	g.volume = volume
 	if len(b.names) > 0 {
 		g.names = make([]string, n)
 		copy(g.names, b.names)
@@ -654,7 +693,7 @@ func (g *Graph) Width() int {
 // memoized on the graph and shared; callers must not modify it.
 func (g *Graph) SortedWCETs() []int64 {
 	g.sortedOnce.Do(func() {
-		c := g.WCETs()
+		c := append(g.sorted, g.wcet...) // nil, or an arena's empty buffer
 		slices.Sort(c)
 		slices.Reverse(c)
 		g.sorted = c
@@ -778,19 +817,30 @@ func (g *Graph) Clone() *Graph {
 // which is the order Build would give the split (DESIGN.md,
 // "Performance"). The split carries no node names, and its memos start
 // empty. maxNPR must be ≥ 1.
-func Split(g *Graph, maxNPR int64) *Graph {
+func Split(g *Graph, maxNPR int64) *Graph { return SplitIn(nil, g, maxNPR) }
+
+// SplitIn is Split into a's storage (a fresh graph when a is nil).
+func SplitIn(a *Arena, g *Graph, maxNPR int64) *Graph {
 	if maxNPR < 1 {
 		panic("dag: maxNPR must be ≥ 1")
 	}
 	n := g.N()
 	// first[v] is the index of v's first piece, first[n] the piece count.
-	first := make([]int, n+1)
+	var first []int
+	if a != nil {
+		a.first = slices.Grow(a.first[:0], n+1)[:n+1]
+		first = a.first
+	} else {
+		first = make([]int, n+1)
+	}
+	first[0] = 0
 	for v, c := range g.wcet {
 		first[v+1] = first[v] + int((c-1)/maxNPR+1)
 	}
 	np := first[n]
-	adj := make([]int, 2*np+1+2*(np-n+g.NumEdges())+np)
-	s := &Graph{wcet: make([]int64, np), adj: adj, volume: g.volume, longest: g.longest}
+	s := a.graph(np, 2*np+1+2*(np-n+g.NumEdges())+np)
+	s.volume, s.longest = g.volume, g.longest
+	adj := s.adj
 	// at is the slab's write cursor; list i starts where it stands.
 	at := 2*np + 1
 	for v, c := range g.wcet {

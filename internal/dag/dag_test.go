@@ -683,9 +683,10 @@ func randomPermutedDAG(rng *rand.Rand, n int, p float64, singleSource bool) ([]i
 	return wcet, edges
 }
 
-// buildVsRef builds the node and edge lists and fails t unless Build
-// agrees with refBuild: verdict, error text, adjacency and order.
-func buildVsRef(t testing.TB, wcet []int64, edges [][2]int) (*Graph, error) {
+// buildVsRef builds the node and edge lists into a (fresh when a is
+// nil) and fails t unless BuildIn agrees with refBuild: verdict, error
+// text, adjacency and order.
+func buildVsRef(t testing.TB, a *Arena, wcet []int64, edges [][2]int) (*Graph, error) {
 	t.Helper()
 	var b Builder
 	for _, c := range wcet {
@@ -694,7 +695,7 @@ func buildVsRef(t testing.TB, wcet []int64, edges [][2]int) (*Graph, error) {
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}
-	g, err := b.Build()
+	g, err := BuildIn(a, &b)
 	succ, pred, topo, wantErr := refBuild(wcet, edges)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%d nodes, edges %v: Build error %v, want %v", len(wcet), edges, err, wantErr)
@@ -797,7 +798,7 @@ func TestParallelMatchesDefinition(t *testing.T) {
 			p = 0.2 * rng.Float64()
 		}
 		wcet, edges := randomPermutedDAG(rng, n, p, trial%2 == 0)
-		g, err := buildVsRef(t, wcet, edges)
+		g, err := buildVsRef(t, nil, wcet, edges)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -857,7 +858,7 @@ func TestBuildMatchesReferenceAtSize(t *testing.T) {
 				insert(dup+1+rng.Intn(len(edges)-dup), bad) // after it
 			}
 		}
-		if _, err := buildVsRef(t, wcet, edges); err != nil {
+		if _, err := buildVsRef(t, nil, wcet, edges); err != nil {
 			kinds[strings.Fields(err.Error())[1]]++
 		} else {
 			kinds["ok"]++
@@ -890,5 +891,79 @@ func TestBuildLongChainOrder(t *testing.T) {
 	}
 	if g.LongestPath() != n {
 		t.Fatalf("L = %d, want %d", g.LongestPath(), n)
+	}
+}
+
+// checkSameGraph fails t unless got and want agree on every accessor,
+// memos included: got's µ slot must be empty, as a fresh graph's is.
+func checkSameGraph(t testing.TB, got, want *Graph) {
+	t.Helper()
+	gs, gp := lists(got)
+	ws, wp := lists(want)
+	switch {
+	case got.N() != want.N() || !slices.Equal(got.WCETs(), want.WCETs()) || got.MaxWCET() != want.MaxWCET():
+		t.Fatalf("WCETs %v, want %v", got.WCETs(), want.WCETs())
+	case !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(got.Edges(), want.Edges()) ||
+		got.NumEdges() != want.NumEdges() || !slices.Equal(got.Sinks(), want.Sinks()):
+		t.Fatalf("adjacency %v %v, want %v %v", gs, gp, ws, wp)
+	case !slices.Equal(got.TopologicalOrder(), want.TopologicalOrder()):
+		t.Fatalf("order %v, want %v", got.TopologicalOrder(), want.TopologicalOrder())
+	case got.Volume() != want.Volume() || got.LongestPath() != want.LongestPath():
+		t.Fatalf("vol/L %d/%d, want %d/%d", got.Volume(), got.LongestPath(), want.Volume(), want.LongestPath())
+	case got.DOT("g") != want.DOT("g"):
+		t.Fatalf("names or DOT differ:\n%s\nwant\n%s", got.DOT("g"), want.DOT("g"))
+	case got.Fingerprint() != want.Fingerprint():
+		t.Fatalf("fingerprints differ")
+	case !slices.Equal(got.SortedWCETs(), want.SortedWCETs()):
+		t.Fatalf("sorted WCETs %v, want %v", got.SortedWCETs(), want.SortedWCETs())
+	case LoadMu(got, 1) != nil:
+		t.Fatalf("µ slot holds %v, want empty", LoadMu(got, 1))
+	}
+}
+
+// TestArenaReuseMatchesFresh feeds one arena 480 random graphs of 1–150
+// nodes, rounds of sizes that shrink and grow, the first of every third
+// round named, and a split of each. At the end of its round, after the
+// round's later graphs were built, every graph and split must equal a
+// fresh Build or Split of the same input, memos included; then its
+// memos are filled, µ slot included, so that the next round's graphs
+// recycle used headers.
+func TestArenaReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var a Arena
+	var b Builder
+	var taken [][2]*Graph
+	for round := range 120 {
+		a.Reset()
+		taken = taken[:0]
+		for i := range 4 {
+			n := 1 + rng.Intn(150)
+			if (round+i)%2 == 1 {
+				n = 1 + rng.Intn(12)
+			}
+			wcet, edges := randomPermutedDAG(rng, n, 3/float64(n), i%2 == 0)
+			b.Reset()
+			for v, c := range wcet {
+				if i == 0 && round%3 == 0 {
+					b.AddNamedNode(fmt.Sprintf("n%d", v), c)
+				} else {
+					b.AddNode(c)
+				}
+			}
+			for _, e := range edges {
+				b.AddEdge(e[0], e[1])
+			}
+			got, err := BuildIn(&a, &b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := b.MustBuild()
+			q := 1 + rng.Int63n(want.MaxWCET())
+			taken = append(taken, [2]*Graph{got, want}, [2]*Graph{SplitIn(&a, got, q), Split(want, q)})
+		}
+		for _, p := range taken {
+			checkSameGraph(t, p[0], p[1])
+			StoreMu(p[0], []int64{p[0].MaxWCET()})
+		}
 	}
 }

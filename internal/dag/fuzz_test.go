@@ -6,8 +6,10 @@ import "testing"
 // checks it against the oracles: Build must give refBuild's verdict,
 // error text, adjacency and topological order, and a graph's Par sets
 // must equal the per-pair definition. Graphs reach 130 nodes, so the
-// sets span up to three words.
+// sets span up to three words. They are built into one arena, reset
+// per input, and a valid one must equal a fresh build, memos included.
 func FuzzBuilder(f *testing.F) {
+	var a Arena
 	f.Add([]byte{3, 8, 9, 9, 10})
 	f.Add([]byte{1})
 	f.Add([]byte{5, 8, 9, 9, 10, 10, 11, 11, 12, 8, 12})
@@ -32,10 +34,14 @@ func FuzzBuilder(f *testing.F) {
 			// instead of panicking.
 			edges = append(edges, [2]int{int(rest[i])%(n+16) - 8, int(rest[i+1])%(n+16) - 8})
 		}
-		g, err := buildVsRef(t, wcet, edges)
+		a.Reset()
+		g, err := buildVsRef(t, &a, wcet, edges)
 		if err != nil {
 			return
 		}
+		fresh, _ := buildVsRef(t, nil, wcet, edges)
+		checkSameGraph(t, g, fresh)
+		StoreMu(g, []int64{1})
 		if l, vol := g.LongestPath(), g.Volume(); l > vol || l < g.MaxWCET() {
 			t.Fatalf("L=%d outside [maxC=%d, vol=%d]", l, g.MaxWCET(), vol)
 		}

@@ -45,12 +45,13 @@ func splitByBuilder(g *dag.Graph, maxNPR int64) *dag.Graph {
 	return b.MustBuild()
 }
 
-// checkSplit fails t unless dag.Split(g, q) equals splitByBuilder(g, q)
-// in WCETs, adjacency (nil lists included), topological order, volume,
-// longest path, fingerprint and node names, and returns the split.
-func checkSplit(t testing.TB, g *dag.Graph, q int64) *dag.Graph {
+// checkSplit fails t unless dag.SplitIn(a, g, q) equals
+// splitByBuilder(g, q) in WCETs, adjacency (nil lists included),
+// topological order, volume, longest path, fingerprint, sorted WCETs,
+// node names and an empty µ slot, and returns the split.
+func checkSplit(t testing.TB, a *dag.Arena, g *dag.Graph, q int64) *dag.Graph {
 	t.Helper()
-	got, want := dag.Split(g, q), splitByBuilder(g, q)
+	got, want := dag.SplitIn(a, g, q), splitByBuilder(g, q)
 	if !slices.Equal(got.WCETs(), want.WCETs()) {
 		t.Fatalf("split of %d nodes at %d: WCETs %v, want %v", g.N(), q, got.WCETs(), want.WCETs())
 	}
@@ -68,8 +69,8 @@ func checkSplit(t testing.TB, g *dag.Graph, q int64) *dag.Graph {
 		t.Fatalf("split of %d nodes at %d: vol/L %d/%d, want %d/%d", g.N(), q,
 			got.Volume(), got.LongestPath(), want.Volume(), want.LongestPath())
 	}
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatalf("split of %d nodes at %d: fingerprints differ", g.N(), q)
+	if got.Fingerprint() != want.Fingerprint() || !slices.Equal(got.SortedWCETs(), want.SortedWCETs()) || dag.LoadMu(got, 1) != nil {
+		t.Fatalf("split of %d nodes at %d: fingerprints, sorted WCETs or µ slots differ", g.N(), q)
 	}
 	return got
 }
@@ -115,9 +116,9 @@ func checkSplits(t *testing.T, g *dag.Graph) {
 		if q < 1 {
 			continue
 		}
-		s := checkSplit(t, g, q)
+		s := checkSplit(t, nil, g, q)
 		if q > 1 {
-			checkSplit(t, s, (q+1)/2)
+			checkSplit(t, nil, s, (q+1)/2)
 		}
 	}
 }
@@ -153,8 +154,11 @@ func TestSplitMatchesBuilder(t *testing.T) {
 // FuzzSplit builds a DAG from a byte script, splits it at a fuzzed
 // budget and splits the split at a second one, each against
 // splitByBuilder. Edges are oriented by a scrambled rank of their
-// endpoints, so they run both up and down in index order.
+// endpoints, so they run both up and down in index order. The DAG and
+// its splits are built into one arena, reset per input, and their µ
+// slots filled, so every input recycles the last one's graphs.
 func FuzzSplit(f *testing.F) {
+	var a dag.Arena
 	f.Add(uint8(2), uint8(0), []byte{4, 9, 3, 7, 1, 0, 1, 1, 2, 3, 0})
 	f.Add(uint8(0), uint8(0), []byte{1, 40})
 	f.Add(uint8(9), uint8(3), []byte{12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 5, 2, 9, 3, 11, 0, 7, 4})
@@ -164,6 +168,7 @@ func FuzzSplit(f *testing.F) {
 		}
 		n := int(script[0])%40 + 1
 		rest := script[1:]
+		a.Reset()
 		var b dag.Builder
 		for v := 0; v < n; v++ {
 			c := int64(v%7) + 1
@@ -184,7 +189,14 @@ func FuzzSplit(f *testing.F) {
 				b.AddEdge(u, v)
 			}
 		}
-		s := checkSplit(t, b.MustBuild(), int64(q1%60)+1)
-		checkSplit(t, s, int64(q2%20)+1)
+		g, err := dag.BuildIn(&a, &b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := checkSplit(t, &a, g, int64(q1%60)+1)
+		ss := checkSplit(t, &a, s, int64(q2%20)+1)
+		for _, x := range []*dag.Graph{g, s, ss} {
+			dag.StoreMu(x, []int64{x.MaxWCET()})
+		}
 	})
 }

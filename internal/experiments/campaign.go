@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -87,7 +88,20 @@ func (s Scenario) Params() gen.Params {
 // TaskSet generates the scenario's task set for one seed and target
 // utilization, applying the preemption-point transforms when configured.
 func (s Scenario) TaskSet(seed int64, targetU float64) *model.TaskSet {
-	g := gen.New(seed, s.Params())
+	return s.taskSet(nil, seed, targetU)
+}
+
+// generators pools the generators of task sets, arenas the graph
+// storage of campaign points.
+var generators = sync.Pool{New: func() any { return new(gen.Generator) }}
+var arenas = sync.Pool{New: func() any { return new(dag.Arena) }}
+
+// taskSet is TaskSet from a pooled generator, building every generated
+// graph and split into a (fresh ones when a is nil).
+func (s Scenario) taskSet(a *dag.Arena, seed int64, targetU float64) *model.TaskSet {
+	g := generators.Get().(*gen.Generator)
+	defer generators.Put(g)
+	gen.Reseed(g, a, seed, s.Params())
 	var ts *model.TaskSet
 	if s.Tasks > 0 {
 		ts = g.TaskSetN(s.Tasks, targetU)
@@ -99,7 +113,7 @@ func (s Scenario) TaskSet(seed int64, targetU float64) *model.TaskSet {
 		for i, t := range ts.Tasks {
 			graph := t.G
 			if s.NPRSplit > 0 {
-				graph = dag.Split(graph, s.NPRSplit)
+				graph = dag.SplitIn(a, graph, s.NPRSplit)
 			}
 			if s.NPRCoarsen > 0 {
 				graph = ppp.CoarsenChains(graph, s.NPRCoarsen)
@@ -473,7 +487,9 @@ func runCampaignPoints(cfg CampaignConfig, idx []int, opts RunOptions, done func
 // engine). The sets are generated once and each method analyzes them
 // as one ScheduleBatch, so the whole point reuses a single warm rta
 // scratch state per method, and the µ table each graph memoizes for the
-// first LP-ILP method serves the next.
+// first LP-ILP method serves the next. The graphs live in a pooled
+// arena until the next point draws it: the job returns only counts, and
+// campaigns keep no graph in the µ-table cache.
 func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point) (PointResult, error) {
 	res := PointResult{
 		Index:    pt.Index,
@@ -483,9 +499,12 @@ func runCampaignPoint(ctx context.Context, cfg CampaignConfig, pt Point) (PointR
 		Sets:     cfg.SetsPerPoint,
 		Sched:    make(map[string]int, len(cfg.Methods)),
 	}
+	a := arenas.Get().(*dag.Arena)
+	defer arenas.Put(a)
+	a.Reset()
 	sets := make([]*model.TaskSet, cfg.SetsPerPoint)
 	for si := range sets {
-		sets[si] = pt.Scenario.TaskSet(SeedFor(cfg.Seed, pt.Index, si), pt.U)
+		sets[si] = pt.Scenario.taskSet(a, SeedFor(cfg.Seed, pt.Index, si), pt.U)
 	}
 	for _, method := range cfg.Methods {
 		n, err := countSchedulable(ctx, sets, core.Options{Cores: pt.M, Method: method})

@@ -25,8 +25,9 @@
 //
 // A Generator draws from math/rand's generator, seeded as
 // rand.NewSource seeds it, so a seed gives the same task sets it always
-// has; the register is filled by jump-ahead (source.go), which makes
-// the generator-per-task-set pattern of campaigns cheap.
+// has; the register is filled by jump-ahead (source.go), in place by
+// Reseed, which makes the generator-per-task-set pattern of campaigns
+// cheap.
 package gen
 
 import (
@@ -152,40 +153,29 @@ func PaperParams(group Group) Params {
 // its seed.
 type Generator struct {
 	rng    *rand.Rand
+	graphs *dag.Arena // where Graph builds; nil for fresh graphs
 	params Params
 	nTasks int
 }
 
 // New returns a Generator with the given seed and parameters.
-func New(seed int64, params Params) *Generator {
-	if params.DAG.NPar < 2 {
-		params.DAG.NPar = 2
-	}
-	if params.DAG.MaxNodes < 1 {
-		params.DAG.MaxNodes = 1
-	}
-	if params.DAG.MaxPathLen < 1 {
-		params.DAG.MaxPathLen = 1
-	}
-	if params.DAG.CMin < 1 {
-		params.DAG.CMin = 1
-	}
-	if params.DAG.CMax < params.DAG.CMin {
-		params.DAG.CMax = params.DAG.CMin
-	}
-	if params.Shape == ShapeWide && params.DAG.MaxNodes < 4 {
+func New(seed int64, params Params) *Generator { return Reseed(new(Generator), nil, seed, params) }
+
+// Reseed makes g in place the Generator New(seed, params) returns, its
+// graphs built into a (fresh when nil); a function, so Generator gains no method.
+func Reseed(g *Generator, a *dag.Arena, seed int64, params Params) *Generator {
+	d := &params.DAG
+	d.NPar, d.MaxNodes, d.MaxPathLen = max(d.NPar, 2), max(d.MaxNodes, 1), max(d.MaxPathLen, 1)
+	d.CMin = max(d.CMin, 1)
+	d.CMax = max(d.CMax, d.CMin)
+	switch params.Shape {
+	case ShapeWide:
 		// The smallest wide graph is fork + join + 2 branches.
-		params.DAG.MaxNodes = 4
-	}
-	if params.Shape == ShapeOpenMP {
+		d.MaxNodes = max(d.MaxNodes, 4)
+	case ShapeOpenMP:
 		// The smallest wavefront is two diagonals and one panel (a
 		// 3-node chain).
-		if params.DAG.MaxNodes < 3 {
-			params.DAG.MaxNodes = 3
-		}
-		if params.DAG.MaxPathLen < 3 {
-			params.DAG.MaxPathLen = 3
-		}
+		d.MaxNodes, d.MaxPathLen = max(d.MaxNodes, 3), max(d.MaxPathLen, 3)
 	}
 	if params.Beta <= 0 || params.Beta > 1 {
 		params.Beta = 0.5
@@ -196,7 +186,12 @@ func New(seed int64, params Params) *Generator {
 	if params.SeqProb <= 0 || params.SeqProb >= 1 {
 		params.SeqProb = 0.5
 	}
-	return &Generator{rng: rand.New(newSource(seed)), params: params}
+	if g.rng == nil {
+		g.rng = rand.New(new(source))
+	}
+	g.rng.Seed(seed)
+	g.graphs, g.params, g.nTasks = a, params, 0
+	return g
 }
 
 // Graph generates one DAG with the generator's parameters, choosing the
@@ -216,14 +211,17 @@ func (g *Generator) Graph() *dag.Graph {
 	default:
 		g.parallelGraph(b)
 	}
-	graph := b.MustBuild()
+	graph, err := dag.BuildIn(g.graphs, b)
+	if err != nil {
+		panic(err)
+	}
 	builders.Put(b)
 	return graph
 }
 
-// builders holds the Builders graphs are generated in. Build copies
-// what it keeps, so a Builder serves graph after graph, and the many
-// short-lived generators of a campaign, one per task set, do not each
+// builders holds the Builders graphs are generated in. BuildIn copies
+// what it keeps, so a Builder serves graph after graph, and generators,
+// whether made per task set by New or reseeded in place, do not each
 // grow their own node and edge lists.
 var builders = sync.Pool{New: func() any { return new(dag.Builder) }}
 

@@ -145,6 +145,31 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesNew pins Reseed: one generator, reseeded in place
+// across seeds, groups and shapes and building into one arena, gives
+// exactly the task sets a fresh New gives.
+func TestReseedMatchesNew(t *testing.T) {
+	var g Generator
+	var a dag.Arena
+	for seed := int64(0); seed < 40; seed++ {
+		p := PaperParams(Group(seed % 2))
+		p.Shape = Shape(seed % 4)
+		a.Reset()
+		Reseed(&g, &a, seed, p)
+		got, want := g.TaskSet(2), New(seed, p).TaskSet(2)
+		if len(got.Tasks) != len(want.Tasks) {
+			t.Fatalf("seed %d: %d tasks, want %d", seed, len(got.Tasks), len(want.Tasks))
+		}
+		for i, w := range want.Tasks {
+			x := got.Tasks[i]
+			if x.Name != w.Name || x.Period != w.Period || x.Deadline != w.Deadline || x.G.Fingerprint() != w.G.Fingerprint() {
+				t.Fatalf("seed %d, task %d: %s T=%d D=%d, want %s T=%d D=%d (or the graphs differ)",
+					seed, i, x.Name, x.Period, x.Deadline, w.Name, w.Period, w.Deadline)
+			}
+		}
+	}
+}
+
 func TestTaskSetSortedByPriority(t *testing.T) {
 	g := New(6, PaperParams(GroupMixed))
 	ts := g.TaskSet(3.0)

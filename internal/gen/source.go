@@ -42,13 +42,6 @@ var (
 	cooked [rngLen]int64
 )
 
-// newSource returns a source seeded like rand.NewSource(seed).
-func newSource(seed int64) *source {
-	s := new(source)
-	s.Seed(seed)
-	return s
-}
-
 // Seed sets the register to rand.NewSource(seed)'s initial state.
 func (s *source) Seed(seed int64) {
 	tablesOnce.Do(initTables)
