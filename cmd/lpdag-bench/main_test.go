@@ -148,7 +148,7 @@ func TestCheckBudgets(t *testing.T) {
 		})
 	}
 	// The bounds are the standing contract; moving one is a reviewed act.
-	want := map[string]float64{"CampaignThroughput allocs/op": 3900, "CampaignThroughput B/op": 140e3,
+	want := map[string]float64{"CampaignThroughput allocs/op": 3200, "CampaignThroughput B/op": 100e3,
 		"MuTableCold allocs/op": 27, "SessionEditDurable ns/op": 25e6, "SessionRepair ns/op": 10e6,
 		"ServeAnalyze allocs/op": 600, "ServeSessionQuery allocs/op": 110}
 	if len(Budgets) != len(want) {

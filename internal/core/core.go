@@ -205,35 +205,34 @@ func ReportOf(res *rta.Result, ts *model.TaskSet) *Report {
 	return rep
 }
 
-// Schedulable is a convenience wrapper returning only the verdict. It
-// skips the Report entirely, so a pooled warm analyzer answers it
-// without heap allocation.
+// Schedulable returns only the verdict, through rta's verdict entry
+// point: it skips the Report entirely, so a pooled warm analyzer
+// answers it without heap allocation, and an LP-ILP set whose graphs
+// hold no µ tables yet solves them only when LP-max and the
+// heaviest-NPR lower bound leave the verdict open
+// (rta.(*Analyzer).Schedulable).
 func (a *Analyzer) Schedulable(ctx context.Context, ts *model.TaskSet) (bool, error) {
 	ra := a.get()
 	defer analyzers.Put(ra)
-	res, err := ra.AnalyzeInPlace(ctx, ts)
-	if err != nil {
-		return false, err
-	}
-	return res.Schedulable, nil
+	return ra.Schedulable(ctx, ts)
 }
 
-// ScheduleBatch returns the schedulability verdict of every set, holding
-// one pooled rta.Analyzer — scratch buffers, suffix aggregator — across
-// the whole batch. This is the batch entry point the experiment
-// campaigns drive with a fresh Analyzer per point and method: a sweep
-// worker analyzing SetsPerPoint sets back to back draws and
-// reconfigures one warm scratch state for them all.
+// ScheduleBatch returns the schedulability verdict of every set, as
+// Schedulable does, holding one pooled rta.Analyzer — scratch buffers,
+// suffix aggregators — across the whole batch. This is the batch entry
+// point the experiment campaigns drive with a fresh Analyzer per point
+// and method: a sweep worker analyzing SetsPerPoint sets back to back
+// draws and reconfigures one warm scratch state for them all.
 func (a *Analyzer) ScheduleBatch(ctx context.Context, sets []*model.TaskSet) ([]bool, error) {
 	ra := a.get()
 	defer analyzers.Put(ra)
 	out := make([]bool, len(sets))
 	for i, ts := range sets {
-		res, err := ra.AnalyzeInPlace(ctx, ts)
+		ok, err := ra.Schedulable(ctx, ts)
 		if err != nil {
 			return nil, fmt.Errorf("core: set %d: %w", i, err)
 		}
-		out[i] = res.Schedulable
+		out[i] = ok
 	}
 	return out, nil
 }

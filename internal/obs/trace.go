@@ -10,7 +10,8 @@ package obs
 // Phases:
 //
 //   - SuffixPush: one graph pushed into the blocking aggregator (a µ
-//     table or top-NPR fold); one AnalyzeInPlace scan is n-1 of them.
+//     table or top-NPR fold); one AnalyzeInPlace scan is n-1 of them,
+//     as is the µ-free scan of rta's verdict-only bracket.
 //   - CacheLookup: one µ-table fetch from the shared content-addressed
 //     cache (reached only when the graph holds no µ table for the core
 //     count yet, so the series measures genuine cross-instance traffic).

@@ -24,7 +24,9 @@ import (
 // for any method, with or without a shared cache. (With one, steady
 // state resolves every µ table in the memo on its graph, so the shared
 // cache costs nothing once warm — the contract that keeps a cached
-// engine no slower than an uncached one.)
+// engine no slower than an uncached one.) The verdict entry point
+// allocates nothing either, on the memoized set and, through the
+// bracket, on a fresh copy whose graphs never get a µ table.
 func TestAnalyzerSteadyStateZeroAlloc(t *testing.T) {
 	ts := fixture.TaskSet()
 	for _, method := range []Method{FPIdeal, LPMax, LPILP} {
@@ -33,8 +35,25 @@ func TestAnalyzerSteadyStateZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			fresh := ts.Clone()
 			if _, err := a.AnalyzeInPlace(context.Background(), ts); err != nil { // warm the memos
 				t.Fatal(err)
+			}
+			for _, vs := range []*model.TaskSet{ts, fresh} {
+				if _, err := a.Schedulable(context.Background(), vs); err != nil { // warm the memos
+					t.Fatal(err)
+				}
+				if allocs := testing.AllocsPerRun(100, func() {
+					if _, err := a.Schedulable(context.Background(), vs); err != nil {
+						panic(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%v (cached=%v, fresh=%v): steady-state Schedulable allocates %.1f objects/op, want 0",
+						method, memo != nil, vs == fresh, allocs)
+				}
+			}
+			if method == LPILP && !holdsNoMu(fresh) {
+				t.Errorf("cached=%v: the bracket left the fixture's verdict open; the fresh copy does not pin it", memo != nil)
 			}
 			var sink *Result
 			allocs := testing.AllocsPerRun(100, func() {

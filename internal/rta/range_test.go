@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/big"
+	"strconv"
 	"testing"
 
 	"repro/internal/dag"
@@ -13,10 +14,11 @@ import (
 
 // rangeSet decodes a fuzz input into a set of at most four tasks of one
 // to three nodes, wired by any of the eight forward-edge masks on three
-// nodes, with WCETs, deadlines and periods spread across [1, 2^62] (a
-// byte picks each value's bit length). It reports false when a task's
-// volume leaves int64, which dag.Build refuses.
-func rangeSet(data []byte) (*model.TaskSet, bool) {
+// nodes, with WCETs, deadlines and periods spread across [1, 2^maxBits]
+// (a byte picks each value's bit length, maxBits ≤ 62), the tasks named
+// t0, t1, ... in priority order. It reports false when a task's volume
+// leaves int64, which dag.Build refuses.
+func rangeSet(data []byte, maxBits uint64) (*model.TaskSet, bool) {
 	next := func(n int) uint64 {
 		var b [8]byte
 		k := copy(b[:n], data)
@@ -24,7 +26,7 @@ func rangeSet(data []byte) (*model.TaskSet, bool) {
 		return binary.LittleEndian.Uint64(b[:])
 	}
 	value := func() int64 {
-		bits := next(1) % 63 // 0..62
+		bits := next(1) % (maxBits + 1)
 		return 1 + int64(next(8)%(uint64(1)<<bits))
 	}
 	ts := &model.TaskSet{}
@@ -45,7 +47,7 @@ func rangeSet(data []byte) (*model.TaskSet, bool) {
 			return nil, false
 		}
 		d, p := value(), value()
-		ts.Tasks = append(ts.Tasks, &model.Task{Name: "t", G: g, Deadline: min(d, p), Period: max(d, p)})
+		ts.Tasks = append(ts.Tasks, &model.Task{Name: "t" + strconv.Itoa(len(ts.Tasks)), G: g, Deadline: min(d, p), Period: max(d, p)})
 	}
 	return ts, true
 }
@@ -241,7 +243,7 @@ func FuzzFixedPointRange(f *testing.F) {
 	f.Add(uint8(15), uint8(LPILP), true, set(task(2, 1, 3, 4, 30, 40), task(3, 2, 1, 2, 3, 60, 90), task(1, 0, 9, 200, 200), task(3, 7, 5, 5, 5, 500, 500)))
 	f.Fuzz(func(t *testing.T, cores, method uint8, finalNPR bool, data []byte) {
 		cfg := Config{M: 1 + int(cores)%64, Method: Method(method % 3), FinalNPRRefinement: finalNPR}
-		ts, ok := rangeSet(data)
+		ts, ok := rangeSet(data, 62)
 		if !ok {
 			return
 		}

@@ -224,14 +224,15 @@ type Result struct {
 // Analyzer runs the response-time analysis with one configuration at a
 // time, reusing every internal buffer across calls: the structural
 // scratch (per-task volumes, longest paths, response bounds), the
-// suffix-incremental blocking aggregator, and the result itself for
+// suffix-incremental blocking aggregators, and the result itself for
 // AnalyzeInPlace. It holds no µ tables: those are memoized on their
 // graphs (see muTable), so an analyzer pins no graph beyond the set it
 // last analyzed. In steady state — re-analyzing task sets whose graphs
-// hold their µ tables — AnalyzeInPlace performs no heap allocation at
-// all (asserted by TestAnalyzerSteadyStateZeroAlloc). The zero
-// Analyzer is unconfigured; Reconfigure configures it, which is how
-// core draws analyzers of any configuration from one process-wide pool.
+// hold their µ tables — AnalyzeInPlace and Schedulable perform no heap
+// allocation at all (asserted by TestAnalyzerSteadyStateZeroAlloc). The
+// zero Analyzer is unconfigured; Reconfigure configures it, which is
+// how core draws analyzers of any configuration from one process-wide
+// pool.
 //
 // An Analyzer is NOT safe for concurrent use; give each worker its own.
 type Analyzer struct {
@@ -241,7 +242,8 @@ type Analyzer struct {
 	vols, longs, rm []int64
 	graphs          []*dag.Graph
 	suffix          []blocking.Interference // suffix[k]: Δ pair of graphs[k+1:]
-	agg             blocking.SuffixAggregator
+	lower           []blocking.Interference // Schedulable's lower bound on suffix[k]
+	agg, lowAgg     blocking.SuffixAggregator
 
 	res Result
 }
@@ -324,9 +326,10 @@ func (a *Analyzer) ensure(n int) {
 		a.rm = make([]int64, n)
 		a.graphs = make([]*dag.Graph, n)
 		a.suffix = make([]blocking.Interference, n)
+		a.lower = make([]blocking.Interference, n)
 	}
 	a.vols, a.longs, a.rm = a.vols[:n], a.longs[:n], a.rm[:n]
-	a.graphs, a.suffix = a.graphs[:n], a.suffix[:n]
+	a.graphs, a.suffix, a.lower = a.graphs[:n], a.suffix[:n], a.lower[:n]
 	// Shrinking must not pin the previous, larger set: clear the
 	// pointer-holding tail up to the high-water mark so those graphs
 	// (with their lazily memoized O(V²) bitsets) stay collectable.
@@ -365,25 +368,31 @@ func (a *Analyzer) muTable(g *dag.Graph) []int64 {
 	return mu
 }
 
-// push feeds one graph into the suffix aggregator. LP-max needs only
+// push feeds one graph into the suffix aggregators. LP-max needs only
 // the graph's memoized sorted-WCET list; LP-ILP fetches the µ table
-// through the graph memo and the cache (see muTable).
-func (a *Analyzer) push(g *dag.Graph) {
+// through the graph memo and the cache (see muTable). Schedulable's
+// bracket pushes the sorted list and its head, [µ[1]], into lowAgg.
+func (a *Analyzer) push(g *dag.Graph, bracket bool) {
 	trace := a.cfg.Trace
 	var t0 time.Time
 	if trace != nil {
 		t0 = time.Now()
 	}
-	a.pushInner(g)
+	a.pushInner(g, bracket)
 	if trace != nil {
 		trace.SuffixPush.Since(t0)
 	}
 }
 
-func (a *Analyzer) pushInner(g *dag.Graph) {
-	if a.cfg.Method == LPILP {
+func (a *Analyzer) pushInner(g *dag.Graph, bracket bool) {
+	switch {
+	case bracket:
+		tops := g.SortedWCETs()
+		a.agg.PushTops(tops)
+		a.lowAgg.PushMu(tops[:min(len(tops), 1)])
+	case a.cfg.Method == LPILP:
 		a.agg.PushMu(a.muTable(g))
-	} else { // LPMax
+	default: // LPMax
 		a.agg.PushTops(g.SortedWCETs())
 	}
 }
@@ -408,42 +417,125 @@ func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Resu
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
+	a.cfg.Trace.RecordFull()
+	if err := a.fold(ctx, ts, false); err != nil {
+		return nil, err
+	}
+	if err := a.fixedPoints(ctx, ts, a.suffix); err != nil {
+		return nil, err
+	}
+	return &a.res, nil
+}
+
+// Schedulable returns the verdict of AnalyzeInPlace, error for error,
+// without a Result. An LP-ILP set whose lower-priority graphs hold no µ
+// table for M yet is bracketed first by the same fixed points on two
+// µ-free Δ folds: LP-max's above LP-ILP's, and each task's heaviest NPR
+// alone below it. Only a set the two leave open, or one a guard or an
+// error turns away, pays the µ tables and the full pass (DESIGN.md,
+// "Verdicts by bracket", has the proof).
+func (a *Analyzer) Schedulable(ctx context.Context, ts *model.TaskSet) (bool, error) {
+	if a.bracketed(ts) && a.fold(ctx, ts, true) == nil {
+		if a.fixedPoints(ctx, ts, a.suffix) == nil && a.res.Schedulable && a.settled(ts) {
+			return true, nil
+		}
+		// The lower pass checks every range against LP-max's Δ, so the
+		// full pass cannot refuse a task the lower one analyzed.
+		if a.fixedPoints(ctx, ts, a.lower) == nil && !a.res.Schedulable && a.settled(ts) {
+			return false, nil
+		}
+	}
+	res, err := a.AnalyzeInPlace(ctx, ts)
+	if err != nil {
+		return false, err
+	}
+	return res.Schedulable, nil
+}
+
+// bracketed gates Schedulable's bracket: a valid LP-ILP set of two or
+// more tasks whose lower-priority graphs hold no µ table for M. A set
+// whose tables are memoized has no solve to save.
+func (a *Analyzer) bracketed(ts *model.TaskSet) bool {
+	if a.cfg.Method != LPILP || ts.N() < 2 || ts.Validate() != nil {
+		return false
+	}
+	for _, t := range ts.Tasks[1:] {
+		if blocking.MemoMu(t.G, a.cfg.M) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// settled reports whether the bracket pass in a.res stands clear of the
+// iteration cap: LP-ILP climbs from each base in steps of at least m to
+// at most the fixed points of a pass that met every deadline, so these
+// must lie fewer than DefaultMaxIterations steps up, and a pass's miss
+// must have passed m·D, not stopped at the cap.
+func (a *Analyzer) settled(ts *model.TaskSet) bool {
+	m := int64(a.cfg.M)
+	for k, tr := range a.res.Tasks {
+		if !tr.Schedulable {
+			return tr.ResponseTimeM > m*ts.Tasks[k].Deadline
+		}
+		if a.res.Schedulable && (tr.InterferenceLP+tr.InterferenceHP)/m >= DefaultMaxIterations {
+			return false
+		}
+	}
+	return true
+}
+
+// fold loads ts into the scratch and folds the blocking terms bottom-up:
+// suffix[k] is the Δ pair of graphs[k+1:], from the empty lowest
+// suffix, and for the bracket lower[k] too. The fold's entries stay
+// within the pushed volume sum.
+func (a *Analyzer) fold(ctx context.Context, ts *model.TaskSet, bracket bool) error {
 	cfg := a.cfg
-	cfg.Trace.RecordFull()
 	n := ts.N()
 	a.ensure(n)
-	res := &a.res
-	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M
 	for i, t := range ts.Tasks {
 		a.vols[i], a.longs[i] = t.G.Volume(), t.G.LongestPath()
 		a.graphs[i] = t.G
 	}
-
-	// Blocking: suffix[k] is the Δ pair of graphs[k+1:], starting from
-	// the empty lowest-priority suffix. The fold's entries stay within
-	// the pushed volume sum.
-	if cfg.Method != FPIdeal {
-		a.agg.Reset(cfg.M)
-		a.suffix[n-1] = a.agg.Interference()
-		var foldVol int64
-		for k := n - 2; k >= 0; k-- {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if foldVol = addSat(foldVol, a.vols[k+1]); foldVol == math.MaxInt64 {
-				return nil, &RangeError{Task: ts.Tasks[k+1].Name, M: cfg.M}
-			}
-			a.push(a.graphs[k+1])
-			a.suffix[k] = a.agg.Interference()
+	if cfg.Method == FPIdeal {
+		clear(a.suffix) // no blocking
+		return nil
+	}
+	a.agg.Reset(cfg.M)
+	a.suffix[n-1] = a.agg.Interference()
+	if bracket {
+		a.lowAgg.Reset(cfg.M)
+		a.lower[n-1] = a.lowAgg.Interference()
+	}
+	var foldVol int64
+	for k := n - 2; k >= 0; k-- {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if foldVol = addSat(foldVol, a.vols[k+1]); foldVol == math.MaxInt64 {
+			return &RangeError{Task: ts.Tasks[k+1].Name, M: cfg.M}
+		}
+		a.push(a.graphs[k+1], bracket)
+		a.suffix[k] = a.agg.Interference()
+		if bracket {
+			a.lower[k] = a.lowAgg.Interference()
 		}
 	}
+	return nil
+}
 
-	// Fixed points, top-down. dMax and tMax are the largest deadline and
-	// period of the tasks above k.
+// fixedPoints runs the fixed points top-down into a.res, task k blocked
+// by delta[k] (suffix, or the bracket's lower) and range-checked
+// against suffix[k]. dMax and tMax are the largest deadline and period
+// of the tasks above k.
+func (a *Analyzer) fixedPoints(ctx context.Context, ts *model.TaskSet, delta []blocking.Interference) error {
+	cfg := a.cfg
+	res := &a.res
+	res.Schedulable, res.Method, res.M = true, cfg.Method, cfg.M
 	var dMax, tMax int64
-	for k := 0; k < n; k++ {
+	for k := range ts.N() {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		tr := &res.Tasks[k]
 		*tr = TaskResult{Name: ts.Tasks[k].Name}
@@ -453,27 +545,25 @@ func (a *Analyzer) AnalyzeInPlace(ctx context.Context, ts *model.TaskSet) (*Resu
 			continue
 		}
 		tr.Analyzed = true
-		if cfg.Method != FPIdeal {
-			tr.DeltaM, tr.DeltaM1 = a.suffix[k].DeltaM, a.suffix[k].DeltaM1
-		}
-		if err := a.solveTask(ctx, ts, k, dMax, tMax, tr); err != nil {
-			return nil, err
+		tr.DeltaM, tr.DeltaM1 = delta[k].DeltaM, delta[k].DeltaM1
+		if err := a.solveTask(ctx, ts, k, dMax, tMax, a.suffix[k], tr); err != nil {
+			return err
 		}
 		if !tr.Schedulable {
 			res.Schedulable = false
 		}
 		dMax, tMax = max(dMax, ts.Tasks[k].Deadline), max(tMax, ts.Tasks[k].Period)
 	}
-	return res, nil
+	return nil
 }
 
 // solveTask runs the Equation (1)/(4) fixed point for task k, whose
 // blocking terms (tr.DeltaM/DeltaM1) the caller has already filled in;
-// dMax and tMax are the largest deadline and period above k. It reads
-// the structural scratch (a.vols, a.longs) and the higher-priority
-// response bounds a.rm[:k], and writes the remaining TaskResult fields
-// plus a.rm[k].
-func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, dMax, tMax int64, tr *TaskResult) error {
+// its range is checked with the Δ pair fit, and dMax and tMax are the
+// largest deadline and period above k. It reads the structural scratch
+// (a.vols, a.longs) and the higher-priority response bounds a.rm[:k],
+// and writes the remaining TaskResult fields plus a.rm[k].
+func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, dMax, tMax int64, fit blocking.Interference, tr *TaskResult) error {
 	cfg := a.cfg
 	var t0 time.Time
 	if cfg.Trace != nil {
@@ -484,7 +574,7 @@ func (a *Analyzer) solveTask(ctx context.Context, ts *model.TaskSet, k int, dMax
 	l := a.longs[k]
 	vol := a.vols[k]
 	q := int64(task.G.PreemptionPoints())
-	if !fixedPointFits(m64, task.Deadline, l, vol, tr.DeltaM, tr.DeltaM1, q, int64(k), dMax, tMax) {
+	if !fixedPointFits(m64, task.Deadline, l, vol, fit.DeltaM, fit.DeltaM1, q, int64(k), dMax, tMax) {
 		return &RangeError{Task: task.Name, M: cfg.M}
 	}
 	dm := m64 * task.Deadline

@@ -286,7 +286,8 @@ func (s *Session) TryAdmit(ctx context.Context, t *model.Task, at int) (*core.Re
 // the set untouched — with the whole set staying schedulable, searching
 // [1, maxPermille] by bisection. 0 means the set is not schedulable
 // even with the task's WCETs scaled to (essentially) nothing. Each
-// probe analyzes the trial set from scratch; only the scaled task's
+// probe asks the analyzer for the trial set's verdict alone
+// (core.(*Analyzer).Schedulable), from scratch; only the scaled task's
 // graph needs fresh µ tables.
 func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, error) {
 	s.mu.Lock()
@@ -299,18 +300,16 @@ func (s *Session) Sensitivity(ctx context.Context, i, maxPermille int) (int, err
 	}
 	return core.BisectPermille(maxPermille, func(permille int) (bool, error) {
 		scaled, err := core.ScaleTask(s.tasks[i], permille)
+		ok := false
 		if err == nil {
 			trial := append([]*model.Task(nil), s.tasks...)
 			trial[i] = scaled
-			var rep *core.Report
-			if rep, err = s.analyzeLocked(ctx, trial); err == nil {
-				return rep.Schedulable, nil
-			}
+			ok, err = s.an.Schedulable(ctx, &model.TaskSet{Tasks: trial})
 		}
 		if errors.Is(err, rta.ErrOverflow) {
 			return false, nil // conservative, and monotone in permille
 		}
-		return false, err
+		return ok, err
 	})
 }
 
