@@ -18,8 +18,10 @@ package obs
 //   - FixedPoint: one per-task response-time fixed point (solveTask).
 //   - FixedPointIters: iterations that fixed point took to converge.
 //
-// FullRuns counts calls of AnalyzeInPlace, the one analysis routine,
-// giving the denominator for the span histograms.
+// FullRuns counts full passes, the calls of AnalyzeInPlace, the one
+// routine that builds a result. The span histograms also time the
+// µ-free passes of rta's verdict-only bracket, which count no run, so
+// FullRuns bounds their denominator from below.
 type Trace struct {
 	SuffixPush      *Histogram
 	CacheLookup     *Histogram

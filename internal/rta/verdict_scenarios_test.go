@@ -1,13 +1,9 @@
 package rta_test
 
 import (
-	"context"
-	"fmt"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/experiments"
-	"repro/internal/model"
 	"repro/internal/rta"
 )
 
@@ -24,7 +20,6 @@ func TestVerdictMatchesFullPass(t *testing.T) {
 	if testing.Short() {
 		sets = 2
 	}
-	ctx := context.Background()
 	var compared, upper, lower, ilpSets int
 	for _, sc := range experiments.StandardScenarios() {
 		for _, m := range []int{1, 2, 3, 4, 8, 16} {
@@ -37,10 +32,10 @@ func TestVerdictMatchesFullPass(t *testing.T) {
 								M: m, Method: method, FinalNPRRefinement: flags&1 != 0,
 								AblateRepeatedBlocking: flags&2 != 0, DonationSafeBlocking: flags&4 != 0,
 							}
-							want, wantErr := verdict(ctx, ts, cfg, false)
+							want, wantErr := rta.FullVerdict(t, ts, cfg)
 							fresh := ts.Clone()
-							got, err := verdict(ctx, fresh, cfg, true)
-							if fmt.Sprint(got, err) != fmt.Sprint(want, wantErr) {
+							got, err := rta.VerdictOf(t, fresh, cfg)
+							if !rta.SameOutcome(got, err, want, wantErr) {
 								t.Fatalf("%s m=%d u=%.1f set %d %+v: Schedulable = %v, %v; AnalyzeInPlace %v, %v",
 									sc.Name, m, frac, si, cfg, got, err, want, wantErr)
 							}
@@ -49,7 +44,7 @@ func TestVerdictMatchesFullPass(t *testing.T) {
 								continue
 							}
 							ilpSets++
-							if noMu(fresh) {
+							if rta.HoldsNoMu(fresh) {
 								if got {
 									upper++
 								} else {
@@ -67,31 +62,4 @@ func TestVerdictMatchesFullPass(t *testing.T) {
 	if upper == 0 || lower == 0 {
 		t.Fatalf("the bracket decided %d sets above and %d below; want both sides used", upper, lower)
 	}
-}
-
-// verdict is Schedulable's (viaVerdict) or AnalyzeInPlace's verdict on
-// ts under cfg, from a fresh analyzer.
-func verdict(ctx context.Context, ts *model.TaskSet, cfg rta.Config, viaVerdict bool) (bool, error) {
-	a, err := rta.NewAnalyzer(cfg)
-	if err != nil {
-		return false, err
-	}
-	if viaVerdict {
-		return a.Schedulable(ctx, ts)
-	}
-	res, err := a.AnalyzeInPlace(ctx, ts)
-	if err != nil {
-		return false, err
-	}
-	return res.Schedulable, nil
-}
-
-// noMu reports whether no graph of ts holds a µ table.
-func noMu(ts *model.TaskSet) bool {
-	for _, task := range ts.Tasks {
-		if dag.LoadMu(task.G, 1) != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -10,15 +10,16 @@ import (
 	"repro/internal/obs"
 )
 
-// fullVerdict is AnalyzeInPlace's verdict and error on a fresh copy of
-// ts, whose graphs hold no µ table a verdict call could read.
+// fullVerdict is AnalyzeInPlace's verdict and error on ts. It memoizes
+// µ tables on ts's graphs, so a test that then asks Schedulable about
+// the same graphs passes it a copy of the set (ts.Clone()).
 func fullVerdict(t *testing.T, ts *model.TaskSet, cfg Config) (bool, error) {
 	t.Helper()
 	a, err := NewAnalyzer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.AnalyzeInPlace(context.Background(), ts.Clone())
+	res, err := a.AnalyzeInPlace(context.Background(), ts)
 	if err != nil {
 		return false, err
 	}
@@ -117,7 +118,7 @@ func TestVerdictCapFallback(t *testing.T) {
 			&model.Task{Name: "low", G: tc.low, Deadline: 1 << 40, Period: 1 << 40},
 		)
 		cfg := Config{M: 2, Method: LPILP}
-		want, wantErr := fullVerdict(t, ts, cfg)
+		want, wantErr := fullVerdict(t, ts.Clone(), cfg)
 		if wantErr != nil || want != tc.want {
 			t.Fatalf("%s: full pass %v, %v; want %v", tc.name, want, wantErr, tc.want)
 		}
@@ -142,7 +143,7 @@ func TestVerdictRangeFallback(t *testing.T) {
 		&model.Task{Name: "low", G: graph([]int64{v, v, v}, [2]int{0, 1}), Deadline: 1 << 62, Period: 1 << 62},
 	)
 	cfg := Config{M: 3, Method: LPILP}
-	want, wantErr := fullVerdict(t, ts, cfg)
+	want, wantErr := fullVerdict(t, ts.Clone(), cfg)
 	var re *RangeError
 	if !errors.As(wantErr, &re) || re.Task != "mid" {
 		t.Fatalf("full pass: %v, %v; want a RangeError naming mid", want, wantErr)
@@ -168,7 +169,7 @@ func TestVerdictBracketSolvesNoMu(t *testing.T) {
 		{"lower bound misses", 9, false},
 	} {
 		ts := bracketSet(t, tc.deadline)
-		if want, err := fullVerdict(t, ts, cfg); err != nil || want != tc.want {
+		if want, err := fullVerdict(t, ts.Clone(), cfg); err != nil || want != tc.want {
 			t.Fatalf("%s: full pass %v, %v; want %v", tc.name, want, err, tc.want)
 		}
 		if got, err := verdictOf(t, ts, cfg); err != nil || got != tc.want {
@@ -227,7 +228,7 @@ func FuzzVerdict(f *testing.F) {
 		if !ok {
 			return
 		}
-		want, wantErr := fullVerdict(t, ts, cfg)
+		want, wantErr := fullVerdict(t, ts.Clone(), cfg)
 		if got, err := verdictOf(t, ts, cfg); !sameOutcome(got, err, want, wantErr) {
 			t.Fatalf("%+v: Schedulable = %v, %v; full pass %v, %v", cfg, got, err, want, wantErr)
 		}
