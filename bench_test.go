@@ -310,8 +310,8 @@ func BenchmarkAnalyzePoint(b *testing.B) {
 // BenchmarkCampaignThroughput runs one fixed multi-scenario campaign
 // end to end — generation, all three methods, streaming — per
 // iteration, with a fresh engine each time so iterations are honest.
-// This is the fleet-facing number of BENCH_analyze.json: what one
-// campaign worker node sustains.
+// This is the campaign number of BENCH_analyze.json: what one node
+// serving campaigns sustains.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	cfg := experiments.CampaignConfig{
 		Seed:         42,

@@ -22,13 +22,7 @@
 //	lpdag-experiments -campaign -scenarios mixed,wide,deep \
 //	    -ms 4,8,16,32,64 -sets 100 -workers 8 -jsonl out.jsonl -progress
 //	lpdag-experiments -campaign -resume out.partial.jsonl -jsonl out.jsonl
-//	lpdag-experiments -campaign -cluster http://host1:8080,http://host2:8080 \
-//	    -jsonl out.jsonl        # same bytes, computed on remote workers
 //	lpdag-experiments -soundness -points 2000   # sim-vs-analysis harness
-//
-// A cluster campaign's leases are sized from the bound every worker
-// admits by (experiments.CampaignConfig.LeasePoints), so no lease-size
-// flag exists on either side.
 package main
 
 import (
@@ -44,7 +38,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/experiments/cluster"
 	"repro/internal/obs"
 )
 
@@ -81,10 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		resume    = fs.String("resume", "", "resume a campaign from a partial JSONL file (same seed and grid)")
 		progress  = fs.Bool("progress", false, "report campaign progress and ETA on stderr")
 
-		clusterHosts = fs.String("cluster", "", "run the campaign on remote lpdag-serve workers (comma-separated base URLs, e.g. http://host1:8080,http://host2:8080); output is byte-identical to a local run")
-		leaseTimeout = fs.Duration("lease-timeout", cluster.DefaultLeaseTimeout, "cluster shard lease: max stream silence before requeueing to another worker")
-		shardRetries = fs.Int("shard-retries", cluster.DefaultMaxShardRetries, "cluster shard lease: failure requeues per shard before the campaign fails")
-
 		soundness = fs.Bool("soundness", false, "run the simulation-vs-analysis soundness harness")
 		points    = fs.Int("points", 1000, "generated points for -soundness")
 
@@ -94,9 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// A long campaign (local or coordinating a cluster) is watchable
-	// from outside: -metrics-addr serves the lpdag_campaign_* and
-	// lpdag_cluster_lease_* series on a side listener for its duration.
+	// A long campaign is watchable from outside: -metrics-addr serves
+	// the lpdag_campaign_* series on a side listener for its duration.
 	var reg *obs.Registry
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
@@ -139,9 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			seed: *seed, ms: *ms, ufracs: *ufracs, scenarios: *scenarios,
 			sets: *sets, workers: *workers,
 			jsonlPath: *jsonlPath, csvPath: *csvPath, resume: *resume,
-			progress: *progress, cluster: *clusterHosts,
-			leaseTimeout: *leaseTimeout, shardRetries: *shardRetries,
-			obs: reg,
+			progress: *progress, obs: reg,
 		}, stdout, stderr)
 		if code != 0 {
 			return code
@@ -281,9 +267,6 @@ type campaignArgs struct {
 	jsonlPath, csvPath    string
 	resume                string
 	progress              bool
-	cluster               string
-	leaseTimeout          time.Duration
-	shardRetries          int
 	obs                   *obs.Registry
 }
 
@@ -365,21 +348,7 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var results []experiments.PointResult
-	if a.cluster != "" {
-		var urls []string
-		for _, h := range strings.Split(a.cluster, ",") {
-			if h = strings.TrimSpace(h); h != "" {
-				urls = append(urls, strings.TrimRight(h, "/"))
-			}
-		}
-		results, err = cluster.Run(cluster.Config{
-			Campaign: cfg, Workers: urls,
-			LeaseTimeout: a.leaseTimeout, MaxShardRetries: a.shardRetries,
-		}, opts)
-	} else {
-		results, err = experiments.RunCampaign(cfg, opts)
-	}
+	results, err := experiments.RunCampaign(cfg, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "lpdag-experiments: campaign: %v\n", err)
 		return 1

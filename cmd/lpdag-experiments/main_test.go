@@ -2,14 +2,10 @@ package main
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	lpdag "repro"
 )
 
 func TestTables(t *testing.T) {
@@ -109,56 +105,6 @@ func TestCampaignByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if len(da) == 0 || !bytes.Equal(da, db) {
 		t.Errorf("JSONL differs between -workers 1 and -workers 8 (%d vs %d bytes)", len(da), len(db))
-	}
-}
-
-// TestCampaignClusterFlag runs the same campaign locally and through
-// -cluster against two in-process worker nodes (wired via the public
-// facade, like cmd/lpdag-serve): the JSONL files must be byte-equal.
-func TestCampaignClusterFlag(t *testing.T) {
-	newWorker := func() *httptest.Server {
-		eng := lpdag.NewEngine(lpdag.EngineConfig{Workers: 2})
-		t.Cleanup(eng.Close)
-		srv := lpdag.NewEngineServer(eng, lpdag.ServerConfig{})
-		lpdag.MountCampaignRoutes(srv)
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	w1, w2 := newWorker(), newWorker()
-
-	dir := t.TempDir()
-	local := filepath.Join(dir, "local.jsonl")
-	remote := filepath.Join(dir, "remote.jsonl")
-	base := []string{"-campaign", "-ms", "2,4", "-ufracs", "0.3,0.6", "-sets", "3",
-		"-scenarios", "mixed,light", "-seed", "99"}
-	var out bytes.Buffer
-	if code := run(append(base, "-workers", "1", "-jsonl", local), &out, &bytes.Buffer{}); code != 0 {
-		t.Fatalf("local exit %d:\n%s", code, out.String())
-	}
-	var errBuf bytes.Buffer
-	if code := run(append(base, "-cluster", w1.URL+","+w2.URL, "-jsonl", remote), &out, &errBuf); code != 0 {
-		t.Fatalf("cluster exit %d:\n%s%s", code, out.String(), errBuf.String())
-	}
-	da, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := os.ReadFile(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(da) == 0 || !bytes.Equal(da, db) {
-		t.Errorf("cluster JSONL differs from local (%d vs %d bytes)", len(da), len(db))
-	}
-
-	// A cluster of only unreachable workers must fail, not hang.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	code := run([]string{"-campaign", "-ms", "2", "-ufracs", "0.5", "-sets", "1",
-		"-cluster", dead.URL, "-lease-timeout", "500ms"}, &out, &errBuf)
-	if code == 0 {
-		t.Error("campaign against dead cluster should fail")
 	}
 }
 
@@ -278,6 +224,10 @@ func TestCampaignBadFlags(t *testing.T) {
 		"bad ufracs":   {"-campaign", "-ufracs", "0.1,?"},
 		"bad scenario": {"-campaign", "-scenarios", "bogus"},
 		"gone shards":  {"-campaign", "-shards", "3"},
+		// The campaign cluster is retired: its three flags are unknown.
+		"gone cluster":       {"-campaign", "-ms", "2", "-ufracs", "0.5", "-sets", "1", "-cluster", "http://127.0.0.1:1"},
+		"gone lease timeout": {"-campaign", "-ms", "2", "-ufracs", "0.5", "-sets", "1", "-lease-timeout", "1s"},
+		"gone shard retries": {"-campaign", "-ms", "2", "-ufracs", "0.5", "-sets", "1", "-shard-retries", "1"},
 	} {
 		if code := run(args, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)

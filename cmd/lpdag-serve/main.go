@@ -15,13 +15,12 @@
 //	POST /v1/simulate  discrete-event scheduler simulation
 //	POST /v1/generate  random task-set generation
 //	POST /v1/campaign  sweep campaign, streamed as JSON lines
-//	POST /v1/shard     cluster worker: compute a leased campaign shard
 //	GET  /healthz      liveness probe ("ok", or "draining" + 503 once
 //	                   SIGTERM drain begins) with worker load and live
 //	                   session count
 //	GET  /stats        engine + cache + worker counters
 //	GET  /metrics      Prometheus text exposition: engine slots, cache,
-//	                   sessions, campaign/cluster, HTTP, analysis traces
+//	                   sessions, campaigns, HTTP, analysis traces
 //
 // Every API route sits behind one admission (-max-inflight, -max-body;
 // /healthz, /stats and /metrics stay outside it) and answers with one
@@ -31,13 +30,10 @@
 // 8192 edges per task, and the simulate, generate, campaign and repair
 // bounds. A value past its bound is a 400 naming it, e.g. "invalid
 // cores: 65 (must be in [1, 64])", before any job starts. Results and
-// errors are JSON (ndjson on /v1/campaign and /v1/shard), whatever the
-// Accept header asks for.
-// The ndjson lines are flushed once per tick, not per line: every 2s on
-// /v1/campaign, and on /v1/shard every quarter of the lease timeout the
-// coordinator sends, 2s at most, with a blank keepalive line when
-// nothing is pending. The one binary body is the snapshot stream a
-// draining peer posts to /v1/sessions/handoff.
+// errors are JSON (ndjson on /v1/campaign), whatever the Accept header
+// asks for. The ndjson lines are flushed once per tick, every 2s, not
+// per line. The one binary body is the snapshot stream a draining peer
+// posts to /v1/sessions/handoff.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
 // server-side and re-analyzes it from scratch per query, with µ tables
@@ -136,9 +132,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		selfURL     = fs.String("self-url", "", "this node's advertised base URL on the session ring (e.g. http://host:8080); required with -peers")
 		peers       = fs.String("peers", "", "comma-separated base URLs of peer session nodes; enables consistent-hash session routing (307 to the owner) and drain hand-off")
 
-		// Cluster worker mode: the node serves POST /v1/shard leases from
-		// a campaign coordinator (lpdag-experiments -cluster).
-		drainGrace = fs.Duration("drain-grace", 0, "after SIGTERM, keep serving this long with /healthz reporting draining so coordinators reroute before the listener closes")
+		// Drain window: /healthz reports draining before the listener
+		// closes, so load balancers reroute first.
+		drainGrace = fs.Duration("drain-grace", 0, "after SIGTERM, keep serving this long with /healthz reporting draining so load balancers reroute before the listener closes")
 
 		// Observability: structured request logging + /metrics exposition.
 		logFormat = fs.String("log-format", "text", "request log format: text | json")
@@ -231,14 +227,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpdag-serve: session store %s: %d sessions restored, %d records past a limits bound skipped\n",
 			*sessionDir, engSrv.Sessions().Len(), store.Skipped())
 	}
-	// The campaign orchestrator and the cluster shard endpoint mount on
-	// the engine server (they live in internal/experiments, one layer
-	// above the engine), behind the admission of every engine route.
-	// The engine server doubles as the node's worker-state surface: the
-	// shard route feeds its load gauges, and /healthz flips to
-	// "draining" when shutdown begins. The logging/metrics middleware
-	// wraps it, so every request is logged and counted once, labelled
-	// by its route pattern.
+	// The campaign orchestrator mounts on the engine server (it lives in
+	// internal/experiments, one layer above the engine), behind the
+	// admission of every engine route. The engine server also carries
+	// the node's draining flag: /healthz flips to "draining" when
+	// shutdown begins. The logging/metrics middleware wraps it, so
+	// every request is logged and counted once, labelled by its route
+	// pattern.
 	experiments.Mount(engSrv)
 	srv := &http.Server{
 		Handler:           engine.LogRequests(engSrv, logger, reg, *slowReq),
@@ -255,8 +250,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case <-ctx.Done():
 	}
 
-	// Flip /healthz to "draining" FIRST: a coordinator polling this node
-	// must stop scheduling shards here the moment drain begins, not when
+	// Flip /healthz to "draining" FIRST: a load balancer polling this
+	// node must stop routing work here the moment drain begins, not when
 	// the listener finally closes. The optional grace window keeps the
 	// listener open so pollers on fresh connections can observe the flip.
 	engSrv.StartDraining()

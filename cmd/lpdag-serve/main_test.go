@@ -222,33 +222,14 @@ func TestServeCampaignLeavesCache(t *testing.T) {
 	}
 }
 
-// TestServeShardAndDrain exercises the cluster-worker surface of the
-// server: /v1/shard streams a leased subset as campaign JSONL, and
-// once shutdown begins (with -drain-grace holding the listener open)
-// /healthz flips to 503 "draining" while new shard leases are refused.
-func TestServeShardAndDrain(t *testing.T) {
+// TestServeDrainGrace pins the drain window: once shutdown begins (with
+// -drain-grace holding the listener open) /healthz flips to 503
+// "draining", so load balancers reroute before the listener closes.
+func TestServeDrainGrace(t *testing.T) {
 	base, shutdown := startServer(t, "-workers", "2", "-drain-grace", "1s")
 
-	resp, err := http.Post(base+"/v1/shard", "application/json", strings.NewReader(
-		`{"campaign": {"seed": 3, "ms": [2], "u_fracs": [0.4, 0.8], "sets_per_point": 2, "scenarios": ["mixed"]}, "points": [0, 1]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard: %d: %s", resp.StatusCode, data)
-	}
-	results, err := lpdag.ReadCampaignJSONL(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("shard stream: %v: %s", err, data)
-	}
-	if len(results) != 2 || results[0].Index != 0 || results[1].Index != 1 {
-		t.Fatalf("shard results drifted: %s", data)
-	}
-
 	// Begin shutdown in the background; during the grace window the
-	// listener stays open and must report draining + refuse leases.
+	// listener stays open and must report draining.
 	exited := make(chan int, 1)
 	go func() { exited <- shutdown() }()
 	sawDraining := false
@@ -268,14 +249,6 @@ func TestServeShardAndDrain(t *testing.T) {
 	if !sawDraining {
 		t.Error("healthz never reported draining during the grace window")
 	}
-	if resp, err := http.Post(base+"/v1/shard", "application/json",
-		strings.NewReader(`{"campaign": {"seed": 1}, "points": [0]}`)); err == nil {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("draining shard lease: %d: %s", resp.StatusCode, body)
-		}
-	}
 	if code := <-exited; code != 0 {
 		t.Fatalf("exit code %d, want 0", code)
 	}
@@ -284,7 +257,7 @@ func TestServeShardAndDrain(t *testing.T) {
 // TestServeBinaryAcceptGetsJSON pins the fallback for clients that still
 // send "Accept: application/x-lpdag-bin", the retired binary result
 // codec: every route that used to honour it answers the JSON (ndjson on
-// /v1/shard) that the same request without the header gets, byte for
+// /v1/campaign) that the same request without the header gets, byte for
 // byte.
 func TestServeBinaryAcceptGetsJSON(t *testing.T) {
 	base, shutdown := startServer(t, "-workers", "2")
@@ -351,8 +324,8 @@ func TestServeBinaryAcceptGetsJSON(t *testing.T) {
 		{"admit", http.MethodPost, fixed("/v1/sessions/" + sess + "/admit"),
 			`{"task": {"name": "c", "wcet": [1], "edges": [], "deadline": 1000, "period": 1000}}`, http.StatusOK, "application/json"},
 		{"repair", http.MethodPost, fixed("/v1/sessions/" + sess + "/repair"), `{"seed": 7}`, http.StatusOK, "application/json"},
-		{"shard", http.MethodPost, fixed("/v1/shard"),
-			`{"campaign": {"seed": 3, "ms": [2], "u_fracs": [0.4, 0.8], "sets_per_point": 2, "scenarios": ["mixed"]}, "points": [0, 1]}`,
+		{"campaign", http.MethodPost, fixed("/v1/campaign"),
+			`{"seed": 3, "ms": [2], "u_fracs": [0.4, 0.8], "sets_per_point": 2, "scenarios": ["mixed"]}`,
 			http.StatusOK, "application/x-ndjson"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

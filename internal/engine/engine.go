@@ -141,9 +141,8 @@ func (e *Engine) Close() {
 func (e *Engine) Cache() *cache.Cache { return e.memo }
 
 // Obs returns the metrics registry the engine was configured with, or
-// nil. Subsystems built on the engine (the campaign handler, the
-// cluster shard worker) publish their series here, so one /metrics
-// scrape covers the whole process.
+// nil. Subsystems built on the engine (the campaign handler) publish
+// their series here, so one /metrics scrape covers the whole process.
 func (e *Engine) Obs() *obs.Registry { return e.obsReg }
 
 // Workers returns the number of job slots — the natural bound for

@@ -123,14 +123,6 @@ func TestCoreBound(t *testing.T) {
 		}
 		return "[" + strings.Join(out, ",") + "]"
 	}
-	lease := func(points int64, sets string, methods string) string {
-		idx := make([]string, points)
-		for i := range idx {
-			idx[i] = fmt.Sprint(i)
-		}
-		return `{"campaign":{"seed":1,"ms":[2],"u_fracs":` + fracs(2048) + `,"sets_per_point":` + sets +
-			`,"methods":` + methods + `},"points":[` + strings.Join(idx, ",") + `]}`
-	}
 	// perPoint is a one-point grid of v analyses as sets × methods:
 	// 200 × 1250 at the bound, 53 × 4717 one past it.
 	perPoint := func(v int64) string {
@@ -140,8 +132,8 @@ func TestCoreBound(t *testing.T) {
 		}
 		return fmt.Sprintf(`"ms":[2],"u_fracs":[0.5],"sets_per_point":%d,"methods":%s`, sets, list(v/sets, `"lp-ilp"`))
 	}
-	leasePoints := limits.Points
-	leasePoints.Max = 416
+	derivedPoints := limits.Points
+	derivedPoints.Max = 416
 	snapTasks := func(n int64) []*model.Task {
 		out := make([]*model.Task, n)
 		for i := range out {
@@ -165,7 +157,6 @@ func TestCoreBound(t *testing.T) {
 		{limits.Cores, "/v1/sessions", func(v int64) string { return fmt.Sprintf(`{"cores": %d, "taskset": %s}`, v, set) }},
 		{limits.Cores, live + "/edits", func(v int64) string { return fmt.Sprintf(`{"edits": [{"op": "set_cores", "cores": %d}]}`, v) }},
 		{limits.Cores, "/v1/campaign", func(v int64) string { return campaign(fmt.Sprintf(`"ms":[%d]`, v)) }},
-		{limits.Cores, "/v1/shard", func(v int64) string { return fmt.Sprintf(`{"campaign":{"ms":[%d]},"points":[0]}`, v) }},
 		{limits.Cores, "/v1/sessions/handoff", func(v int64) string { return handoffBody(t, handoffID(limits.Cores, v), int(v), snapTasks(1)...) }},
 		{limits.Batch, "/v1/analyze", func(v int64) string { return `{"requests": ` + list(v, "{}") + `}` }},
 		{limits.Count, "/v1/generate", func(v int64) string { return fmt.Sprintf(`{"count": %d}`, v) }},
@@ -201,14 +192,13 @@ func TestCoreBound(t *testing.T) {
 		{limits.Points, "/v1/campaign", func(v int64) string {
 			return campaign(`"ms":[2],"sets_per_point":1,"methods":["lp-ilp"],"u_fracs":` + fracs(v))
 		}},
-		{limits.Points, "/v1/shard", func(v int64) string { return lease(v, "1", `["lp-ilp"]`) }},
 		{limits.Sets, "/v1/campaign", func(v int64) string { return campaign(fmt.Sprintf(`"sets_per_point":%d`, v)) }},
-		{limits.Sets, "/v1/shard", func(v int64) string { return fmt.Sprintf(`{"campaign":{"sets_per_point":%d},"points":[0]}`, v) }},
 		{limits.Analyses, "/v1/campaign", func(v int64) string { return campaign(perPoint(v)) }},
-		{limits.Analyses, "/v1/shard", func(v int64) string { return `{"campaign":{` + perPoint(v) + `},"points":[0]}` }},
-		// A lease's points are bounded by LeasePoints, fewer where their
-		// analyses would pass limits.Analyses: ⌊250000 / (200 · 3)⌋.
-		{leasePoints, "/v1/shard", func(v int64) string { return lease(v, "200", `["lp-ilp","lp-max","fp-ideal"]`) }},
+		// A campaign's points are bounded by limits.Points, fewer where
+		// their analyses would pass limits.Analyses: ⌊250000 / (200 · 3)⌋.
+		{derivedPoints, "/v1/campaign", func(v int64) string {
+			return campaign(`"ms":[2],"sets_per_point":200,"methods":["lp-ilp","lp-max","fp-ideal"],"u_fracs":` + fracs(v))
+		}},
 		{limits.Candidates, live + "/repair", func(v int64) string { return fmt.Sprintf(`{"max_candidates": %d}`, v) }},
 	} {
 		probes := []int64{tc.bound.Max + 1}

@@ -2,8 +2,8 @@ package engine
 
 // Structured request logging and HTTP-level metrics, applied by
 // cmd/lpdag-serve around the engine server, the node's one mux (engine
-// endpoints, campaign streaming, shard leases), so every request is
-// accounted exactly once.
+// endpoints and campaign streaming), so every request is accounted
+// exactly once.
 
 import (
 	"log/slog"
@@ -99,11 +99,11 @@ func LogRequests(h http.Handler, logger *slog.Logger, reg *obs.Registry, slow ti
 
 // statusRecorder captures the status code and body size. It implements
 // http.Flusher directly (not via interface upgrade) because the
-// streaming writer downstream — the tick writer of the campaign and
-// shard streams — type-asserts its ResponseWriter to http.Flusher;
-// hiding the real writer behind a non-Flusher wrapper would silently
-// turn streamed lines into one buffered blob and starve the
-// coordinator's lease watchdog.
+// streaming writer downstream — the tick writer of the campaign
+// stream — type-asserts its ResponseWriter to http.Flusher; hiding the
+// real writer behind a non-Flusher wrapper would silently turn
+// streamed lines into one buffered blob that a client sees only at the
+// end.
 type statusRecorder struct {
 	http.ResponseWriter
 	status      int

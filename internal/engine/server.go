@@ -79,11 +79,9 @@ const (
 )
 
 // Server dispatches HTTP requests onto an Engine. Beyond being the
-// http.Handler for the engine endpoints it carries the node's worker
-// state for cluster deployments: a draining flag (set by StartDraining
-// when SIGTERM drain begins, reported by /healthz so coordinators stop
-// scheduling here) and shard-load gauges fed by the /v1/shard route
-// that internal/experiments mounts.
+// http.Handler for the engine endpoints it carries the node's draining
+// flag, set by StartDraining when SIGTERM drain begins and reported by
+// /healthz so load balancers stop routing here.
 type Server struct {
 	eng       *Engine
 	cfg       ServerConfig
@@ -94,10 +92,8 @@ type Server struct {
 	writeErrs uint64 // response encode/write failures (atomic)
 	start     time.Time
 
-	draining     atomic.Bool
-	activeShards atomic.Int64
-	shardsServed atomic.Uint64
-	mux          *http.ServeMux
+	draining atomic.Bool
+	mux      *http.ServeMux
 
 	// Session-plane routing (nil ring = single node, no redirects).
 	ring      *ring.Ring
@@ -182,12 +178,6 @@ func NewServer(e *Engine, cfg ServerConfig) *Server {
 				}
 				return 0
 			})
-		reg.GaugeFunc("lpdag_cluster_active_shards",
-			"Shard leases currently executing on this worker.",
-			func() float64 { return float64(s.activeShards.Load()) })
-		reg.CounterFunc("lpdag_cluster_shards_served_total",
-			"Shard leases this worker finished (completed or failed).",
-			func() float64 { return float64(s.shardsServed.Load()) })
 		s.redirects = reg.Counter("lpdag_session_redirects_total",
 			"Session requests answered 307 to the owning ring member.")
 		s.handoffs = reg.Counter("lpdag_session_handoffs_total",
@@ -221,25 +211,14 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // StartDraining marks the node as draining: /healthz flips to 503
-// "draining" immediately, and the shard endpoint refuses new leases, so
-// cluster coordinators stop scheduling here while in-flight requests
-// finish. It must be called when SIGTERM drain begins, not when the
+// "draining" immediately, so load balancers stop routing here while
+// in-flight requests finish. It must be called when SIGTERM drain begins, not when the
 // listener closes — a node that keeps reporting healthy through its
 // drain window collects work it will never finish.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // Draining reports whether StartDraining has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// ShardStarted records a shard lease going active on this worker (load
-// reporting for /healthz and /stats).
-func (s *Server) ShardStarted() { s.activeShards.Add(1) }
-
-// ShardFinished records a shard lease ending (completed or failed).
-func (s *Server) ShardFinished() {
-	s.activeShards.Add(-1)
-	s.shardsServed.Add(1)
-}
 
 // limited wraps a handler with the in-flight semaphore and body cap.
 func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
@@ -858,15 +837,14 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 // healthzResponse is the /healthz body. Status is "ok" while serving
 // and "draining" once SIGTERM drain has begun (with HTTP 503, so load
-// balancers and cluster coordinators stop routing work here); the load
-// fields let a coordinator prefer idle workers.
+// balancers stop routing work here); the load fields let a balancer
+// prefer idle nodes.
 type healthzResponse struct {
-	Status       string `json:"status"`
-	Workers      int    `json:"workers"`
-	QueueDepth   int    `json:"queue_depth"`
-	ActiveShards int64  `json:"active_shards"`
-	// Node-identity fields (additive, PR 6): dashboards and coordinators
-	// need to tell nodes and builds apart from the probe alone.
+	Status     string `json:"status"`
+	Workers    int    `json:"workers"`
+	QueueDepth int    `json:"queue_depth"`
+	// Node-identity fields: dashboards and balancers need to tell nodes
+	// and builds apart from the probe alone.
 	Version       string  `json:"version"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// ActiveSessions (additive, PR 9): live session count, so a drain
@@ -880,7 +858,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Status:         "ok",
 		Workers:        st.Workers,
 		QueueDepth:     st.QueueDepth,
-		ActiveShards:   s.activeShards.Load(),
 		Version:        obs.Version(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		ActiveSessions: s.sessions.Len(),
@@ -898,8 +875,6 @@ type statsResponse struct {
 	Stats
 	HTTPRequests   uint64  `json:"http_requests"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
-	ActiveShards   int64   `json:"active_shards"`
-	ShardsServed   uint64  `json:"shards_served"`
 	ActiveSessions int     `json:"active_sessions"`
 	Draining       bool    `json:"draining"`
 	// Node-identity and runtime fields (additive, PR 6; existing keys
@@ -919,8 +894,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Stats:          st,
 		HTTPRequests:   atomic.LoadUint64(&s.requests),
 		CacheHitRate:   st.Cache.HitRate(),
-		ActiveShards:   s.activeShards.Load(),
-		ShardsServed:   s.shardsServed.Load(),
 		ActiveSessions: s.sessions.Len(),
 		Draining:       s.Draining(),
 		Version:        obs.Version(),

@@ -393,7 +393,7 @@ func TestHealthz(t *testing.T) {
 // TestHealthzDraining pins the drain protocol: /healthz reports "ok"
 // while serving, flips to 503 "draining" the moment StartDraining is
 // called (NOT when the listener later closes), and /stats mirrors the
-// flag together with the shard-load gauges.
+// flag.
 func TestHealthzDraining(t *testing.T) {
 	e := engine.New(engine.Config{})
 	t.Cleanup(e.Close)
@@ -402,12 +402,6 @@ func TestHealthzDraining(t *testing.T) {
 	if w := get(t, s, "/healthz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ok"`) {
 		t.Fatalf("pre-drain healthz: %d %s", w.Code, w.Body)
 	}
-	s.ShardStarted()
-	if w := get(t, s, "/healthz"); !strings.Contains(w.Body.String(), `"active_shards": 1`) {
-		t.Errorf("healthz should report the active shard: %s", w.Body)
-	}
-	s.ShardFinished()
-
 	s.StartDraining()
 	w := get(t, s, "/healthz")
 	if w.Code != http.StatusServiceUnavailable {
@@ -416,14 +410,13 @@ func TestHealthzDraining(t *testing.T) {
 	if !strings.Contains(w.Body.String(), `"draining"`) {
 		t.Errorf("draining healthz body: %s", w.Body)
 	}
-	if w := get(t, s, "/stats"); !strings.Contains(w.Body.String(), `"draining": true`) ||
-		!strings.Contains(w.Body.String(), `"shards_served": 1`) {
-		t.Errorf("stats should mirror draining + shard counters: %s", w.Body)
+	if w := get(t, s, "/stats"); !strings.Contains(w.Body.String(), `"draining": true`) {
+		t.Errorf("stats should mirror draining: %s", w.Body)
 	}
 
 	// Draining only affects health reporting here; in-flight and even
-	// new engine requests still complete (the coordinator just stops
-	// sending new shard leases).
+	// new engine requests still complete (a load balancer just stops
+	// routing new ones here).
 	if w := get(t, s, "/stats"); w.Code != http.StatusOK {
 		t.Errorf("stats while draining: %d", w.Code)
 	}

@@ -11,7 +11,7 @@ package experiments
 // other methods. Each task set's RNG seed derives from (campaign seed,
 // point index, set index) alone (see seed.go), so campaign output is
 // bit-identical regardless of worker count and completion order; the
-// Merger reorders finished points back into index order before
+// merger reorders finished points back into index order before
 // writing, which keeps the JSONL and CSV streams byte-stable too.
 
 import (
@@ -261,7 +261,7 @@ func (c CampaignConfig) gridSize() int {
 }
 
 // point derives grid point i of a normalized config from its index, in
-// Points order, so running a lease never builds the grid.
+// Points order, so a run never builds the list of Points.
 func (c CampaignConfig) point(i int) Point {
 	nu, nm := len(c.UFracs), len(c.Ms)
 	m, f := c.Ms[i/nu%nm], c.UFracs[i%nu]
@@ -337,24 +337,19 @@ type RunOptions struct {
 	Completed []PointResult
 }
 
-// CheckResult validates one carried-over or remotely computed result
-// against the campaign grid: its index must name a point of THIS grid
-// and the point metadata must match. Resuming with a different
-// campaign's file (or accepting a confused cluster worker's stream)
+// checkResult validates one carried-over result against the grid of a
+// normalized campaign: its index must name a point of THIS grid and the
+// point metadata must match. Resuming with a different campaign's file
 // would otherwise silently emit stale foreign points as this campaign's
 // output.
-func CheckResult(cfg CampaignConfig, pr PointResult) error {
-	ncfg, err := cfg.normalized()
-	if err != nil {
-		return err
-	}
-	if n := ncfg.gridSize(); pr.Index < 0 || pr.Index >= n {
+func checkResult(cfg CampaignConfig, pr PointResult) error {
+	if n := cfg.gridSize(); pr.Index < 0 || pr.Index >= n {
 		return fmt.Errorf("experiments: point index %d outside this campaign's grid (%d points)", pr.Index, n)
 	}
-	pt := ncfg.point(pr.Index)
-	if pr.Scenario != pt.Scenario.Name || pr.M != pt.M || pr.U != pt.U || pr.Sets != ncfg.SetsPerPoint {
+	pt := cfg.point(pr.Index)
+	if pr.Scenario != pt.Scenario.Name || pr.M != pt.M || pr.U != pt.U || pr.Sets != cfg.SetsPerPoint {
 		return fmt.Errorf("experiments: point %d is (%s, m=%d, u=%v, sets=%d) in the carried data but (%s, m=%d, u=%v, sets=%d) in this campaign — wrong file or changed config",
-			pr.Index, pr.Scenario, pr.M, pr.U, pr.Sets, pt.Scenario.Name, pt.M, pt.U, ncfg.SetsPerPoint)
+			pr.Index, pr.Scenario, pr.M, pr.U, pr.Sets, pt.Scenario.Name, pt.M, pt.U, cfg.SetsPerPoint)
 	}
 	return nil
 }
@@ -362,17 +357,30 @@ func CheckResult(cfg CampaignConfig, pr PointResult) error {
 // RunCampaign executes the campaign and returns the per-point results in
 // index order. Results stream to the writers incrementally; the returned
 // slice is the same data (campaign grids are small — memory pressure is
-// in the per-set analyses, which are never accumulated).
+// in the per-set analyses, which are never accumulated). The points run
+// on the runner, over opts.Engine or a private engine of cfg.Workers
+// workers.
 func RunCampaign(cfg CampaignConfig, opts RunOptions) ([]PointResult, error) {
 	ncfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	m, missing, err := NewMerger(ncfg, opts)
+	m, missing, err := newMerger(ncfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := runCampaignPoints(ncfg, missing, opts, func(p int, pr PointResult) { m.Put(missing[p], pr) }); err != nil {
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	eng := opts.Engine
+	if eng == nil {
+		eng = engine.New(engine.Config{Workers: ncfg.Workers})
+		defer eng.Close()
+	}
+	if err := runPoints(ctx, eng, missing, func(ctx context.Context, i int) (PointResult, error) {
+		return runCampaignPoint(ctx, ncfg, ncfg.point(i))
+	}, func(p int, pr PointResult) { m.Put(missing[p], pr) }); err != nil {
 		return nil, err
 	}
 	return m.Results()
@@ -380,10 +388,10 @@ func RunCampaign(cfg CampaignConfig, opts RunOptions) ([]PointResult, error) {
 
 // StreamEmitter writes point results to optional JSONL and CSV sinks,
 // emitting the CSV header lazily and latching the first write error.
-// The Merger writes every campaign stream through one — local, cluster
-// worker and merged cluster — so all byte streams come from the same
-// code path. The encode scratch is
-// part of the emitter, so a whole campaign stream reuses one buffer.
+// The merger writes every campaign stream through one — the CLI's files
+// and the /v1/campaign stream — so all byte streams come from the same
+// code path. The encode scratch is part of the emitter, so a whole
+// campaign stream reuses one buffer.
 type StreamEmitter struct {
 	jsonl, csv io.Writer
 	names      []string
@@ -431,55 +439,6 @@ func (e *StreamEmitter) Emit(r PointResult) {
 
 // Err returns the latched first write error, if any.
 func (e *StreamEmitter) Err() error { return e.err }
-
-// RunCampaignSubset computes just the given grid points of a campaign:
-// the worker half of the cluster shard protocol (the coordinator leases
-// index subsets to remote workers, each of which calls this). Indices
-// must be strictly increasing and inside the grid. Results stream to the
-// writers in that order; because every point is deterministic in
-// (campaign seed, index), the emitted lines are byte-identical to the
-// corresponding lines of a full local run.
-func RunCampaignSubset(cfg CampaignConfig, indices []int, opts RunOptions) ([]PointResult, error) {
-	ncfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	n := ncfg.gridSize()
-	for i, idx := range indices {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("experiments: subset: point index %d outside this campaign's grid (%d points)", idx, n)
-		}
-		if i > 0 && idx <= indices[i-1] {
-			return nil, fmt.Errorf("experiments: subset: indices must be strictly increasing (%d after %d)", idx, indices[i-1])
-		}
-	}
-	if len(indices) == 0 {
-		return nil, nil
-	}
-	m := newMerger(make([]PointResult, len(indices)), make([]bool, len(indices)), methodNames(ncfg.Methods), opts)
-	if err := runCampaignPoints(ncfg, indices, opts, m.Put); err != nil {
-		return nil, err
-	}
-	return m.Results()
-}
-
-// runCampaignPoints computes the grid points idx of a normalized config
-// on the runner, over opts.Engine or a private engine of cfg.Workers
-// workers.
-func runCampaignPoints(cfg CampaignConfig, idx []int, opts RunOptions, done func(p int, pr PointResult)) error {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.New(engine.Config{Workers: cfg.Workers})
-		defer eng.Close()
-	}
-	return runPoints(ctx, eng, idx, func(ctx context.Context, i int) (PointResult, error) {
-		return runCampaignPoint(ctx, cfg, cfg.point(i))
-	}, done)
-}
 
 // runCampaignPoint generates and analyzes the task sets of one grid
 // point. It runs as one engine job, holding one slot, so the analyses

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/limits"
+	"repro/internal/obs"
 )
 
 // mountedServer is a node's one HTTP front end on eng: the engine
@@ -98,9 +98,9 @@ func TestCampaignEndpointStreamsNDJSON(t *testing.T) {
 }
 
 // TestCampaignEndpointRejectsBackend pins that the µ solver is no
-// longer campaign input: a full-grid body naming "backend", as every
-// campaign an older coordinator plans does, answers the unknown-field
-// 400 at once beside a healthy node and runs no point.
+// longer campaign input: a full-grid body naming "backend", as older
+// clients sent, answers the unknown-field 400 at once beside a healthy
+// node and runs no point.
 func TestCampaignEndpointRejectsBackend(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -189,30 +189,22 @@ func (f *flushCounter) Flush() {
 	f.ResponseRecorder.Flush()
 }
 
-// TestStreamFlushesPerTick pins the one stream writer: lines stay in the
+// TestStreamFlushesPerTick pins the stream writer: lines stay in the
 // response buffer, so eight lines written within one tick cost at most
-// one flush on either route, where each line once cost its own.
+// one flush, where each line once cost its own.
 func TestStreamFlushesPerTick(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
 	srv := mountedServer(eng, engine.ServerConfig{})
 	campaign := `{"seed":9,"ms":[2],"u_fracs":[0.2,0.4,0.6,0.8],"sets_per_point":1,"scenarios":["mixed","wide"]}`
-	for name, tc := range map[string]struct {
-		path string
-		body string
-	}{
-		"campaign": {"/v1/campaign", campaign},
-		"shard":    {"/v1/shard", `{"campaign":` + campaign + `,"points":[0,1,2,3,4,5,6,7]}`},
-	} {
-		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
-		results, err := ReadCampaignJSONL(w.Body)
-		if err != nil || len(results) != 8 {
-			t.Fatalf("%s: %d results (%v), want 8", name, len(results), err)
-		}
-		if w.flushes > 1 {
-			t.Errorf("%s: %d flushes for 8 lines within one tick, want at most 1", name, w.flushes)
-		}
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(campaign)))
+	results, err := ReadCampaignJSONL(w.Body)
+	if err != nil || len(results) != 8 {
+		t.Fatalf("%d results (%v), want 8", len(results), err)
+	}
+	if w.flushes > 1 {
+		t.Errorf("%d flushes for 8 lines within one tick, want at most 1", w.flushes)
 	}
 }
 
@@ -231,10 +223,9 @@ func holdSlot(t *testing.T, eng *engine.Engine) (release func()) {
 	return release
 }
 
-// TestStreamKeepalives pins what a silent tick sends: a shard stream
-// gets a blank keepalive line, so the coordinator's lease watchdog sees
-// a live worker; a /v1/campaign stream gets nothing, and its bytes stay
-// exactly RunCampaign's JSONL.
+// TestStreamKeepalives pins what a silent tick sends: nothing. A
+// /v1/campaign stream whose points wait past a tick gets no keepalive
+// line, and its bytes stay exactly RunCampaign's JSONL.
 func TestStreamKeepalives(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
@@ -251,44 +242,9 @@ func TestStreamKeepalives(t *testing.T) {
 	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{}))
 	defer srv.Close()
 
-	t.Run("shard", func(t *testing.T) {
-		release := holdSlot(t, eng)
-		// Bounded: without a keepalive no byte, not even the header,
-		// would leave the server while the slot is held.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/shard", strings.NewReader(`{"campaign":`+campaign+`,"points":[0,1],"lease_timeout_ms":40}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("no response from a silent shard stream: %v", err)
-		}
-		defer resp.Body.Close()
-		br := bufio.NewReader(resp.Body)
-		if line, err := br.ReadString('\n'); err != nil || line != "\n" {
-			t.Fatalf("first line of a silent shard stream %q (%v), want a blank keepalive", line, err)
-		}
-		release()
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var results strings.Builder
-		for _, line := range strings.SplitAfter(string(rest), "\n") {
-			if line != "\n" {
-				results.WriteString(line)
-			}
-		}
-		if results.String() != want.String() {
-			t.Errorf("shard stream results %q, want %q", results.String(), want.String())
-		}
-	})
-
 	t.Run("campaign", func(t *testing.T) {
 		release := holdSlot(t, eng)
-		time.AfterFunc(DefaultHeartbeat+500*time.Millisecond, release)
+		time.AfterFunc(heartbeat+500*time.Millisecond, release)
 		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json", strings.NewReader(campaign))
 		if err != nil {
 			t.Fatal(err)
@@ -306,10 +262,10 @@ func TestStreamKeepalives(t *testing.T) {
 
 // TestTickFlushesPending pins the other half of a tick: a line written
 // between ticks is flushed at the next one, while the stream goes on,
-// and a campaign stream's tick adds no keepalive beside it.
+// and the tick adds no keepalive beside it.
 func TestTickFlushesPending(t *testing.T) {
 	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
-	out := startTicks(w, 5*time.Millisecond, false)
+	out := startTicks(w, 5*time.Millisecond)
 	defer out.stop()
 	out.Write([]byte("{}\n"))
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -338,8 +294,8 @@ func allocDuring(f func()) uint64 {
 }
 
 // hugeGridBodies are a 4 KB /v1/campaign body naming a 10^6-point grid
-// (ms and u_fracs of 1 000 entries each) and a /v1/shard body leasing
-// its last point.
+// (ms and u_fracs of 1 000 entries each), and that body wrapped with a
+// one-point "points" list, as the retired shard route took it.
 func hugeGridBodies() (campaign, shard string) {
 	ms := strings.TrimSuffix(strings.Repeat("2,", 1000), ",")
 	fracs := strings.TrimSuffix(strings.Repeat("1,", 1000), ",")
@@ -347,45 +303,31 @@ func hugeGridBodies() (campaign, shard string) {
 	return campaign, `{"campaign":` + campaign + `,"points":[999999]}`
 }
 
-// TestCampaignGridBoundedBeforeBuild pins that no route builds a grid
-// to bound it: the 10^6-point /v1/campaign body is a 400 and the
-// one-point lease of that grid a 200 (under a cancelled request
-// context, so nothing is computed), each allocating under 1 MB where
-// building the grid took 112 MB.
+// TestCampaignGridBoundedBeforeBuild pins that the route does not build
+// a grid to bound it: the 10^6-point /v1/campaign body is a 400,
+// allocating under 1 MB where building the grid took 112 MB.
 func TestCampaignGridBoundedBeforeBuild(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
 	srv := mountedServer(eng, engine.ServerConfig{})
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	campaign, shard := hugeGridBodies()
-	for _, tc := range []struct {
-		name string
-		path string
-		body string
-		want int
-	}{
-		{"campaign", "/v1/campaign", campaign, http.StatusBadRequest},
-		{"shard", "/v1/shard", shard, http.StatusOK},
-	} {
-		w := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(cancelled)
-		alloc := allocDuring(func() { srv.ServeHTTP(w, req) })
-		if w.Code != tc.want {
-			t.Errorf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body, tc.want)
-		}
-		if alloc >= 1<<20 {
-			t.Errorf("%s: a %d-byte body allocated %.2f MB, want under 1 MB", tc.name, len(tc.body), float64(alloc)/(1<<20))
-		}
+	campaign, _ := hugeGridBodies()
+	w := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(campaign))
+	alloc := allocDuring(func() { srv.ServeHTTP(w, req) })
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "invalid points: 1000000 (must be in [1, 2048])") {
+		t.Errorf("status %d (%s), want 400 invalid points", w.Code, w.Body)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("a %d-byte body allocated %.2f MB, want under 1 MB", len(campaign), float64(alloc)/(1<<20))
 	}
 }
 
 // TestMountedRoutesShareAdmission pins the one admission of a node's
 // HTTP front end: on a MaxInFlight-1 server whose one engine slot is
 // held, an open /v1/campaign stream takes the one in-flight place, so a
-// second campaign, a shard lease and an analyze are each shed with 503
-// and /stats counts the stream; once it ends, an oversized campaign or
-// shard body answers the 413, body for body, that /v1/analyze answers.
+// second campaign and an analyze are each shed with 503 and /stats
+// counts the stream; once it ends, an oversized campaign body answers
+// the 413, body for body, that /v1/analyze answers.
 func TestMountedRoutesShareAdmission(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(eng.Close)
@@ -444,7 +386,6 @@ func TestMountedRoutesShareAdmission(t *testing.T) {
 	}
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/campaign", campaign},
-		{"/v1/shard", `{"campaign":` + campaign + `,"points":[0]}`},
 		{"/v1/analyze", `{"requests":[{"taskset":{"tasks":[]}}]}`},
 	} {
 		if code, body := post(tc.path, tc.body); code != http.StatusServiceUnavailable || !strings.Contains(body, "server at capacity") {
@@ -452,7 +393,7 @@ func TestMountedRoutesShareAdmission(t *testing.T) {
 		}
 	}
 	if n := httpRequests(); n != 1 {
-		t.Errorf("/stats http_requests %d with one stream admitted and three shed, want 1", n)
+		t.Errorf("/stats http_requests %d with one stream admitted and two shed, want 1", n)
 	}
 	release()
 	if code := <-streamed; code != http.StatusOK {
@@ -465,36 +406,75 @@ func TestMountedRoutesShareAdmission(t *testing.T) {
 	if wantCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized analyze: status %d %s, want 413", wantCode, want)
 	}
-	for path, body := range map[string]string{
-		"/v1/campaign": `{"scenarios":["` + long + `"]}`,
-		"/v1/shard":    `{"campaign":{"scenarios":["` + long + `"]},"points":[0]}`,
-	} {
-		if code, got := post(path, body); code != wantCode || got != want {
-			t.Errorf("oversized %s body: status %d %q, want %d %q as /v1/analyze", path, code, got, wantCode, want)
-		}
+	if code, got := post("/v1/campaign", `{"scenarios":["`+long+`"]}`); code != wantCode || got != want {
+		t.Errorf("oversized /v1/campaign body: status %d %q, want %d %q as /v1/analyze", code, got, wantCode, want)
 	}
 }
 
-// TestShardTick pins the tick a shard lease's timeout gives its stream:
-// a quarter of it, at least 10 ms and at most 2 s; a lease that names
-// no timeout ticks every 2 s.
-func TestShardTick(t *testing.T) {
+// TestMaxPointsBound pins the bound /v1/campaign admits a grid by:
+// min(limits.Points, ⌊limits.Analyses / (sets · methods)⌋), and a wire
+// campaign whose one point alone passes the analyses limit is refused
+// by Config, so the bound of every wire campaign is at least 1.
+func TestMaxPointsBound(t *testing.T) {
+	methods := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "lp-ilp"
+		}
+		return out
+	}
 	for _, tc := range []struct {
-		leaseMs int64
-		want    time.Duration
+		sets, methods, want int
 	}{
-		{0, 2 * time.Second},
-		{-1, 2 * time.Second},
-		{1, 10 * time.Millisecond},
-		{40, 10 * time.Millisecond},
-		{300, 75 * time.Millisecond},
-		{7999, 1999750 * time.Microsecond},
-		{8000, 2 * time.Second},
-		{30_000, 2 * time.Second},
-		{math.MaxInt64, 2 * time.Second},
+		{1, 1, int(limits.Points.Max)},
+		{25, 3, int(limits.Points.Max)},
+		{100, 3, 833},
+		{200, 3, 416},
+		{200, 1250, 1},
 	} {
-		if got := shardTick(tc.leaseMs); got != tc.want {
-			t.Errorf("shardTick(%d) = %v, want %v", tc.leaseMs, got, tc.want)
+		cfg, err := CampaignRequest{SetsPerPoint: tc.sets, Methods: methods(tc.methods)}.Config()
+		if err != nil {
+			t.Fatalf("%d sets × %d methods: %v", tc.sets, tc.methods, err)
+		}
+		if got := cfg.maxPoints(); got != tc.want {
+			t.Errorf("%d sets × %d methods: maxPoints = %d, want %d", tc.sets, tc.methods, got, tc.want)
+		}
+	}
+	if _, err := (CampaignRequest{SetsPerPoint: 200, Methods: methods(1251)}).Config(); err == nil ||
+		!strings.Contains(err.Error(), "invalid analyses: 250200 (must be in [1, 250000])") {
+		t.Errorf("one point past the analyses limit: %v", err)
+	}
+	if got := (CampaignConfig{Ms: []int{0}}).maxPoints(); got != 0 {
+		t.Errorf("maxPoints of an invalid config = %d, want 0", got)
+	}
+}
+
+// TestClusterSurfaceGone pins the retirement of the campaign cluster:
+// POST /v1/shard is a 404 on a mounted node, and neither its probes nor
+// its scrape report shard load or an lpdag_cluster_ series.
+func TestClusterSurfaceGone(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1, Obs: obs.NewRegistry()})
+	t.Cleanup(eng.Close)
+	srv := mountedServer(eng, engine.ServerConfig{})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/shard",
+		strings.NewReader(`{"campaign":{"seed":3,"ms":[2],"u_fracs":[0.4]},"points":[0]}`)))
+	if w.Code != http.StatusNotFound {
+		t.Errorf("POST /v1/shard: status %d %s, want 404", w.Code, w.Body)
+	}
+	if st := eng.Stats(); st.Sweeps != 0 {
+		t.Errorf("POST /v1/shard ran %d points", st.Sweeps)
+	}
+	for _, path := range []string{"/healthz", "/stats", "/metrics"} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, w.Code)
+		}
+		for _, gone := range []string{"active_shards", "shards_served", "lpdag_cluster_"} {
+			if strings.Contains(w.Body.String(), gone) {
+				t.Errorf("GET %s still reports %s:\n%s", path, gone, w.Body)
+			}
 		}
 	}
 }

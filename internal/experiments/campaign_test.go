@@ -351,6 +351,31 @@ func TestCampaignResumeRejectsForeignFile(t *testing.T) {
 	}
 }
 
+// TestPrepareResumeValidation pins the foreign-point rejection of
+// -resume field by field: a carried point must name an index of this
+// grid and agree on scenario, cores, utilization and sets.
+func TestPrepareResumeValidation(t *testing.T) {
+	cfg, err := CampaignConfig{Seed: 1, Ms: []int{2}, UFracs: []float64{0.5}, SetsPerPoint: 1}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := PointResult{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 1, Sched: map[string]int{}}
+	if _, missing, err := newMerger(cfg, RunOptions{Completed: []PointResult{good}}); err != nil || len(missing) != 0 {
+		t.Fatalf("valid carried point rejected: %v (missing %v)", err, missing)
+	}
+	for _, bad := range []PointResult{
+		{Index: 9, Scenario: "mixed", M: 2, U: 1, Sets: 1},
+		{Index: 0, Scenario: "wide", M: 2, U: 1, Sets: 1},
+		{Index: 0, Scenario: "mixed", M: 4, U: 1, Sets: 1},
+		{Index: 0, Scenario: "mixed", M: 2, U: 2, Sets: 1},
+		{Index: 0, Scenario: "mixed", M: 2, U: 1, Sets: 7},
+	} {
+		if _, _, err := newMerger(cfg, RunOptions{Completed: []PointResult{bad}}); err == nil {
+			t.Errorf("foreign point %+v accepted", bad)
+		}
+	}
+}
+
 // TestCampaignSharedEngineCache runs a campaign on an engine that
 // serves other traffic: its freshly generated sets are analyzed once,
 // so the campaign must leave the engine's µ-table cache as it found it

@@ -117,7 +117,7 @@ func FuzzCampaignCSVRoundTrip(f *testing.F) {
 // FuzzCampaignBody posts arbitrary bytes to every POST route of a
 // node's one HTTP front end — analyze, simulate, generate, the session
 // create, the edits, admit, sensitivity and repair routes of a live
-// session, the hand-off route, /v1/campaign and /v1/shard — under an
+// session, the hand-off route and /v1/campaign — under an
 // already-cancelled request context, so no job runs: no route may
 // panic, each answers a status of its route's set, and the bytes
 // allocated during the call stay under 64 × len(body) + 1 MiB, so no
@@ -157,8 +157,8 @@ func FuzzCampaignBody(f *testing.F) {
 	// A cancelled job answers 503 on the session routes and 400 on
 	// simulate and generate (statusForJobError). Only /v1/analyze (a
 	// batch whose every element failed), hand-off (which runs no job)
-	// and the streams (their 200 goes out before any point runs) can
-	// answer 200.
+	// and the campaign stream (its 200 goes out before any point runs)
+	// can answer 200.
 	routes := []struct {
 		path  string
 		codes []int
@@ -173,7 +173,6 @@ func FuzzCampaignBody(f *testing.F) {
 		{live + "/repair", []int{400, 413, 503}},
 		{"/v1/sessions/handoff", []int{200, 400, 503}},
 		{"/v1/campaign", []int{200, 400, 413}},
-		{"/v1/shard", []int{200, 400, 413, 503}},
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -10,9 +10,9 @@ import (
 // TestCampaignGoldenFixtures pins the exact JSONL and CSV byte streams
 // of a small campaign per scenario family to committed fixtures under
 // testdata/. The campaign codecs are the substrate of -resume and of
-// the cluster shard protocol (internal/experiments/cluster): any codec,
-// seed-chain, grid-ordering, or generator drift silently breaks both,
-// so it must fail loudly here instead.
+// the /v1/campaign stream: any codec, seed-chain, grid-ordering, or
+// generator drift silently breaks both, so it must fail loudly here
+// instead.
 //
 // Regenerate deliberately with:
 //
@@ -55,7 +55,7 @@ func compareGolden(t *testing.T, path string, got []byte, update bool) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s drifted from the golden fixture.\ngot:\n%s\nwant:\n%s\n"+
-			"If this change is intentional it breaks -resume and cluster merging "+
+			"If this change is intentional it breaks -resume "+
 			"against existing result files; regenerate with UPDATE_GOLDEN=1 and say why.",
 			path, got, want)
 	}

@@ -1,24 +1,21 @@
-package cluster
+package experiments
 
 // Observability-plane tests that need the whole stack in one place:
-// engine + server + sessions + campaign orchestrator + cluster lease
-// tracker all publishing into one registry. They live here because this
-// is the only package allowed to import everything above the engine.
+// engine, server, sessions and the campaign orchestrator all
+// publishing into one registry. They live here because this is the
+// package that builds on everything above the engine.
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -45,15 +42,6 @@ var metricsCatalog = []string{
 	"lpdag_campaign_points_completed_total|counter||Campaign points computed by this process, cumulative across runs.",
 	"lpdag_campaign_points_done|gauge||Points of the current campaign finished so far, including any resumed prefix.",
 	"lpdag_campaign_points_planned|gauge||Grid points of the campaign (or shard) currently running.",
-	"lpdag_cluster_active_shards|gauge||Shard leases currently executing on this worker.",
-	"lpdag_cluster_lease_completions_total|counter||Shard leases fully streamed back and retired.",
-	"lpdag_cluster_lease_failures_total|counter||Shard leases that died (worker failure, stall, protocol error).",
-	"lpdag_cluster_lease_grants_total|counter||Shard leases granted to workers.",
-	"lpdag_cluster_lease_handbacks_total|counter||Shard leases returned by draining workers (no retry consumed).",
-	"lpdag_cluster_dial_retries_total|counter||Worker dispatch/health retries the coordinator backed off before.",
-	"lpdag_cluster_lease_requeues_total|counter||Shard leases put back on the pending queue for another worker.",
-	"lpdag_cluster_points_outstanding|gauge||Points of the current cluster campaign not yet streamed back.",
-	"lpdag_cluster_shards_served_total|counter||Shard leases this worker finished (completed or failed).",
 	"lpdag_engine_job_failures_total|counter||Jobs that completed with an error.",
 	"lpdag_engine_job_duration_seconds|histogram|kind|Job execution time by kind (excludes queue wait).",
 	"lpdag_engine_jobs_abandoned_total|counter||Jobs not run because the submitter's context expired while they waited for a slot.",
@@ -157,10 +145,10 @@ func scrapeCatalog(t *testing.T, text string) []string {
 }
 
 // TestMetricsCatalogGolden registers the full observability plane —
-// instrumented engine, HTTP server, sessions, a local campaign, a lease
-// tracker — on one registry, drives every surface once, and pins the
-// scraped catalog (metric names, types, label keys, help) against the
-// golden list above.
+// instrumented engine, HTTP server, sessions, a local campaign — on one
+// registry, drives every surface once, and pins the scraped catalog
+// (metric names, types, label keys, help) against the golden list
+// above.
 func TestMetricsCatalogGolden(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Config{Workers: 2, Obs: reg})
@@ -176,17 +164,16 @@ func TestMetricsCatalogGolden(t *testing.T) {
 		t.Fatalf("healthz: status %d", rec.Code)
 	}
 
-	mixed, err := experiments.ScenarioByName("mixed")
+	mixed, err := ScenarioByName("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.RunCampaign(experiments.CampaignConfig{
+	if _, err := RunCampaign(CampaignConfig{
 		Seed: 7, Ms: []int{2}, UFracs: []float64{0.3}, SetsPerPoint: 1,
-		Scenarios: []experiments.Scenario{mixed},
-	}, experiments.RunOptions{Engine: eng, Obs: reg}); err != nil {
+		Scenarios: []Scenario{mixed},
+	}, RunOptions{Engine: eng, Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
-	NewTracker([][]int{{0}}, 1).Instrument(reg)
 
 	rec = httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -215,105 +202,76 @@ func TestMetricsCatalogGolden(t *testing.T) {
 	}
 }
 
-// TestClusterScrapeDuringCampaign runs a real coordinator + two
-// instrumented workers and scrapes /metrics WHILE the campaign is
-// active: the workers' scrapes must show campaign progress series (the
-// shard runs publish them through the engine's registry) and the
-// coordinator's registry must show the lease flow.
-func TestClusterScrapeDuringCampaign(t *testing.T) {
-	type obsWorker struct {
-		url string
-		reg *obs.Registry
-	}
-	var workers []obsWorker
-	for i := 0; i < 2; i++ {
-		reg := obs.NewRegistry()
-		eng := engine.New(engine.Config{Workers: 2, Obs: reg})
-		t.Cleanup(eng.Close)
-		ts := httptest.NewServer(mountedServer(eng))
-		t.Cleanup(ts.Close)
-		workers = append(workers, obsWorker{url: ts.URL, reg: reg})
+// TestScrapeDuringCampaignStream scrapes an instrumented node's
+// /metrics while its /v1/campaign stream runs: the campaign's progress
+// series, published through the engine's registry, are there with the
+// plan before any point lands, and they and the sweep job count move
+// once the points run.
+func TestScrapeDuringCampaignStream(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := engine.New(engine.Config{Workers: 1, Obs: reg})
+	t.Cleanup(eng.Close)
+	srv := httptest.NewServer(mountedServer(eng, engine.ServerConfig{}))
+	t.Cleanup(srv.Close)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("scrape: status %d, err %v", resp.StatusCode, err)
+		}
+		return string(body)
 	}
 
-	coordReg := obs.NewRegistry()
-	var (
-		once        sync.Once
-		workerBody  string
-		scrapeErr   error
-		midCampaign string
-	)
-	urls := []string{workers[0].url, workers[1].url}
-	cfg := e2eCampaign(t)
-	_, err := Run(Config{
-		Campaign: cfg,
-		Workers:  urls,
-	}, experiments.RunOptions{
-		Context: context.Background(),
-		Obs:     coordReg,
-		OnProgress: func(p experiments.Progress) {
-			if p.Done >= p.Total {
-				return
+	// With the one slot held, the stream's two points wait, so every
+	// scrape until release is mid-campaign.
+	release := holdSlot(t, eng)
+	streamed := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json",
+			strings.NewReader(`{"seed":4,"ms":[2],"u_fracs":[0.3,0.6],"sets_per_point":1}`))
+		if err == nil {
+			var results []PointResult
+			results, err = ReadCampaignJSONL(resp.Body)
+			resp.Body.Close()
+			if err == nil && len(results) != 2 {
+				err = fmt.Errorf("%d results, want 2", len(results))
 			}
-			once.Do(func() {
-				// Mid-campaign: scrape every worker over HTTP and the
-				// coordinator registry directly.
-				for _, w := range urls {
-					resp, err := http.Get(w + "/metrics")
-					if err != nil {
-						scrapeErr = err
-						return
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						scrapeErr = fmt.Errorf("worker scrape: status %d", resp.StatusCode)
-						return
-					}
-					workerBody += string(body)
-				}
-				var buf bytes.Buffer
-				if err := coordReg.WriteText(&buf); err != nil {
-					scrapeErr = err
-					return
-				}
-				midCampaign = buf.String()
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scrapeErr != nil {
-		t.Fatal(scrapeErr)
+		}
+		streamed <- err
+	}()
+	var mid string
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(mid, "lpdag_campaign_points_planned 2\n"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("no scrape during the stream showed its plan:\n%s", mid)
+		}
+		mid = scrape()
 	}
 	for _, series := range []string{
-		"lpdag_campaign_points_planned",
-		"lpdag_campaign_points_done",
-		"lpdag_engine_jobs_total",
-		"lpdag_cluster_active_shards",
+		"lpdag_campaign_points_done 0\n",
+		`lpdag_engine_jobs_total{kind="sweep"} 0` + "\n",
 	} {
-		if !strings.Contains(workerBody, series) {
-			t.Errorf("mid-campaign worker scrape is missing %s", series)
+		if !strings.Contains(mid, series) {
+			t.Errorf("mid-campaign scrape is missing %q", series)
 		}
 	}
+	release()
+	if err := <-streamed; err != nil {
+		t.Fatalf("campaign stream: %v", err)
+	}
+	final := scrape()
 	for _, series := range []string{
-		"lpdag_cluster_lease_grants_total",
-		"lpdag_cluster_points_outstanding",
-		"lpdag_campaign_points_done",
+		"lpdag_campaign_points_planned 2\n",
+		"lpdag_campaign_points_done 2\n",
+		`lpdag_engine_jobs_total{kind="sweep"} 2` + "\n",
 	} {
-		if !strings.Contains(midCampaign, series) {
-			t.Errorf("mid-campaign coordinator scrape is missing %s", series)
-		}
-	}
-	// The campaign ran: at least one lease was granted and completed.
-	var buf bytes.Buffer
-	if err := coordReg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	final := buf.String()
-	for _, line := range []string{"lpdag_cluster_lease_grants_total 0", "lpdag_cluster_lease_completions_total 0"} {
-		if strings.Contains(final, line) {
-			t.Errorf("final coordinator scrape still reports %q", line)
+		if !strings.Contains(final, series) {
+			t.Errorf("scrape after the campaign is missing %q", series)
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package experiments
 
-// The experiment runner. Every sweep of this package — a campaign, a
-// cluster worker's slice of one, the soundness harness and the paper
-// figures — is a list of independent points, each a pure function of
-// its index (seed.go). runPoints is the only code that submits points
-// to the engine; Merger is its ordered half, streaming campaign
-// results in index order with progress, and cluster.Run feeds the same
-// Merger from remote shard streams.
+// The experiment runner. Every sweep of this package — a campaign, the
+// soundness harness and the paper figures — is a list of independent
+// points, each a pure function of its index (seed.go). runPoints is the
+// only code that submits points to the engine; merger is its ordered
+// half, streaming campaign results in index order with progress.
 
 import (
 	"context"
@@ -66,17 +64,18 @@ func sweep[T any](eng *engine.Engine, n int, point func(ctx context.Context, i i
 	return out, nil
 }
 
-// Merger takes campaign point results in any completion order and
-// streams them in position order through one StreamEmitter, reporting
-// each landed result as Progress and, when RunOptions.Obs is set, as the
-// lpdag_campaign_* series — so a long sweep is watchable from /metrics
-// locally, on a cluster worker running a shard, or on the coordinator.
-// The gauges describe the current run on this process; the completed
-// counter is cumulative across runs, which is what rate() wants.
-type Merger struct {
+// merger takes campaign point results in any completion order and
+// streams them in index order through one StreamEmitter, reporting each
+// landed result as Progress and, when RunOptions.Obs is set, as the
+// lpdag_campaign_* series — so a long sweep is watchable from /metrics,
+// on the CLI's -metrics-addr listener or on a node serving
+// /v1/campaign. The gauges describe the current run on this process;
+// the completed counter is cumulative across runs, which is what
+// rate() wants.
+type merger struct {
 	results    []PointResult
 	ready      []bool
-	next       int // first position not yet emitted
+	next       int // first index not yet emitted
 	emitter    *StreamEmitter
 	onProgress func(Progress)
 	start      time.Time
@@ -87,45 +86,32 @@ type Merger struct {
 	completed          *obs.Counter
 }
 
-// NewMerger starts the merge of a whole campaign grid: it validates the
-// results carried over in opts.Completed (the -resume mechanism) with
-// CheckResult, emits their contiguous prefix at once, and returns the
-// indices still to compute, ascending.
-func NewMerger(cfg CampaignConfig, opts RunOptions) (*Merger, []int, error) {
-	ncfg, err := cfg.normalized()
-	if err != nil {
-		return nil, nil, err
+// newMerger starts the merge of the grid of a normalized campaign: it
+// validates the results carried over in opts.Completed (the -resume
+// mechanism) with checkResult, emits their contiguous prefix at once,
+// and returns the indices still to compute, ascending.
+func newMerger(cfg CampaignConfig, opts RunOptions) (*merger, []int, error) {
+	n := cfg.gridSize()
+	m := &merger{
+		results:    make([]PointResult, n),
+		ready:      make([]bool, n),
+		emitter:    NewStreamEmitter(opts.JSONL, opts.CSV, methodNames(cfg.Methods)),
+		onProgress: opts.OnProgress,
+		start:      time.Now(),
 	}
-	n := ncfg.gridSize()
-	results := make([]PointResult, n)
-	ready := make([]bool, n)
 	for _, pr := range opts.Completed {
-		if err := CheckResult(ncfg, pr); err != nil {
+		if err := checkResult(cfg, pr); err != nil {
 			return nil, nil, fmt.Errorf("resume: %w", err)
 		}
-		if !ready[pr.Index] {
-			results[pr.Index], ready[pr.Index] = pr, true
+		if !m.ready[pr.Index] {
+			m.results[pr.Index], m.ready[pr.Index] = pr, true
+			m.carried++
 		}
 	}
 	var missing []int
 	for i := range n {
-		if !ready[i] {
+		if !m.ready[i] {
 			missing = append(missing, i)
-		}
-	}
-	return newMerger(results, ready, methodNames(ncfg.Methods), opts), missing, nil
-}
-
-func newMerger(results []PointResult, ready []bool, names []string, opts RunOptions) *Merger {
-	m := &Merger{
-		results: results, ready: ready,
-		emitter:    NewStreamEmitter(opts.JSONL, opts.CSV, names),
-		onProgress: opts.OnProgress,
-		start:      time.Now(),
-	}
-	for _, r := range ready {
-		if r {
-			m.carried++
 		}
 	}
 	if reg := opts.Obs; reg != nil {
@@ -139,23 +125,18 @@ func newMerger(results []PointResult, ready []bool, names []string, opts RunOpti
 			"Campaign points computed by this process, cumulative across runs.")
 		// Set before any point lands, so a scrape during a stalled run
 		// still sees the plan.
-		m.planned.Set(float64(len(results)))
+		m.planned.Set(float64(n))
 		m.done.Set(float64(m.carried))
 		m.eta.Set(0)
 	}
 	m.flush()
-	return m
+	return m, missing, nil
 }
 
-// Put records the result at position p and emits every result whose
-// predecessors are all in. A position that already holds a result is
-// left alone (a retried cluster shard resends points; they are
-// deterministic, so identical).
-func (m *Merger) Put(p int, pr PointResult) {
-	if m.ready[p] {
-		return
-	}
-	m.results[p], m.ready[p] = pr, true
+// Put records the result at index i and emits every result whose
+// predecessors are all in.
+func (m *merger) Put(i int, pr PointResult) {
+	m.results[i], m.ready[i] = pr, true
 	m.got++
 	m.flush()
 	if m.onProgress == nil && m.planned == nil {
@@ -177,16 +158,16 @@ func (m *Merger) Put(p int, pr PointResult) {
 	}
 }
 
-func (m *Merger) flush() {
+func (m *merger) flush() {
 	for m.next < len(m.results) && m.ready[m.next] {
 		m.emitter.Emit(m.results[m.next])
 		m.next++
 	}
 }
 
-// Results returns the merged results in position order, or the first
+// Results returns the merged results in index order, or the first
 // stream write error.
-func (m *Merger) Results() ([]PointResult, error) {
+func (m *merger) Results() ([]PointResult, error) {
 	if err := m.emitter.Err(); err != nil {
 		return nil, err
 	}

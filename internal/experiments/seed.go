@@ -4,10 +4,10 @@ package experiments
 //
 // Every generated task set gets its own RNG seed derived from
 // (campaign seed, point index, set index) through a splitmix64-style
-// mixer. This is the determinism contract the orchestrator's sharding
-// rests on: because no two work units share generator state, the
+// mixer. This is the determinism contract the orchestrator's parallel
+// runs rest on: because no two work units share generator state, the
 // contents of set j of point p depend only on the campaign seed and the
-// pair (p, j) — never on which shard ran the point, how many workers
+// pair (p, j) — never on which worker ran the point, how many workers
 // executed the campaign, how many sets a point has, or how many methods
 // analyze each set. Earlier revisions threaded one rand source through a
 // whole sweep, so growing any dimension of the experiment perturbed

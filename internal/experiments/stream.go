@@ -107,7 +107,7 @@ func CampaignJSONL(results []PointResult) (string, error) {
 
 // ReadCampaignJSONL decodes a JSON-lines result stream. Blank lines are
 // permitted (and not round-tripped); every other line must pass
-// DecodeResultLine, so every accepted stream re-encodes canonically and
+// decodeResultLine, so every accepted stream re-encodes canonically and
 // can feed the CSV emitter.
 func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 	var out []PointResult
@@ -120,7 +120,7 @@ func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		pr, err := DecodeResultLine(raw)
+		pr, err := decodeResultLine(raw)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: jsonl line %d: %w", line, err)
 		}
@@ -134,14 +134,12 @@ func ReadCampaignJSONL(r io.Reader) ([]PointResult, error) {
 	return out, nil
 }
 
-// DecodeResultLine decodes one non-blank line of a campaign JSONL
+// decodeResultLine decodes one non-blank line of a campaign JSONL
 // stream: a single JSON PointResult with finite U, valid scenario and
-// method names and non-negative sched counts. It is the one line decoder
-// of ReadCampaignJSONL and the cluster coordinator's shard reader. The
-// terminal {"error": msg} line that POST /v1/campaign and /v1/shard
-// append when a run fails mid-stream is returned as the error "worker
-// error: msg".
-func DecodeResultLine(raw []byte) (PointResult, error) {
+// method names and non-negative sched counts. The terminal
+// {"error": msg} line that POST /v1/campaign appends when a run fails
+// mid-stream is returned as the error "worker error: msg".
+func decodeResultLine(raw []byte) (PointResult, error) {
 	var line struct {
 		PointResult
 		Err *string `json:"error"`

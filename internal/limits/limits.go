@@ -43,9 +43,9 @@ var (
 	// session id (the registry issues 32-byte ids).
 	Name      = Bound{"name", 0, 4096}
 	SessionID = Bound{"id", 0, 256}
-	// Points, Sets and Analyses bound one campaign or shard request:
-	// its grid points, checked before the grid is built, its sets per
-	// point, and its points × sets × methods analyses.
+	// Points, Sets and Analyses bound one campaign request: its grid
+	// points, checked before the grid is built, its sets per point, and
+	// its points × sets × methods analyses.
 	Points   = Bound{"points", 1, 2048}
 	Sets     = Bound{"sets_per_point", 1, 200}
 	Analyses = Bound{"analyses", 1, 250_000}

@@ -57,7 +57,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/cache"
 	"repro/internal/experiments"
-	"repro/internal/experiments/cluster"
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/model"
@@ -379,9 +378,7 @@ type (
 	// internal/limits, not configured.
 	ServerConfig = engine.ServerConfig
 	// EngineServer is the engine's HTTP front end plus the node's
-	// worker state: StartDraining flips /healthz to "draining" (and
-	// stops the shard route taking leases), and the shard route feeds
-	// its load gauges.
+	// draining flag: StartDraining flips /healthz to "draining".
 	EngineServer = engine.Server
 	// Cache is the content-addressed memo store for the expensive
 	// µ-table computations (clique searches); share one via
@@ -406,8 +403,7 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // NewEngineServer returns the engine's HTTP server (the lpdag-serve
 // API: POST /v1/analyze, /v1/simulate, /v1/generate, the session
 // routes, GET /healthz, /stats; MountCampaignRoutes adds the campaign
-// streams). The returned server is an http.Handler and also the node's
-// worker-state surface for cluster deployments.
+// stream). The returned server is an http.Handler.
 func NewEngineServer(e *Engine, cfg ServerConfig) *EngineServer { return engine.NewServer(e, cfg) }
 
 // NewCache returns a bounded content-addressed µ-table cache
@@ -476,31 +472,9 @@ func RunSoundness(cfg SoundnessConfig) (*SoundnessReport, error) {
 	return experiments.RunSoundness(cfg)
 }
 
-// Cluster types (see internal/experiments/cluster): the coordinator
-// that fans a campaign out across lpdag-serve worker nodes over shard
-// leases, with failover that never changes a byte of output.
-type (
-	// ClusterConfig parameterises a cluster campaign run: the campaign,
-	// the worker base URLs, and the lease/retry policy.
-	ClusterConfig = cluster.Config
-	// ClusterLease is one granted shard lease (for introspection).
-	ClusterLease = cluster.Lease
-)
-
-// RunClusterCampaign executes a campaign across remote lpdag-serve
-// workers, merging streamed shard results in index order: the JSONL/CSV
-// output is byte-identical to a local RunCampaign of the same config,
-// regardless of worker count, lease plan, retries, or mid-campaign
-// worker failures.
-func RunClusterCampaign(cfg ClusterConfig, opts CampaignRunOptions) ([]CampaignPointResult, error) {
-	return cluster.Run(cfg, opts)
-}
-
 // MountCampaignRoutes serves POST /v1/campaign (a sweep campaign as
-// streamed ndjson results) and POST /v1/shard (the worker half of the
-// cluster protocol) on srv, as cmd/lpdag-serve does: behind srv's
-// admission, on srv's engine, with shard load and draining state on its
-// /healthz and /stats.
+// streamed ndjson results) on srv, as cmd/lpdag-serve does: behind
+// srv's admission, on srv's engine.
 func MountCampaignRoutes(srv *EngineServer) { experiments.Mount(srv) }
 
 // Sequential-task substrate (see internal/seqlp): the RTNS 2015 analysis

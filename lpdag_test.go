@@ -3,6 +3,8 @@ package lpdag
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -243,6 +245,33 @@ func TestFacadeCampaignAndSoundness(t *testing.T) {
 	}
 	if rep.TotalViolations != 0 {
 		t.Errorf("soundness violations on facade smoke run: %+v", rep.Violations)
+	}
+}
+
+// TestFacadeCampaignRoute serves a campaign through the facade's server
+// and route mount, wired as cmd/lpdag-serve wires them: the ndjson
+// stream is RunCampaign's JSONL of the same registry campaign.
+func TestFacadeCampaignRoute(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 2})
+	defer e.Close()
+	srv := NewEngineServer(e, ServerConfig{})
+	MountCampaignRoutes(srv)
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(
+		`{"seed":3,"ms":[2],"u_fracs":[0.4,0.8],"sets_per_point":2,"scenarios":["light"]}`)))
+	light, err := CampaignScenarioByName("light")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if _, err := RunCampaign(CampaignConfig{
+		Seed: 3, Ms: []int{2}, UFracs: []float64{0.4, 0.8}, SetsPerPoint: 2,
+		Scenarios: []CampaignScenario{light},
+	}, CampaignRunOptions{JSONL: &want}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || w.Body.String() != want.String() {
+		t.Errorf("/v1/campaign: status %d\n%s\nwant RunCampaign's JSONL:\n%s", w.Code, w.Body, want.String())
 	}
 }
 
